@@ -36,8 +36,7 @@ from .spectral import (
     SpectralField,
     apply_log_weight,
     apply_multiplier,
-    dealias_mask,
-    hermitian_project,
+    full_spectrum,
     log_cosh,
     make_grid,
     pad_spectrum,
@@ -92,21 +91,13 @@ def gsigma_norm(f: SpectralField, sigma: float, s: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _fine_xi(grid) -> np.ndarray:
-    N = grid.N
-    return (2.0 * np.pi / grid.L) * np.concatenate([np.arange(0, N), np.arange(-N, 0)])
-
-
-def _refined_derivs(fld: SpectralField, orders: tuple[int, ...]) -> list[np.ndarray]:
-    """Samples of the requested derivatives on the doubled grid."""
+def _refined_derivs(fld: SpectralField, orders: tuple[int, ...]) -> np.ndarray:
+    """Samples of the requested derivatives on the doubled grid, one row
+    per order, from one batched irfft of the zero-padded half spectrum."""
     N = fld.grid.N
-    big = pad_spectrum(fld.spectrum, N, 2)
-    xi = _fine_xi(fld.grid)
-    out = []
-    for order in orders:
-        spec = big if order == 0 else big * (1j * xi) ** order
-        out.append(np.fft.ifft(spec * (2 * N)).real)
-    return out
+    big = pad_spectrum(fld.spectrum, N, 2)[: N + 1]
+    xi = (2.0 * np.pi / fld.grid.L) * np.arange(N + 1)
+    return np.fft.irfft(big * (1j * xi) ** np.array(orders)[:, None], n=2 * N, norm="forward")
 
 
 def _quad(grid, *factors: np.ndarray) -> float:
@@ -235,9 +226,10 @@ def _apply_cosh_spectrum(spectrum: np.ndarray, grid, sigma: float) -> np.ndarray
 
 
 def _masked_spectrum(samples: np.ndarray, grid) -> np.ndarray:
-    F = hermitian_project(np.fft.fft(samples) / grid.N)
-    F[~dealias_mask(grid)] = 0.0
-    return F
+    """Dealiased full spectrum of a real product array (rfft, band |k| <= N/4)."""
+    H = np.fft.rfft(samples, norm="forward")
+    H[grid.N // 4 + 1 :] = 0.0
+    return full_spectrum(H, grid.N)
 
 
 def operator_F(W: SpectralField, sigma: float, mu: int) -> SpectralField:

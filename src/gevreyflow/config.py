@@ -148,14 +148,44 @@ _SECTION_ORDER = ("", "grid", "evolution", "equation", "damping", "damping2", "d
 # ---------------------------------------------------------------------------
 
 
+_ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "t": "\t"}
+
+
 def _strip_comment(line: str) -> str:
-    in_str = False
+    in_str = escaped = False
     for i, ch in enumerate(line):
-        if ch == '"' and (i == 0 or line[i - 1] != "\\"):
+        if escaped:
+            escaped = False
+        elif in_str and ch == "\\":
+            escaped = True
+        elif ch == '"':
             in_str = not in_str
         elif ch == "#" and not in_str:
             return line[:i]
     return line
+
+
+def _parse_string(text: str, line_no: int | None, col: int) -> str:
+    """Body of a quoted scalar; an escape consumes the character after the
+    backslash, so an escaped backslash can precede the closing quote."""
+    out, i = [], 1
+    while i < len(text) and text[i] != '"':
+        if text[i] == "\\":
+            i += 1
+            if i == len(text):
+                break
+            mapped = _ESCAPES.get(text[i])
+            if mapped is None:
+                raise ConfigParseError(f"unknown escape \\{text[i]}", line_no, col + i - 1)
+            out.append(mapped)
+        else:
+            out.append(text[i])
+        i += 1
+    if i >= len(text):
+        raise ConfigParseError("unterminated string", line_no, col)
+    if i != len(text) - 1:
+        raise ConfigParseError("unescaped quote inside string", line_no, col + i)
+    return "".join(out)
 
 
 def _parse_scalar(text: str, line_no: int | None, col: int):
@@ -167,27 +197,7 @@ def _parse_scalar(text: str, line_no: int | None, col: int):
     if text == "false":
         return False
     if text.startswith('"'):
-        if len(text) < 2 or not text.endswith('"') or text.endswith('\\"'):
-            raise ConfigParseError("unterminated string", line_no, col)
-        body = text[1:-1]
-        out, i = [], 0
-        while i < len(body):
-            ch = body[i]
-            if ch == '"':
-                raise ConfigParseError("unescaped quote inside string", line_no, col + 1 + i)
-            if ch == "\\":
-                i += 1
-                if i >= len(body):
-                    raise ConfigParseError("dangling escape", line_no, col + 1 + i)
-                esc = body[i]
-                mapped = {'"': '"', "\\": "\\", "n": "\n", "t": "\t"}.get(esc)
-                if mapped is None:
-                    raise ConfigParseError(f"unknown escape \\{esc}", line_no, col + i)
-                out.append(mapped)
-            else:
-                out.append(ch)
-            i += 1
-        return "".join(out)
+        return _parse_string(text, line_no, col)
     if _INT_RE.match(text):
         return int(text)
     try:
@@ -421,6 +431,15 @@ def parse_config(path, overrides=()) -> ScenarioConfig:
 # ---------------------------------------------------------------------------
 
 
+def _reads_as_number(word: str) -> bool:
+    """True for bare words such as inf or nan that float() accepts."""
+    try:
+        float(word)
+    except ValueError:
+        return False
+    return True
+
+
 def _format_scalar(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -429,7 +448,7 @@ def _format_scalar(value) -> str:
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, str):
-        if _BARE_RE.match(value) and value not in ("true", "false"):
+        if _BARE_RE.match(value) and value not in ("true", "false") and not _reads_as_number(value):
             return value
         escaped = value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n").replace("\t", "\\t")
         return f'"{escaped}"'

@@ -16,6 +16,15 @@ dispersive part is propagated exactly by the unimodular symbol
 exp(i xi^m t) and RK4 only sees the nonlinear + damping terms.  States
 live in the dealiased band |k| <= N/4 throughout (initial data is projected
 into it), so the cubic products are alias-free away from the band edge.
+
+The loop works on half spectra: the rfft coefficients k = 0..N/2 of each
+real component, shape (N/2+1,) or (2, N/2+1) for the coupled pair.  Real
+transforms are Hermitian by construction, so no symmetry projection is
+needed.  nonlinear_term, the one implementation of the non-dispersive
+rhs, makes one batched irfft and one batched rfft per evaluation: 8
+transforms per RK4 step for every flow.  Recorded states are mirrored
+back to full spectra and pass through synthesize, which checks the
+symmetry.
 """
 
 from __future__ import annotations
@@ -31,17 +40,9 @@ from .spectral import (
     SpectralField,
     analyze,
     dealias,
-    dealias_mask,
-    hermitian_project,
+    full_spectrum,
     synthesize,
 )
-
-
-def _masked_transform(w: np.ndarray, N: int, mask: np.ndarray) -> np.ndarray:
-    """Dealiased, exactly-Hermitian spectrum of a real product array."""
-    F = hermitian_project(np.fft.fft(w) / N)
-    F[~mask] = 0.0
-    return F
 
 BLOWUP_LIMIT = 1e6
 
@@ -130,7 +131,8 @@ def make_damping(form: str, lam: float, eps: float, grid: Grid, sigma0: float) -
 
     (A1) min a = lam > 0: exact for both forms.
     (A2) sup|d^k a| <= C R^k k!: verified by spectral differentiation for
-         k <= 8 on the supplied grid, against the profile's certified
+         k <= 8 on the supplied grid (one batched irfft, round-off modes
+         dropped first), against the profile's certified
          (C, R) = (deriv_bound_coeff, deriv_bound_rate).
     (A3) R < 1/sigma0: rejected at configuration time otherwise.
     """
@@ -155,13 +157,15 @@ def make_damping(form: str, lam: float, eps: float, grid: Grid, sigma0: float) -
             f"(A3) violated: derivative rate R = {R:.6g} must be < 1/sigma0 = {1.0 / sigma0:.6g}"
         )
 
-    a = analyze(profile.values(grid), grid)
+    # coefficients under 1e-13 of the largest (the floor radius_estimate uses)
+    # are transform round-off, which xi^k would amplify past the bound
+    A = np.fft.rfft(profile.values(grid), norm="forward")
+    A[np.abs(A) < 1e-13 * np.abs(A).max()] = 0.0
+    orders = np.arange(1, 9)
+    symbols = (1j * grid.xi[: grid.N // 2 + 1]) ** orders[:, None]
+    derivs = np.fft.irfft(A * symbols, n=grid.N, norm="forward")
     C = profile.deriv_bound_coeff
-    phase = (1j * grid.xi).copy()
-    deriv = a.spectrum
-    for k in range(1, 9):
-        deriv = deriv * phase
-        sup_k = np.abs(np.fft.ifft(deriv * grid.N).real).max()
+    for k, sup_k in zip(orders.tolist(), np.abs(derivs).max(axis=1).tolist()):
         bound = C * R**k * math.factorial(k)
         if sup_k > bound * (1.0 + 1e-8) + 1e-12:
             raise ConfigurationError(
@@ -277,71 +281,49 @@ def linear_symbol(grid: Grid, m: int, alpha: float = 1.0) -> np.ndarray:
     return sym
 
 
-def _require_finite(samples: np.ndarray) -> None:
-    if not np.all(np.isfinite(samples)):
-        raise DivergenceError("state contains NaN/Inf samples")
+def nonlinear_term(eq: Equation, grid: Grid, nonlinear: bool = True):
+    """Build the non-dispersive part N(V) of the rhs, on half spectra.
 
+    V is the rfft half k = 0..N/2 of the state: shape (N/2+1,), or
+    (2, N/2+1) for Coupled.  The returned function maps V to (N(V), v):
+    N(V) in the same layout and zero outside the dealiased band
+    |k| <= N/4 (so also at Nyquist), and v the samples of the state, for
+    the blow-up check.  nonlinear=False drops the cubic terms.
 
-def _check_mu(mu: int) -> None:
-    if mu not in (-1, 1):
-        raise ConfigurationError(f"mu must be +-1, got {mu}")
+    Single component: one irfft of [V, i xi V] gives v and v_x, and one
+    rfft of the real array -(mu v^2 v_x + a v) gives N(V).  Coupled: one
+    irfft of [V1, V2], one rfft of [a1 v1, a2 v2, v1 v2^2, v1^2 v2], and
+    the products are differentiated in Fourier space.
+    """
+    N = grid.N
+    band = N // 4 + 1
+    mu = eq.mu if nonlinear else 0
+    xi = grid.xi[: N // 2 + 1]
 
+    if isinstance(eq, Coupled):
+        a1, a2 = eq.damping1.values(grid), eq.damping2.values(grid)
+        mu_dx = mu * 1j * xi
 
-def rhs_mkdv(u: SpectralField, mu: int) -> SpectralField:
-    """du/dt = -u_xxx - mu * dealias(u^2 u_x)."""
-    _check_mu(mu)
-    _require_finite(u.samples)
-    g = u.grid
-    mask = dealias_mask(g)
-    v = u.samples
-    vx = np.fft.ifft(1j * g.xi * u.spectrum * g.N).real
-    nl = _masked_transform(v * v * vx, g.N, mask)
-    return synthesize(linear_symbol(g, 3) * hermitian_project(u.spectrum) - mu * nl, g)
+        def rhs(V):
+            v = np.fft.irfft(V, n=N, norm="forward")
+            v1, v2 = v
+            P = np.fft.rfft(np.stack([a1 * v1, a2 * v2, v1 * v2 * v2, v1 * v1 * v2]), norm="forward")
+            out = -P[:2] - mu_dx * P[2:]
+            out[:, band:] = 0.0
+            return out, v
 
+        return rhs
 
-def rhs_mkdvm(v: SpectralField, m: int, mu: int, a: DampingProfile) -> SpectralField:
-    """dv/dt = -(-1)^(j+1) d_x^m v - mu * dealias(v^2 v_x) - dealias(a v)."""
-    _check_mu(mu)
-    if m < 3 or m % 2 == 0:
-        raise ConfigurationError(f"order must be odd and >= 3, got m={m}")
-    _require_finite(v.samples)
-    g = v.grid
-    mask = dealias_mask(g)
-    s = v.samples
-    sx = np.fft.ifft(1j * g.xi * v.spectrum * g.N).real
-    nl = _masked_transform(s * s * sx, g.N, mask)
-    damp = _masked_transform(a.values(g) * s, g.N, mask)
-    return synthesize(linear_symbol(g, m) * hermitian_project(v.spectrum) - mu * nl - damp, g)
+    a = eq.damping.values(grid) if isinstance(eq, MKdVm) else 0.0
+    d0_d1 = np.stack([np.ones(N // 2 + 1), 1j * xi])
 
+    def rhs(V):
+        v, vx = np.fft.irfft(d0_d1 * V, n=N, norm="forward")
+        out = np.fft.rfft(-(mu * (v * v * vx) + a * v), norm="forward")
+        out[band:] = 0.0
+        return out, v
 
-def rhs_coupled(
-    w1: SpectralField,
-    w2: SpectralField,
-    alpha: float,
-    mu: int,
-    a1: DampingProfile,
-    a2: DampingProfile,
-) -> tuple[SpectralField, SpectralField]:
-    """dw1/dt = -w1_xxx - mu d_x dealias(w1 w2^2) - dealias(a1 w1), and the
-    mirrored second component with dispersion alpha and product w1^2 w2."""
-    if not 0.0 < alpha < 1.0:
-        raise ConfigurationError(f"dispersion ratio must lie in (0, 1), got alpha={alpha}")
-    _check_mu(mu)
-    _require_finite(w1.samples)
-    _require_finite(w2.samples)
-    g = w1.grid
-    if w2.grid != g:
-        raise ConfigurationError("coupled components must share one grid")
-    mask = dealias_mask(g)
-    s1, s2 = w1.samples, w2.samples
-    p1 = _masked_transform(s1 * s2 * s2, g.N, mask)
-    p2 = _masked_transform(s1 * s1 * s2, g.N, mask)
-    d1 = _masked_transform(a1.values(g) * s1, g.N, mask)
-    d2 = _masked_transform(a2.values(g) * s2, g.N, mask)
-    dx = linear_symbol(g, 1)
-    out1 = linear_symbol(g, 3) * hermitian_project(w1.spectrum) - mu * dx * p1 - d1
-    out2 = linear_symbol(g, 3, alpha) * hermitian_project(w2.spectrum) - mu * dx * p2 - d2
-    return synthesize(out1, g), synthesize(out2, g)
+    return rhs
 
 
 # ---------------------------------------------------------------------------
@@ -369,76 +351,27 @@ def _plan_steps(spec: EvolutionSpec) -> tuple[int, int, float]:
     return n_rec, n_steps, spec.t_end / n_steps
 
 
-def _nonlinear_rhs_single(eq: Equation, spec: EvolutionSpec, grid: Grid):
-    """Build N(V): the non-dispersive part of the rhs, in spectrum form.
-
-    Returns a closure mapping a spectrum to (N(V) spectrum, samples), the
-    samples being a byproduct used for the blow-up check.
-    """
-    mask = dealias_mask(grid)
-    mu = eq.mu if spec.nonlinear else 0
-    a_vals = eq.damping.values(grid) if isinstance(eq, MKdVm) else None
-    xi = grid.xi
-    N = grid.N
-
-    def rhs(V):
-        v = np.fft.ifft(V * N).real
-        total = np.zeros(N, dtype=complex)
-        if mu:
-            vx = np.fft.ifft(1j * xi * V * N).real
-            total -= mu * hermitian_project(np.fft.fft(v * v * vx) / N)
-        if a_vals is not None:
-            total -= hermitian_project(np.fft.fft(a_vals * v) / N)
-        total[~mask] = 0.0
-        return total, v
-
-    return rhs
-
-
-def _nonlinear_rhs_coupled(eq: Coupled, spec: EvolutionSpec, grid: Grid):
-    mask = dealias_mask(grid)
-    mu = eq.mu if spec.nonlinear else 0
-    a1 = eq.damping1.values(grid)
-    a2 = eq.damping2.values(grid)
-    xi = grid.xi
-    N = grid.N
-
-    def rhs(V):
-        v1 = np.fft.ifft(V[0] * N).real
-        v2 = np.fft.ifft(V[1] * N).real
-        t1 = -hermitian_project(np.fft.fft(a1 * v1) / N)
-        t2 = -hermitian_project(np.fft.fft(a2 * v2) / N)
-        if mu:
-            t1 -= mu * 1j * xi * hermitian_project(np.fft.fft(v1 * v2 * v2) / N)
-            t2 -= mu * 1j * xi * hermitian_project(np.fft.fft(v1 * v1 * v2) / N)
-        t1[~mask] = 0.0
-        t2[~mask] = 0.0
-        return np.stack([t1, t2]), max(np.abs(v1).max(), np.abs(v2).max())
-
-    return rhs
-
-
 def integrate(spec: EvolutionSpec, init) -> Trajectory:
     """Run the flow from init (SpectralField, or a pair for Coupled).
 
     The initial state is projected into the dealiased band; every recorded
     state stays there.  Aborts with DivergenceError once max|v| passes 1e6.
     """
-    coupled = isinstance(spec.equation, Coupled)
+    eq = spec.equation
+    coupled = isinstance(eq, Coupled)
     if coupled:
         if not (isinstance(init, (tuple, list)) and len(init) == 2):
             raise ConfigurationError("coupled flow needs a pair of initial fields")
-        f1, f2 = dealias(init[0]), dealias(init[1])
-        grid = f1.grid
-        if f2.grid != grid:
+        fields = (dealias(init[0]), dealias(init[1]))
+        if fields[1].grid != fields[0].grid:
             raise ConfigurationError("coupled components must share one grid")
-        amp = max(np.abs(f1.samples).max(), np.abs(f2.samples).max())
     else:
         if not isinstance(init, SpectralField):
             raise ConfigurationError("single-component flow needs one SpectralField")
-        f0 = dealias(init)
-        grid = f0.grid
-        amp = np.abs(f0.samples).max()
+        fields = (dealias(init),)
+    grid = fields[0].grid
+    N = grid.N
+    amp = max(np.abs(f.samples).max() for f in fields)
 
     guard = _dt_guard(spec, grid, amp)
     if spec.dt > guard * (1.0 + 1e-12):
@@ -449,41 +382,41 @@ def integrate(spec: EvolutionSpec, init) -> Trajectory:
     n_rec, n_steps, h = _plan_steps(spec)
     times = np.linspace(0.0, spec.t_end, n_rec + 1)
 
-    eq = spec.equation
+    # the state is the rfft half k = 0..N/2, one row per component
+    half = slice(0, N // 2 + 1)
     if coupled:
-        sym = np.stack([linear_symbol(grid, 3), linear_symbol(grid, 3, eq.alpha)])
-        rhs = _nonlinear_rhs_coupled(eq, spec, grid)
-        V = np.stack([f1.spectrum, f2.spectrum]).astype(complex)
+        sym = np.stack([linear_symbol(grid, 3), linear_symbol(grid, 3, eq.alpha)])[:, half]
+        V = np.stack([f.spectrum[half] for f in fields])
     else:
-        sym = linear_symbol(grid, eq.m)
-        rhs = _nonlinear_rhs_single(eq, spec, grid)
-        V = f0.spectrum.astype(complex)
+        sym = linear_symbol(grid, eq.m)[half]
+        V = fields[0].spectrum[half].copy()
+    rhs = nonlinear_term(eq, grid, spec.nonlinear)
 
     E = np.exp(sym * (h / 2.0))
     E2 = E * E
+    twoE = 2.0 * E
 
     def record(Vcur):
+        # the mirrored full spectrum is exactly Hermitian, and synthesize checks it
         if coupled:
-            return (synthesize(Vcur[0], grid), synthesize(Vcur[1], grid))
-        return synthesize(Vcur, grid)
+            return tuple(synthesize(full_spectrum(H, N), grid) for H in Vcur)
+        return synthesize(full_spectrum(Vcur, N), grid)
 
     states = [record(V)]
     step = 0
     for _ in range(n_rec):
         for _ in range(spec.record_every):
             N1, v = rhs(V)
-            peak = v if coupled else np.abs(v).max()
+            peak = np.abs(v).max()
             if not np.isfinite(peak) or peak > BLOWUP_LIMIT:
                 raise DivergenceError(
                     f"blow-up abort at t = {step * h:.6g}: max|v| = {peak:.3e} exceeds {BLOWUP_LIMIT:.0e}"
                 )
-            v1 = E * (V + (h / 2.0) * N1)
-            N2, _ = rhs(v1)
-            v2 = E * V + (h / 2.0) * N2
-            N3, _ = rhs(v2)
-            v3 = E2 * V + h * (E * N3)
-            N4, _ = rhs(v3)
-            V = E2 * V + (h / 6.0) * (E2 * N1 + 2.0 * E * N2 + 2.0 * E * N3 + N4)
+            EV, E2V = E * V, E2 * V
+            N2, _ = rhs(E * (V + (h / 2.0) * N1))
+            N3, _ = rhs(EV + (h / 2.0) * N2)
+            N4, _ = rhs(E2V + h * (E * N3))
+            V = E2V + (h / 6.0) * (E2 * N1 + twoE * N2 + twoE * N3 + N4)
             step += 1
         states.append(record(V))
     return Trajectory(times=times, states=tuple(states), spec=spec, step_size=h)

@@ -21,7 +21,11 @@ Hermitian symmetry (F_{-k} = conj F_k) is an invariant of every operation
 exposed here.  The Nyquist mode k = -N/2 has no conjugate partner; symbols
 that are odd in xi (odd-order derivatives, the dispersive phase) are zeroed
 there, the standard convention for real spectral differentiation (see
-https://math.mit.edu/~stevenj/fft-deriv.pdf).
+https://math.mit.edu/~stevenj/fft-deriv.pdf).  Forward transforms go
+through rfft, which computes only the half k = 0..N/2 (the Nyquist entry
+of the half is the k = -N/2 mode, real for real samples); full_spectrum
+mirrors a half into the full FFT ordering, exactly Hermitian by
+construction.
 
 Hyperbolic weights cosh(sigma*xi) overflow double precision near
 sigma*|xi| ~ 710.  Weight application therefore goes through log space
@@ -132,18 +136,16 @@ def _field(grid: Grid, samples: np.ndarray, spectrum: np.ndarray) -> SpectralFie
     return SpectralField(grid, _freeze(samples), _freeze(spectrum))
 
 
-def hermitian_project(spectrum: np.ndarray) -> np.ndarray:
-    """Exact Hermitian part: average F_k with conj(F_{-k}).
+def full_spectrum(half: np.ndarray, N: int) -> np.ndarray:
+    """Full FFT-ordered spectrum from the rfft half k = 0..N/2 (last axis).
 
-    The DFT of real samples is Hermitian in exact arithmetic; the FFT leaves
-    eps-size crumbs that derivative symbols later amplify by xi^m.  Projecting
-    here makes the symmetry exact, and it stays exact: complex arithmetic
-    rounds conjugate-equivariantly, so every multiplier/product downstream
-    preserves bitwise symmetry.
+    The negative modes are the conjugates of the positive ones, so the
+    result is exactly Hermitian whenever half[0] and half[N/2] are real,
+    which rfft guarantees for real samples.  The symmetry then stays exact:
+    complex arithmetic rounds conjugate-equivariantly, so multipliers with
+    Hermitian symbols preserve it bitwise.
     """
-    N = spectrum.shape[0]
-    rev = np.concatenate(([0], np.arange(N - 1, 0, -1)))
-    return 0.5 * (spectrum + np.conj(spectrum[rev]))
+    return np.concatenate([half, np.conj(half[..., N // 2 - 1 : 0 : -1])], axis=-1)
 
 
 def analyze(samples: np.ndarray, grid: Grid) -> SpectralField:
@@ -153,7 +155,7 @@ def analyze(samples: np.ndarray, grid: Grid) -> SpectralField:
         raise ConfigurationError(f"sample vector has shape {samples.shape}, grid expects ({grid.N},)")
     if not np.all(np.isfinite(samples)):
         raise ConfigurationError("samples contain NaN/Inf")
-    spectrum = hermitian_project(np.fft.fft(samples) / grid.N)
+    spectrum = full_spectrum(np.fft.rfft(samples, norm="forward"), grid.N)
     return _field(grid, samples.copy(), spectrum)
 
 
@@ -360,11 +362,6 @@ def dealias(fld: SpectralField) -> SpectralField:
     if np.all(fld.spectrum[~keep] == 0):
         return fld
     return _resynth(fld.grid, np.where(keep, fld.spectrum, 0.0))
-
-
-def dealias_mask(grid: Grid) -> np.ndarray:
-    """Boolean keep-mask of the 1/2 rule, for in-loop use by integrators."""
-    return np.abs(grid.k) <= grid.N // 4
 
 
 def pad_spectrum(spectrum: np.ndarray, N: int, factor: int) -> np.ndarray:

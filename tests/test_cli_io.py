@@ -6,6 +6,7 @@ float round-trips and hash stability, and the CLI through main() with
 temp directories rather than subprocesses.
 """
 
+import dataclasses
 import json
 import math
 
@@ -91,6 +92,8 @@ class TestConfigGrammar:
             ("[grid]\nM = 3\n", "unknown key 'grid.M'"),
             ("[grid]\nN = 512\nN = 256\n", "duplicate key"),
             ('[data]\nkind = "sech\n', "unterminated string"),
+            ('[data]\nkind = "sech\\"\n', "unterminated string"),
+            ('[data]\nkind = "se"ch"\n', "unescaped quote"),
             ('[io]\nout_dir = "a\\q"\n', "unknown escape"),
             ("[run]\nsigmas = [0.1, 0.2\n", "unterminated list"),
             ("[evolution]\ndt = inf\n", "non-finite"),
@@ -193,6 +196,14 @@ class TestParseTimeValidation:
         with pytest.raises(ConfigurationError, match="unknown scenario"):
             parse_config_text("scenario = jubilee\n")
 
+    @pytest.mark.parametrize("command", ["damping", "coupled"])
+    @pytest.mark.parametrize("N", [1024, 2048])
+    def test_damped_configs_validate_on_fine_grids(self, command, N):
+        # the (A2) certificate must not mistake transform round-off, amplified
+        # by xi^k, for a derivative of the profile
+        cfg = parse_config_text(_default_config_text(command), [f"grid.N={N}"])
+        assert cfg.N == N
+
 
 class TestRoundTrip:
     def test_render_parse_identity_on_defaults(self):
@@ -224,6 +235,35 @@ class TestRoundTrip:
         cfg = parse_config_text(f"[evolution]\ndt = {dt!r}\n")
         assert cfg.dt == dt
         assert parse_config_text(render_config(cfg)).dt == dt
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        out_dir=st.text(
+            st.characters(exclude_categories=("Cc", "Cs", "Zl", "Zp"), include_characters="\t\n"),
+            max_size=24,
+        ),
+        tol=st.floats(allow_nan=False, allow_infinity=False),
+    )
+    def test_render_parse_identity_on_strings_and_floats(self, out_dir, tol):
+        # printable text (plus the escaped tab and newline) and any finite float
+        cfg = parse_config_text("")
+        cfg = dataclasses.replace(
+            cfg, out_dir=out_dir, tolerances=dataclasses.replace(cfg.tolerances, conservation=tol)
+        )
+        assert parse_config_text(render_config(cfg)) == cfg
+
+    @pytest.mark.parametrize("out_dir", ["out\\", "a\\\\", 'q\\"', "inf", "nan", "x # y\\"])
+    def test_backslash_and_number_words_round_trip(self, out_dir):
+        cfg = dataclasses.replace(parse_config_text(""), out_dir=out_dir)
+        assert parse_config_text(render_config(cfg)).out_dir == out_dir
+
+    def test_override_string_ending_in_backslash(self):
+        cfg = parse_config_text("", ['io.out_dir="out\\\\"'])
+        assert cfg.out_dir == "out\\"
+
+    def test_comment_after_string_ending_in_backslash(self):
+        cfg = parse_config_text('[io]\nout_dir = "out\\\\"  # trailing\n')
+        assert cfg.out_dir == "out\\"
 
     def test_parse_config_reads_files(self, tmp_path):
         path = tmp_path / "case.cfg"

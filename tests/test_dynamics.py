@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gevreyflow.dynamics import (
     BLOWUP_LIMIT,
@@ -24,10 +26,8 @@ from gevreyflow.dynamics import (
     integrate,
     linear_symbol,
     make_damping,
+    nonlinear_term,
     reflect,
-    rhs_coupled,
-    rhs_mkdv,
-    rhs_mkdvm,
     soliton,
 )
 from gevreyflow.errors import ConfigurationError, DivergenceError
@@ -38,7 +38,9 @@ from gevreyflow.spectral import (
     analyze,
     apply_multiplier,
     dealias,
+    full_spectrum,
     make_grid,
+    synthesize,
 )
 
 EPS = np.finfo(float).eps
@@ -46,6 +48,21 @@ EPS = np.finfo(float).eps
 
 def l2(fld):
     return math.sqrt(fld.grid.L * float(np.sum(np.abs(fld.spectrum) ** 2)))
+
+
+def rhs(eq, *fields):
+    """Full rhs (dispersion plus nonlinear_term) of the given fields, one
+    SpectralField per component, through the integrator's half spectra."""
+    g = fields[0].grid
+    half = slice(0, g.N // 2 + 1)
+    if isinstance(eq, Coupled):
+        V = np.stack([f.spectrum[half] for f in fields])
+        sym = np.stack([linear_symbol(g, 3), linear_symbol(g, 3, eq.alpha)])[:, half]
+    else:
+        (f,) = fields
+        V, sym = f.spectrum[half], linear_symbol(g, eq.m)[half]
+    NV, _ = nonlinear_term(eq, g)(V)
+    return [synthesize(full_spectrum(H, g.N), g) for H in np.atleast_2d(sym * V + NV)]
 
 
 def end_record(dt, t_end):
@@ -155,10 +172,12 @@ class TestRhs:
     def test_zero_field_maps_to_zero(self):
         g = make_grid(2.0 * np.pi, 64)
         z = analyze(np.zeros(g.N), g)
-        assert np.all(rhs_mkdv(z, 1).samples == 0.0)
-        out = rhs_mkdvm(z, 5, -1, ConstantDamping(1.0))
+        (out,) = rhs(MKdV(mu=1), z)
         assert np.all(out.samples == 0.0)
-        r1, r2 = rhs_coupled(z, z, 0.5, 1, ConstantDamping(1.0), ConstantDamping(2.0))
+        (out,) = rhs(MKdVm(m=5, mu=-1, damping=ConstantDamping(1.0)), z)
+        assert np.all(out.samples == 0.0)
+        eq = Coupled(alpha=0.5, mu=1, damping1=ConstantDamping(1.0), damping2=ConstantDamping(2.0))
+        r1, r2 = rhs(eq, z, z)
         assert np.all(r1.samples == 0.0) and np.all(r2.samples == 0.0)
 
     def test_cosine_mode_closed_form(self):
@@ -166,7 +185,7 @@ class TestRhs:
         # Transform crumbs get amplified by xi_cut^3 = 16^3, hence the tolerance.
         g = make_grid(2.0 * np.pi, 64)
         u = dealias(analyze(np.cos(g.x), g))
-        out = rhs_mkdv(u, 1)
+        (out,) = rhs(MKdV(mu=1), u)
         assert np.abs(out.samples + np.sin(g.x) ** 3).max() < 1e-11
 
     def test_fifth_order_single_mode(self):
@@ -176,7 +195,7 @@ class TestRhs:
         xi0 = 2.0
         v = dealias(analyze(np.cos(xi0 * g.x), g))
         lam = 0.4
-        out = rhs_mkdvm(v, 5, 1, ConstantDamping(lam))
+        (out,) = rhs(MKdVm(m=5, mu=1, damping=ConstantDamping(lam)), v)
         expect = (
             -(xi0**5) * np.sin(xi0 * g.x)
             + xi0 * np.cos(xi0 * g.x) ** 2 * np.sin(xi0 * g.x)
@@ -188,8 +207,8 @@ class TestRhs:
         g = make_grid(64.0, 256)
         v = dealias(analyze(0.8 * np.cos(2 * np.pi * 5 * g.x / g.L), g))
         lam = 0.6
-        with_damp = rhs_mkdvm(v, 3, 1, ConstantDamping(lam))
-        undamped = rhs_mkdv(v, 1)
+        (with_damp,) = rhs(MKdVm(m=3, mu=1, damping=ConstantDamping(lam)), v)
+        (undamped,) = rhs(MKdV(mu=1), v)
         diff = with_damp.samples - (undamped.samples - lam * v.samples)
         assert np.abs(diff).max() < 1e-13
 
@@ -199,7 +218,8 @@ class TestRhs:
         w1 = dealias(analyze(np.cos(2 * np.pi * 4 * g.x / g.L), g))
         z = analyze(np.zeros(g.N), g)
         lam = 0.3
-        r1, r2 = rhs_coupled(w1, z, 0.5, 1, ConstantDamping(lam), ConstantDamping(1.0))
+        eq = Coupled(alpha=0.5, mu=1, damping1=ConstantDamping(lam), damping2=ConstantDamping(1.0))
+        r1, r2 = rhs(eq, w1, z)
         airy = apply_multiplier(w1, Deriv(3))
         assert np.abs(r1.samples - (-airy.samples - lam * w1.samples)).max() < 1e-12
         assert np.abs(r2.samples).max() == 0.0
@@ -209,26 +229,57 @@ class TestRhs:
         a = ConstantDamping(1.0)
         w1 = analyze(np.cos(2 * np.pi * g1.x / g1.L), g1)
         w2 = analyze(np.cos(2 * np.pi * g2.x / g2.L), g2)
+        spec = EvolutionSpec(equation=Coupled(alpha=0.5, mu=1, damping1=a, damping2=a),
+                             dt=1e-3, t_end=1e-3, record_every=1)
         with pytest.raises(ConfigurationError, match="grid"):
-            rhs_coupled(w1, w2, 0.5, 1, a, a)
+            integrate(spec, (w1, w2))
 
     def test_rhs_rejects_nonfinite(self):
+        # a non-finite mode reaches the samples that the blow-up check reads
         g = make_grid(64.0, 64)
-        bad = np.zeros(g.N)
-        bad[3] = np.nan
-        fld = SpectralField(grid=g, samples=bad, spectrum=np.zeros(g.N, dtype=complex))
-        with pytest.raises(DivergenceError):
-            rhs_mkdv(fld, 1)
+        spectrum = np.zeros(g.N, dtype=complex)
+        spectrum[3] = np.nan
+        _, v = nonlinear_term(MKdV(mu=1), g)(spectrum[: g.N // 2 + 1])
+        assert not np.all(np.isfinite(v))
+        fld = SpectralField(grid=g, samples=np.zeros(g.N), spectrum=spectrum)
+        spec = EvolutionSpec(equation=MKdV(mu=1), dt=1e-3, t_end=1e-3, record_every=1)
+        with pytest.raises(DivergenceError, match="blow-up abort at t = 0"):
+            integrate(spec, fld)
 
     def test_rhs_validation(self):
-        g = make_grid(64.0, 64)
-        v = analyze(np.cos(2 * np.pi * g.x / g.L), g)
+        # the equation types carry the preconditions nonlinear_term relies on
         with pytest.raises(ConfigurationError):
-            rhs_mkdv(v, 3)
+            MKdV(mu=3)
         with pytest.raises(ConfigurationError):
-            rhs_mkdvm(v, 4, 1, ConstantDamping(1.0))
+            MKdVm(m=4, mu=1, damping=ConstantDamping(1.0))
         with pytest.raises(ConfigurationError):
-            rhs_coupled(v, v, 1.0, 1, ConstantDamping(1.0), ConstantDamping(1.0))
+            Coupled(alpha=1.0, mu=1, damping1=ConstantDamping(1.0), damping2=ConstantDamping(1.0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        N=st.sampled_from([16, 32, 64, 128, 512]),
+        family=st.sampled_from(["mkdv", "mkdvm", "coupled"]),
+        nonlinear=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_output_vanishes_outside_band(self, N, family, nonlinear, seed):
+        # any half spectrum, band-limited or not: N(V) is zero for every
+        # k > N/4, the Nyquist entry included
+        g = make_grid(64.0, N)
+        a = RaisedCosineDamping(floor=0.5, amplitude=0.25, length=64.0)
+        eq = {
+            "mkdv": MKdV(mu=1),
+            "mkdvm": MKdVm(m=5, mu=-1, damping=a),
+            "coupled": Coupled(alpha=0.5, mu=1, damping1=a, damping2=ConstantDamping(1.0)),
+        }[family]
+        rng = np.random.default_rng(seed)
+        shape = (2, N // 2 + 1) if family == "coupled" else (N // 2 + 1,)
+        V = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        out, v = nonlinear_term(eq, g, nonlinear)(V)
+        assert out.shape == shape and v.shape == shape[:-1] + (N,)
+        assert np.all(out[..., N // 4 + 1 :] == 0.0)
+        if nonlinear or family != "mkdv":
+            assert np.any(out[..., : N // 4 + 1] != 0.0)
 
 
 class TestSoliton:
@@ -273,7 +324,7 @@ class TestSoliton:
         g = make_grid(96.0, 512)
         u, c = soliton(0.6, 48.0, g)
         up = dealias(u)
-        out = rhs_mkdv(up, 1)
+        (out,) = rhs(MKdV(mu=1), up)
         target = apply_multiplier(up, Deriv(1))
         assert np.abs(out.samples + c * target.samples).max() < 1e-8
 
