@@ -3,15 +3,18 @@ rate identities, index/threshold formulas, and the analyticity-radius
 estimator.
 
 Conventions shared with the rest of the package: fields are real and
-periodic with DFT coefficients F_k = (1/N) sum f_j exp(-i xi_k x_j), so
-L * sum_k |F_k|^2 is the integral of f^2.  The bracket weight is 1 + |xi|
-(not the (1+xi^2)^(1/2) variant), and cosh weights are evaluated in log
-space whenever they would overflow directly.
+periodic with DFT coefficients F_k = (1/N) sum f_j exp(-i xi_k x_j), of
+which the half k = 0..N/2 is stored.  Every sum over modes runs over that
+half with the multiplicity weights w = (1, 2, ..., 2, 1) of the grid, so
+L * sum_k w_k |F_k|^2 is the integral of f^2.  The bracket weight is
+1 + |xi| (not the (1+xi^2)^(1/2) variant), and cosh weights go through
+spectral.weight_spectrum, in log space whenever they would overflow
+directly.
 
 Quadrature: quartic/sextic/product integrals are trapezoid sums on a
-2x-refined grid (zero-padded synthesis).  States produced by the integrator
-are band-limited to |k| <= N/4, so their sixth powers have bandwidth
-3N/2 < 2N and these sums are exact, not approximate.
+2x-refined grid (zero-padded irfft of the half spectrum).  States produced
+by the integrator are band-limited to |k| <= N/4, so their sixth powers
+have bandwidth 3N/2 < 2N and these sums are exact, not approximate.
 """
 
 from __future__ import annotations
@@ -32,18 +35,16 @@ from .errors import (
 from .inequalities import InequalityVerdict, _verdict
 from .spectral import (
     CoshWeight,
+    Grid,
     SechWeight,
     SpectralField,
-    apply_log_weight,
     apply_multiplier,
-    full_spectrum,
     log_cosh,
     make_grid,
     pad_spectrum,
     synthesize,
+    weight_spectrum,
 )
-
-_LOG_SWITCH = 30.0
 
 
 # ---------------------------------------------------------------------------
@@ -51,15 +52,16 @@ _LOG_SWITCH = 30.0
 # ---------------------------------------------------------------------------
 
 
-def _weighted_l2(L: float, logw: np.ndarray, amps: np.ndarray) -> float:
-    """sqrt(L * sum exp(2*logw) * amps^2) without overflowing intermediates."""
+def _weighted_l2(grid: Grid, logw: np.ndarray, amps: np.ndarray) -> float:
+    """sqrt(L * sum w_k exp(2*logw) * amps^2) over the half spectrum,
+    without overflowing intermediates."""
     pos = amps > 0
     if not pos.any():
         return 0.0
     z = logw[pos] + np.log(amps[pos])
     m = float(z.max())
-    total = float(np.exp(2.0 * (z - m)).sum())
-    log_val = m + 0.5 * math.log(L * total)
+    total = float((grid.multiplicity[pos] * np.exp(2.0 * (z - m))).sum())
+    log_val = m + 0.5 * math.log(grid.L * total)
     try:
         return math.exp(log_val)
     except OverflowError:
@@ -69,21 +71,12 @@ def _weighted_l2(L: float, logw: np.ndarray, amps: np.ndarray) -> float:
 
 
 def hsigma_norm(f: SpectralField, sigma: float, s: float) -> float:
-    """(L sum (1+|xi|)^(2s) cosh^2(sigma xi) |F_k|^2)^(1/2)."""
+    """(L sum_k w_k (1+|xi_k|)^(2s) cosh^2(sigma xi_k) |F_k|^2)^(1/2)."""
     if sigma < 0:
         raise ConfigurationError(f"weight radius must be >= 0, got {sigma}")
     xi = f.grid.xi
-    logw = s * np.log1p(np.abs(xi)) + log_cosh(sigma * xi)
-    return _weighted_l2(f.grid.L, logw, np.abs(f.spectrum))
-
-
-def gsigma_norm(f: SpectralField, sigma: float, s: float) -> float:
-    """Same as hsigma_norm with the one-sided weight e^(sigma |xi|)."""
-    if sigma < 0:
-        raise ConfigurationError(f"weight radius must be >= 0, got {sigma}")
-    xi = f.grid.xi
-    logw = s * np.log1p(np.abs(xi)) + sigma * np.abs(xi)
-    return _weighted_l2(f.grid.L, logw, np.abs(f.spectrum))
+    logw = s * np.log1p(xi) + log_cosh(sigma * xi)
+    return _weighted_l2(f.grid, logw, np.abs(f.spectrum))
 
 
 # ---------------------------------------------------------------------------
@@ -91,12 +84,12 @@ def gsigma_norm(f: SpectralField, sigma: float, s: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _refined_derivs(fld: SpectralField, orders: tuple[int, ...]) -> np.ndarray:
+def _refined_derivs(spectrum: np.ndarray, grid: Grid, orders: tuple[int, ...]) -> np.ndarray:
     """Samples of the requested derivatives on the doubled grid, one row
     per order, from one batched irfft of the zero-padded half spectrum."""
-    N = fld.grid.N
-    big = pad_spectrum(fld.spectrum, N, 2)[: N + 1]
-    xi = (2.0 * np.pi / fld.grid.L) * np.arange(N + 1)
+    N = grid.N
+    big = pad_spectrum(spectrum, N, 2)
+    xi = (2.0 * np.pi / grid.L) * np.arange(N + 1)
     return np.fft.irfft(big * (1j * xi) ** np.array(orders)[:, None], n=2 * N, norm="forward")
 
 
@@ -121,11 +114,6 @@ class FunctionalBreakdown:
     terms: dict
 
 
-def _spectral_moment(f: SpectralField, power: int) -> float:
-    """L * sum xi^(2 power) |F_k|^2, the squared L2 norm of the power-th derivative."""
-    return float(f.grid.L * np.sum(f.grid.xi ** (2 * power) * np.abs(f.spectrum) ** 2))
-
-
 def functional_A(u: SpectralField, sigma: float, mu: int) -> FunctionalBreakdown:
     """Sixth-order almost-conserved energy of the weighted field U = cosh(sigma D) u.
 
@@ -135,13 +123,16 @@ def functional_A(u: SpectralField, sigma: float, mu: int) -> FunctionalBreakdown
     """
     if mu not in (-1, 1):
         raise ConfigurationError(f"mu must be +-1, got {mu}")
-    U = apply_multiplier(u, CoshWeight(sigma))
-    Uf, Uxf = _refined_derivs(U, (0, 1))
     g = u.grid
+    U = weight_spectrum(u.spectrum, g, CoshWeight(sigma))
+    Uf, Uxf = _refined_derivs(U, g, (0, 1))
+    # L * sum w_k xi^(2p) |U_k|^2 is ||d^p U||^2, for p = 0, 1, 2
+    power = g.L * g.multiplicity * np.abs(U) ** 2
+    xi_sq = g.xi**2
     terms = {
-        "l2_sq": _spectral_moment(U, 0),
-        "deriv1_sq": _spectral_moment(U, 1),
-        "deriv2_sq": _spectral_moment(U, 2),
+        "l2_sq": float(power.sum()),
+        "deriv1_sq": float((xi_sq * power).sum()),
+        "deriv2_sq": float((xi_sq * xi_sq * power).sum()),
         "quartic": -(mu / 6.0) * _quad(g, Uf, Uf, Uf, Uf),
         "product_sq": -(5.0 * mu / 3.0) * _quad(g, Uf, Uf, Uxf, Uxf),
         "sextic": (1.0 / 18.0) * _quad(g, Uf, Uf, Uf, Uf, Uf, Uf),
@@ -218,18 +209,11 @@ def damping_A_norm(a: DampingProfile, sigma: float, K: int = 40) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _apply_cosh_spectrum(spectrum: np.ndarray, grid, sigma: float) -> np.ndarray:
-    logw = log_cosh(sigma * grid.xi)
-    if sigma * grid.xi_max > _LOG_SWITCH:
-        return apply_log_weight(spectrum, logw)
-    return spectrum * np.exp(logw)
-
-
-def _masked_spectrum(samples: np.ndarray, grid) -> np.ndarray:
-    """Dealiased full spectrum of a real product array (rfft, band |k| <= N/4)."""
+def _masked_spectrum(samples: np.ndarray, grid: Grid) -> np.ndarray:
+    """Dealiased half spectrum of a real product array (band k <= N/4)."""
     H = np.fft.rfft(samples, norm="forward")
     H[grid.N // 4 + 1 :] = 0.0
-    return full_spectrum(H, grid.N)
+    return H
 
 
 def operator_F(W: SpectralField, sigma: float, mu: int) -> SpectralField:
@@ -246,11 +230,8 @@ def operator_F(W: SpectralField, sigma: float, mu: int) -> SpectralField:
     outer = _masked_spectrum(W.samples**3, g)
     inner = apply_multiplier(W, SechWeight(sigma))
     inner_cubed = _masked_spectrum(inner.samples**3, g)
-    diff = outer - _apply_cosh_spectrum(inner_cubed, g, sigma)
-    dx = 1j * g.xi.astype(float)
-    out = (mu / 3.0) * dx * diff
-    out[g.nyquist_index] = 0.0
-    return synthesize(out, g)
+    diff = outer - weight_spectrum(inner_cubed, g, CoshWeight(sigma))
+    return synthesize((mu / 3.0) * (1j * g.xi) * diff, g)
 
 
 def operator_G(W: SpectralField, a: DampingProfile, sigma: float) -> SpectralField:
@@ -268,7 +249,7 @@ def operator_G(W: SpectralField, a: DampingProfile, sigma: float) -> SpectralFie
     first = _masked_spectrum(avals * W.samples, g)
     inner = apply_multiplier(W, SechWeight(sigma))
     prod = _masked_spectrum(avals * inner.samples, g)
-    return synthesize(first - _apply_cosh_spectrum(prod, g, sigma), g)
+    return synthesize(first - weight_spectrum(prod, g, CoshWeight(sigma)), g)
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +273,8 @@ def energy_rate_A(u: SpectralField, sigma: float, mu: int) -> FunctionalBreakdow
     U = apply_multiplier(u, CoshWeight(sigma))
     Ff = operator_F(U, sigma, mu)
     g = u.grid
-    U0, U1, U2 = _refined_derivs(U, (0, 1, 2))
-    F0, F1, F2 = _refined_derivs(Ff, (0, 1, 2))
+    U0, U1, U2 = _refined_derivs(U.spectrum, g, (0, 1, 2))
+    F0, F1, F2 = _refined_derivs(Ff.spectrum, g, (0, 1, 2))
     terms = {
         "pair_l2": 2.0 * _quad(g, U0, F0),
         "pair_deriv1": 2.0 * _quad(g, U1, F1),
@@ -306,9 +287,7 @@ def energy_rate_A(u: SpectralField, sigma: float, mu: int) -> FunctionalBreakdow
     return FunctionalBreakdown(total=sum(terms.values()), terms=terms)
 
 
-def mass_rate_M(
-    v: SpectralField, a: DampingProfile, sigma: float, mu: int, m: int
-) -> tuple[float, float, float]:
+def mass_rate_M(v: SpectralField, a: DampingProfile, sigma: float, mu: int) -> tuple[float, float, float]:
     """Instantaneous drift of functional_M along the damped flow:
 
         dM/dt = -2 int a V^2 + 2 int (F(V) + G(V)) V,   V = cosh(sigma D) v.
@@ -321,9 +300,7 @@ def mass_rate_M(
     Ff = operator_F(V, sigma, mu)
     Gf = operator_G(V, a, sigma)
     g = v.grid
-    V0 = _refined_derivs(V, (0,))[0]
-    F0 = _refined_derivs(Ff, (0,))[0]
-    G0 = _refined_derivs(Gf, (0,))[0]
+    V0, F0, G0 = (_refined_derivs(f.spectrum, g, (0,))[0] for f in (V, Ff, Gf))
     # the profile is analytic, so evaluate it on the doubled grid directly
     a_fine = a.values(make_grid(g.L, 2 * g.N))
     damping_term = -2.0 * _quad(g, a_fine, V0, V0)
@@ -429,8 +406,8 @@ def radius_estimate(f: SpectralField, floor_rel: float = 1e-8) -> RadiusFit:
     contaminated.  Requires at least 12 surviving modes.
     """
     g = f.grid
-    amps = np.abs(f.spectrum[1 : g.N // 2])
-    xi = g.xi[1 : g.N // 2]
+    amps = np.abs(f.spectrum[1:-1])
+    xi = g.xi[1:-1]
     peak = float(np.abs(f.spectrum).max())
     if peak == 0.0:
         raise UnderresolvedError("zero field has no spectral tail to fit")

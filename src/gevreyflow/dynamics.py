@@ -17,14 +17,12 @@ exp(i xi^m t) and RK4 only sees the nonlinear + damping terms.  States
 live in the dealiased band |k| <= N/4 throughout (initial data is projected
 into it), so the cubic products are alias-free away from the band edge.
 
-The loop works on half spectra: the rfft coefficients k = 0..N/2 of each
-real component, shape (N/2+1,) or (2, N/2+1) for the coupled pair.  Real
-transforms are Hermitian by construction, so no symmetry projection is
-needed.  nonlinear_term, the one implementation of the non-dispersive
-rhs, makes one batched irfft and one batched rfft per evaluation: 8
-transforms per RK4 step for every flow.  Recorded states are mirrored
-back to full spectra and pass through synthesize, which checks the
-symmetry.
+The loop works on the package's one spectrum layout, the half
+k = 0..N/2 of each real component: shape (N/2+1,), or (2, N/2+1) for the
+coupled pair.  nonlinear_term, the one implementation of the
+non-dispersive rhs, makes one batched irfft and one batched rfft per
+evaluation: 8 transforms per RK4 step for every flow.  Recorded states
+are the loop's half spectra, passed to synthesize as they are.
 """
 
 from __future__ import annotations
@@ -35,14 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, DivergenceError
-from .spectral import (
-    Grid,
-    SpectralField,
-    analyze,
-    dealias,
-    full_spectrum,
-    synthesize,
-)
+from .spectral import Grid, SpectralField, analyze, dealias, synthesize
 
 BLOWUP_LIMIT = 1e6
 
@@ -162,7 +153,7 @@ def make_damping(form: str, lam: float, eps: float, grid: Grid, sigma0: float) -
     A = np.fft.rfft(profile.values(grid), norm="forward")
     A[np.abs(A) < 1e-13 * np.abs(A).max()] = 0.0
     orders = np.arange(1, 9)
-    symbols = (1j * grid.xi[: grid.N // 2 + 1]) ** orders[:, None]
+    symbols = (1j * grid.xi) ** orders[:, None]
     derivs = np.fft.irfft(A * symbols, n=grid.N, norm="forward")
     C = profile.deriv_bound_coeff
     for k, sup_k in zip(orders.tolist(), np.abs(derivs).max(axis=1).tolist()):
@@ -195,6 +186,10 @@ class MKdV:
     def m(self) -> int:
         return 3
 
+    @property
+    def dampings(self) -> tuple:
+        return ()
+
 
 @dataclass(frozen=True)
 class MKdVm:
@@ -212,6 +207,10 @@ class MKdVm:
         if self.mu not in (-1, 1):
             raise ConfigurationError(f"mu must be +-1, got {self.mu}")
 
+    @property
+    def dampings(self) -> tuple:
+        return (self.damping,)
+
 
 @dataclass(frozen=True)
 class Coupled:
@@ -228,7 +227,13 @@ class Coupled:
         if self.mu not in (-1, 1):
             raise ConfigurationError(f"mu must be +-1, got {self.mu}")
 
+    @property
+    def dampings(self) -> tuple:
+        return (self.damping1, self.damping2)
 
+
+# every equation lists its damping profiles in dampings: none for MKdV, one
+# for MKdVm, one per component for Coupled
 Equation = MKdV | MKdVm | Coupled
 
 
@@ -276,7 +281,7 @@ class Trajectory:
 
 def linear_symbol(grid: Grid, m: int, alpha: float = 1.0) -> np.ndarray:
     """i * alpha * xi^m with the Nyquist mode zeroed (odd symbol)."""
-    sym = 1j * alpha * grid.xi.astype(float) ** m
+    sym = 1j * alpha * grid.xi**m
     sym[grid.nyquist_index] = 0.0
     return sym
 
@@ -298,11 +303,10 @@ def nonlinear_term(eq: Equation, grid: Grid, nonlinear: bool = True):
     N = grid.N
     band = N // 4 + 1
     mu = eq.mu if nonlinear else 0
-    xi = grid.xi[: N // 2 + 1]
 
     if isinstance(eq, Coupled):
-        a1, a2 = eq.damping1.values(grid), eq.damping2.values(grid)
-        mu_dx = mu * 1j * xi
+        a1, a2 = (d.values(grid) for d in eq.dampings)
+        mu_dx = mu * 1j * grid.xi
 
         def rhs(V):
             v = np.fft.irfft(V, n=N, norm="forward")
@@ -314,8 +318,8 @@ def nonlinear_term(eq: Equation, grid: Grid, nonlinear: bool = True):
 
         return rhs
 
-    a = eq.damping.values(grid) if isinstance(eq, MKdVm) else 0.0
-    d0_d1 = np.stack([np.ones(N // 2 + 1), 1j * xi])
+    a = eq.dampings[0].values(grid) if eq.dampings else 0.0
+    d0_d1 = np.stack([np.ones_like(grid.xi), 1j * grid.xi])
 
     def rhs(V):
         v, vx = np.fft.irfft(d0_d1 * V, n=N, norm="forward")
@@ -332,13 +336,7 @@ def nonlinear_term(eq: Equation, grid: Grid, nonlinear: bool = True):
 
 
 def _dt_guard(spec: EvolutionSpec, grid: Grid, amp: float) -> float:
-    eq = spec.equation
-    if isinstance(eq, MKdV):
-        sup_a = 0.0
-    elif isinstance(eq, MKdVm):
-        sup_a = eq.damping.sup
-    else:
-        sup_a = max(eq.damping1.sup, eq.damping2.sup)
+    sup_a = max((d.sup for d in spec.equation.dampings), default=0.0)
     return 0.5 * grid.dx / (amp**2 + sup_a + 1.0)
 
 
@@ -370,7 +368,6 @@ def integrate(spec: EvolutionSpec, init) -> Trajectory:
             raise ConfigurationError("single-component flow needs one SpectralField")
         fields = (dealias(init),)
     grid = fields[0].grid
-    N = grid.N
     amp = max(np.abs(f.samples).max() for f in fields)
 
     guard = _dt_guard(spec, grid, amp)
@@ -382,14 +379,13 @@ def integrate(spec: EvolutionSpec, init) -> Trajectory:
     n_rec, n_steps, h = _plan_steps(spec)
     times = np.linspace(0.0, spec.t_end, n_rec + 1)
 
-    # the state is the rfft half k = 0..N/2, one row per component
-    half = slice(0, N // 2 + 1)
+    # the state holds one half spectrum per component
     if coupled:
-        sym = np.stack([linear_symbol(grid, 3), linear_symbol(grid, 3, eq.alpha)])[:, half]
-        V = np.stack([f.spectrum[half] for f in fields])
+        sym = np.stack([linear_symbol(grid, 3), linear_symbol(grid, 3, eq.alpha)])
+        V = np.stack([f.spectrum for f in fields])
     else:
-        sym = linear_symbol(grid, eq.m)[half]
-        V = fields[0].spectrum[half].copy()
+        sym = linear_symbol(grid, eq.m)
+        V = fields[0].spectrum
     rhs = nonlinear_term(eq, grid, spec.nonlinear)
 
     E = np.exp(sym * (h / 2.0))
@@ -397,10 +393,9 @@ def integrate(spec: EvolutionSpec, init) -> Trajectory:
     twoE = 2.0 * E
 
     def record(Vcur):
-        # the mirrored full spectrum is exactly Hermitian, and synthesize checks it
         if coupled:
-            return tuple(synthesize(full_spectrum(H, N), grid) for H in Vcur)
-        return synthesize(full_spectrum(Vcur, N), grid)
+            return tuple(synthesize(H, grid) for H in Vcur)
+        return synthesize(Vcur, grid)
 
     states = [record(V)]
     step = 0
@@ -453,11 +448,3 @@ def soliton(k: float, x0: float, grid: Grid) -> tuple[SpectralField, float]:
     samples = PEAK_FACTOR * k / np.cosh(r)
     return analyze(samples, grid), k * k
 
-
-def reflect(fld: SpectralField) -> SpectralField:
-    """Samples of x -> f(-x) on the same grid (spectrum conjugated).
-
-    mKdV is invariant under (x, t) -> (-x, -t), so reflecting, running the
-    same flow, and reflecting back realizes exact time reversal.
-    """
-    return synthesize(np.conj(fld.spectrum), fld.grid)

@@ -26,7 +26,8 @@ class ConfigParseError(ConfigurationError):
 
 
 class SymmetryError(GevreyError):
-    """A spectrum expected to be Hermitian-symmetric is not."""
+    """A half spectrum whose k = 0 or k = N/2 entry is not real, so it
+    describes no real field."""
 
 
 class OverflowGuardError(GevreyError):

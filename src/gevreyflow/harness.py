@@ -546,7 +546,7 @@ def run_damping_decay(cfg: ScenarioConfig) -> ExperimentReport:
             traj.states[i],
         )
         fd = (functional_M(mini.states[2], 0.0) - functional_M(mini.states[0], 0.0)) / (2.0 * mini.step_size)
-        rate = mass_rate_M(mini.states[1], a, 0.0, cfg.mu, cfg.m)[0]
+        rate = mass_rate_M(mini.states[1], a, 0.0, cfg.mu)[0]
         residuals.append(abs(fd - rate) / max(abs(rate), _TINY))
     worst = max(residuals)
     verdicts["rate_identity"] = Verdict(passed=worst <= tol.rate, margin=float(tol.rate - worst), tolerance=tol.rate)
@@ -583,9 +583,7 @@ def _iterate_windows(cfg, scenario, eq, state, mass_at, half_norm_at, lam, t0):
     sigma choice, window loop, verdicts) is identical in the two scenarios.
     """
     tol = cfg.tolerances
-    a_norm0 = damping_A_norm(eq.damping if hasattr(eq, "damping") else eq.damping1, cfg.sigma0)
-    if cfg.family == "coupled":
-        a_norm0 = max(a_norm0, damping_A_norm(eq.damping2, cfg.sigma0))
+    a_norm0 = max(damping_A_norm(d, cfg.sigma0) for d in eq.dampings)
 
     # project once so that every norm below sees the band-limited state the
     # integrator actually evolves
@@ -633,9 +631,7 @@ def _iterate_windows(cfg, scenario, eq, state, mass_at, half_norm_at, lam, t0):
     if cfg.k_max == 0:
         return _finish(cfg, scenario, {}, fits, {}, t0)
 
-    a_norm_sigma = damping_A_norm(eq.damping if hasattr(eq, "damping") else eq.damping1, sigma)
-    if cfg.family == "coupled":
-        a_norm_sigma = max(a_norm_sigma, damping_A_norm(eq.damping2, sigma))
+    a_norm_sigma = max(damping_A_norm(d, sigma) for d in eq.dampings)
     chat_env = math.sqrt(math.sqrt(l2_sq) * math.sqrt(m0_sigma0))
     efold = math.exp(-2.0 * lam * T0)
 

@@ -109,18 +109,6 @@ def triple_cosh_lhs(sigma, xi1, xi2, xi3):
     return np.abs(t1 * t2 + t1 * t3 + t2 * t3)
 
 
-def triple_cosh_lhs_naive(sigma, xi1, xi2, xi3):
-    """Direct evaluation of |1 - cosh(sigma*xi) sech(s*xi1) sech(s*xi2) sech(s*xi3)|.
-
-    Overflows once any cosh argument passes ~710; kept only as the second
-    route of the dual-route agreement test on moderate inputs.
-    """
-    s = np.asarray(sigma, dtype=float)
-    total = np.asarray(xi1, dtype=float) + np.asarray(xi2, dtype=float) + np.asarray(xi3, dtype=float)
-    prod = np.cosh(s * total) / (np.cosh(s * np.asarray(xi1, dtype=float)) * np.cosh(s * np.asarray(xi2, dtype=float)) * np.cosh(s * np.asarray(xi3, dtype=float)))
-    return np.abs(1.0 - prod)
-
-
 def triple_cosh_rhs(sigma, xi1, xi2, xi3, theta1, theta2, K=None):
     """K * sigma^(theta1+theta2) * med(|xi|)^theta1 * max(|xi|)^theta2."""
     if K is None:

@@ -94,7 +94,7 @@ class TestAcceptance:
         u, _ = soliton(1.0, 32.0, grid)
         f_sigs = np.geomspace(1e-3, 1e-1, 7)
         f_norms = [
-            math.sqrt(float(np.sum(np.abs(operator_F(u, s, 1).spectrum) ** 2)))
+            math.sqrt(float(np.sum(grid.multiplicity * np.abs(operator_F(u, s, 1).spectrum) ** 2)))
             for s in f_sigs
         ]
         f_slope = float(np.polyfit(np.log(f_sigs), np.log(f_norms), 1)[0])
@@ -103,7 +103,7 @@ class TestAcceptance:
         a = RaisedCosineDamping(floor=0.2, amplitude=0.15, length=64.0)
         g_sigs = np.linspace(0.3, 1.0, 8)
         g_norms = [
-            math.sqrt(float(np.sum(np.abs(operator_G(probe, a, s).spectrum) ** 2)))
+            math.sqrt(float(np.sum(grid.multiplicity * np.abs(operator_G(probe, a, s).spectrum) ** 2)))
             for s in g_sigs
         ]
         g_slope = float(np.polyfit(np.log(g_sigs), np.log(g_norms), 1)[0])

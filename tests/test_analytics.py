@@ -14,6 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from oracles import full_k, full_spectrum
 
 from gevreyflow.analytics import (
     FunctionalBreakdown,
@@ -24,7 +25,6 @@ from gevreyflow.analytics import (
     functional_A,
     functional_M,
     functional_N,
-    gsigma_norm,
     hsigma_norm,
     interpolation_check,
     lifespan_T0,
@@ -68,27 +68,34 @@ def single_mode(L, N, k0, amp=1.0):
     return analyze(amp * np.cos(2.0 * np.pi * k0 * g.x / L), g), g
 
 
+def weighted_full_spectrum(u, sigma):
+    """cosh(sigma xi) times the full FFT-ordered spectrum of u (its stored
+    half mirrored, so high modes carry the same round-off), with the
+    full-ordering frequencies."""
+    g = u.grid
+    xi = (2.0 * np.pi / g.L) * full_k(g.N)
+    return full_spectrum(u.spectrum, g.N) * np.cosh(sigma * xi), xi
+
+
+def mixed_field(seed):
+    """A dealiased field with every band mode populated, on L=64, N=256."""
+    g = make_grid(64.0, 256)
+    rng = np.random.default_rng(seed)
+    x = g.x - g.L / 2.0
+    return dealias(analyze(0.8 / np.cosh(x) + 0.05 * rng.standard_normal(g.N), g))
+
+
 class TestWeightedNorms:
     def test_single_mode_closed_form(self):
         f, g = single_mode(2.0 * np.pi, 64, 3)
         xi0, sig, s = 3.0, 0.7, 0.25
         expect = math.sqrt(g.L * 0.5 * (1.0 + xi0) ** (2 * s) * math.cosh(sig * xi0) ** 2)
         assert hsigma_norm(f, sig, s) == pytest.approx(expect, rel=1e-12)
-        expect_g = math.sqrt(g.L * 0.5 * (1.0 + xi0) ** (2 * s) * math.exp(2 * sig * xi0))
-        assert gsigma_norm(f, sig, s) == pytest.approx(expect_g, rel=1e-12)
 
     def test_sigma_zero_is_plain_l2(self, soliton_field):
         u = soliton_field
-        direct = math.sqrt(u.grid.L * float(np.sum(np.abs(u.spectrum) ** 2)))
+        direct = math.sqrt((u.grid.L / u.grid.N) * float(np.sum(u.samples**2)))
         assert hsigma_norm(u, 0.0, 0.0) == pytest.approx(direct, rel=1e-14)
-        assert gsigma_norm(u, 0.0, 0.0) == pytest.approx(direct, rel=1e-14)
-
-    def test_sandwich(self, soliton_field):
-        # cosh r <= e^|r| <= 2 cosh r pointwise, squared under the sum
-        for sig in (0.1, 0.5, 1.0):
-            h = hsigma_norm(soliton_field, sig, 0.0)
-            gn = gsigma_norm(soliton_field, sig, 0.0)
-            assert h <= gn <= 2.0 * h
 
     def test_monotone_in_sigma_and_s(self, soliton_field):
         u = soliton_field
@@ -99,11 +106,11 @@ class TestWeightedNorms:
         # spectrum decaying faster than the weight grows: finite norm,
         # even though cosh(sigma xi_max) alone overflows a double
         g = make_grid(2.0 * np.pi, 256)
-        F = np.zeros(g.N, dtype=complex)
+        F = np.zeros(g.N // 2 + 1, dtype=complex)
         F[0] = 1.0
         decay = 12.0
         for k in range(1, g.N // 2):
-            F[k] = F[-k] = math.exp(-decay * g.xi[k])
+            F[k] = math.exp(-decay * g.xi[k])
         f = synthesize(F, g)
         sig = 11.0  # sigma * xi_max = 1408, direct cosh overflows
         val = hsigma_norm(f, sig, 0.0)
@@ -113,11 +120,17 @@ class TestWeightedNorms:
         # cosh ~ e^r/2, so weight^2 ~ e^{2r}/4 for the oracle
         assert val == pytest.approx(math.sqrt(g.L * sum(terms)), rel=1e-6)
 
+    @pytest.mark.parametrize("sigma,s", [(0.0, 0.0), (0.3, 0.0), (0.7, 1.5), (1.2, -0.5)])
+    def test_matches_full_spectrum_reference(self, soliton_field, sigma, s):
+        # independent route: a plain sum over all N modes, direct cosh
+        for u in (soliton_field, mixed_field(7)):
+            U, xi = weighted_full_spectrum(u, sigma)
+            ref = math.sqrt(u.grid.L * float(np.sum((1.0 + np.abs(xi)) ** (2 * s) * np.abs(U) ** 2)))
+            assert abs(hsigma_norm(u, sigma, s) - ref) <= 1e-13 * ref
+
     def test_overflow_guard(self, soliton_field):
         with pytest.raises(OverflowGuardError):
             hsigma_norm(soliton_field, 200.0, 0.0)
-        with pytest.raises(OverflowGuardError):
-            gsigma_norm(soliton_field, 200.0, 0.0)
 
     def test_negative_sigma_rejected(self, soliton_field):
         with pytest.raises(ConfigurationError):
@@ -171,6 +184,36 @@ class TestEnergyFunctional:
         b = functional_A(f, sig, 1)
         lead = delta**2 * g.L * 1.5 * math.cosh(sig) ** 2
         assert b.total == pytest.approx(lead, rel=1e-4)
+
+    @pytest.mark.parametrize("sigma,mu", [(0.0, 1), (0.3, 1), (0.6, -1)])
+    def test_matches_full_spectrum_reference(self, soliton_field, sigma, mu):
+        # independent route: all N modes, direct cosh weight, and
+        # a complex ifft of the 2x zero-padded full spectrum for quadrature
+        for u in (soliton_field, mixed_field(11)):
+            g = u.grid
+            N, M = g.N, 2 * g.N
+            U, xi = weighted_full_spectrum(u, sigma)
+            big = np.zeros(M, dtype=complex)
+            big[: N // 2] = U[: N // 2]
+            big[M - N // 2 + 1 :] = U[N // 2 + 1 :]
+            big[N // 2] = big[M - N // 2] = 0.5 * U[N // 2]
+            xi_fine = (2.0 * np.pi / g.L) * full_k(M)
+            Uf = np.fft.ifft(big * M).real
+            Uxf = np.fft.ifft(1j * xi_fine * big * M).real
+            power = g.L * np.abs(U) ** 2
+            h = g.L / M
+            ref = {
+                "l2_sq": power.sum(),
+                "deriv1_sq": (xi**2 * power).sum(),
+                "deriv2_sq": (xi**4 * power).sum(),
+                "quartic": -(mu / 6.0) * h * np.sum(Uf**4),
+                "product_sq": -(5.0 * mu / 3.0) * h * np.sum(Uf**2 * Uxf**2),
+                "sextic": (1.0 / 18.0) * h * np.sum(Uf**6),
+            }
+            b = functional_A(u, sigma, mu)
+            for name, val in ref.items():
+                assert abs(b.terms[name] - val) <= 1e-13 * abs(val), name
+            assert abs(b.total - sum(ref.values())) <= 1e-13 * sum(abs(v) for v in ref.values())
 
     def test_mu_validation(self, soliton_field):
         with pytest.raises(ConfigurationError):
@@ -240,15 +283,16 @@ class TestCommutatorOperators:
         f, g = single_mode(2.0 * np.pi, 64, 3)
         out = operator_F(f, 0.05, 1)
         spec = np.abs(out.spectrum)
-        support = {3, 9, g.N - 3, g.N - 9}
-        rest = np.array([spec[k] for k in range(g.N) if k not in support])
+        support = {3, 9}
+        rest = np.array([spec[k] for k in range(g.N // 2 + 1) if k not in support])
         assert rest.max() <= 1e-13 * spec.max()
         assert spec[3] > 0 and spec[9] > 0
 
     def test_f_quadratic_in_sigma(self, soliton_field):
+        g = soliton_field.grid
         sigs = np.geomspace(1e-3, 1e-1, 7)
         norms = [
-            math.sqrt(float(np.sum(np.abs(operator_F(soliton_field, s, 1).spectrum) ** 2)))
+            math.sqrt(float(np.sum(g.multiplicity * np.abs(operator_F(soliton_field, s, 1).spectrum) ** 2)))
             for s in sigs
         ]
         slope = np.polyfit(np.log(sigs), np.log(norms), 1)[0]
@@ -279,7 +323,7 @@ class TestCommutatorOperators:
         a = RaisedCosineDamping(floor=0.2, amplitude=0.15, length=64.0)
         sigs = np.linspace(0.3, 1.0, 8)
         norms = [
-            math.sqrt(float(np.sum(np.abs(operator_G(probe, a, s).spectrum) ** 2)))
+            math.sqrt(float(np.sum(g.multiplicity * np.abs(operator_G(probe, a, s).spectrum) ** 2)))
             for s in sigs
         ]
         slope = np.polyfit(np.log(sigs), np.log(norms), 1)[0]
@@ -324,7 +368,7 @@ class TestRateIdentities:
 
     def test_mass_rate_constant_damping_exact(self, soliton_field):
         lam = 0.35
-        rate, damping, fg = mass_rate_M(soliton_field, ConstantDamping(lam), 0.0, 1, 3)
+        rate, damping, fg = mass_rate_M(soliton_field, ConstantDamping(lam), 0.0, 1)
         assert fg == 0.0
         expect = -2.0 * lam * functional_M(soliton_field, 0.0)
         assert rate == pytest.approx(expect, rel=1e-12)
@@ -340,7 +384,7 @@ class TestRateIdentities:
         dt_rec = traj.times[1] - traj.times[0]
         mid = 3
         fd = (M[mid + 1] - M[mid - 1]) / (2.0 * dt_rec)
-        rate, damping, fg = mass_rate_M(traj.states[mid], a, sig, -1, 3)
+        rate, damping, fg = mass_rate_M(traj.states[mid], a, sig, -1)
         assert fd == pytest.approx(rate, rel=1e-5)
         assert rate == pytest.approx(damping + fg, rel=1e-14)
         assert damping < 0
@@ -348,7 +392,7 @@ class TestRateIdentities:
     def test_mass_rate_fg_zero_at_sigma_zero(self, soliton_field):
         a = RaisedCosineDamping(floor=0.2, amplitude=0.15, length=64.0)
         w = synthesize(dealias(soliton_field).spectrum.copy(), soliton_field.grid)
-        _, _, fg = mass_rate_M(w, a, 0.0, -1, 3)
+        _, _, fg = mass_rate_M(w, a, 0.0, -1)
         assert fg == 0.0
 
 
@@ -420,10 +464,10 @@ class TestSigmaChoice:
 class TestRadiusEstimate:
     def test_synthetic_exponential(self):
         g = make_grid(64.0, 512)
-        F = np.zeros(g.N, dtype=complex)
+        F = np.zeros(g.N // 2 + 1, dtype=complex)
         F[0] = 1.0
         for k in range(1, g.N // 2):
-            F[k] = F[-k] = math.exp(-0.7 * g.xi[k])
+            F[k] = math.exp(-0.7 * g.xi[k])
         fit = radius_estimate(synthesize(F, g))
         assert abs(fit.sigma_hat - 0.7) < 1e-10
         assert fit.residual < 1e-10
@@ -453,19 +497,19 @@ class TestRadiusEstimate:
 
     def test_clamped_growing_spectrum(self):
         g = make_grid(64.0, 512)
-        F = np.zeros(g.N, dtype=complex)
+        F = np.zeros(g.N // 2 + 1, dtype=complex)
         for k in range(1, 40):
-            F[k] = F[-k] = 1e-6 * math.exp(0.05 * g.xi[k])
+            F[k] = 1e-6 * math.exp(0.05 * g.xi[k])
         F[0] = 2e-6
         fit = radius_estimate(synthesize(F, g), floor_rel=1e-10)
         assert fit.clamped and fit.sigma_hat == 0.0
 
     def test_floor_controls_window(self):
         g = make_grid(64.0, 512)
-        F = np.zeros(g.N, dtype=complex)
+        F = np.zeros(g.N // 2 + 1, dtype=complex)
         F[0] = 1.0
         for k in range(1, g.N // 2):
-            F[k] = F[-k] = math.exp(-0.7 * g.xi[k])
+            F[k] = math.exp(-0.7 * g.xi[k])
         f = synthesize(F, g)
         wide = radius_estimate(f, floor_rel=1e-10)
         narrow = radius_estimate(f, floor_rel=1e-4)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from oracles import triple_cosh_lhs_naive
 
 from gevreyflow import ConfigurationError
 from gevreyflow.inequalities import (
@@ -16,7 +17,6 @@ from gevreyflow.inequalities import (
     scan_triple_cosh,
     sinh_margin,
     triple_cosh_lhs,
-    triple_cosh_lhs_naive,
     triple_cosh_rhs,
 )
 

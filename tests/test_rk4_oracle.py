@@ -3,13 +3,15 @@
 The oracle is the textbook form of the integrating-factor RK4 scheme: full
 FFT-ordered spectra, complex fft/ifft for every product, the 1/2-rule mask
 |k| <= N/4 applied to the full spectrum, and no shared code with the
-half-spectrum integrator beyond the grid and the damping samples.  The two
-differ only in floating-point order, so they must agree to round-off over
-a few dozen steps.
+half-spectrum integrator beyond the grid and the damping samples (the
+initial half spectra are mirrored into full ones by oracles.full_spectrum).
+The two differ only in floating-point order, so they must agree to
+round-off over a few dozen steps.
 """
 
 import numpy as np
 import pytest
+from oracles import full_k, full_spectrum
 
 from gevreyflow.dynamics import (
     ConstantDamping,
@@ -32,8 +34,9 @@ def oracle_rk4(grid, orders, alphas, mu, dampings, spectra, h, steps):
     a component's cubic term is mu (w1 w2^2)_x / mu (w1^2 w2)_x when there
     are two, mu v^2 v_x when there is one."""
     N = grid.N
-    xi = grid.xi.astype(float)
-    keep = np.abs(grid.k) <= N // 4
+    k = full_k(N)
+    xi = (2.0 * np.pi / grid.L) * k
+    keep = np.abs(k) <= N // 4
     sym = np.array([1j * al * xi**m for m, al in zip(orders, alphas)])
     sym[:, N // 2] = 0.0
     a = np.array([d.values(grid) if d is not None else np.zeros(N) for d in dampings])
@@ -78,7 +81,8 @@ def run_both(eq, fields, dt):
         args = ((3, 3), (1.0, eq.alpha), eq.mu, (eq.damping1, eq.damping2))
     else:
         args = ((eq.m,), (1.0,), eq.mu, (getattr(eq, "damping", None),))
-    want = oracle_rk4(grid, *args, [dealias(f).spectrum for f in fields], traj.step_size, STEPS)
+    spectra = [full_spectrum(dealias(f).spectrum, grid.N) for f in fields]
+    want = oracle_rk4(grid, *args, spectra, traj.step_size, STEPS)
     return start, got, want
 
 
