@@ -15,6 +15,10 @@ Quadrature: quartic/sextic/product integrals are trapezoid sums on a
 2x-refined grid (zero-padded irfft of the half spectrum).  States produced
 by the integrator are band-limited to |k| <= N/4, so their sixth powers
 have bandwidth 3N/2 < 2N and these sums are exact, not approximate.
+
+functional_A accepts an array of weight radii and evaluates all of them on
+one state with one batched irfft; a single radius is the one-row case of
+the same code.
 """
 
 from __future__ import annotations
@@ -85,12 +89,18 @@ def hsigma_norm(f: SpectralField, sigma: float, s: float) -> float:
 
 
 def _refined_derivs(spectrum: np.ndarray, grid: Grid, orders: tuple[int, ...]) -> np.ndarray:
-    """Samples of the requested derivatives on the doubled grid, one row
-    per order, from one batched irfft of the zero-padded half spectrum."""
+    """Samples of the requested derivatives on the doubled grid, from one
+    batched irfft of the zero-padded half spectrum: shape
+    (len(orders),) + spectrum.shape[:-1] + (2N,), one block per order.
+    The symbols (i xi)^p are built by repeated multiplication."""
     N = grid.N
     big = pad_spectrum(spectrum, N, 2)
-    xi = (2.0 * np.pi / grid.L) * np.arange(N + 1)
-    return np.fft.irfft(big * (1j * xi) ** np.array(orders)[:, None], n=2 * N, norm="forward")
+    ixi = (2j * np.pi / grid.L) * np.arange(N + 1)
+    symbols = np.ones((len(orders),) + (1,) * (big.ndim - 1) + (N + 1,), dtype=complex)
+    for row, p in zip(symbols, orders):
+        for _ in range(p):
+            row *= ixi
+    return np.fft.irfft(big * symbols, n=2 * N, norm="forward")
 
 
 def _quad(grid, *factors: np.ndarray) -> float:
@@ -108,36 +118,60 @@ def _quad(grid, *factors: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class FunctionalBreakdown:
-    """A scalar functional with its named constituent integrals."""
+    """A scalar functional with its named constituent integrals: floats, or
+    arrays with one entry per weight radius."""
 
-    total: float
+    total: float | np.ndarray
     terms: dict
 
 
-def functional_A(u: SpectralField, sigma: float, mu: int) -> FunctionalBreakdown:
+def functional_A(u: SpectralField, sigma: float | np.ndarray, mu: int) -> FunctionalBreakdown:
     """Sixth-order almost-conserved energy of the weighted field U = cosh(sigma D) u.
 
     Terms: ||U||^2, ||U_x||^2, ||U_xx||^2, -(mu/6)||U||_L4^4,
     -(5 mu/3)||U U_x||^2, (1/18)||U||_L6^6.  For mu = -1 the three nonlinear
     terms are nonnegative, so the total dominates the Sobolev part.
+
+    sigma is a float, or a 1-D array of P values evaluated in one pass:
+    one weighted half spectrum per sigma, stacked to (P, N/2+1), one
+    batched irfft for U and U_x on the 2x grid, and every term a row sum.
+    A float sigma is the P = 1 row and gives float total and terms; an
+    array gives arrays of shape (P,).
     """
     if mu not in (-1, 1):
         raise ConfigurationError(f"mu must be +-1, got {mu}")
+    sigmas = np.asarray(sigma, dtype=float)
+    if sigmas.ndim > 1 or sigmas.size == 0:
+        raise ConfigurationError(f"sigma must be a float or a nonempty 1-D array, got shape {sigmas.shape}")
     g = u.grid
-    U = weight_spectrum(u.spectrum, g, CoshWeight(sigma))
+    U = np.stack([weight_spectrum(u.spectrum, g, CoshWeight(s)) for s in np.atleast_1d(sigmas).tolist()])
     Uf, Uxf = _refined_derivs(U, g, (0, 1))
     # L * sum w_k xi^(2p) |U_k|^2 is ||d^p U||^2, for p = 0, 1, 2
     power = g.L * g.multiplicity * np.abs(U) ** 2
     xi_sq = g.xi**2
+    # trapezoid sums on the 2x grid, products taken left to right as _quad
+    # does; the three share the prefix U U
+    h = g.L / Uf.shape[-1]
+    prod = Uf * Uf
+    product_sq = h * (prod * Uxf * Uxf).sum(axis=-1)
+    prod *= Uf
+    prod *= Uf
+    quartic = h * prod.sum(axis=-1)
+    prod *= Uf
+    prod *= Uf
+    sextic = h * prod.sum(axis=-1)
     terms = {
-        "l2_sq": float(power.sum()),
-        "deriv1_sq": float((xi_sq * power).sum()),
-        "deriv2_sq": float((xi_sq * xi_sq * power).sum()),
-        "quartic": -(mu / 6.0) * _quad(g, Uf, Uf, Uf, Uf),
-        "product_sq": -(5.0 * mu / 3.0) * _quad(g, Uf, Uf, Uxf, Uxf),
-        "sextic": (1.0 / 18.0) * _quad(g, Uf, Uf, Uf, Uf, Uf, Uf),
+        "l2_sq": power.sum(axis=-1),
+        "deriv1_sq": (xi_sq * power).sum(axis=-1),
+        "deriv2_sq": (xi_sq * xi_sq * power).sum(axis=-1),
+        "quartic": -(mu / 6.0) * quartic,
+        "product_sq": -(5.0 * mu / 3.0) * product_sq,
+        "sextic": (1.0 / 18.0) * sextic,
     }
-    return FunctionalBreakdown(total=sum(terms.values()), terms=terms)
+    total = sum(terms.values())
+    if sigmas.ndim == 0:
+        return FunctionalBreakdown(total=float(total[0]), terms={k: float(v[0]) for k, v in terms.items()})
+    return FunctionalBreakdown(total=total, terms=terms)
 
 
 def conserved_combinations(b: FunctionalBreakdown) -> dict:

@@ -456,11 +456,12 @@ def run_sigma_scaling(cfg: ScenarioConfig) -> ExperimentReport:
     traj = integrate(cfg.evolution(grid), cfg.initial_state(grid))
     times = [float(t) for t in traj.times]
 
+    sigmas = np.asarray(cfg.sigmas, dtype=float)
+    totals = np.array([functional_A(s, sigmas, cfg.mu).total for s in traj.states])
     a_series = {"t": times}
     drift_rows = []
-    for sigma in cfg.sigmas:
-        values = [functional_A(s, sigma, cfg.mu).total for s in traj.states]
-        a_series[f"A_sigma_{sigma:g}"] = [float(v) for v in values]
+    for sigma, values in zip(cfg.sigmas, totals.T.tolist()):
+        a_series[f"A_sigma_{sigma:g}"] = values
         d = max(v - values[0] for v in values[1:])
         a0 = values[0]
         denom = sigma**2 * a0**2 * (1.0 + a0 + a0**2)
@@ -597,18 +598,19 @@ def _iterate_windows(cfg, scenario, eq, state, mass_at, half_norm_at, lam, t0):
     T0 = lifespan_T0(a_norm0, m0_sigma0, cfg.c0, cfg.d)
     cadence = _window_cadence(cfg, T0)
 
+    # every window, the calibration window included, integrates this spec
+    window_spec = EvolutionSpec(equation=eq, dt=cfg.dt, t_end=T0, record_every=cadence, nonlinear=cfg.nonlinear)
+
     # C1 policy: fixed value, or one calibration window at sigma0 times the
     # safety factor; nonpositive calibration drift falls back to the 1e-6
     # floor (decay beat the envelope, so any positive constant is consistent)
     calibration = {}
+    cal = None
     if cfg.c1_mode == "fixed":
         C1 = cfg.c1_value
         calibration["floored"] = 0.0
     else:
-        cal = integrate(
-            EvolutionSpec(equation=eq, dt=cfg.dt, t_end=T0, record_every=cadence, nonlinear=cfg.nonlinear),
-            state,
-        )
+        cal = integrate(window_spec, state)
         resid = mass_at(cal.final, cfg.sigma0) - math.exp(-2.0 * lam * T0) * m0_sigma0
         denom = (cfg.sigma0**cfg.theta * m0_sigma0 + cfg.sigma0 * a_norm0) * m0_sigma0
         chat = resid / denom if denom > 0 else 0.0
@@ -639,10 +641,8 @@ def _iterate_windows(cfg, scenario, eq, state, mass_at, half_norm_at, lam, t0):
     residuals, bounds = [], []
     decay_t, decay_norm, decay_env = [], [], []
     for k in range(cfg.k_max):
-        win = integrate(
-            EvolutionSpec(equation=eq, dt=cfg.dt, t_end=T0, record_every=cadence, nonlinear=cfg.nonlinear),
-            state,
-        )
+        # window 0 starts from the state the calibration window started from
+        win = cal if k == 0 and cal is not None else integrate(window_spec, state)
         start = 0 if k == 0 else 1  # window k's first record repeats k-1's last
         for i in range(start, len(win.states)):
             t_glob = k * T0 + float(win.times[i])

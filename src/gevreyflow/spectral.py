@@ -277,9 +277,10 @@ def pad_spectrum(spectrum: np.ndarray, N: int, factor: int) -> np.ndarray:
     The Nyquist coefficient (real for a real field) is split evenly between
     +-N/2, which are distinct modes on the finer grid: the stored k = N/2
     entry keeps one half and its implied mirror the other, so the refined
-    field is real and interpolates the original nodes.
+    field is real and interpolates the original nodes.  Leading axes of a
+    stacked spectrum are kept.
     """
-    out = np.zeros(factor * N // 2 + 1, dtype=complex)
-    out[: N // 2] = spectrum[: N // 2]
-    out[N // 2] = 0.5 * spectrum[N // 2]
+    out = np.zeros(spectrum.shape[:-1] + (factor * N // 2 + 1,), dtype=complex)
+    out[..., : N // 2] = spectrum[..., : N // 2]
+    out[..., N // 2] = 0.5 * spectrum[..., N // 2]
     return out

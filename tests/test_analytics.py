@@ -215,9 +215,35 @@ class TestEnergyFunctional:
                 assert abs(b.terms[name] - val) <= 1e-13 * abs(val), name
             assert abs(b.total - sum(ref.values())) <= 1e-13 * sum(abs(v) for v in ref.values())
 
+    @given(
+        sigmas=st.lists(st.floats(0.0, 1.5), max_size=5).flatmap(lambda s: st.permutations([0.0, 1.25, *s])),
+        mu=st.sampled_from([-1, 1]),
+    )
+    def test_sigma_vector_matches_scalar_calls(self, soliton_field, sigmas, mu):
+        # 1.25 * xi_max = 31.4 > 30 takes weight_spectrum's log branch
+        b = functional_A(soliton_field, np.array(sigmas), mu)
+        assert b.total.shape == (len(sigmas),)
+        for i, sigma in enumerate(sigmas):
+            ref = functional_A(soliton_field, sigma, mu)
+            assert isinstance(ref.total, float)
+            for name, val in ref.terms.items():
+                assert abs(b.terms[name][i] - val) <= 1e-13 * abs(val), (name, sigma)
+            assert abs(b.total[i] - ref.total) <= 1e-13 * abs(ref.total), sigma
+
+    @pytest.mark.parametrize("P", [1, 3, 7])
+    def test_one_inverse_transform_for_any_sigma_count(self, soliton_field, P, fft_counts):
+        fft_counts.update(rfft=0, irfft=0)
+        functional_A(soliton_field, np.linspace(0.0, 0.4, P), -1)
+        assert fft_counts == {"rfft": 0, "irfft": 1}
+
     def test_mu_validation(self, soliton_field):
         with pytest.raises(ConfigurationError):
             functional_A(soliton_field, 0.1, 2)
+
+    @pytest.mark.parametrize("sigma", [np.zeros((2, 2)), np.array([]), np.array([0.1, -0.1]), -0.1])
+    def test_sigma_validation(self, soliton_field, sigma):
+        with pytest.raises(ConfigurationError):
+            functional_A(soliton_field, sigma, 1)
 
     def test_functional_m_single_mode(self):
         f, g = single_mode(2.0 * np.pi, 64, 3)

@@ -8,6 +8,7 @@ they are not round-trip self-checks.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -280,6 +281,78 @@ class TestRhs:
             assert np.any(out[..., : N // 4 + 1] != 0.0)
 
 
+def three_flows(g):
+    """(equation, band-limited initial state) for mKdV, damped m = 5 and coupled."""
+    a = RaisedCosineDamping(floor=0.5, amplitude=0.25, length=g.L)
+    u, _ = soliton(1.0, g.L / 2.0, g)
+    u = dealias(u)
+    w2 = dealias(analyze(0.5 * np.cos(2.0 * np.pi * 3.0 * g.x / g.L), g))
+    return [
+        (MKdV(mu=1), u),
+        (MKdVm(m=5, mu=-1, damping=a), u),
+        (Coupled(alpha=0.5, mu=1, damping1=a, damping2=ConstantDamping(1.0)), (u, w2)),
+    ]
+
+
+def half_spectra(init):
+    if isinstance(init, tuple):
+        return np.stack([f.spectrum for f in init])
+    return init.spectrum
+
+
+class TestBuffers:
+    """nonlinear_term and integrate reuse scratch arrays; nothing a caller
+    keeps may change afterwards."""
+
+    @pytest.mark.parametrize("flow", [0, 1, 2])
+    def test_results_held_at_once_match_fresh_evaluations(self, flow):
+        g = make_grid(64.0, 256)
+        eq, init = three_flows(g)[flow]
+        rng = np.random.default_rng(flow)
+        V1 = half_spectra(init)
+        V2 = V1 + 0.01 * (rng.standard_normal(V1.shape) + 1j * rng.standard_normal(V1.shape))
+        V2[..., 0] = V2[..., 0].real
+        V1_in, V2_in = V1.copy(), V2.copy()
+        rhs = nonlinear_term(eq, g)
+        held = [rhs(V1), rhs(V2)]
+        for (out, v), V in zip(held, (V1, V2)):
+            fresh_out, fresh_v = nonlinear_term(eq, g)(V)
+            assert np.array_equal(out, fresh_out) and np.array_equal(v, fresh_v)
+        assert not np.array_equal(held[0][0], held[1][0])
+        assert np.array_equal(V1, V1_in) and np.array_equal(V2, V2_in)
+        # with out given, N(V) is written into it
+        buf = np.empty_like(V1)
+        out, _ = rhs(V1, buf)
+        assert out is buf and np.array_equal(buf, held[0][0])
+
+    @pytest.mark.parametrize("flow", [0, 1, 2])
+    def test_records_match_runs_stopped_there(self, flow):
+        g = make_grid(64.0, 256)
+        eq, init = three_flows(g)[flow]
+        spectra_in = half_spectra(init).copy()
+        dt = 2.0**-10  # j * dt / j == dt exactly, so every run steps with h = dt
+        n = 4
+        traj = integrate(EvolutionSpec(equation=eq, dt=dt, t_end=n * dt, record_every=1), init)
+        assert np.array_equal(half_spectra(init), spectra_in)
+        for j in range(1, n + 1):
+            stopped = integrate(EvolutionSpec(equation=eq, dt=dt, t_end=j * dt, record_every=j), init)
+            assert np.array_equal(half_spectra(traj.states[j]), half_spectra(stopped.final)), j
+        assert not np.array_equal(half_spectra(traj.states[1]), half_spectra(traj.states[2]))
+
+
+class TestTransformCounts:
+    @pytest.mark.parametrize("flow", [0, 1, 2])
+    def test_four_plus_four_transforms_per_step(self, flow, fft_counts):
+        g = make_grid(64.0, 256)
+        eq, init = three_flows(g)[flow]
+        steps, n_rec = 10, 2
+        fft_counts.update(rfft=0, irfft=0)
+        integrate(EvolutionSpec(equation=eq, dt=1e-3, t_end=0.01, record_every=5), init)
+        components = 2 if isinstance(eq, Coupled) else 1
+        # synthesize makes one irfft per recorded component, times 0 included
+        assert fft_counts == {"rfft": 4 * steps, "irfft": 4 * steps + (n_rec + 1) * components}
+
+
 class TestSoliton:
     def test_peak_and_speed(self):
         g = make_grid(80.0, 1024)
@@ -477,6 +550,19 @@ class TestIntegrate:
         spec = EvolutionSpec(equation=MKdV(mu=1), dt=2e-2, t_end=1.0, record_every=10)
         with pytest.raises(ConfigurationError, match="guard"):
             integrate(spec, u0)
+
+    def test_dt_guard_in_loop(self):
+        # linear flow from a packet dispersed backward over t = 1: it refocuses,
+        # its peak grows from ~2.06 to ~4, and the guard falls from ~0.024
+        # to ~0.0074, so dt = 0.012 passes at t = 0 and fails mid-run
+        g = make_grid(64.0, 256)
+        focused = dealias(analyze(4.0 * np.exp(-((g.x - 32.0) ** 2) / 0.72), g))
+        u0 = synthesize(np.exp(-1j * g.xi**3) * focused.spectrum, g)
+        spec = EvolutionSpec(equation=MKdV(mu=1), dt=0.012, t_end=1.0, record_every=1, nonlinear=False)
+        with pytest.raises(ConfigurationError, match="advective guard") as err:
+            integrate(spec, u0)
+        t_fail = float(re.search(r"at t = (\S+)", str(err.value)).group(1))
+        assert 0.0 < t_fail < 1.0
 
     def test_blowup_abort(self):
         g = make_grid(64.0, 64)
