@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from gevreyflow.cli import _COMMANDS, _default_config_text, main
 from gevreyflow.config import (
+    SCHEMA,
     parse_config,
     parse_config_text,
     render_config,
@@ -114,6 +115,105 @@ class TestConfigGrammar:
             parse_config_text("[grid]\nN = 512\nL = what!\n")
         assert err.value.line == 3
         assert "col 5" in str(err.value)
+
+
+DYNAMIC = "dynamic"  # a default derived from other keys
+
+# every text-format key in written order: (section, key, kind, file default)
+SCHEMA_PIN = (
+    ("", "scenario", "str", "conservation"),
+    ("", "seed", "int", 20260819),
+    ("grid", "L", "float", 64.0),
+    ("grid", "N", "int", 512),
+    ("evolution", "dt", "float", 0.0002),
+    ("evolution", "t_end", "float", 5.0),
+    ("evolution", "record_every", "int", 250),
+    ("equation", "family", "str", "mkdv"),
+    ("equation", "mu", "int", 1),
+    ("equation", "m", "int", 5),
+    ("equation", "alpha", "float", 0.5),
+    ("equation", "nonlinear", "bool", True),
+    ("damping", "form", "str", "raised_cosine"),
+    ("damping", "floor", "float", 1.0),
+    ("damping", "amplitude", "float", 0.25),
+    ("damping2", "form", "str", DYNAMIC),
+    ("damping2", "floor", "float", DYNAMIC),
+    ("damping2", "amplitude", "float", DYNAMIC),
+    ("data", "kind", "str", "soliton"),
+    ("data", "k", "float", 1.0),
+    ("data", "x0", "float", DYNAMIC),
+    ("data", "amplitude", "float", 0.8),
+    ("data", "width", "float", 1.0),
+    ("data", "center", "float", DYNAMIC),
+    ("data2", "kind", "str", "zero"),
+    ("data2", "k", "float", DYNAMIC),
+    ("data2", "x0", "float", DYNAMIC),
+    ("data2", "amplitude", "float", DYNAMIC),
+    ("data2", "width", "float", DYNAMIC),
+    ("data2", "center", "float", DYNAMIC),
+    ("run", "sigmas", "floats", (0.05, 0.1, 0.2, 0.4)),
+    ("run", "sigma0", "float", 0.5),
+    ("run", "theta", "float", DYNAMIC),
+    ("run", "c0", "float", 1.0),
+    ("run", "d", "float", 2.0),
+    ("run", "c1_mode", "str", "empirical"),
+    ("run", "c1_value", "float", 1.0),
+    ("run", "c1_safety", "float", 2.0),
+    ("run", "k_max", "int", 20),
+    ("run", "window_records", "int", 8),
+    ("run", "samples", "int", 1000000),
+    ("tolerances", "conservation", "float", 1e-06),
+    ("tolerances", "rate", "float", 1e-05),
+    ("tolerances", "decay", "float", 0.001),
+    ("tolerances", "equality", "float", 1e-08),
+    ("tolerances", "radius", "float", 0.01),
+    ("tolerances", "radius_match", "float", 0.03),
+    ("tolerances", "iteration", "float", 0.001),
+    ("tolerances", "inequality", "float", 1e-12),
+    ("tolerances", "slope_lo", "float", 1.8),
+    ("tolerances", "slope_hi", "float", 2.2),
+    ("tolerances", "r2_min", "float", 0.98),
+    ("io", "out_dir", "str", "out"),
+)
+
+# moves every key that a dynamic default reads away from its file default
+MOVED_BASES = {
+    "grid.L": "96.0",
+    "equation.family": "mkdvm",
+    "equation.mu": "-1",
+    "equation.m": "7",
+    "damping.form": "constant",
+    "damping.floor": "2.0",
+    "damping.amplitude": "0.0",
+    "data.kind": "sech",
+    "data.k": "2.0",
+    "data.amplitude": "0.5",
+    "data.width": "1.5",
+}
+
+_KIND_TYPES = {"int": int, "float": float, "bool": bool, "str": str, "floats": list}
+
+
+class TestSchema:
+    def test_keys_and_kinds_are_pinned(self):
+        assert len(SCHEMA_PIN) == 53
+        assert list(SCHEMA.items()) == [((s, k), kind) for s, k, kind, _ in SCHEMA_PIN]
+
+    def test_static_file_defaults_are_pinned(self):
+        empty = parse_config_text("").as_sections()
+        assert [(s, k) for s, body in empty.items() for k in body] == [(s, k) for s, k, *_ in SCHEMA_PIN]
+        for section, key, kind, default in SCHEMA_PIN:
+            value = empty[section][key]
+            assert type(value) is _KIND_TYPES[kind], (section, key)
+            if default is not DYNAMIC:
+                assert value == (list(default) if kind == "floats" else default), (section, key)
+
+    def test_dynamic_keys_are_exactly_the_derived_ones(self):
+        empty = parse_config_text("").as_sections()
+        moved = parse_config_text("", [f"{k}={v}" for k, v in MOVED_BASES.items()]).as_sections()
+        given = {tuple(name.split(".")) for name in MOVED_BASES}
+        changed = {(s, k) for s, k, *_ in SCHEMA_PIN if moved[s][k] != empty[s][k]} - given
+        assert changed == {(s, k) for s, k, _, default in SCHEMA_PIN if default is DYNAMIC}
 
 
 class TestDynamicDefaults:
