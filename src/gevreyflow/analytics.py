@@ -36,7 +36,6 @@ from .errors import (
     OverflowGuardError,
     UnderresolvedError,
 )
-from .inequalities import InequalityVerdict, _verdict
 from .spectral import (
     CoshWeight,
     Grid,
@@ -45,6 +44,7 @@ from .spectral import (
     apply_multiplier,
     log_cosh,
     make_grid,
+    noise_floor,
     pad_spectrum,
     synthesize,
     weight_spectrum,
@@ -75,12 +75,15 @@ def _weighted_l2(grid: Grid, logw: np.ndarray, amps: np.ndarray) -> float:
 
 
 def hsigma_norm(f: SpectralField, sigma: float, s: float) -> float:
-    """(L sum_k w_k (1+|xi_k|)^(2s) cosh^2(sigma xi_k) |F_k|^2)^(1/2)."""
+    """(L sum_k w_k (1+|xi_k|)^(2s) cosh^2(sigma xi_k) |F_k|^2)^(1/2), with
+    coefficients below spectral.noise_floor counted as zero."""
     if sigma < 0:
         raise ConfigurationError(f"weight radius must be >= 0, got {sigma}")
     xi = f.grid.xi
     logw = s * np.log1p(xi) + log_cosh(sigma * xi)
-    return _weighted_l2(f.grid, logw, np.abs(f.spectrum))
+    amps = np.abs(f.spectrum)
+    amps[amps < noise_floor(amps)] = 0.0
+    return _weighted_l2(f.grid, logw, amps)
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +139,8 @@ def functional_A(u: SpectralField, sigma: float | np.ndarray, mu: int) -> Functi
     one weighted half spectrum per sigma, stacked to (P, N/2+1), one
     batched irfft for U and U_x on the 2x grid, and every term a row sum.
     A float sigma is the P = 1 row and gives float total and terms; an
-    array gives arrays of shape (P,).
+    array gives arrays of shape (P,).  Coefficients below
+    spectral.noise_floor count as zero.
     """
     if mu not in (-1, 1):
         raise ConfigurationError(f"mu must be +-1, got {mu}")
@@ -144,7 +148,9 @@ def functional_A(u: SpectralField, sigma: float | np.ndarray, mu: int) -> Functi
     if sigmas.ndim > 1 or sigmas.size == 0:
         raise ConfigurationError(f"sigma must be a float or a nonempty 1-D array, got shape {sigmas.shape}")
     g = u.grid
-    U = np.stack([weight_spectrum(u.spectrum, g, CoshWeight(s)) for s in np.atleast_1d(sigmas).tolist()])
+    spectrum = u.spectrum.copy()
+    spectrum[np.abs(spectrum) < noise_floor(spectrum)] = 0.0
+    U = np.stack([weight_spectrum(spectrum, g, CoshWeight(s)) for s in np.atleast_1d(sigmas).tolist()])
     Uf, Uxf = _refined_derivs(U, g, (0, 1))
     # L * sum w_k xi^(2p) |U_k|^2 is ||d^p U||^2, for p = 0, 1, 2
     power = g.L * g.multiplicity * np.abs(U) ** 2
@@ -291,36 +297,6 @@ def operator_G(W: SpectralField, a: DampingProfile, sigma: float) -> SpectralFie
 # ---------------------------------------------------------------------------
 
 
-def energy_rate_A(u: SpectralField, sigma: float, mu: int) -> FunctionalBreakdown:
-    """Instantaneous drift of functional_A along the flow.
-
-    With U = cosh(sigma D) u and F the cubic commutator error, the weighted
-    field obeys the original equation forced by F(U), so the chain rule
-    pairs F against the variational derivative of each energy term:
-
-        dA/dt = 2 int U F + 2 int U_x F_x + 2 int U_xx F_xx
-              - (2 mu/3) int U^3 F + (1/3) int U^5 F
-              + (10 mu/3) int U U_x^2 F + (10 mu/3) int U^2 U_xx F.
-    """
-    if mu not in (-1, 1):
-        raise ConfigurationError(f"mu must be +-1, got {mu}")
-    U = apply_multiplier(u, CoshWeight(sigma))
-    Ff = operator_F(U, sigma, mu)
-    g = u.grid
-    U0, U1, U2 = _refined_derivs(U.spectrum, g, (0, 1, 2))
-    F0, F1, F2 = _refined_derivs(Ff.spectrum, g, (0, 1, 2))
-    terms = {
-        "pair_l2": 2.0 * _quad(g, U0, F0),
-        "pair_deriv1": 2.0 * _quad(g, U1, F1),
-        "pair_deriv2": 2.0 * _quad(g, U2, F2),
-        "pair_cubic": -(2.0 * mu / 3.0) * _quad(g, U0, U0, U0, F0),
-        "pair_quintic": (1.0 / 3.0) * _quad(g, U0, U0, U0, U0, U0, F0),
-        "pair_grad_sq": (10.0 * mu / 3.0) * _quad(g, U0, U1, U1, F0),
-        "pair_hess": (10.0 * mu / 3.0) * _quad(g, U0, U0, U2, F0),
-    }
-    return FunctionalBreakdown(total=sum(terms.values()), terms=terms)
-
-
 def mass_rate_M(v: SpectralField, a: DampingProfile, sigma: float, mu: int) -> tuple[float, float, float]:
     """Instantaneous drift of functional_M along the damped flow:
 
@@ -435,7 +411,8 @@ class RadiusFit:
 def radius_estimate(f: SpectralField, floor_rel: float = 1e-8) -> RadiusFit:
     """Fit the exponential decay rate of the positive-frequency tail.
 
-    Modes are usable when |F_k| exceeds max(floor_rel, 1e-13) * max|F|; the
+    Modes are usable when |F_k| exceeds floor_rel * max|F| and
+    spectral.noise_floor (1e-13 * max|F|); the
     top 10% (by frequency) of the usable set is dropped as dealiasing-
     contaminated.  Requires at least 12 surviving modes.
     """
@@ -445,7 +422,7 @@ def radius_estimate(f: SpectralField, floor_rel: float = 1e-8) -> RadiusFit:
     peak = float(np.abs(f.spectrum).max())
     if peak == 0.0:
         raise UnderresolvedError("zero field has no spectral tail to fit")
-    floor = max(floor_rel, 1e-13) * peak
+    floor = max(floor_rel * peak, noise_floor(f.spectrum))
     usable = np.nonzero(amps > floor)[0]
     if usable.size:
         keep = usable[: max(1, int(math.ceil(0.9 * usable.size)))]
@@ -473,14 +450,3 @@ def radius_estimate(f: SpectralField, floor_rel: float = 1e-8) -> RadiusFit:
         superexponential=bool(superexp),
         n_modes=int(keep.size),
     )
-
-
-def interpolation_check(v: SpectralField, sigma1: float) -> InequalityVerdict:
-    """||v||_{H^{sigma1/2,0}} <= (||v||_L2 ||v||_{H^{sigma1,0}})^(1/2).
-
-    Pointwise consequence of cosh^2(r/2) = (1 + cosh r)/2 <= cosh r for
-    cosh r >= 1; the verdict carries the margin.
-    """
-    lhs = hsigma_norm(v, sigma1 / 2.0, 0.0)
-    rhs = math.sqrt(hsigma_norm(v, 0.0, 0.0) * hsigma_norm(v, sigma1, 0.0))
-    return _verdict(lhs, rhs, (sigma1,))

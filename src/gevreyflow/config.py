@@ -12,12 +12,14 @@ string; blank lines ignored):
                  | bare-word                   ([A-Za-z_][A-Za-z0-9_-]*)
 
 Assignments before any section header are top-level keys (scenario, seed).
-Every key has a typed schema entry with a default, so an empty file is a
-valid conservation scenario; unknown keys are rejected with their line
-number.  Dynamic defaults: data centers fall at L/2, damping2 and the
-numeric data2 fields mirror their first-component sections, and theta
-falls back to the largest admissible exponent for the configured order
-(0.45 for the third-order families, where that formula does not apply).
+The schema is the ScenarioConfig dataclasses of harness.py: a key's kind
+is its field annotation and its default the field default, so an empty
+file is a valid conservation scenario; unknown keys are rejected with
+their line number.  _resolve holds the dynamic defaults: data centers
+fall at L/2, damping2 and the numeric data2 fields mirror their
+first-component sections, and theta falls back to the largest admissible
+exponent for the configured order (the field default 0.45 for the
+third-order families, where that formula does not apply).
 
 Overrides are "dotted.key=value" strings sharing the value grammar, e.g.
 "grid.N=1024" or "run.sigmas=[0.1, 0.2, 0.4, 0.8]".
@@ -27,120 +29,30 @@ from __future__ import annotations
 
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 from .analytics import theta_max
 from .errors import ConfigParseError, ConfigurationError
-from .harness import DampingConfig, DataConfig, ScenarioConfig, Tolerances
+from .harness import ScenarioConfig, config_keys
 
 _SECTION_RE = re.compile(r"^\[([A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)*)\]$")
 _KEY_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _BARE_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_-]*$")
 _INT_RE = re.compile(r"^[+-]?[0-9]+$")
 
-# (section, key) -> kind; kinds: int, float, bool, str, floats
-SCHEMA = {
-    ("", "scenario"): "str",
-    ("", "seed"): "int",
-    ("grid", "L"): "float",
-    ("grid", "N"): "int",
-    ("evolution", "dt"): "float",
-    ("evolution", "t_end"): "float",
-    ("evolution", "record_every"): "int",
-    ("equation", "family"): "str",
-    ("equation", "mu"): "int",
-    ("equation", "m"): "int",
-    ("equation", "alpha"): "float",
-    ("equation", "nonlinear"): "bool",
-    ("damping", "form"): "str",
-    ("damping", "floor"): "float",
-    ("damping", "amplitude"): "float",
-    ("damping2", "form"): "str",
-    ("damping2", "floor"): "float",
-    ("damping2", "amplitude"): "float",
-    ("data", "kind"): "str",
-    ("data", "k"): "float",
-    ("data", "x0"): "float",
-    ("data", "amplitude"): "float",
-    ("data", "width"): "float",
-    ("data", "center"): "float",
-    ("data2", "kind"): "str",
-    ("data2", "k"): "float",
-    ("data2", "x0"): "float",
-    ("data2", "amplitude"): "float",
-    ("data2", "width"): "float",
-    ("data2", "center"): "float",
-    ("run", "sigmas"): "floats",
-    ("run", "sigma0"): "float",
-    ("run", "theta"): "float",
-    ("run", "c0"): "float",
-    ("run", "d"): "float",
-    ("run", "c1_mode"): "str",
-    ("run", "c1_value"): "float",
-    ("run", "c1_safety"): "float",
-    ("run", "k_max"): "int",
-    ("run", "window_records"): "int",
-    ("run", "samples"): "int",
-    ("tolerances", "conservation"): "float",
-    ("tolerances", "rate"): "float",
-    ("tolerances", "decay"): "float",
-    ("tolerances", "equality"): "float",
-    ("tolerances", "radius"): "float",
-    ("tolerances", "radius_match"): "float",
-    ("tolerances", "iteration"): "float",
-    ("tolerances", "inequality"): "float",
-    ("tolerances", "slope_lo"): "float",
-    ("tolerances", "slope_hi"): "float",
-    ("tolerances", "r2_min"): "float",
-    ("io", "out_dir"): "str",
-}
+# a key's kind follows its field annotation; a tuple field is a float list
+_KINDS = {"int": "int", "float": "float", "bool": "bool", "str": "str", "tuple": "floats"}
 
-STATIC_DEFAULTS = {
-    ("", "scenario"): "conservation",
-    ("", "seed"): 20260819,
-    ("grid", "L"): 64.0,
-    ("grid", "N"): 512,
-    ("evolution", "dt"): 2e-4,
-    ("evolution", "t_end"): 5.0,
-    ("evolution", "record_every"): 250,
-    ("equation", "family"): "mkdv",
-    ("equation", "mu"): 1,
-    ("equation", "m"): 5,
-    ("equation", "alpha"): 0.5,
-    ("equation", "nonlinear"): True,
-    ("damping", "form"): "raised_cosine",
-    ("damping", "floor"): 1.0,
-    ("damping", "amplitude"): 0.25,
-    ("data", "kind"): "soliton",
-    ("data", "k"): 1.0,
-    ("data", "amplitude"): 0.8,
-    ("data", "width"): 1.0,
-    ("data2", "kind"): "zero",
-    ("run", "sigmas"): (0.05, 0.1, 0.2, 0.4),
-    ("run", "sigma0"): 0.5,
-    ("run", "c0"): 1.0,
-    ("run", "d"): 2.0,
-    ("run", "c1_mode"): "empirical",
-    ("run", "c1_value"): 1.0,
-    ("run", "c1_safety"): 2.0,
-    ("run", "k_max"): 20,
-    ("run", "window_records"): 8,
-    ("run", "samples"): 1_000_000,
-    ("tolerances", "conservation"): 1e-6,
-    ("tolerances", "rate"): 1e-5,
-    ("tolerances", "decay"): 1e-3,
-    ("tolerances", "equality"): 1e-8,
-    ("tolerances", "radius"): 1e-2,
-    ("tolerances", "radius_match"): 0.03,
-    ("tolerances", "iteration"): 1e-3,
-    ("tolerances", "inequality"): 1e-12,
-    ("tolerances", "slope_lo"): 1.8,
-    ("tolerances", "slope_hi"): 2.2,
-    ("tolerances", "r2_min"): 0.98,
-    ("io", "out_dir"): "out",
-}
+# (section, key) -> kind, in written order
+SCHEMA = {(section, f.name): _KINDS[f.type] for section, _, f in config_keys()}
 
-_SECTION_ORDER = ("", "grid", "evolution", "equation", "damping", "damping2", "data", "data2", "run", "tolerances", "io")
+# (section, key) -> ScenarioConfig field default
+_FIELD_DEFAULTS = {
+    (section, key): tuple(value) if isinstance(value, list) else value
+    for section, body in ScenarioConfig().as_sections().items()
+    for key, value in body.items()
+}
 
 
 # ---------------------------------------------------------------------------
@@ -323,94 +235,40 @@ def _apply_overrides(values: dict, overrides) -> None:
 
 
 def _resolve(values: dict) -> dict:
-    """Fill static and dynamic defaults into a complete key -> value map."""
+    """Complete key -> value map: the given values, then the dynamic
+    defaults, then the field defaults of ScenarioConfig for the rest."""
     out = dict(values)
-    for dotted, default in STATIC_DEFAULTS.items():
-        out.setdefault(dotted, default)
-    L = out[("grid", "L")]
+
+    def given_or_default(section, key):
+        return out.get((section, key), _FIELD_DEFAULTS[(section, key)])
+
+    L = given_or_default("grid", "L")
     out.setdefault(("data", "x0"), L / 2.0)
     out.setdefault(("data", "center"), L / 2.0)
     # second-component sections mirror the first unless given explicitly
     for key in ("form", "floor", "amplitude"):
-        out.setdefault(("damping2", key), out[("damping", key)])
+        out.setdefault(("damping2", key), given_or_default("damping", key))
     for key in ("k", "x0", "amplitude", "width", "center"):
-        out.setdefault(("data2", key), out[("data", key)])
-    if ("run", "theta") not in out:
-        m = out[("equation", "m")]
-        if out[("equation", "family")] == "mkdvm" and m >= 5:
-            out[("run", "theta")] = float(theta_max(m))
-        else:
-            out[("run", "theta")] = 0.45
-    return out
+        out.setdefault(("data2", key), given_or_default("data", key))
+    # the third-order families keep the field default of theta
+    m = given_or_default("equation", "m")
+    if given_or_default("equation", "family") == "mkdvm" and m >= 5:
+        out.setdefault(("run", "theta"), float(theta_max(m)))
+    return {**_FIELD_DEFAULTS, **out}
 
 
 def _build(values: dict) -> ScenarioConfig:
     v = _resolve(values)
-
-    def g(section, key):
-        return v[(section, key)]
-
-    return ScenarioConfig(
-        scenario=g("", "scenario"),
-        seed=g("", "seed"),
-        L=g("grid", "L"),
-        N=g("grid", "N"),
-        dt=g("evolution", "dt"),
-        t_end=g("evolution", "t_end"),
-        record_every=g("evolution", "record_every"),
-        family=g("equation", "family"),
-        mu=g("equation", "mu"),
-        m=g("equation", "m"),
-        alpha=g("equation", "alpha"),
-        nonlinear=g("equation", "nonlinear"),
-        damping=DampingConfig(
-            form=g("damping", "form"), floor=g("damping", "floor"), amplitude=g("damping", "amplitude")
-        ),
-        damping2=DampingConfig(
-            form=g("damping2", "form"), floor=g("damping2", "floor"), amplitude=g("damping2", "amplitude")
-        ),
-        data=DataConfig(
-            kind=g("data", "kind"),
-            k=g("data", "k"),
-            x0=g("data", "x0"),
-            amplitude=g("data", "amplitude"),
-            width=g("data", "width"),
-            center=g("data", "center"),
-        ),
-        data2=DataConfig(
-            kind=g("data2", "kind"),
-            k=g("data2", "k"),
-            x0=g("data2", "x0"),
-            amplitude=g("data2", "amplitude"),
-            width=g("data2", "width"),
-            center=g("data2", "center"),
-        ),
-        sigmas=g("run", "sigmas"),
-        sigma0=g("run", "sigma0"),
-        theta=g("run", "theta"),
-        c0=g("run", "c0"),
-        d=g("run", "d"),
-        c1_mode=g("run", "c1_mode"),
-        c1_value=g("run", "c1_value"),
-        c1_safety=g("run", "c1_safety"),
-        k_max=g("run", "k_max"),
-        window_records=g("run", "window_records"),
-        samples=g("run", "samples"),
-        tolerances=Tolerances(
-            conservation=g("tolerances", "conservation"),
-            rate=g("tolerances", "rate"),
-            decay=g("tolerances", "decay"),
-            equality=g("tolerances", "equality"),
-            radius=g("tolerances", "radius"),
-            radius_match=g("tolerances", "radius_match"),
-            iteration=g("tolerances", "iteration"),
-            inequality=g("tolerances", "inequality"),
-            slope_lo=g("tolerances", "slope_lo"),
-            slope_hi=g("tolerances", "slope_hi"),
-            r2_min=g("tolerances", "r2_min"),
-        ),
-        out_dir=g("io", "out_dir"),
-    )
+    plain, nested = {}, {}
+    for section, owner, f in config_keys():
+        if owner:
+            nested.setdefault(owner, {})[f.name] = v[(section, f.name)]
+        else:
+            plain[f.name] = v[(section, f.name)]
+    base = ScenarioConfig()
+    for owner, keys in nested.items():
+        plain[owner] = replace(getattr(base, owner), **keys)
+    return replace(base, **plain)
 
 
 def parse_config_text(text: str, overrides=()) -> ScenarioConfig:
@@ -463,12 +321,8 @@ def _format_value(value) -> str:
 
 def render_config(cfg: ScenarioConfig) -> str:
     """Config text that parses back to an equal ScenarioConfig."""
-    sections = cfg.as_sections()
     lines = []
-    for section in _SECTION_ORDER:
-        body = sections.get(section)
-        if not body:
-            continue
+    for section, body in cfg.as_sections().items():
         if section:
             if lines:
                 lines.append("")

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, DivergenceError
-from .spectral import Grid, SpectralField, analyze, dealias, synthesize
+from .spectral import Grid, SpectralField, analyze, dealias, noise_floor, synthesize
 
 BLOWUP_LIMIT = 1e6
 
@@ -153,10 +153,10 @@ def make_damping(form: str, lam: float, eps: float, grid: Grid, sigma0: float) -
             f"(A3) violated: derivative rate R = {R:.6g} must be < 1/sigma0 = {1.0 / sigma0:.6g}"
         )
 
-    # coefficients under 1e-13 of the largest (the floor radius_estimate uses)
-    # are transform round-off, which xi^k would amplify past the bound
+    # coefficients under the noise floor are transform round-off, which xi^k
+    # would amplify past the bound
     A = np.fft.rfft(profile.values(grid), norm="forward")
-    A[np.abs(A) < 1e-13 * np.abs(A).max()] = 0.0
+    A[np.abs(A) < noise_floor(A)] = 0.0
     orders = np.arange(1, 9)
     symbols = (1j * grid.xi) ** orders[:, None]
     derivs = np.fft.irfft(A * symbols, n=grid.N, norm="forward")

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -139,7 +139,7 @@ class ScenarioConfig:
     data2: DataConfig = field(default_factory=lambda: DataConfig(kind="zero"))
     sigmas: tuple = (0.05, 0.1, 0.2, 0.4)
     sigma0: float = 0.5
-    theta: float = 0.25
+    theta: float = 0.45
     c0: float = 1.0
     d: float = 2.0
     c1_mode: str = "empirical"
@@ -220,68 +220,37 @@ class ScenarioConfig:
     def as_sections(self) -> dict:
         """Resolved config as {section: {key: value}}, the shape the text
         format round-trips through and reports echo."""
-        return {
-            "": {"scenario": self.scenario, "seed": self.seed},
-            "grid": {"L": self.L, "N": self.N},
-            "evolution": {"dt": self.dt, "t_end": self.t_end, "record_every": self.record_every},
-            "equation": {
-                "family": self.family,
-                "mu": self.mu,
-                "m": self.m,
-                "alpha": self.alpha,
-                "nonlinear": self.nonlinear,
-            },
-            "damping": {
-                "form": self.damping.form,
-                "floor": self.damping.floor,
-                "amplitude": self.damping.amplitude,
-            },
-            "damping2": {
-                "form": self.damping2.form,
-                "floor": self.damping2.floor,
-                "amplitude": self.damping2.amplitude,
-            },
-            "data": _data_section(self.data),
-            "data2": _data_section(self.data2),
-            "run": {
-                "sigmas": list(self.sigmas),
-                "sigma0": self.sigma0,
-                "theta": self.theta,
-                "c0": self.c0,
-                "d": self.d,
-                "c1_mode": self.c1_mode,
-                "c1_value": self.c1_value,
-                "c1_safety": self.c1_safety,
-                "k_max": self.k_max,
-                "window_records": self.window_records,
-                "samples": self.samples,
-            },
-            "tolerances": {
-                "conservation": self.tolerances.conservation,
-                "rate": self.tolerances.rate,
-                "decay": self.tolerances.decay,
-                "equality": self.tolerances.equality,
-                "radius": self.tolerances.radius,
-                "radius_match": self.tolerances.radius_match,
-                "iteration": self.tolerances.iteration,
-                "inequality": self.tolerances.inequality,
-                "slope_lo": self.tolerances.slope_lo,
-                "slope_hi": self.tolerances.slope_hi,
-                "r2_min": self.tolerances.r2_min,
-            },
-            "io": {"out_dir": self.out_dir},
-        }
+        out: dict = {}
+        for section, owner, f in config_keys():
+            value = getattr(getattr(self, owner) if owner else self, f.name)
+            out.setdefault(section, {})[f.name] = list(value) if isinstance(value, tuple) else value
+        return out
 
 
-def _data_section(d: DataConfig) -> dict:
-    return {
-        "kind": d.kind,
-        "k": d.k,
-        "x0": d.x0,
-        "amplitude": d.amplitude,
-        "width": d.width,
-        "center": d.center,
-    }
+# text-format section of each plain ScenarioConfig field; every nested
+# config field (damping, damping2, data, data2, tolerances) is the section
+# of its own name.  Sections are written in field order.
+_SECTIONS = {
+    "": ("scenario", "seed"),
+    "grid": ("L", "N"),
+    "evolution": ("dt", "t_end", "record_every"),
+    "equation": ("family", "mu", "m", "alpha", "nonlinear"),
+    "run": ("sigmas", "sigma0", "theta", "c0", "d", "c1_mode", "c1_value", "c1_safety",
+            "k_max", "window_records", "samples"),
+    "io": ("out_dir",),
+}
+_SECTION_OF = {name: section for section, names in _SECTIONS.items() for name in names}
+
+
+def config_keys():
+    """(section, owner, field) of every text-format key in written order:
+    owner is the nested config field that holds the key, or None."""
+    for f in fields(ScenarioConfig):
+        if f.name in _SECTION_OF:
+            yield _SECTION_OF[f.name], None, f
+        else:
+            for sub in fields(f.default_factory()):
+                yield f.name, f.name, sub
 
 
 # ---------------------------------------------------------------------------
@@ -596,6 +565,11 @@ def _iterate_windows(cfg, scenario, eq, state, mass_at, half_norm_at, lam, t0):
     m0_sigma0 = mass_at(state, cfg.sigma0)
     l2_sq = mass_at(state, 0.0)
     T0 = lifespan_T0(a_norm0, m0_sigma0, cfg.c0, cfg.d)
+    if T0 < cfg.dt:
+        raise ConfigurationError(
+            f"window length T0 = {T0:.6g} is shorter than one step dt = {cfg.dt:g}; "
+            "raise c0 or shrink the data or the damping"
+        )
     cadence = _window_cadence(cfg, T0)
 
     # every window, the calibration window included, integrates this spec

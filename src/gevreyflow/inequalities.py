@@ -1,8 +1,7 @@
-"""Exact-constant hyperbolic weight inequalities as scalar oracles.
+"""Exact-constant hyperbolic weight inequalities as margin functions.
 
-Four families, each exposed two ways: a vectorized margin function (numpy
-in, numpy out) for bulk property sweeps, and a scalar check_* wrapper that
-returns an InequalityVerdict.
+Four families, each a vectorized margin function (numpy in, numpy out)
+for bulk property sweeps; harness.run_inequalities counts the violations.
 
 All margins are evaluated on cosh-normalized equivalents so that no side
 overflows for arguments up to 1e6 and beyond:
@@ -29,7 +28,6 @@ bound 3, so the shipped 8 has slack).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -37,38 +35,6 @@ import numpy as np
 from .errors import ConfigurationError
 
 REL_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class InequalityVerdict:
-    """Outcome of one scalar inequality check.
-
-    margin is rhs - lhs of the normalized form; holds tolerates a relative
-    slack of 1e-12 against the rhs scale.
-    """
-
-    holds: bool
-    margin: float
-    witness: tuple
-
-    def __bool__(self) -> bool:
-        return self.holds
-
-
-def _verdict(lhs: float, rhs: float, witness: tuple) -> InequalityVerdict:
-    margin = float(rhs - lhs)
-    holds = margin >= -REL_TOL * max(1.0, abs(float(rhs)))
-    return InequalityVerdict(holds, margin, witness)
-
-
-def _check_theta(theta) -> None:
-    if np.any(np.asarray(theta) < 0) or np.any(np.asarray(theta) > 1):
-        raise ConfigurationError(f"exponent must lie in [0, 1], got {theta}")
-
-
-def _check_sigma(sigma) -> None:
-    if np.any(np.asarray(sigma) < 0):
-        raise ConfigurationError(f"weight radius must be >= 0, got {sigma}")
 
 
 # ---------------------------------------------------------------------------
@@ -124,61 +90,6 @@ def triple_cosh_rhs(sigma, xi1, xi2, xi3, theta1, theta2, K=None):
     t1 = np.asarray(theta1, dtype=float)
     t2 = np.asarray(theta2, dtype=float)
     return K * s ** (t1 + t2) * med**t1 * hi**t2
-
-
-# ---------------------------------------------------------------------------
-# scalar checks
-# ---------------------------------------------------------------------------
-
-
-def check_sinh(r: float, theta: float) -> InequalityVerdict:
-    """|sinh r| <= |r|^theta cosh r, constant exactly 1, theta in [0, 1]."""
-    _check_theta(theta)
-    return _verdict(np.tanh(abs(float(r))), abs(float(r)) ** theta, (r, theta))
-
-
-def check_cosh_minus_one(sigma: float, xi: float, theta: float) -> InequalityVerdict:
-    """cosh(sigma*xi) - 1 <= (sigma|xi|)^(2 theta) cosh(sigma*xi), constant 1."""
-    _check_theta(theta)
-    _check_sigma(sigma)
-    r = abs(float(sigma) * float(xi))
-    sech = 1.0 / np.cosh(min(r, 700.0))
-    return _verdict(1.0 - sech, r ** (2.0 * theta), (sigma, xi, theta))
-
-
-def check_equivalence(sigma: float, xi: float) -> InequalityVerdict:
-    """(1/2) e^(sigma|xi|) <= cosh(sigma*xi) <= e^(sigma|xi|), constants 1/2 and 1.
-
-    margin is the smaller of the two one-sided margins of the normalized
-    sandwich 1/2 <= cosh(r) e^(-|r|) <= 1.
-    """
-    _check_sigma(sigma)
-    lower, upper = equivalence_margins(sigma, xi)
-    if lower <= upper:
-        return _verdict(0.5, 0.5 + float(lower), (sigma, xi))
-    return _verdict(1.0 - float(upper), 1.0, (sigma, xi))
-
-
-def check_triple_cosh(
-    sigma: float,
-    xi1: float,
-    xi2: float,
-    xi3: float,
-    theta1: float,
-    theta2: float,
-    K: float | None = None,
-) -> InequalityVerdict:
-    """Three-frequency product bound with the certified constant.
-
-    |1 - cosh(sigma*xi) sech(sigma*xi1) sech(sigma*xi2) sech(sigma*xi3)|
-      <= K sigma^(t1+t2) med(|xi_i|)^t1 max(|xi_i|)^t2,   xi = xi1+xi2+xi3.
-    """
-    _check_theta(theta1)
-    _check_theta(theta2)
-    _check_sigma(sigma)
-    lhs = float(triple_cosh_lhs(sigma, xi1, xi2, xi3))
-    rhs = float(triple_cosh_rhs(sigma, xi1, xi2, xi3, theta1, theta2, K=K))
-    return _verdict(lhs, rhs, (sigma, xi1, xi2, xi3, theta1, theta2))
 
 
 # ---------------------------------------------------------------------------

@@ -152,6 +152,14 @@ def synthesize(spectrum: np.ndarray, grid: Grid) -> SpectralField:
     return _field(grid, np.fft.irfft(spectrum, n=grid.N, norm="forward"), spectrum)
 
 
+def noise_floor(spectrum: np.ndarray) -> float:
+    """Magnitude below which a coefficient counts as zero: 1e-13 of the
+    largest.  Transforms leave round-off near 1e-17 of the peak in modes
+    the field does not carry, and a cosh weight or a derivative symbol
+    would lift it into the result."""
+    return 1e-13 * float(np.abs(spectrum).max())
+
+
 # ---------------------------------------------------------------------------
 # multiplier symbols
 # ---------------------------------------------------------------------------
@@ -161,23 +169,6 @@ def log_cosh(r: np.ndarray) -> np.ndarray:
     """Elementwise log(cosh(r)), overflow-free for any magnitude."""
     a = np.abs(np.asarray(r, dtype=float))
     return a + np.log1p(np.exp(-2.0 * a)) - _LOG2
-
-
-@dataclass(frozen=True)
-class Deriv:
-    """d^order/dx^order, symbol (i*xi)^order; Nyquist zeroed for odd order."""
-
-    order: int
-
-    def __post_init__(self):
-        if self.order < 0 or self.order != int(self.order):
-            raise ConfigurationError(f"derivative order must be a nonnegative integer, got {self.order}")
-
-    def values(self, grid: Grid) -> np.ndarray:
-        w = (1j * grid.xi) ** self.order
-        if self.order % 2 == 1:
-            w[grid.nyquist_index] = 0.0
-        return w
 
 
 @dataclass(frozen=True)
@@ -206,9 +197,6 @@ class SechWeight:
 
     def log_values(self, grid: Grid) -> np.ndarray:
         return -log_cosh(self.sigma * grid.xi)
-
-
-MultiplierSymbol = Deriv | CoshWeight | SechWeight
 
 
 def weight_spectrum(spectrum: np.ndarray, grid: Grid, sym: CoshWeight | SechWeight) -> np.ndarray:
@@ -249,15 +237,9 @@ def weight_spectrum(spectrum: np.ndarray, grid: Grid, sym: CoshWeight | SechWeig
     return out
 
 
-def apply_multiplier(fld: SpectralField, sym: MultiplierSymbol) -> SpectralField:
-    """Pointwise spectrum multiplication by the symbol; returns a new field."""
-    if isinstance(sym, (CoshWeight, SechWeight)):
-        spectrum = weight_spectrum(fld.spectrum, fld.grid, sym)
-    else:
-        spectrum = fld.spectrum * sym.values(fld.grid)
-        if not np.all(np.isfinite(spectrum)):
-            raise OverflowGuardError(f"multiplier {sym!r} produced non-finite coefficients")
-    return synthesize(spectrum, fld.grid)
+def apply_multiplier(fld: SpectralField, sym: CoshWeight | SechWeight) -> SpectralField:
+    """The field weighted by cosh(sigma D) or sech(sigma D); returns a new field."""
+    return synthesize(weight_spectrum(fld.spectrum, fld.grid, sym), fld.grid)
 
 
 def dealias(fld: SpectralField) -> SpectralField:

@@ -3,13 +3,18 @@
 Nothing in the package uses these.  Each one reaches a quantity the package
 computes by another path: the full FFT-ordered spectrum instead of the
 stored half, the literal cosh quotient instead of the tanh identity, an
-exact propagator instead of the RK4 loop.
+exact propagator and exact derivative symbols instead of the RK4 loop, and
+the chain-rule drift of functional_A instead of its finite differences
+along a trajectory.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
-from gevreyflow.errors import ConfigurationError
-from gevreyflow.spectral import pad_spectrum, synthesize
+from gevreyflow.analytics import FunctionalBreakdown, _quad, _refined_derivs, operator_F
+from gevreyflow.errors import ConfigurationError, OverflowGuardError
+from gevreyflow.spectral import CoshWeight, apply_multiplier, pad_spectrum, synthesize
 
 
 def full_k(N):
@@ -51,9 +56,34 @@ def triple_cosh_lhs_naive(sigma, xi1, xi2, xi3):
     return np.abs(1.0 - prod)
 
 
+def apply_symbol(fld, sym):
+    """The field with its half spectrum times sym.values(grid)."""
+    spectrum = fld.spectrum * sym.values(fld.grid)
+    if not np.all(np.isfinite(spectrum)):
+        raise OverflowGuardError(f"multiplier {sym!r} produced non-finite coefficients")
+    return synthesize(spectrum, fld.grid)
+
+
+@dataclass(frozen=True)
+class Deriv:
+    """d^order/dx^order, symbol (i*xi)^order; Nyquist zeroed for odd order."""
+
+    order: int
+
+    def __post_init__(self):
+        if self.order < 0 or self.order != int(self.order):
+            raise ConfigurationError(f"derivative order must be a nonnegative integer, got {self.order}")
+
+    def values(self, grid):
+        w = (1j * grid.xi) ** self.order
+        if self.order % 2 == 1:
+            w[grid.nyquist_index] = 0.0
+        return w
+
+
 class LinearFlow:
     """Exact dispersive propagator, symbol exp(i*sign*alpha*xi^m*t), for
-    apply_multiplier.
+    apply_symbol.
 
     m odd >= 3; alpha in (0, 1] scales the dispersion; sign = +1 advances
     the flow dv/dt = i*alpha*xi^m*v, sign = -1 inverts it.  Unimodular, so
@@ -73,3 +103,34 @@ class LinearFlow:
         w = np.exp(1j * (self.sign * self.alpha * self.t * grid.xi**self.m))
         w[grid.nyquist_index] = 0.0
         return w
+
+
+def energy_rate_A(u, sigma, mu):
+    """Instantaneous drift of functional_A along the flow, the reference
+    for the finite-difference drift of functional_A.
+
+    With U = cosh(sigma D) u and F the cubic commutator error, the weighted
+    field obeys the original equation forced by F(U), so the chain rule
+    pairs F against the variational derivative of each energy term:
+
+        dA/dt = 2 int U F + 2 int U_x F_x + 2 int U_xx F_xx
+              - (2 mu/3) int U^3 F + (1/3) int U^5 F
+              + (10 mu/3) int U U_x^2 F + (10 mu/3) int U^2 U_xx F.
+    """
+    if mu not in (-1, 1):
+        raise ConfigurationError(f"mu must be +-1, got {mu}")
+    U = apply_multiplier(u, CoshWeight(sigma))
+    Ff = operator_F(U, sigma, mu)
+    g = u.grid
+    U0, U1, U2 = _refined_derivs(U.spectrum, g, (0, 1, 2))
+    F0, F1, F2 = _refined_derivs(Ff.spectrum, g, (0, 1, 2))
+    terms = {
+        "pair_l2": 2.0 * _quad(g, U0, F0),
+        "pair_deriv1": 2.0 * _quad(g, U1, F1),
+        "pair_deriv2": 2.0 * _quad(g, U2, F2),
+        "pair_cubic": -(2.0 * mu / 3.0) * _quad(g, U0, U0, U0, F0),
+        "pair_quintic": (1.0 / 3.0) * _quad(g, U0, U0, U0, U0, U0, F0),
+        "pair_grad_sq": (10.0 * mu / 3.0) * _quad(g, U0, U1, U1, F0),
+        "pair_hess": (10.0 * mu / 3.0) * _quad(g, U0, U0, U2, F0),
+    }
+    return FunctionalBreakdown(total=sum(terms.values()), terms=terms)

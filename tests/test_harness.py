@@ -140,6 +140,9 @@ class TestScenarioConfig:
         cfg.validate()
         assert cfg.scenario in SCENARIO_IDS
 
+    def test_field_defaults_are_the_file_defaults(self):
+        assert ScenarioConfig() == parse_config_text("")
+
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown scenario"):
             ScenarioConfig(scenario="frobnicate")
@@ -310,6 +313,17 @@ class TestGlobalIteration:
         report = run_text(ITERATION_SHORT, ["run.k_max=0"])
         assert report.passed and not report.verdicts and not report.series
         assert set(report.fits) == {"derived", "calibration"}
+
+    def test_fine_grid_matches_default_grid(self):
+        # at N = 4096, cosh(sigma0 xi) lifted round-off in the datum's tail
+        # into M_sigma0 (T0 = 8.7e-22) until the norms gained a noise floor
+        coarse, fine = (run_text(ITERATION_SHORT, ["run.k_max=0", f"grid.N={N}"]) for N in (512, 4096))
+        for key in ("T0", "sigma", "C1"):
+            assert fine.fits["derived"][key] == pytest.approx(coarse.fits["derived"][key], rel=1e-6), key
+
+    def test_window_shorter_than_one_step_rejected(self):
+        with pytest.raises(ConfigurationError, match=r"T0 = 1\.9\d*e-05 is shorter than one step dt = 0\.0002"):
+            run_text(ITERATION_SHORT, ["run.c0=0.00025"])
 
     def test_fixed_c1_skips_calibration(self):
         report = run_text(

@@ -4,13 +4,10 @@ from hypothesis import given, strategies as st
 from oracles import triple_cosh_lhs_naive
 
 from gevreyflow import ConfigurationError
+from gevreyflow.harness import _violations
 from gevreyflow.inequalities import (
-    InequalityVerdict,
+    REL_TOL,
     certified_constant,
-    check_cosh_minus_one,
-    check_equivalence,
-    check_sinh,
-    check_triple_cosh,
     cosh_minus_one_margin,
     equivalence_margins,
     load_manifest,
@@ -25,32 +22,38 @@ signed = st.floats(min_value=-1e3, max_value=1e3)
 thetas = st.floats(min_value=0.0, max_value=1.0)
 
 
+def holds(margin, scale):
+    """No violation under the inequality scenario's rule: the margin over
+    max(1, rhs scale) is >= -1e-12."""
+    return _violations(np.asarray(margin, dtype=float), np.asarray(scale, dtype=float), REL_TOL)[0] == 0
+
+
+def triple_margin(sigma, x1, x2, x3, t1, t2):
+    """(rhs - lhs, rhs) of the product bound at the certified constant."""
+    rhs = triple_cosh_rhs(sigma, x1, x2, x3, t1, t2)
+    return rhs - triple_cosh_lhs(sigma, x1, x2, x3), rhs
+
+
 class TestSinh:
     def test_zero_argument(self):
-        v = check_sinh(0.0, 0.7)
-        assert v.holds and v.margin == pytest.approx(0.0, abs=1e-15)
+        m = sinh_margin(0.0, 0.7)
+        assert holds(m, 0.0) and m == pytest.approx(0.0, abs=1e-15)
 
     def test_scalar_example(self):
         # sinh 3 ~ 10.0179 <= 3 cosh 3 ~ 30.2030
         assert np.sinh(3.0) == pytest.approx(10.0179, abs=1e-3)
         assert 3 * np.cosh(3.0) == pytest.approx(30.2030, abs=1e-3)
-        v = check_sinh(3.0, 1.0)
-        assert v.holds
-        assert v.margin == pytest.approx(3.0 - np.tanh(3.0))
+        m = sinh_margin(3.0, 1.0)
+        assert holds(m, 3.0)
+        assert m == pytest.approx(3.0 - np.tanh(3.0))
 
     def test_theta_zero_is_tanh_bound(self):
         for r in (-50.0, -0.3, 0.0, 2.0, 800.0):
-            assert check_sinh(r, 0.0).holds
+            assert holds(sinh_margin(r, 0.0), 1.0)
 
     @given(signed, thetas)
     def test_always_holds(self, r, theta):
-        assert check_sinh(r, theta).holds
-
-    def test_rejects_bad_theta(self):
-        with pytest.raises(ConfigurationError):
-            check_sinh(1.0, 1.5)
-        with pytest.raises(ConfigurationError):
-            check_sinh(1.0, -0.1)
+        assert holds(sinh_margin(r, theta), abs(r) ** theta)
 
     def test_margin_nonincreasing_in_theta_below_one(self, rng):
         # for |r| < 1 the majorant |r|^theta shrinks as theta grows
@@ -61,33 +64,28 @@ class TestSinh:
 
 class TestCoshMinusOne:
     def test_zero_argument(self):
-        v = check_cosh_minus_one(0.0, 5.0, 0.5)
-        assert v.holds and v.margin == pytest.approx(0.0, abs=1e-15)
+        m = cosh_minus_one_margin(0.0, 5.0, 0.5)
+        assert holds(m, 0.0) and m == pytest.approx(0.0, abs=1e-15)
 
     def test_scalar_example(self):
         # cosh(0.1) - 1 ~ 0.0050042 <= 0.01 cosh(0.1) ~ 0.0100500
         assert np.cosh(0.1) - 1 == pytest.approx(0.0050042, abs=1e-7)
         assert 0.01 * np.cosh(0.1) == pytest.approx(0.0100500, abs=1e-7)
-        v = check_cosh_minus_one(0.1, 1.0, 1.0)
-        assert v.holds
+        assert holds(cosh_minus_one_margin(0.1, 1.0, 1.0), 0.01)
 
     def test_theta_zero_always_holds(self):
         for r in (0.0, 0.5, 3.0, 1e6):
-            assert check_cosh_minus_one(1.0, r, 0.0).holds
+            assert holds(cosh_minus_one_margin(1.0, r, 0.0), 1.0)
 
     @given(magnitudes, signed, thetas)
     def test_always_holds(self, sigma, xi, theta):
-        assert check_cosh_minus_one(sigma, xi, theta).holds
-
-    def test_rejects_negative_sigma(self):
-        with pytest.raises(ConfigurationError):
-            check_cosh_minus_one(-1.0, 1.0, 0.5)
+        assert holds(cosh_minus_one_margin(sigma, xi, theta), abs(sigma * xi) ** (2.0 * theta))
 
 
 class TestEquivalence:
     def test_zero_argument(self):
-        v = check_equivalence(0.0, 7.0)
-        assert v.holds
+        lower, upper = equivalence_margins(0.0, 7.0)
+        assert lower == 0.5 and upper == 0.0
 
     def test_large_argument_ratio_approaches_half(self):
         # cosh(r) e^(-r) -> 1/2: the lower constant is sharp
@@ -97,18 +95,18 @@ class TestEquivalence:
 
     @given(magnitudes, signed)
     def test_always_holds(self, sigma, xi):
-        assert check_equivalence(sigma, xi).holds
+        lower, upper = equivalence_margins(sigma, xi)
+        assert lower >= -REL_TOL and upper >= -REL_TOL
 
 
 class TestTripleCosh:
     def test_sigma_zero(self):
-        v = check_triple_cosh(0.0, 3.0, -2.0, 5.0, 1.0, 1.0)
-        assert v.holds and v.margin == pytest.approx(0.0, abs=1e-15)
+        margin, rhs = triple_margin(0.0, 3.0, -2.0, 5.0, 1.0, 1.0)
+        assert holds(margin, rhs) and margin == pytest.approx(0.0, abs=1e-15)
 
     def test_two_frequencies_zero(self):
         # cosh(s x) sech(s x) = 1 exactly, lhs vanishes
-        v = check_triple_cosh(1.3, 4.0, 0.0, 0.0, 0.7, 0.9)
-        assert v.holds
+        assert holds(*triple_margin(1.3, 4.0, 0.0, 0.0, 0.7, 0.9))
         assert triple_cosh_lhs(1.3, 4.0, 0.0, 0.0) == 0.0
 
     def test_identity_matches_naive_on_moderate_inputs(self, rng):
@@ -135,7 +133,7 @@ class TestTripleCosh:
         thetas,
     )
     def test_always_holds_at_certified_constant(self, sigma, x1, x2, x3, t1, t2):
-        assert check_triple_cosh(sigma, x1, x2, x3, t1, t2).holds
+        assert holds(*triple_margin(sigma, x1, x2, x3, t1, t2))
 
     def test_spec_lattice_scan_is_violation_free(self):
         res = scan_triple_cosh(
@@ -161,11 +159,6 @@ class TestManifest:
         assert certified_constant("sinh") == 1.0
         with pytest.raises(ConfigurationError):
             certified_constant("no_such_inequality")
-
-    def test_verdict_truthiness(self):
-        v = InequalityVerdict(True, 0.5, (1.0,))
-        assert bool(v)
-        assert not InequalityVerdict(False, -1.0, (1.0,))
 
 
 class TestBulkMargins:
