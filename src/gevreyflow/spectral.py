@@ -202,16 +202,18 @@ class SechWeight:
 def weight_spectrum(spectrum: np.ndarray, grid: Grid, sym: CoshWeight | SechWeight) -> np.ndarray:
     """A half spectrum times the weight cosh(sigma*xi) or sech(sigma*xi).
 
-    For sigma*xi_max <= 30 the weight is applied directly.  Beyond that,
-    entries with log weight <= 700 are still multiplied directly, and the
-    rest are formed as exp(logw + log|F_k|) * phase, which stays in range
-    whenever the value itself does.  A non-finite product raises
-    OverflowGuardError (the sigma*xi_max <= 700 guard, adjusted for the
-    actual coefficient magnitudes).
+    For sigma*xi_max <= 30 the spectrum is multiplied by cosh(sigma*xi), or
+    divided by it for SechWeight.  Beyond that, entries with log weight
+    <= 700 are multiplied by exp(logw), and the rest are formed as
+    exp(logw + log|F_k|) * phase, which stays in range whenever the value
+    itself does.  A non-finite product raises OverflowGuardError (the
+    sigma*xi_max <= 700 guard, adjusted for the actual coefficient
+    magnitudes).
     """
-    logw = sym.log_values(grid)
     if sym.sigma * grid.xi_max <= _LOG_SWITCH:
-        return spectrum * np.exp(logw)
+        cosh = np.cosh(sym.sigma * grid.xi)
+        return spectrum / cosh if isinstance(sym, SechWeight) else spectrum * cosh
+    logw = sym.log_values(grid)
     out = np.empty_like(spectrum, dtype=complex)
     direct = logw <= _EXP_MAX
     out[direct] = spectrum[direct] * np.exp(logw[direct])
