@@ -252,7 +252,7 @@ def damping_A_norm(a: DampingProfile, sigma: float, K: int = 40) -> float:
 def _masked_spectrum(samples: np.ndarray, grid: Grid) -> np.ndarray:
     """Dealiased half spectrum of a real product array (band k <= N/4)."""
     H = np.fft.rfft(samples, norm="forward")
-    H[grid.N // 4 + 1 :] = 0.0
+    H[grid.band :] = 0.0
     return H
 
 

@@ -13,21 +13,30 @@ coupled component scaled by alpha.
 
 Integration is classical RK4 in the integrating-factor frame: the stiff
 dispersive part is propagated exactly by the unimodular symbol
-exp(i xi^m t) and RK4 only sees the nonlinear + damping terms.  States
-live in the dealiased band |k| <= N/4 throughout (initial data is projected
-into it), so the cubic products are alias-free away from the band edge.
+exp(i xi^m t) and RK4 only sees the nonlinear + damping terms.
 
-The loop works on the package's one spectrum layout, the half
-k = 0..N/2 of each real component: shape (N/2+1,), or (2, N/2+1) for the
-coupled pair.  nonlinear_term, the one implementation of the
-non-dispersive rhs, makes one batched irfft and one batched rfft per
-evaluation: 8 transforms per RK4 step for every flow.  At N = 512 a
-numpy call costs more than the arithmetic it does, so the step keeps the
-number of calls down: every scratch array is allocated once per
-integrate call and written through out=, and the RK4 weights, the rhs
-minus sign and mu are folded into factors built before the loop.  The
-state is updated in place, and synthesize copies it into each recorded
-state.
+States live in the dealiased band |k| <= N/4 (the 1/2 rule; initial data
+is projected into it), and the loop holds only that band of the
+package's half spectrum: k = 0..N/4 of each real component, shape
+(N/4+1,), or (2, N/4+1) for the coupled pair.  Each recorded state is the
+band padded with zeros to the half k = 0..N/2.
+
+nonlinear_term, the one implementation of the non-dispersive rhs, writes
+every cubic term in conservative form, (mu/3)(v^3)_x for one component and
+mu (w1 w2^2)_x, mu (w1^2 w2)_x for the pair, and differentiates the
+product in Fourier space.  One batched irfft of the band (zero-padded to N
+points) and one batched rfft of the products per evaluation make 8
+transforms per RK4 step for every flow: 2 N-point rows per evaluation for
+undamped mKdV, 3 with damping, 6 for the pair.  The products are exact
+convolutions at every k < N/4; the only aliased contribution in the band
+is the (K, K, K) triple, K = N/4, which lands on +-K.
+
+At N = 512 a numpy call costs more than the arithmetic it does, so the
+step keeps the number of calls down: every scratch array is allocated
+once per integrate call and written through out=, and the RK4 weights,
+the rhs minus sign and mu are folded into factors built before the loop.
+The state is updated in place, and synthesize copies it into each
+recorded state.
 """
 
 from __future__ import annotations
@@ -292,20 +301,27 @@ def linear_symbol(grid: Grid, m: int, alpha: float = 1.0) -> np.ndarray:
 
 
 def nonlinear_term(eq: Equation, grid: Grid, nonlinear: bool = True):
-    """Build the non-dispersive part N(V) of the rhs, on half spectra.
+    """Build the non-dispersive part N(V) of the rhs, on the dealiased band.
 
-    V is the rfft half k = 0..N/2 of the state: shape (N/2+1,), or
-    (2, N/2+1) for Coupled.  The returned function rhs(V, out=None) gives
-    (N(V), v): N(V) in the same layout and zero outside the dealiased band
-    |k| <= N/4 (so also at Nyquist), and v the samples of the state, for
-    the blow-up check.  nonlinear=False drops the cubic terms.
+    V holds the modes k = 0..N/4 of the state (the band |k| <= N/4 of the
+    rfft half): shape (N/4+1,), or (2, N/4+1) for Coupled.  The returned
+    function rhs(V, out=None) gives (N(V), v): N(V) in the same layout,
+    and v the N samples of the state, for the blow-up check.
+    nonlinear=False drops the cubic terms.
 
-    Single component: one irfft of [V, -mu i xi V] gives v and w = -mu v_x,
-    and one rfft of v (w v - a) = -(mu v^2 v_x + a v) gives N(V).  Coupled:
-    one irfft of [V1, V2], one rfft of [-a1 v1, -a2 v2, v1 v2^2, v1^2 v2],
-    and the products are differentiated in Fourier space by -mu i xi.  The
-    minus sign and mu live in these precomputed factors, and an undamped
-    equation skips the a v term.
+    Every cubic term is in conservative form and differentiated in Fourier
+    space.  Single component: one irfft of V (zero-padded to N points)
+    gives v, and one rfft of v^3, with the row -a v for a damped equation,
+    gives N(V) = -(mu/3) i xi F[v^3] + F[-a v].  Coupled: one irfft of
+    [V1, V2], one rfft of [-a1 v1, -a2 v2, v1 v2^2, v1^2 v2], and the
+    products are differentiated by -mu i xi.  The minus sign and mu live in
+    these precomputed factors.
+
+    Aliasing: a cubic product of band modes reaches |k| <= 3N/4, and on N
+    points a mode k aliases onto k - N.  The only triple whose alias lands
+    in the band is (K, K, K) with K = N/4, whose sum 3K aliases onto -K
+    (and (-K, -K, -K) onto K).  So N(V) is exact for every k < K, and at
+    k = +-K it carries that one extra term, of size |V_K|^3.
 
     The function allocates its scratch arrays once, here, and the
     transforms and ufuncs write into them through out=.  With out=None
@@ -314,12 +330,12 @@ def nonlinear_term(eq: Equation, grid: Grid, nonlinear: bool = True):
     call (integrate reads it only before that call).
     """
     N = grid.N
-    band = N // 4 + 1
+    band = grid.band
     mu = eq.mu if nonlinear else 0
-    neg_dx = -mu * 1j * grid.xi
     neg_a = [-d.values(grid) for d in eq.dampings]
 
     if isinstance(eq, Coupled):
+        neg_dx = -mu * 1j * grid.xi[:band]
         neg_a12 = np.stack(neg_a)
         samples = np.empty((2, N))
         v1, v2 = samples
@@ -327,45 +343,44 @@ def nonlinear_term(eq: Equation, grid: Grid, nonlinear: bool = True):
         v1v2 = np.empty(N)
         prod = np.empty((4, N))
         P = np.empty((4, grid.xi.size), dtype=complex)
+        damp_band, cubic_band = P[:2, :band], P[2:, :band]
 
         def rhs(V, out=None):
             fresh = out is None
             if fresh:
-                out = np.empty_like(P[:2])
+                out = np.empty_like(damp_band)
             np.fft.irfft(V, n=N, norm="forward", out=samples)
             np.multiply(neg_a12, samples, out=prod[:2])
             np.multiply(v1, v2, out=v1v2)
             np.multiply(v1v2, v2_v1, out=prod[2:])
             np.fft.rfft(prod, norm="forward", out=P)
-            np.multiply(neg_dx, P[2:], out=out)
-            out += P[:2]
-            out[:, band:] = 0.0
+            np.multiply(neg_dx, cubic_band, out=out)
+            out += damp_band
             return out, samples.copy() if fresh else samples
 
         return rhs
 
-    d0_dx = np.stack([np.ones_like(neg_dx), neg_dx])
-    stacked = np.empty_like(d0_dx)
-    samples = np.empty((2, N))
-    v, w = samples
-    prod = np.empty(N)
+    neg_dx_3 = (-mu / 3.0) * 1j * grid.xi[:band]
+    v = np.empty(N)
     damped = bool(neg_a)
+    prod = np.empty((1 + damped, N))
+    cube, neg_av = prod[0], prod[-1]
+    P = np.empty((1 + damped, grid.xi.size), dtype=complex)
+    cubic_band, damp_band = P[0, :band], P[-1, :band]
 
     def rhs(V, out=None):
         fresh = out is None
         if fresh:
-            out = np.empty_like(neg_dx)
-        np.multiply(d0_dx, V, out=stacked)
-        np.fft.irfft(stacked, n=N, norm="forward", out=samples)
+            out = np.empty_like(cubic_band)
+        np.fft.irfft(V, n=N, norm="forward", out=v)
+        np.multiply(v, v, out=cube)
+        np.multiply(cube, v, out=cube)
         if damped:
-            np.multiply(w, v, out=prod)
-            np.add(prod, neg_a[0], out=prod)
-            np.multiply(prod, v, out=prod)
-        else:
-            np.multiply(v, v, out=prod)
-            np.multiply(prod, w, out=prod)
-        np.fft.rfft(prod, norm="forward", out=out)
-        out[band:] = 0.0
+            np.multiply(neg_a[0], v, out=neg_av)
+        np.fft.rfft(prod, norm="forward", out=P)
+        np.multiply(neg_dx_3, cubic_band, out=out)
+        if damped:
+            out += damp_band
         return out, v.copy() if fresh else v
 
     return rhs
@@ -388,8 +403,9 @@ def _plan_steps(spec: EvolutionSpec) -> tuple[int, int, float]:
 def integrate(spec: EvolutionSpec, init) -> Trajectory:
     """Run the flow from init (SpectralField, or a pair for Coupled).
 
-    The initial state is projected into the dealiased band; every recorded
-    state stays there.  At the start of every step, from the peak max|v|
+    The initial state is projected into the dealiased band, and the loop
+    holds only the modes k = 0..N/4; every recorded state is that band
+    padded with zeros to the half spectrum.  At the start of every step, from the peak max|v|
     of the samples the first rhs evaluation makes: abort with
     DivergenceError once the peak passes 1e6, and raise ConfigurationError
     once dt exceeds the advective guard 0.5 dx / (peak^2 + sup a + 1).
@@ -418,13 +434,14 @@ def integrate(spec: EvolutionSpec, init) -> Trajectory:
     n_rec, n_steps, h = _plan_steps(spec)
     times = np.linspace(0.0, spec.t_end, n_rec + 1)
 
-    # the state holds one half spectrum per component, updated in place
+    # the state holds the band k = 0..N/4 of each component, updated in place
+    band = grid.band
     if coupled:
-        sym = np.stack([linear_symbol(grid, 3), linear_symbol(grid, 3, eq.alpha)])
-        V = np.stack([f.spectrum for f in fields])
+        sym = np.stack([linear_symbol(grid, 3), linear_symbol(grid, 3, eq.alpha)])[:, :band]
+        V = np.stack([f.spectrum[:band] for f in fields])
     else:
-        sym = linear_symbol(grid, eq.m)
-        V = fields[0].spectrum.copy()
+        sym = linear_symbol(grid, eq.m)[:band]
+        V = fields[0].spectrum[:band].copy()
     rhs = nonlinear_term(eq, grid, spec.nonlinear)
 
     E = np.exp(sym * (h / 2.0))
@@ -440,12 +457,15 @@ def integrate(spec: EvolutionSpec, init) -> Trajectory:
     guard_num = 0.5 * grid.dx
     guard_den = max((d.sup for d in eq.dampings), default=0.0) + 1.0
 
-    # synthesize copies the spectrum it is given, so a record does not
-    # follow the in-place updates of V
+    # a record pads the band into a half spectrum whose modes k > N/4 stay
+    # zero; synthesize copies it, so the record does not follow later steps
+    half = np.zeros(V.shape[:-1] + (grid.xi.size,), dtype=complex)
+
     def record():
+        half[..., :band] = V
         if coupled:
-            return tuple(synthesize(H, grid) for H in V)
-        return synthesize(V, grid)
+            return tuple(synthesize(H, grid) for H in half)
+        return synthesize(half, grid)
 
     states = [record()]
     step = 0

@@ -94,6 +94,11 @@ class Grid:
     def nyquist_index(self) -> int:
         return self.N // 2
 
+    @property
+    def band(self) -> int:
+        """Length of the dealiased band k = 0..N/4 (the 1/2 rule)."""
+        return self.N // 4 + 1
+
 
 def make_grid(L: float, N: int) -> Grid:
     """Validated Grid constructor: L > 0 finite, N even and >= 16."""
@@ -245,9 +250,10 @@ def apply_multiplier(fld: SpectralField, sym: CoshWeight | SechWeight) -> Spectr
 
 
 def dealias(fld: SpectralField) -> SpectralField:
-    """Zero all modes with k > N/4 (the 1/2 rule: cubic products of the
-    retained band are alias-free on this grid away from the band edge)."""
-    band = fld.grid.N // 4 + 1
+    """Zero all modes with k > N/4 (the 1/2 rule: the only cubic product
+    of the retained band that aliases back into it is the (K, K, K)
+    triple, K = N/4, which lands on +-K)."""
+    band = fld.grid.band
     if np.all(fld.spectrum[band:] == 0):
         return fld
     spectrum = fld.spectrum.copy()

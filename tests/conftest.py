@@ -18,15 +18,19 @@ def rng():
 
 @pytest.fixture
 def fft_counts(monkeypatch):
-    """Counts of numpy.fft.rfft and irfft calls; a test resets them after
-    its setup."""
-    counts = {"rfft": 0, "irfft": 0}
-    for kind in counts:
+    """Counts of numpy.fft.rfft and irfft calls, and under "points" the
+    points both kinds transform (transform length times rows); a test
+    resets them after its setup."""
+    counts = {"rfft": 0, "irfft": 0, "points": 0}
+    for kind in ("rfft", "irfft"):
         original = getattr(np.fft, kind)
 
         def counted(*args, _kind=kind, _original=original, **kwargs):
+            result = _original(*args, **kwargs)
             counts[_kind] += 1
-            return _original(*args, **kwargs)
+            length = result.shape[-1] if _kind == "irfft" else kwargs.get("n", np.shape(args[0])[-1])
+            counts["points"] += result.size // result.shape[-1] * length
+            return result
 
         monkeypatch.setattr(np.fft, kind, counted)
     return counts

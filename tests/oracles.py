@@ -3,9 +3,10 @@
 Nothing in the package uses these.  Each one reaches a quantity the package
 computes by another path: the full FFT-ordered spectrum instead of the
 stored half, the literal cosh quotient instead of the tanh identity, an
-exact propagator and exact derivative symbols instead of the RK4 loop, and
-the chain-rule drift of functional_A instead of its finite differences
-along a trajectory.
+exact propagator and exact derivative symbols instead of the RK4 loop, the
+product-rule cubic term instead of the conservative one, and the
+chain-rule drift of functional_A instead of its finite differences along
+a trajectory.
 """
 
 from dataclasses import dataclass
@@ -103,6 +104,22 @@ class LinearFlow:
         w = np.exp(1j * (self.sign * self.alpha * self.t * grid.xi**self.m))
         w[grid.nyquist_index] = 0.0
         return w
+
+
+def product_rule_rhs(eq, grid, V):
+    """The single-component non-dispersive rhs -(mu v^2 v_x + a v) on the
+    band k = 0..N/4, from one irfft of the stack [V, i xi V] and one rfft.
+
+    It agrees with dynamics.nonlinear_term for every k < N/4.  At k = N/4
+    the two differ by the aliased (K, K, K) triple, K = N/4: its alias
+    carries i xi_{-K} here and -(1/3) i xi_K in the conservative form.
+    """
+    band = grid.N // 4 + 1
+    v, vx = np.fft.irfft(np.stack([V, 1j * grid.xi[:band] * V]), n=grid.N, norm="forward")
+    prod = -eq.mu * v * v * vx
+    for d in eq.dampings:
+        prod -= d.values(grid) * v
+    return np.fft.rfft(prod, norm="forward")[:band]
 
 
 def energy_rate_A(u, sigma, mu):

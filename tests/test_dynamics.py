@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import Deriv, LinearFlow, apply_symbol, reflect
+from oracles import Deriv, LinearFlow, apply_symbol, product_rule_rhs, reflect
 
 from gevreyflow.dynamics import (
     BLOWUP_LIMIT,
@@ -50,16 +50,20 @@ def l2(fld):
 
 def rhs(eq, *fields):
     """Full rhs (dispersion plus nonlinear_term) of the given fields, one
-    SpectralField per component, through the integrator's half spectra."""
+    SpectralField per component, through the integrator's band k = 0..N/4;
+    the result is padded with zeros to the half spectrum."""
     g = fields[0].grid
+    band = g.N // 4 + 1
     if isinstance(eq, Coupled):
-        V = np.stack([f.spectrum for f in fields])
-        sym = np.stack([linear_symbol(g, 3), linear_symbol(g, 3, eq.alpha)])
+        V = np.stack([f.spectrum[:band] for f in fields])
+        sym = np.stack([linear_symbol(g, 3), linear_symbol(g, 3, eq.alpha)])[:, :band]
     else:
         (f,) = fields
-        V, sym = f.spectrum, linear_symbol(g, eq.m)
+        V, sym = f.spectrum[:band], linear_symbol(g, eq.m)[:band]
     NV, _ = nonlinear_term(eq, g)(V)
-    return [synthesize(H, g) for H in np.atleast_2d(sym * V + NV)]
+    half = np.zeros(np.atleast_2d(V).shape[:-1] + (g.xi.size,), dtype=complex)
+    half[:, :band] = sym * V + NV
+    return [synthesize(H, g) for H in half]
 
 
 def end_record(dt, t_end):
@@ -236,7 +240,7 @@ class TestRhs:
         g = make_grid(64.0, 64)
         spectrum = np.zeros(g.N // 2 + 1, dtype=complex)
         spectrum[3] = np.nan
-        _, v = nonlinear_term(MKdV(mu=1), g)(spectrum)
+        _, v = nonlinear_term(MKdV(mu=1), g)(spectrum[: g.N // 4 + 1])
         assert not np.all(np.isfinite(v))
         fld = SpectralField(grid=g, samples=np.zeros(g.N), spectrum=spectrum)
         spec = EvolutionSpec(equation=MKdV(mu=1), dt=1e-3, t_end=1e-3, record_every=1)
@@ -260,8 +264,8 @@ class TestRhs:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_output_vanishes_outside_band(self, N, family, nonlinear, seed):
-        # any half spectrum, band-limited or not: N(V) is zero for every
-        # k > N/4, the Nyquist entry included
+        # the band k = 0..N/4 is the layout itself: N(V) has exactly the
+        # band's entries, so nothing outside it (Nyquist included) exists
         g = make_grid(64.0, N)
         a = RaisedCosineDamping(floor=0.5, amplitude=0.25, length=64.0)
         eq = {
@@ -270,13 +274,63 @@ class TestRhs:
             "coupled": Coupled(alpha=0.5, mu=1, damping1=a, damping2=ConstantDamping(1.0)),
         }[family]
         rng = np.random.default_rng(seed)
-        shape = (2, N // 2 + 1) if family == "coupled" else (N // 2 + 1,)
+        shape = (2, N // 4 + 1) if family == "coupled" else (N // 4 + 1,)
         V = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         out, v = nonlinear_term(eq, g, nonlinear)(V)
         assert out.shape == shape and v.shape == shape[:-1] + (N,)
-        assert np.all(out[..., N // 4 + 1 :] == 0.0)
         if nonlinear or family != "mkdv":
-            assert np.any(out[..., : N // 4 + 1] != 0.0)
+            assert np.any(out != 0.0)
+
+
+SINGLE_FLOWS = {
+    "mkdv+": MKdV(mu=1),
+    "mkdv-": MKdV(mu=-1),
+    "mkdvm": MKdVm(m=5, mu=-1, damping=RaisedCosineDamping(floor=0.5, amplitude=0.25, length=64.0)),
+}
+
+
+class TestConservativeForm:
+    """nonlinear_term differentiates v^3 in Fourier space; the product-rule
+    form mu v^2 v_x of oracles.product_rule_rhs is the reference."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        N=st.sampled_from([16, 32, 64, 128, 512]),
+        flow=st.sampled_from(sorted(SINGLE_FLOWS)),
+        scale=st.sampled_from([1e-3, 1.0, 30.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_product_rule_without_edge_mode(self, N, flow, scale, seed):
+        # with V_{N/4} = 0 no cubic product aliases into the band, so both
+        # forms are the same exact convolution and differ by round-off
+        g = make_grid(64.0, N)
+        eq = SINGLE_FLOWS[flow]
+        rng = np.random.default_rng(seed)
+        band = N // 4 + 1
+        V = scale * (rng.standard_normal(band) + 1j * rng.standard_normal(band)) / band
+        V[0] = V[0].real
+        V[-1] = 0.0
+        got, _ = nonlinear_term(eq, g)(V)
+        ref = product_rule_rhs(eq, g, V)
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("flow", sorted(SINGLE_FLOWS))
+    def test_edge_mode_differs_only_at_the_edge(self, flow):
+        # V_K != 0, K = N/4: the (K, K, K) triple aliases onto +-K.  Only
+        # k = K moves, by -(4/3) mu i xi_K conj(V_K)^3, the conservative
+        # -(mu/3) i xi_K minus the product-rule +mu i xi_K
+        g = make_grid(64.0, 64)
+        eq = SINGLE_FLOWS[flow]
+        K = g.N // 4
+        V = np.zeros(K + 1, dtype=complex)
+        V[[0, 3, 7, K - 1, K]] = [0.2, 0.5 - 0.1j, 0.3j, 0.1, 0.4 + 0.3j]
+        got, _ = nonlinear_term(eq, g)(V)
+        ref = product_rule_rhs(eq, g, V)
+        scale = np.abs(ref).max()
+        assert np.abs(got[:K] - ref[:K]).max() <= 1e-13 * scale
+        alias = -(4.0 / 3.0) * eq.mu * 1j * g.xi[K] * np.conj(V[K]) ** 3
+        assert abs(alias) > 0.1 * scale
+        assert abs((got[K] - ref[K]) - alias) <= 1e-13 * scale
 
 
 def three_flows(g):
@@ -307,7 +361,7 @@ class TestBuffers:
         g = make_grid(64.0, 256)
         eq, init = three_flows(g)[flow]
         rng = np.random.default_rng(flow)
-        V1 = half_spectra(init)
+        V1 = half_spectra(init)[..., : g.N // 4 + 1]
         V2 = V1 + 0.01 * (rng.standard_normal(V1.shape) + 1j * rng.standard_normal(V1.shape))
         V2[..., 0] = V2[..., 0].real
         V1_in, V2_in = V1.copy(), V2.copy()
@@ -344,11 +398,19 @@ class TestTransformCounts:
         g = make_grid(64.0, 256)
         eq, init = three_flows(g)[flow]
         steps, n_rec = 10, 2
-        fft_counts.update(rfft=0, irfft=0)
+        fft_counts.update(rfft=0, irfft=0, points=0)
         integrate(EvolutionSpec(equation=eq, dt=1e-3, t_end=0.01, record_every=5), init)
         components = 2 if isinstance(eq, Coupled) else 1
+        # N-point rows per rhs evaluation: mKdV irfft v, rfft v^3; damped
+        # adds the rfft row -a v; coupled irfft 2 rows, rfft 4 rows
+        rows = (2, 3, 6)[flow]
         # synthesize makes one irfft per recorded component, times 0 included
-        assert fft_counts == {"rfft": 4 * steps, "irfft": 4 * steps + (n_rec + 1) * components}
+        records = (n_rec + 1) * components
+        assert fft_counts == {
+            "rfft": 4 * steps,
+            "irfft": 4 * steps + records,
+            "points": (4 * rows * steps + records) * g.N,
+        }
 
 
 class TestSoliton:
