@@ -405,10 +405,11 @@ def integrate(spec: EvolutionSpec, init) -> Trajectory:
 
     The initial state is projected into the dealiased band, and the loop
     holds only the modes k = 0..N/4; every recorded state is that band
-    padded with zeros to the half spectrum.  At the start of every step, from the peak max|v|
-    of the samples the first rhs evaluation makes: abort with
-    DivergenceError once the peak passes 1e6, and raise ConfigurationError
-    once dt exceeds the advective guard 0.5 dx / (peak^2 + sup a + 1).
+    padded with zeros to the half spectrum.  At the start of every step,
+    from the peak max|v| of the samples the first rhs evaluation makes:
+    abort with DivergenceError once the peak passes 1e6, and raise
+    ConfigurationError once dt exceeds the advective guard
+    0.5 dx / (peak^2 + sup a + 1).
 
     With E = exp(sym h/2) the step is
         K1 = N(V), K2 = N(E V + (h/2) E K1), K3 = N(E V + (h/2) K2),
