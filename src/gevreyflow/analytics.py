@@ -196,11 +196,6 @@ def functional_M(v: SpectralField, sigma: float) -> float:
     return hsigma_norm(v, sigma, 0.0) ** 2
 
 
-def functional_N(w1: SpectralField, w2: SpectralField, sigma: float) -> float:
-    """Sum of the two weighted masses of a coupled pair."""
-    return functional_M(w1, sigma) + functional_M(w2, sigma)
-
-
 def damping_A_norm(a: DampingProfile, sigma: float, K: int = 40) -> float:
     """Analytic size of the damping coefficient:
 

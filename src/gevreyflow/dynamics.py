@@ -8,18 +8,20 @@ flows:
 
 For every odd m = 2j+1 the linear part reads dV_k/dt = i xi_k^m V_k in
 Fourier variables (the sign (-1)^(j+1) combines with i^m to give +i for all
-j), so one dispersive symbol covers all three systems, with the second
-coupled component scaled by alpha.
+j), so one dispersive symbol covers all three systems, scaled per
+component by its dispersion ratio: (1,) for one component, (1, alpha) for
+the coupled pair.
 
 Integration is classical RK4 in the integrating-factor frame: the stiff
 dispersive part is propagated exactly by the unimodular symbol
 exp(i xi^m t) and RK4 only sees the nonlinear + damping terms.
 
-States live in the dealiased band |k| <= N/4 (the 1/2 rule; initial data
-is projected into it), and the loop holds only that band of the
-package's half spectrum: k = 0..N/4 of each real component, shape
-(N/4+1,), or (2, N/4+1) for the coupled pair.  Each recorded state is the
-band padded with zeros to the half k = 0..N/2.
+Every flow is stepped as a stack of C components, C = 1 for MKdV and MKdVm
+and C = 2 for Coupled, through one rhs and one RK4 loop.  States live in
+the dealiased band |k| <= N/4 (the 1/2 rule; initial data is projected
+into it), and the loop holds only that band of the package's half
+spectrum: k = 0..N/4 of each real component, shape (C, N/4+1).  Each
+recorded state is the band padded with zeros to the half k = 0..N/2.
 
 nonlinear_term, the one implementation of the non-dispersive rhs, writes
 every cubic term in conservative form, (mu/3)(v^3)_x for one component and
@@ -34,9 +36,11 @@ is the (K, K, K) triple, K = N/4, which lands on +-K.
 At N = 512 a numpy call costs more than the arithmetic it does, so the
 step keeps the number of calls down: every scratch array is allocated
 once per integrate call and written through out=, and the RK4 weights,
-the rhs minus sign and mu are folded into factors built before the loop.
-The state is updated in place, and synthesize copies it into each
-recorded state.
+the rhs minus sign, mu and the 1/N of the forward transform are folded
+into factors built before the loop.  Each factor has a leading axis of
+length 1 or C, the shape of the rows it multiplies: numpy broadcasts a
+1-D factor against 2-D rows at about twice the cost per call.  The state
+is updated in place, and synthesize copies it into each recorded state.
 """
 
 from __future__ import annotations
@@ -201,6 +205,10 @@ class MKdV:
         return 3
 
     @property
+    def alphas(self) -> tuple:
+        return (1.0,)
+
+    @property
     def dampings(self) -> tuple:
         return ()
 
@@ -220,6 +228,10 @@ class MKdVm:
             raise ConfigurationError(f"order must be odd and >= 3, got m={self.m}")
         if self.mu not in (-1, 1):
             raise ConfigurationError(f"mu must be +-1, got {self.mu}")
+
+    @property
+    def alphas(self) -> tuple:
+        return (1.0,)
 
     @property
     def dampings(self) -> tuple:
@@ -242,12 +254,21 @@ class Coupled:
             raise ConfigurationError(f"mu must be +-1, got {self.mu}")
 
     @property
+    def m(self) -> int:
+        return 3
+
+    @property
+    def alphas(self) -> tuple:
+        return (1.0, self.alpha)
+
+    @property
     def dampings(self) -> tuple:
         return (self.damping1, self.damping2)
 
 
-# every equation lists its damping profiles in dampings: none for MKdV, one
-# for MKdVm, one per component for Coupled
+# every equation lists one dispersion ratio per component in alphas, so
+# len(alphas) is its component count C, and its damping profiles in
+# dampings: none for MKdV, one for MKdVm, one per component for Coupled
 Equation = MKdV | MKdVm | Coupled
 
 
@@ -303,19 +324,23 @@ def linear_symbol(grid: Grid, m: int, alpha: float = 1.0) -> np.ndarray:
 def nonlinear_term(eq: Equation, grid: Grid, nonlinear: bool = True):
     """Build the non-dispersive part N(V) of the rhs, on the dealiased band.
 
-    V holds the modes k = 0..N/4 of the state (the band |k| <= N/4 of the
-    rfft half): shape (N/4+1,), or (2, N/4+1) for Coupled.  The returned
-    function rhs(V, out=None) gives (N(V), v): N(V) in the same layout,
-    and v the N samples of the state, for the blow-up check.
-    nonlinear=False drops the cubic terms.
+    V holds the modes k = 0..N/4 of each component's state (the band
+    |k| <= N/4 of the rfft half): shape (C, N/4+1), C = len(eq.alphas),
+    and any other shape raises ConfigurationError.  The returned function
+    rhs(V, out=None) gives (N(V), w): N(V) in the same layout, and w the
+    (C, N) samples of the state, for the blow-up check.  nonlinear=False
+    drops the cubic terms.
 
     Every cubic term is in conservative form and differentiated in Fourier
-    space.  Single component: one irfft of V (zero-padded to N points)
-    gives v, and one rfft of v^3, with the row -a v for a damped equation,
-    gives N(V) = -(mu/3) i xi F[v^3] + F[-a v].  Coupled: one irfft of
-    [V1, V2], one rfft of [-a1 v1, -a2 v2, v1 v2^2, v1^2 v2], and the
-    products are differentiated by -mu i xi.  The minus sign and mu live in
-    these precomputed factors.
+    space.  One irfft of V (zero-padded to N points) gives the rows w_c.
+    The cubic rows w_1 w_C w_(C+1-c) are [v^3] for one component and
+    [w1 w2^2, w1^2 w2] for the pair.  One rfft of them, with the rows
+    -a_c w_c for a damped equation, gives N(V) = dx F[cubic] + F[-a w],
+    where dx = -(mu/3) i xi for one component and -mu i xi for the pair.
+
+    The rfft is unnormalised, and its 1/N is folded into dx and -a.  For
+    a power-of-two N that scaling is exact, so N(V) is bit-identical to the
+    normalised transform's; for other even N it may differ at round-off.
 
     Aliasing: a cubic product of band modes reaches |k| <= 3N/4, and on N
     points a mode k aliases onto k - N.  The only triple whose alias lands
@@ -326,62 +351,41 @@ def nonlinear_term(eq: Equation, grid: Grid, nonlinear: bool = True):
     The function allocates its scratch arrays once, here, and the
     transforms and ufuncs write into them through out=.  With out=None
     both results are new arrays.  With out given, N(V) is written into it
-    and v is the function's own sample buffer, overwritten by the next
+    and w is the function's own sample buffer, overwritten by the next
     call (integrate reads it only before that call).
     """
-    N = grid.N
-    band = grid.band
+    N, band = grid.N, grid.band
+    C = len(eq.alphas)
+    shape = (C, band)
     mu = eq.mu if nonlinear else 0
-    neg_a = [-d.values(grid) for d in eq.dampings]
-
-    if isinstance(eq, Coupled):
-        neg_dx = -mu * 1j * grid.xi[:band]
-        neg_a12 = np.stack(neg_a)
-        samples = np.empty((2, N))
-        v1, v2 = samples
-        v2_v1 = samples[::-1]
-        v1v2 = np.empty(N)
-        prod = np.empty((4, N))
-        P = np.empty((4, grid.xi.size), dtype=complex)
-        damp_band, cubic_band = P[:2, :band], P[2:, :band]
-
-        def rhs(V, out=None):
-            fresh = out is None
-            if fresh:
-                out = np.empty_like(damp_band)
-            np.fft.irfft(V, n=N, norm="forward", out=samples)
-            np.multiply(neg_a12, samples, out=prod[:2])
-            np.multiply(v1, v2, out=v1v2)
-            np.multiply(v1v2, v2_v1, out=prod[2:])
-            np.fft.rfft(prod, norm="forward", out=P)
-            np.multiply(neg_dx, cubic_band, out=out)
-            out += damp_band
-            return out, samples.copy() if fresh else samples
-
-        return rhs
-
-    neg_dx_3 = (-mu / 3.0) * 1j * grid.xi[:band]
-    v = np.empty(N)
-    damped = bool(neg_a)
-    prod = np.empty((1 + damped, N))
-    cube, neg_av = prod[0], prod[-1]
-    P = np.empty((1 + damped, grid.xi.size), dtype=complex)
-    cubic_band, damp_band = P[0, :band], P[-1, :band]
+    damped = bool(eq.dampings)
+    # mu v^2 v_x = (mu/3)(v^3)_x: the single cubic row v^3 takes a third
+    dx = ((-mu / (3.0 if C == 1 else 1.0) / N) * 1j * grid.xi[:band])[None]
+    neg_a = np.stack([-d.values(grid) / N for d in eq.dampings]) if damped else None
+    samples = np.empty((C, N))
+    first, last, flipped = samples[:1], samples[-1:], samples[::-1]
+    pair = np.empty((1, N))
+    rows = np.empty((C + C * damped, N))
+    cubic, neg_aw = rows[:C], rows[C:]
+    P = np.empty((rows.shape[0], grid.xi.size), dtype=complex)
+    cubic_band, damp_band = P[:C, :band], P[C:, :band]
 
     def rhs(V, out=None):
+        if V.shape != shape:
+            raise ConfigurationError(f"rhs expects the band of shape (C, N/4+1) = {shape}, got {V.shape}")
         fresh = out is None
         if fresh:
-            out = np.empty_like(cubic_band)
-        np.fft.irfft(V, n=N, norm="forward", out=v)
-        np.multiply(v, v, out=cube)
-        np.multiply(cube, v, out=cube)
+            out = np.empty(shape, dtype=complex)
+        np.fft.irfft(V, n=N, norm="forward", out=samples)
+        np.multiply(first, last, out=pair)
+        np.multiply(pair, flipped, out=cubic)
         if damped:
-            np.multiply(neg_a[0], v, out=neg_av)
-        np.fft.rfft(prod, norm="forward", out=P)
-        np.multiply(neg_dx_3, cubic_band, out=out)
+            np.multiply(neg_a, samples, out=neg_aw)
+        np.fft.rfft(rows, out=P)
+        np.multiply(dx, cubic_band, out=out)
         if damped:
             out += damp_band
-        return out, v.copy() if fresh else v
+        return out, samples.copy() if fresh else samples
 
     return rhs
 
@@ -401,14 +405,16 @@ def _plan_steps(spec: EvolutionSpec) -> tuple[int, int, float]:
 
 
 def integrate(spec: EvolutionSpec, init) -> Trajectory:
-    """Run the flow from init (SpectralField, or a pair for Coupled).
+    """Run the flow from init: one SpectralField, or a pair for Coupled.
 
-    The initial state is projected into the dealiased band, and the loop
-    holds only the modes k = 0..N/4; every recorded state is that band
-    padded with zeros to the half spectrum.  At the start of every step,
-    from the peak max|v| of the samples the first rhs evaluation makes:
-    abort with DivergenceError once the peak passes 1e6, and raise
-    ConfigurationError once dt exceeds the advective guard
+    The components are stepped as one (C, N/4+1) stack, whose only
+    per-flow data are the dispersion ratios eq.alphas.  The initial state
+    is projected into the dealiased band, and the loop holds only the modes
+    k = 0..N/4; every recorded state (a field, or a pair for Coupled) is
+    that band padded with zeros to the half spectrum.  At the start of
+    every step, from the peak max|w| of the samples the first rhs
+    evaluation makes: abort with DivergenceError once the peak passes 1e6,
+    and raise ConfigurationError once dt exceeds the advective guard
     0.5 dx / (peak^2 + sup a + 1).
 
     With E = exp(sym h/2) the step is
@@ -419,30 +425,22 @@ def integrate(spec: EvolutionSpec, init) -> Trajectory:
     in a buffer allocated once per call.
     """
     eq = spec.equation
-    coupled = isinstance(eq, Coupled)
-    if coupled:
-        if not (isinstance(init, (tuple, list)) and len(init) == 2):
-            raise ConfigurationError("coupled flow needs a pair of initial fields")
-        fields = (dealias(init[0]), dealias(init[1]))
-        if fields[1].grid != fields[0].grid:
-            raise ConfigurationError("coupled components must share one grid")
-    else:
-        if not isinstance(init, SpectralField):
-            raise ConfigurationError("single-component flow needs one SpectralField")
-        fields = (dealias(init),)
+    C = len(eq.alphas)
+    fields = tuple(init) if isinstance(init, (tuple, list)) else (init,)
+    if len(fields) != C or not all(isinstance(f, SpectralField) for f in fields):
+        wanted = "one SpectralField" if C == 1 else "a pair of initial fields"
+        raise ConfigurationError(f"{C}-component flow needs {wanted}")
     grid = fields[0].grid
+    if any(f.grid != grid for f in fields):
+        raise ConfigurationError("coupled components must share one grid")
 
     n_rec, n_steps, h = _plan_steps(spec)
     times = np.linspace(0.0, spec.t_end, n_rec + 1)
 
     # the state holds the band k = 0..N/4 of each component, updated in place
     band = grid.band
-    if coupled:
-        sym = np.stack([linear_symbol(grid, 3), linear_symbol(grid, 3, eq.alpha)])[:, :band]
-        V = np.stack([f.spectrum[:band] for f in fields])
-    else:
-        sym = linear_symbol(grid, eq.m)[:band]
-        V = fields[0].spectrum[:band].copy()
+    sym = np.stack([linear_symbol(grid, eq.m, alpha)[:band] for alpha in eq.alphas])
+    V = np.stack([dealias(f).spectrum[:band] for f in fields])
     rhs = nonlinear_term(eq, grid, spec.nonlinear)
 
     E = np.exp(sym * (h / 2.0))
@@ -460,13 +458,12 @@ def integrate(spec: EvolutionSpec, init) -> Trajectory:
 
     # a record pads the band into a half spectrum whose modes k > N/4 stay
     # zero; synthesize copies it, so the record does not follow later steps
-    half = np.zeros(V.shape[:-1] + (grid.xi.size,), dtype=complex)
+    half = np.zeros((C, grid.xi.size), dtype=complex)
 
     def record():
-        half[..., :band] = V
-        if coupled:
-            return tuple(synthesize(H, grid) for H in half)
-        return synthesize(half, grid)
+        half[:, :band] = V
+        states = tuple(synthesize(H, grid) for H in half)
+        return states if C > 1 else states[0]
 
     states = [record()]
     step = 0

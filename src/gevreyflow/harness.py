@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
@@ -27,7 +28,6 @@ from .analytics import (
     damping_A_norm,
     functional_A,
     functional_M,
-    functional_N,
     hsigma_norm,
     lifespan_T0,
     mass_rate_M,
@@ -206,9 +206,11 @@ class ScenarioConfig:
         )
 
     def initial_state(self, grid: Grid):
+        """The configured data projected into the band integrate evolves:
+        one field, or the pair (data, data2) for the coupled family."""
         if self.family == "coupled":
-            return (build_field(self.data, grid), build_field(self.data2, grid))
-        return build_field(self.data, grid)
+            return (dealias(build_field(self.data, grid)), dealias(build_field(self.data2, grid)))
+        return dealias(build_field(self.data, grid))
 
     def validate(self) -> None:
         """Build every configured object once; raises on the first violated
@@ -536,7 +538,7 @@ def run_damping_decay(cfg: ScenarioConfig) -> ExperimentReport:
 
 
 # ---------------------------------------------------------------------------
-# window iteration (shared by the single and coupled scenarios)
+# scenario: window iteration, for the damped flow and the coupled pair
 # ---------------------------------------------------------------------------
 
 
@@ -545,25 +547,44 @@ def _window_cadence(cfg: ScenarioConfig, T0: float) -> int:
     return max(1, math.ceil(steps / cfg.window_records))
 
 
-def _iterate_windows(cfg, scenario, eq, state, mass_at, half_norm_at, lam, t0):
-    """Shared engine for run_global_iteration and run_coupled.
+def _fields(state) -> tuple:
+    """The component fields of a flow state: one field, or the coupled pair."""
+    return state if isinstance(state, tuple) else (state,)
 
-    mass_at(state, sigma) and half_norm_at(state, sigma) abstract over the
-    single-field M / pair N measurements; everything else (T0, C1 policy,
-    sigma choice, window loop, verdicts) is identical in the two scenarios.
+
+def _mass_at(state, sigma: float) -> float:
+    """Sum of functional_M over the components: M_sigma for one field, and
+    N_sigma = M_sigma(w1) + M_sigma(w2) for the coupled pair."""
+    return sum(functional_M(w, sigma) for w in _fields(state))
+
+
+def _half_norm_at(state, sigma: float) -> float:
+    """Largest G^{sigma/2} norm over the components."""
+    return max(hsigma_norm(w, sigma / 2.0, 0.0) for w in _fields(state))
+
+
+def _iterate_windows(cfg: ScenarioConfig, scenario: str, family: str) -> ExperimentReport:
+    """Window-by-window almost-conservation of the sigma-mass with decay
+    envelope; RUNNERS binds it to ("iteration", "mkdvm") and to
+    ("coupled", "coupled").
+
+    The mass is M_sigma for the damped flow and its sum N_sigma over the
+    components for the coupled pair, and the envelope rate lambda is the
+    smallest damping floor.  Everything else (T0, C1 policy, sigma choice,
+    window loop, verdicts) is the same for both.
     """
+    t0 = time.perf_counter()
+    _require(cfg, scenario, family)
+    grid = cfg.grid()
+    eq = cfg.equation(grid)
+    # band-limited, so every norm below sees the state the integrator evolves
+    state = cfg.initial_state(grid)
+    lam = min(d.floor for d in eq.dampings)
     tol = cfg.tolerances
     a_norm0 = max(damping_A_norm(d, cfg.sigma0) for d in eq.dampings)
 
-    # project once so that every norm below sees the band-limited state the
-    # integrator actually evolves
-    if cfg.family == "coupled":
-        state = (dealias(state[0]), dealias(state[1]))
-    else:
-        state = dealias(state)
-
-    m0_sigma0 = mass_at(state, cfg.sigma0)
-    l2_sq = mass_at(state, 0.0)
+    m0_sigma0 = _mass_at(state, cfg.sigma0)
+    l2_sq = _mass_at(state, 0.0)
     T0 = lifespan_T0(a_norm0, m0_sigma0, cfg.c0, cfg.d)
     if T0 < cfg.dt:
         raise ConfigurationError(
@@ -585,7 +606,7 @@ def _iterate_windows(cfg, scenario, eq, state, mass_at, half_norm_at, lam, t0):
         calibration["floored"] = 0.0
     else:
         cal = integrate(window_spec, state)
-        resid = mass_at(cal.final, cfg.sigma0) - math.exp(-2.0 * lam * T0) * m0_sigma0
+        resid = _mass_at(cal.final, cfg.sigma0) - math.exp(-2.0 * lam * T0) * m0_sigma0
         denom = (cfg.sigma0**cfg.theta * m0_sigma0 + cfg.sigma0 * a_norm0) * m0_sigma0
         chat = resid / denom if denom > 0 else 0.0
         C1 = cfg.c1_safety * max(chat, 1e-6)
@@ -611,7 +632,7 @@ def _iterate_windows(cfg, scenario, eq, state, mass_at, half_norm_at, lam, t0):
     chat_env = math.sqrt(math.sqrt(l2_sq) * math.sqrt(m0_sigma0))
     efold = math.exp(-2.0 * lam * T0)
 
-    boundary = [mass_at(state, sigma)]
+    boundary = [_mass_at(state, sigma)]
     residuals, bounds = [], []
     decay_t, decay_norm, decay_env = [], [], []
     for k in range(cfg.k_max):
@@ -621,10 +642,10 @@ def _iterate_windows(cfg, scenario, eq, state, mass_at, half_norm_at, lam, t0):
         for i in range(start, len(win.states)):
             t_glob = k * T0 + float(win.times[i])
             decay_t.append(t_glob)
-            decay_norm.append(float(half_norm_at(win.states[i], sigma)))
+            decay_norm.append(float(_half_norm_at(win.states[i], sigma)))
             decay_env.append(chat_env * math.exp(-lam * t_glob / 2.0))
         m_start = boundary[-1]
-        m_end = mass_at(win.final, sigma)
+        m_end = _mass_at(win.final, sigma)
         boundary.append(m_end)
         residuals.append(m_end - efold * m_start)
         bounds.append(C1 * (sigma**cfg.theta * m_start + sigma * a_norm_sigma) * m_start)
@@ -663,48 +684,6 @@ def _iterate_windows(cfg, scenario, eq, state, mass_at, half_norm_at, lam, t0):
         },
     }
     return _finish(cfg, scenario, series, fits, verdicts, t0)
-
-
-def run_global_iteration(cfg: ScenarioConfig) -> ExperimentReport:
-    """Window-by-window almost-conservation of M_sigma with decay envelope."""
-    t0 = time.perf_counter()
-    _require(cfg, "iteration", "mkdvm")
-    grid = cfg.grid()
-    eq = cfg.equation(grid)
-    state = cfg.initial_state(grid)
-    return _iterate_windows(
-        cfg,
-        "iteration",
-        eq,
-        state,
-        mass_at=lambda s, sig: functional_M(s, sig),
-        half_norm_at=lambda s, sig: hsigma_norm(s, sig / 2.0, 0.0),
-        lam=cfg.damping.floor,
-        t0=t0,
-    )
-
-
-def run_coupled(cfg: ScenarioConfig) -> ExperimentReport:
-    """Coupled-system mirror of the iteration scenario: N replaces M and the
-    envelope rate is lambda0 = min of the two damping floors."""
-    t0 = time.perf_counter()
-    _require(cfg, "coupled", "coupled")
-    grid = cfg.grid()
-    eq = cfg.equation(grid)
-    state = cfg.initial_state(grid)
-    lam0 = min(cfg.damping.floor, cfg.damping2.floor)
-    return _iterate_windows(
-        cfg,
-        "coupled",
-        eq,
-        state,
-        mass_at=lambda s, sig: functional_N(s[0], s[1], sig),
-        half_norm_at=lambda s, sig: max(
-            hsigma_norm(s[0], sig / 2.0, 0.0), hsigma_norm(s[1], sig / 2.0, 0.0)
-        ),
-        lam=lam0,
-        t0=t0,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -854,8 +833,8 @@ RUNNERS = {
     "conservation": run_conservation,
     "sigma-scaling": run_sigma_scaling,
     "damping": run_damping_decay,
-    "iteration": run_global_iteration,
+    "iteration": partial(_iterate_windows, scenario="iteration", family="mkdvm"),
     "radius": run_radius_tracking,
-    "coupled": run_coupled,
+    "coupled": partial(_iterate_windows, scenario="coupled", family="coupled"),
     "inequalities": run_inequalities,
 }

@@ -108,7 +108,8 @@ class LinearFlow:
 
 def product_rule_rhs(eq, grid, V):
     """The single-component non-dispersive rhs -(mu v^2 v_x + a v) on the
-    band k = 0..N/4, from one irfft of the stack [V, i xi V] and one rfft.
+    band k = 0..N/4, from one irfft of the stack [V, i xi V] and one rfft;
+    V and the result have the shape (1, N/4+1) of dynamics.nonlinear_term.
 
     It agrees with dynamics.nonlinear_term for every k < N/4.  At k = N/4
     the two differ by the aliased (K, K, K) triple, K = N/4: its alias
@@ -119,7 +120,7 @@ def product_rule_rhs(eq, grid, V):
     prod = -eq.mu * v * v * vx
     for d in eq.dampings:
         prod -= d.values(grid) * v
-    return np.fft.rfft(prod, norm="forward")[:band]
+    return np.fft.rfft(prod, norm="forward")[..., :band]
 
 
 def energy_rate_A(u, sigma, mu):

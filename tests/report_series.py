@@ -7,10 +7,13 @@ Dump the payloads before and after the change, then compare:
     PYTHONPATH=src python tests/report_series.py dump OUT.json
     python tests/report_series.py compare BEFORE.json AFTER.json
 
-compare prints one line per numeric series (every list under "series"
-and every number under "fits"): its relative deviation, max|b - a| /
-max|a|, and its largest magnitude, worst first.  Then it prints every
-verdict of both dumps side by side with its margin.  The exit status is 1
+compare prints, for each config, whether its content hash is unchanged,
+then one line per numeric series (every list under "series" and every
+number under "fits"): its relative deviation, max|b - a| / max|a|, and
+its largest magnitude, worst first.  Then it prints every verdict of both
+dumps side by side with its margin, and last one line that says whether
+every content hash is unchanged, so a refactor that must leave the
+numerics alone is checked by the last line alone.  The exit status is 1
 when a config, series or verdict is missing from one side, a series
 changed length, or a verdict fails, and 0 otherwise; the 1e-12 rule
 itself is for the reader, since round-off series (drifts, residuals) are
@@ -73,11 +76,14 @@ def compare(path_a: str, path_b: str) -> int:
     problems = []
     rows = []
     verdicts = []
+    moved = []
     for cfg in sorted(set(a) | set(b)):
         if cfg not in a or cfg not in b:
             problems.append(f"{cfg}: only in {path_a if cfg in a else path_b}")
             continue
         same = "same" if a[cfg]["hash"] == b[cfg]["hash"] else "moved"
+        if same == "moved":
+            moved.append(cfg)
         print(f"{cfg:18s} hash {same:5s} {a[cfg]['hash'][:12]} -> {b[cfg]['hash'][:12]}")
         sa, sb = numeric_series(a[cfg]["payload"]), numeric_series(b[cfg]["payload"])
         for name in sorted(set(sa) | set(sb)):
@@ -111,6 +117,11 @@ def compare(path_a: str, path_b: str) -> int:
         print(f"{cfg:18s} {name:26s} {passed:5s} {va['margin']!r:23s} {vb['margin']!r:23s} {vb['tolerance']!r}")
     for problem in problems:
         print("problem:", problem)
+    common = len(set(a) & set(b))
+    if moved:
+        print(f"\ncontent hashes: {common - len(moved)} of {common} unchanged; moved: {', '.join(moved)}")
+    else:
+        print(f"\ncontent hashes: all {common} unchanged")
     return 1 if problems else 0
 
 

@@ -23,7 +23,6 @@ from gevreyflow.analytics import (
     damping_A_norm,
     functional_A,
     functional_M,
-    functional_N,
     hsigma_norm,
     lifespan_T0,
     mass_rate_M,
@@ -283,13 +282,6 @@ class TestEnergyFunctional:
         sig = 0.4
         expect = g.L * math.cosh(sig * 3.0) ** 2 / 2.0
         assert functional_M(f, sig) == pytest.approx(expect, rel=1e-12)
-
-    def test_functional_n_is_sum(self, soliton_field):
-        f, _ = single_mode(64.0, 512, 3)
-        total = functional_N(soliton_field, f, 0.3)
-        assert total == pytest.approx(
-            functional_M(soliton_field, 0.3) + functional_M(f, 0.3), rel=1e-14
-        )
 
 
 class TestDampingNorm:

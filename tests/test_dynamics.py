@@ -54,14 +54,10 @@ def rhs(eq, *fields):
     the result is padded with zeros to the half spectrum."""
     g = fields[0].grid
     band = g.N // 4 + 1
-    if isinstance(eq, Coupled):
-        V = np.stack([f.spectrum[:band] for f in fields])
-        sym = np.stack([linear_symbol(g, 3), linear_symbol(g, 3, eq.alpha)])[:, :band]
-    else:
-        (f,) = fields
-        V, sym = f.spectrum[:band], linear_symbol(g, eq.m)[:band]
+    V = np.stack([f.spectrum[:band] for f in fields])
+    sym = np.stack([linear_symbol(g, eq.m, alpha)[:band] for alpha in eq.alphas])
     NV, _ = nonlinear_term(eq, g)(V)
-    half = np.zeros(np.atleast_2d(V).shape[:-1] + (g.xi.size,), dtype=complex)
+    half = np.zeros((len(fields), g.xi.size), dtype=complex)
     half[:, :band] = sym * V + NV
     return [synthesize(H, g) for H in half]
 
@@ -240,12 +236,23 @@ class TestRhs:
         g = make_grid(64.0, 64)
         spectrum = np.zeros(g.N // 2 + 1, dtype=complex)
         spectrum[3] = np.nan
-        _, v = nonlinear_term(MKdV(mu=1), g)(spectrum[: g.N // 4 + 1])
+        _, v = nonlinear_term(MKdV(mu=1), g)(spectrum[None, : g.N // 4 + 1])
         assert not np.all(np.isfinite(v))
         fld = SpectralField(grid=g, samples=np.zeros(g.N), spectrum=spectrum)
         spec = EvolutionSpec(equation=MKdV(mu=1), dt=1e-3, t_end=1e-3, record_every=1)
         with pytest.raises(DivergenceError, match="blow-up abort at t = 0"):
             integrate(spec, fld)
+
+    def test_rhs_rejects_full_half_spectrum(self):
+        # modes above the band would enter the cubic term: only the band
+        # layout (C, N/4+1) is accepted
+        g = make_grid(64.0, 64)
+        fld = analyze(np.cos(2 * np.pi * 3 * g.x / g.L), g)
+        rhs_fn = nonlinear_term(MKdV(mu=1), g)
+        with pytest.raises(ConfigurationError, match=r"\(1, 17\), got \(1, 33\)"):
+            rhs_fn(fld.spectrum[None])
+        with pytest.raises(ConfigurationError, match=r"got \(17,\)"):
+            rhs_fn(fld.spectrum[: g.band])
 
     def test_rhs_validation(self):
         # the equation types carry the preconditions nonlinear_term relies on
@@ -274,7 +281,7 @@ class TestRhs:
             "coupled": Coupled(alpha=0.5, mu=1, damping1=a, damping2=ConstantDamping(1.0)),
         }[family]
         rng = np.random.default_rng(seed)
-        shape = (2, N // 4 + 1) if family == "coupled" else (N // 4 + 1,)
+        shape = (len(eq.alphas), N // 4 + 1)
         V = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         out, v = nonlinear_term(eq, g, nonlinear)(V)
         assert out.shape == shape and v.shape == shape[:-1] + (N,)
@@ -307,9 +314,9 @@ class TestConservativeForm:
         eq = SINGLE_FLOWS[flow]
         rng = np.random.default_rng(seed)
         band = N // 4 + 1
-        V = scale * (rng.standard_normal(band) + 1j * rng.standard_normal(band)) / band
-        V[0] = V[0].real
-        V[-1] = 0.0
+        V = scale * (rng.standard_normal((1, band)) + 1j * rng.standard_normal((1, band))) / band
+        V[:, 0] = V[:, 0].real
+        V[:, -1] = 0.0
         got, _ = nonlinear_term(eq, g)(V)
         ref = product_rule_rhs(eq, g, V)
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
@@ -322,15 +329,15 @@ class TestConservativeForm:
         g = make_grid(64.0, 64)
         eq = SINGLE_FLOWS[flow]
         K = g.N // 4
-        V = np.zeros(K + 1, dtype=complex)
-        V[[0, 3, 7, K - 1, K]] = [0.2, 0.5 - 0.1j, 0.3j, 0.1, 0.4 + 0.3j]
+        V = np.zeros((1, K + 1), dtype=complex)
+        V[0, [0, 3, 7, K - 1, K]] = [0.2, 0.5 - 0.1j, 0.3j, 0.1, 0.4 + 0.3j]
         got, _ = nonlinear_term(eq, g)(V)
         ref = product_rule_rhs(eq, g, V)
         scale = np.abs(ref).max()
-        assert np.abs(got[:K] - ref[:K]).max() <= 1e-13 * scale
-        alias = -(4.0 / 3.0) * eq.mu * 1j * g.xi[K] * np.conj(V[K]) ** 3
+        assert np.abs(got[0, :K] - ref[0, :K]).max() <= 1e-13 * scale
+        alias = -(4.0 / 3.0) * eq.mu * 1j * g.xi[K] * np.conj(V[0, K]) ** 3
         assert abs(alias) > 0.1 * scale
-        assert abs((got[K] - ref[K]) - alias) <= 1e-13 * scale
+        assert abs((got[0, K] - ref[0, K]) - alias) <= 1e-13 * scale
 
 
 def three_flows(g):
@@ -347,9 +354,8 @@ def three_flows(g):
 
 
 def half_spectra(init):
-    if isinstance(init, tuple):
-        return np.stack([f.spectrum for f in init])
-    return init.spectrum
+    """The (C, N/2+1) stack of a state's half spectra, one row per component."""
+    return np.stack([f.spectrum for f in (init if isinstance(init, tuple) else (init,))])
 
 
 class TestBuffers:
@@ -400,7 +406,7 @@ class TestTransformCounts:
         steps, n_rec = 10, 2
         fft_counts.update(rfft=0, irfft=0, points=0)
         integrate(EvolutionSpec(equation=eq, dt=1e-3, t_end=0.01, record_every=5), init)
-        components = 2 if isinstance(eq, Coupled) else 1
+        components = len(eq.alphas)
         # N-point rows per rhs evaluation: mKdV irfft v, rfft v^3; damped
         # adds the rfft row -a v; coupled irfft 2 rows, rfft 4 rows
         rows = (2, 3, 6)[flow]

@@ -9,10 +9,11 @@ see), not the naive fourth-order guess.
 """
 
 import math
+from importlib import resources
 
 import pytest
 
-from gevreyflow.config import parse_config_text
+from gevreyflow.config import parse_config, parse_config_text
 from gevreyflow.errors import ConfigurationError, FitError, UnderresolvedError
 from gevreyflow.harness import (
     RUNNERS,
@@ -165,6 +166,13 @@ class TestScenarioConfig:
         cfg = parse_config_text(CONSERVE_SHORT)
         with pytest.raises(ConfigurationError, match="runner expects"):
             run_sigma_scaling(cfg)
+
+    @pytest.mark.parametrize("runner, packaged", [("coupled", "iterate.cfg"), ("iteration", "coupled.cfg")])
+    def test_window_runners_reject_each_others_config(self, runner, packaged):
+        # both entries reach one window runner, bound to its own scenario
+        cfg = parse_config(resources.files("gevreyflow").joinpath("configs", packaged))
+        with pytest.raises(ConfigurationError, match="runner expects"):
+            RUNNERS[runner](cfg)
 
     def test_echo_matches_as_sections(self):
         cfg = parse_config_text(CONSERVE_SHORT)
