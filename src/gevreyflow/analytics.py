@@ -1,6 +1,5 @@
-"""Weighted norms, almost-conserved energies, commutator error operators,
-rate identities, index/threshold formulas, and the analyticity-radius
-estimator.
+"""Weighted norms, almost-conserved energies, the sigma = 0 mass-rate
+identity, index/threshold formulas, and the analyticity-radius estimator.
 
 Conventions shared with the rest of the package: fields are real and
 periodic with DFT coefficients F_k = (1/N) sum f_j exp(-i xi_k x_j), of
@@ -37,16 +36,12 @@ from .errors import (
     UnderresolvedError,
 )
 from .spectral import (
-    CoshWeight,
     Grid,
-    SechWeight,
     SpectralField,
-    apply_multiplier,
     log_cosh,
     make_grid,
     noise_floor,
     pad_spectrum,
-    synthesize,
     weight_spectrum,
 )
 
@@ -106,14 +101,6 @@ def _refined_derivs(spectrum: np.ndarray, grid: Grid, orders: tuple[int, ...]) -
     return np.fft.irfft(big * symbols, n=2 * N, norm="forward")
 
 
-def _quad(grid, *factors: np.ndarray) -> float:
-    """Trapezoid integral over [0, L) of a pointwise product on the 2x grid."""
-    prod = factors[0]
-    for f in factors[1:]:
-        prod = prod * f
-    return float(grid.L / prod.size * prod.sum())
-
-
 # ---------------------------------------------------------------------------
 # energy functionals
 # ---------------------------------------------------------------------------
@@ -150,13 +137,13 @@ def functional_A(u: SpectralField, sigma: float | np.ndarray, mu: int) -> Functi
     g = u.grid
     spectrum = u.spectrum.copy()
     spectrum[np.abs(spectrum) < noise_floor(spectrum)] = 0.0
-    U = np.stack([weight_spectrum(spectrum, g, CoshWeight(s)) for s in np.atleast_1d(sigmas).tolist()])
+    U = np.stack([weight_spectrum(spectrum, g, s) for s in np.atleast_1d(sigmas).tolist()])
     Uf, Uxf = _refined_derivs(U, g, (0, 1))
     # L * sum w_k xi^(2p) |U_k|^2 is ||d^p U||^2, for p = 0, 1, 2
     power = g.L * g.multiplicity * np.abs(U) ** 2
     xi_sq = g.xi**2
-    # trapezoid sums on the 2x grid, products taken left to right as _quad
-    # does; the three share the prefix U U
+    # trapezoid sums on the 2x grid, each product taken left to right; the
+    # three share the prefix U U
     h = g.L / Uf.shape[-1]
     prod = Uf * Uf
     product_sq = h * (prod * Uxf * Uxf).sum(axis=-1)
@@ -240,77 +227,25 @@ def damping_A_norm(a: DampingProfile, sigma: float, K: int = 40) -> float:
 
 
 # ---------------------------------------------------------------------------
-# commutator error operators
+# rate identity
 # ---------------------------------------------------------------------------
 
 
-def _masked_spectrum(samples: np.ndarray, grid: Grid) -> np.ndarray:
-    """Dealiased half spectrum of a real product array (band k <= N/4)."""
-    H = np.fft.rfft(samples, norm="forward")
-    H[grid.band :] = 0.0
-    return H
+def mass_rate(v: SpectralField, a: DampingProfile) -> float:
+    """Instantaneous drift of functional_M(v, 0) along the damped flow:
 
+        dM/dt = -2 int a v^2.
 
-def operator_F(W: SpectralField, sigma: float, mu: int) -> SpectralField:
-    """Cubic commutator error of the cosh weight:
-
-        (mu/3) d_x [ dealias(W^3) - cosh(sigma D) dealias((sech(sigma D) W)^3) ].
-
-    Vanishes identically at sigma = 0; for small sigma its L2 size scales
-    like sigma^2 (both cubes see the same field to second order).
+    The dispersive and cubic contributions vanish identically (odd
+    pairings), and at sigma = 0 the commutator errors of the cosh weight
+    vanish too, so damping is all that is left.  The integral is a
+    trapezoid sum on the 2x grid, with the profile evaluated there
+    directly (it is analytic).
     """
-    if mu not in (-1, 1):
-        raise ConfigurationError(f"mu must be +-1, got {mu}")
-    g = W.grid
-    outer = _masked_spectrum(W.samples**3, g)
-    inner = apply_multiplier(W, SechWeight(sigma))
-    inner_cubed = _masked_spectrum(inner.samples**3, g)
-    diff = outer - weight_spectrum(inner_cubed, g, CoshWeight(sigma))
-    return synthesize((mu / 3.0) * (1j * g.xi) * diff, g)
-
-
-def operator_G(W: SpectralField, a: DampingProfile, sigma: float) -> SpectralField:
-    """Damping commutator error:
-
-        dealias(a W) - cosh(sigma D) dealias(a * sech(sigma D) W).
-
-    Zero for sigma = 0 and for constant a (constants commute with Fourier
-    multipliers).  Both products carry the same dealias projection as the
-    damping term inside the integrator, so the mass-rate identity closes
-    exactly along discrete trajectories.
-    """
-    g = W.grid
-    avals = a.values(g)
-    first = _masked_spectrum(avals * W.samples, g)
-    inner = apply_multiplier(W, SechWeight(sigma))
-    prod = _masked_spectrum(avals * inner.samples, g)
-    return synthesize(first - weight_spectrum(prod, g, CoshWeight(sigma)), g)
-
-
-# ---------------------------------------------------------------------------
-# rate identities
-# ---------------------------------------------------------------------------
-
-
-def mass_rate_M(v: SpectralField, a: DampingProfile, sigma: float, mu: int) -> tuple[float, float, float]:
-    """Instantaneous drift of functional_M along the damped flow:
-
-        dM/dt = -2 int a V^2 + 2 int (F(V) + G(V)) V,   V = cosh(sigma D) v.
-
-    The dispersive and pure-cubic contributions vanish identically (odd
-    pairings), leaving damping plus the two commutator errors.  Returns
-    (total rate, damping term, commutator term).
-    """
-    V = apply_multiplier(v, CoshWeight(sigma))
-    Ff = operator_F(V, sigma, mu)
-    Gf = operator_G(V, a, sigma)
     g = v.grid
-    V0, F0, G0 = (_refined_derivs(f.spectrum, g, (0,))[0] for f in (V, Ff, Gf))
-    # the profile is analytic, so evaluate it on the doubled grid directly
-    a_fine = a.values(make_grid(g.L, 2 * g.N))
-    damping_term = -2.0 * _quad(g, a_fine, V0, V0)
-    fg_term = 2.0 * _quad(g, F0 + G0, V0)
-    return damping_term + fg_term, damping_term, fg_term
+    v_fine = _refined_derivs(v.spectrum, g, (0,))[0]
+    prod = a.values(make_grid(g.L, 2 * g.N)) * v_fine * v_fine
+    return -2.0 * float(g.L / prod.size * prod.sum())
 
 
 # ---------------------------------------------------------------------------

@@ -35,30 +35,28 @@ _COMMANDS = {
 }
 _ALL_ORDER = ("conserve", "sigma-scaling", "damping", "iterate", "radius", "coupled")
 
+# keyed by series name, which is unique across scenarios
 _STATIC_STYLES = {
-    ("conservation", "invariants"): PlotStyle(title="invariants", x_label="t"),
-    ("conservation", "drift"): PlotStyle(title="relative invariant drift", x_label="t", y_log=True),
-    ("sigma-scaling", "a_sigma"): PlotStyle(title="weighted functional", x_label="t", y_log=True),
-    ("damping", "mass_decay"): PlotStyle(title="mass under damping", x_label="t", y_log=True),
-    ("damping", "rate_residual"): PlotStyle(title="rate identity residual", x_label="t"),
-    ("iteration", "mass_windows"): PlotStyle(title="window masses", x_label="window"),
-    ("iteration", "decay"): PlotStyle(title="interpolated decay", x_label="t", y_log=True),
-    ("iteration", "window_residuals"): PlotStyle(title="window residuals", x_label="window"),
-    ("coupled", "mass_windows"): PlotStyle(title="window masses", x_label="window"),
-    ("coupled", "decay"): PlotStyle(title="interpolated decay", x_label="t", y_log=True),
-    ("coupled", "window_residuals"): PlotStyle(title="window residuals", x_label="window"),
-    ("radius", "radius"): PlotStyle(title="analyticity radius", x_label="t"),
+    "invariants": PlotStyle(title="invariants", x_label="t"),
+    "drift": PlotStyle(title="relative invariant drift", x_label="t", y_log=True),
+    "a_sigma": PlotStyle(title="weighted functional", x_label="t", y_log=True),
+    "mass_decay": PlotStyle(title="mass under damping", x_label="t", y_log=True),
+    "rate_residual": PlotStyle(title="rate identity residual", x_label="t"),
+    "mass_windows": PlotStyle(title="window masses", x_label="window"),
+    "decay": PlotStyle(title="interpolated decay", x_label="t", y_log=True),
+    "window_residuals": PlotStyle(title="window residuals", x_label="window"),
+    "radius": PlotStyle(title="analyticity radius", x_label="t"),
 }
 
 
 def _style_for(report: ExperimentReport, name: str) -> PlotStyle:
-    if report.scenario == "sigma-scaling" and name == "drift_vs_sigma":
+    if name == "drift_vs_sigma":
         slope = report.fits.get("scaling", {}).get("slope")
         note = f"slope {slope:.3f}" if slope is not None else ""
         return PlotStyle(title="drift against weight", x_label="sigma", x_log=True, y_log=True, annotation=note)
-    style = _STATIC_STYLES.get((report.scenario, name))
+    style = _STATIC_STYLES.get(name)
     if style is not None:
-        if report.scenario == "radius" and name == "radius":
+        if name == "radius":
             c = report.fits.get("calibration", {}).get("c")
             if c is not None:
                 return PlotStyle(title=style.title, x_label=style.x_label, annotation=f"c = {c:.4g}")

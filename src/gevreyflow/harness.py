@@ -30,7 +30,7 @@ from .analytics import (
     functional_M,
     hsigma_norm,
     lifespan_T0,
-    mass_rate_M,
+    mass_rate,
     radius_estimate,
     sigma_choice,
 )
@@ -508,8 +508,9 @@ def run_damping_decay(cfg: ScenarioConfig) -> ExperimentReport:
             passed=eq_err <= tol.equality, margin=float(tol.equality - eq_err), tolerance=tol.equality
         )
 
-    # rate identity probed at up to 8 recorded states via a 2-step centered
-    # difference restarted from each state
+    # rate identity dM/dt = -2 int a v^2 (analytics.mass_rate, the sigma = 0
+    # case, where the commutator terms vanish) probed at up to 8 recorded
+    # states via a 2-step centered difference restarted from each state
     probe_idx = sorted(set(np.linspace(0, len(traj.states) - 1, 8, dtype=int).tolist()))
     residuals = []
     for i in probe_idx:
@@ -518,7 +519,7 @@ def run_damping_decay(cfg: ScenarioConfig) -> ExperimentReport:
             traj.states[i],
         )
         fd = (functional_M(mini.states[2], 0.0) - functional_M(mini.states[0], 0.0)) / (2.0 * mini.step_size)
-        rate = mass_rate_M(mini.states[1], a, 0.0, cfg.mu)[0]
+        rate = mass_rate(mini.states[1], a)
         residuals.append(abs(fd - rate) / max(abs(rate), _TINY))
     worst = max(residuals)
     verdicts["rate_identity"] = Verdict(passed=worst <= tol.rate, margin=float(tol.rate - worst), tolerance=tol.rate)

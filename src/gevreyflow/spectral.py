@@ -1,5 +1,5 @@
-"""Periodic pseudospectral substrate: grids, real-field transforms, Fourier
-multipliers, and dealiasing.
+"""Periodic pseudospectral substrate: grids, real-field transforms, the cosh
+weight, and dealiasing.
 
 Conventions
 -----------
@@ -51,7 +51,7 @@ from .errors import ConfigurationError, OverflowGuardError, SymmetryError
 _LOG2 = float(np.log(2.0))
 # exp() saturates at ~709.78; stay a hair under when testing representability
 _EXP_MAX = 700.0
-# switch to log-space evaluation of cosh/sech beyond this argument
+# switch to log-space evaluation of cosh beyond this argument
 _LOG_SWITCH = 30.0
 
 
@@ -114,8 +114,8 @@ class SpectralField:
     """A real field on a Grid together with its half spectrum k = 0..N/2.
 
     samples and spectrum are kept consistent by construction: every public
-    constructor (analyze, synthesize, apply_multiplier, dealias) derives one
-    from the other through the real FFT pair.  Both arrays are read-only.
+    constructor (analyze, synthesize, dealias) derives one from the other
+    through the real FFT pair.  Both arrays are read-only.
     """
 
     grid: Grid
@@ -166,7 +166,7 @@ def noise_floor(spectrum: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# multiplier symbols
+# cosh weight
 # ---------------------------------------------------------------------------
 
 
@@ -176,49 +176,21 @@ def log_cosh(r: np.ndarray) -> np.ndarray:
     return a + np.log1p(np.exp(-2.0 * a)) - _LOG2
 
 
-@dataclass(frozen=True)
-class CoshWeight:
-    """cosh(sigma*xi): the isometry H^{sigma,s} -> H^s as a weight."""
+def weight_spectrum(spectrum: np.ndarray, grid: Grid, sigma: float) -> np.ndarray:
+    """A half spectrum times the weight cosh(sigma*xi), sigma >= 0.
 
-    sigma: float
-
-    def __post_init__(self):
-        if self.sigma < 0:
-            raise ConfigurationError(f"CoshWeight sigma must be >= 0, got {self.sigma}")
-
-    def log_values(self, grid: Grid) -> np.ndarray:
-        return log_cosh(self.sigma * grid.xi)
-
-
-@dataclass(frozen=True)
-class SechWeight:
-    """sech(sigma*xi) = 1/cosh(sigma*xi); inverse of CoshWeight."""
-
-    sigma: float
-
-    def __post_init__(self):
-        if self.sigma < 0:
-            raise ConfigurationError(f"SechWeight sigma must be >= 0, got {self.sigma}")
-
-    def log_values(self, grid: Grid) -> np.ndarray:
-        return -log_cosh(self.sigma * grid.xi)
-
-
-def weight_spectrum(spectrum: np.ndarray, grid: Grid, sym: CoshWeight | SechWeight) -> np.ndarray:
-    """A half spectrum times the weight cosh(sigma*xi) or sech(sigma*xi).
-
-    For sigma*xi_max <= 30 the spectrum is multiplied by cosh(sigma*xi), or
-    divided by it for SechWeight.  Beyond that, entries with log weight
-    <= 700 are multiplied by exp(logw), and the rest are formed as
-    exp(logw + log|F_k|) * phase, which stays in range whenever the value
-    itself does.  A non-finite product raises OverflowGuardError (the
-    sigma*xi_max <= 700 guard, adjusted for the actual coefficient
-    magnitudes).
+    For sigma*xi_max <= 30 the spectrum is multiplied by cosh(sigma*xi).
+    Beyond that, entries with log weight <= 700 are multiplied by
+    exp(logw), and the rest are formed as exp(logw + log|F_k|) * phase,
+    which stays in range whenever the value itself does.  A non-finite
+    product raises OverflowGuardError (the sigma*xi_max <= 700 guard,
+    adjusted for the actual coefficient magnitudes).
     """
-    if sym.sigma * grid.xi_max <= _LOG_SWITCH:
-        cosh = np.cosh(sym.sigma * grid.xi)
-        return spectrum / cosh if isinstance(sym, SechWeight) else spectrum * cosh
-    logw = sym.log_values(grid)
+    if sigma < 0:
+        raise ConfigurationError(f"weight radius must be >= 0, got {sigma}")
+    if sigma * grid.xi_max <= _LOG_SWITCH:
+        return spectrum * np.cosh(sigma * grid.xi)
+    logw = log_cosh(sigma * grid.xi)
     out = np.empty_like(spectrum, dtype=complex)
     direct = logw <= _EXP_MAX
     out[direct] = spectrum[direct] * np.exp(logw[direct])
@@ -242,11 +214,6 @@ def weight_spectrum(spectrum: np.ndarray, grid: Grid, sym: CoshWeight | SechWeig
             "weighted spectrum left double-precision range (sigma*xi_max > 700 with O(1) coefficients)"
         )
     return out
-
-
-def apply_multiplier(fld: SpectralField, sym: CoshWeight | SechWeight) -> SpectralField:
-    """The field weighted by cosh(sigma D) or sech(sigma D); returns a new field."""
-    return synthesize(weight_spectrum(fld.spectrum, fld.grid, sym), fld.grid)
 
 
 def dealias(fld: SpectralField) -> SpectralField:

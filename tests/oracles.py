@@ -7,15 +7,24 @@ exact propagator and exact derivative symbols instead of the RK4 loop, the
 product-rule cubic term instead of the conservative one, and the
 chain-rule drift of functional_A instead of its finite differences along
 a trajectory.
+
+The weighted theory lives here too.  The cosh-weighted field
+V = cosh(sigma D) v obeys the flow forced by the commutator errors
+F (cubic) and G (damping), so
+
+    dM_sigma/dt = -2 int a V^2 + 2 int (F(V) + G(V)) V
+
+(mass_rate_M), which needs the sech weight as well.  The package runs only
+the sigma = 0 case, where F and G vanish: analytics.mass_rate.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from gevreyflow.analytics import FunctionalBreakdown, _quad, _refined_derivs, operator_F
+from gevreyflow.analytics import FunctionalBreakdown, _refined_derivs
 from gevreyflow.errors import ConfigurationError, OverflowGuardError
-from gevreyflow.spectral import CoshWeight, apply_multiplier, pad_spectrum, synthesize
+from gevreyflow.spectral import log_cosh, make_grid, pad_spectrum, synthesize, weight_spectrum
 
 
 def full_k(N):
@@ -123,6 +132,103 @@ def product_rule_rhs(eq, grid, V):
     return np.fft.rfft(prod, norm="forward")[..., :band]
 
 
+# ---------------------------------------------------------------------------
+# cosh and sech weights, commutator errors, the weighted rate identities
+# ---------------------------------------------------------------------------
+
+
+def cosh_weighted(fld, sigma):
+    """The field weighted by cosh(sigma D), through spectral.weight_spectrum."""
+    return synthesize(weight_spectrum(fld.spectrum, fld.grid, sigma), fld.grid)
+
+
+def sech_weighted(fld, sigma):
+    """The field weighted by sech(sigma D) = 1/cosh(sigma D), the inverse of
+    cosh_weighted.  For sigma*xi_max <= 30 the spectrum is divided by
+    cosh(sigma*xi); beyond that it is multiplied by exp(-log cosh(sigma*xi)),
+    which is at most 1, so the result stays in range."""
+    if sigma < 0:
+        raise ConfigurationError(f"weight radius must be >= 0, got {sigma}")
+    g = fld.grid
+    if sigma * g.xi_max <= 30.0:
+        spectrum = fld.spectrum / np.cosh(sigma * g.xi)
+    else:
+        spectrum = fld.spectrum * np.exp(-log_cosh(sigma * g.xi))
+    return synthesize(spectrum, g)
+
+
+def _quad(grid, *factors):
+    """Trapezoid integral over [0, L) of a pointwise product on the 2x grid."""
+    prod = factors[0]
+    for f in factors[1:]:
+        prod = prod * f
+    return float(grid.L / prod.size * prod.sum())
+
+
+def _masked_spectrum(samples, grid):
+    """Dealiased half spectrum of a real product array (band k <= N/4)."""
+    H = np.fft.rfft(samples, norm="forward")
+    H[grid.band :] = 0.0
+    return H
+
+
+def operator_F(W, sigma, mu):
+    """Cubic commutator error of the cosh weight:
+
+        (mu/3) d_x [ dealias(W^3) - cosh(sigma D) dealias((sech(sigma D) W)^3) ].
+
+    Vanishes identically at sigma = 0; for small sigma its L2 size scales
+    like sigma^2 (both cubes see the same field to second order).
+    """
+    if mu not in (-1, 1):
+        raise ConfigurationError(f"mu must be +-1, got {mu}")
+    g = W.grid
+    outer = _masked_spectrum(W.samples**3, g)
+    inner = sech_weighted(W, sigma)
+    inner_cubed = _masked_spectrum(inner.samples**3, g)
+    diff = outer - weight_spectrum(inner_cubed, g, sigma)
+    return synthesize((mu / 3.0) * (1j * g.xi) * diff, g)
+
+
+def operator_G(W, a, sigma):
+    """Damping commutator error:
+
+        dealias(a W) - cosh(sigma D) dealias(a * sech(sigma D) W).
+
+    Zero for sigma = 0 and for constant a (constants commute with Fourier
+    multipliers).  Both products carry the same dealias projection as the
+    damping term inside the integrator, so the mass-rate identity closes
+    exactly along discrete trajectories.
+    """
+    g = W.grid
+    avals = a.values(g)
+    first = _masked_spectrum(avals * W.samples, g)
+    inner = sech_weighted(W, sigma)
+    prod = _masked_spectrum(avals * inner.samples, g)
+    return synthesize(first - weight_spectrum(prod, g, sigma), g)
+
+
+def mass_rate_M(v, a, sigma, mu):
+    """Instantaneous drift of functional_M along the damped flow:
+
+        dM/dt = -2 int a V^2 + 2 int (F(V) + G(V)) V,   V = cosh(sigma D) v.
+
+    The dispersive and pure-cubic contributions vanish identically (odd
+    pairings), leaving damping plus the two commutator errors.  Returns
+    (total rate, damping term, commutator term).
+    """
+    V = cosh_weighted(v, sigma)
+    Ff = operator_F(V, sigma, mu)
+    Gf = operator_G(V, a, sigma)
+    g = v.grid
+    V0, F0, G0 = (_refined_derivs(f.spectrum, g, (0,))[0] for f in (V, Ff, Gf))
+    # the profile is analytic, so evaluate it on the doubled grid directly
+    a_fine = a.values(make_grid(g.L, 2 * g.N))
+    damping_term = -2.0 * _quad(g, a_fine, V0, V0)
+    fg_term = 2.0 * _quad(g, F0 + G0, V0)
+    return damping_term + fg_term, damping_term, fg_term
+
+
 def energy_rate_A(u, sigma, mu):
     """Instantaneous drift of functional_A along the flow, the reference
     for the finite-difference drift of functional_A.
@@ -137,7 +243,7 @@ def energy_rate_A(u, sigma, mu):
     """
     if mu not in (-1, 1):
         raise ConfigurationError(f"mu must be +-1, got {mu}")
-    U = apply_multiplier(u, CoshWeight(sigma))
+    U = cosh_weighted(u, sigma)
     Ff = operator_F(U, sigma, mu)
     g = u.grid
     U0, U1, U2 = _refined_derivs(U.spectrum, g, (0, 1, 2))

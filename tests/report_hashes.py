@@ -4,9 +4,14 @@ A refactor that leaves the numerics alone must leave every line of this
 output unchanged.  Run from a source checkout:
 
     PYTHONPATH=src python tests/report_hashes.py
+
+Output to a reader that stops early (`| head`) is dropped, not raised, and
+the exit status is that of a full run.
 """
 
 from importlib import resources
+
+from report_series import emit
 
 from gevreyflow import RUNNERS, content_hash, parse_config, report_payload
 
@@ -18,7 +23,7 @@ def main() -> None:
             continue
         cfg = parse_config(path)
         report = RUNNERS[cfg.scenario](cfg)
-        print(path.name.removesuffix(".cfg"), content_hash(report_payload(report)), flush=True)
+        emit(f"{path.name.removesuffix('.cfg')} {content_hash(report_payload(report))}")
 
 
 if __name__ == "__main__":

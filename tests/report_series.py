@@ -17,15 +17,27 @@ numerics alone is checked by the last line alone.  The exit status is 1
 when a config, series or verdict is missing from one side, a series
 changed length, or a verdict fails, and 0 otherwise; the 1e-12 rule
 itself is for the reader, since round-off series (drifts, residuals) are
-expected to move by more.
+expected to move by more.  A reader that stops early (`| head`) does not
+change either: output to a closed pipe is dropped, and the run finishes.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import sys
 from importlib import resources
+
+
+def emit(line: str) -> None:
+    """Print one line to stdout.  Once the reader has closed the pipe, the
+    rest of the output goes to os.devnull instead of raising, so the run
+    does the same work and exits with the same status as a full one."""
+    try:
+        print(line, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def dump(path: str) -> None:
@@ -40,7 +52,7 @@ def dump(path: str) -> None:
         payload = report_payload(RUNNERS[cfg.scenario](cfg))
         name = cfg_path.name.removesuffix(".cfg")
         payloads[name] = {"hash": content_hash(payload), "payload": payload}
-        print(name, payloads[name]["hash"], flush=True)
+        emit(f"{name} {payloads[name]['hash']}")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payloads, fh, sort_keys=True)
 
@@ -84,7 +96,7 @@ def compare(path_a: str, path_b: str) -> int:
         same = "same" if a[cfg]["hash"] == b[cfg]["hash"] else "moved"
         if same == "moved":
             moved.append(cfg)
-        print(f"{cfg:18s} hash {same:5s} {a[cfg]['hash'][:12]} -> {b[cfg]['hash'][:12]}")
+        emit(f"{cfg:18s} hash {same:5s} {a[cfg]['hash'][:12]} -> {b[cfg]['hash'][:12]}")
         sa, sb = numeric_series(a[cfg]["payload"]), numeric_series(b[cfg]["payload"])
         for name in sorted(set(sa) | set(sb)):
             if name not in sa or name not in sb:
@@ -108,20 +120,20 @@ def compare(path_a: str, path_b: str) -> int:
                 if not v["passed"]:
                     problems.append(f"{cfg} verdict {name} fails in {side}")
 
-    print("\nrelative deviation  max|a|      config             series")
+    emit("\nrelative deviation  max|a|      config             series")
     for rel, cfg, name, scale in sorted(rows, key=lambda r: -r[0]):
-        print(f"{rel:18.3e}  {scale:10.3e}  {cfg:18s} {name}")
-    print("\nconfig             verdict                    pass  margin a                margin b                tolerance")
+        emit(f"{rel:18.3e}  {scale:10.3e}  {cfg:18s} {name}")
+    emit("\nconfig             verdict                    pass  margin a                margin b                tolerance")
     for cfg, name, va, vb in verdicts:
         passed = f"{'P' if va['passed'] else 'F'}/{'P' if vb['passed'] else 'F'}"
-        print(f"{cfg:18s} {name:26s} {passed:5s} {va['margin']!r:23s} {vb['margin']!r:23s} {vb['tolerance']!r}")
+        emit(f"{cfg:18s} {name:26s} {passed:5s} {va['margin']!r:23s} {vb['margin']!r:23s} {vb['tolerance']!r}")
     for problem in problems:
-        print("problem:", problem)
+        emit(f"problem: {problem}")
     common = len(set(a) & set(b))
     if moved:
-        print(f"\ncontent hashes: {common - len(moved)} of {common} unchanged; moved: {', '.join(moved)}")
+        emit(f"\ncontent hashes: {common - len(moved)} of {common} unchanged; moved: {', '.join(moved)}")
     else:
-        print(f"\ncontent hashes: all {common} unchanged")
+        emit(f"\ncontent hashes: all {common} unchanged")
     return 1 if problems else 0
 
 

@@ -13,8 +13,9 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from oracles import operator_F, operator_G
 
-from gevreyflow.analytics import operator_F, operator_G, s_index, theta_max
+from gevreyflow.analytics import s_index, theta_max
 from gevreyflow.config import parse_config_text
 from gevreyflow.dynamics import EvolutionSpec, MKdV, RaisedCosineDamping, integrate, soliton
 from gevreyflow.harness import RUNNERS

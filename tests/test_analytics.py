@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import energy_rate_A, full_k, full_spectrum
+from oracles import energy_rate_A, full_k, full_spectrum, mass_rate_M, operator_F, operator_G
 
 from gevreyflow.analytics import (
     FunctionalBreakdown,
@@ -25,9 +25,7 @@ from gevreyflow.analytics import (
     functional_M,
     hsigma_norm,
     lifespan_T0,
-    mass_rate_M,
-    operator_F,
-    operator_G,
+    mass_rate,
     radius_estimate,
     s_index,
     sigma_choice,
@@ -439,6 +437,19 @@ class TestRateIdentities:
         assert fd == pytest.approx(rate, rel=1e-5)
         assert rate == pytest.approx(damping + fg, rel=1e-14)
         assert damping < 0
+
+    @pytest.mark.parametrize(
+        "a",
+        [RaisedCosineDamping(floor=0.2, amplitude=0.15, length=64.0), ConstantDamping(0.35)],
+        ids=["raised_cosine", "constant"],
+    )
+    def test_closed_form_rate_equals_weighted_rate_at_sigma_zero(self, soliton_field, a):
+        # the package's rate is the oracle's sigma = 0 rate bit for bit,
+        # commutator terms and all, on every state of a damped run
+        eq = MKdVm(m=5, mu=-1, damping=a)
+        traj = integrate(EvolutionSpec(equation=eq, dt=1e-4, t_end=6e-4, record_every=2), soliton_field)
+        for state in traj.states:
+            assert mass_rate(state, a) == mass_rate_M(state, a, 0.0, -1)[0]
 
     def test_mass_rate_fg_zero_at_sigma_zero(self, soliton_field):
         a = RaisedCosineDamping(floor=0.2, amplitude=0.15, length=64.0)
