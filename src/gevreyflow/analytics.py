@@ -6,8 +6,8 @@ periodic with DFT coefficients F_k = (1/N) sum f_j exp(-i xi_k x_j), of
 which the half k = 0..N/2 is stored.  Every sum over modes runs over that
 half with the multiplicity weights w = (1, 2, ..., 2, 1) of the grid, so
 L * sum_k w_k |F_k|^2 is the integral of f^2.  The bracket weight is
-1 + |xi| (not the (1+xi^2)^(1/2) variant), and cosh weights go through
-spectral.weight_spectrum, in log space whenever they would overflow
+1 + |xi| (not the (1+xi^2)^(1/2) variant), and cosh weights come from
+spectral.cosh_weight, in log space whenever they would overflow
 directly.
 
 Quadrature: quartic/sextic/product integrals are trapezoid sums on a
@@ -15,14 +15,17 @@ Quadrature: quartic/sextic/product integrals are trapezoid sums on a
 by the integrator are band-limited to |k| <= N/4, so their sixth powers
 have bandwidth 3N/2 < 2N and these sums are exact, not approximate.
 
-functional_A accepts an array of weight radii and evaluates all of them on
-one state with one batched irfft; a single radius is the one-row case of
-the same code.
+functional_A evaluates a whole trajectory in one call: it takes one state
+or a sequence of states on one grid, and one weight radius or an array of
+them.  The weights, the i xi symbol and the scratch arrays are built once
+per call; each state then costs one batched irfft for all of its radii.
+One state and one radius are the one-row cases of the same code.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -38,11 +41,12 @@ from .errors import (
 from .spectral import (
     Grid,
     SpectralField,
+    apply_weight,
+    cosh_weight,
     log_cosh,
     make_grid,
     noise_floor,
     pad_spectrum,
-    weight_spectrum,
 )
 
 
@@ -115,61 +119,107 @@ class FunctionalBreakdown:
     terms: dict
 
 
-def functional_A(u: SpectralField, sigma: float | np.ndarray, mu: int) -> FunctionalBreakdown:
+def functional_A(
+    u: SpectralField | Sequence[SpectralField], sigma: float | np.ndarray, mu: int
+) -> FunctionalBreakdown:
     """Sixth-order almost-conserved energy of the weighted field U = cosh(sigma D) u.
 
     Terms: ||U||^2, ||U_x||^2, ||U_xx||^2, -(mu/6)||U||_L4^4,
     -(5 mu/3)||U U_x||^2, (1/18)||U||_L6^6.  For mu = -1 the three nonlinear
     terms are nonnegative, so the total dominates the Sobolev part.
 
-    sigma is a float, or a 1-D array of P values evaluated in one pass:
-    one weighted half spectrum per sigma, stacked to (P, N/2+1), one
-    batched irfft for U and U_x on the 2x grid, and every term a row sum.
-    A float sigma is the P = 1 row and gives float total and terms; an
-    array gives arrays of shape (P,).  Coefficients below
-    spectral.noise_floor count as zero.
+    u is one field or a nonempty sequence of R fields on one grid; sigma
+    is a float or a nonempty 1-D array of P values.  Total and terms are
+    floats for one field and a float sigma, arrays of shape (P,) for one
+    field and an array, (R,) for a sequence and a float, and (R, P) for a
+    sequence and an array.
+
+    The P weights, the derivative symbol and every scratch array are
+    built once per call.  Then, state by state: coefficients below that
+    state's spectral.noise_floor are zeroed, its P weighted half spectra
+    are written into one (P, N/2+1) block, one batched irfft of shape
+    (2, P, 2N) gives U and U_x on the 2x grid, and every term is a row sum.
     """
     if mu not in (-1, 1):
         raise ConfigurationError(f"mu must be +-1, got {mu}")
     sigmas = np.asarray(sigma, dtype=float)
     if sigmas.ndim > 1 or sigmas.size == 0:
         raise ConfigurationError(f"sigma must be a float or a nonempty 1-D array, got shape {sigmas.shape}")
-    g = u.grid
-    spectrum = u.spectrum.copy()
-    spectrum[np.abs(spectrum) < noise_floor(spectrum)] = 0.0
-    U = np.stack([weight_spectrum(spectrum, g, s) for s in np.atleast_1d(sigmas).tolist()])
-    Uf, Uxf = _refined_derivs(U, g, (0, 1))
+    single = isinstance(u, SpectralField)
+    states = (u,) if single else tuple(u)
+    if not states:
+        raise ConfigurationError("functional_A needs at least one state")
+    g = states[0].grid
+    if any(s.grid != g for s in states):
+        raise ConfigurationError("functional_A states must share one grid")
+    N = g.N
+    weights = [cosh_weight(g, s) for s in np.atleast_1d(sigmas).tolist()]
+    W = np.stack([w for w, _ in weights])
+    # i xi on the half of the 2x grid
+    ixi = (2j * np.pi / g.L) * np.arange(N + 1)
     # L * sum w_k xi^(2p) |U_k|^2 is ||d^p U||^2, for p = 0, 1, 2
-    power = g.L * g.multiplicity * np.abs(U) ** 2
+    L_mult = g.L * g.multiplicity
     xi_sq = g.xi**2
-    # trapezoid sums on the 2x grid, each product taken left to right; the
-    # three share the prefix U U
-    h = g.L / Uf.shape[-1]
-    prod = Uf * Uf
-    product_sq = h * (prod * Uxf * Uxf).sum(axis=-1)
-    prod *= Uf
-    prod *= Uf
-    quartic = h * prod.sum(axis=-1)
-    prod *= Uf
-    prod *= Uf
-    sextic = h * prod.sum(axis=-1)
+    xi_4 = xi_sq * xi_sq
+    # trapezoid sums on the 2x grid
+    h = g.L / (2 * N)
+
+    P = len(weights)
+    U = np.empty((P, N // 2 + 1), dtype=complex)
+    # rows whose weight takes the log-space path are redone by apply_weight
+    logged = [(row, weight) for row, weight in zip(U, weights) if weight[1] is not None]
+    power, scratch = np.empty((2,) + U.shape)
+    # the padded U and i xi U; above k = N/2 the rows stay zero
+    derivs = np.zeros((2, P, N + 1), dtype=complex)
+    fine = np.empty((2, P, 2 * N))
+    Uf, Uxf = fine
+    prod, prod_x = np.empty((2, P, 2 * N))
+    # one row per term, in the order of the terms dict below
+    sums = np.empty((6, len(states), P))
+    for r, fld in enumerate(states):
+        spectrum = fld.spectrum.copy()
+        spectrum[np.abs(spectrum) < noise_floor(spectrum)] = 0.0
+        np.multiply(spectrum, W, out=U)
+        for row, weight in logged:
+            apply_weight(spectrum, weight, out=row)
+        np.multiply(pad_spectrum(U, N, 2, out=derivs[0]), ixi, out=derivs[1])
+        np.fft.irfft(derivs, n=2 * N, norm="forward", out=fine)
+        np.abs(U, out=power)
+        np.square(power, out=power)
+        np.multiply(L_mult, power, out=power)
+        power.sum(axis=-1, out=sums[0, r])
+        np.multiply(xi_sq, power, out=scratch).sum(axis=-1, out=sums[1, r])
+        np.multiply(xi_4, power, out=scratch).sum(axis=-1, out=sums[2, r])
+        # each product taken left to right; the three share the prefix U U
+        np.multiply(Uf, Uf, out=prod)
+        np.multiply(prod, Uxf, out=prod_x)
+        prod_x *= Uxf
+        prod_x.sum(axis=-1, out=sums[4, r])
+        prod *= Uf
+        prod *= Uf
+        prod.sum(axis=-1, out=sums[3, r])
+        prod *= Uf
+        prod *= Uf
+        prod.sum(axis=-1, out=sums[5, r])
     terms = {
-        "l2_sq": power.sum(axis=-1),
-        "deriv1_sq": (xi_sq * power).sum(axis=-1),
-        "deriv2_sq": (xi_sq * xi_sq * power).sum(axis=-1),
-        "quartic": -(mu / 6.0) * quartic,
-        "product_sq": -(5.0 * mu / 3.0) * product_sq,
-        "sextic": (1.0 / 18.0) * sextic,
+        "l2_sq": sums[0],
+        "deriv1_sq": sums[1],
+        "deriv2_sq": sums[2],
+        "quartic": -(mu / 6.0) * (h * sums[3]),
+        "product_sq": -(5.0 * mu / 3.0) * (h * sums[4]),
+        "sextic": (1.0 / 18.0) * (h * sums[5]),
     }
     total = sum(terms.values())
-    if sigmas.ndim == 0:
-        return FunctionalBreakdown(total=float(total[0]), terms={k: float(v[0]) for k, v in terms.items()})
-    return FunctionalBreakdown(total=total, terms=terms)
+    pick = (0 if single else slice(None), 0 if sigmas.ndim == 0 else slice(None))
+    if single and sigmas.ndim == 0:
+        return FunctionalBreakdown(total=float(total[pick]), terms={k: float(v[pick]) for k, v in terms.items()})
+    return FunctionalBreakdown(total=total[pick], terms={k: v[pick] for k, v in terms.items()})
 
 
 def conserved_combinations(b: FunctionalBreakdown) -> dict:
     """The three flow invariants hiding in the breakdown (exact at sigma=0):
-    mass, energy (gradient + quartic), and the second-order combination."""
+    mass, energy (gradient + quartic), and the second-order combination;
+    floats or arrays, as the breakdown's terms are."""
     t = b.terms
     return {
         "inv0": t["l2_sq"],

@@ -41,6 +41,8 @@ into factors built before the loop.  Each factor has a leading axis of
 length 1 or C, the shape of the rows it multiplies: numpy broadcasts a
 1-D factor against 2-D rows at about twice the cost per call.  The state
 is updated in place, and synthesize copies it into each recorded state.
+A record makes no transform: its samples are one irfft, made only when
+something reads them.
 """
 
 from __future__ import annotations

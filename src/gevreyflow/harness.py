@@ -372,17 +372,15 @@ def run_conservation(cfg: ScenarioConfig) -> ExperimentReport:
     grid = cfg.grid()
     traj = integrate(cfg.evolution(grid), cfg.initial_state(grid))
 
-    rows = [conserved_combinations(functional_A(s, 0.0, cfg.mu)) for s in traj.states]
+    rows = conserved_combinations(functional_A(traj.states, 0.0, cfg.mu))
     names = ("inv0", "inv1", "inv2")
-    base = {n: rows[0][n] for n in names}
     times = [float(t) for t in traj.times]
     invariants = {"t": times}
     drifts = {"t": times}
     for n in names:
-        invariants[n] = [float(r[n]) for r in rows]
-        drifts["drift_" + n] = [
-            abs(r[n] - base[n]) / max(abs(base[n]), _TINY) for r in rows
-        ]
+        values = invariants[n] = rows[n].tolist()
+        base = values[0]
+        drifts["drift_" + n] = [abs(v - base) / max(abs(base), _TINY) for v in values]
     max_drift = max(max(drifts["drift_" + n]) for n in names)
 
     tol = cfg.tolerances.conservation
@@ -428,7 +426,7 @@ def run_sigma_scaling(cfg: ScenarioConfig) -> ExperimentReport:
     times = [float(t) for t in traj.times]
 
     sigmas = np.asarray(cfg.sigmas, dtype=float)
-    totals = np.array([functional_A(s, sigmas, cfg.mu).total for s in traj.states])
+    totals = functional_A(traj.states, sigmas, cfg.mu).total
     a_series = {"t": times}
     drift_rows = []
     for sigma, values in zip(cfg.sigmas, totals.T.tolist()):

@@ -25,10 +25,15 @@ of |f|^2 is the Parseval sum
 so discrete norms are direct Riemann approximations of integrals over the
 line once the data decays inside the box.
 
-analyze is one rfft and synthesize one irfft.  Symbols that are odd in xi
-(odd-order derivatives, the dispersive phase) are zeroed at Nyquist, the
-standard convention for real spectral differentiation (see
-https://math.mit.edu/~stevenj/fft-deriv.pdf), which keeps that entry real.
+A SpectralField holds the half spectrum; its samples are one irfft, made
+on the first read of SpectralField.samples and kept.  analyze is one rfft
+and keeps the samples it was given; synthesize checks a half spectrum and
+makes no transform, so a field whose samples nothing reads costs none.
+
+Symbols that are odd in xi (odd-order derivatives, the dispersive phase)
+are zeroed at Nyquist, the standard convention for real spectral
+differentiation (see https://math.mit.edu/~stevenj/fft-deriv.pdf), which
+keeps that entry real.
 
 Hyperbolic weights cosh(sigma*xi) overflow double precision near
 sigma*|xi| ~ 710.  Weight application therefore goes through log space
@@ -43,6 +48,7 @@ is; a product that still leaves range raises OverflowGuardError.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -111,16 +117,20 @@ def make_grid(L: float, N: int) -> Grid:
 
 @dataclass(frozen=True)
 class SpectralField:
-    """A real field on a Grid together with its half spectrum k = 0..N/2.
+    """A real field on a Grid, held as its half spectrum k = 0..N/2.
 
-    samples and spectrum are kept consistent by construction: every public
-    constructor (analyze, synthesize, dealias) derives one from the other
-    through the real FFT pair.  Both arrays are read-only.
+    samples, the N values at the grid nodes, is a read-only property: one
+    irfft of the spectrum on its first read, kept for later reads.  analyze
+    keeps the samples it was given instead.  Fields from analyze,
+    synthesize and dealias hold read-only arrays.
     """
 
     grid: Grid
-    samples: np.ndarray = field(repr=False, compare=False)
     spectrum: np.ndarray = field(repr=False, compare=False)
+
+    @cached_property
+    def samples(self) -> np.ndarray:
+        return _freeze(np.fft.irfft(self.spectrum, n=self.grid.N, norm="forward"))
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -128,23 +138,24 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _field(grid: Grid, samples: np.ndarray, spectrum: np.ndarray) -> SpectralField:
-    return SpectralField(grid, _freeze(samples), _freeze(spectrum))
-
-
 def analyze(samples: np.ndarray, grid: Grid) -> SpectralField:
-    """Forward transform of a real sample vector."""
+    """Forward transform of a real sample vector; the field keeps a copy
+    of the samples."""
     samples = np.asarray(samples, dtype=float)
     if samples.shape != (grid.N,):
         raise ConfigurationError(f"sample vector has shape {samples.shape}, grid expects ({grid.N},)")
     if not np.all(np.isfinite(samples)):
         raise ConfigurationError("samples contain NaN/Inf")
-    return _field(grid, samples.copy(), np.fft.rfft(samples, norm="forward"))
+    fld = SpectralField(grid, _freeze(np.fft.rfft(samples, norm="forward")))
+    # primes the cached property, so the samples are never transformed back
+    fld.__dict__["samples"] = _freeze(samples.copy())
+    return fld
 
 
 def synthesize(spectrum: np.ndarray, grid: Grid) -> SpectralField:
-    """Inverse transform of a half spectrum; its k = 0 and k = N/2 entries
-    must be real (irfft would silently drop their imaginary parts)."""
+    """The field of a half spectrum (copied); its k = 0 and k = N/2 entries
+    must be real (irfft would silently drop their imaginary parts).  No
+    transform is made here: the samples follow on first read."""
     spectrum = np.array(spectrum, dtype=complex)
     if spectrum.shape != (grid.N // 2 + 1,):
         raise ConfigurationError(f"spectrum has shape {spectrum.shape}, grid expects ({grid.N // 2 + 1},)")
@@ -154,7 +165,7 @@ def synthesize(spectrum: np.ndarray, grid: Grid) -> SpectralField:
         raise SymmetryError(
             f"spectrum entries at k = 0 and k = N/2 must be real (imaginary part {defect:.3e}, scale {scale:.3e})"
         )
-    return _field(grid, np.fft.irfft(spectrum, n=grid.N, norm="forward"), spectrum)
+    return SpectralField(grid, _freeze(spectrum))
 
 
 def noise_floor(spectrum: np.ndarray) -> float:
@@ -176,27 +187,43 @@ def log_cosh(r: np.ndarray) -> np.ndarray:
     return a + np.log1p(np.exp(-2.0 * a)) - _LOG2
 
 
-def weight_spectrum(spectrum: np.ndarray, grid: Grid, sigma: float) -> np.ndarray:
-    """A half spectrum times the weight cosh(sigma*xi), sigma >= 0.
+def cosh_weight(grid: Grid, sigma: float) -> tuple[np.ndarray, np.ndarray | None]:
+    """The weight cosh(sigma*xi) of every stored mode, sigma >= 0, as the
+    pair (w, logw) that apply_weight multiplies a spectrum by.
 
-    For sigma*xi_max <= 30 the spectrum is multiplied by cosh(sigma*xi).
-    Beyond that, entries with log weight <= 700 are multiplied by
-    exp(logw), and the rest are formed as exp(logw + log|F_k|) * phase,
-    which stays in range whenever the value itself does.  A non-finite
-    product raises OverflowGuardError (the sigma*xi_max <= 700 guard,
-    adjusted for the actual coefficient magnitudes).
+    For sigma*xi_max <= 30, w = cosh(sigma*xi) and logw is None.  Beyond
+    that, logw = log cosh(sigma*xi), and w = exp(logw) wherever logw <= 700;
+    the other entries of w are 0, because their weight leaves double range
+    and apply_weight forms those products in log space.
     """
     if sigma < 0:
         raise ConfigurationError(f"weight radius must be >= 0, got {sigma}")
     if sigma * grid.xi_max <= _LOG_SWITCH:
-        return spectrum * np.cosh(sigma * grid.xi)
+        return np.cosh(sigma * grid.xi), None
     logw = log_cosh(sigma * grid.xi)
-    out = np.empty_like(spectrum, dtype=complex)
     direct = logw <= _EXP_MAX
-    out[direct] = spectrum[direct] * np.exp(logw[direct])
-    if not direct.all():
-        big = ~direct
-        F = spectrum[big]
+    w = np.zeros_like(logw)
+    w[direct] = np.exp(logw[direct])
+    return w, logw
+
+
+def apply_weight(spectrum: np.ndarray, weight: tuple, out: np.ndarray | None = None) -> np.ndarray:
+    """A half spectrum, or a stack of them on leading axes, times a weight
+    from cosh_weight, written into out when it is given.
+
+    Entries whose log weight exceeds 700 are formed as
+    exp(logw + log|F_k|) * phase, which stays in range whenever the value
+    itself does.  With a log weight, a non-finite product raises
+    OverflowGuardError (the sigma*xi_max <= 700 guard, adjusted for the
+    actual coefficient magnitudes).
+    """
+    w, logw = weight
+    out = np.multiply(spectrum, w, out=out)
+    if logw is None:
+        return out
+    big = logw > _EXP_MAX
+    if big.any():
+        F = spectrum[..., big]
         mag = np.abs(F)
         pos = mag > 0
         # frexp/ldexp split keeps denormal coefficients exact: mag = m * 2^e
@@ -208,12 +235,19 @@ def weight_spectrum(spectrum: np.ndarray, grid: Grid, sigma: float) -> np.ndarra
         phase = (np.ldexp(F.real, -e) + 1j * np.ldexp(F.imag, -e)) / safe_m
         with np.errstate(over="ignore", invalid="ignore"):
             scaled = np.exp(logw[big] + logmag)
-            out[big] = np.where(pos, scaled * phase, 0.0)
+            out[..., big] = np.where(pos, scaled * phase, 0.0)
     if not np.all(np.isfinite(out)):
         raise OverflowGuardError(
             "weighted spectrum left double-precision range (sigma*xi_max > 700 with O(1) coefficients)"
         )
     return out
+
+
+def weight_spectrum(spectrum: np.ndarray, grid: Grid, sigma: float) -> np.ndarray:
+    """A half spectrum, or a stack of them on leading axes, times the weight
+    cosh(sigma*xi), sigma >= 0: np.cosh for sigma*xi_max <= 30, log space
+    beyond (see cosh_weight and apply_weight)."""
+    return apply_weight(spectrum, cosh_weight(grid, sigma))
 
 
 def dealias(fld: SpectralField) -> SpectralField:
@@ -228,16 +262,18 @@ def dealias(fld: SpectralField) -> SpectralField:
     return synthesize(spectrum, fld.grid)
 
 
-def pad_spectrum(spectrum: np.ndarray, N: int, factor: int) -> np.ndarray:
+def pad_spectrum(spectrum: np.ndarray, N: int, factor: int, out: np.ndarray | None = None) -> np.ndarray:
     """Half spectrum of the factor*N-point refinement of an N-point field.
 
     The Nyquist coefficient (real for a real field) is split evenly between
     +-N/2, which are distinct modes on the finer grid: the stored k = N/2
     entry keeps one half and its implied mirror the other, so the refined
     field is real and interpolates the original nodes.  Leading axes of a
-    stacked spectrum are kept.
+    stacked spectrum are kept.  A given out must be zero above k = N/2:
+    those entries are not written.
     """
-    out = np.zeros(spectrum.shape[:-1] + (factor * N // 2 + 1,), dtype=complex)
+    if out is None:
+        out = np.zeros(spectrum.shape[:-1] + (factor * N // 2 + 1,), dtype=complex)
     out[..., : N // 2] = spectrum[..., : N // 2]
     out[..., N // 2] = 0.5 * spectrum[..., N // 2]
     return out

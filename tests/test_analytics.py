@@ -10,6 +10,7 @@ exp (the implementation goes through expm1).
 
 import math
 from fractions import Fraction
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from gevreyflow.analytics import (
     sigma_choice,
     theta_max,
 )
+from gevreyflow.config import parse_config
 from gevreyflow.dynamics import (
     ConstantDamping,
     EvolutionSpec,
@@ -280,6 +282,106 @@ class TestEnergyFunctional:
         sig = 0.4
         expect = g.L * math.cosh(sig * 3.0) ** 2 / 2.0
         assert functional_M(f, sig) == pytest.approx(expect, rel=1e-12)
+
+
+@pytest.fixture(scope="module")
+def recorded_states():
+    """States recorded by the packaged conserve and sigma-scaling runs,
+    cut to t_end = 0.5 and recorded every 50 steps (51 states each), with
+    each config's mu."""
+    out = {}
+    for name in ("conserve", "sigma_scaling"):
+        path = resources.files("gevreyflow").joinpath("configs", f"{name}.cfg")
+        cfg = parse_config(path, ["evolution.t_end=0.5", "evolution.record_every=50"])
+        g = cfg.grid()
+        out[name] = (integrate(cfg.evolution(g), cfg.initial_state(g)).states, cfg.mu)
+    return out
+
+
+def assert_rows_match_single_calls(states, sigma, mu):
+    """functional_A over the sequence equals one call per state, bit for
+    bit in every term and the total."""
+    batch = functional_A(states, sigma, mu)
+    P = np.shape(sigma)
+    assert batch.total.shape == (len(states),) + P
+    for r, u in enumerate(states):
+        ref = functional_A(u, sigma, mu)
+        assert np.asarray(batch.total[r]).tobytes() == np.asarray(ref.total).tobytes(), r
+        for name, val in ref.terms.items():
+            assert batch.terms[name].shape == (len(states),) + P, name
+            assert np.asarray(batch.terms[name][r]).tobytes() == np.asarray(val).tobytes(), (name, r)
+
+
+class TestTrajectoryFunctional:
+    # 1.25 * xi_max = 31.4 > 30 takes the log-space weight
+    @pytest.mark.parametrize("name", ["conserve", "sigma_scaling"])
+    @pytest.mark.parametrize(
+        "sigma", [0.0, 1.25, np.array([0.05, 0.1, 0.2, 0.4]), np.array([0.0, 0.05, 1.25, 0.4])],
+        ids=["zero", "log-space", "sigma-scaling", "with-log-space"],
+    )
+    def test_matches_one_call_per_state(self, recorded_states, name, sigma):
+        states, mu = recorded_states[name]
+        assert_rows_match_single_calls(states, sigma, mu)
+
+    def test_each_state_has_its_own_noise_floor(self, recorded_states, rng):
+        # amplitudes over twelve decades, and tails just under and just over
+        # the floor of the state they ride on, in modes above the band that
+        # the recorded state leaves empty
+        states, mu = recorded_states["sigma_scaling"]
+        g = states[0].grid
+        base = states[-1].spectrum
+        tail = np.zeros_like(base)
+        tail[g.band : g.band + 8] = rng.standard_normal(8)
+        peak = np.abs(base).max()
+        spectra = [base * scale for scale in (1e-6, 1e-3, 1.0, 1e3, 1e6)]
+        spectra += [base + factor * 1e-13 * peak * tail / np.abs(tail).max() for factor in (0.5, 2.0)]
+        fields = [synthesize(F, g) for F in spectra]
+        assert_rows_match_single_calls(fields, np.array([0.05, 0.4, 1.25]), mu)
+        assert_rows_match_single_calls(fields, 0.2, mu)
+
+    def test_weights_beyond_double_range(self):
+        # cosh(25 * 32) overflows, so the top modes are weighted in log
+        # space; a field of size 1e-300 keeps every weighted mode, and the
+        # functional itself, in range
+        g = make_grid(2.0 * np.pi, 64)
+        fields = [synthesize(a * np.exp(-0.8 * g.xi), g) for a in (1e-300, 3e-300)]
+        sigmas = np.array([0.5, 25.0])
+        b = functional_A(fields, sigmas, 1)
+        for r, u in enumerate(fields):
+            assert b.terms["l2_sq"][r, 1] == pytest.approx(hsigma_norm(u, 25.0, 0.0) ** 2, rel=1e-12)
+        assert np.all(np.isfinite(b.total))
+        assert_rows_match_single_calls(fields, sigmas, 1)
+
+    def test_result_shapes(self, soliton_field):
+        sigmas = np.array([0.0, 0.1, 0.2])
+        fields = [soliton_field] * 4
+        one = functional_A(soliton_field, 0.1, 1)
+        assert isinstance(one.total, float) and all(isinstance(v, float) for v in one.terms.values())
+        assert functional_A(soliton_field, sigmas, 1).total.shape == (3,)
+        assert functional_A(fields, 0.1, 1).total.shape == (4,)
+        assert functional_A(fields, sigmas, 1).total.shape == (4, 3)
+        inv = conserved_combinations(functional_A(fields, sigmas, 1))
+        assert all(v.shape == (4, 3) for v in inv.values())
+
+    def test_one_inverse_transform_per_state(self, recorded_states, fft_counts):
+        states, mu = recorded_states["sigma_scaling"]
+        fft_counts.update(rfft=0, irfft=0)
+        functional_A(states, np.linspace(0.05, 0.4, 7), mu)
+        assert (fft_counts["rfft"], fft_counts["irfft"]) == (0, len(states))
+
+    @pytest.mark.parametrize(
+        "sigma, mu, count",
+        [(-0.1, 1, 2), (np.array([0.1, -0.1]), 1, 2), (np.zeros((2, 2)), 1, 2), (0.1, 2, 2), (0.1, 1, 0)],
+        ids=["negative", "negative-in-array", "2-D", "bad-mu", "empty"],
+    )
+    def test_validation(self, soliton_field, sigma, mu, count):
+        with pytest.raises(ConfigurationError):
+            functional_A([soliton_field] * count, sigma, mu)
+
+    def test_states_must_share_a_grid(self, soliton_field):
+        other = analyze(np.zeros(256), make_grid(64.0, 256))
+        with pytest.raises(ConfigurationError, match="one grid"):
+            functional_A([soliton_field, other], 0.1, 1)
 
 
 class TestDampingNorm:

@@ -238,7 +238,7 @@ class TestRhs:
         spectrum[3] = np.nan
         _, v = nonlinear_term(MKdV(mu=1), g)(spectrum[None, : g.N // 4 + 1])
         assert not np.all(np.isfinite(v))
-        fld = SpectralField(grid=g, samples=np.zeros(g.N), spectrum=spectrum)
+        fld = SpectralField(grid=g, spectrum=spectrum)
         spec = EvolutionSpec(equation=MKdV(mu=1), dt=1e-3, t_end=1e-3, record_every=1)
         with pytest.raises(DivergenceError, match="blow-up abort at t = 0"):
             integrate(spec, fld)
@@ -403,19 +403,17 @@ class TestTransformCounts:
     def test_four_plus_four_transforms_per_step(self, flow, fft_counts):
         g = make_grid(64.0, 256)
         eq, init = three_flows(g)[flow]
-        steps, n_rec = 10, 2
+        steps = 10
         fft_counts.update(rfft=0, irfft=0, points=0)
         integrate(EvolutionSpec(equation=eq, dt=1e-3, t_end=0.01, record_every=5), init)
-        components = len(eq.alphas)
         # N-point rows per rhs evaluation: mKdV irfft v, rfft v^3; damped
         # adds the rfft row -a v; coupled irfft 2 rows, rfft 4 rows
         rows = (2, 3, 6)[flow]
-        # synthesize makes one irfft per recorded component, times 0 included
-        records = (n_rec + 1) * components
+        # records make no transform: their samples are computed on first read
         assert fft_counts == {
             "rfft": 4 * steps,
-            "irfft": 4 * steps + records,
-            "points": (4 * rows * steps + records) * g.N,
+            "irfft": 4 * steps,
+            "points": 4 * rows * steps * g.N,
         }
 
 

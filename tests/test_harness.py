@@ -13,6 +13,8 @@ from importlib import resources
 
 import pytest
 
+from gevreyflow import harness
+from gevreyflow.analytics import functional_A
 from gevreyflow.config import parse_config, parse_config_text
 from gevreyflow.errors import ConfigurationError, FitError, UnderresolvedError
 from gevreyflow.harness import (
@@ -179,6 +181,21 @@ class TestScenarioConfig:
         report = run_conservation(cfg)
         assert report.config == cfg.as_sections()
         assert report.wall_clock > 0.0
+
+
+@pytest.mark.parametrize(
+    "text, series", [(CONSERVE_SHORT, "invariants"), (SIGMA_SHORT, "a_sigma")], ids=["conservation", "sigma-scaling"]
+)
+def test_one_functional_call_per_trajectory(monkeypatch, text, series):
+    calls = []
+
+    def counted(u, sigma, mu):
+        calls.append(len(u))
+        return functional_A(u, sigma, mu)
+
+    monkeypatch.setattr(harness, "functional_A", counted)
+    report = run_text(text)
+    assert calls == [len(report.series[series]["t"])]
 
 
 class TestConservation:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
@@ -13,7 +15,7 @@ from gevreyflow import (
     make_grid,
     synthesize,
 )
-from gevreyflow.spectral import log_cosh, pad_spectrum, weight_spectrum
+from gevreyflow.spectral import SpectralField, cosh_weight, log_cosh, pad_spectrum, weight_spectrum
 
 EPS = np.finfo(float).eps
 
@@ -145,6 +147,43 @@ class TestTransformPair:
             analyze(bad, g)
 
 
+class TestLazySamples:
+    def test_samples_are_one_irfft_on_first_read(self, rng, fft_counts):
+        g = make_grid(50.0, 64)
+        F = np.fft.rfft(rng.standard_normal(g.N), norm="forward")
+        expect = np.fft.irfft(F, n=g.N, norm="forward")
+        fft_counts.update(rfft=0, irfft=0)
+        fld = synthesize(F, g)
+        assert (fft_counts["rfft"], fft_counts["irfft"]) == (0, 0)
+        first = fld.samples
+        assert fft_counts["irfft"] == 1
+        assert first.tobytes() == expect.tobytes()
+        assert fld.samples is first
+        assert (fft_counts["rfft"], fft_counts["irfft"]) == (0, 1)
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            fld.samples = expect
+
+    def test_field_built_from_a_spectrum_alone(self, rng):
+        g = make_grid(50.0, 64)
+        F = np.fft.rfft(rng.standard_normal(g.N), norm="forward")
+        fld = SpectralField(grid=g, spectrum=F)
+        assert fld.samples.tobytes() == np.fft.irfft(F, n=g.N, norm="forward").tobytes()
+
+    def test_analyze_keeps_its_samples(self, rng, fft_counts):
+        g = make_grid(50.0, 64)
+        f = rng.standard_normal(g.N)
+        fld = analyze(f, g)
+        fft_counts.update(rfft=0, irfft=0)
+        assert fld.samples.tobytes() == f.tobytes()
+        assert fft_counts["irfft"] == 0
+        assert not fld.samples.flags.writeable
+        f[0] += 1.0  # a copy: the field does not follow its input
+        assert fld.samples[0] != f[0]
+
+
 class TestMultipliers:
     def test_deriv_on_cosine(self):
         g = make_grid(2 * np.pi, 64)
@@ -255,6 +294,23 @@ class TestOverflowGuard:
         k_top = g.N // 2 - 1
         expected = np.exp(0.5 * sigma * g.xi[k_top]) / 2.0
         assert out.spectrum[k_top].real == pytest.approx(expected, rel=1e-10)
+
+    @pytest.mark.parametrize(
+        "sigma, log_space, beyond_range", [(0.5, False, False), (2.0, True, False), (29.0, True, True)]
+    )
+    def test_stack_matches_row_calls(self, rng, sigma, log_space, beyond_range):
+        # both branches take leading axes: a stack of half spectra weighs
+        # each row as a call on that row alone does, bit for bit
+        g = make_grid(64.0, 512)
+        _, logw = cosh_weight(g, sigma)
+        assert (logw is not None) == log_space
+        assert (log_space and bool((logw > 700.0).any())) == beyond_range
+        # decaying like exp(-2 xi), so even sigma = 29 keeps the products in range
+        shape = (3, g.xi.size)
+        rows = np.exp(-2.0 * g.xi) * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        stacked = weight_spectrum(rows, g, sigma)
+        assert np.all(np.isfinite(stacked))
+        assert stacked.tobytes() == np.stack([weight_spectrum(row, g, sigma) for row in rows]).tobytes()
 
     def test_log_cosh_accuracy(self):
         r = np.array([0.0, 1e-8, 0.5, 2.0, 20.0])
