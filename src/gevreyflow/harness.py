@@ -337,6 +337,18 @@ def _fit_loglog(xs, ys) -> tuple[float, float, float]:
     return float(slope), float(intercept), r2
 
 
+def _margin_verdict(margin: float, tol: float) -> Verdict:
+    """A value checked against its tolerance, given as its margin: the
+    signed headroom, which passes at >= 0."""
+    return Verdict(passed=bool(margin >= 0), margin=float(margin), tolerance=tol)
+
+
+def _series_verdict(margins, tol: float) -> Verdict:
+    """The worst of a margin series; every margin must be >= 0, and a NaN
+    anywhere fails."""
+    return _margin_verdict(np.min(margins), tol)
+
+
 def _band_verdict(value: float, lo: float, hi: float) -> Verdict:
     margin = min(value - lo, hi - value) / (0.5 * (hi - lo))
     return Verdict(passed=lo <= value <= hi, margin=float(margin), tolerance=0.5 * (hi - lo))
@@ -385,7 +397,7 @@ def run_conservation(cfg: ScenarioConfig) -> ExperimentReport:
 
     tol = cfg.tolerances.conservation
     verdicts = {
-        "conservation": Verdict(passed=max_drift <= tol, margin=float(tol - max_drift), tolerance=tol)
+        "conservation": _margin_verdict(tol - max_drift, tol)
     }
     fits = {"drift": {"max_relative": float(max_drift)}}
     series = {"invariants": invariants, "drift": drifts}
@@ -446,7 +458,7 @@ def run_sigma_scaling(cfg: ScenarioConfig) -> ExperimentReport:
     tol = cfg.tolerances
     verdicts = {
         "slope_in_band": _band_verdict(slope, tol.slope_lo, tol.slope_hi),
-        "fit_quality": Verdict(passed=r2 >= tol.r2_min, margin=float(r2 - tol.r2_min), tolerance=tol.r2_min),
+        "fit_quality": _margin_verdict(r2 - tol.r2_min, tol.r2_min),
     }
     chats = [c for _, _, c, inc in drift_rows if inc]
     fits = {
@@ -497,14 +509,10 @@ def run_damping_decay(cfg: ScenarioConfig) -> ExperimentReport:
         (e * (1.0 + tol.decay) - m) / max(e, _TINY) for m, e in zip(mass, envelope)
     ]
     violations = sum(1 for g in env_margins if g < 0)
-    verdicts = {
-        "decay_envelope": Verdict(passed=violations == 0, margin=float(min(env_margins)), tolerance=tol.decay)
-    }
+    verdicts = {"decay_envelope": _series_verdict(env_margins, tol.decay)}
     if cfg.damping.form == "constant":
         eq_err = max(abs(m - e) / max(e, _TINY) for m, e in zip(mass, envelope))
-        verdicts["gronwall_equality"] = Verdict(
-            passed=eq_err <= tol.equality, margin=float(tol.equality - eq_err), tolerance=tol.equality
-        )
+        verdicts["gronwall_equality"] = _margin_verdict(tol.equality - eq_err, tol.equality)
 
     # rate identity dM/dt = -2 int a v^2 (analytics.mass_rate, the sigma = 0
     # case, where the commutator terms vanish) probed at up to 8 recorded
@@ -520,7 +528,7 @@ def run_damping_decay(cfg: ScenarioConfig) -> ExperimentReport:
         rate = mass_rate(mini.states[1], a)
         residuals.append(abs(fd - rate) / max(abs(rate), _TINY))
     worst = max(residuals)
-    verdicts["rate_identity"] = Verdict(passed=worst <= tol.rate, margin=float(tol.rate - worst), tolerance=tol.rate)
+    verdicts["rate_identity"] = _margin_verdict(tol.rate - worst, tol.rate)
 
     series = {
         "mass_decay": {"t": times, "mass": [float(m) for m in mass], "envelope": envelope},
@@ -659,15 +667,9 @@ def _iterate_windows(cfg: ScenarioConfig, scenario: str, family: str) -> Experim
         (b * (1.0 + tol.iteration) - r) / max(b, _TINY) for r, b in zip(residuals, bounds)
     ]
     verdicts = {
-        "window_bound": Verdict(
-            passed=all(g >= 0 for g in window_margins), margin=float(min(window_margins)), tolerance=tol.iteration
-        ),
-        "interpolation_decay": Verdict(
-            passed=all(g >= 0 for g in env_margins), margin=float(min(env_margins)), tolerance=tol.iteration
-        ),
-        "residual_bound": Verdict(
-            passed=all(g >= 0 for g in resid_margins), margin=float(min(resid_margins)), tolerance=tol.iteration
-        ),
+        "window_bound": _series_verdict(window_margins, tol.iteration),
+        "interpolation_decay": _series_verdict(env_margins, tol.iteration),
+        "residual_bound": _series_verdict(resid_margins, tol.iteration),
     }
     series = {
         "mass_windows": {
@@ -725,14 +727,10 @@ def run_radius_tracking(cfg: ScenarioConfig) -> ExperimentReport:
     margins = [
         (sh - env * (1.0 - tol.radius)) / env for sh, env in zip(sigma_hat[2:], envelope[1:])
     ]
-    verdicts = {
-        "envelope": Verdict(passed=all(g >= 0 for g in margins), margin=float(min(margins)), tolerance=tol.radius)
-    }
+    verdicts = {"envelope": _series_verdict(margins, tol.radius)}
     if cfg.data.kind == "soliton":
         err = max(abs(sh - sigma0_known) / sigma0_known for sh in sigma_hat)
-        verdicts["soliton_radius_match"] = Verdict(
-            passed=err <= tol.radius_match, margin=float(tol.radius_match - err), tolerance=tol.radius_match
-        )
+        verdicts["soliton_radius_match"] = _margin_verdict(tol.radius_match - err, tol.radius_match)
 
     series = {
         "radius": {

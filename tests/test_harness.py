@@ -11,9 +11,10 @@ see), not the naive fourth-order guess.
 import math
 from importlib import resources
 
+import numpy as np
 import pytest
 
-from gevreyflow import harness
+from gevreyflow import content_hash, harness, report_payload
 from gevreyflow.analytics import functional_A
 from gevreyflow.config import parse_config, parse_config_text
 from gevreyflow.errors import ConfigurationError, FitError, UnderresolvedError
@@ -181,6 +182,25 @@ class TestScenarioConfig:
         report = run_conservation(cfg)
         assert report.config == cfg.as_sections()
         assert report.wall_clock > 0.0
+
+
+class TestVerdictHelpers:
+    def test_numpy_inputs_give_plain_types(self):
+        # array-valued norms hand numpy scalars to the helpers; the report
+        # hash accepts only plain bool and float
+        for v in (harness._margin_verdict(np.float64(0.25), 0.5), harness._series_verdict(np.array([0.3, 0.25]), 0.5)):
+            assert type(v.passed) is bool and type(v.margin) is float
+            assert v == harness.Verdict(passed=True, margin=0.25, tolerance=0.5)
+        assert content_hash(report_payload(run_text(CONSERVE_SHORT)))
+
+    def test_worst_margin_decides(self):
+        assert harness._margin_verdict(0.0, 1e-3).passed
+        assert not harness._margin_verdict(-1e-300, 1e-3).passed
+        v = harness._series_verdict([0.5, -0.125, 0.25], 1e-3)
+        assert not v.passed and v.margin == -0.125
+
+    def test_nan_margin_fails(self):
+        assert not harness._series_verdict([0.5, math.nan, 0.25], 1e-3).passed
 
 
 @pytest.mark.parametrize(
