@@ -6,20 +6,18 @@ periodic with DFT coefficients F_k = (1/N) sum f_j exp(-i xi_k x_j), of
 which the half k = 0..N/2 is stored.  Every sum over modes runs over that
 half with the multiplicity weights w = (1, 2, ..., 2, 1) of the grid, so
 L * sum_k w_k |F_k|^2 is the integral of f^2.  The bracket weight is
-1 + |xi| (not the (1+xi^2)^(1/2) variant), and cosh weights come from
-spectral.cosh_weight, in log space whenever they would overflow
-directly.
+1 + |xi| (not the (1+xi^2)^(1/2) variant).
+
+One path, _weighted_spectra, gives the weighted half spectra
+U = cosh(sigma D) u, with spectral.noise_floor and spectral.cosh_weight.
+hsigma_norm, functional_M and functional_A all read it, so each takes one
+state or R states on one grid and one radius or P of them, and returns a
+float, (P,), (R,) or (R, P).
 
 Quadrature: quartic/sextic/product integrals are trapezoid sums on a
 2x-refined grid (zero-padded irfft of the half spectrum).  States produced
 by the integrator are band-limited to |k| <= N/4, so their sixth powers
 have bandwidth 3N/2 < 2N and these sums are exact, not approximate.
-
-functional_A evaluates a whole trajectory in one call: it takes one state
-or a sequence of states on one grid, and one weight radius or an array of
-them.  The weights, the i xi symbol and the scratch arrays are built once
-per call; each state then costs one batched irfft for all of its radii.
-One state and one radius are the one-row cases of the same code.
 """
 
 from __future__ import annotations
@@ -43,7 +41,6 @@ from .spectral import (
     SpectralField,
     apply_weight,
     cosh_weight,
-    log_cosh,
     make_grid,
     noise_floor,
     pad_spectrum,
@@ -51,38 +48,80 @@ from .spectral import (
 
 
 # ---------------------------------------------------------------------------
-# weighted norms
+# the cosh-weighted half spectra, and the norms read off them
 # ---------------------------------------------------------------------------
 
 
-def _weighted_l2(grid: Grid, logw: np.ndarray, amps: np.ndarray) -> float:
-    """sqrt(L * sum w_k exp(2*logw) * amps^2) over the half spectrum,
-    without overflowing intermediates."""
-    pos = amps > 0
-    if not pos.any():
-        return 0.0
-    z = logw[pos] + np.log(amps[pos])
-    m = float(z.max())
-    total = float((grid.multiplicity[pos] * np.exp(2.0 * (z - m))).sum())
-    log_val = m + 0.5 * math.log(grid.L * total)
-    try:
-        return math.exp(log_val)
-    except OverflowError:
-        raise OverflowGuardError(
-            f"weighted norm exceeds double range (log value ~ {log_val:.1f})"
-        ) from None
+def _weighted_spectra(u: SpectralField | Sequence[SpectralField], sigma: float | np.ndarray):
+    """(grid, (R, P), shaped, blocks) for the states u and the radii sigma:
+    blocks yields each state's floored half spectrum times each weight, as
+    one (P, N/2+1) buffer that the next state overwrites, and shaped drops
+    the axis of a single field and of a float sigma from an (R, P) result."""
+    sigmas = np.asarray(sigma, dtype=float)
+    if sigmas.ndim > 1 or sigmas.size == 0:
+        raise ConfigurationError(f"sigma must be a float or a nonempty 1-D array, got shape {sigmas.shape}")
+    single = isinstance(u, SpectralField)
+    states = (u,) if single else tuple(u)
+    if not states:
+        raise ConfigurationError("a weighted norm needs at least one state")
+    g = states[0].grid
+    if any(s.grid != g for s in states):
+        raise ConfigurationError("the states of a weighted norm must share one grid")
+    weights = [cosh_weight(g, s) for s in np.atleast_1d(sigmas).tolist()]
+    W = np.stack([w for w, _ in weights])
+    U = np.empty(W.shape, dtype=complex)
+    # rows whose weight takes the log-space path are redone by apply_weight
+    logged = [(row, weight) for row, weight in zip(U, weights) if weight[1] is not None]
+
+    def blocks():
+        for fld in states:
+            spectrum = fld.spectrum.copy()
+            spectrum[np.abs(spectrum) < noise_floor(spectrum)] = 0.0
+            np.multiply(spectrum, W, out=U)
+            for row, weight in logged:
+                apply_weight(spectrum, weight, out=row)
+            yield U
+
+    def shaped(values: np.ndarray) -> float | np.ndarray:
+        out = values[0 if single else slice(None), 0 if sigmas.ndim == 0 else slice(None)]
+        return float(out) if out.ndim == 0 else out
+
+    return g, (len(states), len(weights)), shaped, blocks()
 
 
-def hsigma_norm(f: SpectralField, sigma: float, s: float) -> float:
-    """(L sum_k w_k (1+|xi_k|)^(2s) cosh^2(sigma xi_k) |F_k|^2)^(1/2), with
-    coefficients below spectral.noise_floor counted as zero."""
-    if sigma < 0:
-        raise ConfigurationError(f"weight radius must be >= 0, got {sigma}")
-    xi = f.grid.xi
-    logw = s * np.log1p(xi) + log_cosh(sigma * xi)
-    amps = np.abs(f.spectrum)
-    amps[amps < noise_floor(amps)] = 0.0
-    return _weighted_l2(f.grid, logw, amps)
+def _weighted_sum(u, sigma, s: float, root: bool) -> float | np.ndarray:
+    """L sum_k w_k (1+|xi_k|)^(2s) |U_k|^2, or its square root if root.
+    Each row is scaled by a power of two (np.frexp of its largest entry)
+    before it is squared, and unscaled at the end: exact, and nothing
+    overflows unless the value itself leaves double range, which raises
+    OverflowGuardError."""
+    g, shape, shaped, blocks = _weighted_spectra(u, sigma)
+    bracket = (1.0 + g.xi) ** s
+    L_mult = g.L * g.multiplicity
+    values = np.empty(shape)
+    with np.errstate(over="ignore"):
+        for r, U in enumerate(blocks):
+            amps = np.abs(U) * bracket
+            e = np.frexp(amps.max(axis=-1))[1]
+            S = (L_mult * np.square(np.ldexp(amps, -e[:, None]))).sum(axis=-1)
+            values[r] = np.ldexp(np.sqrt(S), e) if root else np.ldexp(S, 2 * e)
+    if not np.all(np.isfinite(values)):
+        raise OverflowGuardError(f"{'weighted norm' if root else 'M_sigma'} exceeds double range")
+    return shaped(values)
+
+
+def hsigma_norm(u: SpectralField | Sequence[SpectralField], sigma: float | np.ndarray, s: float) -> float | np.ndarray:
+    """(L sum_k w_k (1+|xi_k|)^(2s) cosh^2(sigma xi_k) |U_k|^2)^(1/2), with
+    coefficients below spectral.noise_floor counted as zero; inputs and
+    result shapes as functional_A's.  Finite wherever the norm fits in a
+    double."""
+    return _weighted_sum(u, sigma, s, root=True)
+
+
+def functional_M(v: SpectralField | Sequence[SpectralField], sigma: float | np.ndarray) -> float | np.ndarray:
+    """M_sigma = ||cosh(sigma D) v||_L2^2, functional_A's l2_sq term, with
+    hsigma_norm's inputs and result shapes."""
+    return _weighted_sum(v, sigma, 0.0, root=False)
 
 
 # ---------------------------------------------------------------------------
@@ -130,31 +169,15 @@ def functional_A(
 
     u is one field or a nonempty sequence of R fields on one grid; sigma
     is a float or a nonempty 1-D array of P values.  Total and terms are
-    floats for one field and a float sigma, arrays of shape (P,) for one
-    field and an array, (R,) for a sequence and a float, and (R, P) for a
-    sequence and an array.
-
-    The P weights, the derivative symbol and every scratch array are
-    built once per call.  Then, state by state: coefficients below that
-    state's spectral.noise_floor are zeroed, its P weighted half spectra
-    are written into one (P, N/2+1) block, one batched irfft of shape
-    (2, P, 2N) gives U and U_x on the 2x grid, and every term is a row sum.
+    floats, or arrays shaped (P,), (R,) or (R, P).  The derivative symbol
+    and every scratch array are built once per call; then one batched
+    irfft of shape (2, P, 2N) per state gives U and U_x on the 2x grid,
+    and every term is a row sum.
     """
     if mu not in (-1, 1):
         raise ConfigurationError(f"mu must be +-1, got {mu}")
-    sigmas = np.asarray(sigma, dtype=float)
-    if sigmas.ndim > 1 or sigmas.size == 0:
-        raise ConfigurationError(f"sigma must be a float or a nonempty 1-D array, got shape {sigmas.shape}")
-    single = isinstance(u, SpectralField)
-    states = (u,) if single else tuple(u)
-    if not states:
-        raise ConfigurationError("functional_A needs at least one state")
-    g = states[0].grid
-    if any(s.grid != g for s in states):
-        raise ConfigurationError("functional_A states must share one grid")
+    g, (R, P), shaped, blocks = _weighted_spectra(u, sigma)
     N = g.N
-    weights = [cosh_weight(g, s) for s in np.atleast_1d(sigmas).tolist()]
-    W = np.stack([w for w, _ in weights])
     # i xi on the half of the 2x grid
     ixi = (2j * np.pi / g.L) * np.arange(N + 1)
     # L * sum w_k xi^(2p) |U_k|^2 is ||d^p U||^2, for p = 0, 1, 2
@@ -164,24 +187,15 @@ def functional_A(
     # trapezoid sums on the 2x grid
     h = g.L / (2 * N)
 
-    P = len(weights)
-    U = np.empty((P, N // 2 + 1), dtype=complex)
-    # rows whose weight takes the log-space path are redone by apply_weight
-    logged = [(row, weight) for row, weight in zip(U, weights) if weight[1] is not None]
-    power, scratch = np.empty((2,) + U.shape)
+    power, scratch = np.empty((2, P, N // 2 + 1))
     # the padded U and i xi U; above k = N/2 the rows stay zero
     derivs = np.zeros((2, P, N + 1), dtype=complex)
     fine = np.empty((2, P, 2 * N))
     Uf, Uxf = fine
     prod, prod_x = np.empty((2, P, 2 * N))
     # one row per term, in the order of the terms dict below
-    sums = np.empty((6, len(states), P))
-    for r, fld in enumerate(states):
-        spectrum = fld.spectrum.copy()
-        spectrum[np.abs(spectrum) < noise_floor(spectrum)] = 0.0
-        np.multiply(spectrum, W, out=U)
-        for row, weight in logged:
-            apply_weight(spectrum, weight, out=row)
+    sums = np.empty((6, R, P))
+    for r, U in enumerate(blocks):
         np.multiply(pad_spectrum(U, N, 2, out=derivs[0]), ixi, out=derivs[1])
         np.fft.irfft(derivs, n=2 * N, norm="forward", out=fine)
         np.abs(U, out=power)
@@ -210,10 +224,7 @@ def functional_A(
         "sextic": (1.0 / 18.0) * (h * sums[5]),
     }
     total = sum(terms.values())
-    pick = (0 if single else slice(None), 0 if sigmas.ndim == 0 else slice(None))
-    if single and sigmas.ndim == 0:
-        return FunctionalBreakdown(total=float(total[pick]), terms={k: float(v[pick]) for k, v in terms.items()})
-    return FunctionalBreakdown(total=total[pick], terms={k: v[pick] for k, v in terms.items()})
+    return FunctionalBreakdown(total=shaped(total), terms={k: shaped(v) for k, v in terms.items()})
 
 
 def conserved_combinations(b: FunctionalBreakdown) -> dict:
@@ -226,11 +237,6 @@ def conserved_combinations(b: FunctionalBreakdown) -> dict:
         "inv1": t["deriv1_sq"] + t["quartic"],
         "inv2": t["deriv2_sq"] + t["product_sq"] + t["sextic"],
     }
-
-
-def functional_M(v: SpectralField, sigma: float) -> float:
-    """||cosh(sigma D) v||_L2^2."""
-    return hsigma_norm(v, sigma, 0.0) ** 2
 
 
 def damping_A_norm(a: DampingProfile, sigma: float, K: int = 40) -> float:

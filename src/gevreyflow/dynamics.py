@@ -406,6 +406,18 @@ def _plan_steps(spec: EvolutionSpec) -> tuple[int, int, float]:
     return n_rec, n_steps, spec.t_end / n_steps
 
 
+def _step_error(peak: float, dt: float, guard: float, t: float) -> Exception:
+    """The blow-up or dt-guard error of the step at time t, with t as err.t."""
+    if not peak <= BLOWUP_LIMIT:
+        err = DivergenceError(f"blow-up abort at t = {t:.6g}: max|v| = {peak:.3e} exceeds {BLOWUP_LIMIT:.0e}")
+    else:
+        err = ConfigurationError(
+            f"dt = {dt:.6g} exceeds the advective guard 0.5*dx/(max|u|^2 + sup a + 1) = {guard:.6g} at t = {t:.6g}"
+        )
+    err.t = t
+    return err
+
+
 def integrate(spec: EvolutionSpec, init) -> Trajectory:
     """Run the flow from init: one SpectralField, or a pair for Coupled.
 
@@ -417,7 +429,7 @@ def integrate(spec: EvolutionSpec, init) -> Trajectory:
     every step, from the peak max|w| of the samples the first rhs
     evaluation makes: abort with DivergenceError once the peak passes 1e6,
     and raise ConfigurationError once dt exceeds the advective guard
-    0.5 dx / (peak^2 + sup a + 1).
+    0.5 dx / (peak^2 + sup a + 1).  Both errors carry that time as err.t.
 
     With E = exp(sym h/2) the step is
         K1 = N(V), K2 = N(E V + (h/2) E K1), K3 = N(E V + (h/2) K2),
@@ -473,16 +485,9 @@ def integrate(spec: EvolutionSpec, init) -> Trajectory:
         for _ in range(spec.record_every):
             _, v = rhs(V, K1)
             peak = float(np.abs(v).max())
-            if not peak <= BLOWUP_LIMIT:
-                raise DivergenceError(
-                    f"blow-up abort at t = {step * h:.6g}: max|v| = {peak:.3e} exceeds {BLOWUP_LIMIT:.0e}"
-                )
             guard = guard_num / (peak * peak + guard_den)
-            if dt > guard * (1.0 + 1e-12):
-                raise ConfigurationError(
-                    f"dt = {dt:.6g} exceeds the advective guard 0.5*dx/(max|u|^2 + sup a + 1) = {guard:.6g}"
-                    f" at t = {step * h:.6g}"
-                )
+            if not peak <= BLOWUP_LIMIT or dt > guard * (1.0 + 1e-12):
+                raise _step_error(peak, dt, guard, step * h)
             np.multiply(E, V, out=EV)
             np.multiply(hE_2, K1, out=X)
             X += EV

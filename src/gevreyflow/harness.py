@@ -28,7 +28,6 @@ from .analytics import (
     damping_A_norm,
     functional_A,
     functional_M,
-    hsigma_norm,
     lifespan_T0,
     mass_rate,
     radius_estimate,
@@ -43,7 +42,7 @@ from .dynamics import (
     make_damping,
     soliton,
 )
-from .errors import ConfigurationError, FitError, UnderresolvedError
+from .errors import ConfigurationError, DivergenceError, FitError, UnderresolvedError
 from .inequalities import (
     certified_constant,
     cosh_minus_one_margin,
@@ -396,9 +395,7 @@ def run_conservation(cfg: ScenarioConfig) -> ExperimentReport:
     max_drift = max(max(drifts["drift_" + n]) for n in names)
 
     tol = cfg.tolerances.conservation
-    verdicts = {
-        "conservation": _margin_verdict(tol - max_drift, tol)
-    }
+    verdicts = {"conservation": _margin_verdict(tol - max_drift, tol)}
     fits = {"drift": {"max_relative": float(max_drift)}}
     series = {"invariants": invariants, "drift": drifts}
     return _finish(cfg, "conservation", series, fits, verdicts, t0)
@@ -501,7 +498,7 @@ def run_damping_decay(cfg: ScenarioConfig) -> ExperimentReport:
     traj = integrate(cfg.evolution(grid), cfg.initial_state(grid))
 
     times = [float(t) for t in traj.times]
-    mass = [functional_M(s, 0.0) for s in traj.states]
+    mass = functional_M(traj.states, 0.0).tolist()
     envelope = [math.exp(-2.0 * lam * t) * mass[0] for t in times]
 
     tol = cfg.tolerances
@@ -524,7 +521,8 @@ def run_damping_decay(cfg: ScenarioConfig) -> ExperimentReport:
             EvolutionSpec(equation=eq, dt=cfg.dt, t_end=2.0 * cfg.dt, record_every=1, nonlinear=cfg.nonlinear),
             traj.states[i],
         )
-        fd = (functional_M(mini.states[2], 0.0) - functional_M(mini.states[0], 0.0)) / (2.0 * mini.step_size)
+        m_before, _, m_after = functional_M(mini.states, 0.0)
+        fd = (m_after - m_before) / (2.0 * mini.step_size)
         rate = mass_rate(mini.states[1], a)
         residuals.append(abs(fd - rate) / max(abs(rate), _TINY))
     worst = max(residuals)
@@ -554,20 +552,12 @@ def _window_cadence(cfg: ScenarioConfig, T0: float) -> int:
     return max(1, math.ceil(steps / cfg.window_records))
 
 
-def _fields(state) -> tuple:
-    """The component fields of a flow state: one field, or the coupled pair."""
-    return state if isinstance(state, tuple) else (state,)
-
-
-def _mass_at(state, sigma: float) -> float:
-    """Sum of functional_M over the components: M_sigma for one field, and
-    N_sigma = M_sigma(w1) + M_sigma(w2) for the coupled pair."""
-    return sum(functional_M(w, sigma) for w in _fields(state))
-
-
-def _half_norm_at(state, sigma: float) -> float:
-    """Largest G^{sigma/2} norm over the components."""
-    return max(hsigma_norm(w, sigma / 2.0, 0.0) for w in _fields(state))
+def _component_masses(states, sigma) -> np.ndarray:
+    """functional_M of each component (one field, or the coupled pair) of
+    each state, shaped (C, R) + shape(sigma).  The mass is the sum over C,
+    and a component's G^sigma norm the square root of its entry."""
+    parts = tuple(zip(*states)) if isinstance(states[0], tuple) else (states,)
+    return np.array([functional_M(part, sigma) for part in parts])
 
 
 def _iterate_windows(cfg: ScenarioConfig, scenario: str, family: str) -> ExperimentReport:
@@ -590,8 +580,7 @@ def _iterate_windows(cfg: ScenarioConfig, scenario: str, family: str) -> Experim
     tol = cfg.tolerances
     a_norm0 = max(damping_A_norm(d, cfg.sigma0) for d in eq.dampings)
 
-    m0_sigma0 = _mass_at(state, cfg.sigma0)
-    l2_sq = _mass_at(state, 0.0)
+    l2_sq, m0_sigma0 = _component_masses([state], [0.0, cfg.sigma0]).sum(axis=0)[0].tolist()
     T0 = lifespan_T0(a_norm0, m0_sigma0, cfg.c0, cfg.d)
     if T0 < cfg.dt:
         raise ConfigurationError(
@@ -603,6 +592,12 @@ def _iterate_windows(cfg: ScenarioConfig, scenario: str, family: str) -> Experim
     # every window, the calibration window included, integrates this spec
     window_spec = EvolutionSpec(equation=eq, dt=cfg.dt, t_end=T0, record_every=cadence, nonlinear=cfg.nonlinear)
 
+    def run_window(k: int, start):  # a blow-up or dt-guard error names k and the global time
+        try:
+            return integrate(window_spec, start)
+        except (DivergenceError, ConfigurationError) as err:
+            raise type(err)(f"window {k}, global t = {k * T0 + getattr(err, 't', 0.0):.6g}: {err}") from err
+
     # C1 policy: fixed value, or one calibration window at sigma0 times the
     # safety factor; nonpositive calibration drift falls back to the 1e-6
     # floor (decay beat the envelope, so any positive constant is consistent)
@@ -612,8 +607,8 @@ def _iterate_windows(cfg: ScenarioConfig, scenario: str, family: str) -> Experim
         C1 = cfg.c1_value
         calibration["floored"] = 0.0
     else:
-        cal = integrate(window_spec, state)
-        resid = _mass_at(cal.final, cfg.sigma0) - math.exp(-2.0 * lam * T0) * m0_sigma0
+        cal = run_window(0, state)
+        resid = float(_component_masses([cal.final], cfg.sigma0).sum()) - math.exp(-2.0 * lam * T0) * m0_sigma0
         denom = (cfg.sigma0**cfg.theta * m0_sigma0 + cfg.sigma0 * a_norm0) * m0_sigma0
         chat = resid / denom if denom > 0 else 0.0
         C1 = cfg.c1_safety * max(chat, 1e-6)
@@ -639,20 +634,21 @@ def _iterate_windows(cfg: ScenarioConfig, scenario: str, family: str) -> Experim
     chat_env = math.sqrt(math.sqrt(l2_sq) * math.sqrt(m0_sigma0))
     efold = math.exp(-2.0 * lam * T0)
 
-    boundary = [_mass_at(state, sigma)]
+    boundary = [float(_component_masses([state], sigma).sum())]
     residuals, bounds = [], []
     decay_t, decay_norm, decay_env = [], [], []
     for k in range(cfg.k_max):
         # window 0 starts from the state the calibration window started from
-        win = cal if k == 0 and cal is not None else integrate(window_spec, state)
+        win = cal if k == 0 and cal is not None else run_window(k, state)
         start = 0 if k == 0 else 1  # window k's first record repeats k-1's last
-        for i in range(start, len(win.states)):
-            t_glob = k * T0 + float(win.times[i])
-            decay_t.append(t_glob)
-            decay_norm.append(float(_half_norm_at(win.states[i], sigma)))
-            decay_env.append(chat_env * math.exp(-lam * t_glob / 2.0))
+        # masses at sigma/2 (the decay norms) and at sigma (the window end)
+        masses = _component_masses(win.states[start:], [sigma / 2.0, sigma])
+        decay_norm.extend(np.sqrt(masses[:, :, 0].max(axis=0)).tolist())
+        t_win = [k * T0 + float(t) for t in win.times[start:]]
+        decay_t += t_win
+        decay_env += [chat_env * math.exp(-lam * t / 2.0) for t in t_win]
         m_start = boundary[-1]
-        m_end = _mass_at(win.final, sigma)
+        m_end = float(masses[:, -1, 1].sum())
         boundary.append(m_end)
         residuals.append(m_end - efold * m_start)
         bounds.append(C1 * (sigma**cfg.theta * m_start + sigma * a_norm_sigma) * m_start)

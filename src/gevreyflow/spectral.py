@@ -243,13 +243,6 @@ def apply_weight(spectrum: np.ndarray, weight: tuple, out: np.ndarray | None = N
     return out
 
 
-def weight_spectrum(spectrum: np.ndarray, grid: Grid, sigma: float) -> np.ndarray:
-    """A half spectrum, or a stack of them on leading axes, times the weight
-    cosh(sigma*xi), sigma >= 0: np.cosh for sigma*xi_max <= 30, log space
-    beyond (see cosh_weight and apply_weight)."""
-    return apply_weight(spectrum, cosh_weight(grid, sigma))
-
-
 def dealias(fld: SpectralField) -> SpectralField:
     """Zero all modes with k > N/4 (the 1/2 rule: the only cubic product
     of the retained band that aliases back into it is the (K, K, K)

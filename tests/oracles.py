@@ -4,9 +4,10 @@ Nothing in the package uses these.  Each one reaches a quantity the package
 computes by another path: the full FFT-ordered spectrum instead of the
 stored half, the literal cosh quotient instead of the tanh identity, an
 exact propagator and exact derivative symbols instead of the RK4 loop, the
-product-rule cubic term instead of the conservative one, and the
-chain-rule drift of functional_A instead of its finite differences along
-a trajectory.
+product-rule cubic term instead of the conservative one, the log-space
+weighted norm instead of the power-of-two scaled one, and the chain-rule
+drift of functional_A instead of its finite differences along a
+trajectory.
 
 The weighted theory lives here too.  The cosh-weighted field
 V = cosh(sigma D) v obeys the flow forced by the commutator errors
@@ -18,13 +19,14 @@ F (cubic) and G (damping), so
 the sigma = 0 case, where F and G vanish: analytics.mass_rate.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from gevreyflow.analytics import FunctionalBreakdown, _refined_derivs
 from gevreyflow.errors import ConfigurationError, OverflowGuardError
-from gevreyflow.spectral import log_cosh, make_grid, pad_spectrum, synthesize, weight_spectrum
+from gevreyflow.spectral import apply_weight, cosh_weight, log_cosh, make_grid, pad_spectrum, synthesize
 
 
 def full_k(N):
@@ -137,9 +139,32 @@ def product_rule_rhs(eq, grid, V):
 # ---------------------------------------------------------------------------
 
 
+def weight_spectrum(spectrum, grid, sigma):
+    """A half spectrum, or a stack of them on leading axes, times the weight
+    cosh(sigma*xi), sigma >= 0: np.cosh for sigma*xi_max <= 30, log space
+    beyond (see spectral.cosh_weight and spectral.apply_weight)."""
+    return apply_weight(spectrum, cosh_weight(grid, sigma))
+
+
 def cosh_weighted(fld, sigma):
-    """The field weighted by cosh(sigma D), through spectral.weight_spectrum."""
+    """The field weighted by cosh(sigma D), through weight_spectrum."""
     return synthesize(weight_spectrum(fld.spectrum, fld.grid, sigma), fld.grid)
+
+
+def log_space_norm(fld, sigma, s):
+    """The norm analytics.hsigma_norm computes, with every weight in log
+    space: z_k = s log(1+xi_k) + log cosh(sigma xi_k) + log|F_k| over the
+    coefficients above 1e-13 of the largest, summed as exp(2(z_k - max z)),
+    so nothing overflows before the final exp."""
+    g = fld.grid
+    amps = np.abs(fld.spectrum)
+    if not amps.any():
+        return 0.0
+    pos = amps >= 1e-13 * amps.max()
+    z = s * np.log1p(g.xi[pos]) + log_cosh(sigma * g.xi[pos]) + np.log(amps[pos])
+    top = float(z.max())
+    total = float((g.multiplicity[pos] * np.exp(2.0 * (z - top))).sum())
+    return math.exp(top + 0.5 * math.log(g.L * total))
 
 
 def sech_weighted(fld, sigma):

@@ -15,7 +15,7 @@ from importlib import resources
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import energy_rate_A, full_k, full_spectrum, mass_rate_M, operator_F, operator_G
+from oracles import energy_rate_A, full_k, full_spectrum, log_space_norm, mass_rate_M, operator_F, operator_G
 
 from gevreyflow.analytics import (
     FunctionalBreakdown,
@@ -77,6 +77,18 @@ def weighted_full_spectrum(u, sigma):
     return F * np.cosh(sigma * xi), xi
 
 
+def wide_field():
+    """Every coefficient above the noise floor, F_k = exp(-0.2 xi_k) on
+    L = 2 pi, N = 256: at sigma = 5.6 the top weights cosh(sigma xi)
+    overflow a double, and the norm is about 1.2e298."""
+    g = make_grid(2.0 * np.pi, 256)
+    F = np.zeros(g.N // 2 + 1, dtype=complex)
+    F[0] = 1.0
+    for k in range(1, g.N // 2):
+        F[k] = math.exp(-0.2 * g.xi[k])  # F_127 = exp(-25.4) = 9.3e-12 of F_0
+    return synthesize(F, g)
+
+
 def mixed_field(seed):
     """A dealiased field with every band mode populated, on L=64, N=256."""
     g = make_grid(64.0, 256)
@@ -106,13 +118,8 @@ class TestWeightedNorms:
         # every coefficient above the noise floor, and the top ones weighted
         # by a cosh(sigma xi) that alone overflows a double: the norm
         # (about 1e298) is still finite
-        g = make_grid(2.0 * np.pi, 256)
-        F = np.zeros(g.N // 2 + 1, dtype=complex)
-        F[0] = 1.0
-        decay = 0.2  # F_127 = exp(-25.4) = 9.3e-12 of F_0
-        for k in range(1, g.N // 2):
-            F[k] = math.exp(-decay * g.xi[k])
-        f = synthesize(F, g)
+        f = wide_field()
+        g, decay = f.grid, 0.2
         sig = 5.6  # sigma * xi_127 = 711, direct cosh overflows
         val = hsigma_norm(f, sig, 0.0)
         # cosh ~ e^r/2, so the oracle's terms are 2 e^{2r}/4 |F_k|^2, summed
@@ -130,9 +137,68 @@ class TestWeightedNorms:
             ref = math.sqrt(u.grid.L * float(np.sum((1.0 + np.abs(xi)) ** (2 * s) * np.abs(U) ** 2)))
             assert abs(hsigma_norm(u, sigma, s) - ref) <= 1e-13 * ref
 
+    @pytest.mark.parametrize(
+        "name, sigma",
+        [("wide", 5.6), ("wide", 5.0), ("soliton", 1.25), ("soliton", 3.0), ("mixed", 3.0), ("mixed", 10.0)],
+    )
+    def test_matches_log_space_route(self, soliton_field, name, sigma):
+        # sigma * xi_max > 30 everywhere here, so the weights take the log
+        # branch; on the wide field at 5.6 the top ones lie beyond exp(700)
+        u = {"wide": wide_field(), "soliton": soliton_field, "mixed": mixed_field(7)}[name]
+        assert sigma * u.grid.xi_max > 30.0
+        for s in (0.0, 1.5, -0.5):
+            ref = log_space_norm(u, sigma, s)
+            assert abs(hsigma_norm(u, sigma, s) - ref) <= 1e-13 * ref, s
+
     def test_overflow_guard(self, soliton_field):
         with pytest.raises(OverflowGuardError):
             hsigma_norm(soliton_field, 200.0, 0.0)
+
+    def test_mass_out_of_range_raises(self):
+        # the norm (1.2e298) fits in a double, its square does not
+        f = wide_field()
+        assert math.isfinite(hsigma_norm(f, 5.6, 0.0))
+        with pytest.raises(OverflowGuardError):
+            functional_M(f, 5.6)
+        with pytest.raises(OverflowGuardError):
+            functional_M([f, f], np.array([0.1, 5.6]))
+
+    def test_trajectory_rows_match_single_calls(self, soliton_field):
+        # magnitudes far apart: each row has its own noise floor and scale
+        fields = [synthesize(soliton_field.spectrum * c, soliton_field.grid) for c in (1.0, 1e-30, 1e30)]
+        sigmas = np.array([0.0, 0.3, 1.25])
+        M = functional_M(fields, sigmas)
+        norms = hsigma_norm(fields, sigmas, 0.0)
+        assert M.shape == norms.shape == (3, 3)
+        assert functional_M(fields, 0.3).shape == hsigma_norm(fields, 0.3, 1.0).shape == (3,)
+        assert functional_M(soliton_field, sigmas).shape == hsigma_norm(soliton_field, sigmas, 1.0).shape == (3,)
+        assert isinstance(functional_M(soliton_field, 0.3), float)
+        assert isinstance(hsigma_norm(soliton_field, 0.3, 1.0), float)
+        # M_sigma is functional_A's l2_sq term, and the norm its square root,
+        # bit for bit: the power-of-two scaling is exact
+        assert M.tobytes() == functional_A(fields, sigmas, 1).terms["l2_sq"].tobytes()
+        assert norms.tobytes() == np.sqrt(M).tobytes()
+        bracketed = hsigma_norm(fields, sigmas, 1.5)
+        for r, u in enumerate(fields):
+            for p, sigma in enumerate(sigmas):
+                assert functional_M(u, sigma) == M[r, p]
+                assert hsigma_norm(u, sigma, 0.0) == norms[r, p]
+                assert hsigma_norm(u, sigma, 1.5) == bracketed[r, p]
+
+    @pytest.mark.parametrize(
+        "sigma, count",
+        [(-0.1, 2), (np.array([0.1, -0.1]), 2), (np.zeros((2, 2)), 2), (np.array([]), 2), (0.1, 0)],
+        ids=["negative", "negative-in-array", "2-D", "no-sigma", "empty"],
+    )
+    def test_validation(self, soliton_field, sigma, count):
+        for norm in (lambda u: hsigma_norm(u, sigma, 0.0), lambda u: functional_M(u, sigma)):
+            with pytest.raises(ConfigurationError):
+                norm([soliton_field] * count)
+
+    def test_states_must_share_a_grid(self, soliton_field):
+        other = analyze(np.zeros(256), make_grid(64.0, 256))
+        with pytest.raises(ConfigurationError, match="one grid"):
+            hsigma_norm([soliton_field, other], 0.1, 0.0)
 
     def test_negative_sigma_rejected(self, soliton_field):
         with pytest.raises(ConfigurationError):
@@ -252,7 +318,7 @@ class TestEnergyFunctional:
         mu=st.sampled_from([-1, 1]),
     )
     def test_sigma_vector_matches_scalar_calls(self, soliton_field, sigmas, mu):
-        # 1.25 * xi_max = 31.4 > 30 takes weight_spectrum's log branch
+        # 1.25 * xi_max = 31.4 > 30 takes cosh_weight's log branch
         b = functional_A(soliton_field, np.array(sigmas), mu)
         assert b.total.shape == (len(sigmas),)
         for i, sigma in enumerate(sigmas):

@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 
 from gevreyflow import content_hash, harness, report_payload
-from gevreyflow.analytics import functional_A
+from gevreyflow.analytics import functional_A, functional_M
 from gevreyflow.config import parse_config, parse_config_text
-from gevreyflow.errors import ConfigurationError, FitError, UnderresolvedError
+from gevreyflow.errors import ConfigurationError, DivergenceError, FitError, UnderresolvedError
 from gevreyflow.harness import (
     RUNNERS,
     SCENARIO_IDS,
@@ -25,6 +25,7 @@ from gevreyflow.harness import (
     run_conservation,
     run_sigma_scaling,
 )
+from gevreyflow.spectral import synthesize
 
 CONSERVE_SHORT = """scenario = conservation
 [equation]
@@ -218,6 +219,25 @@ def test_one_functional_call_per_trajectory(monkeypatch, text, series):
     assert calls == [len(report.series[series]["t"])]
 
 
+def test_masses_once_per_trajectory_or_window(monkeypatch):
+    calls = []
+
+    def counted(v, sigma):
+        calls.append((len(v), np.shape(sigma)))
+        return functional_M(v, sigma)
+
+    monkeypatch.setattr(harness, "functional_M", counted)
+    report = run_text(DAMPING_SHORT)
+    # the trajectory, then each rate probe's three states
+    n_probes = len(report.series["rate_residual"]["t"])
+    assert calls == [(len(report.series["mass_decay"]["t"]), ())] + [(3, ())] * n_probes
+    calls.clear()
+    run_text(ITERATION_SHORT)
+    # [0, sigma0] and sigma0 (T0, calibration), sigma (the first boundary),
+    # then [sigma/2, sigma] over each window's records
+    assert calls == [(1, (2,)), (1, ()), (1, ()), (9, (2,)), (8, (2,)), (8, (2,))]
+
+
 class TestConservation:
     def test_soliton_drift_tiny(self):
         report = run_text(CONSERVE_SHORT)
@@ -369,6 +389,27 @@ class TestGlobalIteration:
     def test_window_shorter_than_one_step_rejected(self):
         with pytest.raises(ConfigurationError, match=r"T0 = 1\.9\d*e-05 is shorter than one step dt = 0\.0002"):
             run_text(ITERATION_SHORT, ["run.c0=0.00025"])
+
+    @pytest.mark.parametrize(
+        "scale, error, message", [(100.0, ConfigurationError, "advective guard"), (1e7, DivergenceError, "blow-up")]
+    )
+    def test_error_in_a_later_window_names_it(self, monkeypatch, scale, error, message):
+        # the calibration window is window 0 and the second integrate call
+        # window 1; started from a scaled-up state, it fails at its first
+        # step, at global time T0
+        T0 = run_text(ITERATION_SHORT, ["run.k_max=0"]).fits["derived"]["T0"]
+        real, calls = harness.integrate, []
+
+        def tripped(spec, init):
+            calls.append(spec)
+            if len(calls) == 2:
+                init = synthesize(init.spectrum * scale, init.grid)
+            return real(spec, init)
+
+        monkeypatch.setattr(harness, "integrate", tripped)
+        with pytest.raises(error, match=rf"^window 1, global t = {T0:.6g}: .*{message}") as info:
+            run_text(ITERATION_SHORT)
+        assert type(info.value) is error and type(info.value.__cause__) is error
 
     def test_fixed_c1_skips_calibration(self):
         report = run_text(
