@@ -158,6 +158,7 @@ class FunctionalBreakdown:
     terms: dict
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def functional_A(
     u: SpectralField | Sequence[SpectralField], sigma: float | np.ndarray, mu: int
 ) -> FunctionalBreakdown:
@@ -172,7 +173,8 @@ def functional_A(
     floats, or arrays shaped (P,), (R,) or (R, P).  The derivative symbol
     and every scratch array are built once per call; then one batched
     irfft of shape (2, P, 2N) per state gives U and U_x on the 2x grid,
-    and every term is a row sum.
+    and every term is a row sum.  A term that leaves double range raises
+    OverflowGuardError.
     """
     if mu not in (-1, 1):
         raise ConfigurationError(f"mu must be +-1, got {mu}")
@@ -224,6 +226,9 @@ def functional_A(
         "sextic": (1.0 / 18.0) * (h * sums[5]),
     }
     total = sum(terms.values())
+    # an inf or nan term leaves the total inf or nan
+    if not np.all(np.isfinite(total)):
+        raise OverflowGuardError("functional_A exceeds double range")
     return FunctionalBreakdown(total=shaped(total), terms={k: shaped(v) for k, v in terms.items()})
 
 

@@ -21,9 +21,10 @@ from pathlib import Path
 
 from .config import parse_config, parse_config_text
 from .errors import GevreyError
-from .harness import RUNNERS, ExperimentReport
+from .harness import RUNNERS, SCENARIOS, ExperimentReport
 from .reporting import PlotStyle, write_plot, write_report
 
+# one command per scenario, in the order of harness.SCENARIOS
 _COMMANDS = {
     "conserve": "conservation",
     "sigma-scaling": "sigma-scaling",
@@ -33,7 +34,8 @@ _COMMANDS = {
     "coupled": "coupled",
     "inequalities": "inequalities",
 }
-_ALL_ORDER = ("conserve", "sigma-scaling", "damping", "iterate", "radius", "coupled")
+# the evolution scenarios: every one with an equation family
+_ALL_ORDER = tuple(c for c, s in _COMMANDS.items() if SCENARIOS[s][0] is not None)
 
 # keyed by series name, which is unique across scenarios
 _STATIC_STYLES = {

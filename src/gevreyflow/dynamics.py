@@ -10,18 +10,20 @@ For every odd m = 2j+1 the linear part reads dV_k/dt = i xi_k^m V_k in
 Fourier variables (the sign (-1)^(j+1) combines with i^m to give +i for all
 j), so one dispersive symbol covers all three systems, scaled per
 component by its dispersion ratio: (1,) for one component, (1, alpha) for
-the coupled pair.
+the coupled pair.  So one type, Equation(mu, m, alphas, dampings), states
+every flow: its only per-flow data are m, the ratios alphas and the damping
+profiles, none or one per component.
 
 Integration is classical RK4 in the integrating-factor frame: the stiff
 dispersive part is propagated exactly by the unimodular symbol
 exp(i xi^m t) and RK4 only sees the nonlinear + damping terms.
 
-Every flow is stepped as a stack of C components, C = 1 for MKdV and MKdVm
-and C = 2 for Coupled, through one rhs and one RK4 loop.  States live in
-the dealiased band |k| <= N/4 (the 1/2 rule; initial data is projected
-into it), and the loop holds only that band of the package's half
-spectrum: k = 0..N/4 of each real component, shape (C, N/4+1).  Each
-recorded state is the band padded with zeros to the half k = 0..N/2.
+Every flow is stepped as a stack of C = len(alphas) components, 1 or 2,
+through one rhs and one RK4 loop.  States live in the dealiased band
+|k| <= N/4 (the 1/2 rule; initial data is projected into it), and the
+loop holds only that band of the package's half spectrum: k = 0..N/4 of
+each real component, shape (C, N/4+1).  Each recorded state is the band
+padded with zeros to the half k = 0..N/2.
 
 nonlinear_term, the one implementation of the non-dispersive rhs, writes
 every cubic term in conservative form, (mu/3)(v^3)_x for one component and
@@ -193,85 +195,32 @@ def make_damping(form: str, lam: float, eps: float, grid: Grid, sigma0: float) -
 
 
 @dataclass(frozen=True)
-class MKdV:
-    """Undamped modified KdV; mu = +1 focusing, -1 defocusing."""
+class Equation:
+    """One flow: mu = +1 focusing, -1 defocusing; odd order m >= 3; one
+    dispersion ratio per component, (1,) or (1, alpha) with alpha in (0, 1);
+    no damping or one profile per component.  Equation(mu) is mKdV,
+    Equation(mu, m, dampings=(a,)) the damped flow (m = 3 only as a
+    cross-check), Equation(mu, alphas=(1.0, alpha), dampings=(a1, a2)) the
+    coupled pair."""
 
     mu: int
+    m: int = 3
+    alphas: tuple = (1.0,)
+    dampings: tuple = ()
 
     def __post_init__(self):
         if self.mu not in (-1, 1):
             raise ConfigurationError(f"mu must be +-1, got {self.mu}")
-
-    @property
-    def m(self) -> int:
-        return 3
-
-    @property
-    def alphas(self) -> tuple:
-        return (1.0,)
-
-    @property
-    def dampings(self) -> tuple:
-        return ()
-
-
-@dataclass(frozen=True)
-class MKdVm:
-    """Damped odd-order flow.  m >= 5 is the standard range; m = 3 is
-    accepted as a cross-check configuration (damped classical mKdV) and is
-    not used by any acceptance scenario."""
-
-    m: int
-    mu: int
-    damping: DampingProfile
-
-    def __post_init__(self):
         if self.m < 3 or self.m % 2 == 0:
             raise ConfigurationError(f"order must be odd and >= 3, got m={self.m}")
-        if self.mu not in (-1, 1):
-            raise ConfigurationError(f"mu must be +-1, got {self.mu}")
-
-    @property
-    def alphas(self) -> tuple:
-        return (1.0,)
-
-    @property
-    def dampings(self) -> tuple:
-        return (self.damping,)
-
-
-@dataclass(frozen=True)
-class Coupled:
-    """Two damped mKdV components with dispersion ratio alpha in (0, 1)."""
-
-    alpha: float
-    mu: int
-    damping1: DampingProfile
-    damping2: DampingProfile
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ConfigurationError(f"dispersion ratio must lie in (0, 1), got alpha={self.alpha}")
-        if self.mu not in (-1, 1):
-            raise ConfigurationError(f"mu must be +-1, got {self.mu}")
-
-    @property
-    def m(self) -> int:
-        return 3
-
-    @property
-    def alphas(self) -> tuple:
-        return (1.0, self.alpha)
-
-    @property
-    def dampings(self) -> tuple:
-        return (self.damping1, self.damping2)
-
-
-# every equation lists one dispersion ratio per component in alphas, so
-# len(alphas) is its component count C, and its damping profiles in
-# dampings: none for MKdV, one for MKdVm, one per component for Coupled
-Equation = MKdV | MKdVm | Coupled
+        if not 1 <= len(self.alphas) <= 2 or self.alphas[0] != 1.0:
+            raise ConfigurationError(f"dispersion ratios must be (1,) or (1, alpha), got {self.alphas}")
+        if len(self.alphas) == 2 and not 0.0 < self.alphas[1] < 1.0:
+            raise ConfigurationError(f"dispersion ratio must lie in (0, 1), got alpha={self.alphas[1]}")
+        if self.dampings and len(self.dampings) != len(self.alphas):
+            raise ConfigurationError(
+                f"need no damping or one profile per component ({len(self.alphas)}), got {len(self.dampings)}"
+            )
 
 
 @dataclass(frozen=True)
@@ -419,12 +368,13 @@ def _step_error(peak: float, dt: float, guard: float, t: float) -> Exception:
 
 
 def integrate(spec: EvolutionSpec, init) -> Trajectory:
-    """Run the flow from init: one SpectralField, or a pair for Coupled.
+    """Run the flow from init: one SpectralField, or a pair of them for a
+    two-component equation.
 
-    The components are stepped as one (C, N/4+1) stack, whose only
-    per-flow data are the dispersion ratios eq.alphas.  The initial state
+    The C = len(eq.alphas) components of the equation are stepped as one
+    (C, N/4+1) stack, every flow through the same loop.  The initial state
     is projected into the dealiased band, and the loop holds only the modes
-    k = 0..N/4; every recorded state (a field, or a pair for Coupled) is
+    k = 0..N/4; every recorded state (a field, or a pair for C = 2) is
     that band padded with zeros to the half spectrum.  At the start of
     every step, from the peak max|w| of the samples the first rhs
     evaluation makes: abort with DivergenceError once the peak passes 1e6,

@@ -1,7 +1,12 @@
 """Scenario runners: desk-scale experiments with pass/fail verdicts.
 
 Each runner takes a ScenarioConfig, integrates the configured flow, and
-returns an ExperimentReport of named series, fits, and verdicts.  Reports
+returns an ExperimentReport of named series, fits, and verdicts.  One
+table, SCENARIOS, maps each scenario id to its equation family (None for
+the inequality suite, which integrates nothing) and to its body, which
+returns (series, fits, verdicts).  One driver, _run, is every runner: it
+checks that the config is for its scenario and family, calls the body,
+and builds the report; RUNNERS binds it to each id.  Reports
 are deterministic functions of (config, seed): the integrator is fixed
 order, every reduction runs in a fixed sequential order, and wall-clock
 time is carried separately so content hashing can ignore it.  Runners are
@@ -18,7 +23,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 
 import numpy as np
@@ -34,10 +39,8 @@ from .analytics import (
     sigma_choice,
 )
 from .dynamics import (
-    Coupled,
+    Equation,
     EvolutionSpec,
-    MKdV,
-    MKdVm,
     integrate,
     make_damping,
     soliton,
@@ -52,16 +55,6 @@ from .inequalities import (
     sinh_margin,
 )
 from .spectral import Grid, SpectralField, analyze, dealias, make_grid
-
-SCENARIO_IDS = (
-    "conservation",
-    "sigma-scaling",
-    "damping",
-    "iteration",
-    "radius",
-    "coupled",
-    "inequalities",
-)
 
 _TINY = 1e-300  # relative-drift denominator floor; keeps 0/0 drifts at exactly 0
 
@@ -179,21 +172,15 @@ class ScenarioConfig:
     def grid(self) -> Grid:
         return make_grid(self.L, self.N)
 
-    def damping_profile(self, grid: Grid, second: bool = False):
-        c = self.damping2 if second else self.damping
-        return make_damping(c.form, c.floor, c.amplitude, grid, self.sigma0)
-
-    def equation(self, grid: Grid):
+    def equation(self, grid: Grid) -> Equation:
+        """The configured flow, with each damping profile built and certified."""
         if self.family == "mkdv":
-            return MKdV(mu=self.mu)
+            return Equation(self.mu)
+        components = (self.damping, self.damping2) if self.family == "coupled" else (self.damping,)
+        dampings = tuple(make_damping(c.form, c.floor, c.amplitude, grid, self.sigma0) for c in components)
         if self.family == "mkdvm":
-            return MKdVm(m=self.m, mu=self.mu, damping=self.damping_profile(grid))
-        return Coupled(
-            alpha=self.alpha,
-            mu=self.mu,
-            damping1=self.damping_profile(grid),
-            damping2=self.damping_profile(grid, second=True),
-        )
+            return Equation(self.mu, self.m, dampings=dampings)
+        return Equation(self.mu, alphas=(1.0, self.alpha), dampings=dampings)
 
     def evolution(self, grid: Grid, t_end: float | None = None, record_every: int | None = None) -> EvolutionSpec:
         return EvolutionSpec(
@@ -353,22 +340,14 @@ def _band_verdict(value: float, lo: float, hi: float) -> Verdict:
     return Verdict(passed=lo <= value <= hi, margin=float(margin), tolerance=0.5 * (hi - lo))
 
 
-def _finish(cfg: ScenarioConfig, scenario: str, series, fits, verdicts, t0: float) -> ExperimentReport:
-    return ExperimentReport(
-        scenario=scenario,
-        series=series,
-        fits=fits,
-        verdicts=verdicts,
-        config=cfg.as_sections(),
-        wall_clock=time.perf_counter() - t0,
-    )
-
-
-def _require(cfg: ScenarioConfig, scenario: str, family: str) -> None:
-    if cfg.scenario != scenario:
-        raise ConfigurationError(f"config is for scenario {cfg.scenario!r}, runner expects {scenario!r}")
-    if cfg.family != family:
-        raise ConfigurationError(f"scenario {scenario!r} needs equation family {family!r}, got {cfg.family!r}")
+def _integrate_from(spec: EvolutionSpec, init, where: str, t_start: float):
+    """integrate(spec, init) for a restart at global time t_start: a
+    blow-up or dt-guard error is re-raised as the same type, naming where
+    and the global time t_start + err.t."""
+    try:
+        return integrate(spec, init)
+    except (DivergenceError, ConfigurationError) as err:
+        raise type(err)(f"{where}, global t = {t_start + getattr(err, 't', 0.0):.6g}: {err}") from err
 
 
 # ---------------------------------------------------------------------------
@@ -376,10 +355,8 @@ def _require(cfg: ScenarioConfig, scenario: str, family: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def run_conservation(cfg: ScenarioConfig) -> ExperimentReport:
+def _conservation(cfg: ScenarioConfig):
     """Relative drift of the three exact invariants at sigma = 0."""
-    t0 = time.perf_counter()
-    _require(cfg, "conservation", "mkdv")
     grid = cfg.grid()
     traj = integrate(cfg.evolution(grid), cfg.initial_state(grid))
 
@@ -398,7 +375,7 @@ def run_conservation(cfg: ScenarioConfig) -> ExperimentReport:
     verdicts = {"conservation": _margin_verdict(tol - max_drift, tol)}
     fits = {"drift": {"max_relative": float(max_drift)}}
     series = {"invariants": invariants, "drift": drifts}
-    return _finish(cfg, "conservation", series, fits, verdicts, t0)
+    return series, fits, verdicts
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +383,7 @@ def run_conservation(cfg: ScenarioConfig) -> ExperimentReport:
 # ---------------------------------------------------------------------------
 
 
-def run_sigma_scaling(cfg: ScenarioConfig) -> ExperimentReport:
+def _sigma_scaling(cfg: ScenarioConfig):
     """Fit of log D(sigma) against log sigma on the defocusing flow.
 
     D(sigma) is the largest recorded increase of A_sigma over the window;
@@ -414,8 +391,6 @@ def run_sigma_scaling(cfg: ScenarioConfig) -> ExperimentReport:
     measurement floor (D <= 0) are excluded from the fit and flagged in the
     drift series' "included" column.
     """
-    t0 = time.perf_counter()
-    _require(cfg, "sigma-scaling", "mkdv")
     if cfg.mu != -1:
         raise ConfigurationError(f"sigma scaling needs the defocusing sign mu = -1, got {cfg.mu}")
     positive = [s for s in cfg.sigmas if s > 0]
@@ -479,7 +454,7 @@ def run_sigma_scaling(cfg: ScenarioConfig) -> ExperimentReport:
             "included": [1.0 if inc else 0.0 for _, _, _, inc in drift_rows],
         },
     }
-    return _finish(cfg, "sigma-scaling", series, fits, verdicts, t0)
+    return series, fits, verdicts
 
 
 # ---------------------------------------------------------------------------
@@ -487,15 +462,13 @@ def run_sigma_scaling(cfg: ScenarioConfig) -> ExperimentReport:
 # ---------------------------------------------------------------------------
 
 
-def run_damping_decay(cfg: ScenarioConfig) -> ExperimentReport:
+def _damping_decay(cfg: ScenarioConfig):
     """Pointwise decay envelope, rate identity, and (constant a) equality."""
-    t0 = time.perf_counter()
-    _require(cfg, "damping", "mkdvm")
     grid = cfg.grid()
-    eq = cfg.equation(grid)
-    a = eq.damping
+    spec = cfg.evolution(grid)
+    (a,) = spec.equation.dampings
     lam = cfg.damping.floor
-    traj = integrate(cfg.evolution(grid), cfg.initial_state(grid))
+    traj = integrate(spec, cfg.initial_state(grid))
 
     times = [float(t) for t in traj.times]
     mass = functional_M(traj.states, 0.0).tolist()
@@ -515,12 +488,10 @@ def run_damping_decay(cfg: ScenarioConfig) -> ExperimentReport:
     # case, where the commutator terms vanish) probed at up to 8 recorded
     # states via a 2-step centered difference restarted from each state
     probe_idx = sorted(set(np.linspace(0, len(traj.states) - 1, 8, dtype=int).tolist()))
+    probe = replace(spec, t_end=2.0 * spec.dt, record_every=1)
     residuals = []
     for i in probe_idx:
-        mini = integrate(
-            EvolutionSpec(equation=eq, dt=cfg.dt, t_end=2.0 * cfg.dt, record_every=1, nonlinear=cfg.nonlinear),
-            traj.states[i],
-        )
+        mini = _integrate_from(probe, traj.states[i], f"rate probe at record {i}", times[i])
         m_before, _, m_after = functional_M(mini.states, 0.0)
         fd = (m_after - m_before) / (2.0 * mini.step_size)
         rate = mass_rate(mini.states[1], a)
@@ -539,7 +510,7 @@ def run_damping_decay(cfg: ScenarioConfig) -> ExperimentReport:
         "decay": {"violations": float(violations), "worst_margin": float(min(env_margins))},
         "rate": {"max_relative_residual": float(worst)},
     }
-    return _finish(cfg, "damping", series, fits, verdicts, t0)
+    return series, fits, verdicts
 
 
 # ---------------------------------------------------------------------------
@@ -560,20 +531,19 @@ def _component_masses(states, sigma) -> np.ndarray:
     return np.array([functional_M(part, sigma) for part in parts])
 
 
-def _iterate_windows(cfg: ScenarioConfig, scenario: str, family: str) -> ExperimentReport:
+def _iterate_windows(cfg: ScenarioConfig):
     """Window-by-window almost-conservation of the sigma-mass with decay
-    envelope; RUNNERS binds it to ("iteration", "mkdvm") and to
-    ("coupled", "coupled").
+    envelope: the body of the iteration scenario (family mkdvm) and of the
+    coupled scenario (family coupled).
 
     The mass is M_sigma for the damped flow and its sum N_sigma over the
     components for the coupled pair, and the envelope rate lambda is the
     smallest damping floor.  Everything else (T0, C1 policy, sigma choice,
     window loop, verdicts) is the same for both.
     """
-    t0 = time.perf_counter()
-    _require(cfg, scenario, family)
     grid = cfg.grid()
-    eq = cfg.equation(grid)
+    spec = cfg.evolution(grid)
+    eq = spec.equation
     # band-limited, so every norm below sees the state the integrator evolves
     state = cfg.initial_state(grid)
     lam = min(d.floor for d in eq.dampings)
@@ -589,14 +559,9 @@ def _iterate_windows(cfg: ScenarioConfig, scenario: str, family: str) -> Experim
         )
     cadence = _window_cadence(cfg, T0)
 
-    # every window, the calibration window included, integrates this spec
-    window_spec = EvolutionSpec(equation=eq, dt=cfg.dt, t_end=T0, record_every=cadence, nonlinear=cfg.nonlinear)
-
-    def run_window(k: int, start):  # a blow-up or dt-guard error names k and the global time
-        try:
-            return integrate(window_spec, start)
-        except (DivergenceError, ConfigurationError) as err:
-            raise type(err)(f"window {k}, global t = {k * T0 + getattr(err, 't', 0.0):.6g}: {err}") from err
+    # every window, the calibration window included, integrates this spec;
+    # a blow-up or dt-guard error names the window k and the global time
+    window_spec = replace(spec, t_end=T0, record_every=cadence)
 
     # C1 policy: fixed value, or one calibration window at sigma0 times the
     # safety factor; nonpositive calibration drift falls back to the 1e-6
@@ -607,7 +572,7 @@ def _iterate_windows(cfg: ScenarioConfig, scenario: str, family: str) -> Experim
         C1 = cfg.c1_value
         calibration["floored"] = 0.0
     else:
-        cal = run_window(0, state)
+        cal = _integrate_from(window_spec, state, "window 0", 0.0)
         resid = float(_component_masses([cal.final], cfg.sigma0).sum()) - math.exp(-2.0 * lam * T0) * m0_sigma0
         denom = (cfg.sigma0**cfg.theta * m0_sigma0 + cfg.sigma0 * a_norm0) * m0_sigma0
         chat = resid / denom if denom > 0 else 0.0
@@ -628,7 +593,7 @@ def _iterate_windows(cfg: ScenarioConfig, scenario: str, family: str) -> Experim
         "calibration": calibration,
     }
     if cfg.k_max == 0:
-        return _finish(cfg, scenario, {}, fits, {}, t0)
+        return {}, fits, {}
 
     a_norm_sigma = max(damping_A_norm(d, sigma) for d in eq.dampings)
     chat_env = math.sqrt(math.sqrt(l2_sq) * math.sqrt(m0_sigma0))
@@ -639,7 +604,7 @@ def _iterate_windows(cfg: ScenarioConfig, scenario: str, family: str) -> Experim
     decay_t, decay_norm, decay_env = [], [], []
     for k in range(cfg.k_max):
         # window 0 starts from the state the calibration window started from
-        win = cal if k == 0 and cal is not None else run_window(k, state)
+        win = cal if k == 0 and cal is not None else _integrate_from(window_spec, state, f"window {k}", k * T0)
         start = 0 if k == 0 else 1  # window k's first record repeats k-1's last
         # masses at sigma/2 (the decay norms) and at sigma (the window end)
         masses = _component_masses(win.states[start:], [sigma / 2.0, sigma])
@@ -680,7 +645,7 @@ def _iterate_windows(cfg: ScenarioConfig, scenario: str, family: str) -> Experim
             "bound": [float(b) for b in bounds],
         },
     }
-    return _finish(cfg, scenario, series, fits, verdicts, t0)
+    return series, fits, verdicts
 
 
 # ---------------------------------------------------------------------------
@@ -688,7 +653,7 @@ def _iterate_windows(cfg: ScenarioConfig, scenario: str, family: str) -> Experim
 # ---------------------------------------------------------------------------
 
 
-def run_radius_tracking(cfg: ScenarioConfig) -> ExperimentReport:
+def _radius_tracking(cfg: ScenarioConfig):
     """Fitted strip width against the calibrated min{sigma0, c t^(-1/2)}.
 
     c is calibrated from the first recorded snapshot after t = 0 (the bound
@@ -696,8 +661,6 @@ def run_radius_tracking(cfg: ScenarioConfig) -> ExperimentReport:
     sharpness).  Soliton data additionally checks that the fitted radius
     stays within the radius_match tolerance of pi/(2k).
     """
-    t0 = time.perf_counter()
-    _require(cfg, "radius", "mkdv")
     grid = cfg.grid()
     sigma0_known = known_radius(cfg.data)
     traj = integrate(cfg.evolution(grid), cfg.initial_state(grid))
@@ -742,7 +705,7 @@ def run_radius_tracking(cfg: ScenarioConfig) -> ExperimentReport:
             "superexponential": float(sum(f.superexponential for f in fits_by_t)),
         },
     }
-    return _finish(cfg, "radius", series, fits, verdicts, t0)
+    return series, fits, verdicts
 
 
 # ---------------------------------------------------------------------------
@@ -755,7 +718,7 @@ def _violations(margins: np.ndarray, scale: np.ndarray, tol: float) -> tuple[int
     return int(np.sum(norm < -tol)), float(norm.min())
 
 
-def run_inequalities(cfg: ScenarioConfig) -> ExperimentReport:
+def _inequalities(cfg: ScenarioConfig):
     """Randomized margin sweep of the scalar bounds plus the certified
     triple-cosh lattice scan.
 
@@ -763,9 +726,6 @@ def run_inequalities(cfg: ScenarioConfig) -> ExperimentReport:
     argument expansions and the saturated regimes are exercised; all
     sampling is driven by the config seed.
     """
-    t0 = time.perf_counter()
-    if cfg.scenario != "inequalities":
-        raise ConfigurationError(f"config is for scenario {cfg.scenario!r}, runner expects 'inequalities'")
     rng = np.random.default_rng(cfg.seed)
     n = cfg.samples
     tol = cfg.tolerances.inequality
@@ -819,15 +779,37 @@ def run_inequalities(cfg: ScenarioConfig) -> ExperimentReport:
             "violations": float(scan["violations"]),
         },
     }
-    return _finish(cfg, "inequalities", {}, fits, verdicts, t0)
+    return {}, fits, verdicts
 
 
-RUNNERS = {
-    "conservation": run_conservation,
-    "sigma-scaling": run_sigma_scaling,
-    "damping": run_damping_decay,
-    "iteration": partial(_iterate_windows, scenario="iteration", family="mkdvm"),
-    "radius": run_radius_tracking,
-    "coupled": partial(_iterate_windows, scenario="coupled", family="coupled"),
-    "inequalities": run_inequalities,
+# ---------------------------------------------------------------------------
+# the scenario table and its one driver
+# ---------------------------------------------------------------------------
+
+# scenario id -> (equation family, or None for no flow; body)
+SCENARIOS = {
+    "conservation": ("mkdv", _conservation),
+    "sigma-scaling": ("mkdv", _sigma_scaling),
+    "damping": ("mkdvm", _damping_decay),
+    "iteration": ("mkdvm", _iterate_windows),
+    "radius": ("mkdv", _radius_tracking),
+    "coupled": ("coupled", _iterate_windows),
+    "inequalities": (None, _inequalities),
 }
+SCENARIO_IDS = tuple(SCENARIOS)
+
+
+def _run(scenario: str, cfg: ScenarioConfig) -> ExperimentReport:
+    """Run one scenario: check that cfg is for it and for its equation
+    family, call its body, and build the report, wall clock included."""
+    t0 = time.perf_counter()
+    family, body = SCENARIOS[scenario]
+    if cfg.scenario != scenario:
+        raise ConfigurationError(f"config is for scenario {cfg.scenario!r}, runner expects {scenario!r}")
+    if family is not None and cfg.family != family:
+        raise ConfigurationError(f"scenario {scenario!r} needs equation family {family!r}, got {cfg.family!r}")
+    series, fits, verdicts = body(cfg)
+    return ExperimentReport(scenario, series, fits, verdicts, cfg.as_sections(), time.perf_counter() - t0)
+
+
+RUNNERS = {scenario: partial(_run, scenario) for scenario in SCENARIO_IDS}

@@ -1,7 +1,8 @@
 """Exact-constant hyperbolic weight inequalities as margin functions.
 
 Four families, each a vectorized margin function (numpy in, numpy out)
-for bulk property sweeps; harness.run_inequalities counts the violations.
+for bulk property sweeps; the inequalities scenario of harness counts
+the violations.
 
 All margins are evaluated on cosh-normalized equivalents so that no side
 overflows for arguments up to 1e6 and beyond:

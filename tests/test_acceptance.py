@@ -17,7 +17,7 @@ from oracles import operator_F, operator_G
 
 from gevreyflow.analytics import s_index, theta_max
 from gevreyflow.config import parse_config_text
-from gevreyflow.dynamics import EvolutionSpec, MKdV, RaisedCosineDamping, integrate, soliton
+from gevreyflow.dynamics import Equation, EvolutionSpec, RaisedCosineDamping, integrate, soliton
 from gevreyflow.harness import RUNNERS
 from gevreyflow.spectral import analyze, make_grid
 
@@ -73,7 +73,7 @@ class TestAcceptance:
         def endpoint_error(dt):
             g = make_grid(64.0, 1024)
             u0, speed = soliton(1.0, 32.0, g)
-            spec = EvolutionSpec(MKdV(1), dt, 0.5, max(1, round(0.5 / dt)))
+            spec = EvolutionSpec(Equation(1), dt, 0.5, max(1, round(0.5 / dt)))
             out = integrate(spec, u0).final
             d = np.mod(g.x - 32.0 - speed * 0.5 + g.L / 2.0, g.L) - g.L / 2.0
             return float(np.abs(out.samples - math.sqrt(6.0) / np.cosh(d)).max())

@@ -9,6 +9,7 @@ exp (the implementation goes through expm1).
 """
 
 import math
+import warnings
 from fractions import Fraction
 from importlib import resources
 
@@ -35,9 +36,8 @@ from gevreyflow.analytics import (
 from gevreyflow.config import parse_config
 from gevreyflow.dynamics import (
     ConstantDamping,
+    Equation,
     EvolutionSpec,
-    MKdV,
-    MKdVm,
     RaisedCosineDamping,
     integrate,
     soliton,
@@ -261,6 +261,19 @@ class TestEnergyFunctional:
             b = functional_A(soliton_field, sig, 1)
             scale = sum(abs(v) for v in b.terms.values())
             assert abs(b.total - sum(b.terms.values())) <= 10 * EPS * scale
+
+    def test_overflow_guard(self, soliton_field):
+        # l2_sq (3.1e201) fits in a double, the quartic, product and sextic
+        # terms do not; they used to come back as -inf, -inf, +inf and a nan
+        # total with only RuntimeWarnings
+        big = synthesize(soliton_field.spectrum * 1e100, soliton_field.grid)
+        assert math.isfinite(functional_M(big, 1.25))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowGuardError, match="functional_A"):
+                functional_A(big, 1.25, 1)
+            with pytest.raises(OverflowGuardError):
+                functional_A([soliton_field, big], np.array([0.0, 1.25]), -1)
 
     def test_conserved_combinations(self, soliton_field):
         inv = conserved_combinations(functional_A(soliton_field, 0.0, 1))
@@ -562,7 +575,7 @@ class TestRateIdentities:
             g,
         )
         sig, mu = 0.25, 1
-        spec = EvolutionSpec(equation=MKdV(mu=mu), dt=1e-4, t_end=6e-4, record_every=1)
+        spec = EvolutionSpec(equation=Equation(mu=mu), dt=1e-4, t_end=6e-4, record_every=1)
         traj = integrate(spec, u0)
         A = [functional_A(s, sig, mu).total for s in traj.states]
         dt_rec = traj.times[1] - traj.times[0]
@@ -593,7 +606,7 @@ class TestRateIdentities:
     def test_mass_rate_matches_finite_difference(self, soliton_field):
         g = soliton_field.grid
         a = RaisedCosineDamping(floor=0.2, amplitude=0.15, length=64.0)
-        eq = MKdVm(m=3, mu=-1, damping=a)
+        eq = Equation(mu=-1, m=3, dampings=(a,))
         spec = EvolutionSpec(equation=eq, dt=1e-4, t_end=6e-4, record_every=1)
         traj = integrate(spec, soliton_field)
         sig = 0.25
@@ -614,7 +627,7 @@ class TestRateIdentities:
     def test_closed_form_rate_equals_weighted_rate_at_sigma_zero(self, soliton_field, a):
         # the package's rate is the oracle's sigma = 0 rate bit for bit,
         # commutator terms and all, on every state of a damped run
-        eq = MKdVm(m=5, mu=-1, damping=a)
+        eq = Equation(mu=-1, m=5, dampings=(a,))
         traj = integrate(EvolutionSpec(equation=eq, dt=1e-4, t_end=6e-4, record_every=2), soliton_field)
         for state in traj.states:
             assert mass_rate(state, a) == mass_rate_M(state, a, 0.0, -1)[0]

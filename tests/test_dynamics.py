@@ -19,10 +19,8 @@ from oracles import Deriv, LinearFlow, apply_symbol, product_rule_rhs, reflect
 from gevreyflow.dynamics import (
     BLOWUP_LIMIT,
     ConstantDamping,
-    Coupled,
+    Equation,
     EvolutionSpec,
-    MKdV,
-    MKdVm,
     RaisedCosineDamping,
     Trajectory,
     integrate,
@@ -135,28 +133,49 @@ class TestDampingProfiles:
 
 
 class TestEquationTypes:
+    """Equation states all three flows; it rejects what MKdV, MKdVm and
+    Coupled rejected, and the shapes their union ruled out by type."""
+
     def test_mu_validation(self):
-        with pytest.raises(ConfigurationError):
-            MKdV(mu=2)
-        with pytest.raises(ConfigurationError):
-            MKdVm(m=5, mu=0, damping=ConstantDamping(1.0))
+        a = ConstantDamping(1.0)
+        for bad in (2, 0, 3, -2):
+            for kwargs in ({}, {"m": 5, "dampings": (a,)}, {"alphas": (1.0, 0.5), "dampings": (a, a)}):
+                with pytest.raises(ConfigurationError, match="mu must be"):
+                    Equation(mu=bad, **kwargs)
 
     def test_mkdvm_order_validation(self):
         for bad in (1, 4, -3):
-            with pytest.raises(ConfigurationError):
-                MKdVm(m=bad, mu=1, damping=ConstantDamping(1.0))
+            with pytest.raises(ConfigurationError, match="order must be odd"):
+                Equation(mu=1, m=bad, dampings=(ConstantDamping(1.0),))
         # m = 3 is admitted as a cross-check configuration
-        assert MKdVm(m=3, mu=1, damping=ConstantDamping(1.0)).m == 3
-        assert MKdVm(m=7, mu=-1, damping=ConstantDamping(1.0)).m == 7
+        assert Equation(mu=1, m=3, dampings=(ConstantDamping(1.0),)).m == 3
+        assert Equation(mu=-1, m=7, dampings=(ConstantDamping(1.0),)).m == 7
 
     def test_coupled_alpha_validation(self):
         a = ConstantDamping(1.0)
         for bad in (0.0, 1.0, 1.5, -0.2):
-            with pytest.raises(ConfigurationError):
-                Coupled(alpha=bad, mu=1, damping1=a, damping2=a)
+            with pytest.raises(ConfigurationError, match=r"\(0, 1\)"):
+                Equation(mu=1, alphas=(1.0, bad), dampings=(a, a))
+
+    def test_dispersion_ratio_shape(self):
+        # the first ratio is 1, and there are one or two components
+        for bad in ((), (0.5,), (2.0, 0.5), (1.0, 0.5, 0.25)):
+            with pytest.raises(ConfigurationError, match="dispersion ratios must be"):
+                Equation(mu=1, alphas=bad)
+
+    def test_one_damping_per_component_or_none(self):
+        a = ConstantDamping(1.0)
+        for alphas, dampings in (((1.0,), (a, a)), ((1.0, 0.5), (a,)), ((1.0, 0.5), (a, a, a))):
+            with pytest.raises(ConfigurationError, match="one profile per component"):
+                Equation(mu=1, alphas=alphas, dampings=dampings)
+        assert Equation(mu=1, alphas=(1.0, 0.5)).dampings == ()
+
+    def test_defaults_are_mkdv(self):
+        eq = Equation(mu=-1)
+        assert (eq.m, eq.alphas, eq.dampings) == (3, (1.0,), ())
 
     def test_spec_validation(self):
-        eq = MKdV(mu=1)
+        eq = Equation(mu=1)
         with pytest.raises(ConfigurationError):
             EvolutionSpec(equation=eq, dt=0.0, t_end=1.0, record_every=1)
         with pytest.raises(ConfigurationError):
@@ -169,11 +188,11 @@ class TestRhs:
     def test_zero_field_maps_to_zero(self):
         g = make_grid(2.0 * np.pi, 64)
         z = analyze(np.zeros(g.N), g)
-        (out,) = rhs(MKdV(mu=1), z)
+        (out,) = rhs(Equation(mu=1), z)
         assert np.all(out.samples == 0.0)
-        (out,) = rhs(MKdVm(m=5, mu=-1, damping=ConstantDamping(1.0)), z)
+        (out,) = rhs(Equation(mu=-1, m=5, dampings=(ConstantDamping(1.0),)), z)
         assert np.all(out.samples == 0.0)
-        eq = Coupled(alpha=0.5, mu=1, damping1=ConstantDamping(1.0), damping2=ConstantDamping(2.0))
+        eq = Equation(mu=1, alphas=(1.0, 0.5), dampings=(ConstantDamping(1.0), ConstantDamping(2.0)))
         r1, r2 = rhs(eq, z, z)
         assert np.all(r1.samples == 0.0) and np.all(r2.samples == 0.0)
 
@@ -182,7 +201,7 @@ class TestRhs:
         # Transform crumbs get amplified by xi_cut^3 = 16^3, hence the tolerance.
         g = make_grid(2.0 * np.pi, 64)
         u = dealias(analyze(np.cos(g.x), g))
-        (out,) = rhs(MKdV(mu=1), u)
+        (out,) = rhs(Equation(mu=1), u)
         assert np.abs(out.samples + np.sin(g.x) ** 3).max() < 1e-11
 
     def test_fifth_order_single_mode(self):
@@ -192,7 +211,7 @@ class TestRhs:
         xi0 = 2.0
         v = dealias(analyze(np.cos(xi0 * g.x), g))
         lam = 0.4
-        (out,) = rhs(MKdVm(m=5, mu=1, damping=ConstantDamping(lam)), v)
+        (out,) = rhs(Equation(mu=1, m=5, dampings=(ConstantDamping(lam),)), v)
         expect = (
             -(xi0**5) * np.sin(xi0 * g.x)
             + xi0 * np.cos(xi0 * g.x) ** 2 * np.sin(xi0 * g.x)
@@ -204,8 +223,8 @@ class TestRhs:
         g = make_grid(64.0, 256)
         v = dealias(analyze(0.8 * np.cos(2 * np.pi * 5 * g.x / g.L), g))
         lam = 0.6
-        (with_damp,) = rhs(MKdVm(m=3, mu=1, damping=ConstantDamping(lam)), v)
-        (undamped,) = rhs(MKdV(mu=1), v)
+        (with_damp,) = rhs(Equation(mu=1, m=3, dampings=(ConstantDamping(lam),)), v)
+        (undamped,) = rhs(Equation(mu=1), v)
         diff = with_damp.samples - (undamped.samples - lam * v.samples)
         assert np.abs(diff).max() < 1e-13
 
@@ -215,7 +234,7 @@ class TestRhs:
         w1 = dealias(analyze(np.cos(2 * np.pi * 4 * g.x / g.L), g))
         z = analyze(np.zeros(g.N), g)
         lam = 0.3
-        eq = Coupled(alpha=0.5, mu=1, damping1=ConstantDamping(lam), damping2=ConstantDamping(1.0))
+        eq = Equation(mu=1, alphas=(1.0, 0.5), dampings=(ConstantDamping(lam), ConstantDamping(1.0)))
         r1, r2 = rhs(eq, w1, z)
         airy = apply_symbol(w1, Deriv(3))
         assert np.abs(r1.samples - (-airy.samples - lam * w1.samples)).max() < 1e-12
@@ -226,7 +245,7 @@ class TestRhs:
         a = ConstantDamping(1.0)
         w1 = analyze(np.cos(2 * np.pi * g1.x / g1.L), g1)
         w2 = analyze(np.cos(2 * np.pi * g2.x / g2.L), g2)
-        spec = EvolutionSpec(equation=Coupled(alpha=0.5, mu=1, damping1=a, damping2=a),
+        spec = EvolutionSpec(equation=Equation(mu=1, alphas=(1.0, 0.5), dampings=(a, a)),
                              dt=1e-3, t_end=1e-3, record_every=1)
         with pytest.raises(ConfigurationError, match="grid"):
             integrate(spec, (w1, w2))
@@ -236,10 +255,10 @@ class TestRhs:
         g = make_grid(64.0, 64)
         spectrum = np.zeros(g.N // 2 + 1, dtype=complex)
         spectrum[3] = np.nan
-        _, v = nonlinear_term(MKdV(mu=1), g)(spectrum[None, : g.N // 4 + 1])
+        _, v = nonlinear_term(Equation(mu=1), g)(spectrum[None, : g.N // 4 + 1])
         assert not np.all(np.isfinite(v))
         fld = SpectralField(grid=g, spectrum=spectrum)
-        spec = EvolutionSpec(equation=MKdV(mu=1), dt=1e-3, t_end=1e-3, record_every=1)
+        spec = EvolutionSpec(equation=Equation(mu=1), dt=1e-3, t_end=1e-3, record_every=1)
         with pytest.raises(DivergenceError, match="blow-up abort at t = 0"):
             integrate(spec, fld)
 
@@ -248,7 +267,7 @@ class TestRhs:
         # layout (C, N/4+1) is accepted
         g = make_grid(64.0, 64)
         fld = analyze(np.cos(2 * np.pi * 3 * g.x / g.L), g)
-        rhs_fn = nonlinear_term(MKdV(mu=1), g)
+        rhs_fn = nonlinear_term(Equation(mu=1), g)
         with pytest.raises(ConfigurationError, match=r"\(1, 17\), got \(1, 33\)"):
             rhs_fn(fld.spectrum[None])
         with pytest.raises(ConfigurationError, match=r"got \(17,\)"):
@@ -257,11 +276,11 @@ class TestRhs:
     def test_rhs_validation(self):
         # the equation types carry the preconditions nonlinear_term relies on
         with pytest.raises(ConfigurationError):
-            MKdV(mu=3)
+            Equation(mu=3)
         with pytest.raises(ConfigurationError):
-            MKdVm(m=4, mu=1, damping=ConstantDamping(1.0))
+            Equation(mu=1, m=4, dampings=(ConstantDamping(1.0),))
         with pytest.raises(ConfigurationError):
-            Coupled(alpha=1.0, mu=1, damping1=ConstantDamping(1.0), damping2=ConstantDamping(1.0))
+            Equation(mu=1, alphas=(1.0, 1.0), dampings=(ConstantDamping(1.0), ConstantDamping(1.0)))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -276,9 +295,9 @@ class TestRhs:
         g = make_grid(64.0, N)
         a = RaisedCosineDamping(floor=0.5, amplitude=0.25, length=64.0)
         eq = {
-            "mkdv": MKdV(mu=1),
-            "mkdvm": MKdVm(m=5, mu=-1, damping=a),
-            "coupled": Coupled(alpha=0.5, mu=1, damping1=a, damping2=ConstantDamping(1.0)),
+            "mkdv": Equation(mu=1),
+            "mkdvm": Equation(mu=-1, m=5, dampings=(a,)),
+            "coupled": Equation(mu=1, alphas=(1.0, 0.5), dampings=(a, ConstantDamping(1.0))),
         }[family]
         rng = np.random.default_rng(seed)
         shape = (len(eq.alphas), N // 4 + 1)
@@ -290,9 +309,9 @@ class TestRhs:
 
 
 SINGLE_FLOWS = {
-    "mkdv+": MKdV(mu=1),
-    "mkdv-": MKdV(mu=-1),
-    "mkdvm": MKdVm(m=5, mu=-1, damping=RaisedCosineDamping(floor=0.5, amplitude=0.25, length=64.0)),
+    "mkdv+": Equation(mu=1),
+    "mkdv-": Equation(mu=-1),
+    "mkdvm": Equation(mu=-1, m=5, dampings=(RaisedCosineDamping(floor=0.5, amplitude=0.25, length=64.0),)),
 }
 
 
@@ -347,9 +366,9 @@ def three_flows(g):
     u = dealias(u)
     w2 = dealias(analyze(0.5 * np.cos(2.0 * np.pi * 3.0 * g.x / g.L), g))
     return [
-        (MKdV(mu=1), u),
-        (MKdVm(m=5, mu=-1, damping=a), u),
-        (Coupled(alpha=0.5, mu=1, damping1=a, damping2=ConstantDamping(1.0)), (u, w2)),
+        (Equation(mu=1), u),
+        (Equation(mu=-1, m=5, dampings=(a,)), u),
+        (Equation(mu=1, alphas=(1.0, 0.5), dampings=(a, ConstantDamping(1.0))), (u, w2)),
     ]
 
 
@@ -459,7 +478,7 @@ class TestSoliton:
         g = make_grid(96.0, 512)
         u, c = soliton(0.6, 48.0, g)
         up = dealias(u)
-        (out,) = rhs(MKdV(mu=1), up)
+        (out,) = rhs(Equation(mu=1), up)
         target = apply_symbol(up, Deriv(1))
         assert np.abs(out.samples + c * target.samples).max() < 1e-8
 
@@ -468,7 +487,7 @@ class TestIntegrate:
     def test_trajectory_layout(self):
         g = make_grid(64.0, 256)
         u0 = dealias(analyze(0.5 * np.cos(2 * np.pi * 3 * g.x / g.L), g))
-        spec = EvolutionSpec(equation=MKdV(mu=1), dt=1e-3, t_end=0.01, record_every=2)
+        spec = EvolutionSpec(equation=Equation(mu=1), dt=1e-3, t_end=0.01, record_every=2)
         traj = integrate(spec, u0)
         assert traj.times[0] == 0.0
         assert len(traj.times) == len(traj.states) == 6
@@ -482,7 +501,7 @@ class TestIntegrate:
         # mode 100 sits outside the kept band |k| <= 64 and must vanish
         u0 = analyze(np.cos(2 * np.pi * 3 * g.x / g.L)
                      + np.cos(2 * np.pi * 100 * g.x / g.L), g)
-        spec = EvolutionSpec(equation=MKdV(mu=1), dt=1e-3, t_end=1e-3, record_every=1)
+        spec = EvolutionSpec(equation=Equation(mu=1), dt=1e-3, t_end=1e-3, record_every=1)
         traj = integrate(spec, u0)
         rec0 = traj.states[0]
         assert np.array_equal(rec0.spectrum, dealias(u0).spectrum)
@@ -495,7 +514,7 @@ class TestIntegrate:
         g = make_grid(64.0, 512)
         u0 = dealias(analyze(0.8 * np.cos(2 * np.pi * 5 * g.x / g.L)
                              + 0.3 * np.sin(2 * np.pi * 11 * g.x / g.L), g))
-        spec = EvolutionSpec(equation=MKdV(mu=1), dt=1e-3, t_end=5e-3,
+        spec = EvolutionSpec(equation=Equation(mu=1), dt=1e-3, t_end=5e-3,
                              record_every=5, nonlinear=False)
         traj = integrate(spec, u0)
         f0, f1 = np.abs(u0.spectrum), np.abs(traj.final.spectrum)
@@ -506,7 +525,7 @@ class TestIntegrate:
         g = make_grid(64.0, 512)
         u0 = dealias(analyze(np.cos(2 * np.pi * 7 * g.x / g.L), g))
         steps = 500
-        spec = EvolutionSpec(equation=MKdV(mu=1), dt=1e-3, t_end=0.5,
+        spec = EvolutionSpec(equation=Equation(mu=1), dt=1e-3, t_end=0.5,
                              record_every=steps, nonlinear=False)
         traj = integrate(spec, u0)
         f0, f1 = np.abs(u0.spectrum), np.abs(traj.final.spectrum)
@@ -518,7 +537,7 @@ class TestIntegrate:
         u0 = dealias(analyze(0.8 * np.cos(2 * np.pi * 5 * g.x / g.L)
                              + 0.3 * np.sin(2 * np.pi * 11 * g.x / g.L), g))
         t_end = 0.05
-        spec = EvolutionSpec(equation=MKdV(mu=1), dt=1e-3, t_end=t_end,
+        spec = EvolutionSpec(equation=Equation(mu=1), dt=1e-3, t_end=t_end,
                              record_every=end_record(1e-3, t_end), nonlinear=False)
         traj = integrate(spec, u0)
         exact = apply_symbol(u0, LinearFlow(3, 1, 1.0, t_end))
@@ -531,7 +550,7 @@ class TestIntegrate:
         v0 = dealias(analyze(0.8 * np.cos(2 * np.pi * 5 * g.x / g.L)
                              + 0.3 * np.sin(2 * np.pi * 11 * g.x / g.L), g))
         lam, t_end = 0.4, 1.0
-        eq = MKdVm(m=3, mu=1, damping=ConstantDamping(lam))
+        eq = Equation(mu=1, m=3, dampings=(ConstantDamping(lam),))
         spec = EvolutionSpec(equation=eq, dt=2e-4, t_end=t_end,
                              record_every=end_record(2e-4, t_end), nonlinear=False)
         traj = integrate(spec, v0)
@@ -541,7 +560,7 @@ class TestIntegrate:
         g = make_grid(64.0, 512)
         v0, _ = soliton(1.0, 32.0, g)
         t_end = 0.2
-        spec = EvolutionSpec(equation=MKdV(mu=1), dt=1e-4, t_end=t_end,
+        spec = EvolutionSpec(equation=Equation(mu=1), dt=1e-4, t_end=t_end,
                              record_every=end_record(1e-4, t_end))
         fwd = integrate(spec, v0)
         back = integrate(spec, reflect(fwd.final))
@@ -553,7 +572,7 @@ class TestIntegrate:
         g = make_grid(64.0, 512)
         v0, _ = soliton(1.0, 32.0, g)
         t_end = 0.5
-        spec = EvolutionSpec(equation=MKdV(mu=1), dt=2e-4, t_end=t_end,
+        spec = EvolutionSpec(equation=Equation(mu=1), dt=2e-4, t_end=t_end,
                              record_every=end_record(2e-4, t_end))
         traj = integrate(spec, v0)
         m0 = dealias(v0).spectrum[0].real
@@ -564,7 +583,7 @@ class TestIntegrate:
         g = make_grid(64.0, 512)
         v0, _ = soliton(1.0, 32.0, g)
         a = RaisedCosineDamping(floor=0.2, amplitude=0.15, length=64.0)
-        eq = MKdVm(m=3, mu=-1, damping=a)
+        eq = Equation(mu=-1, m=3, dampings=(a,))
         spec = EvolutionSpec(equation=eq, dt=1e-4, t_end=6e-4, record_every=1)
         traj = integrate(spec, v0)
         avals = a.values(g)
@@ -582,7 +601,7 @@ class TestIntegrate:
         g = make_grid(64.0, 512)
         u0, c = soliton(1.0, 32.0, g)
         t_end = 0.5
-        spec = EvolutionSpec(equation=MKdV(mu=1), dt=2e-4, t_end=t_end,
+        spec = EvolutionSpec(equation=Equation(mu=1), dt=2e-4, t_end=t_end,
                              record_every=end_record(2e-4, t_end))
         traj = integrate(spec, u0)
         d = (g.x - 32.0 - c * t_end) % g.L
@@ -597,7 +616,7 @@ class TestIntegrate:
         t_end = 0.5
         errs = []
         for dt in (1e-3, 5e-4):
-            spec = EvolutionSpec(equation=MKdV(mu=1), dt=dt, t_end=t_end,
+            spec = EvolutionSpec(equation=Equation(mu=1), dt=dt, t_end=t_end,
                                  record_every=end_record(dt, t_end))
             traj = integrate(spec, u0)
             d = (g.x - 32.0 - c * t_end) % g.L
@@ -611,7 +630,7 @@ class TestIntegrate:
         g = make_grid(64.0, 512)
         u0, _ = soliton(1.0, 32.0, g)
         # guard = 0.5 dx / (6 + 1) ~ 8.9e-3 here
-        spec = EvolutionSpec(equation=MKdV(mu=1), dt=2e-2, t_end=1.0, record_every=10)
+        spec = EvolutionSpec(equation=Equation(mu=1), dt=2e-2, t_end=1.0, record_every=10)
         with pytest.raises(ConfigurationError, match="guard"):
             integrate(spec, u0)
 
@@ -622,7 +641,7 @@ class TestIntegrate:
         g = make_grid(64.0, 256)
         focused = dealias(analyze(4.0 * np.exp(-((g.x - 32.0) ** 2) / 0.72), g))
         u0 = synthesize(np.exp(-1j * g.xi**3) * focused.spectrum, g)
-        spec = EvolutionSpec(equation=MKdV(mu=1), dt=0.012, t_end=1.0, record_every=1, nonlinear=False)
+        spec = EvolutionSpec(equation=Equation(mu=1), dt=0.012, t_end=1.0, record_every=1, nonlinear=False)
         with pytest.raises(ConfigurationError, match="advective guard") as err:
             integrate(spec, u0)
         t_fail = float(re.search(r"at t = (\S+)", str(err.value)).group(1))
@@ -632,7 +651,7 @@ class TestIntegrate:
         g = make_grid(64.0, 64)
         huge = analyze(np.full(g.N, 2.0 * BLOWUP_LIMIT), g)
         dt = 1e-14  # below the guard for this amplitude
-        spec = EvolutionSpec(equation=MKdV(mu=1), dt=dt, t_end=3e-14, record_every=1)
+        spec = EvolutionSpec(equation=Equation(mu=1), dt=dt, t_end=3e-14, record_every=1)
         with pytest.raises(DivergenceError, match="blow-up"):
             integrate(spec, huge)
 
@@ -640,7 +659,7 @@ class TestIntegrate:
         g = make_grid(64.0, 256)
         u0 = analyze(np.cos(2 * np.pi * 3 * g.x / g.L), g)
         a = ConstantDamping(1.0)
-        eq = Coupled(alpha=0.5, mu=1, damping1=a, damping2=a)
+        eq = Equation(mu=1, alphas=(1.0, 0.5), dampings=(a, a))
         spec = EvolutionSpec(equation=eq, dt=1e-3, t_end=1e-2, record_every=10)
         with pytest.raises(ConfigurationError, match="pair"):
             integrate(spec, u0)
@@ -652,13 +671,13 @@ class TestIntegrate:
         z = analyze(np.zeros(g.N), g)
         lam = 0.5
         a = ConstantDamping(lam)
-        eq = Coupled(alpha=0.5, mu=1, damping1=a, damping2=a)
+        eq = Equation(mu=1, alphas=(1.0, 0.5), dampings=(a, a))
         t_end = 0.2
         spec = EvolutionSpec(equation=eq, dt=1e-3, t_end=t_end,
                              record_every=end_record(1e-3, t_end))
         traj = integrate(spec, (w0, z))
         w1_end, w2_end = traj.final
-        single = EvolutionSpec(equation=MKdVm(m=3, mu=1, damping=a), dt=1e-3,
+        single = EvolutionSpec(equation=Equation(mu=1, m=3, dampings=(a,)), dt=1e-3,
                                t_end=t_end, record_every=end_record(1e-3, t_end),
                                nonlinear=False)
         ref = integrate(single, w0)
@@ -671,7 +690,7 @@ class TestIntegrate:
         g = make_grid(64.0, 256)
         v0 = dealias(analyze(0.6 * np.cos(2 * np.pi * 3 * g.x / g.L), g))
         lam = 0.5
-        eq = MKdVm(m=5, mu=-1, damping=ConstantDamping(lam))
+        eq = Equation(mu=-1, m=5, dampings=(ConstantDamping(lam),))
         t_end = 0.5
         spec = EvolutionSpec(equation=eq, dt=5e-4, t_end=t_end,
                              record_every=end_record(5e-4, t_end))

@@ -14,17 +14,11 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from gevreyflow import content_hash, harness, report_payload
+from gevreyflow import cli, content_hash, harness, report_payload
 from gevreyflow.analytics import functional_A, functional_M
 from gevreyflow.config import parse_config, parse_config_text
 from gevreyflow.errors import ConfigurationError, DivergenceError, FitError, UnderresolvedError
-from gevreyflow.harness import (
-    RUNNERS,
-    SCENARIO_IDS,
-    ScenarioConfig,
-    run_conservation,
-    run_sigma_scaling,
-)
+from gevreyflow.harness import RUNNERS, SCENARIO_IDS, SCENARIOS, ScenarioConfig
 from gevreyflow.spectral import synthesize
 
 CONSERVE_SHORT = """scenario = conservation
@@ -169,7 +163,7 @@ class TestScenarioConfig:
     def test_runner_rejects_mismatched_scenario(self):
         cfg = parse_config_text(CONSERVE_SHORT)
         with pytest.raises(ConfigurationError, match="runner expects"):
-            run_sigma_scaling(cfg)
+            RUNNERS["sigma-scaling"](cfg)
 
     @pytest.mark.parametrize("runner, packaged", [("coupled", "iterate.cfg"), ("iteration", "coupled.cfg")])
     def test_window_runners_reject_each_others_config(self, runner, packaged):
@@ -180,9 +174,34 @@ class TestScenarioConfig:
 
     def test_echo_matches_as_sections(self):
         cfg = parse_config_text(CONSERVE_SHORT)
-        report = run_conservation(cfg)
+        report = RUNNERS["conservation"](cfg)
         assert report.config == cfg.as_sections()
         assert report.wall_clock > 0.0
+
+
+class TestScenarioTable:
+    def test_every_scenario_has_a_runner_a_command_and_a_config(self):
+        assert SCENARIO_IDS == tuple(SCENARIOS) == tuple(RUNNERS)
+        # one CLI command per scenario, listed in table order
+        assert tuple(cli._COMMANDS.values()) == SCENARIO_IDS
+        for command, scenario in cli._COMMANDS.items():
+            assert parse_config_text(cli._default_config_text(command)).scenario == scenario
+        packaged = resources.files("gevreyflow").joinpath("configs")
+        on_disk = {parse_config(p).scenario for p in packaged.iterdir() if p.name.endswith(".cfg")}
+        assert on_disk == set(SCENARIO_IDS)
+
+    def test_all_runs_the_scenarios_with_an_equation_family(self):
+        evolution = [s for s, (family, _) in SCENARIOS.items() if family is not None]
+        assert [cli._COMMANDS[c] for c in cli._ALL_ORDER] == evolution
+        assert len(evolution) == 6 and "inequalities" not in evolution
+
+    @pytest.mark.parametrize("scenario", [s for s, (family, _) in SCENARIOS.items() if family is not None])
+    def test_runner_rejects_another_family(self, scenario):
+        family = SCENARIOS[scenario][0]
+        other = "coupled" if family != "coupled" else "mkdv"
+        cfg = ScenarioConfig(scenario=scenario, family=other)
+        with pytest.raises(ConfigurationError, match=f"needs equation family '{family}', got '{other}'"):
+            RUNNERS[scenario](cfg)
 
 
 class TestVerdictHelpers:
@@ -346,6 +365,29 @@ class TestDampingDecay:
     def test_wrong_family_rejected(self):
         with pytest.raises(ConfigurationError, match="family"):
             run_text(DAMPING_SHORT, ["equation.family=mkdv"])
+
+    @pytest.mark.parametrize(
+        "scale, error, message", [(100.0, ConfigurationError, "advective guard"), (1e7, DivergenceError, "blow-up")]
+    )
+    def test_error_in_a_rate_probe_names_it(self, monkeypatch, scale, error, message):
+        # the third integrate call is the second rate probe; restarted from
+        # a scaled-up record, it fails at its first step, at that record's t
+        report = run_text(DAMPING_SHORT)
+        t_probe = report.series["rate_residual"]["t"][1]
+        i = report.series["mass_decay"]["t"].index(t_probe)
+        assert i > 0 and t_probe > 0.0
+        real, calls = harness.integrate, []
+
+        def tripped(spec, init):
+            calls.append(spec)
+            if len(calls) == 3:
+                init = synthesize(init.spectrum * scale, init.grid)
+            return real(spec, init)
+
+        monkeypatch.setattr(harness, "integrate", tripped)
+        with pytest.raises(error, match=rf"^rate probe at record {i}, global t = {t_probe:.6g}: .*{message}") as info:
+            run_text(DAMPING_SHORT)
+        assert type(info.value) is error and type(info.value.__cause__) is error
 
 
 class TestGlobalIteration:

@@ -15,10 +15,8 @@ from oracles import full_k, full_spectrum
 
 from gevreyflow.dynamics import (
     ConstantDamping,
-    Coupled,
+    Equation,
     EvolutionSpec,
-    MKdV,
-    MKdVm,
     RaisedCosineDamping,
     integrate,
     soliton,
@@ -77,10 +75,8 @@ def run_both(eq, fields, dt):
     start = np.array([f.samples for f in first])
     got = np.array([f.samples for f in final])
     grid = fields[0].grid
-    if isinstance(eq, Coupled):
-        args = ((3, 3), (1.0, eq.alpha), eq.mu, (eq.damping1, eq.damping2))
-    else:
-        args = ((eq.m,), (1.0,), eq.mu, (getattr(eq, "damping", None),))
+    C = len(eq.alphas)
+    args = ((eq.m,) * C, eq.alphas, eq.mu, eq.dampings or (None,) * C)
     spectra = [full_spectrum(dealias(f).spectrum, grid.N) for f in fields]
     want = oracle_rk4(grid, *args, spectra, traj.step_size, STEPS)
     return start, got, want
@@ -99,11 +95,11 @@ def test_integrate_matches_full_spectrum_oracle(case):
     a = RaisedCosineDamping(floor=1.0, amplitude=0.5, length=64.0)
     if case == "mkdv-soliton":
         u0, _ = soliton(1.0, 32.0, g)
-        start, got, want = run_both(MKdV(mu=1), (u0,), 2e-4)
+        start, got, want = run_both(Equation(mu=1), (u0,), 2e-4)
     elif case == "damped-m5":
-        start, got, want = run_both(MKdVm(m=5, mu=-1, damping=a), (sech_field(g, 0.7, 32.0),), 2e-4)
+        start, got, want = run_both(Equation(mu=-1, m=5, dampings=(a,)), (sech_field(g, 0.7, 32.0),), 2e-4)
     else:
-        eq = Coupled(alpha=0.5, mu=-1, damping1=a, damping2=ConstantDamping(0.5))
+        eq = Equation(mu=-1, alphas=(1.0, 0.5), dampings=(a, ConstantDamping(0.5)))
         start, got, want = run_both(eq, (sech_field(g, 0.7, 30.0), sech_field(g, 0.5, 34.0)), 2e-4)
     scale = np.abs(want).max()
     # the state moved far past round-off, so the agreement is not vacuous
