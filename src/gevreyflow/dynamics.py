@@ -36,15 +36,19 @@ convolutions at every k < N/4; the only aliased contribution in the band
 is the (K, K, K) triple, K = N/4, which lands on +-K.
 
 At N = 512 a numpy call costs more than the arithmetic it does, so the
-step keeps the number of calls down: every scratch array is allocated
-once per integrate call and written through out=, and the RK4 weights,
-the rhs minus sign, mu and the 1/N of the forward transform are folded
-into factors built before the loop.  Each factor has a leading axis of
-length 1 or C, the shape of the rows it multiplies: numpy broadcasts a
-1-D factor against 2-D rows at about twice the cost per call.  The state
-is updated in place, and synthesize copies it into each recorded state.
-A record makes no transform: its samples are one irfft, made only when
-something reads them.
+step keeps the number of calls and their overhead down.  The two
+transforms of each evaluation are spectral.irfft_into and rfft_into:
+numpy's pocketfft kernels, bound once in spectral at import and called
+without numpy.fft's Python wrapper, with bit-identical results (the public
+numpy.fft functions where that private module is missing).  Every scratch
+array is allocated once per integrate call and written through out=, and
+the RK4 weights, the rhs minus sign, mu and the 1/N of the forward
+transform are folded into factors built before the loop.  Each factor
+has a leading axis of length 1 or C, the shape of the rows it multiplies:
+numpy broadcasts a 1-D factor against 2-D rows at about twice the cost
+per call.  The state is updated in place, and synthesize copies it into
+each recorded state.  A record makes no transform: its samples are one
+irfft, made only when something reads them.
 """
 
 from __future__ import annotations
@@ -54,6 +58,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import spectral
 from .errors import ConfigurationError, DivergenceError
 from .spectral import Grid, SpectralField, analyze, dealias, noise_floor, synthesize
 
@@ -320,6 +325,8 @@ def nonlinear_term(eq: Equation, grid: Grid, nonlinear: bool = True):
     cubic, neg_aw = rows[:C], rows[C:]
     P = np.empty((rows.shape[0], grid.xi.size), dtype=complex)
     cubic_band, damp_band = P[:C, :band], P[C:, :band]
+    # numpy's pocketfft kernels (see spectral), looked up once per rhs
+    irfft_into, rfft_into = spectral.irfft_into, spectral.rfft_into
 
     def rhs(V, out=None):
         if V.shape != shape:
@@ -327,12 +334,12 @@ def nonlinear_term(eq: Equation, grid: Grid, nonlinear: bool = True):
         fresh = out is None
         if fresh:
             out = np.empty(shape, dtype=complex)
-        np.fft.irfft(V, n=N, norm="forward", out=samples)
+        irfft_into(V, samples)
         np.multiply(first, last, out=pair)
         np.multiply(pair, flipped, out=cubic)
         if damped:
             np.multiply(neg_a, samples, out=neg_aw)
-        np.fft.rfft(rows, out=P)
+        rfft_into(rows, P)
         np.multiply(dx, cubic_band, out=out)
         if damped:
             out += damp_band

@@ -43,6 +43,18 @@ whenever sigma*xi_max > 30, using
 
 which keeps products weight*F_k representable whenever the product itself
 is; a product that still leaves range raises OverflowGuardError.
+
+The integrator's rhs makes 8 real FFTs per RK4 step, and at N = 512
+numpy.fft's Python wrapper (axis, dtype, norm factor and out checks) is
+about a third of each call.  So irfft_into and rfft_into, the two
+transforms of that hot path, are bound here once, at import, to numpy's
+pocketfft gufuncs (numpy.fft._pocketfft_umath: irfft and rfft_n_even,
+factor 1.0, last axis, written into out), which are the kernels numpy.fft
+itself calls: the results are bit-identical.  That module is private
+numpy API, so when it is missing they fall back to the public
+numpy.fft.irfft(norm="forward") and numpy.fft.rfft.  rfft_n_even is only
+right for even lengths, and Grid rejects odd N.  analyze, samples and
+every other transform outside the step loop stay on numpy.fft.
 """
 
 from __future__ import annotations
@@ -59,11 +71,54 @@ _LOG2 = float(np.log(2.0))
 _EXP_MAX = 700.0
 # switch to log-space evaluation of cosh beyond this argument
 _LOG_SWITCH = 30.0
+# last axis of the input, the scalar factor, last axis of the output
+_AXES = [(-1,), (), (-1,)]
+
+
+def _real_transforms(kernels) -> tuple:
+    """(irfft_into, rfft_into) over numpy's pocketfft gufunc module
+    kernels, or over the public numpy.fft functions when kernels is None.
+
+    irfft_into(spectrum, out) writes the samples of a half spectrum, or of
+    a stack of them, into out: numpy.fft.irfft(spectrum, n=out.shape[-1],
+    norm="forward"), and a spectrum shorter than out.shape[-1]/2 + 1 is
+    zero-padded.  rfft_into(samples, out) writes the unnormalised
+    numpy.fft.rfft of samples of even length into out.  Both return out.
+    """
+    if kernels is None:
+        irfft, rfft = np.fft.irfft, np.fft.rfft
+
+        def irfft_into(spectrum, out):
+            return irfft(spectrum, n=out.shape[-1], norm="forward", out=out)
+
+        def rfft_into(samples, out):
+            return rfft(samples, out=out)
+
+    else:
+        irfft, rfft = kernels.irfft, kernels.rfft_n_even
+
+        def irfft_into(spectrum, out):
+            return irfft(spectrum, 1.0, axes=_AXES, out=out)
+
+        def rfft_into(samples, out):
+            return rfft(samples, 1.0, axes=_AXES, out=out)
+
+    return irfft_into, rfft_into
+
+
+try:
+    from numpy.fft import _pocketfft_umath as _kernels
+
+    irfft_into, rfft_into = _real_transforms(_kernels)
+except (ImportError, AttributeError):  # private numpy API, or a version without these kernels
+    _kernels = None
+    irfft_into, rfft_into = _real_transforms(None)
 
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform periodic grid on [0, L) with N (even) nodes.
+    """Uniform periodic grid on [0, L) with N nodes, N even and >= 16 and L
+    positive and finite (anything else raises ConfigurationError).
 
     Attributes are read-only arrays: x the nodes; k = 0..N/2 the stored
     mode numbers and xi = 2*pi*k/L their frequencies; multiplicity the
@@ -79,6 +134,13 @@ class Grid:
     multiplicity: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not np.isfinite(self.L) or self.L <= 0:
+            raise ConfigurationError(f"domain length must be positive and finite, got L={self.L}")
+        if self.N < 16 or self.N % 2 != 0:
+            raise ConfigurationError(f"mode count must be even and >= 16, got N={self.N}")
+        # N % 2 == 0 above rules out every non-integral N, so int() is exact
+        object.__setattr__(self, "L", float(self.L))
+        object.__setattr__(self, "N", int(self.N))
         x = np.arange(self.N) * (self.L / self.N)
         k = np.arange(self.N // 2 + 1)
         xi = (2.0 * np.pi / self.L) * k
@@ -107,12 +169,8 @@ class Grid:
 
 
 def make_grid(L: float, N: int) -> Grid:
-    """Validated Grid constructor: L > 0 finite, N even and >= 16."""
-    if not np.isfinite(L) or L <= 0:
-        raise ConfigurationError(f"domain length must be positive and finite, got L={L}")
-    if N < 16 or N % 2 != 0:
-        raise ConfigurationError(f"mode count must be even and >= 16, got N={N}")
-    return Grid(float(L), int(N))
+    """Grid(L, N): Grid validates both and stores L as float, N as int."""
+    return Grid(L, N)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from gevreyflow import spectral
+
 settings.register_profile(
     "default",
     max_examples=100,
@@ -18,8 +20,9 @@ def rng():
 
 @pytest.fixture
 def fft_counts(monkeypatch):
-    """Counts of numpy.fft.rfft and irfft calls, and under "points" the
-    points both kinds transform (transform length times rows); a test
+    """Counts of real FFT calls, through numpy.fft.rfft and irfft or through
+    the rhs's spectral.rfft_into and irfft_into alike, and under "points"
+    the points both kinds transform (transform length times rows); a test
     resets them after its setup."""
     counts = {"rfft": 0, "irfft": 0, "points": 0}
     for kind in ("rfft", "irfft"):
@@ -33,4 +36,15 @@ def fft_counts(monkeypatch):
             return result
 
         monkeypatch.setattr(np.fft, kind, counted)
+
+        bound = getattr(spectral, f"{kind}_into")
+
+        # the rhs looks the binding up when it is built, so it finds this one
+        def counted_into(a, out, _kind=kind, _bound=bound):
+            result = _bound(a, out)
+            counts[_kind] += 1
+            counts["points"] += (out if _kind == "irfft" else a).size
+            return result
+
+        monkeypatch.setattr(spectral, f"{kind}_into", counted_into)
     return counts

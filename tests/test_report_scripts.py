@@ -1,13 +1,19 @@
-"""The report comparison script under a reader that stops early."""
+"""The report scripts: the comparison under a reader that stops early, and
+the hash check against tests/report_hashes.txt."""
 
 import json
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import pytest
+import report_hashes
+
+from gevreyflow import SCENARIO_IDS, ExperimentReport
 
 SCRIPT = Path(__file__).with_name("report_series.py")
+HASHES = Path(__file__).with_name("report_hashes.txt")
 
 
 def synthetic_dump(path, passed):
@@ -38,3 +44,45 @@ def test_compare_into_closed_pipe_exits_quietly(tmp_path, passed, status):
     assert proc.wait(timeout=60) == status
     assert first.startswith(b"cfg")
     assert b"Traceback" not in err and b"BrokenPipeError" not in err, err.decode()
+
+
+@pytest.fixture
+def stub_hashes(monkeypatch):
+    """The packaged configs' hashes with every runner stubbed: a report of
+    the config echo alone, so the check runs in milliseconds."""
+
+    def stub(cfg):
+        return ExperimentReport(cfg.scenario, {}, {}, {}, cfg.as_sections(), 0.0)
+
+    monkeypatch.setattr(report_hashes, "RUNNERS", {s: stub for s in SCENARIO_IDS})
+    return dict(report_hashes.packaged_hashes())
+
+
+def write_hashes(path, hashes):
+    path.write_text("".join(f"{name} {digest}\n" for name, digest in hashes.items()), encoding="utf-8")
+    return str(path)
+
+
+def test_hash_file_lists_every_packaged_config():
+    configs = resources.files("gevreyflow") / "configs"
+    packaged = sorted(p.name.removesuffix(".cfg") for p in configs.iterdir() if p.name.endswith(".cfg"))
+    assert [line.split()[0] for line in HASHES.read_text(encoding="utf-8").splitlines()] == packaged
+
+
+def test_check_passes_when_every_hash_matches(tmp_path, capsys, stub_hashes):
+    path = write_hashes(tmp_path / "h.txt", stub_hashes)
+    assert report_hashes.main(["--check", path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:-1] == [f"{name} {digest}" for name, digest in stub_hashes.items()]
+    assert lines[-1] == f"content hashes: all {len(stub_hashes)} equal {path}"
+
+
+def test_check_names_every_moved_config(tmp_path, capsys, stub_hashes):
+    expected = dict(stub_hashes, conserve="0" * 64, radius="1" * 64, retired="2" * 64)
+    del expected["iterate"]
+    path = write_hashes(tmp_path / "h.txt", expected)
+    assert report_hashes.main(["--check", path]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert f"conserve {stub_hashes['conserve']} moved, {path} has {'0' * 64}" in out
+    assert f"iterate {stub_hashes['iterate']} moved, {path} has no line" in out
+    assert out[-1] == "content hashes moved: conserve, iterate, radius, retired"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 from hypothesis.extra import numpy as hnp
+from numpy.fft import _pocketfft_umath
 from oracles import Deriv, LinearFlow, apply_symbol, cosh_weighted, refined_samples, sech_weighted
 
 from gevreyflow import (
@@ -13,9 +14,10 @@ from gevreyflow import (
     analyze,
     dealias,
     make_grid,
+    spectral,
     synthesize,
 )
-from gevreyflow.spectral import SpectralField, apply_weight, cosh_weight, log_cosh, pad_spectrum
+from gevreyflow.spectral import Grid, SpectralField, apply_weight, cosh_weight, log_cosh, pad_spectrum
 
 EPS = np.finfo(float).eps
 
@@ -61,11 +63,19 @@ class TestGrid:
         assert g.xi_max == pytest.approx(8 * np.pi)
 
     @pytest.mark.parametrize(
-        "L,N", [(0.0, 16), (-1.0, 32), (64.0, 15), (64.0, 8), (np.inf, 32)]
+        # odd N: rfft_into computes an even-length rfft, wrong with no error
+        "L,N", [(0.0, 16), (-1.0, 32), (64.0, 15), (64.0, 255), (64.0, 8), (np.inf, 32)]
     )
     def test_rejects_bad_parameters(self, L, N):
         with pytest.raises(ConfigurationError):
             make_grid(L, N)
+        with pytest.raises(ConfigurationError):
+            Grid(L, N)
+
+    def test_stores_float_length_and_int_count(self):
+        g = Grid(64, 256.0)
+        assert (type(g.L), type(g.N)) == (float, int)
+        assert g == make_grid(64.0, 256)
 
     def test_arrays_read_only(self):
         g = make_grid(64.0, 32)
@@ -150,6 +160,35 @@ class TestTransformPair:
         bad[3] = np.nan
         with pytest.raises(ConfigurationError):
             analyze(bad, g)
+
+
+# both branches of the rhs transforms: the pocketfft gufuncs the module binds
+# at import, and the public numpy.fft fallback; the import above fails the
+# suite if numpy drops the private module
+BINDINGS = {"pocketfft": _pocketfft_umath, "fallback": None}
+EVEN_N = (16, 24, 32, 100, 128, 256, 384, 512, 1000, 1024, 2048, 4096)
+
+
+class TestRealTransformBinding:
+    def test_module_binds_pocketfft(self):
+        assert spectral._kernels is _pocketfft_umath
+
+    @pytest.mark.parametrize("branch", BINDINGS)
+    @pytest.mark.parametrize("N", EVEN_N)
+    def test_bit_identical_to_numpy_fft(self, branch, N, rng):
+        irfft_into, rfft_into = spectral._real_transforms(BINDINGS[branch])
+        # the rhs stacks 1, 2, 3 or 6 rows
+        for rows in (1, 2, 3, 6):
+            # the rhs input is the band k = 0..N/4, zero-padded to N points
+            for length in (N // 4 + 1, N // 2 + 1):
+                F = rng.standard_normal((rows, length)) + 1j * rng.standard_normal((rows, length))
+                out = np.empty((rows, N))
+                assert irfft_into(F, out) is out
+                assert out.tobytes() == np.fft.irfft(F, n=N, norm="forward").tobytes()
+            f = rng.standard_normal((rows, N))
+            out = np.empty((rows, N // 2 + 1), dtype=complex)
+            assert rfft_into(f, out) is out
+            assert out.tobytes() == np.fft.rfft(f).tobytes()
 
 
 class TestLazySamples:
