@@ -41,6 +41,7 @@ from .analytics import (
 from .dynamics import (
     Equation,
     EvolutionSpec,
+    _plan_steps,
     integrate,
     make_damping,
     soliton,
@@ -663,7 +664,11 @@ def _radius_tracking(cfg: ScenarioConfig):
     """
     grid = cfg.grid()
     sigma0_known = known_radius(cfg.data)
-    traj = integrate(cfg.evolution(grid), cfg.initial_state(grid))
+    spec = cfg.evolution(grid)
+    # the records integrate will make: t = 0 and one per record interval
+    if _plan_steps(spec)[0] + 1 < 3:
+        raise ConfigurationError("radius tracking needs at least 3 recorded snapshots")
+    traj = integrate(spec, cfg.initial_state(grid))
 
     times = [float(t) for t in traj.times]
     fits_by_t = []
@@ -676,8 +681,6 @@ def _radius_tracking(cfg: ScenarioConfig):
             ) from err
     sigma_hat = [f.sigma_hat for f in fits_by_t]
 
-    if len(times) < 3:
-        raise ConfigurationError("radius tracking needs at least 3 recorded snapshots")
     T1 = times[1]
     c = sigma_hat[1] * math.sqrt(T1)
     envelope = [min(sigma0_known, c / math.sqrt(t)) for t in times[1:]]

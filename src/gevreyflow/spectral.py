@@ -49,12 +49,13 @@ numpy.fft's Python wrapper (axis, dtype, norm factor and out checks) is
 about a third of each call.  So irfft_into and rfft_into, the two
 transforms of that hot path, are bound here once, at import, to numpy's
 pocketfft gufuncs (numpy.fft._pocketfft_umath: irfft and rfft_n_even,
-factor 1.0, last axis, written into out), which are the kernels numpy.fft
-itself calls: the results are bit-identical.  That module is private
-numpy API, so when it is missing they fall back to the public
-numpy.fft.irfft(norm="forward") and numpy.fft.rfft.  rfft_n_even is only
-right for even lengths, and Grid rejects odd N.  analyze, samples and
-every other transform outside the step loop stay on numpy.fft.
+factor 1.0, written into out; a gufunc works on the last axis without
+being told), which are the kernels numpy.fft itself calls: the results
+are bit-identical.  That module is private numpy API, so when it is
+missing they fall back to the public numpy.fft.irfft(norm="forward") and
+numpy.fft.rfft.  rfft_n_even is only right for even lengths, and Grid
+rejects odd N.  analyze, samples and every other transform outside the
+step loop stay on numpy.fft.
 """
 
 from __future__ import annotations
@@ -71,8 +72,6 @@ _LOG2 = float(np.log(2.0))
 _EXP_MAX = 700.0
 # switch to log-space evaluation of cosh beyond this argument
 _LOG_SWITCH = 30.0
-# last axis of the input, the scalar factor, last axis of the output
-_AXES = [(-1,), (), (-1,)]
 
 
 def _real_transforms(kernels) -> tuple:
@@ -98,10 +97,10 @@ def _real_transforms(kernels) -> tuple:
         irfft, rfft = kernels.irfft, kernels.rfft_n_even
 
         def irfft_into(spectrum, out):
-            return irfft(spectrum, 1.0, axes=_AXES, out=out)
+            return irfft(spectrum, 1.0, out=out)
 
         def rfft_into(samples, out):
-            return rfft(samples, 1.0, axes=_AXES, out=out)
+            return rfft(samples, 1.0, out=out)
 
     return irfft_into, rfft_into
 

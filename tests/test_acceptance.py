@@ -10,11 +10,13 @@ the artifacts a user gets from the CLI.
 import math
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 from oracles import operator_F, operator_G
 
+from gevreyflow import content_hash, report_payload
 from gevreyflow.analytics import s_index, theta_max
 from gevreyflow.config import parse_config_text
 from gevreyflow.dynamics import Equation, EvolutionSpec, RaisedCosineDamping, integrate, soliton
@@ -27,10 +29,23 @@ def packaged(name):
     return parse_config_text(text)
 
 
+REPORT_HASHES = Path(__file__).with_name("report_hashes.txt")
+
+
 def run_packaged(name, overrides=()):
+    """The report of a packaged config.  Without overrides its content hash
+    must equal that config's line in tests/report_hashes.txt, so a change
+    that moves a trajectory or a report fails here."""
     text = resources.files("gevreyflow").joinpath("configs", name).read_text(encoding="utf-8")
     cfg = parse_config_text(text, overrides)
-    return RUNNERS[cfg.scenario](cfg)
+    report = RUNNERS[cfg.scenario](cfg)
+    if not overrides:
+        config = name.removesuffix(".cfg")
+        lines = REPORT_HASHES.read_text(encoding="utf-8").splitlines()
+        expected = dict(line.split() for line in lines if line.strip()).get(config)
+        digest = content_hash(report_payload(report))
+        assert digest == expected, f"content hash of {config} moved: {digest}, {REPORT_HASHES.name} has {expected}"
+    return report
 
 
 def declare(criterion, passed, detail):

@@ -531,6 +531,20 @@ class TestRadiusTracking:
         with pytest.raises(ConfigurationError, match="no known radius"):
             run_text(RADIUS_SHORT, ["data.kind=zero"])
 
+    @pytest.mark.parametrize(
+        "record_every, error, message",
+        [(1000, ConfigurationError, "at least 3 recorded snapshots"), (500, AssertionError, "integrated")],
+    )
+    def test_record_count_checked_before_integrating(self, monkeypatch, record_every, error, message):
+        # t_end = 0.2 at dt = 0.0002: 2 snapshots are rejected without a
+        # step, and 3 go on to integrate
+        def tripped(spec, init):
+            raise AssertionError("integrated")
+
+        monkeypatch.setattr(harness, "integrate", tripped)
+        with pytest.raises(error, match=message):
+            run_text(RADIUS_SHORT, ["evolution.t_end=0.2", f"evolution.record_every={record_every}"])
+
     def test_underresolved_grid_propagates_advice(self):
         with pytest.raises(UnderresolvedError, match="raise N"):
             run_text(RADIUS_SHORT, ["grid.N=32", "evolution.t_end=0.01", "evolution.record_every=10"])
