@@ -41,7 +41,6 @@ from .spectral import (
     SpectralField,
     apply_weight,
     cosh_weight,
-    make_grid,
     noise_floor,
     pad_spectrum,
 )
@@ -122,26 +121,6 @@ def functional_M(v: SpectralField | Sequence[SpectralField], sigma: float | np.n
     """M_sigma = ||cosh(sigma D) v||_L2^2, functional_A's l2_sq term, with
     hsigma_norm's inputs and result shapes."""
     return _weighted_sum(v, sigma, 0.0, root=False)
-
-
-# ---------------------------------------------------------------------------
-# quadrature helpers (2x refined grid)
-# ---------------------------------------------------------------------------
-
-
-def _refined_derivs(spectrum: np.ndarray, grid: Grid, orders: tuple[int, ...]) -> np.ndarray:
-    """Samples of the requested derivatives on the doubled grid, from one
-    batched irfft of the zero-padded half spectrum: shape
-    (len(orders),) + spectrum.shape[:-1] + (2N,), one block per order.
-    The symbols (i xi)^p are built by repeated multiplication."""
-    N = grid.N
-    big = pad_spectrum(spectrum, N, 2)
-    ixi = (2j * np.pi / grid.L) * np.arange(N + 1)
-    symbols = np.ones((len(orders),) + (1,) * (big.ndim - 1) + (N + 1,), dtype=complex)
-    for row, p in zip(symbols, orders):
-        for _ in range(p):
-            row *= ixi
-    return np.fft.irfft(big * symbols, n=2 * N, norm="forward")
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +283,8 @@ def mass_rate(v: SpectralField, a: DampingProfile) -> float:
     directly (it is analytic).
     """
     g = v.grid
-    v_fine = _refined_derivs(v.spectrum, g, (0,))[0]
-    prod = a.values(make_grid(g.L, 2 * g.N)) * v_fine * v_fine
+    v_fine = np.fft.irfft(pad_spectrum(v.spectrum, g.N, 2), n=2 * g.N, norm="forward")
+    prod = a.values(Grid(g.L, 2 * g.N)) * v_fine * v_fine
     return -2.0 * float(g.L / prod.size * prod.sum())
 
 

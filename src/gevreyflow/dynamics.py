@@ -25,15 +25,16 @@ loop holds only that band of the package's half spectrum: k = 0..N/4 of
 each real component, shape (C, N/4+1).  Each recorded state is the band
 padded with zeros to the half k = 0..N/2.
 
-nonlinear_term, the one implementation of the non-dispersive rhs, writes
-every cubic term in conservative form, (mu/3)(v^3)_x for one component and
-mu (w1 w2^2)_x, mu (w1^2 w2)_x for the pair, and differentiates the
-product in Fourier space.  One batched irfft of the band (zero-padded to N
-points) and one batched rfft of the products per evaluation make 8
-transforms per RK4 step for every flow: 2 N-point rows per evaluation for
-undamped mKdV, 3 with damping, 6 for the pair.  The products are exact
-convolutions at every k < N/4; the only aliased contribution in the band
-is the (K, K, K) triple, K = N/4, which lands on +-K.
+nonlinear_term builds the one implementation of the non-dispersive rhs:
+integrate runs it, and the tests call it.  It writes every cubic term in
+conservative form, (mu/3)(v^3)_x for one component and mu (w1 w2^2)_x,
+mu (w1^2 w2)_x for the pair, and differentiates the product in Fourier
+space.  One batched irfft of the band (zero-padded to N points) and one
+batched rfft of the products per evaluation make 8 transforms per RK4 step
+for every flow: 2 N-point rows per evaluation for undamped mKdV, 3 with
+damping, 6 for the pair.  The products are exact convolutions at every
+k < N/4; the only aliased contribution in the band is the (K, K, K)
+triple, K = N/4, which lands on +-K.
 
 At N = 512 a numpy call costs more than the arithmetic it does: the 8
 transforms are most of a step, and the rest of it is the fixed cost of
@@ -289,14 +290,16 @@ def linear_symbol(grid: Grid, m: int, alpha: float = 1.0) -> np.ndarray:
 
 
 def nonlinear_term(eq: Equation, grid: Grid, nonlinear: bool = True):
-    """Build the non-dispersive part N(V) of the rhs, on the dealiased band.
+    """Build the non-dispersive part N(V) of the rhs, on the dealiased band:
+    the one rhs, which integrate runs.
 
-    V holds the modes k = 0..N/4 of each component's state (the band
-    |k| <= N/4 of the rfft half): shape (C, N/4+1), C = len(eq.alphas),
-    and any other shape raises ConfigurationError.  The returned function
-    rhs(V, out=None) gives (N(V), w): N(V) in the same layout, and w the
-    (C, N) samples of the state, for the blow-up check.  nonlinear=False
-    drops the cubic terms.
+    Returns (evaluate, samples).  V holds the modes k = 0..N/4 of each
+    component's state (the band |k| <= N/4 of the rfft half): shape
+    (C, N/4+1), C = len(eq.alphas).  evaluate(V, out) writes N(V), in the
+    same layout, into out and the (C, N) samples w of V into samples, which
+    the next call overwrites; it checks nothing, and integrate reads samples
+    for the blow-up check before the next call.  nonlinear=False drops the
+    cubic terms.
 
     Every cubic term is in conservative form and differentiated in Fourier
     space.  One irfft of V (zero-padded to N points) gives the rows w_c.
@@ -315,32 +318,9 @@ def nonlinear_term(eq: Equation, grid: Grid, nonlinear: bool = True):
     (and (-K, -K, -K) onto K).  So N(V) is exact for every k < K, and at
     k = +-K it carries that one extra term, of size |V_K|^3.
 
-    The function allocates its scratch arrays once, here, and the
-    transforms and ufuncs write into them through out=.  With out=None
-    both results are new arrays.  With out given, N(V) is written into it
-    and w is the function's own sample buffer, overwritten by the next
-    call.
+    The scratch arrays are allocated once, here, and the transforms and
+    ufuncs write into them through out=.
     """
-    shape = (len(eq.alphas), grid.band)
-    evaluate, samples = _evaluator(eq, grid, nonlinear)
-
-    def rhs(V, out=None):
-        if V.shape != shape:
-            raise ConfigurationError(f"rhs expects the band of shape (C, N/4+1) = {shape}, got {V.shape}")
-        fresh = out is None
-        if fresh:
-            out = np.empty(shape, dtype=complex)
-        evaluate(V, out)
-        return out, samples.copy() if fresh else samples
-
-    return rhs
-
-
-def _evaluator(eq: Equation, grid: Grid, nonlinear: bool):
-    """(evaluate, samples), the body of nonlinear_term's rhs:
-    evaluate(V, out) writes N(V) into out and the samples w of V into
-    samples, and checks nothing.  integrate calls it in its loop and reads
-    samples for the blow-up check before the next call."""
     N, band = grid.N, grid.band
     C = len(eq.alphas)
     mu = eq.mu if nonlinear else 0
@@ -355,7 +335,7 @@ def _evaluator(eq: Equation, grid: Grid, nonlinear: bool):
     cubic, neg_aw = rows[:C], rows[C:]
     P = np.empty((rows.shape[0], grid.xi.size), dtype=complex)
     cubic_band, damp_band = P[:C, :band], P[C:, :band]
-    # numpy's pocketfft kernels (see spectral), looked up once per evaluator
+    # numpy's pocketfft kernels (see spectral), looked up once per build
     irfft_into, rfft_into = spectral.irfft_into, spectral.rfft_into
     multiply, add = np.multiply, np.add
 
@@ -404,14 +384,15 @@ def integrate(spec: EvolutionSpec, init) -> Trajectory:
     two-component equation.
 
     The C = len(eq.alphas) components of the equation are stepped as one
-    (C, N/4+1) stack, every flow through the same loop.  The initial state
-    is projected into the dealiased band, and the loop holds only the modes
-    k = 0..N/4; every recorded state (a field, or a pair for C = 2) is
-    that band padded with zeros to the half spectrum.  At the start of
-    every step, from the peak max|w| of the samples the first rhs
-    evaluation makes: abort with DivergenceError once the peak passes 1e6,
-    and raise ConfigurationError once dt exceeds the advective guard
-    0.5 dx / (peak^2 + sup a + 1).  Both errors carry that time as err.t.
+    (C, N/4+1) stack, every flow through the same loop and the one rhs
+    that nonlinear_term builds.  The initial state is projected into the
+    dealiased band, and the loop holds only the modes k = 0..N/4; every
+    recorded state (a field, or a pair for C = 2) is that band padded with
+    zeros to the half spectrum.  At the start of every step, from the peak
+    max|w| of the samples the first rhs evaluation makes: abort with
+    DivergenceError once the peak passes 1e6, and raise ConfigurationError
+    once dt exceeds the advective guard 0.5 dx / (peak^2 + sup a + 1).
+    Both errors carry that time as err.t.
 
     With E = exp(sym h/2) the step is
         K1 = N(V), K2 = N(E V + (h/2) E K1), K3 = N(E V + (h/2) K2),
@@ -437,7 +418,7 @@ def integrate(spec: EvolutionSpec, init) -> Trajectory:
     band = grid.band
     sym = np.stack([linear_symbol(grid, eq.m, alpha)[:band] for alpha in eq.alphas])
     V = np.stack([dealias(f).spectrum[:band] for f in fields])
-    evaluate, w = _evaluator(eq, grid, spec.nonlinear)
+    evaluate, w = nonlinear_term(eq, grid, spec.nonlinear)
 
     # every factor is an array of the state's shape, h/2 and h/6 too (see
     # the module docstring); K1 and K4 are adjacent rows, scaled by

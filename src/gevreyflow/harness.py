@@ -55,7 +55,7 @@ from .inequalities import (
     scan_triple_cosh,
     sinh_margin,
 )
-from .spectral import Grid, SpectralField, analyze, dealias, make_grid
+from .spectral import Grid, SpectralField, analyze, dealias
 
 _TINY = 1e-300  # relative-drift denominator floor; keeps 0/0 drifts at exactly 0
 
@@ -171,7 +171,7 @@ class ScenarioConfig:
     # -- builders ----------------------------------------------------------
 
     def grid(self) -> Grid:
-        return make_grid(self.L, self.N)
+        return Grid(self.L, self.N)
 
     def equation(self, grid: Grid) -> Equation:
         """The configured flow, with each damping profile built and certified."""
@@ -668,17 +668,21 @@ def _radius_tracking(cfg: ScenarioConfig):
     # the records integrate will make: t = 0 and one per record interval
     if _plan_steps(spec)[0] + 1 < 3:
         raise ConfigurationError("radius tracking needs at least 3 recorded snapshots")
-    traj = integrate(spec, cfg.initial_state(grid))
+
+    def fit(t, state):
+        try:
+            return radius_estimate(state)
+        except UnderresolvedError as err:
+            raise UnderresolvedError(f"radius fit failed at t = {t:g}: {err}; raise grid.N") from err
+
+    # the t = 0 record is spectrally the initial state, so a grid too coarse
+    # to fit it fails before the integration, and its fit is the record's
+    init = cfg.initial_state(grid)
+    fit0 = fit(0.0, init)
+    traj = integrate(spec, init)
 
     times = [float(t) for t in traj.times]
-    fits_by_t = []
-    for t, s in zip(times, traj.states):
-        try:
-            fits_by_t.append(radius_estimate(s))
-        except UnderresolvedError as err:
-            raise UnderresolvedError(
-                f"radius fit failed at t = {t:g}: {err}; raise N or loosen floor_rel"
-            ) from err
+    fits_by_t = [fit0] + [fit(t, s) for t, s in zip(times[1:], traj.states[1:])]
     sigma_hat = [f.sigma_hat for f in fits_by_t]
 
     T1 = times[1]

@@ -131,12 +131,10 @@ def scan_triple_cosh(
     x1, x2, x3 = X1.ravel(), X2.ravel(), X3.ravel()
     violations = 0
     max_ratio = 0.0
-    n_effective = 0
     for sigma in np.asarray(sigma_values, dtype=float):
         lhs = triple_cosh_lhs(sigma, x1, x2, x3)
         rhs = triple_cosh_rhs(sigma, x1, x2, x3, theta1, theta2, K=K)
         live = rhs > 0
-        n_effective += int(live.sum())
         bad = lhs[live] > rhs[live] * (1.0 + REL_TOL)
         violations += int(bad.sum())
         if live.any():
@@ -147,5 +145,4 @@ def scan_triple_cosh(
         "violations": violations,
         "max_ratio": max_ratio,
         "points_scanned": int(len(sigma_values) * x1.size),
-        "points_effective": n_effective,
     }

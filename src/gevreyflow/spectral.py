@@ -167,11 +167,6 @@ class Grid:
         return self.N // 4 + 1
 
 
-def make_grid(L: float, N: int) -> Grid:
-    """Grid(L, N): Grid validates both and stores L as float, N as int."""
-    return Grid(L, N)
-
-
 @dataclass(frozen=True)
 class SpectralField:
     """A real field on a Grid, held as its half spectrum k = 0..N/2.

@@ -24,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gevreyflow.analytics import FunctionalBreakdown, _refined_derivs
+from gevreyflow.analytics import FunctionalBreakdown
 from gevreyflow.errors import ConfigurationError, OverflowGuardError
-from gevreyflow.spectral import apply_weight, cosh_weight, log_cosh, make_grid, pad_spectrum, synthesize
+from gevreyflow.spectral import Grid, apply_weight, cosh_weight, log_cosh, pad_spectrum, synthesize
 
 
 def full_k(N):
@@ -182,6 +182,21 @@ def sech_weighted(fld, sigma):
     return synthesize(spectrum, g)
 
 
+def refined_derivs(spectrum, grid, orders):
+    """Samples of the requested derivatives on the doubled grid, from one
+    batched irfft of the zero-padded half spectrum: shape
+    (len(orders),) + spectrum.shape[:-1] + (2N,), one block per order.
+    The symbols (i xi)^p are built by repeated multiplication."""
+    N = grid.N
+    big = pad_spectrum(spectrum, N, 2)
+    ixi = (2j * np.pi / grid.L) * np.arange(N + 1)
+    symbols = np.ones((len(orders),) + (1,) * (big.ndim - 1) + (N + 1,), dtype=complex)
+    for row, p in zip(symbols, orders):
+        for _ in range(p):
+            row *= ixi
+    return np.fft.irfft(big * symbols, n=2 * N, norm="forward")
+
+
 def _quad(grid, *factors):
     """Trapezoid integral over [0, L) of a pointwise product on the 2x grid."""
     prod = factors[0]
@@ -246,9 +261,9 @@ def mass_rate_M(v, a, sigma, mu):
     Ff = operator_F(V, sigma, mu)
     Gf = operator_G(V, a, sigma)
     g = v.grid
-    V0, F0, G0 = (_refined_derivs(f.spectrum, g, (0,))[0] for f in (V, Ff, Gf))
+    V0, F0, G0 = (refined_derivs(f.spectrum, g, (0,))[0] for f in (V, Ff, Gf))
     # the profile is analytic, so evaluate it on the doubled grid directly
-    a_fine = a.values(make_grid(g.L, 2 * g.N))
+    a_fine = a.values(Grid(g.L, 2 * g.N))
     damping_term = -2.0 * _quad(g, a_fine, V0, V0)
     fg_term = 2.0 * _quad(g, F0 + G0, V0)
     return damping_term + fg_term, damping_term, fg_term
@@ -271,8 +286,8 @@ def energy_rate_A(u, sigma, mu):
     U = cosh_weighted(u, sigma)
     Ff = operator_F(U, sigma, mu)
     g = u.grid
-    U0, U1, U2 = _refined_derivs(U.spectrum, g, (0, 1, 2))
-    F0, F1, F2 = _refined_derivs(Ff.spectrum, g, (0, 1, 2))
+    U0, U1, U2 = refined_derivs(U.spectrum, g, (0, 1, 2))
+    F0, F1, F2 = refined_derivs(Ff.spectrum, g, (0, 1, 2))
     terms = {
         "pair_l2": 2.0 * _quad(g, U0, F0),
         "pair_deriv1": 2.0 * _quad(g, U1, F1),

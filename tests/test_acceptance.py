@@ -21,7 +21,7 @@ from gevreyflow.analytics import s_index, theta_max
 from gevreyflow.config import parse_config_text
 from gevreyflow.dynamics import Equation, EvolutionSpec, RaisedCosineDamping, integrate, soliton
 from gevreyflow.harness import RUNNERS
-from gevreyflow.spectral import analyze, make_grid
+from gevreyflow.spectral import Grid, analyze
 
 
 def packaged(name):
@@ -86,7 +86,7 @@ class TestAcceptance:
 
         # dt-halving order ratio where truncation dominates the spatial floor
         def endpoint_error(dt):
-            g = make_grid(64.0, 1024)
+            g = Grid(64.0, 1024)
             u0, speed = soliton(1.0, 32.0, g)
             spec = EvolutionSpec(Equation(1), dt, 0.5, max(1, round(0.5 / dt)))
             out = integrate(spec, u0).final
@@ -106,7 +106,7 @@ class TestAcceptance:
         fit = report.fits["scaling"]
         slope_ok = 1.8 <= fit["slope"] <= 2.2 and fit["r2"] >= 0.98
 
-        grid = make_grid(64.0, 512)
+        grid = Grid(64.0, 512)
         u, _ = soliton(1.0, 32.0, grid)
         f_sigs = np.geomspace(1e-3, 1e-1, 7)
         f_norms = [

@@ -48,20 +48,20 @@ from gevreyflow.errors import (
     OverflowGuardError,
     UnderresolvedError,
 )
-from gevreyflow.spectral import analyze, dealias, make_grid, synthesize
+from gevreyflow.spectral import Grid, analyze, dealias, synthesize
 
 EPS = np.finfo(float).eps
 
 
 @pytest.fixture(scope="module")
 def soliton_field():
-    g = make_grid(64.0, 512)
+    g = Grid(64.0, 512)
     u, _ = soliton(1.0, 32.0, g)
     return u
 
 
 def single_mode(L, N, k0, amp=1.0):
-    g = make_grid(L, N)
+    g = Grid(L, N)
     return analyze(amp * np.cos(2.0 * np.pi * k0 * g.x / L), g), g
 
 
@@ -81,7 +81,7 @@ def wide_field():
     """Every coefficient above the noise floor, F_k = exp(-0.2 xi_k) on
     L = 2 pi, N = 256: at sigma = 5.6 the top weights cosh(sigma xi)
     overflow a double, and the norm is about 1.2e298."""
-    g = make_grid(2.0 * np.pi, 256)
+    g = Grid(2.0 * np.pi, 256)
     F = np.zeros(g.N // 2 + 1, dtype=complex)
     F[0] = 1.0
     for k in range(1, g.N // 2):
@@ -91,7 +91,7 @@ def wide_field():
 
 def mixed_field(seed):
     """A dealiased field with every band mode populated, on L=64, N=256."""
-    g = make_grid(64.0, 256)
+    g = Grid(64.0, 256)
     rng = np.random.default_rng(seed)
     x = g.x - g.L / 2.0
     return dealias(analyze(0.8 / np.cosh(x) + 0.05 * rng.standard_normal(g.N), g))
@@ -196,7 +196,7 @@ class TestWeightedNorms:
                 norm([soliton_field] * count)
 
     def test_states_must_share_a_grid(self, soliton_field):
-        other = analyze(np.zeros(256), make_grid(64.0, 256))
+        other = analyze(np.zeros(256), Grid(64.0, 256))
         with pytest.raises(ConfigurationError, match="one grid"):
             hsigma_norm([soliton_field, other], 0.1, 0.0)
 
@@ -205,7 +205,7 @@ class TestWeightedNorms:
             hsigma_norm(soliton_field, -0.1, 0.0)
 
     def test_zero_field(self):
-        g = make_grid(2.0 * np.pi, 64)
+        g = Grid(2.0 * np.pi, 64)
         z = analyze(np.zeros(g.N), g)
         assert hsigma_norm(z, 1.0, 2.0) == 0.0
 
@@ -223,7 +223,7 @@ class TestWeightedNorms:
         # modes 1..8 carry the field; the empty tail gets noise under
         # 1e-13 of the peak, which cosh(sigma xi) up to cosh(38) = 1.6e16
         # would lift above the field itself if it were summed
-        g = make_grid(2.0 * np.pi, 128)
+        g = Grid(2.0 * np.pi, 128)
         F = np.zeros(g.N // 2 + 1, dtype=complex)
         F[1 : 1 + len(coeffs)] = coeffs
         rng = np.random.default_rng(seed)
@@ -422,7 +422,7 @@ class TestTrajectoryFunctional:
         # cosh(25 * 32) overflows, so the top modes are weighted in log
         # space; a field of size 1e-300 keeps every weighted mode, and the
         # functional itself, in range
-        g = make_grid(2.0 * np.pi, 64)
+        g = Grid(2.0 * np.pi, 64)
         fields = [synthesize(a * np.exp(-0.8 * g.xi), g) for a in (1e-300, 3e-300)]
         sigmas = np.array([0.5, 25.0])
         b = functional_A(fields, sigmas, 1)
@@ -458,7 +458,7 @@ class TestTrajectoryFunctional:
             functional_A([soliton_field] * count, sigma, mu)
 
     def test_states_must_share_a_grid(self, soliton_field):
-        other = analyze(np.zeros(256), make_grid(64.0, 256))
+        other = analyze(np.zeros(256), Grid(64.0, 256))
         with pytest.raises(ConfigurationError, match="one grid"):
             functional_A([soliton_field, other], 0.1, 1)
 
@@ -548,7 +548,7 @@ class TestCommutatorOperators:
     def test_g_linear_in_sigma(self):
         # G is even in sigma through the band edge unless the probe sits at
         # high frequency; mode 102 of 512 makes the odd term dominate
-        g = make_grid(64.0, 512)
+        g = Grid(64.0, 512)
         probe = analyze(np.cos(2.0 * np.pi * 102 * g.x / g.L), g)
         a = RaisedCosineDamping(floor=0.2, amplitude=0.15, length=64.0)
         sigs = np.linspace(0.3, 1.0, 8)
@@ -567,7 +567,7 @@ class TestRateIdentities:
         assert r.total == 0.0
 
     def test_energy_rate_matches_finite_difference(self):
-        g = make_grid(64.0, 512)
+        g = Grid(64.0, 512)
         u0 = analyze(
             0.9 * np.cos(2 * np.pi * 3 * g.x / g.L)
             + 0.45 * np.sin(2 * np.pi * 5 * g.x / g.L)
@@ -585,7 +585,7 @@ class TestRateIdentities:
         assert fd == pytest.approx(rate, rel=1e-5)
 
     def test_energy_rate_scales_quadratically(self):
-        g = make_grid(64.0, 512)
+        g = Grid(64.0, 512)
         u = dealias(analyze(
             0.9 * np.cos(2 * np.pi * 3 * g.x / g.L)
             + 0.45 * np.sin(2 * np.pi * 5 * g.x / g.L),
@@ -706,7 +706,7 @@ class TestSigmaChoice:
 
 class TestRadiusEstimate:
     def test_synthetic_exponential(self):
-        g = make_grid(64.0, 512)
+        g = Grid(64.0, 512)
         F = np.zeros(g.N // 2 + 1, dtype=complex)
         F[0] = 1.0
         for k in range(1, g.N // 2):
@@ -729,7 +729,7 @@ class TestRadiusEstimate:
         assert fit_a.sigma_hat == pytest.approx(fit_b.sigma_hat, abs=1e-9)
 
     def test_gaussian_flags_superexponential(self):
-        g = make_grid(64.0, 512)
+        g = Grid(64.0, 512)
         fit = radius_estimate(analyze(np.exp(-0.5 * (g.x - 32.0) ** 2), g))
         assert fit.superexponential
 
@@ -739,7 +739,7 @@ class TestRadiusEstimate:
             radius_estimate(f)
 
     def test_clamped_growing_spectrum(self):
-        g = make_grid(64.0, 512)
+        g = Grid(64.0, 512)
         F = np.zeros(g.N // 2 + 1, dtype=complex)
         for k in range(1, 40):
             F[k] = 1e-6 * math.exp(0.05 * g.xi[k])
@@ -748,7 +748,7 @@ class TestRadiusEstimate:
         assert fit.clamped and fit.sigma_hat == 0.0
 
     def test_floor_controls_window(self):
-        g = make_grid(64.0, 512)
+        g = Grid(64.0, 512)
         F = np.zeros(g.N // 2 + 1, dtype=complex)
         F[0] = 1.0
         for k in range(1, g.N // 2):
@@ -760,7 +760,7 @@ class TestRadiusEstimate:
         assert narrow.n_modes < wide.n_modes
 
     def test_zero_field(self):
-        g = make_grid(64.0, 512)
+        g = Grid(64.0, 512)
         with pytest.raises(UnderresolvedError):
             radius_estimate(analyze(np.zeros(g.N), g))
 
@@ -787,7 +787,7 @@ class TestInterpolation:
         sig1=st.floats(min_value=0.01, max_value=1.5),
     )
     def test_holds_on_random_band_limited_fields(self, amps, sig1):
-        g = make_grid(2.0 * np.pi, 64)
+        g = Grid(2.0 * np.pi, 64)
         samples = np.zeros(g.N)
         for j, a in enumerate(amps):
             samples += a * np.cos((j + 1) * g.x + 0.3 * j)

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import Deriv, LinearFlow, apply_symbol, product_rule_rhs, reflect
 
+from gevreyflow import dynamics
 from gevreyflow.dynamics import (
     BLOWUP_LIMIT,
     ConstantDamping,
@@ -31,10 +32,10 @@ from gevreyflow.dynamics import (
 )
 from gevreyflow.errors import ConfigurationError, DivergenceError
 from gevreyflow.spectral import (
+    Grid,
     SpectralField,
     analyze,
     dealias,
-    make_grid,
     synthesize,
 )
 
@@ -46,6 +47,15 @@ def l2(fld):
     return math.sqrt(g.L * float(np.sum(g.multiplicity * np.abs(fld.spectrum) ** 2)))
 
 
+def evaluated(eq, g, V, nonlinear=True):
+    """(N(V), samples of V) from one evaluation of a freshly built
+    nonlinear_term, with the samples copied out of its buffer."""
+    evaluate, samples = nonlinear_term(eq, g, nonlinear)
+    out = np.empty(V.shape, dtype=complex)
+    evaluate(V, out)
+    return out, samples.copy()
+
+
 def rhs(eq, *fields):
     """Full rhs (dispersion plus nonlinear_term) of the given fields, one
     SpectralField per component, through the integrator's band k = 0..N/4;
@@ -54,7 +64,7 @@ def rhs(eq, *fields):
     band = g.N // 4 + 1
     V = np.stack([f.spectrum[:band] for f in fields])
     sym = np.stack([linear_symbol(g, eq.m, alpha)[:band] for alpha in eq.alphas])
-    NV, _ = nonlinear_term(eq, g)(V)
+    NV, _ = evaluated(eq, g, V)
     half = np.zeros((len(fields), g.xi.size), dtype=complex)
     half[:, :band] = sym * V + NV
     return [synthesize(H, g) for H in half]
@@ -67,7 +77,7 @@ def end_record(dt, t_end):
 
 class TestDampingProfiles:
     def test_constant_values_and_sups(self):
-        g = make_grid(64.0, 64)
+        g = Grid(64.0, 64)
         a = ConstantDamping(0.7)
         assert a.sup == 0.7
         assert a.deriv_sup(0) == 0.7
@@ -75,7 +85,7 @@ class TestDampingProfiles:
         assert np.all(a.values(g) == 0.7)
 
     def test_raised_cosine_formula(self):
-        g = make_grid(64.0, 256)
+        g = Grid(64.0, 256)
         a = RaisedCosineDamping(floor=1.0, amplitude=0.5, length=64.0)
         vals = a.values(g)
         expect = 1.0 + 0.5 * (1.0 + np.cos(2.0 * np.pi * g.x / 64.0))
@@ -85,7 +95,7 @@ class TestDampingProfiles:
 
     def test_raised_cosine_deriv_sups_match_spectral(self):
         # exact sup formula eps*(2 pi/L)^k against spectral differentiation
-        g = make_grid(64.0, 256)
+        g = Grid(64.0, 256)
         a = RaisedCosineDamping(floor=1.0, amplitude=0.5, length=64.0)
         fld = analyze(a.values(g), g)
         for k in range(1, 5):
@@ -96,38 +106,38 @@ class TestDampingProfiles:
     def test_raised_cosine_rejects_foreign_grid(self):
         a = RaisedCosineDamping(floor=1.0, amplitude=0.5, length=64.0)
         with pytest.raises(ConfigurationError, match="domain length"):
-            a.values(make_grid(32.0, 64))
+            a.values(Grid(32.0, 64))
 
     def test_make_damping_constant(self):
-        g = make_grid(64.0, 64)
+        g = Grid(64.0, 64)
         a = make_damping("constant", 1.0, 0.0, g, sigma0=1e6)
         assert isinstance(a, ConstantDamping)
         assert a.deriv_bound_rate == 0.0
 
     def test_make_damping_constant_rejects_amplitude(self):
-        g = make_grid(64.0, 64)
+        g = Grid(64.0, 64)
         with pytest.raises(ConfigurationError, match="eps"):
             make_damping("constant", 1.0, 0.3, g, sigma0=1.0)
 
     def test_make_damping_raised_cosine_inside_a3(self):
         # R = 2 pi/64 ~ 0.0982, so sigma0 < 10.19 is accepted
-        g = make_grid(64.0, 256)
+        g = Grid(64.0, 256)
         a = make_damping("raised_cosine", 1.0, 0.5, g, sigma0=10.0)
         assert isinstance(a, RaisedCosineDamping)
         assert a.deriv_bound_rate == pytest.approx(2.0 * np.pi / 64.0)
 
     def test_make_damping_a3_violation(self):
-        g = make_grid(64.0, 256)
+        g = Grid(64.0, 256)
         with pytest.raises(ConfigurationError, match=r"\(A3\)"):
             make_damping("raised_cosine", 1.0, 0.5, g, sigma0=20.0)
 
     def test_make_damping_a1_violation(self):
-        g = make_grid(64.0, 64)
+        g = Grid(64.0, 64)
         with pytest.raises(ConfigurationError, match=r"\(A1\)"):
             make_damping("constant", 0.0, 0.0, g, sigma0=1.0)
 
     def test_make_damping_unknown_form(self):
-        g = make_grid(64.0, 64)
+        g = Grid(64.0, 64)
         with pytest.raises(ConfigurationError, match="form"):
             make_damping("gaussian", 1.0, 0.5, g, sigma0=1.0)
 
@@ -186,7 +196,7 @@ class TestEquationTypes:
 
 class TestRhs:
     def test_zero_field_maps_to_zero(self):
-        g = make_grid(2.0 * np.pi, 64)
+        g = Grid(2.0 * np.pi, 64)
         z = analyze(np.zeros(g.N), g)
         (out,) = rhs(Equation(mu=1), z)
         assert np.all(out.samples == 0.0)
@@ -199,7 +209,7 @@ class TestRhs:
     def test_cosine_mode_closed_form(self):
         # u = cos(x) on [0, 2 pi):  -u''' - u^2 u' = -sin - cos^2 (-sin) = -sin^3.
         # Transform crumbs get amplified by xi_cut^3 = 16^3, hence the tolerance.
-        g = make_grid(2.0 * np.pi, 64)
+        g = Grid(2.0 * np.pi, 64)
         u = dealias(analyze(np.cos(g.x), g))
         (out,) = rhs(Equation(mu=1), u)
         assert np.abs(out.samples + np.sin(g.x) ** 3).max() < 1e-11
@@ -207,7 +217,7 @@ class TestRhs:
     def test_fifth_order_single_mode(self):
         # m=5: dv/dt = +d^5 v - mu dealias(v^2 v_x) - a v on a single cosine;
         # crumb amplification here is xi_cut^5 ~ 1e6 eps
-        g = make_grid(2.0 * np.pi, 64)
+        g = Grid(2.0 * np.pi, 64)
         xi0 = 2.0
         v = dealias(analyze(np.cos(xi0 * g.x), g))
         lam = 0.4
@@ -220,7 +230,7 @@ class TestRhs:
         assert np.abs(out.samples - expect).max() < 1e-9
 
     def test_constant_damping_contribution(self):
-        g = make_grid(64.0, 256)
+        g = Grid(64.0, 256)
         v = dealias(analyze(0.8 * np.cos(2 * np.pi * 5 * g.x / g.L), g))
         lam = 0.6
         (with_damp,) = rhs(Equation(mu=1, m=3, dampings=(ConstantDamping(lam),)), v)
@@ -230,7 +240,7 @@ class TestRhs:
 
     def test_coupled_degenerate_second_component(self):
         # w2 = 0 kills both nonlinear products: component 1 is damped Airy
-        g = make_grid(64.0, 256)
+        g = Grid(64.0, 256)
         w1 = dealias(analyze(np.cos(2 * np.pi * 4 * g.x / g.L), g))
         z = analyze(np.zeros(g.N), g)
         lam = 0.3
@@ -241,7 +251,7 @@ class TestRhs:
         assert np.abs(r2.samples).max() == 0.0
 
     def test_coupled_grid_mismatch(self):
-        g1, g2 = make_grid(64.0, 256), make_grid(32.0, 256)
+        g1, g2 = Grid(64.0, 256), Grid(32.0, 256)
         a = ConstantDamping(1.0)
         w1 = analyze(np.cos(2 * np.pi * g1.x / g1.L), g1)
         w2 = analyze(np.cos(2 * np.pi * g2.x / g2.L), g2)
@@ -252,26 +262,31 @@ class TestRhs:
 
     def test_rhs_rejects_nonfinite(self):
         # a non-finite mode reaches the samples that the blow-up check reads
-        g = make_grid(64.0, 64)
+        g = Grid(64.0, 64)
         spectrum = np.zeros(g.N // 2 + 1, dtype=complex)
         spectrum[3] = np.nan
-        _, v = nonlinear_term(Equation(mu=1), g)(spectrum[None, : g.N // 4 + 1])
+        _, v = evaluated(Equation(mu=1), g, spectrum[None, : g.N // 4 + 1])
         assert not np.all(np.isfinite(v))
         fld = SpectralField(grid=g, spectrum=spectrum)
         spec = EvolutionSpec(equation=Equation(mu=1), dt=1e-3, t_end=1e-3, record_every=1)
         with pytest.raises(DivergenceError, match="blow-up abort at t = 0"):
             integrate(spec, fld)
 
-    def test_rhs_rejects_full_half_spectrum(self):
-        # modes above the band would enter the cubic term: only the band
-        # layout (C, N/4+1) is accepted
-        g = make_grid(64.0, 64)
-        fld = analyze(np.cos(2 * np.pi * 3 * g.x / g.L), g)
-        rhs_fn = nonlinear_term(Equation(mu=1), g)
-        with pytest.raises(ConfigurationError, match=r"\(1, 17\), got \(1, 33\)"):
-            rhs_fn(fld.spectrum[None])
-        with pytest.raises(ConfigurationError, match=r"got \(17,\)"):
-            rhs_fn(fld.spectrum[: g.band])
+    @pytest.mark.parametrize("flow", [0, 1, 2])
+    def test_integrate_builds_its_rhs_through_nonlinear_term(self, flow, monkeypatch):
+        # the rhs the tests check is the rhs the loop runs: one build per
+        # integrate call, through the public builder
+        g = Grid(64.0, 256)
+        eq, init = three_flows(g)[flow]
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return nonlinear_term(*args)
+
+        monkeypatch.setattr(dynamics, "nonlinear_term", counted)
+        integrate(EvolutionSpec(equation=eq, dt=1e-3, t_end=0.01, record_every=5), init)
+        assert calls == [(eq, g, True)]
 
     def test_rhs_validation(self):
         # the equation types carry the preconditions nonlinear_term relies on
@@ -292,7 +307,7 @@ class TestRhs:
     def test_output_vanishes_outside_band(self, N, family, nonlinear, seed):
         # the band k = 0..N/4 is the layout itself: N(V) has exactly the
         # band's entries, so nothing outside it (Nyquist included) exists
-        g = make_grid(64.0, N)
+        g = Grid(64.0, N)
         a = RaisedCosineDamping(floor=0.5, amplitude=0.25, length=64.0)
         eq = {
             "mkdv": Equation(mu=1),
@@ -302,8 +317,8 @@ class TestRhs:
         rng = np.random.default_rng(seed)
         shape = (len(eq.alphas), N // 4 + 1)
         V = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        out, v = nonlinear_term(eq, g, nonlinear)(V)
-        assert out.shape == shape and v.shape == shape[:-1] + (N,)
+        out, v = evaluated(eq, g, V, nonlinear)
+        assert v.shape == shape[:-1] + (N,)
         if nonlinear or family != "mkdv":
             assert np.any(out != 0.0)
 
@@ -329,14 +344,14 @@ class TestConservativeForm:
     def test_matches_product_rule_without_edge_mode(self, N, flow, scale, seed):
         # with V_{N/4} = 0 no cubic product aliases into the band, so both
         # forms are the same exact convolution and differ by round-off
-        g = make_grid(64.0, N)
+        g = Grid(64.0, N)
         eq = SINGLE_FLOWS[flow]
         rng = np.random.default_rng(seed)
         band = N // 4 + 1
         V = scale * (rng.standard_normal((1, band)) + 1j * rng.standard_normal((1, band))) / band
         V[:, 0] = V[:, 0].real
         V[:, -1] = 0.0
-        got, _ = nonlinear_term(eq, g)(V)
+        got, _ = evaluated(eq, g, V)
         ref = product_rule_rhs(eq, g, V)
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
@@ -345,12 +360,12 @@ class TestConservativeForm:
         # V_K != 0, K = N/4: the (K, K, K) triple aliases onto +-K.  Only
         # k = K moves, by -(4/3) mu i xi_K conj(V_K)^3, the conservative
         # -(mu/3) i xi_K minus the product-rule +mu i xi_K
-        g = make_grid(64.0, 64)
+        g = Grid(64.0, 64)
         eq = SINGLE_FLOWS[flow]
         K = g.N // 4
         V = np.zeros((1, K + 1), dtype=complex)
         V[0, [0, 3, 7, K - 1, K]] = [0.2, 0.5 - 0.1j, 0.3j, 0.1, 0.4 + 0.3j]
-        got, _ = nonlinear_term(eq, g)(V)
+        got, _ = evaluated(eq, g, V)
         ref = product_rule_rhs(eq, g, V)
         scale = np.abs(ref).max()
         assert np.abs(got[0, :K] - ref[0, :K]).max() <= 1e-13 * scale
@@ -383,28 +398,33 @@ class TestBuffers:
 
     @pytest.mark.parametrize("flow", [0, 1, 2])
     def test_results_held_at_once_match_fresh_evaluations(self, flow):
-        g = make_grid(64.0, 256)
+        # an evaluation writes only its out and the samples buffer: V is
+        # read-only here, an out held from an earlier call keeps its values,
+        # and the same V evaluated again gives both results bit for bit
+        g = Grid(64.0, 256)
         eq, init = three_flows(g)[flow]
         rng = np.random.default_rng(flow)
         V1 = half_spectra(init)[..., : g.N // 4 + 1]
         V2 = V1 + 0.01 * (rng.standard_normal(V1.shape) + 1j * rng.standard_normal(V1.shape))
         V2[..., 0] = V2[..., 0].real
         V1_in, V2_in = V1.copy(), V2.copy()
-        rhs = nonlinear_term(eq, g)
-        held = [rhs(V1), rhs(V2)]
-        for (out, v), V in zip(held, (V1, V2)):
-            fresh_out, fresh_v = nonlinear_term(eq, g)(V)
-            assert np.array_equal(out, fresh_out) and np.array_equal(v, fresh_v)
-        assert not np.array_equal(held[0][0], held[1][0])
+        V1.flags.writeable = V2.flags.writeable = False
+        evaluate, samples = nonlinear_term(eq, g)
+        out1, out2, again = (np.empty_like(V1) for _ in range(3))
+        evaluate(V1, out1)
+        w1 = samples.copy()
+        evaluate(V2, out2)
+        for out, w, V in ((out1, w1, V1), (out2, samples, V2)):
+            fresh_out, fresh_w = evaluated(eq, g, V)
+            assert np.array_equal(out, fresh_out) and np.array_equal(w, fresh_w)
+        assert not np.array_equal(out1, out2) and not np.array_equal(w1, samples)
+        evaluate(V1, again)
+        assert np.array_equal(again, out1) and np.array_equal(samples, w1)
         assert np.array_equal(V1, V1_in) and np.array_equal(V2, V2_in)
-        # with out given, N(V) is written into it
-        buf = np.empty_like(V1)
-        out, _ = rhs(V1, buf)
-        assert out is buf and np.array_equal(buf, held[0][0])
 
     @pytest.mark.parametrize("flow", [0, 1, 2])
     def test_records_match_runs_stopped_there(self, flow):
-        g = make_grid(64.0, 256)
+        g = Grid(64.0, 256)
         eq, init = three_flows(g)[flow]
         spectra_in = half_spectra(init).copy()
         dt = 2.0**-10  # j * dt / j == dt exactly, so every run steps with h = dt
@@ -420,7 +440,7 @@ class TestBuffers:
 class TestTransformCounts:
     @pytest.mark.parametrize("flow", [0, 1, 2])
     def test_four_plus_four_transforms_per_step(self, flow, fft_counts):
-        g = make_grid(64.0, 256)
+        g = Grid(64.0, 256)
         eq, init = three_flows(g)[flow]
         steps = 10
         fft_counts.update(rfft=0, irfft=0, points=0)
@@ -438,7 +458,7 @@ class TestTransformCounts:
 
 class TestSoliton:
     def test_peak_and_speed(self):
-        g = make_grid(80.0, 1024)
+        g = Grid(80.0, 1024)
         u, c = soliton(1.0, 40.0, g)  # x0 = 40 is grid node 512
         assert c == 1.0
         assert u.samples[512] == pytest.approx(math.sqrt(6.0), rel=1e-12)
@@ -447,7 +467,7 @@ class TestSoliton:
         assert c2 == pytest.approx(2.25)
 
     def test_boundary_precondition(self):
-        g = make_grid(40.0, 512)
+        g = Grid(40.0, 512)
         with pytest.raises(ConfigurationError, match="edge"):
             soliton(1.0, 20.0, g)  # sech(20) ~ 4e-9 of peak, too fat
         with pytest.raises(ConfigurationError):
@@ -457,7 +477,7 @@ class TestSoliton:
 
     def test_transform_decay_rate(self):
         # |F_k| tracks (sqrt(6) pi / L) sech(pi xi / (2k)): slope -pi/2 for k=1
-        g = make_grid(80.0, 1024)
+        g = Grid(80.0, 1024)
         u, _ = soliton(1.0, 40.0, g)
         sel = (g.xi > 2.0) & (g.xi < 12.0)
         slope = np.polyfit(g.xi[sel], np.log(np.abs(u.spectrum[sel])), 1)[0]
@@ -465,7 +485,7 @@ class TestSoliton:
 
     def test_pde_residual_spectral(self):
         # residual of u_t + u_xxx + u^2 u_x with u_t = -c u_x, no projection
-        g = make_grid(80.0, 1024)
+        g = Grid(80.0, 1024)
         u, c = soliton(1.0, 40.0, g)
         ux = apply_symbol(u, Deriv(1)).samples
         uxxx = apply_symbol(u, Deriv(3)).samples
@@ -475,7 +495,7 @@ class TestSoliton:
     def test_rhs_matches_traveling_wave_at_512(self):
         # rhs takes dealiased input; k and L chosen so the projected tail
         # clears the band edge (k L/2 ~ 28.8 keeps the boundary guard happy)
-        g = make_grid(96.0, 512)
+        g = Grid(96.0, 512)
         u, c = soliton(0.6, 48.0, g)
         up = dealias(u)
         (out,) = rhs(Equation(mu=1), up)
@@ -485,7 +505,7 @@ class TestSoliton:
 
 class TestIntegrate:
     def test_trajectory_layout(self):
-        g = make_grid(64.0, 256)
+        g = Grid(64.0, 256)
         u0 = dealias(analyze(0.5 * np.cos(2 * np.pi * 3 * g.x / g.L), g))
         spec = EvolutionSpec(equation=Equation(mu=1), dt=1e-3, t_end=0.01, record_every=2)
         traj = integrate(spec, u0)
@@ -497,7 +517,7 @@ class TestIntegrate:
         assert traj.final is traj.states[-1]
 
     def test_initial_state_is_projected(self):
-        g = make_grid(64.0, 256)
+        g = Grid(64.0, 256)
         # mode 100 sits outside the kept band |k| <= 64 and must vanish
         u0 = analyze(np.cos(2 * np.pi * 3 * g.x / g.L)
                      + np.cos(2 * np.pi * 100 * g.x / g.L), g)
@@ -511,7 +531,7 @@ class TestIntegrate:
     def test_unitary_modes_short_horizon(self):
         # |F_k| preserved to 10 eps per mode over a few steps; the |exp|
         # rounding of the factor compounds by ~2 eps per step after that
-        g = make_grid(64.0, 512)
+        g = Grid(64.0, 512)
         u0 = dealias(analyze(0.8 * np.cos(2 * np.pi * 5 * g.x / g.L)
                              + 0.3 * np.sin(2 * np.pi * 11 * g.x / g.L), g))
         spec = EvolutionSpec(equation=Equation(mu=1), dt=1e-3, t_end=5e-3,
@@ -522,7 +542,7 @@ class TestIntegrate:
         assert np.abs(f1[live] / f0[live] - 1.0).max() < 10 * EPS
 
     def test_unitary_accumulation_bound(self):
-        g = make_grid(64.0, 512)
+        g = Grid(64.0, 512)
         u0 = dealias(analyze(np.cos(2 * np.pi * 7 * g.x / g.L), g))
         steps = 500
         spec = EvolutionSpec(equation=Equation(mu=1), dt=1e-3, t_end=0.5,
@@ -533,7 +553,7 @@ class TestIntegrate:
         assert np.abs(f1[live] / f0[live] - 1.0).max() < (2 * steps + 10) * EPS
 
     def test_linear_flow_matches_symbol(self):
-        g = make_grid(64.0, 512)
+        g = Grid(64.0, 512)
         u0 = dealias(analyze(0.8 * np.cos(2 * np.pi * 5 * g.x / g.L)
                              + 0.3 * np.sin(2 * np.pi * 11 * g.x / g.L), g))
         t_end = 0.05
@@ -546,7 +566,7 @@ class TestIntegrate:
 
     def test_exact_damped_decay(self):
         # nonlinearity off, constant damping: ||v(t)|| = e^{-lam t} ||v0||
-        g = make_grid(64.0, 512)
+        g = Grid(64.0, 512)
         v0 = dealias(analyze(0.8 * np.cos(2 * np.pi * 5 * g.x / g.L)
                              + 0.3 * np.sin(2 * np.pi * 11 * g.x / g.L), g))
         lam, t_end = 0.4, 1.0
@@ -557,7 +577,7 @@ class TestIntegrate:
         assert l2(traj.final) == pytest.approx(math.exp(-lam * t_end) * l2(v0), rel=1e-10)
 
     def test_time_reversibility(self):
-        g = make_grid(64.0, 512)
+        g = Grid(64.0, 512)
         v0, _ = soliton(1.0, 32.0, g)
         t_end = 0.2
         spec = EvolutionSpec(equation=Equation(mu=1), dt=1e-4, t_end=t_end,
@@ -569,7 +589,7 @@ class TestIntegrate:
         assert np.abs(recovered.samples - v0p.samples).max() < 1e-8
 
     def test_mean_is_conserved(self):
-        g = make_grid(64.0, 512)
+        g = Grid(64.0, 512)
         v0, _ = soliton(1.0, 32.0, g)
         t_end = 0.5
         spec = EvolutionSpec(equation=Equation(mu=1), dt=2e-4, t_end=t_end,
@@ -580,7 +600,7 @@ class TestIntegrate:
 
     def test_l2_damping_identity(self):
         # centered FD of int v^2 vs -2 int a v^2 at the recorded times
-        g = make_grid(64.0, 512)
+        g = Grid(64.0, 512)
         v0, _ = soliton(1.0, 32.0, g)
         a = RaisedCosineDamping(floor=0.2, amplitude=0.15, length=64.0)
         eq = Equation(mu=-1, m=3, dampings=(a,))
@@ -598,7 +618,7 @@ class TestIntegrate:
             assert fd == pytest.approx(rate, rel=1e-7)
 
     def test_soliton_short_run_error(self):
-        g = make_grid(64.0, 512)
+        g = Grid(64.0, 512)
         u0, c = soliton(1.0, 32.0, g)
         t_end = 0.5
         spec = EvolutionSpec(equation=Equation(mu=1), dt=2e-4, t_end=t_end,
@@ -611,7 +631,7 @@ class TestIntegrate:
 
     def test_order_of_convergence(self):
         # dt halving cuts the error ~16x; run above the spatial floor
-        g = make_grid(64.0, 1024)
+        g = Grid(64.0, 1024)
         u0, c = soliton(1.0, 32.0, g)
         t_end = 0.5
         errs = []
@@ -627,7 +647,7 @@ class TestIntegrate:
         assert 10.0 <= ratio <= 24.0
 
     def test_dt_guard(self):
-        g = make_grid(64.0, 512)
+        g = Grid(64.0, 512)
         u0, _ = soliton(1.0, 32.0, g)
         # guard = 0.5 dx / (6 + 1) ~ 8.9e-3 here
         spec = EvolutionSpec(equation=Equation(mu=1), dt=2e-2, t_end=1.0, record_every=10)
@@ -638,7 +658,7 @@ class TestIntegrate:
         # linear flow from a packet dispersed backward over t = 1: it refocuses,
         # its peak grows from ~2.06 to ~4, and the guard falls from ~0.024
         # to ~0.0074, so dt = 0.012 passes at t = 0 and fails mid-run
-        g = make_grid(64.0, 256)
+        g = Grid(64.0, 256)
         focused = dealias(analyze(4.0 * np.exp(-((g.x - 32.0) ** 2) / 0.72), g))
         u0 = synthesize(np.exp(-1j * g.xi**3) * focused.spectrum, g)
         spec = EvolutionSpec(equation=Equation(mu=1), dt=0.012, t_end=1.0, record_every=1, nonlinear=False)
@@ -648,7 +668,7 @@ class TestIntegrate:
         assert 0.0 < t_fail < 1.0
 
     def test_blowup_abort(self):
-        g = make_grid(64.0, 64)
+        g = Grid(64.0, 64)
         huge = analyze(np.full(g.N, 2.0 * BLOWUP_LIMIT), g)
         dt = 1e-14  # below the guard for this amplitude
         spec = EvolutionSpec(equation=Equation(mu=1), dt=dt, t_end=3e-14, record_every=1)
@@ -656,7 +676,7 @@ class TestIntegrate:
             integrate(spec, huge)
 
     def test_coupled_needs_pair(self):
-        g = make_grid(64.0, 256)
+        g = Grid(64.0, 256)
         u0 = analyze(np.cos(2 * np.pi * 3 * g.x / g.L), g)
         a = ConstantDamping(1.0)
         eq = Equation(mu=1, alphas=(1.0, 0.5), dampings=(a, a))
@@ -666,7 +686,7 @@ class TestIntegrate:
 
     def test_coupled_degenerate_matches_single(self):
         # w2 = 0: first component evolves as the linear damped flow
-        g = make_grid(64.0, 256)
+        g = Grid(64.0, 256)
         w0 = dealias(analyze(0.5 * np.cos(2 * np.pi * 4 * g.x / g.L), g))
         z = analyze(np.zeros(g.N), g)
         lam = 0.5
@@ -687,7 +707,7 @@ class TestIntegrate:
     def test_fifth_order_flow_runs_and_damps(self):
         # m=5 dispersion is handled by the same exact symbol; mass must
         # decay at least as fast as the floor allows
-        g = make_grid(64.0, 256)
+        g = Grid(64.0, 256)
         v0 = dealias(analyze(0.6 * np.cos(2 * np.pi * 3 * g.x / g.L), g))
         lam = 0.5
         eq = Equation(mu=-1, m=5, dampings=(ConstantDamping(lam),))
@@ -701,7 +721,7 @@ class TestIntegrate:
 class TestLinearSymbol:
     def test_matches_dispersion_sign_for_all_orders(self):
         # the (-1)^(j+1) sign combines with i^m to +i xi^m for every odd m
-        g = make_grid(2.0 * np.pi, 64)
+        g = Grid(2.0 * np.pi, 64)
         for m in (3, 5, 7):
             sym = linear_symbol(g, m)
             assert np.allclose(sym[1], 1j * g.xi[1] ** m)
@@ -711,5 +731,5 @@ class TestLinearSymbol:
             assert np.all(sym.real == 0.0)
 
     def test_alpha_scaling(self):
-        g = make_grid(2.0 * np.pi, 64)
+        g = Grid(2.0 * np.pi, 64)
         assert np.allclose(linear_symbol(g, 3, 0.25), 0.25 * linear_symbol(g, 3))

@@ -546,8 +546,19 @@ class TestRadiusTracking:
             run_text(RADIUS_SHORT, ["evolution.t_end=0.2", f"evolution.record_every={record_every}"])
 
     def test_underresolved_grid_propagates_advice(self):
-        with pytest.raises(UnderresolvedError, match="raise N"):
+        with pytest.raises(UnderresolvedError, match=r"raise grid\.N"):
             run_text(RADIUS_SHORT, ["grid.N=32", "evolution.t_end=0.01", "evolution.record_every=10"])
+
+    def test_underresolved_grid_fails_before_integrating(self, monkeypatch):
+        # the t = 0 state is fitted first; the advice names the config key
+        # that sets the grid, not the estimator's floor_rel, which none sets
+        def tripped(spec, init):
+            raise AssertionError("integrated")
+
+        monkeypatch.setattr(harness, "integrate", tripped)
+        with pytest.raises(UnderresolvedError, match=r"at t = 0: .*; raise grid\.N$") as info:
+            run_text(RADIUS_SHORT, ["grid.N=32"])
+        assert "floor_rel" not in str(info.value)
 
 
 class TestInequalitiesScenario:

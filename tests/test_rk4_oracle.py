@@ -21,7 +21,7 @@ from gevreyflow.dynamics import (
     integrate,
     soliton,
 )
-from gevreyflow.spectral import analyze, dealias, make_grid
+from gevreyflow.spectral import Grid, analyze, dealias
 
 STEPS = 40
 
@@ -91,7 +91,7 @@ def sech_field(grid, amplitude, center):
     ["mkdv-soliton", "damped-m5", "coupled"],
 )
 def test_integrate_matches_full_spectrum_oracle(case):
-    g = make_grid(64.0, 256)
+    g = Grid(64.0, 256)
     a = RaisedCosineDamping(floor=1.0, amplitude=0.5, length=64.0)
     if case == "mkdv-soliton":
         u0, _ = soliton(1.0, 32.0, g)

@@ -13,7 +13,6 @@ from gevreyflow import (
     SymmetryError,
     analyze,
     dealias,
-    make_grid,
     spectral,
     synthesize,
 )
@@ -51,7 +50,7 @@ any_real_fields = st.integers(8, 128).flatmap(
 
 class TestGrid:
     def test_frequency_layout(self):
-        g = make_grid(2 * np.pi, 16)
+        g = Grid(2 * np.pi, 16)
         assert g.k.tolist() == list(range(0, 9))
         assert g.nyquist_index == 8 == g.k[-1]
         assert np.allclose(g.xi, g.k.astype(float))
@@ -59,7 +58,7 @@ class TestGrid:
         assert g.dx == pytest.approx(np.pi / 8)
 
     def test_xi_max(self):
-        g = make_grid(64.0, 512)
+        g = Grid(64.0, 512)
         assert g.xi_max == pytest.approx(8 * np.pi)
 
     @pytest.mark.parametrize(
@@ -68,24 +67,22 @@ class TestGrid:
     )
     def test_rejects_bad_parameters(self, L, N):
         with pytest.raises(ConfigurationError):
-            make_grid(L, N)
-        with pytest.raises(ConfigurationError):
             Grid(L, N)
 
     def test_stores_float_length_and_int_count(self):
         g = Grid(64, 256.0)
         assert (type(g.L), type(g.N)) == (float, int)
-        assert g == make_grid(64.0, 256)
+        assert g == Grid(64.0, 256)
 
     def test_arrays_read_only(self):
-        g = make_grid(64.0, 32)
+        g = Grid(64.0, 32)
         with pytest.raises(ValueError):
             g.x[0] = 1.0
 
 
 class TestTransformPair:
     def test_single_cosine_mode(self):
-        g = make_grid(64.0, 32)
+        g = Grid(64.0, 32)
         fld = analyze(np.cos(2 * np.pi * g.x / g.L), g)
         F = fld.spectrum
         assert F.shape == (g.N // 2 + 1,)
@@ -94,14 +91,14 @@ class TestTransformPair:
         assert np.abs(others).max() < 1e-14
 
     def test_constant_field(self):
-        g = make_grid(64.0, 32)
+        g = Grid(64.0, 32)
         fld = analyze(np.ones(g.N), g)
         assert fld.spectrum[0] == pytest.approx(1.0)
         assert np.abs(fld.spectrum[1:]).max() < 1e-15
 
     def test_matches_direct_summation(self, rng):
         # frozen oracle: naive O(N^2) DFT at N=32
-        g = make_grid(10.0, 32)
+        g = Grid(10.0, 32)
         f = rng.standard_normal(g.N)
         F = analyze(f, g).spectrum
         F_ref = dft_direct(f, g)
@@ -109,7 +106,7 @@ class TestTransformPair:
 
     @given(any_real_fields)
     def test_round_trip(self, f):
-        g = make_grid(50.0, f.size)
+        g = Grid(50.0, f.size)
         back = synthesize(analyze(f, g).spectrum, g)
         scale = max(np.abs(f).max(), 1e-300)
         assert np.abs(back.samples - f).max() <= 100 * EPS * scale
@@ -125,7 +122,7 @@ class TestTransformPair:
         # f / max|f|: squares of tiny values would be subnormal and lose
         # the digits the tolerance asks for
         f = f / max(np.abs(f).max(), np.finfo(float).tiny)
-        g = make_grid(50.0, f.size)
+        g = Grid(50.0, f.size)
         F = analyze(f, g).spectrum
         phys = (g.L / g.N) * float(np.sum(f**2))
         spec = g.L * float(np.sum(g.multiplicity * np.abs(F) ** 2))
@@ -135,7 +132,7 @@ class TestTransformPair:
         # the only way a half spectrum can fail to describe a real field:
         # a non-real entry at k = 0 or k = N/2, whose imaginary part irfft
         # would drop
-        g = make_grid(64.0, 32)
+        g = Grid(64.0, 32)
         for k in (0, g.N // 2):
             F = np.zeros(g.N // 2 + 1, dtype=complex)
             F[k] = 1.0 + 1e-3j
@@ -148,12 +145,12 @@ class TestTransformPair:
         assert np.abs(synthesize(F, g).samples - expect).max() < 1e-14
 
     def test_synthesize_rejects_full_length_spectrum(self):
-        g = make_grid(64.0, 32)
+        g = Grid(64.0, 32)
         with pytest.raises(ConfigurationError, match="spectrum has shape"):
             synthesize(np.zeros(g.N, dtype=complex), g)
 
     def test_analyze_rejects_bad_input(self):
-        g = make_grid(64.0, 32)
+        g = Grid(64.0, 32)
         with pytest.raises(ConfigurationError):
             analyze(np.zeros(31), g)
         bad = np.zeros(32)
@@ -193,7 +190,7 @@ class TestRealTransformBinding:
 
 class TestLazySamples:
     def test_samples_are_one_irfft_on_first_read(self, rng, fft_counts):
-        g = make_grid(50.0, 64)
+        g = Grid(50.0, 64)
         F = np.fft.rfft(rng.standard_normal(g.N), norm="forward")
         expect = np.fft.irfft(F, n=g.N, norm="forward")
         fft_counts.update(rfft=0, irfft=0)
@@ -211,13 +208,13 @@ class TestLazySamples:
             fld.samples = expect
 
     def test_field_built_from_a_spectrum_alone(self, rng):
-        g = make_grid(50.0, 64)
+        g = Grid(50.0, 64)
         F = np.fft.rfft(rng.standard_normal(g.N), norm="forward")
         fld = SpectralField(grid=g, spectrum=F)
         assert fld.samples.tobytes() == np.fft.irfft(F, n=g.N, norm="forward").tobytes()
 
     def test_analyze_keeps_its_samples(self, rng, fft_counts):
-        g = make_grid(50.0, 64)
+        g = Grid(50.0, 64)
         f = rng.standard_normal(g.N)
         fld = analyze(f, g)
         fft_counts.update(rfft=0, irfft=0)
@@ -230,7 +227,7 @@ class TestLazySamples:
 
 class TestMultipliers:
     def test_deriv_on_cosine(self):
-        g = make_grid(2 * np.pi, 64)
+        g = Grid(2 * np.pi, 64)
         xi0 = 3.0
         fld = analyze(np.cos(xi0 * g.x), g)
         d = apply_symbol(fld, Deriv(1))
@@ -238,7 +235,7 @@ class TestMultipliers:
 
     def test_cosh_weight_frozen_value(self):
         # cosh(0.5 * 4) = cosh(2) = 3.7621956910836314
-        g = make_grid(2 * np.pi, 32)
+        g = Grid(2 * np.pi, 32)
         fld = analyze(np.cos(4.0 * g.x), g)
         w = cosh_weighted(fld, 0.5)
         ratio = w.spectrum[4].real / fld.spectrum[4].real
@@ -246,7 +243,7 @@ class TestMultipliers:
 
     @given(real_fields)
     def test_sech_inverts_cosh(self, f):
-        g = make_grid(50.0, f.size)
+        g = Grid(50.0, f.size)
         fld = analyze(f, g)
         rt = sech_weighted(cosh_weighted(fld, 0.7), 0.7)
         scale = max(np.abs(f).max(), 1.0)
@@ -254,14 +251,14 @@ class TestMultipliers:
 
     def test_sech_inverts_cosh_in_log_regime(self, rng):
         # sigma*xi_max = 40 > 30 exercises the log-space branch
-        g = make_grid(2 * np.pi, 64)
+        g = Grid(2 * np.pi, 64)
         fld = analyze(rng.standard_normal(g.N), g)
         sigma = 40.0 / g.xi_max
         rt = sech_weighted(cosh_weighted(fld, sigma), sigma)
         assert np.abs(rt.samples - fld.samples).max() <= 10 * EPS * np.abs(fld.samples).max()
 
     def test_sigma_zero_is_identity(self, rng):
-        g = make_grid(64.0, 32)
+        g = Grid(64.0, 32)
         fld = analyze(rng.standard_normal(g.N), g)
         for weighted in (cosh_weighted, sech_weighted):
             out = weighted(fld, 0.0)
@@ -269,7 +266,7 @@ class TestMultipliers:
 
     @given(real_fields)
     def test_third_derivative_composes(self, f):
-        g = make_grid(50.0, f.size)
+        g = Grid(50.0, f.size)
         fld = analyze(f, g)
         once = apply_symbol(fld, Deriv(3))
         thrice = fld
@@ -279,7 +276,7 @@ class TestMultipliers:
         assert np.abs(once.spectrum - thrice.spectrum).max() <= 100 * EPS * scale
 
     def test_linear_flow_is_unitary_and_invertible(self, rng):
-        g = make_grid(64.0, 128)
+        g = Grid(64.0, 128)
         fld = analyze(rng.standard_normal(g.N), g)
         fwd = apply_symbol(fld, LinearFlow(m=5, sign=1, alpha=1.0, t=0.37))
         # moduli preserved away from the (zeroed) Nyquist mode
@@ -292,7 +289,7 @@ class TestMultipliers:
         assert np.abs(back.spectrum - live).max() < 100 * EPS * np.abs(live).max()
 
     def test_odd_deriv_zeroes_nyquist(self):
-        g = make_grid(64.0, 32)
+        g = Grid(64.0, 32)
         w = Deriv(3).values(g)
         assert w[g.nyquist_index] == 0.0
         w2 = Deriv(2).values(g)
@@ -303,8 +300,8 @@ class TestMultipliers:
         [
             lambda: Deriv(-1),
             lambda: Deriv(1.5),
-            lambda: cosh_weight(make_grid(2 * np.pi, 16), -1.0),
-            lambda: sech_weighted(analyze(np.ones(16), make_grid(2 * np.pi, 16)), -0.1),
+            lambda: cosh_weight(Grid(2 * np.pi, 16), -1.0),
+            lambda: sech_weighted(analyze(np.ones(16), Grid(2 * np.pi, 16)), -0.1),
             lambda: LinearFlow(m=4, sign=1, alpha=1.0, t=0.0),
             lambda: LinearFlow(m=3, sign=2, alpha=1.0, t=0.0),
             lambda: LinearFlow(m=3, sign=1, alpha=0.0, t=0.0),
@@ -318,7 +315,7 @@ class TestMultipliers:
 
 class TestOverflowGuard:
     def test_huge_weight_on_flat_spectrum_raises(self):
-        g = make_grid(2 * np.pi, 64)
+        g = Grid(2 * np.pi, 64)
         sigma = 1000.0 / g.xi_max  # sigma * xi_max = 1000 > 700
         F = np.full(g.N // 2 + 1, 1e-3, dtype=complex)
         fld = synthesize(F, g)
@@ -329,7 +326,7 @@ class TestOverflowGuard:
         # coefficients fall like exp(-0.5*sigma*|xi|), so the weighted
         # spectrum grows only like exp(0.5*sigma*|xi|): representable even
         # though the raw weight overflows
-        g = make_grid(2 * np.pi, 64)
+        g = Grid(2 * np.pi, 64)
         sigma = 1000.0 / g.xi_max
         F = np.exp(-0.5 * sigma * g.xi).astype(complex)
         fld = synthesize(F, g)
@@ -345,7 +342,7 @@ class TestOverflowGuard:
     def test_stack_matches_row_calls(self, rng, sigma, log_space, beyond_range):
         # both branches take leading axes: a stack of half spectra weighs
         # each row as a call on that row alone does, bit for bit
-        g = make_grid(64.0, 512)
+        g = Grid(64.0, 512)
         _, logw = cosh_weight(g, sigma)
         assert (logw is not None) == log_space
         assert (log_space and bool((logw > 700.0).any())) == beyond_range
@@ -366,7 +363,7 @@ class TestOverflowGuard:
 
 class TestDealias:
     def test_band_limited_field_unchanged(self, rng):
-        g = make_grid(64.0, 64)
+        g = Grid(64.0, 64)
         F = np.zeros(g.N // 2 + 1, dtype=complex)
         for k in (1, 5, 16):  # 16 = N/4 stays
             F[k] = rng.standard_normal() + 1j * rng.standard_normal()
@@ -375,7 +372,7 @@ class TestDealias:
         assert np.array_equal(out.spectrum, fld.spectrum)
 
     def test_high_mode_zeroed(self):
-        g = make_grid(64.0, 64)
+        g = Grid(64.0, 64)
         F = np.zeros(g.N // 2 + 1, dtype=complex)
         F[g.N // 2 - 1] = 1.0
         out = dealias(synthesize(F, g))
@@ -390,7 +387,7 @@ class TestDealias:
         alias triple products onto +-N/4 only, so interior modes still agree.
         """
         N = 64
-        g = make_grid(30.0, N)
+        g = Grid(30.0, N)
 
         def padded_cube(F):
             w = np.fft.irfft(pad_spectrum(F, N, 3), n=3 * N, norm="forward")
@@ -415,14 +412,14 @@ class TestDealias:
 
 class TestRefinement:
     def test_refined_grid_interpolates(self, rng):
-        g = make_grid(64.0, 32)
+        g = Grid(64.0, 32)
         fld = analyze(rng.standard_normal(g.N), g)
         fine = refined_samples(fld, factor=2)
         assert np.abs(fine[::2] - fld.samples).max() < 1e-12
 
     def test_quartic_quadrature_exact_for_dealiased_field(self, rng):
         # band 4*(N/4) = N < 2N: the doubled grid integrates u^4 exactly
-        g = make_grid(64.0, 64)
+        g = Grid(64.0, 64)
         fld = dealias(analyze(rng.standard_normal(g.N), g))
         fine = refined_samples(fld, factor=2)
         q = (g.L / fine.size) * np.sum(fine**4)
@@ -432,7 +429,7 @@ class TestRefinement:
 
     def test_sextic_quadrature_exact_for_dealiased_field(self, rng):
         # band 6*(N/4) = 3N/2 < 2N: still exact on the doubled grid
-        g = make_grid(64.0, 64)
+        g = Grid(64.0, 64)
         fld = dealias(analyze(rng.standard_normal(g.N), g))
         fine = refined_samples(fld, factor=2)
         q = (g.L / fine.size) * np.sum(fine**6)
