@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dynamics import DampingProfile
+from .dynamics import RaisedCosineDamping
 from .errors import (
     ConfigurationError,
     DivergenceError,
@@ -44,6 +44,12 @@ from .spectral import (
     noise_floor,
     pad_spectrum,
 )
+
+# terms of damping_A_norm summed exactly; its tail bound closes the rest
+_NORM_TERMS = 40
+# relative magnitude above which a mode enters radius_estimate's fit, far
+# above spectral.noise_floor (1e-13 of the peak)
+_FIT_FLOOR = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -223,22 +229,22 @@ def conserved_combinations(b: FunctionalBreakdown) -> dict:
     }
 
 
-def damping_A_norm(a: DampingProfile, sigma: float, K: int = 40) -> float:
+def damping_A_norm(a: RaisedCosineDamping, sigma: float) -> float:
     """Analytic size of the damping coefficient:
 
         sum_k (k+1)^(1/4) sigma^k / k! * sup|d^k a|,
 
-    summed exactly through K (the profiles expose exact derivative sups) and
-    closed with the rigorous tail bound sup|d^k a| <= C R^k k!:
+    summed exactly through K = 40 (the profile exposes exact derivative
+    sups) and closed with the rigorous tail bound sup|d^k a| <= C R^k k!:
 
         tail <= C * sum_{k>K} (k+1) (sigma R)^k,
 
     a differentiated geometric series.  Requires sigma * R < 1; the returned
-    value is head + tail, an upper bound sharp to 1e-12 relative (error
-    otherwise: raise K).
+    value is head + tail, an upper bound sharp to 1e-12 relative.  When the
+    tail bound is looser than that, sigma * R is too close to 1, and the
+    DivergenceError gives sigma * R (the remedy is a smaller sigma).  A
+    constant profile (R = 0) returns exactly its floor.
     """
-    if K < 8:
-        raise ConfigurationError(f"truncation order must be >= 8, got K={K}")
     if sigma < 0:
         raise ConfigurationError(f"weight radius must be >= 0, got {sigma}")
     q = sigma * a.deriv_bound_rate
@@ -246,6 +252,7 @@ def damping_A_norm(a: DampingProfile, sigma: float, K: int = 40) -> float:
         raise DivergenceError(
             f"damping-norm series diverges: sigma * R = {q:.6g} >= 1 (outside the (A3) regime)"
         )
+    K = _NORM_TERMS
     head = 0.0
     coeff = 1.0  # sigma^k / k!
     for k in range(0, K + 1):
@@ -261,7 +268,8 @@ def damping_A_norm(a: DampingProfile, sigma: float, K: int = 40) -> float:
         tail = a.deriv_bound_coeff * (full - partial)
     if head > 0 and tail > 1e-12 * head:
         raise DivergenceError(
-            f"tail bound {tail:.3e} exceeds 1e-12 of head {head:.6g} at K={K}; raise K"
+            f"damping-norm tail bound {tail:.3e} exceeds 1e-12 of head {head:.6g}: "
+            f"sigma * R = {q:.6g} is too close to 1"
         )
     return head + tail
 
@@ -271,7 +279,7 @@ def damping_A_norm(a: DampingProfile, sigma: float, K: int = 40) -> float:
 # ---------------------------------------------------------------------------
 
 
-def mass_rate(v: SpectralField, a: DampingProfile) -> float:
+def mass_rate(v: SpectralField, a: RaisedCosineDamping) -> float:
     """Instantaneous drift of functional_M(v, 0) along the damped flow:
 
         dM/dt = -2 int a v^2.
@@ -305,10 +313,10 @@ def theta_max(m: int) -> Fraction:
     return min(Fraction(1), -s_index(m))
 
 
-def lifespan_T0(a_norm: float, data_norm_sq: float, c0: float = 1.0, d: float = 2.0) -> float:
+def lifespan_T0(a_norm: float, data_norm_sq: float, c0: float, d: float) -> float:
     """Local-existence window c0 / (1 + a_norm + data_norm_sq)^d.
 
-    c0 and d are not pinned upstream; defaults (1, 2) are configuration.
+    c0 and d are not pinned upstream; they are configuration (run.c0, run.d).
     """
     if c0 <= 0:
         raise ConfigurationError(f"lifespan scale must be positive, got c0={c0}")
@@ -378,13 +386,12 @@ class RadiusFit:
     n_modes: int
 
 
-def radius_estimate(f: SpectralField, floor_rel: float = 1e-8) -> RadiusFit:
+def radius_estimate(f: SpectralField) -> RadiusFit:
     """Fit the exponential decay rate of the positive-frequency tail.
 
-    Modes are usable when |F_k| exceeds floor_rel * max|F| and
-    spectral.noise_floor (1e-13 * max|F|); the
-    top 10% (by frequency) of the usable set is dropped as dealiasing-
-    contaminated.  Requires at least 12 surviving modes.
+    Modes are usable when |F_k| exceeds 1e-8 * max|F|; the top 10% (by
+    frequency) of the usable set is dropped as dealiasing-contaminated.
+    Requires at least 12 surviving modes.
     """
     g = f.grid
     amps = np.abs(f.spectrum[1:-1])
@@ -392,7 +399,7 @@ def radius_estimate(f: SpectralField, floor_rel: float = 1e-8) -> RadiusFit:
     peak = float(np.abs(f.spectrum).max())
     if peak == 0.0:
         raise UnderresolvedError("zero field has no spectral tail to fit")
-    floor = max(floor_rel * peak, noise_floor(f.spectrum))
+    floor = _FIT_FLOOR * peak
     usable = np.nonzero(amps > floor)[0]
     if usable.size:
         keep = usable[: max(1, int(math.ceil(0.9 * usable.size)))]

@@ -6,9 +6,9 @@ is given), applies --set/--seed overrides, executes the runner, writes
 report.json / series CSVs / runs.jsonl under <out>/<scenario>/, renders
 one SVG per series under plots/, and prints one line per verdict.
 
-Exit codes: 0 all verdicts passed, 2 at least one verdict failed,
-1 execution error (bad config, blow-up, I/O).  `all` stops at the first
-execution error but keeps going past verdict failures.
+Exit codes: 0 all verdicts passed, 2 a verdict failed or none was checked
+(a line says so), 1 execution error (bad config, blow-up, I/O).  `all`
+stops at the first execution error but keeps going past verdict failures.
 """
 
 from __future__ import annotations
@@ -102,6 +102,10 @@ def _run_one(command: str, args) -> int:
             status = "PASS" if v.passed else "FAIL"
             print(f"{scenario}: {name}: {status} (margin {v.margin:.3g}, tolerance {v.tolerance:.3g})")
         print(f"{scenario}: report {report_path}")
+    if not report.verdicts:
+        # a run that checked nothing has not passed
+        print(f"{scenario}: no verdict checked", file=sys.stderr)
+        return 2
     return 0 if report.passed else 2
 
 

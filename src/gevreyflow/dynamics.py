@@ -83,45 +83,20 @@ BLOWUP_LIMIT = 1e6
 
 
 @dataclass(frozen=True)
-class ConstantDamping:
-    """a(x) = floor everywhere.
-
-    Not square-integrable on the full line; admitted on the torus as an
-    oracle because it turns the L2 decay bound into the exact equality
-    ||v(t)|| = exp(-floor*t)||v0|| when the nonlinearity is off.
-    """
-
-    floor: float
-
-    @property
-    def sup(self) -> float:
-        return self.floor
-
-    @property
-    def deriv_bound_coeff(self) -> float:
-        return self.floor
-
-    @property
-    def deriv_bound_rate(self) -> float:
-        return 0.0
-
-    def deriv_sup(self, k: int) -> float:
-        """Exact sup of the k-th derivative."""
-        return self.floor if k == 0 else 0.0
-
-    def values(self, grid: Grid) -> np.ndarray:
-        return np.full(grid.N, self.floor)
-
-
-@dataclass(frozen=True)
 class RaisedCosineDamping:
-    """a(x) = floor + amplitude * (1 + cos(2 pi x / length)).
+    """a(x) = floor + amplitude * (1 + cos(2 pi x / length)), amplitude >= 0.
 
     Smooth, periodic, bounded below by floor exactly (the cosine reaches -1
     at x = length/2).  Derivatives obey the factorial-free bound
     sup|d^k a| = amplitude * (2 pi / length)^k for k >= 1, which certifies
     the coefficients (floor + 2*amplitude, 2 pi / length) for the
-    C * R^k * k! growth condition.
+    C * R^k * k! growth condition; at amplitude 0 every derivative
+    vanishes, and the rate is 0.
+
+    amplitude = 0 is the constant damping a = floor.  It is not
+    square-integrable on the full line; it is admitted on the torus as an
+    oracle because it turns the L2 decay bound into the exact equality
+    ||v(t)|| = exp(-floor*t)||v0|| when the nonlinearity is off.
     """
 
     floor: float
@@ -138,7 +113,7 @@ class RaisedCosineDamping:
 
     @property
     def deriv_bound_rate(self) -> float:
-        return 2.0 * np.pi / self.length
+        return 2.0 * np.pi / self.length if self.amplitude > 0 else 0.0
 
     def deriv_sup(self, k: int) -> float:
         if k == 0:
@@ -153,11 +128,11 @@ class RaisedCosineDamping:
         return self.floor + self.amplitude * (1.0 + np.cos(2.0 * np.pi * grid.x / self.length))
 
 
-DampingProfile = ConstantDamping | RaisedCosineDamping
-
-
-def make_damping(form: str, lam: float, eps: float, grid: Grid, sigma0: float) -> DampingProfile:
+def make_damping(form: str, lam: float, eps: float, grid: Grid, sigma0: float) -> RaisedCosineDamping:
     """Build and certify a damping profile against conditions (A1)-(A3).
+
+    Both forms are a RaisedCosineDamping on the grid's domain; "constant"
+    is its amplitude 0, and takes eps = 0 only.
 
     (A1) min a = lam > 0: exact for both forms.
     (A2) sup|d^k a| <= C R^k k!: verified by spectral differentiation for
@@ -173,13 +148,12 @@ def make_damping(form: str, lam: float, eps: float, grid: Grid, sigma0: float) -
     if form == "constant":
         if eps != 0:
             raise ConfigurationError(f"constant damping takes eps = 0, got {eps}")
-        profile: DampingProfile = ConstantDamping(lam)
     elif form == "raised_cosine":
         if eps < 0:
             raise ConfigurationError(f"raised-cosine amplitude must be >= 0, got {eps}")
-        profile = RaisedCosineDamping(lam, eps, grid.L)
     else:
         raise ConfigurationError(f"unknown damping form {form!r}")
+    profile = RaisedCosineDamping(lam, eps, grid.L)
 
     R = profile.deriv_bound_rate
     if sigma0 > 0 and R >= 1.0 / sigma0:
@@ -269,7 +243,7 @@ class Trajectory:
 
     times: np.ndarray = field(repr=False)
     states: tuple
-    spec: EvolutionSpec
+    spec: EvolutionSpec  # the benchmark's tracer (bench/tracer.py) counts steps from it
     step_size: float
 
     @property

@@ -147,6 +147,8 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.scenario not in SCENARIO_IDS:
             raise ConfigurationError(f"unknown scenario {self.scenario!r}; expected one of {SCENARIO_IDS}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         if self.family not in ("mkdv", "mkdvm", "coupled"):
             raise ConfigurationError(f"unknown equation family {self.family!r}")
         if any(b <= a for a, b in zip(self.sigmas, self.sigmas[1:])):
@@ -183,12 +185,12 @@ class ScenarioConfig:
             return Equation(self.mu, self.m, dampings=dampings)
         return Equation(self.mu, alphas=(1.0, self.alpha), dampings=dampings)
 
-    def evolution(self, grid: Grid, t_end: float | None = None, record_every: int | None = None) -> EvolutionSpec:
+    def evolution(self, grid: Grid) -> EvolutionSpec:
         return EvolutionSpec(
             equation=self.equation(grid),
             dt=self.dt,
-            t_end=self.t_end if t_end is None else t_end,
-            record_every=self.record_every if record_every is None else record_every,
+            t_end=self.t_end,
+            record_every=self.record_every,
             nonlinear=self.nonlinear,
         )
 
@@ -549,7 +551,10 @@ def _iterate_windows(cfg: ScenarioConfig):
     state = cfg.initial_state(grid)
     lam = min(d.floor for d in eq.dampings)
     tol = cfg.tolerances
-    a_norm0 = max(damping_A_norm(d, cfg.sigma0) for d in eq.dampings)
+    try:
+        a_norm0 = max(damping_A_norm(d, cfg.sigma0) for d in eq.dampings)
+    except DivergenceError as err:
+        raise DivergenceError(f"{err}; lower run.sigma0") from err
 
     l2_sq, m0_sigma0 = _component_masses([state], [0.0, cfg.sigma0]).sum(axis=0)[0].tolist()
     T0 = lifespan_T0(a_norm0, m0_sigma0, cfg.c0, cfg.d)
@@ -676,9 +681,17 @@ def _radius_tracking(cfg: ScenarioConfig):
             raise UnderresolvedError(f"radius fit failed at t = {t:g}: {err}; raise grid.N") from err
 
     # the t = 0 record is spectrally the initial state, so a grid too coarse
-    # to fit it fails before the integration, and its fit is the record's
+    # to fit it, or to fit it within radius_match of the known radius, fails
+    # before the integration, and its fit is the record's
     init = cfg.initial_state(grid)
     fit0 = fit(0.0, init)
+    tol = cfg.tolerances
+    miss = abs(fit0.sigma_hat - sigma0_known) / sigma0_known
+    if miss > tol.radius_match:
+        raise UnderresolvedError(
+            f"radius fit at t = 0 reads {fit0.sigma_hat:.6g}, {miss:.1%} off the known radius "
+            f"{sigma0_known:.6g} (radius_match {tol.radius_match:g}); raise grid.N"
+        )
     traj = integrate(spec, init)
 
     times = [float(t) for t in traj.times]
@@ -689,7 +702,6 @@ def _radius_tracking(cfg: ScenarioConfig):
     c = sigma_hat[1] * math.sqrt(T1)
     envelope = [min(sigma0_known, c / math.sqrt(t)) for t in times[1:]]
 
-    tol = cfg.tolerances
     margins = [
         (sh - env * (1.0 - tol.radius)) / env for sh, env in zip(sigma_hat[2:], envelope[1:])
     ]

@@ -36,8 +36,9 @@ differentiation (see https://math.mit.edu/~stevenj/fft-deriv.pdf), which
 keeps that entry real.
 
 Hyperbolic weights cosh(sigma*xi) overflow double precision near
-sigma*|xi| ~ 710.  Weight application therefore goes through log space
-whenever sigma*xi_max > 30, using
+sigma*|xi| ~ 710.  A mode whose weight is finite is weighted by
+np.cosh(sigma*xi) directly; only the modes with log cosh(sigma*xi) > 700
+go through log space, using
 
     log cosh(r) = |r| + log((1 + exp(-2|r|)) / 2),
 
@@ -70,8 +71,6 @@ from .errors import ConfigurationError, OverflowGuardError, SymmetryError
 _LOG2 = float(np.log(2.0))
 # exp() saturates at ~709.78; stay a hair under when testing representability
 _EXP_MAX = 700.0
-# switch to log-space evaluation of cosh beyond this argument
-_LOG_SWITCH = 30.0
 
 
 def _real_transforms(kernels) -> tuple:
@@ -243,19 +242,20 @@ def cosh_weight(grid: Grid, sigma: float) -> tuple[np.ndarray, np.ndarray | None
     """The weight cosh(sigma*xi) of every stored mode, sigma >= 0, as the
     pair (w, logw) that apply_weight multiplies a spectrum by.
 
-    For sigma*xi_max <= 30, w = cosh(sigma*xi) and logw is None.  Beyond
-    that, logw = log cosh(sigma*xi), and w = exp(logw) wherever logw <= 700;
-    the other entries of w are 0, because their weight leaves double range
-    and apply_weight forms those products in log space.
+    w = cosh(sigma*xi) for every mode with log cosh(sigma*xi) <= 700.  For
+    sigma*xi_max <= 700 that is every mode, and logw is None.  Otherwise
+    logw = log cosh(sigma*xi), and the entries of w beyond 700 are 0,
+    because their weight leaves double range and apply_weight forms those
+    products in log space.
     """
     if sigma < 0:
         raise ConfigurationError(f"weight radius must be >= 0, got {sigma}")
-    if sigma * grid.xi_max <= _LOG_SWITCH:
+    if sigma * grid.xi_max <= _EXP_MAX:
         return np.cosh(sigma * grid.xi), None
     logw = log_cosh(sigma * grid.xi)
     direct = logw <= _EXP_MAX
     w = np.zeros_like(logw)
-    w[direct] = np.exp(logw[direct])
+    w[direct] = np.cosh(sigma * grid.xi[direct])
     return w, logw
 
 

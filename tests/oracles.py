@@ -141,8 +141,9 @@ def product_rule_rhs(eq, grid, V):
 
 def weight_spectrum(spectrum, grid, sigma):
     """A half spectrum, or a stack of them on leading axes, times the weight
-    cosh(sigma*xi), sigma >= 0: np.cosh for sigma*xi_max <= 30, log space
-    beyond (see spectral.cosh_weight and spectral.apply_weight)."""
+    cosh(sigma*xi), sigma >= 0: np.cosh wherever the weight is finite, log
+    space for modes beyond exp(700) (see spectral.cosh_weight and
+    spectral.apply_weight)."""
     return apply_weight(spectrum, cosh_weight(grid, sigma))
 
 

@@ -564,6 +564,29 @@ class TestCli:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["iterate", "coupled"])
+    def test_run_without_verdicts_exits_two(self, tmp_path, capsys, command):
+        # k_max = 0 derives T0 and sigma and checks no window: not a pass
+        code = main([command, "--out", str(tmp_path), "--set", "run.k_max=0"])
+        assert code == 2
+        scenario = _COMMANDS[command]
+        assert capsys.readouterr().err == f"{scenario}: no verdict checked\n"
+        assert (tmp_path / scenario / "report.json").exists()
+
+    @pytest.mark.parametrize("command", ["inequalities", "conserve"])
+    def test_negative_seed_exits_one(self, tmp_path, capsys, command):
+        assert main([command, "--out", str(tmp_path), "--seed", "-1"]) == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+
+    def test_damping_norm_error_names_sigma0(self, tmp_path, capsys):
+        # sigma0 = 9 is inside (A3) (R = 2 pi/64), but sigma0 R = 0.88 is too
+        # close to 1 for the damping norm's tail bound
+        assert main(["iterate", "--out", str(tmp_path), "--set", "run.sigma0=9"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: damping-norm tail bound")
+        assert "sigma * R = 0.883573" in err and err.endswith("; lower run.sigma0\n")
+        assert "K" not in err
+
     def test_scenario_config_mismatch_exits_one(self, tmp_path, capsys):
         config = tmp_path / "wrong.cfg"
         config.write_text("scenario = conservation\n", encoding="utf-8")

@@ -19,7 +19,6 @@ from oracles import Deriv, LinearFlow, apply_symbol, product_rule_rhs, reflect
 from gevreyflow import dynamics
 from gevreyflow.dynamics import (
     BLOWUP_LIMIT,
-    ConstantDamping,
     Equation,
     EvolutionSpec,
     RaisedCosineDamping,
@@ -77,11 +76,13 @@ def end_record(dt, t_end):
 
 class TestDampingProfiles:
     def test_constant_values_and_sups(self):
+        # amplitude 0 is the constant damping: every derivative vanishes
         g = Grid(64.0, 64)
-        a = ConstantDamping(0.7)
-        assert a.sup == 0.7
+        a = RaisedCosineDamping(0.7, 0.0, g.L)
+        assert a.sup == a.deriv_bound_coeff == 0.7
         assert a.deriv_sup(0) == 0.7
         assert a.deriv_sup(3) == 0.0
+        assert a.deriv_bound_rate == 0.0
         assert np.all(a.values(g) == 0.7)
 
     def test_raised_cosine_formula(self):
@@ -111,7 +112,7 @@ class TestDampingProfiles:
     def test_make_damping_constant(self):
         g = Grid(64.0, 64)
         a = make_damping("constant", 1.0, 0.0, g, sigma0=1e6)
-        assert isinstance(a, ConstantDamping)
+        assert a == RaisedCosineDamping(1.0, 0.0, g.L)
         assert a.deriv_bound_rate == 0.0
 
     def test_make_damping_constant_rejects_amplitude(self):
@@ -147,22 +148,23 @@ class TestEquationTypes:
     Coupled rejected, and the shapes their union ruled out by type."""
 
     def test_mu_validation(self):
-        a = ConstantDamping(1.0)
+        a = RaisedCosineDamping(1.0, 0.0, 64.0)
         for bad in (2, 0, 3, -2):
             for kwargs in ({}, {"m": 5, "dampings": (a,)}, {"alphas": (1.0, 0.5), "dampings": (a, a)}):
                 with pytest.raises(ConfigurationError, match="mu must be"):
                     Equation(mu=bad, **kwargs)
 
     def test_mkdvm_order_validation(self):
+        a = RaisedCosineDamping(1.0, 0.0, 64.0)
         for bad in (1, 4, -3):
             with pytest.raises(ConfigurationError, match="order must be odd"):
-                Equation(mu=1, m=bad, dampings=(ConstantDamping(1.0),))
+                Equation(mu=1, m=bad, dampings=(a,))
         # m = 3 is admitted as a cross-check configuration
-        assert Equation(mu=1, m=3, dampings=(ConstantDamping(1.0),)).m == 3
-        assert Equation(mu=-1, m=7, dampings=(ConstantDamping(1.0),)).m == 7
+        assert Equation(mu=1, m=3, dampings=(a,)).m == 3
+        assert Equation(mu=-1, m=7, dampings=(a,)).m == 7
 
     def test_coupled_alpha_validation(self):
-        a = ConstantDamping(1.0)
+        a = RaisedCosineDamping(1.0, 0.0, 64.0)
         for bad in (0.0, 1.0, 1.5, -0.2):
             with pytest.raises(ConfigurationError, match=r"\(0, 1\)"):
                 Equation(mu=1, alphas=(1.0, bad), dampings=(a, a))
@@ -174,7 +176,7 @@ class TestEquationTypes:
                 Equation(mu=1, alphas=bad)
 
     def test_one_damping_per_component_or_none(self):
-        a = ConstantDamping(1.0)
+        a = RaisedCosineDamping(1.0, 0.0, 64.0)
         for alphas, dampings in (((1.0,), (a, a)), ((1.0, 0.5), (a,)), ((1.0, 0.5), (a, a, a))):
             with pytest.raises(ConfigurationError, match="one profile per component"):
                 Equation(mu=1, alphas=alphas, dampings=dampings)
@@ -200,9 +202,10 @@ class TestRhs:
         z = analyze(np.zeros(g.N), g)
         (out,) = rhs(Equation(mu=1), z)
         assert np.all(out.samples == 0.0)
-        (out,) = rhs(Equation(mu=-1, m=5, dampings=(ConstantDamping(1.0),)), z)
+        (out,) = rhs(Equation(mu=-1, m=5, dampings=(RaisedCosineDamping(1.0, 0.0, g.L),)), z)
         assert np.all(out.samples == 0.0)
-        eq = Equation(mu=1, alphas=(1.0, 0.5), dampings=(ConstantDamping(1.0), ConstantDamping(2.0)))
+        a1, a2 = RaisedCosineDamping(1.0, 0.0, g.L), RaisedCosineDamping(2.0, 0.0, g.L)
+        eq = Equation(mu=1, alphas=(1.0, 0.5), dampings=(a1, a2))
         r1, r2 = rhs(eq, z, z)
         assert np.all(r1.samples == 0.0) and np.all(r2.samples == 0.0)
 
@@ -221,7 +224,7 @@ class TestRhs:
         xi0 = 2.0
         v = dealias(analyze(np.cos(xi0 * g.x), g))
         lam = 0.4
-        (out,) = rhs(Equation(mu=1, m=5, dampings=(ConstantDamping(lam),)), v)
+        (out,) = rhs(Equation(mu=1, m=5, dampings=(RaisedCosineDamping(lam, 0.0, g.L),)), v)
         expect = (
             -(xi0**5) * np.sin(xi0 * g.x)
             + xi0 * np.cos(xi0 * g.x) ** 2 * np.sin(xi0 * g.x)
@@ -233,7 +236,7 @@ class TestRhs:
         g = Grid(64.0, 256)
         v = dealias(analyze(0.8 * np.cos(2 * np.pi * 5 * g.x / g.L), g))
         lam = 0.6
-        (with_damp,) = rhs(Equation(mu=1, m=3, dampings=(ConstantDamping(lam),)), v)
+        (with_damp,) = rhs(Equation(mu=1, m=3, dampings=(RaisedCosineDamping(lam, 0.0, g.L),)), v)
         (undamped,) = rhs(Equation(mu=1), v)
         diff = with_damp.samples - (undamped.samples - lam * v.samples)
         assert np.abs(diff).max() < 1e-13
@@ -244,7 +247,8 @@ class TestRhs:
         w1 = dealias(analyze(np.cos(2 * np.pi * 4 * g.x / g.L), g))
         z = analyze(np.zeros(g.N), g)
         lam = 0.3
-        eq = Equation(mu=1, alphas=(1.0, 0.5), dampings=(ConstantDamping(lam), ConstantDamping(1.0)))
+        a1, a2 = RaisedCosineDamping(lam, 0.0, g.L), RaisedCosineDamping(1.0, 0.0, g.L)
+        eq = Equation(mu=1, alphas=(1.0, 0.5), dampings=(a1, a2))
         r1, r2 = rhs(eq, w1, z)
         airy = apply_symbol(w1, Deriv(3))
         assert np.abs(r1.samples - (-airy.samples - lam * w1.samples)).max() < 1e-12
@@ -252,7 +256,7 @@ class TestRhs:
 
     def test_coupled_grid_mismatch(self):
         g1, g2 = Grid(64.0, 256), Grid(32.0, 256)
-        a = ConstantDamping(1.0)
+        a = RaisedCosineDamping(1.0, 0.0, g1.L)
         w1 = analyze(np.cos(2 * np.pi * g1.x / g1.L), g1)
         w2 = analyze(np.cos(2 * np.pi * g2.x / g2.L), g2)
         spec = EvolutionSpec(equation=Equation(mu=1, alphas=(1.0, 0.5), dampings=(a, a)),
@@ -292,10 +296,11 @@ class TestRhs:
         # the equation types carry the preconditions nonlinear_term relies on
         with pytest.raises(ConfigurationError):
             Equation(mu=3)
+        a = RaisedCosineDamping(1.0, 0.0, 64.0)
         with pytest.raises(ConfigurationError):
-            Equation(mu=1, m=4, dampings=(ConstantDamping(1.0),))
+            Equation(mu=1, m=4, dampings=(a,))
         with pytest.raises(ConfigurationError):
-            Equation(mu=1, alphas=(1.0, 1.0), dampings=(ConstantDamping(1.0), ConstantDamping(1.0)))
+            Equation(mu=1, alphas=(1.0, 1.0), dampings=(a, a))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -312,7 +317,7 @@ class TestRhs:
         eq = {
             "mkdv": Equation(mu=1),
             "mkdvm": Equation(mu=-1, m=5, dampings=(a,)),
-            "coupled": Equation(mu=1, alphas=(1.0, 0.5), dampings=(a, ConstantDamping(1.0))),
+            "coupled": Equation(mu=1, alphas=(1.0, 0.5), dampings=(a, RaisedCosineDamping(1.0, 0.0, g.L))),
         }[family]
         rng = np.random.default_rng(seed)
         shape = (len(eq.alphas), N // 4 + 1)
@@ -383,7 +388,7 @@ def three_flows(g):
     return [
         (Equation(mu=1), u),
         (Equation(mu=-1, m=5, dampings=(a,)), u),
-        (Equation(mu=1, alphas=(1.0, 0.5), dampings=(a, ConstantDamping(1.0))), (u, w2)),
+        (Equation(mu=1, alphas=(1.0, 0.5), dampings=(a, RaisedCosineDamping(1.0, 0.0, g.L))), (u, w2)),
     ]
 
 
@@ -570,7 +575,7 @@ class TestIntegrate:
         v0 = dealias(analyze(0.8 * np.cos(2 * np.pi * 5 * g.x / g.L)
                              + 0.3 * np.sin(2 * np.pi * 11 * g.x / g.L), g))
         lam, t_end = 0.4, 1.0
-        eq = Equation(mu=1, m=3, dampings=(ConstantDamping(lam),))
+        eq = Equation(mu=1, m=3, dampings=(RaisedCosineDamping(lam, 0.0, g.L),))
         spec = EvolutionSpec(equation=eq, dt=2e-4, t_end=t_end,
                              record_every=end_record(2e-4, t_end), nonlinear=False)
         traj = integrate(spec, v0)
@@ -678,7 +683,7 @@ class TestIntegrate:
     def test_coupled_needs_pair(self):
         g = Grid(64.0, 256)
         u0 = analyze(np.cos(2 * np.pi * 3 * g.x / g.L), g)
-        a = ConstantDamping(1.0)
+        a = RaisedCosineDamping(1.0, 0.0, g.L)
         eq = Equation(mu=1, alphas=(1.0, 0.5), dampings=(a, a))
         spec = EvolutionSpec(equation=eq, dt=1e-3, t_end=1e-2, record_every=10)
         with pytest.raises(ConfigurationError, match="pair"):
@@ -690,7 +695,7 @@ class TestIntegrate:
         w0 = dealias(analyze(0.5 * np.cos(2 * np.pi * 4 * g.x / g.L), g))
         z = analyze(np.zeros(g.N), g)
         lam = 0.5
-        a = ConstantDamping(lam)
+        a = RaisedCosineDamping(lam, 0.0, g.L)
         eq = Equation(mu=1, alphas=(1.0, 0.5), dampings=(a, a))
         t_end = 0.2
         spec = EvolutionSpec(equation=eq, dt=1e-3, t_end=t_end,
@@ -710,7 +715,7 @@ class TestIntegrate:
         g = Grid(64.0, 256)
         v0 = dealias(analyze(0.6 * np.cos(2 * np.pi * 3 * g.x / g.L), g))
         lam = 0.5
-        eq = Equation(mu=-1, m=5, dampings=(ConstantDamping(lam),))
+        eq = Equation(mu=-1, m=5, dampings=(RaisedCosineDamping(lam, 0.0, g.L),))
         t_end = 0.5
         spec = EvolutionSpec(equation=eq, dt=5e-4, t_end=t_end,
                              record_every=end_record(5e-4, t_end))

@@ -551,7 +551,7 @@ class TestRadiusTracking:
 
     def test_underresolved_grid_fails_before_integrating(self, monkeypatch):
         # the t = 0 state is fitted first; the advice names the config key
-        # that sets the grid, not the estimator's floor_rel, which none sets
+        # that sets the grid, and no setting of the estimator
         def tripped(spec, init):
             raise AssertionError("integrated")
 
@@ -559,6 +559,17 @@ class TestRadiusTracking:
         with pytest.raises(UnderresolvedError, match=r"at t = 0: .*; raise grid\.N$") as info:
             run_text(RADIUS_SHORT, ["grid.N=32"])
         assert "floor_rel" not in str(info.value)
+
+    def test_coarse_fit_at_t0_fails_before_integrating(self, monkeypatch):
+        # at N = 128 the t = 0 fit of the sech data reads 1.442 against its
+        # known radius pi/2: 8.2% off, beyond radius_match = 0.03
+        def tripped(spec, init):
+            raise AssertionError("integrated")
+
+        monkeypatch.setattr(harness, "integrate", tripped)
+        pattern = r"radius fit at t = 0 reads 1\.44243, 8\.2% off the known radius 1\.5708 .*; raise grid\.N$"
+        with pytest.raises(UnderresolvedError, match=pattern):
+            run_text(RADIUS_SHORT, ["grid.N=128"])
 
 
 class TestInequalitiesScenario:
