@@ -243,7 +243,7 @@ def damping_A_norm(a: RaisedCosineDamping, sigma: float) -> float:
     value is head + tail, an upper bound sharp to 1e-12 relative.  When the
     tail bound is looser than that, sigma * R is too close to 1, and the
     DivergenceError gives sigma * R (the remedy is a smaller sigma).  A
-    constant profile (R = 0) returns exactly its floor.
+    constant profile (R = 0) returns exactly its floor at every sigma.
     """
     if sigma < 0:
         raise ConfigurationError(f"weight radius must be >= 0, got {sigma}")
@@ -258,7 +258,10 @@ def damping_A_norm(a: RaisedCosineDamping, sigma: float) -> float:
     for k in range(0, K + 1):
         if k > 0:
             coeff *= sigma / k
-        head += (k + 1) ** 0.25 * coeff * a.deriv_sup(k)
+        sup = a.deriv_sup(k)
+        # a zero sup adds exactly 0.0, also where sigma^k / k! overflows
+        if sup != 0.0:
+            head += (k + 1) ** 0.25 * coeff * sup
     # sum_{k>K} (k+1) q^k = d/dq [q * geometric] remainder, in closed form
     if q == 0.0:
         tail = 0.0

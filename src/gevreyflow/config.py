@@ -257,7 +257,7 @@ def _resolve(values: dict) -> dict:
     return {**_FIELD_DEFAULTS, **out}
 
 
-def _build(values: dict) -> ScenarioConfig:
+def _assemble(values: dict) -> ScenarioConfig:
     v = _resolve(values)
     plain, nested = {}, {}
     for section, owner, f in config_keys():
@@ -274,8 +274,8 @@ def _build(values: dict) -> ScenarioConfig:
 def parse_config_text(text: str, overrides=()) -> ScenarioConfig:
     values = _parse_text(text)
     _apply_overrides(values, overrides)
-    cfg = _build(values)
-    cfg.validate()
+    cfg = _assemble(values)
+    cfg.build()  # every module precondition, checked before any run
     return cfg
 
 

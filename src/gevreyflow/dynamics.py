@@ -463,27 +463,39 @@ def integrate(spec: EvolutionSpec, init) -> Trajectory:
 PEAK_FACTOR = math.sqrt(6.0)
 
 
+def sech(amplitude: float, width: float, center: float, grid: Grid) -> SpectralField:
+    """The profile amplitude * sech((x - center) / width).
+
+    Its transform decays like exp(-pi width |xi| / 2), so its analyticity
+    radius is pi*width/2.  Requires a positive amplitude and width, the
+    center in [0, L], and the profile far enough from the wrap-around
+    point that its value at the domain edge is below 1e-12 of the peak.
+    """
+    if amplitude <= 0:
+        raise ConfigurationError(f"sech amplitude must be positive, got {amplitude}")
+    if width <= 0:
+        raise ConfigurationError(f"sech width must be positive, got {width}")
+    if not 0.0 <= center <= grid.L:
+        raise ConfigurationError(f"sech center {center} outside the domain [0, {grid.L}]")
+    edge = min(center, grid.L - center)
+    ratio = 1.0 / np.cosh(min(edge / width, 700.0))
+    if ratio >= 1e-12:
+        raise ConfigurationError(
+            f"sech tail at the domain edge is {ratio:.3e} of the peak (>= 1e-12); "
+            "enlarge L, narrow the width, or recenter"
+        )
+    r = np.minimum(np.abs(grid.x - center) / width, 700.0)
+    return analyze(amplitude / np.cosh(r), grid)
+
+
 def soliton(k: float, x0: float, grid: Grid) -> tuple[SpectralField, float]:
     """Traveling-wave solution sqrt(6) k sech(k (x - x0)) of focusing mKdV.
 
     Returns (field, speed) with speed = k^2: u(x - speed*t) solves
-    u_t + u_xxx + u^2 u_x = 0.  Its transform decays like exp(-pi|xi|/(2k)),
-    so the analyticity radius of this profile is pi/(2k).  Requires the
-    wave to sit far enough from the wrap-around point that the boundary
-    value is below 1e-12 of the peak.
+    u_t + u_xxx + u^2 u_x = 0.  The field is sech(sqrt(6) k, 1/k, x0, grid),
+    with that function's domain and edge-tail checks; its analyticity
+    radius is pi/(2k).
     """
     if k <= 0:
         raise ConfigurationError(f"soliton width parameter must be positive, got k={k}")
-    if not 0.0 <= x0 <= grid.L:
-        raise ConfigurationError(f"soliton center {x0} outside the domain [0, {grid.L}]")
-    edge_dist = min(x0, grid.L - x0)
-    boundary_ratio = 1.0 / np.cosh(min(k * edge_dist, 700.0))
-    if boundary_ratio >= 1e-12:
-        raise ConfigurationError(
-            f"soliton tail at the domain edge is {boundary_ratio:.3e} of the peak (>= 1e-12); "
-            "enlarge L or recenter x0"
-        )
-    r = np.minimum(np.abs(k * (grid.x - x0)), 700.0)
-    samples = PEAK_FACTOR * k / np.cosh(r)
-    return analyze(samples, grid), k * k
-
+    return sech(PEAK_FACTOR * k, 1.0 / k, x0, grid), k * k

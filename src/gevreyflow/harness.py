@@ -14,9 +14,16 @@ independent of each other (no shared state), so callers may execute any
 subset in any order, or in parallel processes, and merge reports by
 scenario id.
 
+Every body gets its grid, evolution spec and initial data from one call,
+ScenarioConfig.build(), the same call the parser makes to validate a
+config before any run.
+
 Verdict margins are normalized: positive means the checked quantity
 cleared its bound by that relative amount, negative by how much it missed.
-Every verdict carries the config tolerance it was judged against.
+Two helpers state every relative margin of the evolution scenarios:
+_relative_errors (drifts, identities, radius match) and _headroom (values
+under a bound widened by the tolerance).  Every verdict carries the config
+tolerance it was judged against.
 """
 
 from __future__ import annotations
@@ -44,6 +51,7 @@ from .dynamics import (
     _plan_steps,
     integrate,
     make_damping,
+    sech,
     soliton,
 )
 from .errors import ConfigurationError, DivergenceError, FitError, UnderresolvedError
@@ -57,7 +65,7 @@ from .inequalities import (
 )
 from .spectral import Grid, SpectralField, analyze, dealias
 
-_TINY = 1e-300  # relative-drift denominator floor; keeps 0/0 drifts at exactly 0
+_TINY = 1e-300  # floor of every margin's denominator; keeps a 0/0 error at exactly 0
 
 
 # ---------------------------------------------------------------------------
@@ -109,9 +117,10 @@ class ScenarioConfig:
     """Everything one scenario run needs, fully resolved.
 
     Construction validates shape-level invariants (recognized names, sigma
-    list sorted ascending); validate() additionally builds the grid,
-    equation, and initial data once so that every module precondition is
-    checked before any integration starts.
+    list sorted ascending); build() makes the grid, the evolution spec and
+    the initial data, and so checks every module precondition.  The parser
+    calls it once to validate a config before any run, and each scenario
+    body calls it once for the objects it integrates.
     """
 
     scenario: str = "conservation"
@@ -170,43 +179,31 @@ class ScenarioConfig:
         if self.samples < 1:
             raise ConfigurationError(f"sample count must be >= 1, got {self.samples}")
 
-    # -- builders ----------------------------------------------------------
-
-    def grid(self) -> Grid:
-        return Grid(self.L, self.N)
-
-    def equation(self, grid: Grid) -> Equation:
-        """The configured flow, with each damping profile built and certified."""
+    def build(self) -> tuple[Grid, EvolutionSpec, object]:
+        """(grid, spec, init): the grid; the configured flow, with each
+        damping profile built and certified, as an EvolutionSpec; and the
+        configured data projected into the band integrate evolves, one
+        field or the pair (data, data2) for the coupled family.  Raises on
+        the first violated precondition (grid shape, damping certificate,
+        data boundary)."""
+        grid = Grid(self.L, self.N)
         if self.family == "mkdv":
-            return Equation(self.mu)
-        components = (self.damping, self.damping2) if self.family == "coupled" else (self.damping,)
-        dampings = tuple(make_damping(c.form, c.floor, c.amplitude, grid, self.sigma0) for c in components)
-        if self.family == "mkdvm":
-            return Equation(self.mu, self.m, dampings=dampings)
-        return Equation(self.mu, alphas=(1.0, self.alpha), dampings=dampings)
-
-    def evolution(self, grid: Grid) -> EvolutionSpec:
-        return EvolutionSpec(
-            equation=self.equation(grid),
-            dt=self.dt,
-            t_end=self.t_end,
-            record_every=self.record_every,
-            nonlinear=self.nonlinear,
+            equation = Equation(self.mu)
+        else:
+            components = (self.damping, self.damping2) if self.family == "coupled" else (self.damping,)
+            dampings = tuple(make_damping(c.form, c.floor, c.amplitude, grid, self.sigma0) for c in components)
+            if self.family == "mkdvm":
+                equation = Equation(self.mu, self.m, dampings=dampings)
+            else:
+                equation = Equation(self.mu, alphas=(1.0, self.alpha), dampings=dampings)
+        spec = EvolutionSpec(
+            equation=equation, dt=self.dt, t_end=self.t_end, record_every=self.record_every, nonlinear=self.nonlinear
         )
-
-    def initial_state(self, grid: Grid):
-        """The configured data projected into the band integrate evolves:
-        one field, or the pair (data, data2) for the coupled family."""
         if self.family == "coupled":
-            return (dealias(build_field(self.data, grid)), dealias(build_field(self.data2, grid)))
-        return dealias(build_field(self.data, grid))
-
-    def validate(self) -> None:
-        """Build every configured object once; raises on the first violated
-        precondition (grid shape, damping certificate, data boundary)."""
-        grid = self.grid()
-        self.evolution(grid)
-        self.initial_state(grid)
+            init = (dealias(build_field(self.data, grid)), dealias(build_field(self.data2, grid)))
+        else:
+            init = dealias(build_field(self.data, grid))
+        return grid, spec, init
 
     def as_sections(self) -> dict:
         """Resolved config as {section: {key: value}}, the shape the text
@@ -253,28 +250,10 @@ def build_field(data: DataConfig, grid: Grid) -> SpectralField:
     if data.kind == "soliton":
         return soliton(data.k, data.x0, grid)[0]
     if data.kind == "sech":
-        return _sech_field(data.amplitude, data.width, data.center, grid)
+        return sech(data.amplitude, data.width, data.center, grid)
     if data.kind == "zero":
         return analyze(np.zeros(grid.N), grid)
     raise ConfigurationError(f"unknown data kind {data.kind!r}")
-
-
-def _sech_field(amplitude: float, width: float, center: float, grid: Grid) -> SpectralField:
-    if amplitude <= 0:
-        raise ConfigurationError(f"sech amplitude must be positive, got {amplitude}")
-    if width <= 0:
-        raise ConfigurationError(f"sech width must be positive, got {width}")
-    if not 0.0 <= center <= grid.L:
-        raise ConfigurationError(f"sech center {center} outside the domain [0, {grid.L}]")
-    edge = min(center, grid.L - center)
-    ratio = 1.0 / np.cosh(min(edge / width, 700.0))
-    if ratio >= 1e-12:
-        raise ConfigurationError(
-            f"sech tail at the domain edge is {ratio:.3e} of the peak (>= 1e-12); "
-            "enlarge L, narrow the width, or recenter"
-        )
-    r = np.minimum(np.abs(grid.x - center) / width, 700.0)
-    return analyze(amplitude / np.cosh(r), grid)
 
 
 def known_radius(data: DataConfig) -> float:
@@ -326,6 +305,21 @@ def _fit_loglog(xs, ys) -> tuple[float, float, float]:
     return float(slope), float(intercept), r2
 
 
+def _relative_errors(values, refs) -> np.ndarray:
+    """|v - r| / |r| for each value and its reference (or one reference
+    for all), with |r| floored at _TINY."""
+    values, refs = np.asarray(values, dtype=float), np.asarray(refs, dtype=float)
+    return np.abs(values - refs) / np.maximum(np.abs(refs), _TINY)
+
+
+def _headroom(values, bounds, tol: float) -> np.ndarray:
+    """(b (1 + tol) - v) / b for each value and its bound (or one bound for
+    all), with b floored at _TINY: the relative room left under the bound
+    widened by tol, negative where the value exceeds it."""
+    values, bounds = np.asarray(values, dtype=float), np.asarray(bounds, dtype=float)
+    return (bounds * (1.0 + tol) - values) / np.maximum(bounds, _TINY)
+
+
 def _margin_verdict(margin: float, tol: float) -> Verdict:
     """A value checked against its tolerance, given as its margin: the
     signed headroom, which passes at >= 0."""
@@ -360,8 +354,8 @@ def _integrate_from(spec: EvolutionSpec, init, where: str, t_start: float):
 
 def _conservation(cfg: ScenarioConfig):
     """Relative drift of the three exact invariants at sigma = 0."""
-    grid = cfg.grid()
-    traj = integrate(cfg.evolution(grid), cfg.initial_state(grid))
+    _, spec, init = cfg.build()
+    traj = integrate(spec, init)
 
     rows = conserved_combinations(functional_A(traj.states, 0.0, cfg.mu))
     names = ("inv0", "inv1", "inv2")
@@ -369,9 +363,8 @@ def _conservation(cfg: ScenarioConfig):
     invariants = {"t": times}
     drifts = {"t": times}
     for n in names:
-        values = invariants[n] = rows[n].tolist()
-        base = values[0]
-        drifts["drift_" + n] = [abs(v - base) / max(abs(base), _TINY) for v in values]
+        invariants[n] = rows[n].tolist()
+        drifts["drift_" + n] = _relative_errors(rows[n], rows[n][0]).tolist()
     max_drift = max(max(drifts["drift_" + n]) for n in names)
 
     tol = cfg.tolerances.conservation
@@ -399,7 +392,7 @@ def _sigma_scaling(cfg: ScenarioConfig):
     positive = [s for s in cfg.sigmas if s > 0]
     if len(positive) < 3:
         raise FitError(f"need >= 3 positive sigma values for the fit, have {len(positive)}")
-    grid = cfg.grid()
+    grid, spec, init = cfg.build()
     if positive[-1] * grid.xi_max > 600.0:
         raise ConfigurationError(
             f"sigma_max * xi_max = {positive[-1] * grid.xi_max:.3g} exceeds 600; shrink sigma or the grid"
@@ -409,7 +402,7 @@ def _sigma_scaling(cfg: ScenarioConfig):
             f"sigma list must span at least a factor 8, got {positive[-1] / positive[0]:.3g}"
         )
 
-    traj = integrate(cfg.evolution(grid), cfg.initial_state(grid))
+    traj = integrate(spec, init)
     times = [float(t) for t in traj.times]
 
     sigmas = np.asarray(cfg.sigmas, dtype=float)
@@ -467,24 +460,20 @@ def _sigma_scaling(cfg: ScenarioConfig):
 
 def _damping_decay(cfg: ScenarioConfig):
     """Pointwise decay envelope, rate identity, and (constant a) equality."""
-    grid = cfg.grid()
-    spec = cfg.evolution(grid)
+    _, spec, init = cfg.build()
     (a,) = spec.equation.dampings
     lam = cfg.damping.floor
-    traj = integrate(spec, cfg.initial_state(grid))
+    traj = integrate(spec, init)
 
     times = [float(t) for t in traj.times]
     mass = functional_M(traj.states, 0.0).tolist()
     envelope = [math.exp(-2.0 * lam * t) * mass[0] for t in times]
 
     tol = cfg.tolerances
-    env_margins = [
-        (e * (1.0 + tol.decay) - m) / max(e, _TINY) for m, e in zip(mass, envelope)
-    ]
-    violations = sum(1 for g in env_margins if g < 0)
+    env_margins = _headroom(mass, envelope, tol.decay)
     verdicts = {"decay_envelope": _series_verdict(env_margins, tol.decay)}
     if cfg.damping.form == "constant":
-        eq_err = max(abs(m - e) / max(e, _TINY) for m, e in zip(mass, envelope))
+        eq_err = _relative_errors(mass, envelope).max()
         verdicts["gronwall_equality"] = _margin_verdict(tol.equality - eq_err, tol.equality)
 
     # rate identity dM/dt = -2 int a v^2 (analytics.mass_rate, the sigma = 0
@@ -492,25 +481,25 @@ def _damping_decay(cfg: ScenarioConfig):
     # states via a 2-step centered difference restarted from each state
     probe_idx = sorted(set(np.linspace(0, len(traj.states) - 1, 8, dtype=int).tolist()))
     probe = replace(spec, t_end=2.0 * spec.dt, record_every=1)
-    residuals = []
+    fds, rates = [], []
     for i in probe_idx:
         mini = _integrate_from(probe, traj.states[i], f"rate probe at record {i}", times[i])
         m_before, _, m_after = functional_M(mini.states, 0.0)
-        fd = (m_after - m_before) / (2.0 * mini.step_size)
-        rate = mass_rate(mini.states[1], a)
-        residuals.append(abs(fd - rate) / max(abs(rate), _TINY))
-    worst = max(residuals)
+        fds.append((m_after - m_before) / (2.0 * mini.step_size))
+        rates.append(mass_rate(mini.states[1], a))
+    residuals = _relative_errors(fds, rates)
+    worst = residuals.max()
     verdicts["rate_identity"] = _margin_verdict(tol.rate - worst, tol.rate)
 
     series = {
         "mass_decay": {"t": times, "mass": [float(m) for m in mass], "envelope": envelope},
         "rate_residual": {
             "t": [times[i] for i in probe_idx],
-            "residual": [float(r) for r in residuals],
+            "residual": residuals.tolist(),
         },
     }
     fits = {
-        "decay": {"violations": float(violations), "worst_margin": float(min(env_margins))},
+        "decay": {"violations": float((env_margins < 0).sum()), "worst_margin": float(env_margins.min())},
         "rate": {"max_relative_residual": float(worst)},
     }
     return series, fits, verdicts
@@ -544,11 +533,10 @@ def _iterate_windows(cfg: ScenarioConfig):
     smallest damping floor.  Everything else (T0, C1 policy, sigma choice,
     window loop, verdicts) is the same for both.
     """
-    grid = cfg.grid()
-    spec = cfg.evolution(grid)
+    # the initial state is band-limited, so every norm below sees the state
+    # the integrator evolves
+    _, spec, state = cfg.build()
     eq = spec.equation
-    # band-limited, so every norm below sees the state the integrator evolves
-    state = cfg.initial_state(grid)
     lam = min(d.floor for d in eq.dampings)
     tol = cfg.tolerances
     try:
@@ -626,17 +614,10 @@ def _iterate_windows(cfg: ScenarioConfig):
         state = win.final
 
     m_limit = m0_sigma0 * (1.0 + tol.iteration)
-    window_margins = [(m_limit - m) / max(m0_sigma0, _TINY) for m in boundary]
-    env_margins = [
-        (e * (1.0 + tol.iteration) - n) / max(e, _TINY) for n, e in zip(decay_norm, decay_env)
-    ]
-    resid_margins = [
-        (b * (1.0 + tol.iteration) - r) / max(b, _TINY) for r, b in zip(residuals, bounds)
-    ]
     verdicts = {
-        "window_bound": _series_verdict(window_margins, tol.iteration),
-        "interpolation_decay": _series_verdict(env_margins, tol.iteration),
-        "residual_bound": _series_verdict(resid_margins, tol.iteration),
+        "window_bound": _series_verdict(_headroom(boundary, m0_sigma0, tol.iteration), tol.iteration),
+        "interpolation_decay": _series_verdict(_headroom(decay_norm, decay_env, tol.iteration), tol.iteration),
+        "residual_bound": _series_verdict(_headroom(residuals, bounds, tol.iteration), tol.iteration),
     }
     series = {
         "mass_windows": {
@@ -667,9 +648,8 @@ def _radius_tracking(cfg: ScenarioConfig):
     sharpness).  Soliton data additionally checks that the fitted radius
     stays within the radius_match tolerance of pi/(2k).
     """
-    grid = cfg.grid()
     sigma0_known = known_radius(cfg.data)
-    spec = cfg.evolution(grid)
+    _, spec, init = cfg.build()
     # the records integrate will make: t = 0 and one per record interval
     if _plan_steps(spec)[0] + 1 < 3:
         raise ConfigurationError("radius tracking needs at least 3 recorded snapshots")
@@ -683,10 +663,9 @@ def _radius_tracking(cfg: ScenarioConfig):
     # the t = 0 record is spectrally the initial state, so a grid too coarse
     # to fit it, or to fit it within radius_match of the known radius, fails
     # before the integration, and its fit is the record's
-    init = cfg.initial_state(grid)
     fit0 = fit(0.0, init)
     tol = cfg.tolerances
-    miss = abs(fit0.sigma_hat - sigma0_known) / sigma0_known
+    miss = float(_relative_errors(fit0.sigma_hat, sigma0_known))
     if miss > tol.radius_match:
         raise UnderresolvedError(
             f"radius fit at t = 0 reads {fit0.sigma_hat:.6g}, {miss:.1%} off the known radius "
@@ -707,7 +686,7 @@ def _radius_tracking(cfg: ScenarioConfig):
     ]
     verdicts = {"envelope": _series_verdict(margins, tol.radius)}
     if cfg.data.kind == "soliton":
-        err = max(abs(sh - sigma0_known) / sigma0_known for sh in sigma_hat)
+        err = _relative_errors(sigma_hat, sigma0_known).max()
         verdicts["soliton_radius_match"] = _margin_verdict(tol.radius_match - err, tol.radius_match)
 
     series = {

@@ -17,22 +17,16 @@ the exit status is that of a full run.
 """
 
 import sys
-from importlib import resources
 
-from report_series import emit
+from report_series import emit, packaged_payloads
 
-from gevreyflow import RUNNERS, content_hash, parse_config, report_payload
+from gevreyflow import content_hash
 
 
 def packaged_hashes():
     """Yield (config name, content hash) for every packaged config, by name."""
-    configs = resources.files("gevreyflow") / "configs"
-    for path in sorted(configs.iterdir(), key=lambda p: p.name):
-        if not path.name.endswith(".cfg"):
-            continue
-        cfg = parse_config(path)
-        report = RUNNERS[cfg.scenario](cfg)
-        yield path.name.removesuffix(".cfg"), content_hash(report_payload(report))
+    for name, payload in packaged_payloads():
+        yield name, content_hash(payload)
 
 
 def check(path: str) -> int:

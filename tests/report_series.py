@@ -40,17 +40,25 @@ def emit(line: str) -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
-def dump(path: str) -> None:
-    from gevreyflow import RUNNERS, content_hash, parse_config, report_payload
+def packaged_payloads():
+    """Yield (config name, report payload) for every packaged config, by
+    name: the one loop over the packaged configs that both report scripts
+    run."""
+    from gevreyflow import RUNNERS, parse_config, report_payload
 
     configs = resources.files("gevreyflow") / "configs"
-    payloads = {}
-    for cfg_path in sorted(configs.iterdir(), key=lambda p: p.name):
-        if not cfg_path.name.endswith(".cfg"):
+    for path in sorted(configs.iterdir(), key=lambda p: p.name):
+        if not path.name.endswith(".cfg"):
             continue
-        cfg = parse_config(cfg_path)
-        payload = report_payload(RUNNERS[cfg.scenario](cfg))
-        name = cfg_path.name.removesuffix(".cfg")
+        cfg = parse_config(path)
+        yield path.name.removesuffix(".cfg"), report_payload(RUNNERS[cfg.scenario](cfg))
+
+
+def dump(path: str) -> None:
+    from gevreyflow import content_hash
+
+    payloads = {}
+    for name, payload in packaged_payloads():
         payloads[name] = {"hash": content_hash(payload), "payload": payload}
         emit(f"{name} {payloads[name]['hash']}")
     with open(path, "w", encoding="utf-8") as fh:

@@ -371,8 +371,8 @@ def recorded_states():
     for name in ("conserve", "sigma_scaling"):
         path = resources.files("gevreyflow").joinpath("configs", f"{name}.cfg")
         cfg = parse_config(path, ["evolution.t_end=0.5", "evolution.record_every=50"])
-        g = cfg.grid()
-        out[name] = (integrate(cfg.evolution(g), cfg.initial_state(g)).states, cfg.mu)
+        _, spec, init = cfg.build()
+        out[name] = (integrate(spec, init).states, cfg.mu)
     return out
 
 
@@ -391,11 +391,12 @@ def assert_rows_match_single_calls(states, sigma, mu):
 
 
 class TestTrajectoryFunctional:
-    # 1.25 * xi_max = 31.4, the largest weight argument here
+    # 1.25 * xi_max = 31.4, the largest weight argument here: a direct
+    # np.cosh weight, as every weight below e^700 is
     @pytest.mark.parametrize("name", ["conserve", "sigma_scaling"])
     @pytest.mark.parametrize(
         "sigma", [0.0, 1.25, np.array([0.05, 0.1, 0.2, 0.4]), np.array([0.0, 0.05, 1.25, 0.4])],
-        ids=["zero", "log-space", "sigma-scaling", "with-log-space"],
+        ids=["zero", "sigma-1.25", "sigma-scaling", "with-sigma-1.25"],
     )
     def test_matches_one_call_per_state(self, recorded_states, name, sigma):
         states, mu = recorded_states[name]
@@ -477,6 +478,13 @@ class TestDampingNorm:
         a = RaisedCosineDamping(floor, 0.0, g.L)
         assert a.values(g).tobytes() == np.full(N, floor).tobytes()
         assert damping_A_norm(a, sigma) == floor
+
+    @pytest.mark.parametrize("sigma", [1e8, 1e9, 1e10, 1e300])
+    def test_constant_profile_where_the_head_coefficient_overflows(self, sigma):
+        # from sigma = 1e9 on, sigma^k / k! overflows to inf within the 40
+        # head terms; the zero derivative sups must not turn it into nan
+        a = RaisedCosineDamping(1.0, 0.0, 64.0)
+        assert damping_A_norm(a, sigma) == 1.0
 
     def test_raised_cosine_against_long_sum(self):
         a = RaisedCosineDamping(floor=0.2, amplitude=0.15, length=64.0)

@@ -21,122 +21,30 @@ from gevreyflow.errors import ConfigurationError, DivergenceError, FitError, Und
 from gevreyflow.harness import RUNNERS, SCENARIO_IDS, SCENARIOS, ScenarioConfig
 from gevreyflow.spectral import synthesize
 
-CONSERVE_SHORT = """scenario = conservation
-[equation]
-family = mkdv
-mu = 1
-[data]
-kind = soliton
-k = 1.0
-x0 = 32.0
-[evolution]
-dt = 0.0002
-t_end = 0.5
-record_every = 250
-"""
-
-SIGMA_SHORT = """scenario = sigma-scaling
-[equation]
-family = mkdv
-mu = -1
-[data]
-kind = sech
-amplitude = 0.8
-[evolution]
-dt = 0.0002
-t_end = 1.5
-record_every = 150
-"""
-
-DAMPING_SHORT = """scenario = damping
-[equation]
-family = mkdvm
-m = 5
-mu = -1
-[damping]
-form = raised_cosine
-floor = 1.0
-amplitude = 0.5
-[data]
-kind = sech
-amplitude = 0.7071067811865476
-[evolution]
-dt = 0.0002
-t_end = 0.6
-record_every = 100
-"""
-
-ITERATION_SHORT = """scenario = iteration
-[equation]
-family = mkdvm
-m = 5
-mu = -1
-[damping]
-form = raised_cosine
-floor = 1.0
-amplitude = 0.25
-[data]
-kind = sech
-amplitude = 0.7071067811865476
-[evolution]
-dt = 0.0002
-[run]
-sigma0 = 0.5
-k_max = 3
-window_records = 8
-"""
-
-COUPLED_DEGENERATE = """scenario = coupled
-[equation]
-family = coupled
-alpha = 0.5
-mu = -1
-[damping]
-form = raised_cosine
-floor = 1.0
-amplitude = 0.25
-[data]
-kind = sech
-amplitude = 0.7071067811865476
-[data2]
-kind = zero
-[evolution]
-dt = 0.0002
-[run]
-sigma0 = 0.5
-theta = 0.45
-k_max = 2
-window_records = 8
-"""
-
-RADIUS_SHORT = """scenario = radius
-[equation]
-family = mkdv
-mu = -1
-[data]
-kind = sech
-amplitude = 1.0
-[evolution]
-dt = 0.0002
-t_end = 1.0
-record_every = 250
-"""
-
-INEQUALITIES_SMALL = """scenario = inequalities
-[run]
-samples = 20000
-"""
+# each short config is a packaged config with these overrides
+CONSERVE_SHORT = ("conserve", ["evolution.t_end=0.5"])
+SIGMA_SHORT = ("sigma_scaling", ["evolution.t_end=1.5", "evolution.record_every=150"])
+DAMPING_SHORT = ("damping", ["evolution.t_end=0.6", "evolution.record_every=100"])
+ITERATION_SHORT = ("iterate", ["run.k_max=3"])
+COUPLED_DEGENERATE = ("coupled", ["data2.kind=zero", "run.sigma0=0.5", "run.k_max=2"])
+RADIUS_SHORT = ("radius", ["evolution.t_end=1.0", "evolution.record_every=250"])
+INEQUALITIES_SMALL = ("inequalities", ["run.samples=20000"])
 
 
-def run_text(text, overrides=()):
-    cfg = parse_config_text(text, overrides)
+def short_config(short, overrides=()):
+    name, base = short
+    return parse_config(resources.files("gevreyflow").joinpath("configs", f"{name}.cfg"), [*base, *overrides])
+
+
+def run_short(short, overrides=()):
+    cfg = short_config(short, overrides)
     return RUNNERS[cfg.scenario](cfg)
 
 
 class TestScenarioConfig:
     def test_defaults_validate(self):
         cfg = ScenarioConfig()
-        cfg.validate()
+        cfg.build()
         assert cfg.scenario in SCENARIO_IDS
 
     def test_field_defaults_are_the_file_defaults(self):
@@ -161,7 +69,7 @@ class TestScenarioConfig:
             ScenarioConfig(c1_safety=0.5)
 
     def test_runner_rejects_mismatched_scenario(self):
-        cfg = parse_config_text(CONSERVE_SHORT)
+        cfg = short_config(CONSERVE_SHORT)
         with pytest.raises(ConfigurationError, match="runner expects"):
             RUNNERS["sigma-scaling"](cfg)
 
@@ -173,7 +81,7 @@ class TestScenarioConfig:
             RUNNERS[runner](cfg)
 
     def test_echo_matches_as_sections(self):
-        cfg = parse_config_text(CONSERVE_SHORT)
+        cfg = short_config(CONSERVE_SHORT)
         report = RUNNERS["conservation"](cfg)
         assert report.config == cfg.as_sections()
         assert report.wall_clock > 0.0
@@ -211,7 +119,7 @@ class TestVerdictHelpers:
         for v in (harness._margin_verdict(np.float64(0.25), 0.5), harness._series_verdict(np.array([0.3, 0.25]), 0.5)):
             assert type(v.passed) is bool and type(v.margin) is float
             assert v == harness.Verdict(passed=True, margin=0.25, tolerance=0.5)
-        assert content_hash(report_payload(run_text(CONSERVE_SHORT)))
+        assert content_hash(report_payload(run_short(CONSERVE_SHORT)))
 
     def test_worst_margin_decides(self):
         assert harness._margin_verdict(0.0, 1e-3).passed
@@ -222,11 +130,19 @@ class TestVerdictHelpers:
     def test_nan_margin_fails(self):
         assert not harness._series_verdict([0.5, math.nan, 0.25], 1e-3).passed
 
+    def test_margin_rules(self):
+        # one reference or bound per value, or one for all; a zero one gives
+        # exactly 0 against a zero value, never nan
+        assert harness._relative_errors([0.0, 3.0, -1.0], [0.0, 2.0, -2.0]).tolist() == [0.0, 0.5, 0.5]
+        assert harness._relative_errors([1.0, 1.5], 2.0).tolist() == [0.5, 0.25]
+        assert harness._headroom([1.0, 2.5, 0.0], [2.0, 2.0, 0.0], 0.25).tolist() == [0.75, 0.0, 0.0]
+        assert harness._headroom([1.0, 3.0], 2.0, 0.25).tolist() == [0.75, -0.25]
+
 
 @pytest.mark.parametrize(
-    "text, series", [(CONSERVE_SHORT, "invariants"), (SIGMA_SHORT, "a_sigma")], ids=["conservation", "sigma-scaling"]
+    "short, series", [(CONSERVE_SHORT, "invariants"), (SIGMA_SHORT, "a_sigma")], ids=["conservation", "sigma-scaling"]
 )
-def test_one_functional_call_per_trajectory(monkeypatch, text, series):
+def test_one_functional_call_per_trajectory(monkeypatch, short, series):
     calls = []
 
     def counted(u, sigma, mu):
@@ -234,8 +150,36 @@ def test_one_functional_call_per_trajectory(monkeypatch, text, series):
         return functional_A(u, sigma, mu)
 
     monkeypatch.setattr(harness, "functional_A", counted)
-    report = run_text(text)
+    report = run_short(short)
     assert calls == [len(report.series[series]["t"])]
+
+
+EVOLUTION_SHORT = {
+    "conservation": CONSERVE_SHORT,
+    "sigma-scaling": SIGMA_SHORT,
+    "damping": DAMPING_SHORT,
+    "iteration": ITERATION_SHORT,
+    "radius": RADIUS_SHORT,
+    "coupled": COUPLED_DEGENERATE,
+}
+
+
+@pytest.mark.parametrize("scenario", [s for s, (family, _) in SCENARIOS.items() if family is not None])
+def test_one_build_per_parse_and_per_run(monkeypatch, scenario):
+    # the parser builds once to validate, and the runner once for its
+    # objects, however many integrate calls it then makes
+    real, calls = ScenarioConfig.build, []
+
+    def counted(cfg):
+        calls.append(cfg)
+        return real(cfg)
+
+    monkeypatch.setattr(ScenarioConfig, "build", counted)
+    cfg = short_config(EVOLUTION_SHORT[scenario])
+    assert calls == [cfg]
+    calls.clear()
+    RUNNERS[scenario](cfg)
+    assert calls == [cfg]
 
 
 def test_masses_once_per_trajectory_or_window(monkeypatch):
@@ -246,12 +190,12 @@ def test_masses_once_per_trajectory_or_window(monkeypatch):
         return functional_M(v, sigma)
 
     monkeypatch.setattr(harness, "functional_M", counted)
-    report = run_text(DAMPING_SHORT)
+    report = run_short(DAMPING_SHORT)
     # the trajectory, then each rate probe's three states
     n_probes = len(report.series["rate_residual"]["t"])
     assert calls == [(len(report.series["mass_decay"]["t"]), ())] + [(3, ())] * n_probes
     calls.clear()
-    run_text(ITERATION_SHORT)
+    run_short(ITERATION_SHORT)
     # [0, sigma0] and sigma0 (T0, calibration), sigma (the first boundary),
     # then [sigma/2, sigma] over each window's records
     assert calls == [(1, (2,)), (1, ()), (1, ()), (9, (2,)), (8, (2,)), (8, (2,))]
@@ -259,7 +203,7 @@ def test_masses_once_per_trajectory_or_window(monkeypatch):
 
 class TestConservation:
     def test_soliton_drift_tiny(self):
-        report = run_text(CONSERVE_SHORT)
+        report = run_short(CONSERVE_SHORT)
         assert report.passed
         assert report.fits["drift"]["max_relative"] <= 1e-9
         v = report.verdicts["conservation"]
@@ -272,7 +216,7 @@ class TestConservation:
             assert drift[name][0] == 0.0
 
     def test_zero_data_drifts_exactly_zero(self):
-        report = run_text(
+        report = run_short(
             CONSERVE_SHORT,
             ["data.kind=zero", "evolution.t_end=0.05", "evolution.record_every=50"],
         )
@@ -282,8 +226,8 @@ class TestConservation:
     def test_dt_doubling_grows_drift_fifth_order(self):
         # on a traveling wave the O(dt^4) error is a phase shift, so the
         # invariants only feel the O(dt^5) remainder: ratio near 2^5
-        coarse = run_text(CONSERVE_SHORT, ["evolution.dt=0.002"])
-        fine = run_text(CONSERVE_SHORT, ["evolution.dt=0.001"])
+        coarse = run_short(CONSERVE_SHORT, ["evolution.dt=0.002"])
+        fine = run_short(CONSERVE_SHORT, ["evolution.dt=0.001"])
         d2 = max(coarse.series["drift"]["drift_inv2"])
         d1 = max(fine.series["drift"]["drift_inv2"])
         assert 24.0 < d2 / d1 < 40.0
@@ -291,7 +235,7 @@ class TestConservation:
 
 class TestSigmaScaling:
     def test_slope_near_two(self):
-        report = run_text(SIGMA_SHORT)
+        report = run_short(SIGMA_SHORT)
         assert report.passed
         fit = report.fits["scaling"]
         assert fit["slope"] == pytest.approx(2.1904710722877647, rel=1e-6)
@@ -301,7 +245,7 @@ class TestSigmaScaling:
         assert 0.001 < const["min"] <= const["max"] < 0.01
 
     def test_sigma_zero_is_excluded_not_fitted(self):
-        report = run_text(
+        report = run_short(
             SIGMA_SHORT,
             [
                 "run.sigmas=[0.0, 0.05, 0.1, 0.2, 0.4]",
@@ -316,31 +260,31 @@ class TestSigmaScaling:
 
     def test_zero_data_has_no_positive_drift(self):
         with pytest.raises(FitError, match="positive-drift"):
-            run_text(
+            run_short(
                 SIGMA_SHORT,
                 ["data.kind=zero", "evolution.t_end=0.1", "evolution.record_every=100"],
             )
 
     def test_focusing_sign_rejected(self):
         with pytest.raises(ConfigurationError, match="defocusing"):
-            run_text(SIGMA_SHORT, ["equation.mu=1"])
+            run_short(SIGMA_SHORT, ["equation.mu=1"])
 
     def test_narrow_span_rejected(self):
         with pytest.raises(ConfigurationError, match="factor 8"):
-            run_text(SIGMA_SHORT, ["run.sigmas=[0.1, 0.2, 0.4]"])
+            run_short(SIGMA_SHORT, ["run.sigmas=[0.1, 0.2, 0.4]"])
 
     def test_too_few_positive_sigmas(self):
         with pytest.raises(FitError, match="3 positive sigma"):
-            run_text(SIGMA_SHORT, ["run.sigmas=[0.05, 0.4]"])
+            run_short(SIGMA_SHORT, ["run.sigmas=[0.05, 0.4]"])
 
     def test_overflow_guard_on_sigma_max(self):
         with pytest.raises(ConfigurationError, match="exceeds 600"):
-            run_text(SIGMA_SHORT, ["run.sigmas=[0.3, 3.0, 30.0]"])
+            run_short(SIGMA_SHORT, ["run.sigmas=[0.3, 3.0, 30.0]"])
 
 
 class TestDampingDecay:
     def test_variable_damping_envelope_and_rate(self):
-        report = run_text(DAMPING_SHORT)
+        report = run_short(DAMPING_SHORT)
         assert report.passed
         assert set(report.verdicts) == {"decay_envelope", "rate_identity"}
         mass = report.series["mass_decay"]
@@ -350,7 +294,7 @@ class TestDampingDecay:
         assert max(abs(r) for r in report.series["rate_residual"]["residual"]) < 1e-6
 
     def test_constant_damping_is_exact_decay(self):
-        report = run_text(
+        report = run_short(
             DAMPING_SHORT,
             ["damping.form=constant", "damping.amplitude=0.0"],
         )
@@ -364,7 +308,7 @@ class TestDampingDecay:
 
     def test_wrong_family_rejected(self):
         with pytest.raises(ConfigurationError, match="family"):
-            run_text(DAMPING_SHORT, ["equation.family=mkdv"])
+            run_short(DAMPING_SHORT, ["equation.family=mkdv"])
 
     @pytest.mark.parametrize(
         "scale, error, message", [(100.0, ConfigurationError, "advective guard"), (1e7, DivergenceError, "blow-up")]
@@ -372,7 +316,7 @@ class TestDampingDecay:
     def test_error_in_a_rate_probe_names_it(self, monkeypatch, scale, error, message):
         # the third integrate call is the second rate probe; restarted from
         # a scaled-up record, it fails at its first step, at that record's t
-        report = run_text(DAMPING_SHORT)
+        report = run_short(DAMPING_SHORT)
         t_probe = report.series["rate_residual"]["t"][1]
         i = report.series["mass_decay"]["t"].index(t_probe)
         assert i > 0 and t_probe > 0.0
@@ -386,13 +330,13 @@ class TestDampingDecay:
 
         monkeypatch.setattr(harness, "integrate", tripped)
         with pytest.raises(error, match=rf"^rate probe at record {i}, global t = {t_probe:.6g}: .*{message}") as info:
-            run_text(DAMPING_SHORT)
+            run_short(DAMPING_SHORT)
         assert type(info.value) is error and type(info.value.__cause__) is error
 
 
 class TestGlobalIteration:
     def test_short_run_frozen_values(self):
-        report = run_text(ITERATION_SHORT)
+        report = run_short(ITERATION_SHORT)
         assert report.passed
         derived = report.fits["derived"]
         assert derived["T0"] == pytest.approx(0.07676784676708011, rel=1e-9)
@@ -408,7 +352,7 @@ class TestGlobalIteration:
         }
 
     def test_series_shapes(self):
-        report = run_text(ITERATION_SHORT)
+        report = run_short(ITERATION_SHORT)
         windows = report.series["mass_windows"]
         assert windows["k"] == [0.0, 1.0, 2.0, 3.0]
         values = windows["value"]
@@ -417,20 +361,20 @@ class TestGlobalIteration:
         assert len(report.series["decay"]["t"]) == 1 + 3 * 8
 
     def test_k_zero_reports_derived_quantities_only(self):
-        report = run_text(ITERATION_SHORT, ["run.k_max=0"])
+        report = run_short(ITERATION_SHORT, ["run.k_max=0"])
         assert report.passed and not report.verdicts and not report.series
         assert set(report.fits) == {"derived", "calibration"}
 
     def test_fine_grid_matches_default_grid(self):
         # at N = 4096, cosh(sigma0 xi) lifted round-off in the datum's tail
         # into M_sigma0 (T0 = 8.7e-22) until the norms gained a noise floor
-        coarse, fine = (run_text(ITERATION_SHORT, ["run.k_max=0", f"grid.N={N}"]) for N in (512, 4096))
+        coarse, fine = (run_short(ITERATION_SHORT, ["run.k_max=0", f"grid.N={N}"]) for N in (512, 4096))
         for key in ("T0", "sigma", "C1"):
             assert fine.fits["derived"][key] == pytest.approx(coarse.fits["derived"][key], rel=1e-6), key
 
     def test_window_shorter_than_one_step_rejected(self):
         with pytest.raises(ConfigurationError, match=r"T0 = 1\.9\d*e-05 is shorter than one step dt = 0\.0002"):
-            run_text(ITERATION_SHORT, ["run.c0=0.00025"])
+            run_short(ITERATION_SHORT, ["run.c0=0.00025"])
 
     @pytest.mark.parametrize(
         "scale, error, message", [(100.0, ConfigurationError, "advective guard"), (1e7, DivergenceError, "blow-up")]
@@ -439,7 +383,7 @@ class TestGlobalIteration:
         # the calibration window is window 0 and the second integrate call
         # window 1; started from a scaled-up state, it fails at its first
         # step, at global time T0
-        T0 = run_text(ITERATION_SHORT, ["run.k_max=0"]).fits["derived"]["T0"]
+        T0 = run_short(ITERATION_SHORT, ["run.k_max=0"]).fits["derived"]["T0"]
         real, calls = harness.integrate, []
 
         def tripped(spec, init):
@@ -450,11 +394,11 @@ class TestGlobalIteration:
 
         monkeypatch.setattr(harness, "integrate", tripped)
         with pytest.raises(error, match=rf"^window 1, global t = {T0:.6g}: .*{message}") as info:
-            run_text(ITERATION_SHORT)
+            run_short(ITERATION_SHORT)
         assert type(info.value) is error and type(info.value.__cause__) is error
 
     def test_fixed_c1_skips_calibration(self):
-        report = run_text(
+        report = run_short(
             ITERATION_SHORT,
             ["run.k_max=2", "run.c1_mode=fixed", "run.c1_value=0.001"],
         )
@@ -465,8 +409,8 @@ class TestGlobalIteration:
 
 class TestCoupled:
     def test_degenerate_second_component_matches_linear_single(self):
-        coupled = run_text(COUPLED_DEGENERATE)
-        single = run_text(
+        coupled = run_short(COUPLED_DEGENERATE)
+        single = run_short(
             ITERATION_SHORT,
             [
                 "equation.m=3",
@@ -487,7 +431,7 @@ class TestCoupled:
         assert coupled.fits["derived"]["sigma"] == single.fits["derived"]["sigma"]
 
     def test_symmetric_components_pass(self):
-        report = run_text(
+        report = run_short(
             COUPLED_DEGENERATE,
             ["data2.kind=sech", "run.sigma0=0.6", "run.k_max=3"],
         )
@@ -499,8 +443,8 @@ class TestCoupled:
         }
 
     def test_lifespan_shrinks_with_stronger_second_damping(self):
-        base = run_text(COUPLED_DEGENERATE, ["run.k_max=0"])
-        strong = run_text(
+        base = run_short(COUPLED_DEGENERATE, ["run.k_max=0"])
+        strong = run_short(
             COUPLED_DEGENERATE,
             ["run.k_max=0", "damping2.amplitude=2.0"],
         )
@@ -509,7 +453,7 @@ class TestCoupled:
 
 class TestRadiusTracking:
     def test_sech_envelope_and_calibration(self):
-        report = run_text(RADIUS_SHORT)
+        report = run_short(RADIUS_SHORT)
         assert report.passed
         assert report.fits["calibration"]["sigma0_known"] == pytest.approx(math.pi / 2)
         assert report.fits["calibration"]["c"] == pytest.approx(0.3427878782538645, rel=1e-9)
@@ -519,7 +463,7 @@ class TestRadiusTracking:
         assert len(radius["t"]) == len(radius["sigma_hat"]) == 21
 
     def test_soliton_estimate_matches_known_radius(self):
-        report = run_text(
+        report = run_short(
             RADIUS_SHORT,
             ["equation.mu=1", "data.kind=soliton"],
         )
@@ -529,7 +473,7 @@ class TestRadiusTracking:
 
     def test_zero_data_has_no_reference_radius(self):
         with pytest.raises(ConfigurationError, match="no known radius"):
-            run_text(RADIUS_SHORT, ["data.kind=zero"])
+            run_short(RADIUS_SHORT, ["data.kind=zero"])
 
     @pytest.mark.parametrize(
         "record_every, error, message",
@@ -543,11 +487,11 @@ class TestRadiusTracking:
 
         monkeypatch.setattr(harness, "integrate", tripped)
         with pytest.raises(error, match=message):
-            run_text(RADIUS_SHORT, ["evolution.t_end=0.2", f"evolution.record_every={record_every}"])
+            run_short(RADIUS_SHORT, ["evolution.t_end=0.2", f"evolution.record_every={record_every}"])
 
     def test_underresolved_grid_propagates_advice(self):
         with pytest.raises(UnderresolvedError, match=r"raise grid\.N"):
-            run_text(RADIUS_SHORT, ["grid.N=32", "evolution.t_end=0.01", "evolution.record_every=10"])
+            run_short(RADIUS_SHORT, ["grid.N=32", "evolution.t_end=0.01", "evolution.record_every=10"])
 
     def test_underresolved_grid_fails_before_integrating(self, monkeypatch):
         # the t = 0 state is fitted first; the advice names the config key
@@ -557,7 +501,7 @@ class TestRadiusTracking:
 
         monkeypatch.setattr(harness, "integrate", tripped)
         with pytest.raises(UnderresolvedError, match=r"at t = 0: .*; raise grid\.N$") as info:
-            run_text(RADIUS_SHORT, ["grid.N=32"])
+            run_short(RADIUS_SHORT, ["grid.N=32"])
         assert "floor_rel" not in str(info.value)
 
     def test_coarse_fit_at_t0_fails_before_integrating(self, monkeypatch):
@@ -569,12 +513,12 @@ class TestRadiusTracking:
         monkeypatch.setattr(harness, "integrate", tripped)
         pattern = r"radius fit at t = 0 reads 1\.44243, 8\.2% off the known radius 1\.5708 .*; raise grid\.N$"
         with pytest.raises(UnderresolvedError, match=pattern):
-            run_text(RADIUS_SHORT, ["grid.N=128"])
+            run_short(RADIUS_SHORT, ["grid.N=128"])
 
 
 class TestInequalitiesScenario:
     def test_all_families_pass(self):
-        report = run_text(INEQUALITIES_SMALL)
+        report = run_short(INEQUALITIES_SMALL)
         assert report.passed
         assert set(report.verdicts) == {
             "sinh",
@@ -591,16 +535,16 @@ class TestInequalitiesScenario:
         )
 
     def test_seed_changes_sampled_margins(self):
-        a = run_text(INEQUALITIES_SMALL)
-        b = run_text(INEQUALITIES_SMALL, ["seed=7"])
+        a = run_short(INEQUALITIES_SMALL)
+        b = run_short(INEQUALITIES_SMALL, ["seed=7"])
         assert a.verdicts["sinh"].margin != b.verdicts["sinh"].margin
         assert a.verdicts["triple_cosh_scan"] == b.verdicts["triple_cosh_scan"]
 
 
 class TestDeterminism:
     def test_identical_config_reproduces_report_exactly(self):
-        a = run_text(RADIUS_SHORT)
-        b = run_text(RADIUS_SHORT)
+        a = run_short(RADIUS_SHORT)
+        b = run_short(RADIUS_SHORT)
         assert a.series == b.series
         assert a.fits == b.fits
         assert a.verdicts == b.verdicts

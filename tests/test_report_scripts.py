@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 import report_hashes
 
+import gevreyflow
 from gevreyflow import SCENARIO_IDS, ExperimentReport
 
 SCRIPT = Path(__file__).with_name("report_series.py")
@@ -54,7 +55,8 @@ def stub_hashes(monkeypatch):
     def stub(cfg):
         return ExperimentReport(cfg.scenario, {}, {}, {}, cfg.as_sections(), 0.0)
 
-    monkeypatch.setattr(report_hashes, "RUNNERS", {s: stub for s in SCENARIO_IDS})
+    # the shared loop of both report scripts reads the runners at its start
+    monkeypatch.setattr(gevreyflow, "RUNNERS", {s: stub for s in SCENARIO_IDS})
     return dict(report_hashes.packaged_hashes())
 
 
