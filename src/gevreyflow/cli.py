@@ -16,11 +16,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
 from .config import parse_config, parse_config_text
-from .errors import GevreyError
+from .errors import ConfigurationError, GevreyError
 from .harness import RUNNERS, SCENARIOS, ExperimentReport
 from .reporting import PlotStyle, write_plot, write_report
 
@@ -96,7 +97,12 @@ def _run_one(command: str, args) -> int:
     out_dir = _out_root(args, cfg) / scenario
     report_path = write_report(report, out_dir)
     for name, table in report.series.items():
-        write_plot(table, _style_for(report, name), out_dir / "plots" / f"{name}.svg")
+        style, path = _style_for(report, name), out_dir / "plots" / f"{name}.svg"
+        try:
+            write_plot(table, style, path)
+        except ConfigurationError:
+            # log axes drop every point of an all-zero series, such as zero data's drift
+            write_plot(table, replace(style, x_log=False, y_log=False), path)
     if not args.quiet:
         for name, v in report.verdicts.items():
             status = "PASS" if v.passed else "FAIL"

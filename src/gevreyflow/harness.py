@@ -19,7 +19,10 @@ ScenarioConfig.build(), the same call the parser makes to validate a
 config before any run.
 
 Verdict margins are normalized: positive means the checked quantity
-cleared its bound by that relative amount, negative by how much it missed.
+cleared its bound by that relative amount, negative by how much it fell
+short.  An evolution verdict passes at margin >= 0; the four inequality
+verdicts pass at margin >= -tolerance (_violations; triple_cosh_scan at
+-inequalities.REL_TOL, 1e-12, the default tolerance).
 Two helpers state every relative margin of the evolution scenarios:
 _relative_errors (drifts, identities, radius match) and _headroom (values
 under a bound widened by the tolerance).  Every verdict carries the config
@@ -185,25 +188,27 @@ class ScenarioConfig:
         configured data projected into the band integrate evolves, one
         field or the pair (data, data2) for the coupled family.  Raises on
         the first violated precondition (grid shape, damping certificate,
-        data boundary)."""
+        data boundary); an error from a damping or data section starts
+        with that section's name."""
         grid = Grid(self.L, self.N)
+        pair = self.family == "coupled"
         if self.family == "mkdv":
             equation = Equation(self.mu)
         else:
-            components = (self.damping, self.damping2) if self.family == "coupled" else (self.damping,)
-            dampings = tuple(make_damping(c.form, c.floor, c.amplitude, grid, self.sigma0) for c in components)
-            if self.family == "mkdvm":
-                equation = Equation(self.mu, self.m, dampings=dampings)
-            else:
+            dampings = tuple(
+                _from_section(name, make_damping, c.form, c.floor, c.amplitude, grid, self.sigma0)
+                for name, c in (("damping", self.damping), ("damping2", self.damping2))[: 1 + pair]
+            )
+            if pair:
                 equation = Equation(self.mu, alphas=(1.0, self.alpha), dampings=dampings)
+            else:
+                equation = Equation(self.mu, self.m, dampings=dampings)
         spec = EvolutionSpec(
             equation=equation, dt=self.dt, t_end=self.t_end, record_every=self.record_every, nonlinear=self.nonlinear
         )
-        if self.family == "coupled":
-            init = (dealias(build_field(self.data, grid)), dealias(build_field(self.data2, grid)))
-        else:
-            init = dealias(build_field(self.data, grid))
-        return grid, spec, init
+        data = (("data", self.data), ("data2", self.data2))[: 1 + pair]
+        init = tuple(dealias(_from_section(name, build_field, d, grid)) for name, d in data)
+        return grid, spec, init if pair else init[0]
 
     def as_sections(self) -> dict:
         """Resolved config as {section: {key: value}}, the shape the text
@@ -244,6 +249,14 @@ def config_keys():
 # ---------------------------------------------------------------------------
 # initial data
 # ---------------------------------------------------------------------------
+
+
+def _from_section(section: str, make, *args):
+    """make(*args), with a ConfigurationError prefixed by its config section."""
+    try:
+        return make(*args)
+    except ConfigurationError as err:
+        raise ConfigurationError(f"{section}: {err}") from err
 
 
 def build_field(data: DataConfig, grid: Grid) -> SpectralField:
@@ -462,7 +475,7 @@ def _damping_decay(cfg: ScenarioConfig):
     """Pointwise decay envelope, rate identity, and (constant a) equality."""
     _, spec, init = cfg.build()
     (a,) = spec.equation.dampings
-    lam = cfg.damping.floor
+    lam = a.floor
     traj = integrate(spec, init)
 
     times = [float(t) for t in traj.times]
@@ -472,7 +485,7 @@ def _damping_decay(cfg: ScenarioConfig):
     tol = cfg.tolerances
     env_margins = _headroom(mass, envelope, tol.decay)
     verdicts = {"decay_envelope": _series_verdict(env_margins, tol.decay)}
-    if cfg.damping.form == "constant":
+    if a.amplitude == 0:
         eq_err = _relative_errors(mass, envelope).max()
         verdicts["gronwall_equality"] = _margin_verdict(tol.equality - eq_err, tol.equality)
 

@@ -299,10 +299,18 @@ class TestParseTimeValidation:
     @pytest.mark.parametrize("command", ["damping", "coupled"])
     @pytest.mark.parametrize("N", [1024, 2048])
     def test_damped_configs_validate_on_fine_grids(self, command, N):
-        # the (A2) certificate must not mistake transform round-off, amplified
-        # by xi^k, for a derivative of the profile
+        # the profile's closed form certifies (A2) at every N
         cfg = parse_config_text(_default_config_text(command), [f"grid.N={N}"])
         assert cfg.N == N
+
+    @pytest.mark.parametrize(
+        "override, pattern",
+        [("damping2.form=constant", r"^damping2: .*amplitude = 0, got 0\.25"), ("data2.width=0", r"^data2: .*width")],
+        ids=["damping2", "data2"],
+    )
+    def test_section_errors_name_their_section(self, override, pattern):
+        with pytest.raises(ConfigurationError, match=pattern):
+            parse_config_text(_default_config_text("coupled"), [override])
 
 
 class TestRoundTrip:
@@ -572,6 +580,14 @@ class TestCli:
         scenario = _COMMANDS[command]
         assert capsys.readouterr().err == f"{scenario}: no verdict checked\n"
         assert (tmp_path / scenario / "report.json").exists()
+
+    @pytest.mark.parametrize("command, series", [("conserve", "drift"), ("damping", "mass_decay")])
+    def test_zero_data_plots_on_linear_axes(self, tmp_path, command, series):
+        # an all-zero series has no point on log axes; the run passes, so
+        # the CLI draws it on linear axes and exits 0
+        overrides = ["--set", "data.kind=zero", "--set", "evolution.t_end=0.1"]
+        assert main([command, "--out", str(tmp_path), "--quiet", *overrides]) == 0
+        assert (tmp_path / _COMMANDS[command] / "plots" / f"{series}.svg").exists()
 
     @pytest.mark.parametrize("command", ["inequalities", "conserve"])
     def test_negative_seed_exits_one(self, tmp_path, capsys, command):

@@ -35,6 +35,7 @@ from gevreyflow.spectral import (
     SpectralField,
     analyze,
     dealias,
+    noise_floor,
     synthesize,
 )
 
@@ -94,15 +95,23 @@ class TestDampingProfiles:
         assert vals.min() >= 1.0  # floor attained, never undershot
         assert a.sup == 2.0
 
-    def test_raised_cosine_deriv_sups_match_spectral(self):
-        # exact sup formula eps*(2 pi/L)^k against spectral differentiation
-        g = Grid(64.0, 256)
-        a = RaisedCosineDamping(floor=1.0, amplitude=0.5, length=64.0)
-        fld = analyze(a.values(g), g)
-        for k in range(1, 5):
-            dk = apply_symbol(fld, Deriv(k))
-            measured = np.abs(dk.samples).max()
+    @pytest.mark.parametrize("amplitude", [0.5, 0.0])
+    @pytest.mark.parametrize("k", range(1, 9))
+    @pytest.mark.parametrize("N", [256, 1024, 2048, 8192])
+    def test_raised_cosine_deriv_sups_match_spectral(self, N, k, amplitude):
+        # the closed form amplitude*(2 pi/L)^k, the profile's (A2)
+        # certificate, against spectral differentiation with the round-off
+        # modes dropped first, which xi^k would lift past the bound
+        g = Grid(64.0, N)
+        a = RaisedCosineDamping(floor=1.0, amplitude=amplitude, length=64.0)
+        spectrum = analyze(a.values(g), g).spectrum.copy()
+        spectrum[np.abs(spectrum) < noise_floor(spectrum)] = 0.0
+        measured = np.abs(apply_symbol(synthesize(spectrum, g), Deriv(k)).samples).max()
+        if amplitude == 0:
+            assert measured == 0.0
+        else:
             assert measured == pytest.approx(a.deriv_sup(k), rel=1e-10)
+        assert measured <= a.deriv_bound_coeff * a.deriv_bound_rate**k * math.factorial(k)
 
     def test_raised_cosine_rejects_foreign_grid(self):
         a = RaisedCosineDamping(floor=1.0, amplitude=0.5, length=64.0)
@@ -117,8 +126,20 @@ class TestDampingProfiles:
 
     def test_make_damping_constant_rejects_amplitude(self):
         g = Grid(64.0, 64)
-        with pytest.raises(ConfigurationError, match="eps"):
+        with pytest.raises(ConfigurationError, match="amplitude"):
             make_damping("constant", 1.0, 0.3, g, sigma0=1.0)
+
+    def test_make_damping_makes_no_transform(self, monkeypatch):
+        # the closed form is the certificate: no spectral re-check
+        g = Grid(64.0, 2048)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("make_damping called a transform")
+
+        monkeypatch.setattr(np.fft, "rfft", refuse)
+        monkeypatch.setattr(np.fft, "irfft", refuse)
+        a = make_damping("raised_cosine", 1.0, 0.5, g, sigma0=0.5)
+        assert a == RaisedCosineDamping(1.0, 0.5, g.L)
 
     def test_make_damping_raised_cosine_inside_a3(self):
         # R = 2 pi/64 ~ 0.0982, so sigma0 < 10.19 is accepted

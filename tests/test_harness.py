@@ -293,11 +293,18 @@ class TestDampingDecay:
             assert env == pytest.approx(math.exp(-2.0 * t) * m0, rel=1e-12)
         assert max(abs(r) for r in report.series["rate_residual"]["residual"]) < 1e-6
 
-    def test_constant_damping_is_exact_decay(self):
-        report = run_short(
-            DAMPING_SHORT,
+    @pytest.mark.parametrize(
+        "overrides",
+        [
             ["damping.form=constant", "damping.amplitude=0.0"],
-        )
+            ["damping.form=raised_cosine", "damping.amplitude=0.0"],
+        ],
+        ids=["constant", "raised_cosine"],
+    )
+    def test_constant_damping_is_exact_decay(self, overrides):
+        # the equality verdict follows the built profile's amplitude, not
+        # the form it was written as
+        report = run_short(DAMPING_SHORT, overrides)
         assert report.passed
         assert report.verdicts["gronwall_equality"].passed
         mass = report.series["mass_decay"]
