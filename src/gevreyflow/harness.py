@@ -14,15 +14,18 @@ independent of each other (no shared state), so callers may execute any
 subset in any order, or in parallel processes, and merge reports by
 scenario id.
 
-Every body gets its grid, evolution spec and initial data from one call,
-ScenarioConfig.build(), the same call the parser makes to validate a
-config before any run.
+Every evolution body has one shape: build, integrate, judge.  It gets its
+grid, evolution spec and initial data from one call, ScenarioConfig.build(),
+the same call the parser makes to validate a config before any run; then
+it makes every integrate call it needs (the window body one per window,
+the damping body its trajectory and its rate probes); then it judges all
+its records at once, as arrays.
 
 Verdict margins are normalized: positive means the checked quantity
 cleared its bound by that relative amount, negative by how much it fell
 short.  An evolution verdict passes at margin >= 0; the four inequality
-verdicts pass at margin >= -tolerance (_violations; triple_cosh_scan at
--inequalities.REL_TOL, 1e-12, the default tolerance).
+verdicts pass at margin >= -tolerance (_violations, and the lattice scan's
+lhs <= rhs (1 + tolerance)).
 Two helpers state every relative margin of the evolution scenarios:
 _relative_errors (drifts, identities, radius match) and _headroom (values
 under a bound widened by the tolerance).  Every verdict carries the config
@@ -59,7 +62,6 @@ from .dynamics import (
 )
 from .errors import ConfigurationError, DivergenceError, FitError, UnderresolvedError
 from .inequalities import (
-    certified_constant,
     cosh_minus_one_margin,
     equivalence_margins,
     load_manifest,
@@ -113,6 +115,17 @@ class Tolerances:
     slope_lo: float = 1.8
     slope_hi: float = 2.2
     r2_min: float = 0.98
+
+    def __post_init__(self):
+        for key, value in vars(self).items():
+            if not value >= 0:
+                raise ConfigurationError(f"tolerances.{key} must be >= 0, got {value}")
+        if self.slope_lo >= self.slope_hi:
+            raise ConfigurationError(
+                f"tolerances.slope_lo must be below slope_hi, got {self.slope_lo} >= {self.slope_hi}"
+            )
+        if self.r2_min > 1:
+            raise ConfigurationError(f"tolerances.r2_min must be <= 1, got {self.r2_min}")
 
 
 @dataclass(frozen=True)
@@ -345,11 +358,6 @@ def _series_verdict(margins, tol: float) -> Verdict:
     return _margin_verdict(np.min(margins), tol)
 
 
-def _band_verdict(value: float, lo: float, hi: float) -> Verdict:
-    margin = min(value - lo, hi - value) / (0.5 * (hi - lo))
-    return Verdict(passed=lo <= value <= hi, margin=float(margin), tolerance=0.5 * (hi - lo))
-
-
 def _integrate_from(spec: EvolutionSpec, init, where: str, t_start: float):
     """integrate(spec, init) for a restart at global time t_start: a
     blow-up or dt-guard error is re-raised as the same type, naming where
@@ -416,52 +424,42 @@ def _sigma_scaling(cfg: ScenarioConfig):
         )
 
     traj = integrate(spec, init)
-    times = [float(t) for t in traj.times]
 
     sigmas = np.asarray(cfg.sigmas, dtype=float)
     totals = functional_A(traj.states, sigmas, cfg.mu).total
-    a_series = {"t": times}
-    drift_rows = []
-    for sigma, values in zip(cfg.sigmas, totals.T.tolist()):
-        a_series[f"A_sigma_{sigma:g}"] = values
-        d = max(v - values[0] for v in values[1:])
-        a0 = values[0]
-        denom = sigma**2 * a0**2 * (1.0 + a0 + a0**2)
-        chat = d / denom if denom > 0 else 0.0
-        included = sigma > 0 and d > 0
-        drift_rows.append((sigma, d, chat, included))
-
-    kept = [(s, d) for s, d, _, inc in drift_rows if inc]
-    if len(kept) < 3:
-        raise FitError(f"need >= 3 positive-drift points for the fit, have {len(kept)}")
-    slope, intercept, r2 = _fit_loglog([s for s, _ in kept], [d for _, d in kept])
+    a0 = totals[0]
+    D = (totals[1:] - a0).max(axis=0)
+    denom = sigmas**2 * a0**2 * (1.0 + a0 + a0**2)
+    chat = np.divide(D, denom, out=np.zeros_like(D), where=denom > 0)
+    included = (sigmas > 0) & (D > 0)
+    kept = sigmas[included]
+    if kept.size < 3:
+        raise FitError(f"need >= 3 positive-drift points for the fit, have {kept.size}")
+    slope, intercept, r2 = _fit_loglog(kept, D[included])
 
     tol = cfg.tolerances
+    half = 0.5 * (tol.slope_hi - tol.slope_lo)
     verdicts = {
-        "slope_in_band": _band_verdict(slope, tol.slope_lo, tol.slope_hi),
+        "slope_in_band": _margin_verdict(min(slope - tol.slope_lo, tol.slope_hi - slope) / half, half),
         "fit_quality": _margin_verdict(r2 - tol.r2_min, tol.r2_min),
     }
-    chats = [c for _, _, c, inc in drift_rows if inc]
     fits = {
         "scaling": {
             "slope": slope,
             "intercept": intercept,
             "r2": r2,
-            "window_lo": kept[0][0],
-            "window_hi": kept[-1][0],
-            "n_points": len(kept),
-            "n_excluded": len(drift_rows) - len(kept),
+            "window_lo": float(kept[0]),
+            "window_hi": float(kept[-1]),
+            "n_points": kept.size,
+            "n_excluded": sigmas.size - kept.size,
         },
-        "empirical_constant": {"max": float(max(chats)), "min": float(min(chats))},
+        "empirical_constant": {"max": float(chat[included].max()), "min": float(chat[included].min())},
     }
+    a_series = {f"A_sigma_{sigma:g}": values for sigma, values in zip(cfg.sigmas, totals.T.tolist())}
+    drifts = {"sigma": sigmas, "D": D, "chat": chat, "included": included.astype(float)}
     series = {
-        "a_sigma": a_series,
-        "drift_vs_sigma": {
-            "sigma": [s for s, _, _, _ in drift_rows],
-            "D": [float(d) for _, d, _, _ in drift_rows],
-            "chat": [float(c) for _, _, c, _ in drift_rows],
-            "included": [1.0 if inc else 0.0 for _, _, _, inc in drift_rows],
-        },
+        "a_sigma": {"t": traj.times.tolist(), **a_series},
+        "drift_vs_sigma": {name: column.tolist() for name, column in drifts.items()},
     }
     return series, fits, verdicts
 
@@ -472,16 +470,23 @@ def _sigma_scaling(cfg: ScenarioConfig):
 
 
 def _damping_decay(cfg: ScenarioConfig):
-    """Pointwise decay envelope, rate identity, and (constant a) equality."""
+    """Pointwise decay envelope, rate identity, and (constant a) equality.
+
+    The rate identity dM/dt = -2 int a v^2 (analytics.mass_rate, the
+    sigma = 0 case, where the commutator terms vanish) is probed at up to 8
+    recorded states, by a 2-step centered difference restarted from each.
+    """
     _, spec, init = cfg.build()
     (a,) = spec.equation.dampings
     lam = a.floor
     traj = integrate(spec, init)
-
     times = [float(t) for t in traj.times]
+    probe_idx = sorted(set(np.linspace(0, len(traj.states) - 1, 8, dtype=int).tolist()))
+    probe = replace(spec, t_end=2.0 * spec.dt, record_every=1)
+    probes = [_integrate_from(probe, traj.states[i], f"rate probe at record {i}", times[i]) for i in probe_idx]
+
     mass = functional_M(traj.states, 0.0).tolist()
     envelope = [math.exp(-2.0 * lam * t) * mass[0] for t in times]
-
     tol = cfg.tolerances
     env_margins = _headroom(mass, envelope, tol.decay)
     verdicts = {"decay_envelope": _series_verdict(env_margins, tol.decay)}
@@ -489,23 +494,16 @@ def _damping_decay(cfg: ScenarioConfig):
         eq_err = _relative_errors(mass, envelope).max()
         verdicts["gronwall_equality"] = _margin_verdict(tol.equality - eq_err, tol.equality)
 
-    # rate identity dM/dt = -2 int a v^2 (analytics.mass_rate, the sigma = 0
-    # case, where the commutator terms vanish) probed at up to 8 recorded
-    # states via a 2-step centered difference restarted from each state
-    probe_idx = sorted(set(np.linspace(0, len(traj.states) - 1, 8, dtype=int).tolist()))
-    probe = replace(spec, t_end=2.0 * spec.dt, record_every=1)
-    fds, rates = [], []
-    for i in probe_idx:
-        mini = _integrate_from(probe, traj.states[i], f"rate probe at record {i}", times[i])
-        m_before, _, m_after = functional_M(mini.states, 0.0)
-        fds.append((m_after - m_before) / (2.0 * mini.step_size))
-        rates.append(mass_rate(mini.states[1], a))
+    # every probe runs one spec, so one step size
+    m_before, _, m_after = functional_M([s for p in probes for s in p.states], 0.0).reshape(-1, 3).T
+    fds = (m_after - m_before) / (2.0 * probes[0].step_size)
+    rates = [mass_rate(p.states[1], a) for p in probes]
     residuals = _relative_errors(fds, rates)
     worst = residuals.max()
     verdicts["rate_identity"] = _margin_verdict(tol.rate - worst, tol.rate)
 
     series = {
-        "mass_decay": {"t": times, "mass": [float(m) for m in mass], "envelope": envelope},
+        "mass_decay": {"t": times, "mass": mass, "envelope": envelope},
         "rate_residual": {
             "t": [times[i] for i in probe_idx],
             "residual": residuals.tolist(),
@@ -521,11 +519,6 @@ def _damping_decay(cfg: ScenarioConfig):
 # ---------------------------------------------------------------------------
 # scenario: window iteration, for the damped flow and the coupled pair
 # ---------------------------------------------------------------------------
-
-
-def _window_cadence(cfg: ScenarioConfig, T0: float) -> int:
-    steps = max(1, math.ceil(T0 / cfg.dt))
-    return max(1, math.ceil(steps / cfg.window_records))
 
 
 def _component_masses(states, sigma) -> np.ndarray:
@@ -564,23 +557,26 @@ def _iterate_windows(cfg: ScenarioConfig):
             f"window length T0 = {T0:.6g} is shorter than one step dt = {cfg.dt:g}; "
             "raise c0 or shrink the data or the damping"
         )
-    cadence = _window_cadence(cfg, T0)
 
-    # every window, the calibration window included, integrates this spec;
-    # a blow-up or dt-guard error names the window k and the global time
+    # the windows depend on T0 alone, so they run first, each from the last
+    # one's final state; the empirical C1 policy calibrates on window 0,
+    # which so runs even at k_max = 0.  T0 >= dt, so the cadence is >= 1.
+    cadence = math.ceil(math.ceil(T0 / cfg.dt) / cfg.window_records)
     window_spec = replace(spec, t_end=T0, record_every=cadence)
+    efold = math.exp(-2.0 * lam * T0)
+    windows = []
+    for k in range(max(cfg.k_max, cfg.c1_mode == "empirical")):
+        windows.append(_integrate_from(window_spec, windows[-1].final if windows else state, f"window {k}", k * T0))
 
-    # C1 policy: fixed value, or one calibration window at sigma0 times the
-    # safety factor; nonpositive calibration drift falls back to the 1e-6
-    # floor (decay beat the envelope, so any positive constant is consistent)
+    # C1 policy: fixed value, or window 0's drift at sigma0 times the safety
+    # factor; nonpositive drift falls back to the 1e-6 floor (decay beat the
+    # envelope, so any positive constant is consistent)
     calibration = {}
-    cal = None
     if cfg.c1_mode == "fixed":
         C1 = cfg.c1_value
         calibration["floored"] = 0.0
     else:
-        cal = _integrate_from(window_spec, state, "window 0", 0.0)
-        resid = float(_component_masses([cal.final], cfg.sigma0).sum()) - math.exp(-2.0 * lam * T0) * m0_sigma0
+        resid = float(_component_masses([windows[0].final], cfg.sigma0).sum()) - efold * m0_sigma0
         denom = (cfg.sigma0**cfg.theta * m0_sigma0 + cfg.sigma0 * a_norm0) * m0_sigma0
         chat = resid / denom if denom > 0 else 0.0
         C1 = cfg.c1_safety * max(chat, 1e-6)
@@ -602,29 +598,26 @@ def _iterate_windows(cfg: ScenarioConfig):
     if cfg.k_max == 0:
         return {}, fits, {}
 
-    a_norm_sigma = max(damping_A_norm(d, sigma) for d in eq.dampings)
-    chat_env = math.sqrt(math.sqrt(l2_sq) * math.sqrt(m0_sigma0))
-    efold = math.exp(-2.0 * lam * T0)
+    # every window's records at their global times (a later window's first
+    # repeats the last one's final record), and the index of window 0's
+    # first record and of each window's last
+    records, t, ends = [], [], [0]
+    for k, win in enumerate(windows):
+        start = 0 if k == 0 else 1
+        records += win.states[start:]
+        t += [k * T0 + float(tk) for tk in win.times[start:]]
+        ends.append(len(records) - 1)
 
-    boundary = [float(_component_masses([state], sigma).sum())]
-    residuals, bounds = [], []
-    decay_t, decay_norm, decay_env = [], [], []
-    for k in range(cfg.k_max):
-        # window 0 starts from the state the calibration window started from
-        win = cal if k == 0 and cal is not None else _integrate_from(window_spec, state, f"window {k}", k * T0)
-        start = 0 if k == 0 else 1  # window k's first record repeats k-1's last
-        # masses at sigma/2 (the decay norms) and at sigma (the window end)
-        masses = _component_masses(win.states[start:], [sigma / 2.0, sigma])
-        decay_norm.extend(np.sqrt(masses[:, :, 0].max(axis=0)).tolist())
-        t_win = [k * T0 + float(t) for t in win.times[start:]]
-        decay_t += t_win
-        decay_env += [chat_env * math.exp(-lam * t / 2.0) for t in t_win]
-        m_start = boundary[-1]
-        m_end = float(masses[:, -1, 1].sum())
-        boundary.append(m_end)
-        residuals.append(m_end - efold * m_start)
-        bounds.append(C1 * (sigma**cfg.theta * m_start + sigma * a_norm_sigma) * m_start)
-        state = win.final
+    # masses at sigma/2 (the decay norms) and at sigma (the window ends)
+    masses = _component_masses(records, [sigma / 2.0, sigma])
+    boundary = masses[:, ends, 1].sum(axis=0)
+    decay_norm = np.sqrt(masses[:, :, 0].max(axis=0))
+    chat_env = math.sqrt(math.sqrt(l2_sq) * math.sqrt(m0_sigma0))
+    decay_env = [chat_env * math.exp(-lam * tk / 2.0) for tk in t]
+    a_norm_sigma = max(damping_A_norm(d, sigma) for d in eq.dampings)
+    m_start = boundary[:-1]
+    residuals = boundary[1:] - efold * m_start
+    bounds = C1 * (sigma**cfg.theta * m_start + sigma * a_norm_sigma) * m_start
 
     m_limit = m0_sigma0 * (1.0 + tol.iteration)
     verdicts = {
@@ -632,18 +625,11 @@ def _iterate_windows(cfg: ScenarioConfig):
         "interpolation_decay": _series_verdict(_headroom(decay_norm, decay_env, tol.iteration), tol.iteration),
         "residual_bound": _series_verdict(_headroom(residuals, bounds, tol.iteration), tol.iteration),
     }
+    ks = np.arange(len(boundary), dtype=float).tolist()
     series = {
-        "mass_windows": {
-            "k": [float(k) for k in range(len(boundary))],
-            "value": [float(m) for m in boundary],
-            "limit": [float(m_limit)] * len(boundary),
-        },
-        "decay": {"t": decay_t, "norm": decay_norm, "envelope": decay_env},
-        "window_residuals": {
-            "k": [float(k) for k in range(len(residuals))],
-            "residual": [float(r) for r in residuals],
-            "bound": [float(b) for b in bounds],
-        },
+        "mass_windows": {"k": ks, "value": boundary.tolist(), "limit": [float(m_limit)] * len(boundary)},
+        "decay": {"t": t, "norm": decay_norm.tolist(), "envelope": decay_env},
+        "window_residuals": {"k": ks[:-1], "residual": residuals.tolist(), "bound": bounds.tolist()},
     }
     return series, fits, verdicts
 
@@ -686,28 +672,24 @@ def _radius_tracking(cfg: ScenarioConfig):
         )
     traj = integrate(spec, init)
 
-    times = [float(t) for t in traj.times]
+    times = traj.times
     fits_by_t = [fit0] + [fit(t, s) for t, s in zip(times[1:], traj.states[1:])]
-    sigma_hat = [f.sigma_hat for f in fits_by_t]
+    sigma_hat = np.array([f.sigma_hat for f in fits_by_t])
 
-    T1 = times[1]
-    c = sigma_hat[1] * math.sqrt(T1)
-    envelope = [min(sigma0_known, c / math.sqrt(t)) for t in times[1:]]
+    T1 = float(times[1])
+    c = float(sigma_hat[1]) * math.sqrt(T1)
+    # the envelope is sigma0 at t = 0, where c t^(-1/2) is unbounded
+    envelope = np.full(len(times), sigma0_known)
+    envelope[1:] = np.minimum(sigma0_known, c / np.sqrt(times[1:]))
 
-    margins = [
-        (sh - env * (1.0 - tol.radius)) / env for sh, env in zip(sigma_hat[2:], envelope[1:])
-    ]
+    margins = (sigma_hat[2:] - envelope[2:] * (1.0 - tol.radius)) / envelope[2:]
     verdicts = {"envelope": _series_verdict(margins, tol.radius)}
     if cfg.data.kind == "soliton":
         err = _relative_errors(sigma_hat, sigma0_known).max()
         verdicts["soliton_radius_match"] = _margin_verdict(tol.radius_match - err, tol.radius_match)
 
     series = {
-        "radius": {
-            "t": times,
-            "sigma_hat": [float(s) for s in sigma_hat],
-            "envelope": [float(sigma0_known)] + [float(e) for e in envelope],
-        }
+        "radius": {"t": times.tolist(), "sigma_hat": sigma_hat.tolist(), "envelope": envelope.tolist()}
     }
     fits = {
         "calibration": {"c": float(c), "T1": float(T1), "sigma0_known": float(sigma0_known)},
@@ -756,15 +738,10 @@ def _inequalities(cfg: ScenarioConfig):
     v_eq = int(np.sum(lower < -tol) + np.sum(upper < -tol))
     m_eq = float(min(lower.min(), upper.min()))
 
-    manifest = load_manifest()["triple_cosh"]["scan"]
-    sig_spec, xi_spec = manifest["sigma"], manifest["xi"]
-    scan = scan_triple_cosh(
-        np.linspace(sig_spec["min"], sig_spec["max"], sig_spec["count"]),
-        np.linspace(xi_spec["min"], xi_spec["max"], xi_spec["count"]),
-        theta1=manifest["theta"][0],
-        theta2=manifest["theta"][1],
-    )
-    K = certified_constant("triple_cosh")
+    entry = load_manifest()["triple_cosh"]
+    K, lattice = float(entry["constant"]), entry["scan"]
+    sig, xi = (np.linspace(lattice[a]["min"], lattice[a]["max"], lattice[a]["count"]) for a in ("sigma", "xi"))
+    scan = scan_triple_cosh(sig, xi, *lattice["theta"], K=K, tol=tol)
 
     verdicts = {
         "sinh": Verdict(passed=v_sinh == 0, margin=m_sinh, tolerance=tol),

@@ -35,8 +35,6 @@ import numpy as np
 
 from .errors import ConfigurationError
 
-REL_TOL = 1e-12
-
 
 # ---------------------------------------------------------------------------
 # margin functions (vectorized)
@@ -116,16 +114,17 @@ def scan_triple_cosh(
     xi_values,
     theta1: float = 1.0,
     theta2: float = 1.0,
-    K: float | None = None,
+    *,
+    K: float,
+    tol: float,
 ) -> dict:
     """Brute-force lattice scan of the product bound.
 
-    Evaluates every (sigma, xi1, xi2, xi3) on the grid, counts violations at
-    constant K, and reports the supremum of lhs/rhs over points with rhs > 0
-    (rhs = 0 forces lhs = 0 there, so those points are vacuous).
+    Evaluates every (sigma, xi1, xi2, xi3) on the grid, counts violations
+    (lhs > rhs (1 + tol)) at constant K, and reports the supremum of lhs/rhs
+    over points with rhs > 0 (rhs = 0 forces lhs = 0 there, so those points
+    are vacuous).
     """
-    if K is None:
-        K = certified_constant("triple_cosh")
     xi = np.asarray(xi_values, dtype=float)
     X1, X2, X3 = np.meshgrid(xi, xi, xi, indexing="ij")
     x1, x2, x3 = X1.ravel(), X2.ravel(), X3.ravel()
@@ -135,7 +134,7 @@ def scan_triple_cosh(
         lhs = triple_cosh_lhs(sigma, x1, x2, x3)
         rhs = triple_cosh_rhs(sigma, x1, x2, x3, theta1, theta2, K=K)
         live = rhs > 0
-        bad = lhs[live] > rhs[live] * (1.0 + REL_TOL)
+        bad = lhs[live] > rhs[live] * (1.0 + tol)
         violations += int(bad.sum())
         if live.any():
             ratio = float((lhs[live] / rhs[live]).max()) * K

@@ -350,14 +350,12 @@ class TestRoundTrip:
             st.characters(exclude_categories=("Cc", "Cs", "Zl", "Zp"), include_characters="\t\n"),
             max_size=24,
         ),
-        tol=st.floats(allow_nan=False, allow_infinity=False),
+        theta=st.floats(allow_nan=False, allow_infinity=False),
     )
-    def test_render_parse_identity_on_strings_and_floats(self, out_dir, tol):
-        # printable text (plus the escaped tab and newline) and any finite float
-        cfg = parse_config_text("")
-        cfg = dataclasses.replace(
-            cfg, out_dir=out_dir, tolerances=dataclasses.replace(cfg.tolerances, conservation=tol)
-        )
+    def test_render_parse_identity_on_strings_and_floats(self, out_dir, theta):
+        # printable text (plus the escaped tab and newline) and any finite
+        # float, in a key the parser leaves unchecked
+        cfg = dataclasses.replace(parse_config_text(""), out_dir=out_dir, theta=theta)
         assert parse_config_text(render_config(cfg)) == cfg
 
     @pytest.mark.parametrize("out_dir", ["out\\", "a\\\\", 'q\\"', "inf", "nan", "x # y\\"])
@@ -571,6 +569,13 @@ class TestCli:
         code = main(["conserve", "--out", str(tmp_path), "--set", "grid.N=nope"])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_inverted_slope_band_exits_one(self, tmp_path, capsys):
+        # an inverted band has a negative half-width, under which a slope
+        # outside the band would read a positive margin
+        overrides = ["--set", "tolerances.slope_lo=2.2", "--set", "tolerances.slope_hi=1.8"]
+        assert main(["sigma-scaling", "--out", str(tmp_path), *overrides]) == 1
+        assert capsys.readouterr().err.startswith("error: tolerances.slope_lo ")
 
     @pytest.mark.parametrize("command", ["iterate", "coupled"])
     def test_run_without_verdicts_exits_two(self, tmp_path, capsys, command):

@@ -68,6 +68,14 @@ class TestScenarioConfig:
         with pytest.raises(ConfigurationError, match="C1 safety"):
             ScenarioConfig(c1_safety=0.5)
 
+    @pytest.mark.parametrize(
+        "tolerances, key",
+        [({"rate": -1e-5}, "rate"), ({"slope_lo": 2.2, "slope_hi": 1.8}, "slope_lo"), ({"r2_min": 1.5}, "r2_min")],
+    )
+    def test_tolerances_checked(self, tolerances, key):
+        with pytest.raises(ConfigurationError, match=rf"^tolerances\.{key} "):
+            harness.Tolerances(**tolerances)
+
     def test_runner_rejects_mismatched_scenario(self):
         cfg = short_config(CONSERVE_SHORT)
         with pytest.raises(ConfigurationError, match="runner expects"):
@@ -182,7 +190,7 @@ def test_one_build_per_parse_and_per_run(monkeypatch, scenario):
     assert calls == [cfg]
 
 
-def test_masses_once_per_trajectory_or_window(monkeypatch):
+def test_masses_once_per_trajectory(monkeypatch):
     calls = []
 
     def counted(v, sigma):
@@ -191,14 +199,14 @@ def test_masses_once_per_trajectory_or_window(monkeypatch):
 
     monkeypatch.setattr(harness, "functional_M", counted)
     report = run_short(DAMPING_SHORT)
-    # the trajectory, then each rate probe's three states
+    # the trajectory, then the three states of every rate probe at once
     n_probes = len(report.series["rate_residual"]["t"])
-    assert calls == [(len(report.series["mass_decay"]["t"]), ())] + [(3, ())] * n_probes
+    assert calls == [(len(report.series["mass_decay"]["t"]), ()), (3 * n_probes, ())]
     calls.clear()
     run_short(ITERATION_SHORT)
-    # [0, sigma0] and sigma0 (T0, calibration), sigma (the first boundary),
-    # then [sigma/2, sigma] over each window's records
-    assert calls == [(1, (2,)), (1, ()), (1, ()), (9, (2,)), (8, (2,)), (8, (2,))]
+    # [0, sigma0] (T0), sigma0 (calibration), then [sigma/2, sigma] over
+    # the 1 + 3 x 8 records of the three windows
+    assert calls == [(1, (2,)), (1, ()), (25, (2,))]
 
 
 class TestConservation:
@@ -280,6 +288,15 @@ class TestSigmaScaling:
     def test_overflow_guard_on_sigma_max(self):
         with pytest.raises(ConfigurationError, match="exceeds 600"):
             run_short(SIGMA_SHORT, ["run.sigmas=[0.3, 3.0, 30.0]"])
+
+    @pytest.mark.parametrize("offset, passed", [(-1e-9, False), (1e-9, True)])
+    def test_slope_band_edge(self, offset, passed):
+        # slope_hi just below the measured slope fails with a negative
+        # margin; just above it passes
+        slope = run_short(SIGMA_SHORT).fits["scaling"]["slope"]
+        v = run_short(SIGMA_SHORT, [f"tolerances.slope_hi={slope + offset!r}"]).verdicts["slope_in_band"]
+        assert v.passed is passed and (v.margin < 0) is not passed
+        assert v.tolerance == pytest.approx(0.5 * (slope + offset - 1.8))
 
 
 class TestDampingDecay:
@@ -403,6 +420,22 @@ class TestGlobalIteration:
         with pytest.raises(error, match=rf"^window 1, global t = {T0:.6g}: .*{message}") as info:
             run_short(ITERATION_SHORT)
         assert type(info.value) is error and type(info.value.__cause__) is error
+
+    @pytest.mark.parametrize("policy, windows", [(["run.c1_mode=fixed", "run.c1_value=0.001"], 0), ([], 1)])
+    def test_k_zero_integrates_only_the_calibration_window(self, monkeypatch, policy, windows):
+        # the fixed C1 policy needs no window; the empirical one calibrates
+        # on window 0
+        real, calls = harness.integrate, []
+
+        def counted(spec, init):
+            calls.append(spec)
+            if len(calls) > windows:
+                raise AssertionError("integrated")
+            return real(spec, init)
+
+        monkeypatch.setattr(harness, "integrate", counted)
+        report = run_short(ITERATION_SHORT, ["run.k_max=0", *policy])
+        assert len(calls) == windows and not report.verdicts
 
     def test_fixed_c1_skips_calibration(self):
         report = run_short(
@@ -540,6 +573,16 @@ class TestInequalitiesScenario:
         assert report.verdicts["triple_cosh_scan"].margin == pytest.approx(
             (8.0 - scan["max_ratio"]) / 8.0
         )
+
+    @pytest.mark.parametrize("tolerance, passed", [(0.05, True), (0.01, False)])
+    def test_triple_cosh_scan_is_judged_at_the_config_tolerance(self, monkeypatch, tolerance, passed):
+        # at K = 2.9 the scan's largest lhs/rhs is 1.0333: margin -0.0333
+        manifest = harness.load_manifest()
+        manifest["triple_cosh"]["constant"] = 2.9
+        monkeypatch.setattr(harness, "load_manifest", lambda: manifest)
+        v = run_short(INEQUALITIES_SMALL, [f"tolerances.inequality={tolerance}"]).verdicts["triple_cosh_scan"]
+        assert v.margin == pytest.approx(-0.0333, abs=1e-4)
+        assert v.passed is passed and v.tolerance == tolerance
 
     def test_seed_changes_sampled_margins(self):
         a = run_short(INEQUALITIES_SMALL)

@@ -6,7 +6,6 @@ from oracles import triple_cosh_lhs_naive
 from gevreyflow import ConfigurationError
 from gevreyflow.harness import _violations
 from gevreyflow.inequalities import (
-    REL_TOL,
     certified_constant,
     cosh_minus_one_margin,
     equivalence_margins,
@@ -20,12 +19,13 @@ from gevreyflow.inequalities import (
 magnitudes = st.floats(min_value=1e-6, max_value=1e3)
 signed = st.floats(min_value=-1e3, max_value=1e3)
 thetas = st.floats(min_value=0.0, max_value=1.0)
+TOL = 1e-12  # the default tolerances.inequality
 
 
 def holds(margin, scale):
     """No violation under the inequality scenario's rule: the margin over
     max(1, rhs scale) is >= -1e-12."""
-    return _violations(np.asarray(margin, dtype=float), np.asarray(scale, dtype=float), REL_TOL)[0] == 0
+    return _violations(np.asarray(margin, dtype=float), np.asarray(scale, dtype=float), TOL)[0] == 0
 
 
 def triple_margin(sigma, x1, x2, x3, t1, t2):
@@ -96,7 +96,7 @@ class TestEquivalence:
     @given(magnitudes, signed)
     def test_always_holds(self, sigma, xi):
         lower, upper = equivalence_margins(sigma, xi)
-        assert lower >= -REL_TOL and upper >= -REL_TOL
+        assert lower >= -TOL and upper >= -TOL
 
 
 class TestTripleCosh:
@@ -137,7 +137,7 @@ class TestTripleCosh:
 
     def test_spec_lattice_scan_is_violation_free(self):
         res = scan_triple_cosh(
-            np.linspace(0.0, 2.0, 21), np.linspace(-20.0, 20.0, 50), 1.0, 1.0, K=8.0
+            np.linspace(0.0, 2.0, 21), np.linspace(-20.0, 20.0, 50), 1.0, 1.0, K=8.0, tol=TOL
         )
         assert res["violations"] == 0
         manifest = load_manifest()["triple_cosh"]["scan"]
@@ -148,7 +148,7 @@ class TestTripleCosh:
     def test_identity_bound_three_also_certifies(self):
         # the rigorous constant from the tanh identity
         res = scan_triple_cosh(
-            np.linspace(0.0, 2.0, 21), np.linspace(-20.0, 20.0, 50), 1.0, 1.0, K=3.0
+            np.linspace(0.0, 2.0, 21), np.linspace(-20.0, 20.0, 50), 1.0, 1.0, K=3.0, tol=TOL
         )
         assert res["violations"] == 0
 
