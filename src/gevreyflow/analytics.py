@@ -268,7 +268,7 @@ def damping_A_norm(a: RaisedCosineDamping, sigma: float) -> float:
     else:
         full = 1.0 / (1.0 - q) ** 2
         partial = (1.0 - (K + 2) * q ** (K + 1) + (K + 1) * q ** (K + 2)) / (1.0 - q) ** 2
-        tail = a.deriv_bound_coeff * (full - partial)
+        tail = a.sup * (full - partial)
     if head > 0 and tail > 1e-12 * head:
         raise DivergenceError(
             f"damping-norm tail bound {tail:.3e} exceeds 1e-12 of head {head:.6g}: "

@@ -108,8 +108,6 @@ class RaisedCosineDamping:
     def sup(self) -> float:
         return self.floor + 2.0 * self.amplitude
 
-    deriv_bound_coeff = sup
-
     @property
     def deriv_bound_rate(self) -> float:
         return 2.0 * np.pi / self.length if self.amplitude > 0 else 0.0
@@ -198,8 +196,9 @@ class Equation:
 class EvolutionSpec:
     """What to integrate and how: equation, step, horizon, record cadence.
 
-    nonlinear=False drops the cubic term (test hook: the flow becomes the
-    exactly-solvable linear/damped linear equation).
+    nonlinear is the config key equation.nonlinear; False drops the cubic
+    term, and the flow becomes the exactly solvable linear (damped linear)
+    equation.
     """
 
     equation: Equation

@@ -3,10 +3,8 @@
 Each runner takes a ScenarioConfig, integrates the configured flow, and
 returns an ExperimentReport of named series, fits, and verdicts.  One
 table, SCENARIOS, maps each scenario id to its equation family (None for
-the inequality suite, which integrates nothing) and to its body, which
-returns (series, fits, verdicts).  One driver, _run, is every runner: it
-checks that the config is for its scenario and family, calls the body,
-and builds the report; RUNNERS binds it to each id.  Reports
+the inequality suite, which integrates nothing) and to its body.  One
+driver, _run, is every runner, and RUNNERS binds it to each id.  Reports
 are deterministic functions of (config, seed): the integrator is fixed
 order, every reduction runs in a fixed sequential order, and wall-clock
 time is carried separately so content hashing can ignore it.  Runners are
@@ -14,12 +12,18 @@ independent of each other (no shared state), so callers may execute any
 subset in any order, or in parallel processes, and merge reports by
 scenario id.
 
-Every evolution body has one shape: build, integrate, judge.  It gets its
-grid, evolution spec and initial data from one call, ScenarioConfig.build(),
-the same call the parser makes to validate a config before any run; then
-it makes every integrate call it needs (the window body one per window,
-the damping body its trajectory and its rate probes); then it judges all
-its records at once, as arrays.
+Every evolution body is a generator body(cfg, grid, spec, init) that
+integrates nothing itself: it yields lists of trajectory requests
+(spec, init, where, t_start), receives their trajectories, and returns
+(series, fits, verdicts).  Conservation, sigma-scaling and radius make one
+request, "trajectory"; the window body one per window, each from the last
+one's final state; the damping body its trajectory, then its rate probes
+as one list.  The driver has three phases: build (check the scenario and
+family, then ScenarioConfig.build(), the parser's validation call),
+requests (integrate each, the harness's only integrate call; a blow-up or
+dt-guard error is re-raised as the same type, naming where and the global
+time t_start + err.t), and judge (the body judges all its records at once,
+as arrays).  The inequality body is a plain function body(cfg).
 
 Verdict margins are normalized: positive means the checked quantity
 cleared its bound by that relative amount, negative by how much it fell
@@ -133,10 +137,10 @@ class ScenarioConfig:
     """Everything one scenario run needs, fully resolved.
 
     Construction validates shape-level invariants (recognized names, sigma
-    list sorted ascending); build() makes the grid, the evolution spec and
-    the initial data, and so checks every module precondition.  The parser
-    calls it once to validate a config before any run, and each scenario
-    body calls it once for the objects it integrates.
+    list sorted ascending, theta in (0, 1]); build() makes the grid, the
+    evolution spec and the initial data, and so checks every module
+    precondition.  The parser calls it once to validate a config before
+    any run, and the driver once more for the objects a body integrates.
     """
 
     scenario: str = "conservation"
@@ -186,6 +190,8 @@ class ScenarioConfig:
             raise ConfigurationError(f"C1 policy must be 'empirical' or 'fixed', got {self.c1_mode!r}")
         if self.c1_mode == "fixed" and self.c1_value <= 0:
             raise ConfigurationError(f"fixed C1 must be positive, got {self.c1_value}")
+        if not 0.0 < self.theta <= 1.0:
+            raise ConfigurationError(f"run.theta must lie in (0, 1], got {self.theta}")
         if self.c1_safety < 1:
             raise ConfigurationError(f"C1 safety factor must be >= 1, got {self.c1_safety}")
         if self.k_max < 0:
@@ -358,25 +364,14 @@ def _series_verdict(margins, tol: float) -> Verdict:
     return _margin_verdict(np.min(margins), tol)
 
 
-def _integrate_from(spec: EvolutionSpec, init, where: str, t_start: float):
-    """integrate(spec, init) for a restart at global time t_start: a
-    blow-up or dt-guard error is re-raised as the same type, naming where
-    and the global time t_start + err.t."""
-    try:
-        return integrate(spec, init)
-    except (DivergenceError, ConfigurationError) as err:
-        raise type(err)(f"{where}, global t = {t_start + getattr(err, 't', 0.0):.6g}: {err}") from err
-
-
 # ---------------------------------------------------------------------------
 # scenario: exact invariants of the undamped flow
 # ---------------------------------------------------------------------------
 
 
-def _conservation(cfg: ScenarioConfig):
+def _conservation(cfg: ScenarioConfig, grid: Grid, spec: EvolutionSpec, init):
     """Relative drift of the three exact invariants at sigma = 0."""
-    _, spec, init = cfg.build()
-    traj = integrate(spec, init)
+    [traj] = yield [(spec, init, "trajectory", 0.0)]
 
     rows = conserved_combinations(functional_A(traj.states, 0.0, cfg.mu))
     names = ("inv0", "inv1", "inv2")
@@ -400,7 +395,7 @@ def _conservation(cfg: ScenarioConfig):
 # ---------------------------------------------------------------------------
 
 
-def _sigma_scaling(cfg: ScenarioConfig):
+def _sigma_scaling(cfg: ScenarioConfig, grid: Grid, spec: EvolutionSpec, init):
     """Fit of log D(sigma) against log sigma on the defocusing flow.
 
     D(sigma) is the largest recorded increase of A_sigma over the window;
@@ -413,7 +408,6 @@ def _sigma_scaling(cfg: ScenarioConfig):
     positive = [s for s in cfg.sigmas if s > 0]
     if len(positive) < 3:
         raise FitError(f"need >= 3 positive sigma values for the fit, have {len(positive)}")
-    grid, spec, init = cfg.build()
     if positive[-1] * grid.xi_max > 600.0:
         raise ConfigurationError(
             f"sigma_max * xi_max = {positive[-1] * grid.xi_max:.3g} exceeds 600; shrink sigma or the grid"
@@ -423,7 +417,7 @@ def _sigma_scaling(cfg: ScenarioConfig):
             f"sigma list must span at least a factor 8, got {positive[-1] / positive[0]:.3g}"
         )
 
-    traj = integrate(spec, init)
+    [traj] = yield [(spec, init, "trajectory", 0.0)]
 
     sigmas = np.asarray(cfg.sigmas, dtype=float)
     totals = functional_A(traj.states, sigmas, cfg.mu).total
@@ -469,21 +463,20 @@ def _sigma_scaling(cfg: ScenarioConfig):
 # ---------------------------------------------------------------------------
 
 
-def _damping_decay(cfg: ScenarioConfig):
+def _damping_decay(cfg: ScenarioConfig, grid: Grid, spec: EvolutionSpec, init):
     """Pointwise decay envelope, rate identity, and (constant a) equality.
 
     The rate identity dM/dt = -2 int a v^2 (analytics.mass_rate, the
     sigma = 0 case, where the commutator terms vanish) is probed at up to 8
     recorded states, by a 2-step centered difference restarted from each.
     """
-    _, spec, init = cfg.build()
     (a,) = spec.equation.dampings
     lam = a.floor
-    traj = integrate(spec, init)
+    [traj] = yield [(spec, init, "trajectory", 0.0)]
     times = [float(t) for t in traj.times]
     probe_idx = sorted(set(np.linspace(0, len(traj.states) - 1, 8, dtype=int).tolist()))
     probe = replace(spec, t_end=2.0 * spec.dt, record_every=1)
-    probes = [_integrate_from(probe, traj.states[i], f"rate probe at record {i}", times[i]) for i in probe_idx]
+    probes = yield [(probe, traj.states[i], f"rate probe at record {i}", times[i]) for i in probe_idx]
 
     mass = functional_M(traj.states, 0.0).tolist()
     envelope = [math.exp(-2.0 * lam * t) * mass[0] for t in times]
@@ -529,7 +522,7 @@ def _component_masses(states, sigma) -> np.ndarray:
     return np.array([functional_M(part, sigma) for part in parts])
 
 
-def _iterate_windows(cfg: ScenarioConfig):
+def _iterate_windows(cfg: ScenarioConfig, grid: Grid, spec: EvolutionSpec, state):
     """Window-by-window almost-conservation of the sigma-mass with decay
     envelope: the body of the iteration scenario (family mkdvm) and of the
     coupled scenario (family coupled).
@@ -541,7 +534,6 @@ def _iterate_windows(cfg: ScenarioConfig):
     """
     # the initial state is band-limited, so every norm below sees the state
     # the integrator evolves
-    _, spec, state = cfg.build()
     eq = spec.equation
     lam = min(d.floor for d in eq.dampings)
     tol = cfg.tolerances
@@ -551,6 +543,11 @@ def _iterate_windows(cfg: ScenarioConfig):
         raise DivergenceError(f"{err}; lower run.sigma0") from err
 
     l2_sq, m0_sigma0 = _component_masses([state], [0.0, cfg.sigma0]).sum(axis=0)[0].tolist()
+    if m0_sigma0 == 0:
+        sections = "data and data2" if len(eq.alphas) == 2 else "data"
+        raise ConfigurationError(
+            f"{sections}: the initial data is zero (M_sigma0 = 0); the window iteration needs nonzero data"
+        )
     T0 = lifespan_T0(a_norm0, m0_sigma0, cfg.c0, cfg.d)
     if T0 < cfg.dt:
         raise ConfigurationError(
@@ -566,7 +563,7 @@ def _iterate_windows(cfg: ScenarioConfig):
     efold = math.exp(-2.0 * lam * T0)
     windows = []
     for k in range(max(cfg.k_max, cfg.c1_mode == "empirical")):
-        windows.append(_integrate_from(window_spec, windows[-1].final if windows else state, f"window {k}", k * T0))
+        windows += yield [(window_spec, windows[-1].final if windows else state, f"window {k}", k * T0)]
 
     # C1 policy: fixed value, or window 0's drift at sigma0 times the safety
     # factor; nonpositive drift falls back to the 1e-6 floor (decay beat the
@@ -639,7 +636,7 @@ def _iterate_windows(cfg: ScenarioConfig):
 # ---------------------------------------------------------------------------
 
 
-def _radius_tracking(cfg: ScenarioConfig):
+def _radius_tracking(cfg: ScenarioConfig, grid: Grid, spec: EvolutionSpec, init):
     """Fitted strip width against the calibrated min{sigma0, c t^(-1/2)}.
 
     c is calibrated from the first recorded snapshot after t = 0 (the bound
@@ -648,7 +645,6 @@ def _radius_tracking(cfg: ScenarioConfig):
     stays within the radius_match tolerance of pi/(2k).
     """
     sigma0_known = known_radius(cfg.data)
-    _, spec, init = cfg.build()
     # the records integrate will make: t = 0 and one per record interval
     if _plan_steps(spec)[0] + 1 < 3:
         raise ConfigurationError("radius tracking needs at least 3 recorded snapshots")
@@ -670,7 +666,7 @@ def _radius_tracking(cfg: ScenarioConfig):
             f"radius fit at t = 0 reads {fit0.sigma_hat:.6g}, {miss:.1%} off the known radius "
             f"{sigma0_known:.6g} (radius_match {tol.radius_match:g}); raise grid.N"
         )
-    traj = integrate(spec, init)
+    [traj] = yield [(spec, init, "trajectory", 0.0)]
 
     times = traj.times
     fits_by_t = [fit0] + [fit(t, s) for t, s in zip(times[1:], traj.states[1:])]
@@ -774,7 +770,7 @@ def _inequalities(cfg: ScenarioConfig):
 # the scenario table and its one driver
 # ---------------------------------------------------------------------------
 
-# scenario id -> (equation family, or None for no flow; body)
+# scenario id -> (equation family and generator body, or None and a plain body)
 SCENARIOS = {
     "conservation": ("mkdv", _conservation),
     "sigma-scaling": ("mkdv", _sigma_scaling),
@@ -789,14 +785,31 @@ SCENARIO_IDS = tuple(SCENARIOS)
 
 def _run(scenario: str, cfg: ScenarioConfig) -> ExperimentReport:
     """Run one scenario: check that cfg is for it and for its equation
-    family, call its body, and build the report, wall clock included."""
+    family, build its objects once, integrate every request its body
+    yields, and build the report from what the body returns, wall clock
+    included."""
     t0 = time.perf_counter()
     family, body = SCENARIOS[scenario]
     if cfg.scenario != scenario:
         raise ConfigurationError(f"config is for scenario {cfg.scenario!r}, runner expects {scenario!r}")
-    if family is not None and cfg.family != family:
+    if family is None:
+        series, fits, verdicts = body(cfg)
+    elif cfg.family != family:
         raise ConfigurationError(f"scenario {scenario!r} needs equation family {family!r}, got {cfg.family!r}")
-    series, fits, verdicts = body(cfg)
+    else:
+        steps, trajectories = body(cfg, *cfg.build()), None
+        while True:
+            try:
+                requests = steps.send(trajectories)
+            except StopIteration as done:
+                series, fits, verdicts = done.value
+                break
+            trajectories = []
+            for spec, init, where, t_start in requests:
+                try:
+                    trajectories.append(integrate(spec, init))
+                except (DivergenceError, ConfigurationError) as err:
+                    raise type(err)(f"{where}, global t = {t_start + getattr(err, 't', 0.0):.6g}: {err}") from err
     return ExperimentReport(scenario, series, fits, verdicts, cfg.as_sections(), time.perf_counter() - t0)
 
 

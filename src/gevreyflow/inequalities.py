@@ -33,8 +33,6 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import ConfigurationError
-
 
 # ---------------------------------------------------------------------------
 # margin functions (vectorized)
@@ -74,10 +72,8 @@ def triple_cosh_lhs(sigma, xi1, xi2, xi3):
     return np.abs(t1 * t2 + t1 * t3 + t2 * t3)
 
 
-def triple_cosh_rhs(sigma, xi1, xi2, xi3, theta1, theta2, K=None):
+def triple_cosh_rhs(sigma, xi1, xi2, xi3, theta1, theta2, *, K: float):
     """K * sigma^(theta1+theta2) * med(|xi|)^theta1 * max(|xi|)^theta2."""
-    if K is None:
-        K = certified_constant("triple_cosh")
     s = np.asarray(sigma, dtype=float)
     a1 = np.abs(np.asarray(xi1, dtype=float))
     a2 = np.abs(np.asarray(xi2, dtype=float))
@@ -100,13 +96,6 @@ def load_manifest() -> dict:
     """Constants manifest shipped with the package (name -> constant + scan)."""
     text = (resources.files("gevreyflow") / "data" / "constants_manifest.json").read_text()
     return json.loads(text)
-
-
-def certified_constant(name: str) -> float:
-    manifest = load_manifest()
-    if name not in manifest:
-        raise ConfigurationError(f"no certified constant named {name!r} in manifest")
-    return float(manifest[name]["constant"])
 
 
 def scan_triple_cosh(

@@ -80,7 +80,7 @@ class TestDampingProfiles:
         # amplitude 0 is the constant damping: every derivative vanishes
         g = Grid(64.0, 64)
         a = RaisedCosineDamping(0.7, 0.0, g.L)
-        assert a.sup == a.deriv_bound_coeff == 0.7
+        assert a.sup == 0.7
         assert a.deriv_sup(0) == 0.7
         assert a.deriv_sup(3) == 0.0
         assert a.deriv_bound_rate == 0.0
@@ -111,7 +111,7 @@ class TestDampingProfiles:
             assert measured == 0.0
         else:
             assert measured == pytest.approx(a.deriv_sup(k), rel=1e-10)
-        assert measured <= a.deriv_bound_coeff * a.deriv_bound_rate**k * math.factorial(k)
+        assert measured <= a.sup * a.deriv_bound_rate**k * math.factorial(k)
 
     def test_raised_cosine_rejects_foreign_grid(self):
         a = RaisedCosineDamping(floor=1.0, amplitude=0.5, length=64.0)

@@ -41,6 +41,16 @@ def run_short(short, overrides=()):
     return RUNNERS[cfg.scenario](cfg)
 
 
+@pytest.fixture
+def no_integrate(monkeypatch):
+    """harness.integrate replaced by a stub that fails when called."""
+
+    def tripped(spec, init):
+        raise AssertionError("integrated")
+
+    monkeypatch.setattr(harness, "integrate", tripped)
+
+
 class TestScenarioConfig:
     def test_defaults_validate(self):
         cfg = ScenarioConfig()
@@ -188,6 +198,24 @@ def test_one_build_per_parse_and_per_run(monkeypatch, scenario):
     calls.clear()
     RUNNERS[scenario](cfg)
     assert calls == [cfg]
+
+
+@pytest.mark.parametrize(
+    "scale, error, message", [(100.0, ConfigurationError, "advective guard"), (1e7, DivergenceError, "blow-up")]
+)
+@pytest.mark.parametrize("short", [CONSERVE_SHORT, RADIUS_SHORT], ids=["conservation", "radius"])
+def test_error_in_a_trajectory_names_it(monkeypatch, short, scale, error, message):
+    # the one request of a single-trajectory body, started from a scaled-up
+    # state, fails at its first step, at t = 0
+    real = harness.integrate
+
+    def tripped(spec, init):
+        return real(spec, synthesize(init.spectrum * scale, init.grid))
+
+    monkeypatch.setattr(harness, "integrate", tripped)
+    with pytest.raises(error, match=rf"^trajectory, global t = 0: .*{message}") as info:
+        run_short(short)
+    assert type(info.value) is error and type(info.value.__cause__) is error
 
 
 def test_masses_once_per_trajectory(monkeypatch):
@@ -421,6 +449,21 @@ class TestGlobalIteration:
             run_short(ITERATION_SHORT)
         assert type(info.value) is error and type(info.value.__cause__) is error
 
+    @pytest.mark.parametrize("short", [ITERATION_SHORT, COUPLED_DEGENERATE], ids=["iteration", "coupled"])
+    @pytest.mark.parametrize("theta", ["1.5", "0", "-0.25"])
+    def test_theta_outside_unit_interval_rejected_before_integrating(self, no_integrate, short, theta):
+        with pytest.raises(ConfigurationError, match=rf"^run\.theta must lie in \(0, 1\], got {theta}"):
+            run_short(short, [f"run.theta={theta}"])
+
+    @pytest.mark.parametrize(
+        "short, overrides, sections",
+        [(ITERATION_SHORT, ["data.kind=zero"], "data"), (COUPLED_DEGENERATE, ["data.kind=zero"], "data and data2")],
+        ids=["iteration", "coupled"],
+    )
+    def test_zero_data_rejected_before_integrating(self, no_integrate, short, overrides, sections):
+        with pytest.raises(ConfigurationError, match=rf"^{sections}: the initial data is zero \(M_sigma0 = 0\)"):
+            run_short(short, overrides)
+
     @pytest.mark.parametrize("policy, windows", [(["run.c1_mode=fixed", "run.c1_value=0.001"], 0), ([], 1)])
     def test_k_zero_integrates_only_the_calibration_window(self, monkeypatch, policy, windows):
         # the fixed C1 policy needs no window; the empirical one calibrates
@@ -519,13 +562,9 @@ class TestRadiusTracking:
         "record_every, error, message",
         [(1000, ConfigurationError, "at least 3 recorded snapshots"), (500, AssertionError, "integrated")],
     )
-    def test_record_count_checked_before_integrating(self, monkeypatch, record_every, error, message):
+    def test_record_count_checked_before_integrating(self, no_integrate, record_every, error, message):
         # t_end = 0.2 at dt = 0.0002: 2 snapshots are rejected without a
         # step, and 3 go on to integrate
-        def tripped(spec, init):
-            raise AssertionError("integrated")
-
-        monkeypatch.setattr(harness, "integrate", tripped)
         with pytest.raises(error, match=message):
             run_short(RADIUS_SHORT, ["evolution.t_end=0.2", f"evolution.record_every={record_every}"])
 
@@ -533,24 +572,16 @@ class TestRadiusTracking:
         with pytest.raises(UnderresolvedError, match=r"raise grid\.N"):
             run_short(RADIUS_SHORT, ["grid.N=32", "evolution.t_end=0.01", "evolution.record_every=10"])
 
-    def test_underresolved_grid_fails_before_integrating(self, monkeypatch):
+    def test_underresolved_grid_fails_before_integrating(self, no_integrate):
         # the t = 0 state is fitted first; the advice names the config key
         # that sets the grid, and no setting of the estimator
-        def tripped(spec, init):
-            raise AssertionError("integrated")
-
-        monkeypatch.setattr(harness, "integrate", tripped)
         with pytest.raises(UnderresolvedError, match=r"at t = 0: .*; raise grid\.N$") as info:
             run_short(RADIUS_SHORT, ["grid.N=32"])
         assert "floor_rel" not in str(info.value)
 
-    def test_coarse_fit_at_t0_fails_before_integrating(self, monkeypatch):
+    def test_coarse_fit_at_t0_fails_before_integrating(self, no_integrate):
         # at N = 128 the t = 0 fit of the sech data reads 1.442 against its
         # known radius pi/2: 8.2% off, beyond radius_match = 0.03
-        def tripped(spec, init):
-            raise AssertionError("integrated")
-
-        monkeypatch.setattr(harness, "integrate", tripped)
         pattern = r"radius fit at t = 0 reads 1\.44243, 8\.2% off the known radius 1\.5708 .*; raise grid\.N$"
         with pytest.raises(UnderresolvedError, match=pattern):
             run_short(RADIUS_SHORT, ["grid.N=128"])

@@ -3,10 +3,8 @@ import pytest
 from hypothesis import given, strategies as st
 from oracles import triple_cosh_lhs_naive
 
-from gevreyflow import ConfigurationError
 from gevreyflow.harness import _violations
 from gevreyflow.inequalities import (
-    certified_constant,
     cosh_minus_one_margin,
     equivalence_margins,
     load_manifest,
@@ -20,6 +18,7 @@ magnitudes = st.floats(min_value=1e-6, max_value=1e3)
 signed = st.floats(min_value=-1e3, max_value=1e3)
 thetas = st.floats(min_value=0.0, max_value=1.0)
 TOL = 1e-12  # the default tolerances.inequality
+K = load_manifest()["triple_cosh"]["constant"]  # the certified constant
 
 
 def holds(margin, scale):
@@ -30,7 +29,7 @@ def holds(margin, scale):
 
 def triple_margin(sigma, x1, x2, x3, t1, t2):
     """(rhs - lhs, rhs) of the product bound at the certified constant."""
-    rhs = triple_cosh_rhs(sigma, x1, x2, x3, t1, t2)
+    rhs = triple_cosh_rhs(sigma, x1, x2, x3, t1, t2, K=K)
     return rhs - triple_cosh_lhs(sigma, x1, x2, x3), rhs
 
 
@@ -155,10 +154,9 @@ class TestTripleCosh:
 
 class TestManifest:
     def test_certified_constants(self):
-        assert certified_constant("triple_cosh") == 8.0
-        assert certified_constant("sinh") == 1.0
-        with pytest.raises(ConfigurationError):
-            certified_constant("no_such_inequality")
+        manifest = load_manifest()
+        assert manifest["triple_cosh"]["constant"] == 8.0
+        assert manifest["sinh"]["constant"] == 1.0
 
 
 class TestBulkMargins:
