@@ -20,12 +20,12 @@ from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
-from .config import parse_config, parse_config_text
+from .config import FAMILIES, parse_config, parse_config_text
 from .errors import ConfigurationError, GevreyError
-from .harness import RUNNERS, SCENARIOS, ExperimentReport
+from .harness import RUNNERS, ExperimentReport
 from .reporting import PlotStyle, write_plot, write_report
 
-# one command per scenario, in the order of harness.SCENARIOS
+# one command per scenario, in the order of config.FAMILIES
 _COMMANDS = {
     "conserve": "conservation",
     "sigma-scaling": "sigma-scaling",
@@ -36,7 +36,7 @@ _COMMANDS = {
     "inequalities": "inequalities",
 }
 # the evolution scenarios: every one with an equation family
-_ALL_ORDER = tuple(c for c, s in _COMMANDS.items() if SCENARIOS[s][0] is not None)
+_ALL_ORDER = tuple(c for c, s in _COMMANDS.items() if FAMILIES[s] is not None)
 
 # keyed by series name, which is unique across scenarios
 _STATIC_STYLES = {

@@ -477,4 +477,6 @@ def soliton(k: float, x0: float, grid: Grid) -> tuple[SpectralField, float]:
     """
     if k <= 0:
         raise ConfigurationError(f"soliton width parameter must be positive, got k={k}")
+    if not 0.0 <= x0 <= grid.L:
+        raise ConfigurationError(f"soliton center outside the domain [0, {grid.L}], got x0={x0}")
     return sech(PEAK_FACTOR * k, 1.0 / k, x0, grid), k * k

@@ -11,7 +11,12 @@ class GevreyError(Exception):
 
 
 class ConfigurationError(GevreyError):
-    """Invalid grid/evolution/damping parameters or config file contents."""
+    """Invalid grid/evolution/damping parameters or config file contents;
+    key is the dotted config key rejected, where the config names one."""
+
+    def __init__(self, message, key=None):
+        super().__init__(message)
+        self.key = key
 
 
 class ConfigParseError(ConfigurationError):

@@ -1,12 +1,12 @@
 """Scenario runners: desk-scale experiments with pass/fail verdicts.
 
-Each runner takes a ScenarioConfig, integrates the configured flow, and
-returns an ExperimentReport of named series, fits, and verdicts.  One
-table, SCENARIOS, maps each scenario id to its equation family (None for
-the inequality suite, which integrates nothing) and to its body.  One
-driver, _run, is every runner, and RUNNERS binds it to each id.  Reports
-are deterministic functions of (config, seed): the integrator is fixed
-order, every reduction runs in a fixed sequential order, and wall-clock
+Each runner takes a ScenarioConfig (config.py, which holds the schema,
+every config check and each scenario's equation family), integrates the
+configured flow, and returns an ExperimentReport of named series, fits,
+and verdicts.  One table, SCENARIOS, maps each scenario id to its body,
+and one driver, _run, is every runner; RUNNERS binds it to each id.
+Reports are deterministic functions of (config, seed): the integrator is
+fixed order, every reduction runs in a fixed sequential order, and wall-clock
 time is carried separately so content hashing can ignore it.  Runners are
 independent of each other (no shared state), so callers may execute any
 subset in any order, or in parallel processes, and merge reports by
@@ -18,12 +18,13 @@ integrates nothing itself: it yields lists of trajectory requests
 (series, fits, verdicts).  Conservation, sigma-scaling and radius make one
 request, "trajectory"; the window body one per window, each from the last
 one's final state; the damping body its trajectory, then its rate probes
-as one list.  The driver has three phases: build (check the scenario and
-family, then ScenarioConfig.build(), the parser's validation call),
-requests (integrate each, the harness's only integrate call; a blow-up or
-dt-guard error is re-raised as the same type, naming where and the global
-time t_start + err.t), and judge (the body judges all its records at once,
-as arrays).  The inequality body is a plain function body(cfg).
+as one list.  The driver has three phases: build (check the scenario, then
+ScenarioConfig.build(), the parser's validation call), requests (integrate
+each, the harness's only integrate call; a blow-up or dt-guard error is
+re-raised as the same type, naming where and the global time
+t_start + err.t, and the guard's error advising to lower evolution.dt),
+and judge (the body judges all its records at once, as arrays).  The
+inequality body, of the one scenario with no family, is a plain body(cfg).
 
 Verdict margins are normalized: positive means the checked quantity
 cleared its bound by that relative amount, negative by how much it fell
@@ -40,7 +41,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -55,15 +56,8 @@ from .analytics import (
     radius_estimate,
     sigma_choice,
 )
-from .dynamics import (
-    Equation,
-    EvolutionSpec,
-    _plan_steps,
-    integrate,
-    make_damping,
-    sech,
-    soliton,
-)
+from .config import FAMILIES, SCENARIO_IDS, ScenarioConfig, known_radius
+from .dynamics import EvolutionSpec, integrate
 from .errors import ConfigurationError, DivergenceError, FitError, UnderresolvedError
 from .inequalities import (
     cosh_minus_one_margin,
@@ -72,229 +66,9 @@ from .inequalities import (
     scan_triple_cosh,
     sinh_margin,
 )
-from .spectral import Grid, SpectralField, analyze, dealias
+from .spectral import Grid
 
 _TINY = 1e-300  # floor of every margin's denominator; keeps a 0/0 error at exactly 0
-
-
-# ---------------------------------------------------------------------------
-# configuration
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DampingConfig:
-    form: str = "raised_cosine"
-    floor: float = 1.0
-    amplitude: float = 0.25
-
-
-@dataclass(frozen=True)
-class DataConfig:
-    """One initial profile.  kind selects the family:
-
-    soliton  sqrt(6) k sech(k (x - x0)), the exact traveling wave
-    sech     amplitude * sech((x - center) / width), radius pi*width/2
-    zero     the zero field
-    """
-
-    kind: str = "soliton"
-    k: float = 1.0
-    x0: float = 32.0
-    amplitude: float = 0.8
-    width: float = 1.0
-    center: float = 32.0
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    conservation: float = 1e-6
-    rate: float = 1e-5
-    decay: float = 1e-3
-    equality: float = 1e-8
-    radius: float = 1e-2
-    radius_match: float = 0.03
-    iteration: float = 1e-3
-    inequality: float = 1e-12
-    slope_lo: float = 1.8
-    slope_hi: float = 2.2
-    r2_min: float = 0.98
-
-    def __post_init__(self):
-        for key, value in vars(self).items():
-            if not value >= 0:
-                raise ConfigurationError(f"tolerances.{key} must be >= 0, got {value}")
-        if self.slope_lo >= self.slope_hi:
-            raise ConfigurationError(
-                f"tolerances.slope_lo must be below slope_hi, got {self.slope_lo} >= {self.slope_hi}"
-            )
-        if self.r2_min > 1:
-            raise ConfigurationError(f"tolerances.r2_min must be <= 1, got {self.r2_min}")
-
-
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """Everything one scenario run needs, fully resolved.
-
-    Construction validates shape-level invariants (recognized names, sigma
-    list sorted ascending, theta in (0, 1]); build() makes the grid, the
-    evolution spec and the initial data, and so checks every module
-    precondition.  The parser calls it once to validate a config before
-    any run, and the driver once more for the objects a body integrates.
-    """
-
-    scenario: str = "conservation"
-    seed: int = 20260819
-    L: float = 64.0
-    N: int = 512
-    dt: float = 2e-4
-    t_end: float = 5.0
-    record_every: int = 250
-    family: str = "mkdv"
-    mu: int = 1
-    m: int = 5
-    alpha: float = 0.5
-    nonlinear: bool = True
-    damping: DampingConfig = field(default_factory=DampingConfig)
-    damping2: DampingConfig = field(default_factory=DampingConfig)
-    data: DataConfig = field(default_factory=DataConfig)
-    data2: DataConfig = field(default_factory=lambda: DataConfig(kind="zero"))
-    sigmas: tuple = (0.05, 0.1, 0.2, 0.4)
-    sigma0: float = 0.5
-    theta: float = 0.45
-    c0: float = 1.0
-    d: float = 2.0
-    c1_mode: str = "empirical"
-    c1_value: float = 1.0
-    c1_safety: float = 2.0
-    k_max: int = 20
-    window_records: int = 8
-    samples: int = 1_000_000
-    tolerances: Tolerances = field(default_factory=Tolerances)
-    out_dir: str = "out"
-
-    def __post_init__(self):
-        if self.scenario not in SCENARIO_IDS:
-            raise ConfigurationError(f"unknown scenario {self.scenario!r}; expected one of {SCENARIO_IDS}")
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
-        if self.family not in ("mkdv", "mkdvm", "coupled"):
-            raise ConfigurationError(f"unknown equation family {self.family!r}")
-        if any(b <= a for a, b in zip(self.sigmas, self.sigmas[1:])):
-            raise ConfigurationError(f"sigma list must be strictly ascending, got {self.sigmas}")
-        if any(s < 0 for s in self.sigmas):
-            raise ConfigurationError(f"sigma values must be >= 0, got {self.sigmas}")
-        if self.sigma0 <= 0:
-            raise ConfigurationError(f"sigma0 must be positive, got {self.sigma0}")
-        if self.c1_mode not in ("empirical", "fixed"):
-            raise ConfigurationError(f"C1 policy must be 'empirical' or 'fixed', got {self.c1_mode!r}")
-        if self.c1_mode == "fixed" and self.c1_value <= 0:
-            raise ConfigurationError(f"fixed C1 must be positive, got {self.c1_value}")
-        if not 0.0 < self.theta <= 1.0:
-            raise ConfigurationError(f"run.theta must lie in (0, 1], got {self.theta}")
-        if self.c1_safety < 1:
-            raise ConfigurationError(f"C1 safety factor must be >= 1, got {self.c1_safety}")
-        if self.k_max < 0:
-            raise ConfigurationError(f"window count must be >= 0, got {self.k_max}")
-        if self.window_records < 1:
-            raise ConfigurationError(f"window_records must be >= 1, got {self.window_records}")
-        if self.samples < 1:
-            raise ConfigurationError(f"sample count must be >= 1, got {self.samples}")
-
-    def build(self) -> tuple[Grid, EvolutionSpec, object]:
-        """(grid, spec, init): the grid; the configured flow, with each
-        damping profile built and certified, as an EvolutionSpec; and the
-        configured data projected into the band integrate evolves, one
-        field or the pair (data, data2) for the coupled family.  Raises on
-        the first violated precondition (grid shape, damping certificate,
-        data boundary); an error from a damping or data section starts
-        with that section's name."""
-        grid = Grid(self.L, self.N)
-        pair = self.family == "coupled"
-        if self.family == "mkdv":
-            equation = Equation(self.mu)
-        else:
-            dampings = tuple(
-                _from_section(name, make_damping, c.form, c.floor, c.amplitude, grid, self.sigma0)
-                for name, c in (("damping", self.damping), ("damping2", self.damping2))[: 1 + pair]
-            )
-            if pair:
-                equation = Equation(self.mu, alphas=(1.0, self.alpha), dampings=dampings)
-            else:
-                equation = Equation(self.mu, self.m, dampings=dampings)
-        spec = EvolutionSpec(
-            equation=equation, dt=self.dt, t_end=self.t_end, record_every=self.record_every, nonlinear=self.nonlinear
-        )
-        data = (("data", self.data), ("data2", self.data2))[: 1 + pair]
-        init = tuple(dealias(_from_section(name, build_field, d, grid)) for name, d in data)
-        return grid, spec, init if pair else init[0]
-
-    def as_sections(self) -> dict:
-        """Resolved config as {section: {key: value}}, the shape the text
-        format round-trips through and reports echo."""
-        out: dict = {}
-        for section, owner, f in config_keys():
-            value = getattr(getattr(self, owner) if owner else self, f.name)
-            out.setdefault(section, {})[f.name] = list(value) if isinstance(value, tuple) else value
-        return out
-
-
-# text-format section of each plain ScenarioConfig field; every nested
-# config field (damping, damping2, data, data2, tolerances) is the section
-# of its own name.  Sections are written in field order.
-_SECTIONS = {
-    "": ("scenario", "seed"),
-    "grid": ("L", "N"),
-    "evolution": ("dt", "t_end", "record_every"),
-    "equation": ("family", "mu", "m", "alpha", "nonlinear"),
-    "run": ("sigmas", "sigma0", "theta", "c0", "d", "c1_mode", "c1_value", "c1_safety",
-            "k_max", "window_records", "samples"),
-    "io": ("out_dir",),
-}
-_SECTION_OF = {name: section for section, names in _SECTIONS.items() for name in names}
-
-
-def config_keys():
-    """(section, owner, field) of every text-format key in written order:
-    owner is the nested config field that holds the key, or None."""
-    for f in fields(ScenarioConfig):
-        if f.name in _SECTION_OF:
-            yield _SECTION_OF[f.name], None, f
-        else:
-            for sub in fields(f.default_factory()):
-                yield f.name, f.name, sub
-
-
-# ---------------------------------------------------------------------------
-# initial data
-# ---------------------------------------------------------------------------
-
-
-def _from_section(section: str, make, *args):
-    """make(*args), with a ConfigurationError prefixed by its config section."""
-    try:
-        return make(*args)
-    except ConfigurationError as err:
-        raise ConfigurationError(f"{section}: {err}") from err
-
-
-def build_field(data: DataConfig, grid: Grid) -> SpectralField:
-    if data.kind == "soliton":
-        return soliton(data.k, data.x0, grid)[0]
-    if data.kind == "sech":
-        return sech(data.amplitude, data.width, data.center, grid)
-    if data.kind == "zero":
-        return analyze(np.zeros(grid.N), grid)
-    raise ConfigurationError(f"unknown data kind {data.kind!r}")
-
-
-def known_radius(data: DataConfig) -> float:
-    """Exact analyticity radius of the configured profile."""
-    if data.kind == "soliton":
-        return math.pi / (2.0 * data.k)
-    if data.kind == "sech":
-        return math.pi * data.width / 2.0
-    raise ConfigurationError(f"no known radius for data kind {data.kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -401,22 +175,8 @@ def _sigma_scaling(cfg: ScenarioConfig, grid: Grid, spec: EvolutionSpec, init):
     D(sigma) is the largest recorded increase of A_sigma over the window;
     sigma = 0 entries and entries whose drift never rises above the
     measurement floor (D <= 0) are excluded from the fit and flagged in the
-    drift series' "included" column.
+    drift series' "included" column.  The config checks the sign and sigmas.
     """
-    if cfg.mu != -1:
-        raise ConfigurationError(f"sigma scaling needs the defocusing sign mu = -1, got {cfg.mu}")
-    positive = [s for s in cfg.sigmas if s > 0]
-    if len(positive) < 3:
-        raise FitError(f"need >= 3 positive sigma values for the fit, have {len(positive)}")
-    if positive[-1] * grid.xi_max > 600.0:
-        raise ConfigurationError(
-            f"sigma_max * xi_max = {positive[-1] * grid.xi_max:.3g} exceeds 600; shrink sigma or the grid"
-        )
-    if positive[-1] / positive[0] < 8.0 * (1.0 - 1e-12):
-        raise ConfigurationError(
-            f"sigma list must span at least a factor 8, got {positive[-1] / positive[0]:.3g}"
-        )
-
     [traj] = yield [(spec, init, "trajectory", 0.0)]
 
     sigmas = np.asarray(cfg.sigmas, dtype=float)
@@ -542,17 +302,13 @@ def _iterate_windows(cfg: ScenarioConfig, grid: Grid, spec: EvolutionSpec, state
     except DivergenceError as err:
         raise DivergenceError(f"{err}; lower run.sigma0") from err
 
+    # the config rejects zero data, so M_sigma0 > 0
     l2_sq, m0_sigma0 = _component_masses([state], [0.0, cfg.sigma0]).sum(axis=0)[0].tolist()
-    if m0_sigma0 == 0:
-        sections = "data and data2" if len(eq.alphas) == 2 else "data"
-        raise ConfigurationError(
-            f"{sections}: the initial data is zero (M_sigma0 = 0); the window iteration needs nonzero data"
-        )
     T0 = lifespan_T0(a_norm0, m0_sigma0, cfg.c0, cfg.d)
     if T0 < cfg.dt:
         raise ConfigurationError(
-            f"window length T0 = {T0:.6g} is shorter than one step dt = {cfg.dt:g}; "
-            "raise c0 or shrink the data or the damping"
+            f"window length T0 = {T0:.6g} is shorter than one step evolution.dt = {cfg.dt:g}; "
+            "raise run.c0 or shrink the data or the damping"
         )
 
     # the windows depend on T0 alone, so they run first, each from the last
@@ -645,9 +401,6 @@ def _radius_tracking(cfg: ScenarioConfig, grid: Grid, spec: EvolutionSpec, init)
     stays within the radius_match tolerance of pi/(2k).
     """
     sigma0_known = known_radius(cfg.data)
-    # the records integrate will make: t = 0 and one per record interval
-    if _plan_steps(spec)[0] + 1 < 3:
-        raise ConfigurationError("radius tracking needs at least 3 recorded snapshots")
 
     def fit(t, state):
         try:
@@ -770,32 +523,22 @@ def _inequalities(cfg: ScenarioConfig):
 # the scenario table and its one driver
 # ---------------------------------------------------------------------------
 
-# scenario id -> (equation family and generator body, or None and a plain body)
-SCENARIOS = {
-    "conservation": ("mkdv", _conservation),
-    "sigma-scaling": ("mkdv", _sigma_scaling),
-    "damping": ("mkdvm", _damping_decay),
-    "iteration": ("mkdvm", _iterate_windows),
-    "radius": ("mkdv", _radius_tracking),
-    "coupled": ("coupled", _iterate_windows),
-    "inequalities": (None, _inequalities),
-}
-SCENARIO_IDS = tuple(SCENARIOS)
+# scenario id -> body, a generator but for the one scenario with no family
+SCENARIOS = {"conservation": _conservation, "sigma-scaling": _sigma_scaling, "damping": _damping_decay,
+             "iteration": _iterate_windows, "radius": _radius_tracking, "coupled": _iterate_windows,
+             "inequalities": _inequalities}
 
 
 def _run(scenario: str, cfg: ScenarioConfig) -> ExperimentReport:
-    """Run one scenario: check that cfg is for it and for its equation
-    family, build its objects once, integrate every request its body
-    yields, and build the report from what the body returns, wall clock
-    included."""
+    """Run one scenario: check that cfg is for it, build its objects once,
+    integrate every request its body yields, and build the report from
+    what the body returns, wall clock included."""
     t0 = time.perf_counter()
-    family, body = SCENARIOS[scenario]
+    body = SCENARIOS[scenario]
     if cfg.scenario != scenario:
         raise ConfigurationError(f"config is for scenario {cfg.scenario!r}, runner expects {scenario!r}")
-    if family is None:
+    if FAMILIES[scenario] is None:
         series, fits, verdicts = body(cfg)
-    elif cfg.family != family:
-        raise ConfigurationError(f"scenario {scenario!r} needs equation family {family!r}, got {cfg.family!r}")
     else:
         steps, trajectories = body(cfg, *cfg.build()), None
         while True:
@@ -809,7 +552,9 @@ def _run(scenario: str, cfg: ScenarioConfig) -> ExperimentReport:
                 try:
                     trajectories.append(integrate(spec, init))
                 except (DivergenceError, ConfigurationError) as err:
-                    raise type(err)(f"{where}, global t = {t_start + getattr(err, 't', 0.0):.6g}: {err}") from err
+                    # integrate's one ConfigurationError is its dt guard
+                    advice = "; lower evolution.dt" if isinstance(err, ConfigurationError) else ""
+                    raise type(err)(f"{where}, global t = {t_start + err.t:.6g}: {err}{advice}") from err
     return ExperimentReport(scenario, series, fits, verdicts, cfg.as_sections(), time.perf_counter() - t0)
 
 

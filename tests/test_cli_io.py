@@ -9,6 +9,7 @@ temp directories rather than subprocesses.
 import dataclasses
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -178,6 +179,7 @@ SCHEMA_PIN = (
 
 # moves every key that a dynamic default reads away from its file default
 MOVED_BASES = {
+    "scenario": "damping",
     "grid.L": "96.0",
     "equation.family": "mkdvm",
     "equation.mu": "-1",
@@ -211,7 +213,7 @@ class TestSchema:
     def test_dynamic_keys_are_exactly_the_derived_ones(self):
         empty = parse_config_text("").as_sections()
         moved = parse_config_text("", [f"{k}={v}" for k, v in MOVED_BASES.items()]).as_sections()
-        given = {tuple(name.split(".")) for name in MOVED_BASES}
+        given = {tuple(name.rpartition(".")[::2]) for name in MOVED_BASES}
         changed = {(s, k) for s, k, *_ in SCHEMA_PIN if moved[s][k] != empty[s][k]} - given
         assert changed == {(s, k) for s, k, _, default in SCHEMA_PIN if default is DYNAMIC}
 
@@ -249,7 +251,9 @@ class TestDynamicDefaults:
         ],
     )
     def test_theta_default_tracks_order(self, text, theta):
-        assert parse_config_text(text).theta == pytest.approx(theta, rel=1e-15)
+        # the text names no scenario; the mkdvm texts are damping configs
+        scenario = "damping" if "mkdvm" in text else "conservation"
+        assert parse_config_text(text, [f"scenario={scenario}"]).theta == pytest.approx(theta, rel=1e-15)
 
     def test_explicit_theta_wins(self):
         cfg = parse_config_text("[run]\ntheta = 0.33\n")
@@ -305,7 +309,11 @@ class TestParseTimeValidation:
 
     @pytest.mark.parametrize(
         "override, pattern",
-        [("damping2.form=constant", r"^damping2: .*amplitude = 0, got 0\.25"), ("data2.width=0", r"^data2: .*width")],
+        [
+            # the rejected amplitude is the file's, so its line is given
+            ("damping2.form=constant", r"^line \d+, col 1: damping2: .*amplitude = 0, got 0\.25"),
+            ("data2.width=0", r"^data2: .*width"),
+        ],
         ids=["damping2", "data2"],
     )
     def test_section_errors_name_their_section(self, override, pattern):
@@ -577,6 +585,64 @@ class TestCli:
         overrides = ["--set", "tolerances.slope_lo=2.2", "--set", "tolerances.slope_hi=1.8"]
         assert main(["sigma-scaling", "--out", str(tmp_path), *overrides]) == 1
         assert capsys.readouterr().err.startswith("error: tolerances.slope_lo ")
+
+    @pytest.mark.parametrize(
+        "command, override",
+        [
+            ("iterate", "run.k_max=-1"),
+            ("conserve", "grid.N=15"),
+            ("conserve", "grid.L=-1"),
+            ("coupled", "equation.alpha=1.0"),
+            ("conserve", "evolution.dt=0.05"),
+            ("conserve", "evolution.dt=0"),
+            ("iterate", "run.c0=-1"),
+            ("iterate", "run.d=0"),
+            ("iterate", "run.c1_safety=0.5"),
+            ("iterate", "run.window_records=0"),
+            ("conserve", "equation.mu=2"),
+            ("iterate", "equation.m=4"),
+            ("conserve", "evolution.t_end=0"),
+            ("conserve", "evolution.record_every=0"),
+            ("iterate", "run.sigma0=0"),
+            ("damping", "damping.floor=0"),
+            ("damping", "damping.amplitude=-1"),
+            ("damping", "damping.form=bogus"),
+            ("conserve", "data.k=0"),
+            ("conserve", "data.x0=100"),
+            ("sigma-scaling", "data.width=0"),
+            ("coupled", "data2.amplitude=-1"),
+            ("conserve", "seed=-1"),
+            ("conserve", "run.sigmas=[0.4,0.1]"),
+            ("sigma-scaling", "run.sigmas=[0.1,0.2,0.4]"),
+            ("inequalities", "run.samples=0"),
+            ("conserve", "equation.family=mkdvm"),
+            ("sigma-scaling", "equation.mu=1"),
+            ("radius", "evolution.record_every=100000"),
+        ],
+    )
+    def test_rejected_override_names_its_key(self, tmp_path, capsys, command, override):
+        # the error names the key's section and the key; an override has no line
+        assert main([command, "--out", str(tmp_path), "--quiet", "--set", override]) == 1
+        err = capsys.readouterr().err
+        section, _, name = override.partition("=")[0].rpartition(".")
+        assert re.search(rf"\b{name}\b", err) and re.search(rf"\b{section}\b", err), err
+        assert err.startswith("error: ") and "line" not in err
+
+    @pytest.mark.parametrize(
+        "command, old, new",
+        [
+            ("iterate", "k_max = 20", "k_max = -1"),
+            ("conserve", "dt = 0.0002", "dt = 0"),
+            ("radius", "record_every = 500", "record_every = 100000"),
+        ],
+    )
+    def test_rejected_key_in_a_file_gives_its_line(self, tmp_path, capsys, command, old, new):
+        text = _default_config_text(command).replace(old, new)
+        config = tmp_path / "bad.cfg"
+        config.write_text(text, encoding="utf-8")
+        assert main([command, "--config", str(config), "--out", str(tmp_path)]) == 1
+        line = text.splitlines().index(new) + 1
+        assert capsys.readouterr().err.startswith(f"error: line {line}, col 1: ")
 
     @pytest.mark.parametrize("command", ["iterate", "coupled"])
     def test_run_without_verdicts_exits_two(self, tmp_path, capsys, command):

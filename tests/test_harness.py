@@ -16,9 +16,9 @@ import pytest
 
 from gevreyflow import cli, content_hash, harness, report_payload
 from gevreyflow.analytics import functional_A, functional_M
-from gevreyflow.config import parse_config, parse_config_text
+from gevreyflow.config import FAMILIES, ScenarioConfig, Tolerances, parse_config, parse_config_text
 from gevreyflow.errors import ConfigurationError, DivergenceError, FitError, UnderresolvedError
-from gevreyflow.harness import RUNNERS, SCENARIO_IDS, SCENARIOS, ScenarioConfig
+from gevreyflow.harness import RUNNERS, SCENARIO_IDS, SCENARIOS
 from gevreyflow.spectral import synthesize
 
 # each short config is a packaged config with these overrides
@@ -73,9 +73,9 @@ class TestScenarioConfig:
             ScenarioConfig(sigma0=0.0)
 
     def test_c1_mode_checked(self):
-        with pytest.raises(ConfigurationError, match="C1 policy"):
+        with pytest.raises(ConfigurationError, match=r"^run\.c1_mode 'guess' is not empirical or fixed"):
             ScenarioConfig(c1_mode="guess")
-        with pytest.raises(ConfigurationError, match="C1 safety"):
+        with pytest.raises(ConfigurationError, match=r"^run\.c1_safety must be >= 1"):
             ScenarioConfig(c1_safety=0.5)
 
     @pytest.mark.parametrize(
@@ -84,7 +84,7 @@ class TestScenarioConfig:
     )
     def test_tolerances_checked(self, tolerances, key):
         with pytest.raises(ConfigurationError, match=rf"^tolerances\.{key} "):
-            harness.Tolerances(**tolerances)
+            Tolerances(**tolerances)
 
     def test_runner_rejects_mismatched_scenario(self):
         cfg = short_config(CONSERVE_SHORT)
@@ -117,17 +117,18 @@ class TestScenarioTable:
         assert on_disk == set(SCENARIO_IDS)
 
     def test_all_runs_the_scenarios_with_an_equation_family(self):
-        evolution = [s for s, (family, _) in SCENARIOS.items() if family is not None]
+        evolution = [s for s, family in FAMILIES.items() if family is not None]
         assert [cli._COMMANDS[c] for c in cli._ALL_ORDER] == evolution
         assert len(evolution) == 6 and "inequalities" not in evolution
 
-    @pytest.mark.parametrize("scenario", [s for s, (family, _) in SCENARIOS.items() if family is not None])
+    @pytest.mark.parametrize("scenario", [s for s, family in FAMILIES.items() if family is not None])
     def test_runner_rejects_another_family(self, scenario):
-        family = SCENARIOS[scenario][0]
+        # no config of another family can be made, so none reaches a runner
+        family = FAMILIES[scenario]
         other = "coupled" if family != "coupled" else "mkdv"
-        cfg = ScenarioConfig(scenario=scenario, family=other)
-        with pytest.raises(ConfigurationError, match=f"needs equation family '{family}', got '{other}'"):
-            RUNNERS[scenario](cfg)
+        pattern = rf"^equation\.family must be '{family}' for scenario '{scenario}', got '{other}'"
+        with pytest.raises(ConfigurationError, match=pattern):
+            ScenarioConfig(scenario=scenario, family=other)
 
 
 class TestVerdictHelpers:
@@ -182,7 +183,7 @@ EVOLUTION_SHORT = {
 }
 
 
-@pytest.mark.parametrize("scenario", [s for s, (family, _) in SCENARIOS.items() if family is not None])
+@pytest.mark.parametrize("scenario", [s for s, family in FAMILIES.items() if family is not None])
 def test_one_build_per_parse_and_per_run(monkeypatch, scenario):
     # the parser builds once to validate, and the runner once for its
     # objects, however many integrate calls it then makes
@@ -310,12 +311,24 @@ class TestSigmaScaling:
             run_short(SIGMA_SHORT, ["run.sigmas=[0.1, 0.2, 0.4]"])
 
     def test_too_few_positive_sigmas(self):
-        with pytest.raises(FitError, match="3 positive sigma"):
+        with pytest.raises(ConfigurationError, match=r"^run\.sigmas needs >= 3 positive sigma"):
             run_short(SIGMA_SHORT, ["run.sigmas=[0.05, 0.4]"])
 
+    @pytest.mark.parametrize("sigmas, top", [("[0.5, 1, 2, 4, 8]", 8.0), ("[0.25, 1, 2]", 2.0)])
+    def test_sigma_beyond_the_data_radius_rejected(self, sigmas, top):
+        # sech data of width 1 has radius pi/2; beyond it A_sigma(0)
+        # overflowed and the fit read the overflow
+        pattern = rf"^run\.sigmas must stay below the data's radius 1\.5708, got {top}$"
+        with pytest.raises(ConfigurationError, match=pattern):
+            short_config(SIGMA_SHORT, [f"run.sigmas={sigmas}"])
+        # the zero field is entire, so no radius bounds its sigmas
+        assert short_config(SIGMA_SHORT, ["data.kind=zero", f"run.sigmas={sigmas}"]).sigmas[-1] == top
+
     def test_overflow_guard_on_sigma_max(self):
-        with pytest.raises(ConfigurationError, match="exceeds 600"):
-            run_short(SIGMA_SHORT, ["run.sigmas=[0.3, 3.0, 30.0]"])
+        # below the data's radius pi/2, sigma = 1.5 on N = 8192 reaches
+        # sigma xi_max = 1.5 pi 8192 / 64 = 603
+        with pytest.raises(ConfigurationError, match=r"^run\.sigmas max \* xi_max = 603 exceeds 600"):
+            run_short(SIGMA_SHORT, ["grid.N=8192", "run.sigmas=[0.1, 0.5, 1.5]"])
 
     @pytest.mark.parametrize("offset, passed", [(-1e-9, False), (1e-9, True)])
     def test_slope_band_edge(self, offset, passed):
@@ -425,7 +438,8 @@ class TestGlobalIteration:
             assert fine.fits["derived"][key] == pytest.approx(coarse.fits["derived"][key], rel=1e-6), key
 
     def test_window_shorter_than_one_step_rejected(self):
-        with pytest.raises(ConfigurationError, match=r"T0 = 1\.9\d*e-05 is shorter than one step dt = 0\.0002"):
+        pattern = r"T0 = 1\.9\d*e-05 is shorter than one step evolution\.dt = 0\.0002; raise run\.c0"
+        with pytest.raises(ConfigurationError, match=pattern):
             run_short(ITERATION_SHORT, ["run.c0=0.00025"])
 
     @pytest.mark.parametrize(
@@ -457,11 +471,11 @@ class TestGlobalIteration:
 
     @pytest.mark.parametrize(
         "short, overrides, sections",
-        [(ITERATION_SHORT, ["data.kind=zero"], "data"), (COUPLED_DEGENERATE, ["data.kind=zero"], "data and data2")],
+        [(ITERATION_SHORT, ["data.kind=zero"], ""), (COUPLED_DEGENERATE, ["data.kind=zero"], ", as is data2.kind")],
         ids=["iteration", "coupled"],
     )
     def test_zero_data_rejected_before_integrating(self, no_integrate, short, overrides, sections):
-        with pytest.raises(ConfigurationError, match=rf"^{sections}: the initial data is zero \(M_sigma0 = 0\)"):
+        with pytest.raises(ConfigurationError, match=rf"^data\.kind is zero{sections}: M_sigma0 = 0, and the window"):
             run_short(short, overrides)
 
     @pytest.mark.parametrize("policy, windows", [(["run.c1_mode=fixed", "run.c1_value=0.001"], 0), ([], 1)])
