@@ -45,7 +45,8 @@ from .spectral import (
     pad_spectrum,
 )
 
-# terms of damping_A_norm summed exactly; its tail bound closes the rest
+# last term of damping_A_norm's sum; the terms past it are below one
+# rounding unit of the sum wherever sigma * R < 1
 _NORM_TERMS = 40
 # relative magnitude above which a mode enters radius_estimate's fit, far
 # above spectral.noise_floor (1e-13 of the peak)
@@ -234,16 +235,13 @@ def damping_A_norm(a: RaisedCosineDamping, sigma: float) -> float:
 
         sum_k (k+1)^(1/4) sigma^k / k! * sup|d^k a|,
 
-    summed exactly through K = 40 (the profile exposes exact derivative
-    sups) and closed with the rigorous tail bound sup|d^k a| <= C R^k k!:
-
-        tail <= C * sum_{k>K} (k+1) (sigma R)^k,
-
-    a differentiated geometric series.  Requires sigma * R < 1; the returned
-    value is head + tail, an upper bound sharp to 1e-12 relative.  When the
-    tail bound is looser than that, sigma * R is too close to 1, and the
-    DivergenceError gives sigma * R (the remedy is a smaller sigma).  A
-    constant profile (R = 0) returns exactly its floor at every sigma.
+    from the profile's closed form sup|d^k a| = amplitude R^k (k >= 1),
+    summed through K = 40.  The series is defined for sigma * R < 1, the
+    (A3) regime, and a DivergenceError gives sigma * R outside it.  Inside
+    it the terms past K sum to less than amplitude * 1e-49, far below one
+    rounding unit of the head (>= sup a >= 2 amplitude), so the head is the
+    series in double precision.  A constant profile (R = 0) returns exactly
+    its floor at every sigma.
     """
     if sigma < 0:
         raise ConfigurationError(f"weight radius must be >= 0, got {sigma}")
@@ -252,29 +250,16 @@ def damping_A_norm(a: RaisedCosineDamping, sigma: float) -> float:
         raise DivergenceError(
             f"damping-norm series diverges: sigma * R = {q:.6g} >= 1 (outside the (A3) regime)"
         )
-    K = _NORM_TERMS
     head = 0.0
     coeff = 1.0  # sigma^k / k!
-    for k in range(0, K + 1):
+    for k in range(0, _NORM_TERMS + 1):
         if k > 0:
             coeff *= sigma / k
         sup = a.deriv_sup(k)
         # a zero sup adds exactly 0.0, also where sigma^k / k! overflows
         if sup != 0.0:
             head += (k + 1) ** 0.25 * coeff * sup
-    # sum_{k>K} (k+1) q^k = d/dq [q * geometric] remainder, in closed form
-    if q == 0.0:
-        tail = 0.0
-    else:
-        full = 1.0 / (1.0 - q) ** 2
-        partial = (1.0 - (K + 2) * q ** (K + 1) + (K + 1) * q ** (K + 2)) / (1.0 - q) ** 2
-        tail = a.sup * (full - partial)
-    if head > 0 and tail > 1e-12 * head:
-        raise DivergenceError(
-            f"damping-norm tail bound {tail:.3e} exceeds 1e-12 of head {head:.6g}: "
-            f"sigma * R = {q:.6g} is too close to 1"
-        )
-    return head + tail
+    return head
 
 
 # ---------------------------------------------------------------------------
@@ -347,8 +332,6 @@ def sigma_choice(
     evaluated with expm1 so tiny lam*T0 keeps full precision.  Returns
     (value, active_branch) with branch one of "cap", "damping", "data".
     """
-    if theta == 0:
-        raise ConfigurationError("degenerate exponent theta = 0: data branch undefined")
     if not 0.0 < theta <= 1.0:
         raise ConfigurationError(f"theta must lie in (0, 1], got {theta}")
     for name, val in (("sigma0", sigma0), ("lam", lam), ("T0", T0), ("C1", C1), ("a_norm", a_norm), ("M0", M0)):

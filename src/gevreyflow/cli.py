@@ -21,7 +21,7 @@ from importlib import resources
 from pathlib import Path
 
 from .config import FAMILIES, parse_config, parse_config_text
-from .errors import ConfigurationError, GevreyError
+from .errors import ConfigParseError, ConfigurationError, GevreyError
 from .harness import RUNNERS, ExperimentReport
 from .reporting import PlotStyle, write_plot, write_report
 
@@ -67,8 +67,12 @@ def _style_for(report: ExperimentReport, name: str) -> PlotStyle:
     return PlotStyle(title=name)
 
 
+def _default_config_name(command: str) -> str:
+    return command.replace("-", "_") + ".cfg"
+
+
 def _default_config_text(command: str) -> str:
-    name = command.replace("-", "_") + ".cfg"
+    name = _default_config_name(command)
     return resources.files("gevreyflow").joinpath("configs", name).read_text(encoding="utf-8")
 
 
@@ -78,7 +82,11 @@ def _load_config(command: str, args):
         overrides.append(f"seed={args.seed}")
     if args.config is not None:
         return parse_config(args.config, overrides)
-    return parse_config_text(_default_config_text(command), overrides)
+    try:
+        return parse_config_text(_default_config_text(command), overrides)
+    except ConfigParseError as err:
+        # the error's line is one of the packaged file, so name the file
+        raise ConfigurationError(f"configs/{_default_config_name(command)}: {err}", err.key) from err
 
 
 def _out_root(args, cfg) -> Path:

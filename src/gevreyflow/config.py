@@ -112,10 +112,11 @@ class ScenarioConfig:
 
     Construction checks each key alone and against the scenario (names,
     the scenario's equation family, ascending sigmas, theta in (0, 1], the
-    sigma-scaling sign and sigmas, nonzero window data); build() makes the
-    grid, the evolution spec and the initial data, so checks every module
-    precondition and what depends on them.  The parser calls it once to
-    validate a config, and the driver once for the objects it integrates.
+    sigma-scaling sign and sigmas, nonzero window and sigma-scaling data);
+    build() makes the grid, the evolution spec and the initial data, so
+    checks every module precondition and what depends on them.  The parser
+    calls it once to validate a config, and the driver once for the objects
+    it integrates.
     """
 
     scenario: str = "conservation"
@@ -175,10 +176,12 @@ class ScenarioConfig:
             _check(len(positive) >= 3, "run.sigmas", f"needs >= 3 positive sigma values, has {len(positive)}")
             span = positive[-1] / positive[0]
             _check(span >= 8.0 * (1.0 - 1e-12), "run.sigmas", f"must span at least a factor 8, got {span:.3g}")
-        if s in ("iteration", "coupled"):
+        if s in ("sigma-scaling", "iteration", "coupled"):
             zero = self.data.kind == "zero" and (family != "coupled" or self.data2.kind == "zero")
             also = ", as is data2.kind" if family == "coupled" else ""
-            _check(not zero, "data.kind", f"is zero{also}: M_sigma0 = 0, and the window iteration needs nonzero data")
+            why = ("the drift D(sigma) = 0 at every sigma, and the scaling fit needs positive drift"
+                   if s == "sigma-scaling" else "M_sigma0 = 0, and the window iteration needs nonzero data")
+            _check(not zero, "data.kind", f"is zero{also}: {why}")
 
     def build(self) -> tuple[Grid, EvolutionSpec, object]:
         """(grid, spec, init): the grid; the configured flow, its damping
@@ -186,21 +189,27 @@ class ScenarioConfig:
         projected into the band integrate evolves, one field or the pair
         (data, data2) for the coupled family.  Raises on the first violated
         precondition of these objects, naming its section, then on what the
-        scenario needs of them: sigma-scaling sigmas below the data's radius
-        and the weight's range, radius data of finite radius, >= 3 records."""
+        scenario needs of them: (A3), sigma0 R < 1, for every damping
+        profile; a window scenario's sigma0 and the sigma-scaling sigmas
+        below the data's radius, the latter also in the weight's range;
+        radius data of finite radius, >= 3 records."""
         grid = _from_section("grid", Grid, self.L, self.N)
         pair = self.family == "coupled"
         damped = (("damping", self.damping), ("damping2", self.damping2))[: (self.family != "mkdv") * (1 + pair)]
-        dampings = tuple(
-            _from_section(name, make_damping, c.form, c.floor, c.amplitude, grid, self.sigma0) for name, c in damped
-        )
+        dampings = tuple(_from_section(name, make_damping, c.form, c.floor, c.amplitude, grid) for name, c in damped)
+        R = max((d.deriv_bound_rate for d in dampings), default=0.0)
+        q = self.sigma0 * R
+        _check(q < 1, "run.sigma0", f"violates (A3): sigma0 * R = {q:.6g} must be < 1, with damping rate R = {R:.6g}")
         m, alphas = (self.m if self.family == "mkdvm" else 3), ((1.0, self.alpha) if pair else (1.0,))
         equation = _from_section("equation", Equation, self.mu, m, alphas, dampings)
         evolution = (equation, self.dt, self.t_end, self.record_every, self.nonlinear)
         spec = _from_section("evolution", EvolutionSpec, *evolution)
         data = (("data", self.data), ("data2", self.data2))[: 1 + pair]
         init = tuple(dealias(_from_section(name, build_field, d, grid)) for name, d in data)
-        radius = known_radius(self.data)
+        radius = min(known_radius(d) for _, d in data)
+        if self.scenario in ("iteration", "coupled"):
+            sigma0 = self.sigma0
+            _check(sigma0 < radius, "run.sigma0", f"must stay below the data's radius {radius:.6g}, got {sigma0}")
         if self.scenario == "sigma-scaling":
             top = self.sigmas[-1]
             _check(top < radius, "run.sigmas", f"must stay below the data's radius {radius:.6g}, got {top}")

@@ -73,7 +73,7 @@ import numpy as np
 
 from . import spectral
 from .errors import ConfigurationError, DivergenceError
-from .spectral import Grid, SpectralField, analyze, dealias, synthesize
+from .spectral import Grid, SpectralField, analyze, synthesize
 
 BLOWUP_LIMIT = 1e6
 
@@ -125,21 +125,21 @@ class RaisedCosineDamping:
         return self.floor + self.amplitude * (1.0 + np.cos(2.0 * np.pi * grid.x / self.length))
 
 
-def make_damping(form: str, floor: float, amplitude: float, grid: Grid, sigma0: float) -> RaisedCosineDamping:
+def make_damping(form: str, floor: float, amplitude: float, grid: Grid) -> RaisedCosineDamping:
     """The RaisedCosineDamping on the grid's domain ("constant" is its
     amplitude 0, and takes only amplitude 0).  Its closed form is its
-    certificate for (A1)-(A3), so only the inputs and (A3) are checked:
+    certificate for (A1) and (A2), so only the inputs are checked:
 
     (A1) min a = floor > 0, reached at x = length/2, a node of every even-N grid.
     (A2) sup|d^k a| = amplitude R^k <= C R^k k! for every k >= 1, with
          (C, R) = (floor + 2*amplitude, 2 pi/length) and R = 0 at amplitude 0,
          because floor > 0 and k! >= 1.
-    (A3) R < 1/sigma0.
+
+    (A3), R < 1/sigma0, ties the profile to the data's weight, so the
+    config checks it against run.sigma0.
     """
     if floor <= 0:
         raise ConfigurationError(f"damping floor must be positive (A1), got {floor}")
-    if sigma0 < 0:
-        raise ConfigurationError(f"sigma0 must be >= 0, got {sigma0}")
     if form == "constant":
         if amplitude != 0:
             raise ConfigurationError(f"constant damping takes amplitude = 0, got {amplitude}")
@@ -148,14 +148,7 @@ def make_damping(form: str, floor: float, amplitude: float, grid: Grid, sigma0: 
             raise ConfigurationError(f"raised-cosine amplitude must be >= 0, got {amplitude}")
     else:
         raise ConfigurationError(f"unknown damping form {form!r}")
-    profile = RaisedCosineDamping(floor, amplitude, grid.L)
-
-    R = profile.deriv_bound_rate
-    if sigma0 > 0 and R >= 1.0 / sigma0:
-        raise ConfigurationError(
-            f"(A3) violated: derivative rate R = {R:.6g} must be < 1/sigma0 = {1.0 / sigma0:.6g}"
-        )
-    return profile
+    return RaisedCosineDamping(floor, amplitude, grid.L)
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +363,7 @@ def integrate(spec: EvolutionSpec, init) -> Trajectory:
     # the state holds the band k = 0..N/4 of each component, updated in place
     band = grid.band
     sym = np.stack([linear_symbol(grid, eq.m, alpha)[:band] for alpha in eq.alphas])
-    V = np.stack([dealias(f).spectrum[:band] for f in fields])
+    V = np.stack([f.spectrum[:band] for f in fields])
     evaluate, w = nonlinear_term(eq, grid, spec.nonlinear)
 
     # every factor is an array of the state's shape, h/2 and h/6 too (see

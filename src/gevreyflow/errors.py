@@ -41,7 +41,7 @@ class OverflowGuardError(GevreyError):
 
 class DivergenceError(GevreyError):
     """Blow-up abort: non-finite samples or amplitude beyond the 1e6 cap,
-    or a series (damping norm) whose tail bound does not converge."""
+    or the damping-norm series asked for outside its domain sigma * R < 1."""
 
 
 class UnderresolvedError(GevreyError):

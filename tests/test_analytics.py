@@ -502,13 +502,17 @@ class TestDampingNorm:
         with pytest.raises(DivergenceError, match="diverges"):
             damping_A_norm(a, bad_sigma)
 
-    def test_insufficient_truncation(self):
-        # sigma R close to 1: past the 40 summed terms the geometric tail
-        # dwarfs 1e-12 of head, and the error gives sigma R
-        a = RaisedCosineDamping(floor=1.0, amplitude=0.5, length=64.0)
-        sig = 0.95 / a.deriv_bound_rate
-        with pytest.raises(DivergenceError, match=r"sigma \* R = 0\.95 is too close to 1"):
-            damping_A_norm(a, sig)
+    @pytest.mark.parametrize("q", [0.05, 0.49, 0.88, 0.95, 0.999])
+    def test_whole_a3_regime_against_long_sum(self, q):
+        # every sigma R < 1 is in the series' domain, and the 41 summed
+        # terms are the series to round-off
+        a = RaisedCosineDamping(floor=1.0, amplitude=0.25, length=64.0)
+        sig = q / a.deriv_bound_rate
+        direct = sum(
+            (k + 1) ** 0.25 * sig**k / math.factorial(k) * a.deriv_sup(k)
+            for k in range(120)
+        )
+        assert damping_A_norm(a, sig) == pytest.approx(direct, rel=1e-14)
 
 
 class TestCommutatorOperators:
@@ -709,7 +713,7 @@ class TestSigmaChoice:
         assert val == pytest.approx(2e-12 / 2e6, rel=1e-9)
 
     def test_degenerate_theta(self):
-        with pytest.raises(ConfigurationError, match="degenerate"):
+        with pytest.raises(ConfigurationError, match=r"theta must lie in \(0, 1\], got 0\.0"):
             sigma_choice(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.0)
         with pytest.raises(ConfigurationError):
             sigma_choice(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.5)

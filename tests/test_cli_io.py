@@ -286,11 +286,26 @@ class TestOverrides:
             parse_config_text("", [override])
 
 
+# a damped config whose sixth line sets run.sigma0
+A3_TEXT = "scenario = damping\n[equation]\nfamily = mkdvm\nmu = -1\n[run]\nsigma0 = {}\n"
+
+
 class TestParseTimeValidation:
     def test_analyticity_condition_cited(self):
-        text = "scenario = damping\n[equation]\nfamily = mkdvm\nmu = -1\n[run]\nsigma0 = 15.0\n"
-        with pytest.raises(ConfigurationError, match=r"\(A3\)"):
-            parse_config_text(text)
+        # (A3) is a check on run.sigma0, so a file's error gives that key's line
+        with pytest.raises(ConfigurationError, match=r"^line 6, col 1: run\.sigma0 violates \(A3\)"):
+            parse_config_text(A3_TEXT.format(15.0))
+
+    def test_a3_admits_sigma0_inside(self):
+        # R = 2 pi/64 ~ 0.0982, so sigma0 < 10.19 is accepted
+        assert parse_config_text(A3_TEXT.format(10.0)).sigma0 == 10.0
+
+    @pytest.mark.parametrize("command", ["damping", "iterate", "coupled"])
+    def test_a3_rejects_sigma0_beyond(self, command):
+        # every damped family; the override has no line, so the key leads
+        pattern = r"^run\.sigma0 violates \(A3\): sigma0 \* R = 1\.9635 must be < 1, with damping rate R = 0\.0981748$"
+        with pytest.raises(ConfigurationError, match=pattern):
+            parse_config_text(_default_config_text(command), ["run.sigma0=20"])
 
     def test_descending_sigmas_rejected(self):
         with pytest.raises(ConfigurationError, match="ascending"):
@@ -604,6 +619,8 @@ class TestCli:
             ("conserve", "evolution.t_end=0"),
             ("conserve", "evolution.record_every=0"),
             ("iterate", "run.sigma0=0"),
+            ("iterate", "run.sigma0=2"),
+            ("sigma-scaling", "data.kind=zero"),
             ("damping", "damping.floor=0"),
             ("damping", "damping.amplitude=-1"),
             ("damping", "damping.form=bogus"),
@@ -634,6 +651,7 @@ class TestCli:
             ("iterate", "k_max = 20", "k_max = -1"),
             ("conserve", "dt = 0.0002", "dt = 0"),
             ("radius", "record_every = 500", "record_every = 100000"),
+            ("iterate", "sigma0 = 0.5", "sigma0 = 15.0"),
         ],
     )
     def test_rejected_key_in_a_file_gives_its_line(self, tmp_path, capsys, command, old, new):
@@ -666,14 +684,18 @@ class TestCli:
         assert main([command, "--out", str(tmp_path), "--seed", "-1"]) == 1
         assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
 
-    def test_damping_norm_error_names_sigma0(self, tmp_path, capsys):
-        # sigma0 = 9 is inside (A3) (R = 2 pi/64), but sigma0 R = 0.88 is too
-        # close to 1 for the damping norm's tail bound
-        assert main(["iterate", "--out", str(tmp_path), "--set", "run.sigma0=9"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: damping-norm tail bound")
-        assert "sigma * R = 0.883573" in err and err.endswith("; lower run.sigma0\n")
-        assert "K" not in err
+    @pytest.mark.parametrize(
+        "command, override, prefix",
+        [
+            ("coupled", "damping2.form=constant", "configs/coupled.cfg: line 21, col 1: damping2: "),
+            ("iterate", "grid.L=20", "configs/iterate.cfg: line 21, col 1: data: "),
+        ],
+    )
+    def test_packaged_config_error_names_its_file(self, tmp_path, capsys, command, override, prefix):
+        # the rejected value is the packaged file's, so its line is given
+        # with the file it is in
+        assert main([command, "--out", str(tmp_path), "--set", override]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {prefix}")
 
     def test_scenario_config_mismatch_exits_one(self, tmp_path, capsys):
         config = tmp_path / "wrong.cfg"

@@ -120,14 +120,14 @@ class TestDampingProfiles:
 
     def test_make_damping_constant(self):
         g = Grid(64.0, 64)
-        a = make_damping("constant", 1.0, 0.0, g, sigma0=1e6)
+        a = make_damping("constant", 1.0, 0.0, g)
         assert a == RaisedCosineDamping(1.0, 0.0, g.L)
         assert a.deriv_bound_rate == 0.0
 
     def test_make_damping_constant_rejects_amplitude(self):
         g = Grid(64.0, 64)
         with pytest.raises(ConfigurationError, match="amplitude"):
-            make_damping("constant", 1.0, 0.3, g, sigma0=1.0)
+            make_damping("constant", 1.0, 0.3, g)
 
     def test_make_damping_makes_no_transform(self, monkeypatch):
         # the closed form is the certificate: no spectral re-check
@@ -138,30 +138,18 @@ class TestDampingProfiles:
 
         monkeypatch.setattr(np.fft, "rfft", refuse)
         monkeypatch.setattr(np.fft, "irfft", refuse)
-        a = make_damping("raised_cosine", 1.0, 0.5, g, sigma0=0.5)
+        a = make_damping("raised_cosine", 1.0, 0.5, g)
         assert a == RaisedCosineDamping(1.0, 0.5, g.L)
-
-    def test_make_damping_raised_cosine_inside_a3(self):
-        # R = 2 pi/64 ~ 0.0982, so sigma0 < 10.19 is accepted
-        g = Grid(64.0, 256)
-        a = make_damping("raised_cosine", 1.0, 0.5, g, sigma0=10.0)
-        assert isinstance(a, RaisedCosineDamping)
-        assert a.deriv_bound_rate == pytest.approx(2.0 * np.pi / 64.0)
-
-    def test_make_damping_a3_violation(self):
-        g = Grid(64.0, 256)
-        with pytest.raises(ConfigurationError, match=r"\(A3\)"):
-            make_damping("raised_cosine", 1.0, 0.5, g, sigma0=20.0)
 
     def test_make_damping_a1_violation(self):
         g = Grid(64.0, 64)
         with pytest.raises(ConfigurationError, match=r"\(A1\)"):
-            make_damping("constant", 0.0, 0.0, g, sigma0=1.0)
+            make_damping("constant", 0.0, 0.0, g)
 
     def test_make_damping_unknown_form(self):
         g = Grid(64.0, 64)
         with pytest.raises(ConfigurationError, match="form"):
-            make_damping("gaussian", 1.0, 0.5, g, sigma0=1.0)
+            make_damping("gaussian", 1.0, 0.5, g)
 
 
 class TestEquationTypes:

@@ -17,7 +17,7 @@ import pytest
 from gevreyflow import cli, content_hash, harness, report_payload
 from gevreyflow.analytics import functional_A, functional_M
 from gevreyflow.config import FAMILIES, ScenarioConfig, Tolerances, parse_config, parse_config_text
-from gevreyflow.errors import ConfigurationError, DivergenceError, FitError, UnderresolvedError
+from gevreyflow.errors import ConfigurationError, DivergenceError, UnderresolvedError
 from gevreyflow.harness import RUNNERS, SCENARIO_IDS, SCENARIOS
 from gevreyflow.spectral import synthesize
 
@@ -296,11 +296,11 @@ class TestSigmaScaling:
         assert flags[0] == 0.0 and all(f == 1.0 for f in flags[1:])
 
     def test_zero_data_has_no_positive_drift(self):
-        with pytest.raises(FitError, match="positive-drift"):
-            run_short(
-                SIGMA_SHORT,
-                ["data.kind=zero", "evolution.t_end=0.1", "evolution.record_every=100"],
-            )
+        # D(sigma) = 0 at every sigma: rejected while parsing, not by the
+        # fit after the run
+        pattern = r"^data\.kind is zero: the drift D\(sigma\) = 0 at every sigma"
+        with pytest.raises(ConfigurationError, match=pattern):
+            short_config(SIGMA_SHORT, ["data.kind=zero"])
 
     def test_focusing_sign_rejected(self):
         with pytest.raises(ConfigurationError, match="defocusing"):
@@ -321,8 +321,6 @@ class TestSigmaScaling:
         pattern = rf"^run\.sigmas must stay below the data's radius 1\.5708, got {top}$"
         with pytest.raises(ConfigurationError, match=pattern):
             short_config(SIGMA_SHORT, [f"run.sigmas={sigmas}"])
-        # the zero field is entire, so no radius bounds its sigmas
-        assert short_config(SIGMA_SHORT, ["data.kind=zero", f"run.sigmas={sigmas}"]).sigmas[-1] == top
 
     def test_overflow_guard_on_sigma_max(self):
         # below the data's radius pi/2, sigma = 1.5 on N = 8192 reaches
@@ -477,6 +475,25 @@ class TestGlobalIteration:
     def test_zero_data_rejected_before_integrating(self, no_integrate, short, overrides, sections):
         with pytest.raises(ConfigurationError, match=rf"^data\.kind is zero{sections}: M_sigma0 = 0, and the window"):
             run_short(short, overrides)
+
+    @pytest.mark.parametrize(
+        "short, overrides, radius",
+        [
+            (ITERATION_SHORT, ["run.sigma0=2"], "1.5708"),
+            (ITERATION_SHORT, [f"run.sigma0={math.pi / 2!r}"], "1.5708"),
+            (COUPLED_DEGENERATE, ["data2.kind=sech", "data2.width=0.5", "run.sigma0=1"], "0.785398"),
+        ],
+        ids=["iteration", "iteration-at-radius", "coupled-data2"],
+    )
+    def test_sigma0_beyond_the_data_radius_rejected(self, no_integrate, short, overrides, radius):
+        # u0 must lie in H^{sigma0,s}: at sigma0 = 2 on sech data of radius
+        # pi/2 the run failed late, with a window length T0 = 1.2e-10
+        with pytest.raises(ConfigurationError, match=rf"^run\.sigma0 must stay below the data's radius {radius}, got"):
+            run_short(short, overrides)
+
+    def test_zero_component_sets_no_radius_bound(self):
+        # the zero data2 is entire, so data's radius pi/2 alone bounds sigma0
+        assert short_config(COUPLED_DEGENERATE, ["run.sigma0=1.5"]).sigma0 == 1.5
 
     @pytest.mark.parametrize("policy, windows", [(["run.c1_mode=fixed", "run.c1_value=0.001"], 0), ([], 1)])
     def test_k_zero_integrates_only_the_calibration_window(self, monkeypatch, policy, windows):
