@@ -9,10 +9,14 @@ L * sum_k w_k |F_k|^2 is the integral of f^2.  The bracket weight is
 1 + |xi| (not the (1+xi^2)^(1/2) variant).
 
 One path, _weighted_spectra, gives the weighted half spectra
-U = cosh(sigma D) u, with spectral.noise_floor and spectral.cosh_weight.
+U = cosh(sigma D) u: np.cosh(sigma xi) times the half spectrum, with the
+coefficients below spectral.noise_floor set to zero after the multiply.
 hsigma_norm, functional_M and functional_A all read it, so each takes one
-state or R states on one grid and one radius or P of them, and returns a
-float, (P,), (R,) or (R, P).
+state or R states on one grid and one finite radius sigma >= 0 or P of
+them, and returns a float, (P,), (R,) or (R, P).  One overflow rule holds
+for all three: a result that leaves double range, as it does wherever a
+kept coefficient's weight cosh(sigma xi) passes ~e^709.8, raises
+OverflowGuardError naming the state and sigma.
 
 Quadrature: quartic/sextic/product integrals are trapezoid sums on a
 2x-refined grid (zero-padded irfft of the half spectrum).  States produced
@@ -36,14 +40,7 @@ from .errors import (
     OverflowGuardError,
     UnderresolvedError,
 )
-from .spectral import (
-    Grid,
-    SpectralField,
-    apply_weight,
-    cosh_weight,
-    noise_floor,
-    pad_spectrum,
-)
+from .spectral import Grid, SpectralField, noise_floor, pad_spectrum
 
 # last term of damping_A_norm's sum; the terms past it are below one
 # rounding unit of the sum wherever sigma * R < 1
@@ -60,12 +57,20 @@ _FIT_FLOOR = 1e-8
 
 def _weighted_spectra(u: SpectralField | Sequence[SpectralField], sigma: float | np.ndarray):
     """(grid, (R, P), shaped, blocks) for the states u and the radii sigma:
-    blocks yields each state's floored half spectrum times each weight, as
-    one (P, N/2+1) buffer that the next state overwrites, and shaped drops
-    the axis of a single field and of a float sigma from an (R, P) result."""
+    blocks yields each state's half spectrum times each weight
+    cosh(sigma xi), with the coefficients below spectral.noise_floor then
+    set to zero, as one (P, N/2+1) buffer that the next state overwrites;
+    a dropped mode stays zero even where its weight overflows to inf.
+    shaped(values, what) raises OverflowGuardError at the first non-finite
+    entry of an (R, P) result, naming its state and sigma, and drops the
+    axis of a single field and of a float sigma."""
     sigmas = np.asarray(sigma, dtype=float)
     if sigmas.ndim > 1 or sigmas.size == 0:
         raise ConfigurationError(f"sigma must be a float or a nonempty 1-D array, got shape {sigmas.shape}")
+    radii = np.atleast_1d(sigmas)
+    bad = radii[~(np.isfinite(radii) & (radii >= 0))]
+    if bad.size:
+        raise ConfigurationError(f"weight radius must be finite and >= 0, got {bad[0]}")
     single = isinstance(u, SpectralField)
     states = (u,) if single else tuple(u)
     if not states:
@@ -73,54 +78,56 @@ def _weighted_spectra(u: SpectralField | Sequence[SpectralField], sigma: float |
     g = states[0].grid
     if any(s.grid != g for s in states):
         raise ConfigurationError("the states of a weighted norm must share one grid")
-    weights = [cosh_weight(g, s) for s in np.atleast_1d(sigmas).tolist()]
-    W = np.stack([w for w, _ in weights])
+    with np.errstate(over="ignore"):
+        W = np.cosh(np.multiply.outer(radii, g.xi))
     U = np.empty(W.shape, dtype=complex)
-    # rows whose weight takes the log-space path are redone by apply_weight
-    logged = [(row, weight) for row, weight in zip(U, weights) if weight[1] is not None]
 
     def blocks():
+        # read under np.errstate(over="ignore", invalid="ignore"): an inf
+        # weight times a zero coefficient is nan until the floor zeroes it
         for fld in states:
-            spectrum = fld.spectrum.copy()
-            spectrum[np.abs(spectrum) < noise_floor(spectrum)] = 0.0
-            np.multiply(spectrum, W, out=U)
-            for row, weight in logged:
-                apply_weight(spectrum, weight, out=row)
+            np.multiply(fld.spectrum, W, out=U)
+            np.copyto(U, 0.0, where=np.abs(fld.spectrum) < noise_floor(fld.spectrum))
             yield U
 
-    def shaped(values: np.ndarray) -> float | np.ndarray:
+    def shaped(values: np.ndarray, what: str) -> float | np.ndarray:
+        bad = np.argwhere(~np.isfinite(values))
+        if bad.size:
+            r, p = bad[0]
+            raise OverflowGuardError(f"{what} exceeds double range at state {r}, sigma = {radii[p]:g}")
         out = values[0 if single else slice(None), 0 if sigmas.ndim == 0 else slice(None)]
         return float(out) if out.ndim == 0 else out
 
-    return g, (len(states), len(weights)), shaped, blocks()
+    return g, (len(states), radii.size), shaped, blocks()
 
 
 def _weighted_sum(u, sigma, s: float, root: bool) -> float | np.ndarray:
     """L sum_k w_k (1+|xi_k|)^(2s) |U_k|^2, or its square root if root.
     Each row is scaled by a power of two (np.frexp of its largest entry)
     before it is squared, and unscaled at the end: exact, and nothing
-    overflows unless the value itself leaves double range, which raises
-    OverflowGuardError."""
+    overflows unless a weighted coefficient or the value itself leaves
+    double range, which raises OverflowGuardError."""
+    if not np.isfinite(s):
+        raise ConfigurationError(f"bracket exponent must be finite, got s = {s}")
     g, shape, shaped, blocks = _weighted_spectra(u, sigma)
     bracket = (1.0 + g.xi) ** s
     L_mult = g.L * g.multiplicity
     values = np.empty(shape)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         for r, U in enumerate(blocks):
             amps = np.abs(U) * bracket
             e = np.frexp(amps.max(axis=-1))[1]
             S = (L_mult * np.square(np.ldexp(amps, -e[:, None]))).sum(axis=-1)
             values[r] = np.ldexp(np.sqrt(S), e) if root else np.ldexp(S, 2 * e)
-    if not np.all(np.isfinite(values)):
-        raise OverflowGuardError(f"{'weighted norm' if root else 'M_sigma'} exceeds double range")
-    return shaped(values)
+    return shaped(values, "weighted norm" if root else "M_sigma")
 
 
 def hsigma_norm(u: SpectralField | Sequence[SpectralField], sigma: float | np.ndarray, s: float) -> float | np.ndarray:
     """(L sum_k w_k (1+|xi_k|)^(2s) cosh^2(sigma xi_k) |U_k|^2)^(1/2), with
     coefficients below spectral.noise_floor counted as zero; inputs and
-    result shapes as functional_A's.  Finite wherever the norm fits in a
-    double."""
+    result shapes as functional_A's, and s finite.  Finite wherever the
+    norm and each kept weighted coefficient fit in a double; beyond that
+    OverflowGuardError names the state and sigma."""
     return _weighted_sum(u, sigma, s, root=True)
 
 
@@ -211,11 +218,10 @@ def functional_A(
         "product_sq": -(5.0 * mu / 3.0) * (h * sums[4]),
         "sextic": (1.0 / 18.0) * (h * sums[5]),
     }
-    total = sum(terms.values())
-    # an inf or nan term leaves the total inf or nan
-    if not np.all(np.isfinite(total)):
-        raise OverflowGuardError("functional_A exceeds double range")
-    return FunctionalBreakdown(total=shaped(total), terms={k: shaped(v) for k, v in terms.items()})
+    # an inf or nan term leaves the total inf or nan, so every term of a
+    # finite total is finite
+    total = shaped(sum(terms.values()), "functional_A")
+    return FunctionalBreakdown(total=total, terms={k: shaped(v, "functional_A") for k, v in terms.items()})
 
 
 def conserved_combinations(b: FunctionalBreakdown) -> dict:
@@ -243,7 +249,7 @@ def damping_A_norm(a: RaisedCosineDamping, sigma: float) -> float:
     series in double precision.  A constant profile (R = 0) returns exactly
     its floor at every sigma.
     """
-    if sigma < 0:
+    if not sigma >= 0:
         raise ConfigurationError(f"weight radius must be >= 0, got {sigma}")
     q = sigma * a.deriv_bound_rate
     if q >= 1.0:
@@ -306,12 +312,12 @@ def lifespan_T0(a_norm: float, data_norm_sq: float, c0: float, d: float) -> floa
 
     c0 and d are not pinned upstream; they are configuration (run.c0, run.d).
     """
-    if c0 <= 0:
+    if not c0 > 0:
         raise ConfigurationError(f"lifespan scale must be positive, got c0={c0}")
-    if d <= 1:
+    if not d > 1:
         raise ConfigurationError(f"lifespan exponent must exceed 1, got d={d}")
-    if a_norm < 0 or data_norm_sq < 0:
-        raise ConfigurationError("norms must be nonnegative")
+    if not (a_norm >= 0 and data_norm_sq >= 0):
+        raise ConfigurationError(f"norms must be nonnegative, got a_norm={a_norm}, data_norm_sq={data_norm_sq}")
     return c0 / (1.0 + a_norm + data_norm_sq) ** d
 
 
@@ -335,7 +341,7 @@ def sigma_choice(
     if not 0.0 < theta <= 1.0:
         raise ConfigurationError(f"theta must lie in (0, 1], got {theta}")
     for name, val in (("sigma0", sigma0), ("lam", lam), ("T0", T0), ("C1", C1), ("a_norm", a_norm), ("M0", M0)):
-        if val <= 0:
+        if not val > 0:
             raise ConfigurationError(f"{name} must be positive, got {val}")
     b = -math.expm1(-2.0 * lam * T0)
     candidates = {

@@ -36,7 +36,9 @@ class SymmetryError(GevreyError):
 
 
 class OverflowGuardError(GevreyError):
-    """A weighted quantity left double-precision range despite log-space evaluation."""
+    """A weighted norm or functional left double-precision range, as it
+    does wherever a kept coefficient's weight cosh(sigma xi) overflows; the
+    message names the state and sigma."""
 
 
 class DivergenceError(GevreyError):

@@ -1,5 +1,5 @@
-"""Periodic pseudospectral substrate: grids, real-field transforms, the cosh
-weight, and dealiasing.
+"""Periodic pseudospectral substrate: grids, real-field transforms, the
+noise floor, and dealiasing.
 
 Conventions
 -----------
@@ -35,15 +35,9 @@ are zeroed at Nyquist, the standard convention for real spectral
 differentiation (see https://math.mit.edu/~stevenj/fft-deriv.pdf), which
 keeps that entry real.
 
-Hyperbolic weights cosh(sigma*xi) overflow double precision near
-sigma*|xi| ~ 710.  A mode whose weight is finite is weighted by
-np.cosh(sigma*xi) directly; only the modes with log cosh(sigma*xi) > 700
-go through log space, using
-
-    log cosh(r) = |r| + log((1 + exp(-2|r|)) / 2),
-
-which keeps products weight*F_k representable whenever the product itself
-is; a product that still leaves range raises OverflowGuardError.
+The cosh weight cosh(sigma*xi) of the sigma-norms is np.cosh, applied in
+analytics, which counts the coefficients below noise_floor as zero
+whatever their weight.
 
 The integrator's rhs makes 8 real FFTs per RK4 step, and at N = 512
 numpy.fft's Python wrapper (axis, dtype, norm factor and out checks) is
@@ -66,11 +60,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigurationError, OverflowGuardError, SymmetryError
-
-_LOG2 = float(np.log(2.0))
-# exp() saturates at ~709.78; stay a hair under when testing representability
-_EXP_MAX = 700.0
+from .errors import ConfigurationError, SymmetryError
 
 
 def _real_transforms(kernels) -> tuple:
@@ -225,74 +215,6 @@ def noise_floor(spectrum: np.ndarray) -> float:
     the field does not carry, and a cosh weight or a derivative symbol
     would lift it into the result."""
     return 1e-13 * float(np.abs(spectrum).max())
-
-
-# ---------------------------------------------------------------------------
-# cosh weight
-# ---------------------------------------------------------------------------
-
-
-def log_cosh(r: np.ndarray) -> np.ndarray:
-    """Elementwise log(cosh(r)), overflow-free for any magnitude."""
-    a = np.abs(np.asarray(r, dtype=float))
-    return a + np.log1p(np.exp(-2.0 * a)) - _LOG2
-
-
-def cosh_weight(grid: Grid, sigma: float) -> tuple[np.ndarray, np.ndarray | None]:
-    """The weight cosh(sigma*xi) of every stored mode, sigma >= 0, as the
-    pair (w, logw) that apply_weight multiplies a spectrum by.
-
-    w = cosh(sigma*xi) for every mode with log cosh(sigma*xi) <= 700.  For
-    sigma*xi_max <= 700 that is every mode, and logw is None.  Otherwise
-    logw = log cosh(sigma*xi), and the entries of w beyond 700 are 0,
-    because their weight leaves double range and apply_weight forms those
-    products in log space.
-    """
-    if sigma < 0:
-        raise ConfigurationError(f"weight radius must be >= 0, got {sigma}")
-    if sigma * grid.xi_max <= _EXP_MAX:
-        return np.cosh(sigma * grid.xi), None
-    logw = log_cosh(sigma * grid.xi)
-    direct = logw <= _EXP_MAX
-    w = np.zeros_like(logw)
-    w[direct] = np.cosh(sigma * grid.xi[direct])
-    return w, logw
-
-
-def apply_weight(spectrum: np.ndarray, weight: tuple, out: np.ndarray | None = None) -> np.ndarray:
-    """A half spectrum, or a stack of them on leading axes, times a weight
-    from cosh_weight, written into out when it is given.
-
-    Entries whose log weight exceeds 700 are formed as
-    exp(logw + log|F_k|) * phase, which stays in range whenever the value
-    itself does.  With a log weight, a non-finite product raises
-    OverflowGuardError (the sigma*xi_max <= 700 guard, adjusted for the
-    actual coefficient magnitudes).
-    """
-    w, logw = weight
-    out = np.multiply(spectrum, w, out=out)
-    if logw is None:
-        return out
-    big = logw > _EXP_MAX
-    if big.any():
-        F = spectrum[..., big]
-        mag = np.abs(F)
-        pos = mag > 0
-        # frexp/ldexp split keeps denormal coefficients exact: mag = m * 2^e
-        # with m in [0.5, 1), so neither the log nor the phase division can
-        # overflow or lose the subnormal bits
-        m, e = np.frexp(mag)
-        logmag = np.where(pos, np.log(np.where(pos, m, 1.0)) + e * _LOG2, -np.inf)
-        safe_m = np.where(pos, m, 1.0)
-        phase = (np.ldexp(F.real, -e) + 1j * np.ldexp(F.imag, -e)) / safe_m
-        with np.errstate(over="ignore", invalid="ignore"):
-            scaled = np.exp(logw[big] + logmag)
-            out[..., big] = np.where(pos, scaled * phase, 0.0)
-    if not np.all(np.isfinite(out)):
-        raise OverflowGuardError(
-            "weighted spectrum left double-precision range (sigma*xi_max > 700 with O(1) coefficients)"
-        )
-    return out
 
 
 def dealias(fld: SpectralField) -> SpectralField:

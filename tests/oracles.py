@@ -26,7 +26,7 @@ import numpy as np
 
 from gevreyflow.analytics import FunctionalBreakdown
 from gevreyflow.errors import ConfigurationError, OverflowGuardError
-from gevreyflow.spectral import Grid, apply_weight, cosh_weight, log_cosh, pad_spectrum, synthesize
+from gevreyflow.spectral import Grid, pad_spectrum, synthesize
 
 
 def full_k(N):
@@ -139,12 +139,19 @@ def product_rule_rhs(eq, grid, V):
 # ---------------------------------------------------------------------------
 
 
+def log_cosh(r):
+    """Elementwise log(cosh(r)), overflow-free for any magnitude:
+    log cosh(r) = |r| + log((1 + exp(-2|r|)) / 2)."""
+    a = np.abs(np.asarray(r, dtype=float))
+    return a + np.log1p(np.exp(-2.0 * a)) - math.log(2.0)
+
+
 def weight_spectrum(spectrum, grid, sigma):
     """A half spectrum, or a stack of them on leading axes, times the weight
-    cosh(sigma*xi), sigma >= 0: np.cosh wherever the weight is finite, log
-    space for modes beyond exp(700) (see spectral.cosh_weight and
-    spectral.apply_weight)."""
-    return apply_weight(spectrum, cosh_weight(grid, sigma))
+    cosh(sigma*xi), sigma >= 0."""
+    if sigma < 0:
+        raise ConfigurationError(f"weight radius must be >= 0, got {sigma}")
+    return spectrum * np.cosh(sigma * grid.xi)
 
 
 def cosh_weighted(fld, sigma):

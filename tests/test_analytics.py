@@ -15,7 +15,7 @@ from importlib import resources
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from oracles import energy_rate_A, full_k, full_spectrum, log_space_norm, mass_rate_M, operator_F, operator_G
 
 from gevreyflow.analytics import (
@@ -44,6 +44,7 @@ from gevreyflow.dynamics import (
 from gevreyflow.errors import (
     ConfigurationError,
     DivergenceError,
+    GevreyError,
     OverflowGuardError,
     UnderresolvedError,
 )
@@ -113,20 +114,67 @@ class TestWeightedNorms:
         assert hsigma_norm(u, 0.2, 0.0) < hsigma_norm(u, 0.6, 0.0)
         assert hsigma_norm(u, 0.2, 0.0) < hsigma_norm(u, 0.2, 1.0)
 
-    def test_log_space_survives_large_sigma(self):
+    def test_kept_weight_beyond_double_range_raises(self):
         # every coefficient above the noise floor, and the top ones weighted
-        # by a cosh(sigma xi) that alone overflows a double: the norm
-        # (about 1e298) is still finite
+        # by a cosh(sigma xi) that alone overflows a double: although the
+        # norm (about 1e298) would fit, the one overflow rule rejects it
         f = wide_field()
-        g, decay = f.grid, 0.2
-        sig = 5.6  # sigma * xi_127 = 711, direct cosh overflows
-        val = hsigma_norm(f, sig, 0.0)
-        # cosh ~ e^r/2, so the oracle's terms are 2 e^{2r}/4 |F_k|^2, summed
-        # in log space
-        logs = [0.0] + [math.log(0.5) + 2.0 * (sig - decay) * g.xi[k] for k in range(1, g.N // 2)]
-        top = max(logs)
-        expect = math.exp(0.5 * (top + math.log(g.L * math.fsum(math.exp(v - top) for v in logs))))
-        assert val == pytest.approx(expect, rel=1e-6)
+        sig = 5.6  # sigma * xi_127 = 711 > 709.8
+        with pytest.raises(OverflowGuardError, match=r"^weighted norm exceeds double range at state 0, sigma = 5\.6$"):
+            hsigma_norm(f, sig, 0.0)
+        with pytest.raises(OverflowGuardError, match=r"^M_sigma exceeds double range at state 1, sigma = 5\.6$"):
+            functional_M([analyze(np.cos(f.grid.x), f.grid), f], np.array([0.1, 5.6]))
+        with pytest.raises(OverflowGuardError, match=r"^functional_A exceeds double range at state 0, sigma = 5\.6$"):
+            functional_A(f, np.array([0.1, 5.6]), -1)
+
+    def test_floored_modes_with_infinite_weights_stay_zero(self):
+        # a dealiased field: sigma * xi_{N/4} = 400 keeps every band weight
+        # finite, while sigma * xi_max = 800 overflows the weights of the
+        # empty modes above the band, which must stay zero and not become
+        # nan; the size 1e-170 keeps the weighted field, about 1e-2, and its
+        # sixth power in range
+        g = Grid(2.0 * np.pi, 64)
+        sig = 25.0
+        f = dealias(synthesize(1e-170 * np.exp(-0.8 * g.xi), g))
+        with np.errstate(over="ignore"):
+            assert np.isinf(np.cosh(sig * g.xi[g.band :])).any()
+        for s in (0.0, 1.5):
+            ref = log_space_norm(f, sig, s)
+            assert math.isfinite(ref)
+            assert abs(hsigma_norm(f, sig, s) - ref) <= 1e-13 * ref, s
+        b = functional_A(f, sig, 1)
+        assert math.isfinite(b.total)
+        assert b.terms["l2_sq"] == pytest.approx(hsigma_norm(f, sig, 0.0) ** 2, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda u: hsigma_norm(u, math.nan, 0.0),
+            lambda u: hsigma_norm(u, math.inf, 0.0),
+            lambda u: hsigma_norm(u, np.array([0.1, math.nan]), 1.0),
+            lambda u: functional_M(u, math.nan),
+            lambda u: functional_M(u, math.inf),
+            lambda u: functional_A(u, math.nan, 1),
+            lambda u: functional_A([u, u], np.array([math.inf, 0.1]), -1),
+            lambda u: functional_A(u, -math.inf, 1),
+            lambda u: hsigma_norm(u, 0.1, math.nan),
+            lambda u: hsigma_norm(u, 0.1, math.inf),
+        ],
+        ids=[
+            "norm-nan", "norm-inf", "norm-nan-in-array", "M-nan", "M-inf", "A-nan", "A-inf-in-array", "A-minus-inf",
+            "norm-s-nan", "norm-s-inf",
+        ],
+    )
+    def test_non_finite_radius_rejected(self, soliton_field, call):
+        # a nan radius slipped through every weight test and gave 0.0, an
+        # inf one a RuntimeWarning, and s = nan was reported as an overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                ConfigurationError,
+                match=r"^(weight radius must be finite and >= 0, got -?|bracket exponent must be finite, got s = )(nan|inf)$",
+            ):
+                call(soliton_field)
 
     @pytest.mark.parametrize("sigma,s", [(0.0, 0.0), (0.3, 0.0), (0.7, 1.5), (1.2, -0.5)])
     def test_matches_full_spectrum_reference(self, soliton_field, sigma, s):
@@ -138,29 +186,28 @@ class TestWeightedNorms:
 
     @pytest.mark.parametrize(
         "name, sigma",
-        [("wide", 5.6), ("wide", 5.0), ("soliton", 1.25), ("soliton", 3.0), ("mixed", 3.0), ("mixed", 10.0)],
+        [("wide", 5.0), ("soliton", 1.25), ("soliton", 3.0), ("mixed", 3.0), ("mixed", 10.0)],
     )
     def test_matches_log_space_route(self, soliton_field, name, sigma):
-        # the oracle takes every weight in log space; the package weighs by
-        # np.cosh wherever the weight is finite, and on the wide field at
-        # 5.6 the top modes lie beyond exp(700), in log space
+        # the oracle takes every weight in log space, the package by np.cosh;
+        # on the wide field at 5.0 the top weight is cosh(635)
         u = {"wide": wide_field(), "soliton": soliton_field, "mixed": mixed_field(7)}[name]
         for s in (0.0, 1.5, -0.5):
             ref = log_space_norm(u, sigma, s)
             assert abs(hsigma_norm(u, sigma, s) - ref) <= 1e-13 * ref, s
 
     def test_overflow_guard(self, soliton_field):
-        with pytest.raises(OverflowGuardError):
+        with pytest.raises(OverflowGuardError, match=r"at state 0, sigma = 200$"):
             hsigma_norm(soliton_field, 200.0, 0.0)
 
     def test_mass_out_of_range_raises(self):
-        # the norm (1.2e298) fits in a double, its square does not
+        # the norm (1.5e264) fits in a double, its square does not
         f = wide_field()
-        assert math.isfinite(hsigma_norm(f, 5.6, 0.0))
-        with pytest.raises(OverflowGuardError):
-            functional_M(f, 5.6)
-        with pytest.raises(OverflowGuardError):
-            functional_M([f, f], np.array([0.1, 5.6]))
+        assert math.isfinite(hsigma_norm(f, 5.0, 0.0))
+        with pytest.raises(OverflowGuardError, match=r"^M_sigma exceeds double range at state 0, sigma = 5$"):
+            functional_M(f, 5.0)
+        with pytest.raises(OverflowGuardError, match=r"^M_sigma exceeds double range at state 0, sigma = 5$"):
+            functional_M([f, f], np.array([0.1, 5.0]))
 
     def test_trajectory_rows_match_single_calls(self, soliton_field):
         # magnitudes far apart: each row has its own noise floor and scale
@@ -207,6 +254,33 @@ class TestWeightedNorms:
         g = Grid(2.0 * np.pi, 64)
         z = analyze(np.zeros(g.N), g)
         assert hsigma_norm(z, 1.0, 2.0) == 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sigma=st.floats(0.0, 1e3) | st.sampled_from([math.nan, math.inf]),
+        name=st.sampled_from(["soliton", "wide"]),
+    )
+    @example(sigma=math.nan, name="soliton")
+    @example(sigma=math.inf, name="wide")
+    @example(sigma=5.6, name="wide")
+    def test_finite_or_raises(self, soliton_field, sigma, name):
+        # each weighted function gives a finite, nonzero value or raises one
+        # of the package's errors: no warning, and no silent 0
+        u = soliton_field if name == "soliton" else wide_field()
+        calls = [
+            lambda: hsigma_norm(u, sigma, 0.0),
+            lambda: hsigma_norm(u, sigma, 1.5),
+            lambda: functional_M(u, sigma),
+            lambda: functional_A(u, sigma, -1).total,
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in calls:
+                try:
+                    value = call()
+                except GevreyError:
+                    continue
+                assert math.isfinite(value) and value > 0.0, (sigma, value)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -269,9 +343,10 @@ class TestEnergyFunctional:
         assert math.isfinite(functional_M(big, 1.25))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(OverflowGuardError, match="functional_A"):
+            with pytest.raises(OverflowGuardError, match=r"^functional_A exceeds double range at state 0, sigma = 1\.25$"):
                 functional_A(big, 1.25, 1)
-            with pytest.raises(OverflowGuardError):
+            # big's sextic term overflows already at sigma = 0
+            with pytest.raises(OverflowGuardError, match=r"^functional_A exceeds double range at state 1, sigma = 0$"):
                 functional_A([soliton_field, big], np.array([0.0, 1.25]), -1)
 
     def test_conserved_combinations(self, soliton_field):
@@ -330,7 +405,7 @@ class TestEnergyFunctional:
         mu=st.sampled_from([-1, 1]),
     )
     def test_sigma_vector_matches_scalar_calls(self, soliton_field, sigmas, mu):
-        # 1.25 * xi_max = 31.4 > 30 takes cosh_weight's log branch
+        # 1.25 * xi_max = 31.4 weighs the top modes by up to cosh(31.4) = 2.2e13
         b = functional_A(soliton_field, np.array(sigmas), mu)
         assert b.total.shape == (len(sigmas),)
         for i, sigma in enumerate(sigmas):
@@ -391,8 +466,7 @@ def assert_rows_match_single_calls(states, sigma, mu):
 
 
 class TestTrajectoryFunctional:
-    # 1.25 * xi_max = 31.4, the largest weight argument here: a direct
-    # np.cosh weight, as every weight below e^700 is
+    # 1.25 * xi_max = 31.4 is the largest weight argument here
     @pytest.mark.parametrize("name", ["conserve", "sigma_scaling"])
     @pytest.mark.parametrize(
         "sigma", [0.0, 1.25, np.array([0.05, 0.1, 0.2, 0.4]), np.array([0.0, 0.05, 1.25, 0.4])],
@@ -419,17 +493,16 @@ class TestTrajectoryFunctional:
         assert_rows_match_single_calls(fields, 0.2, mu)
 
     def test_weights_beyond_double_range(self):
-        # cosh(25 * 32) overflows, so the top modes are weighted in log
-        # space; a field of size 1e-300 keeps every weighted mode, and the
-        # functional itself, in range
+        # cosh(25 * 32) overflows on kept top modes: even a field of size
+        # 1e-300, whose weighted values would fit, raises, naming the first
+        # state and radius that left range
         g = Grid(2.0 * np.pi, 64)
         fields = [synthesize(a * np.exp(-0.8 * g.xi), g) for a in (1e-300, 3e-300)]
-        sigmas = np.array([0.5, 25.0])
-        b = functional_A(fields, sigmas, 1)
-        for r, u in enumerate(fields):
-            assert b.terms["l2_sq"][r, 1] == pytest.approx(hsigma_norm(u, 25.0, 0.0) ** 2, rel=1e-12)
-        assert np.all(np.isfinite(b.total))
-        assert_rows_match_single_calls(fields, sigmas, 1)
+        with pytest.raises(OverflowGuardError, match=r"^functional_A exceeds double range at state 0, sigma = 25$"):
+            functional_A(fields, np.array([0.5, 25.0]), 1)
+        with pytest.raises(OverflowGuardError, match=r"^weighted norm exceeds double range at state 1, sigma = 25$"):
+            hsigma_norm([dealias(fields[0]), fields[1]], np.array([0.5, 25.0]), 0.0)
+        assert np.all(np.isfinite(functional_A(fields, 0.5, 1).total))
 
     def test_result_shapes(self, soliton_field):
         sigmas = np.array([0.0, 0.1, 0.2])
@@ -677,6 +750,25 @@ class TestIndexFormulas:
         for bad in (3, 4, 6, 1):
             with pytest.raises(ConfigurationError):
                 s_index(bad)
+
+    @pytest.mark.parametrize(
+        "call, match",
+        [
+            (lambda: damping_A_norm(RaisedCosineDamping(1.0, 0.25, 64.0), math.nan), r"^weight radius must be >= 0, got nan$"),
+            (lambda: lifespan_T0(math.nan, 1.0, 1.0, 2.0), r"^norms must be nonnegative, got a_norm=nan, data_norm_sq=1\.0$"),
+            (lambda: lifespan_T0(1.0, math.nan, 1.0, 2.0), r"^norms must be nonnegative, got a_norm=1\.0, data_norm_sq=nan$"),
+            (lambda: lifespan_T0(1.0, 1.0, math.nan, 2.0), r"^lifespan scale must be positive, got c0=nan$"),
+            (lambda: lifespan_T0(1.0, 1.0, 1.0, math.nan), r"^lifespan exponent must exceed 1, got d=nan$"),
+            (lambda: sigma_choice(0.5, 1.0, math.nan, 1.0, 1.0, 1.0, 0.5), r"^T0 must be positive, got nan$"),
+            (lambda: sigma_choice(math.nan, 1.0, 1.0, 1.0, 1.0, 1.0, 0.5), r"^sigma0 must be positive, got nan$"),
+        ],
+        ids=["damping-norm-sigma", "lifespan-a-norm", "lifespan-data-norm", "lifespan-c0", "lifespan-d", "choice-T0", "choice-sigma0"],
+    )
+    def test_nan_fails_every_guard(self, call, match):
+        # a nan argument passed each `x < 0` style guard and came back as a
+        # nan norm, a nan window or the "cap" branch
+        with pytest.raises(ConfigurationError, match=match):
+            call()
 
     def test_lifespan(self):
         assert lifespan_T0(1.0, 3.0, 1.0, 2.0) == pytest.approx(1.0 / 25.0, rel=1e-15)

@@ -5,7 +5,16 @@ import pytest
 from hypothesis import example, given, strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.fft import _pocketfft_umath
-from oracles import Deriv, LinearFlow, apply_symbol, cosh_weighted, refined_samples, sech_weighted
+from oracles import (
+    Deriv,
+    LinearFlow,
+    apply_symbol,
+    cosh_weighted,
+    log_cosh,
+    log_space_norm,
+    refined_samples,
+    sech_weighted,
+)
 
 from gevreyflow import (
     ConfigurationError,
@@ -13,10 +22,11 @@ from gevreyflow import (
     SymmetryError,
     analyze,
     dealias,
+    hsigma_norm,
     spectral,
     synthesize,
 )
-from gevreyflow.spectral import Grid, SpectralField, apply_weight, cosh_weight, log_cosh, pad_spectrum
+from gevreyflow.spectral import Grid, SpectralField, pad_spectrum
 
 EPS = np.finfo(float).eps
 
@@ -300,7 +310,7 @@ class TestMultipliers:
         [
             lambda: Deriv(-1),
             lambda: Deriv(1.5),
-            lambda: cosh_weight(Grid(2 * np.pi, 16), -1.0),
+            lambda: cosh_weighted(analyze(np.ones(16), Grid(2 * np.pi, 16)), -1.0),
             lambda: sech_weighted(analyze(np.ones(16), Grid(2 * np.pi, 16)), -0.1),
             lambda: LinearFlow(m=4, sign=1, alpha=1.0, t=0.0),
             lambda: LinearFlow(m=3, sign=2, alpha=1.0, t=0.0),
@@ -315,47 +325,32 @@ class TestMultipliers:
 
 class TestOverflowGuard:
     def test_huge_weight_on_flat_spectrum_raises(self):
+        # every coefficient is kept, and the top weights pass double range
         g = Grid(2 * np.pi, 64)
-        sigma = 1000.0 / g.xi_max  # sigma * xi_max = 1000 > 700
+        sigma = 1000.0 / g.xi_max  # sigma * xi_max = 1000 > 709.8
         F = np.full(g.N // 2 + 1, 1e-3, dtype=complex)
         fld = synthesize(F, g)
-        with pytest.raises(OverflowGuardError):
-            cosh_weighted(fld, sigma)
+        with pytest.raises(OverflowGuardError, match=r"^weighted norm exceeds double range at state 0, sigma = 31\.25$"):
+            hsigma_norm(fld, sigma, 0.0)
 
     def test_huge_weight_on_decaying_spectrum_survives(self):
-        # coefficients fall like exp(-0.5*sigma*|xi|), so the weighted
-        # spectrum grows only like exp(0.5*sigma*|xi|): representable even
-        # though the raw weight overflows
+        # coefficients fall like exp(-0.5*sigma*|xi|), so every mode whose
+        # weight overflows lies below the noise floor and counts as zero:
+        # the norm is finite and matches the log-space oracle
         g = Grid(2 * np.pi, 64)
         sigma = 1000.0 / g.xi_max
         F = np.exp(-0.5 * sigma * g.xi).astype(complex)
         fld = synthesize(F, g)
-        out = cosh_weighted(fld, sigma)
-        assert np.all(np.isfinite(out.spectrum))
-        k_top = g.N // 2 - 1
-        expected = np.exp(0.5 * sigma * g.xi[k_top]) / 2.0
-        assert out.spectrum[k_top].real == pytest.approx(expected, rel=1e-10)
-
-    @pytest.mark.parametrize(
-        "sigma, log_space, beyond_range", [(0.5, False, False), (2.0, False, False), (29.0, True, True)]
-    )
-    def test_stack_matches_row_calls(self, rng, sigma, log_space, beyond_range):
-        # both branches take leading axes: a stack of half spectra weighs
-        # each row as a call on that row alone does, bit for bit.  Every
-        # weight is direct up to sigma*xi_max = 700 (sigma = 2 reaches 50)
-        g = Grid(64.0, 512)
-        _, logw = cosh_weight(g, sigma)
-        assert (logw is not None) == log_space
-        assert (log_space and bool((logw > 700.0).any())) == beyond_range
-        # decaying like exp(-2 xi), so even sigma = 29 keeps the products in range
-        shape = (3, g.xi.size)
-        rows = np.exp(-2.0 * g.xi) * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-        weight = cosh_weight(g, sigma)
-        stacked = apply_weight(rows, weight)
-        assert np.all(np.isfinite(stacked))
-        assert stacked.tobytes() == np.stack([apply_weight(row, weight) for row in rows]).tobytes()
+        kept = np.abs(F) >= 1e-13 * np.abs(F).max()
+        with np.errstate(over="ignore"):
+            weight = np.cosh(sigma * g.xi)
+        assert np.isinf(weight[~kept]).any() and np.isfinite(weight[kept]).all()
+        val = hsigma_norm(fld, sigma, 0.0)
+        ref = log_space_norm(fld, sigma, 0.0)
+        assert abs(val - ref) <= 1e-13 * ref
 
     def test_log_cosh_accuracy(self):
+        # the oracle's log cosh, behind its log-space norm and sech weight
         r = np.array([0.0, 1e-8, 0.5, 2.0, 20.0])
         assert np.abs(log_cosh(r) - np.log(np.cosh(r))).max() < 1e-14
         # far beyond overflow: log cosh(r) ~ |r| - log 2
