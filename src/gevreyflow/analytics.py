@@ -363,19 +363,14 @@ class RadiusFit:
     """Least-squares exponential-decay fit of a spectrum tail.
 
     sigma_hat is the estimated strip width (-slope of log|F_k| vs xi_k,
-    clamped at 0); window is the (xi_lo, xi_hi) range actually fitted;
-    residual the rms misfit.  clamped marks a positive slope; the
-    superexponential flag marks spectra (entire functions) whose local decay
-    rate keeps steepening across the window.
+    clamped at 0).  clamped marks a positive slope; the superexponential
+    flag marks spectra (entire functions) whose local decay rate keeps
+    steepening across the fitted modes.
     """
 
     sigma_hat: float
-    intercept: float
-    window: tuple
-    residual: float
     clamped: bool
     superexponential: bool
-    n_modes: int
 
 
 def radius_estimate(f: SpectralField) -> RadiusFit:
@@ -393,29 +388,16 @@ def radius_estimate(f: SpectralField) -> RadiusFit:
         raise UnderresolvedError("zero field has no spectral tail to fit")
     floor = _FIT_FLOOR * peak
     usable = np.nonzero(amps > floor)[0]
-    if usable.size:
-        keep = usable[: max(1, int(math.ceil(0.9 * usable.size)))]
-    else:
-        keep = usable
+    keep = usable[: max(1, int(math.ceil(0.9 * usable.size)))]
     if keep.size < 12:
         raise UnderresolvedError(
             f"only {keep.size} modes above the noise floor ({floor:.3e}); need >= 12"
         )
     x = xi[keep]
     y = np.log(amps[keep])
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
-    clamped = slope > 0
+    slope, _ = np.polyfit(x, y, 1)
     half = keep.size // 2
     s_lo, _ = np.polyfit(x[:half], y[:half], 1)
     s_hi, _ = np.polyfit(x[half:], y[half:], 1)
     superexp = (s_hi < 0) and (s_lo < 0) and (abs(s_hi) > 1.25 * abs(s_lo))
-    return RadiusFit(
-        sigma_hat=max(0.0, float(-slope)),
-        intercept=float(intercept),
-        window=(float(x[0]), float(x[-1])),
-        residual=resid,
-        clamped=bool(clamped),
-        superexponential=bool(superexp),
-        n_modes=int(keep.size),
-    )
+    return RadiusFit(sigma_hat=max(0.0, float(-slope)), clamped=bool(slope > 0), superexponential=bool(superexp))

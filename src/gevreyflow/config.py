@@ -20,10 +20,12 @@ damping2 and the numeric data2 fields mirror their first-component
 sections, and theta falls back to the largest admissible exponent for the
 configured order (the field default 0.45 for the third-order families,
 where that formula does not apply).  Every value a config is rejected
-for is rejected here, before any run, naming its key: ScenarioConfig's
-checks start with the dotted key (run.k_max must be >= 0, got -1), and
-build() prefixes a module's error with its section.  An error of a key
-the text sets gives the key's line.
+for is rejected here, naming its key, but three that need what the run
+computes: a window lifespan T0 below evolution.dt and a t = 0 radius fit
+that misses (both before the first step), and the step-size guard.
+ScenarioConfig's checks start with the dotted key (run.k_max must be
+>= 0, got -1), and build() prefixes a module's error with its section.
+An error of a key the text sets gives the key's line.
 
 Overrides are "dotted.key=value" strings sharing the value grammar, e.g.
 "grid.N=1024" or "run.sigmas=[0.1, 0.2, 0.4, 0.8]".
@@ -191,8 +193,8 @@ class ScenarioConfig:
         precondition of these objects, naming its section, then on what the
         scenario needs of them: (A3), sigma0 R < 1, for every damping
         profile; a window scenario's sigma0 and the sigma-scaling sigmas
-        below the data's radius, the latter also in the weight's range;
-        radius data of finite radius, >= 3 records."""
+        below the data's radius; radius data of finite radius, >= 3
+        records."""
         grid = _from_section("grid", Grid, self.L, self.N)
         pair = self.family == "coupled"
         damped = (("damping", self.damping), ("damping2", self.damping2))[: (self.family != "mkdv") * (1 + pair)]
@@ -213,8 +215,6 @@ class ScenarioConfig:
         if self.scenario == "sigma-scaling":
             top = self.sigmas[-1]
             _check(top < radius, "run.sigmas", f"must stay below the data's radius {radius:.6g}, got {top}")
-            reach = top * grid.xi_max
-            _check(reach <= 600.0, "run.sigmas", f"max * xi_max = {reach:.3g} exceeds 600; shrink sigma or the grid")
         if self.scenario == "radius":
             _check(math.isfinite(radius), "data.kind", f"{self.data.kind!r} has no known radius; use soliton or sech")
             n = _plan_steps(spec)[0] + 1
@@ -447,16 +447,15 @@ def _coerce(dotted, value, line_no, col):
         if not isinstance(value, str):
             raise ConfigParseError(f"{name} expects a string, got {value!r}", line_no, col)
         return value
-    if kind == "floats":
-        if not isinstance(value, tuple):
-            raise ConfigParseError(f"{name} expects a list, got {value!r}", line_no, col)
-        out = []
-        for item in value:
-            if isinstance(item, bool) or not isinstance(item, (int, float)):
-                raise ConfigParseError(f"{name} expects numbers, got {item!r}", line_no, col)
-            out.append(float(item))
-        return tuple(out)
-    raise AssertionError(f"unhandled kind {kind}")
+    # "floats", the last of the five kinds in _KINDS
+    if not isinstance(value, tuple):
+        raise ConfigParseError(f"{name} expects a list, got {value!r}", line_no, col)
+    out = []
+    for item in value:
+        if isinstance(item, bool) or not isinstance(item, (int, float)):
+            raise ConfigParseError(f"{name} expects numbers, got {item!r}", line_no, col)
+        out.append(float(item))
+    return tuple(out)
 
 
 def _apply_overrides(values: dict, where: dict, overrides) -> None:

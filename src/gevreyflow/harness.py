@@ -99,10 +99,6 @@ class ExperimentReport:
 
 def _fit_loglog(xs, ys) -> tuple[float, float, float]:
     """(slope, intercept, r2) of log y against log x."""
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if xs.size < 3:
-        raise FitError(f"need >= 3 points for a scaling fit, have {xs.size}")
     lx, ly = np.log(xs), np.log(ys)
     slope, intercept = np.polyfit(lx, ly, 1)
     resid = ly - (slope * lx + intercept)

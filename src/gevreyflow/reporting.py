@@ -13,8 +13,8 @@ yields an identical hash.  Canonical JSON sorts keys, uses compact
 separators, and rejects NaN/Infinity outright: a payload that cannot be
 hashed deterministically is a bug upstream, not something to paper over.
 
-CSV floats are written with repr(), the shortest form that parses back
-to the identical double, and quoted per RFC 4180 by the csv module.
+Every series cell is a float, written with repr(), the shortest form that
+parses back to the identical double; the csv module quotes per RFC 4180.
 
 plot_series renders one series table to a self-contained SVG: first
 column is x, every other column is a curve.  Columns named like bounds
@@ -75,14 +75,6 @@ def content_hash(payload: dict) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def write_series_csv(table: dict, path: Path) -> None:
     columns = list(table)
     if not columns:
@@ -94,7 +86,7 @@ def write_series_csv(table: dict, path: Path) -> None:
         writer = csv.writer(fh)
         writer.writerow(columns)
         for row in zip(*table.values()):
-            writer.writerow([_format_cell(cell) for cell in row])
+            writer.writerow([repr(cell) for cell in row])
 
 
 def read_series_csv(path) -> dict:
@@ -155,7 +147,6 @@ def write_report(report: ExperimentReport, out_dir) -> Path:
 class PlotStyle:
     title: str = ""
     x_label: str = ""
-    y_label: str = ""
     x_log: bool = False
     y_log: bool = False
     annotation: str = ""
@@ -165,14 +156,13 @@ _WIDTH, _HEIGHT = 640.0, 420.0
 _ML, _MR, _MT, _MB = 64.0, 18.0, 30.0, 44.0
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 5) -> list:
-    if hi <= lo:
-        return [lo]
-    raw = (hi - lo) / max(target, 1)
+def _nice_ticks(lo: float, hi: float) -> list:
+    """About 5 ticks at round steps over lo < hi; plot_series pads a flat range."""
+    raw = (hi - lo) / 5
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         step = mult * mag
-        if (hi - lo) / step <= target:
+        if (hi - lo) / step <= 5:
             break
     first = math.ceil(lo / step) * step
     ticks = []
@@ -184,10 +174,8 @@ def _nice_ticks(lo: float, hi: float, target: int = 5) -> list:
 
 
 def _log_ticks(lo: float, hi: float) -> list:
-    lo_d, hi_d = math.floor(lo), math.ceil(hi)
-    decades = list(range(int(lo_d), int(hi_d) + 1))
-    if len(decades) < 2:
-        return _nice_ticks(lo, hi)
+    """Whole decades, in log10 units, over lo < hi (as for _nice_ticks)."""
+    decades = list(range(math.floor(lo), math.ceil(hi) + 1))
     step = max(1, (len(decades) - 1) // 6)
     return [float(d) for d in decades[::step]]
 
@@ -303,11 +291,6 @@ def plot_series(table: dict, style: PlotStyle = PlotStyle()) -> str:
         parts.append(f'<text x="{_WIDTH / 2:.2f}" y="18" text-anchor="middle" font-size="14">{_escape(style.title)}</text>')
     if style.x_label:
         parts.append(f'<text x="{_ML + plot_w / 2:.2f}" y="{_HEIGHT - 8:.2f}" text-anchor="middle">{_escape(style.x_label)}</text>')
-    if style.y_label:
-        parts.append(
-            f'<text x="14" y="{_MT + plot_h / 2:.2f}" text-anchor="middle" '
-            f'transform="rotate(-90 14 {_MT + plot_h / 2:.2f})">{_escape(style.y_label)}</text>'
-        )
     if style.annotation:
         parts.append(f'<text x="{_ML + 8:.2f}" y="{_MT + 16:.2f}" fill="#555555">{_escape(style.annotation)}</text>')
 

@@ -108,16 +108,15 @@ class Grid:
     """Uniform periodic grid on [0, L) with N nodes, N even and >= 16 and L
     positive and finite (anything else raises ConfigurationError).
 
-    Attributes are read-only arrays: x the nodes; k = 0..N/2 the stored
-    mode numbers and xi = 2*pi*k/L their frequencies; multiplicity the
-    weights (1, 2, ..., 2, 1) that turn a sum over the stored half into a
-    sum over all N modes.
+    Attributes are read-only arrays: x the nodes; xi = 2*pi*k/L the
+    frequencies of the stored modes k = 0..N/2, so xi[-1] = pi*N/L is the
+    largest; multiplicity the weights (1, 2, ..., 2, 1) that turn a sum
+    over the stored half into a sum over all N modes.
     """
 
     L: float
     N: int
     x: np.ndarray = field(init=False, repr=False, compare=False)
-    k: np.ndarray = field(init=False, repr=False, compare=False)
     xi: np.ndarray = field(init=False, repr=False, compare=False)
     multiplicity: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -130,21 +129,16 @@ class Grid:
         object.__setattr__(self, "L", float(self.L))
         object.__setattr__(self, "N", int(self.N))
         x = np.arange(self.N) * (self.L / self.N)
-        k = np.arange(self.N // 2 + 1)
-        xi = (2.0 * np.pi / self.L) * k
-        multiplicity = np.full(k.size, 2.0)
+        xi = (2.0 * np.pi / self.L) * np.arange(self.N // 2 + 1)
+        multiplicity = np.full(xi.size, 2.0)
         multiplicity[[0, -1]] = 1.0
-        for name, arr in (("x", x), ("k", k), ("xi", xi), ("multiplicity", multiplicity)):
+        for name, arr in (("x", x), ("xi", xi), ("multiplicity", multiplicity)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
     @property
     def dx(self) -> float:
         return self.L / self.N
-
-    @property
-    def xi_max(self) -> float:
-        return np.pi * self.N / self.L
 
     @property
     def nyquist_index(self) -> int:

@@ -177,13 +177,13 @@ def log_space_norm(fld, sigma, s):
 
 def sech_weighted(fld, sigma):
     """The field weighted by sech(sigma D) = 1/cosh(sigma D), the inverse of
-    cosh_weighted.  For sigma*xi_max <= 30 the spectrum is divided by
+    cosh_weighted.  For sigma*max(xi) <= 30 the spectrum is divided by
     cosh(sigma*xi); beyond that it is multiplied by exp(-log cosh(sigma*xi)),
     which is at most 1, so the result stays in range."""
     if sigma < 0:
         raise ConfigurationError(f"weight radius must be >= 0, got {sigma}")
     g = fld.grid
-    if sigma * g.xi_max <= 30.0:
+    if sigma * g.xi[-1] <= 30.0:
         spectrum = fld.spectrum / np.cosh(sigma * g.xi)
     else:
         spectrum = fld.spectrum * np.exp(-log_cosh(sigma * g.xi))

@@ -104,6 +104,9 @@ class TestConfigGrammar:
             ("[equation]\nnonlinear = 1\n", "expects true or false"),
             ("[run]\nsigmas = 0.1\n", "expects a list"),
             ("[run]\nsigmas = [0.1, oops, 0.9]\n", "expects numbers"),
+            ("[grid]\nN =\n", "line 2, col 4: empty value"),
+            ("scenario = 5\n", "scenario expects a string"),
+            ('[io]\nout_dir = "abc\\\n', "unterminated string"),
         ],
     )
     def test_diagnostics(self, text, fragment):
@@ -276,6 +279,8 @@ class TestOverrides:
     def test_list_override(self):
         cfg = parse_config_text("", ["run.sigmas=[0.1, 0.2, 0.4, 0.8]"])
         assert cfg.sigmas == (0.1, 0.2, 0.4, 0.8)
+        # conservation reads no sigma, so an empty list is a valid one
+        assert parse_config_text("", ["run.sigmas=[]"]).sigmas == ()
 
     @pytest.mark.parametrize(
         "override",
@@ -501,7 +506,7 @@ class TestPlotting:
     def test_polyline_svg(self):
         svg = plot_series(
             {"t": [0.0, 1.0, 2.0], "mass": [1.0, 0.5, 0.25], "envelope": [1.1, 0.6, 0.3]},
-            PlotStyle(title="decay <test>", x_label="t", y_label="mass", annotation="note"),
+            PlotStyle(title="decay <test>", x_label="t", annotation="note"),
         )
         assert svg.startswith("<svg")
         assert svg.count("<polyline") == 2
@@ -635,6 +640,8 @@ class TestCli:
             ("conserve", "equation.family=mkdvm"),
             ("sigma-scaling", "equation.mu=1"),
             ("radius", "evolution.record_every=100000"),
+            ("sigma-scaling", "run.sigmas=[]"),
+            ("conserve", "data.kind=gauss"),
         ],
     )
     def test_rejected_override_names_its_key(self, tmp_path, capsys, command, override):
@@ -652,6 +659,7 @@ class TestCli:
             ("conserve", "dt = 0.0002", "dt = 0"),
             ("radius", "record_every = 500", "record_every = 100000"),
             ("iterate", "sigma0 = 0.5", "sigma0 = 15.0"),
+            ("conserve", "kind = soliton", "kind = gauss"),
         ],
     )
     def test_rejected_key_in_a_file_gives_its_line(self, tmp_path, capsys, command, old, new):
@@ -708,6 +716,14 @@ class TestCli:
         monkeypatch.setenv("GEVREYFLOW_OUT", str(tmp_path / "env_root"))
         assert main(["inequalities", "--quiet", "--set", "run.samples=2000"]) == 0
         assert (tmp_path / "env_root" / "inequalities" / "report.json").exists()
+
+    def test_config_output_root(self, tmp_path, monkeypatch):
+        # with no --out and no GEVREYFLOW_OUT, io.out_dir is the root,
+        # relative to the working directory
+        monkeypatch.delenv("GEVREYFLOW_OUT", raising=False)
+        monkeypatch.chdir(tmp_path)
+        assert main(["inequalities", "--quiet", "--set", "run.samples=2000", "--set", "io.out_dir=res"]) == 0
+        assert (tmp_path / "res" / "inequalities" / "report.json").exists()
 
     def test_out_flag_beats_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GEVREYFLOW_OUT", str(tmp_path / "env_root"))

@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 
 from gevreyflow import cli, content_hash, harness, report_payload
-from gevreyflow.analytics import functional_A, functional_M
+from gevreyflow.analytics import FunctionalBreakdown, functional_A, functional_M
 from gevreyflow.config import FAMILIES, ScenarioConfig, Tolerances, parse_config, parse_config_text
-from gevreyflow.errors import ConfigurationError, DivergenceError, UnderresolvedError
+from gevreyflow.errors import ConfigurationError, DivergenceError, FitError, UnderresolvedError
 from gevreyflow.harness import RUNNERS, SCENARIO_IDS, SCENARIOS
 from gevreyflow.spectral import synthesize
 
@@ -313,6 +313,9 @@ class TestSigmaScaling:
     def test_too_few_positive_sigmas(self):
         with pytest.raises(ConfigurationError, match=r"^run\.sigmas needs >= 3 positive sigma"):
             run_short(SIGMA_SHORT, ["run.sigmas=[0.05, 0.4]"])
+        # an empty list parses, and sigma-scaling rejects it by the same rule
+        with pytest.raises(ConfigurationError, match=r"^run\.sigmas needs >= 3 positive sigma values, has 0$"):
+            short_config(SIGMA_SHORT, ["run.sigmas=[]"])
 
     @pytest.mark.parametrize("sigmas, top", [("[0.5, 1, 2, 4, 8]", 8.0), ("[0.25, 1, 2]", 2.0)])
     def test_sigma_beyond_the_data_radius_rejected(self, sigmas, top):
@@ -322,11 +325,29 @@ class TestSigmaScaling:
         with pytest.raises(ConfigurationError, match=pattern):
             short_config(SIGMA_SHORT, [f"run.sigmas={sigmas}"])
 
-    def test_overflow_guard_on_sigma_max(self):
-        # below the data's radius pi/2, sigma = 1.5 on N = 8192 reaches
-        # sigma xi_max = 1.5 pi 8192 / 64 = 603
-        with pytest.raises(ConfigurationError, match=r"^run\.sigmas max \* xi_max = 603 exceeds 600"):
-            run_short(SIGMA_SHORT, ["grid.N=8192", "run.sigmas=[0.1, 0.5, 1.5]"])
+    def test_fine_grid_sigma_below_the_radius_is_accepted(self):
+        # below the data's radius pi/2, sigma = 1.5 on N = 8192 weighs the
+        # top mode by cosh(1.5 pi 8192 / 64) = cosh(603) = 1.6e261, which
+        # fits a double: the config accepts it and the weighted energy of
+        # the initial data is finite.  Nothing is integrated.
+        cfg = short_config(SIGMA_SHORT, ["grid.N=8192", "run.sigmas=[0.1, 0.5, 1.5]"])
+        grid, _, init = cfg.build()
+        assert cfg.sigmas[-1] * grid.xi[-1] == pytest.approx(603.19, abs=0.01)
+        assert np.isfinite(functional_A(init, np.array(cfg.sigmas), cfg.mu).total).all()
+
+    def test_no_positive_drift_is_a_fit_error(self, monkeypatch, tmp_path, capsys):
+        # constant totals: D(sigma) = 0 at every sigma, so no point enters
+        # the scaling fit
+        def flat(u, sigma, mu):
+            return FunctionalBreakdown(total=np.ones((len(u), len(sigma))), terms={})
+
+        monkeypatch.setattr(harness, "functional_A", flat)
+        short = ["evolution.t_end=0.01", "evolution.record_every=10"]
+        with pytest.raises(FitError, match=r"^need >= 3 positive-drift points for the fit, have 0$"):
+            run_short(SIGMA_SHORT, short)
+        overrides = [arg for key in short for arg in ("--set", key)]
+        assert cli.main(["sigma-scaling", "--out", str(tmp_path), "--quiet", *overrides]) == 1
+        assert capsys.readouterr().err == "error: need >= 3 positive-drift points for the fit, have 0\n"
 
     @pytest.mark.parametrize("offset, passed", [(-1e-9, False), (1e-9, True)])
     def test_slope_band_edge(self, offset, passed):

@@ -1,6 +1,8 @@
-"""The report scripts: the comparison under a reader that stops early, and
-the hash check against tests/report_hashes.txt."""
+"""The scripts under tests/: the report comparison under a reader that
+stops early, the hash check against tests/report_hashes.txt, and the line
+trace of the packaged runs."""
 
+import inspect
 import json
 import subprocess
 import sys
@@ -9,9 +11,10 @@ from pathlib import Path
 
 import pytest
 import report_hashes
+import traffic
 
 import gevreyflow
-from gevreyflow import SCENARIO_IDS, ExperimentReport
+from gevreyflow import SCENARIO_IDS, ExperimentReport, Verdict, cli, config, dynamics
 
 SCRIPT = Path(__file__).with_name("report_series.py")
 HASHES = Path(__file__).with_name("report_hashes.txt")
@@ -88,3 +91,24 @@ def test_check_names_every_moved_config(tmp_path, capsys, stub_hashes):
     assert f"conserve {stub_hashes['conserve']} moved, {path} has {'0' * 64}" in out
     assert f"iterate {stub_hashes['iterate']} moved, {path} has no line" in out
     assert out[-1] == "content hashes moved: conserve, iterate, radius, retired"
+
+
+def test_traffic_lists_the_lines_stubbed_runs_miss(monkeypatch, capsys):
+    # every runner returns one passing verdict at once, so the runs parse,
+    # write and exit 0 while no scenario body or integrator line runs
+    def stub(cfg):
+        return ExperimentReport(cfg.scenario, {}, {}, {"stub": Verdict(True, 0.0, 0.0)}, cfg.as_sections(), 0.0)
+
+    monkeypatch.setattr(cli, "RUNNERS", {s: stub for s in SCENARIO_IDS})
+    assert traffic.main() == 0
+    out = capsys.readouterr().out.splitlines()
+    modules = sorted(f"gevreyflow/{p.name}" for p in Path(gevreyflow.__file__).parent.glob("*.py"))
+    assert [line.split(":")[0] for line in out[-len(modules):]] == modules
+    listed = {line.split(": ")[0] for line in out[: -len(modules)]}
+
+    def line_of(fn, text):
+        lines, start = inspect.getsourcelines(fn)
+        return start + next(i for i, line in enumerate(lines) if text in line)
+
+    assert f"gevreyflow/dynamics.py:{line_of(dynamics.integrate, 'def integrate')}" in listed
+    assert f"gevreyflow/config.py:{line_of(config.parse_config, 'return parse_config_text')}" not in listed

@@ -61,15 +61,15 @@ any_real_fields = st.integers(8, 128).flatmap(
 class TestGrid:
     def test_frequency_layout(self):
         g = Grid(2 * np.pi, 16)
-        assert g.k.tolist() == list(range(0, 9))
-        assert g.nyquist_index == 8 == g.k[-1]
-        assert np.allclose(g.xi, g.k.astype(float))
+        assert np.allclose(g.xi, np.arange(9.0))
+        assert g.nyquist_index == 8 == g.xi.size - 1
         assert g.multiplicity.tolist() == [1.0] + [2.0] * 7 + [1.0]
         assert g.dx == pytest.approx(np.pi / 8)
 
     def test_xi_max(self):
+        # the largest stored frequency is the Nyquist one, pi N / L
         g = Grid(64.0, 512)
-        assert g.xi_max == pytest.approx(8 * np.pi)
+        assert g.xi[-1] == pytest.approx(8 * np.pi)
 
     @pytest.mark.parametrize(
         # odd N: rfft_into computes an even-length rfft, wrong with no error
@@ -260,10 +260,10 @@ class TestMultipliers:
         assert np.abs(rt.samples - f).max() <= 10 * EPS * scale
 
     def test_sech_inverts_cosh_in_log_regime(self, rng):
-        # sigma*xi_max = 40 > 30 takes the oracle's log-space sech
+        # sigma*max(xi) = 40 > 30 takes the oracle's log-space sech
         g = Grid(2 * np.pi, 64)
         fld = analyze(rng.standard_normal(g.N), g)
-        sigma = 40.0 / g.xi_max
+        sigma = 40.0 / g.xi[-1]
         rt = sech_weighted(cosh_weighted(fld, sigma), sigma)
         assert np.abs(rt.samples - fld.samples).max() <= 10 * EPS * np.abs(fld.samples).max()
 
@@ -290,7 +290,7 @@ class TestMultipliers:
         fld = analyze(rng.standard_normal(g.N), g)
         fwd = apply_symbol(fld, LinearFlow(m=5, sign=1, alpha=1.0, t=0.37))
         # moduli preserved away from the (zeroed) Nyquist mode
-        interior = np.abs(g.k) < g.N // 2
+        interior = np.arange(g.N // 2 + 1) < g.nyquist_index
         assert np.allclose(np.abs(fwd.spectrum[interior]), np.abs(fld.spectrum[interior]))
         assert fwd.spectrum[g.nyquist_index] == 0.0
         back = apply_symbol(fwd, LinearFlow(m=5, sign=-1, alpha=1.0, t=0.37))
@@ -327,7 +327,7 @@ class TestOverflowGuard:
     def test_huge_weight_on_flat_spectrum_raises(self):
         # every coefficient is kept, and the top weights pass double range
         g = Grid(2 * np.pi, 64)
-        sigma = 1000.0 / g.xi_max  # sigma * xi_max = 1000 > 709.8
+        sigma = 1000.0 / g.xi[-1]  # sigma * max(xi) = 1000 > 709.8
         F = np.full(g.N // 2 + 1, 1e-3, dtype=complex)
         fld = synthesize(F, g)
         with pytest.raises(OverflowGuardError, match=r"^weighted norm exceeds double range at state 0, sigma = 31\.25$"):
@@ -338,7 +338,7 @@ class TestOverflowGuard:
         # weight overflows lies below the noise floor and counts as zero:
         # the norm is finite and matches the log-space oracle
         g = Grid(2 * np.pi, 64)
-        sigma = 1000.0 / g.xi_max
+        sigma = 1000.0 / g.xi[-1]
         F = np.exp(-0.5 * sigma * g.xi).astype(complex)
         fld = synthesize(F, g)
         kept = np.abs(F) >= 1e-13 * np.abs(F).max()
