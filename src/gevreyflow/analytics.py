@@ -33,6 +33,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import spectral
 from .dynamics import RaisedCosineDamping
 from .errors import (
     ConfigurationError,
@@ -192,7 +193,7 @@ def functional_A(
     sums = np.empty((6, R, P))
     for r, U in enumerate(blocks):
         np.multiply(pad_spectrum(U, N, 2, out=derivs[0]), ixi, out=derivs[1])
-        np.fft.irfft(derivs, n=2 * N, norm="forward", out=fine)
+        spectral.irfft_into(derivs, fine)
         np.abs(U, out=power)
         np.square(power, out=power)
         np.multiply(L_mult, power, out=power)
@@ -285,7 +286,7 @@ def mass_rate(v: SpectralField, a: RaisedCosineDamping) -> float:
     directly (it is analytic).
     """
     g = v.grid
-    v_fine = np.fft.irfft(pad_spectrum(v.spectrum, g.N, 2), n=2 * g.N, norm="forward")
+    v_fine = spectral.irfft_into(pad_spectrum(v.spectrum, g.N, 2), np.empty(2 * g.N))
     prod = a.values(Grid(g.L, 2 * g.N)) * v_fine * v_fine
     return -2.0 * float(g.L / prod.size * prod.sum())
 

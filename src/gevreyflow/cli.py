@@ -20,7 +20,7 @@ from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
-from .config import FAMILIES, parse_config, parse_config_text
+from .config import FAMILIES, parse_config_text
 from .errors import ConfigParseError, ConfigurationError, GevreyError
 from .harness import RUNNERS, ExperimentReport
 from .reporting import PlotStyle, write_plot, write_report
@@ -81,12 +81,14 @@ def _load_config(command: str, args):
     if args.seed is not None:
         overrides.append(f"seed={args.seed}")
     if args.config is not None:
-        return parse_config(args.config, overrides)
+        name, text = args.config, Path(args.config).read_text(encoding="utf-8")
+    else:
+        name, text = f"configs/{_default_config_name(command)}", _default_config_text(command)
     try:
-        return parse_config_text(_default_config_text(command), overrides)
+        return parse_config_text(text, overrides)
     except ConfigParseError as err:
-        # the error's line is one of the packaged file, so name the file
-        raise ConfigurationError(f"configs/{_default_config_name(command)}: {err}", err.key) from err
+        # the error's line is one of the file's, so name the file
+        raise ConfigurationError(f"{name}: {err}", err.key) from err
 
 
 def _out_root(args, cfg) -> Path:

@@ -41,10 +41,9 @@ At N = 512 a numpy call costs more than the arithmetic it does: the 8
 transforms are most of a step, and the rest of it is the fixed cost of
 about 30 small calls.  So the step loop keeps one rule: one out= call per
 operation, array operands only, and no allocation per step.  The two
-transforms of each evaluation are spectral.irfft_into and rfft_into:
-numpy's pocketfft kernels, bound once in spectral at import and called
-without numpy.fft's Python wrapper, with bit-identical results (the public
-numpy.fft functions where that private module is missing).  Every other
+transforms of each evaluation are spectral.irfft_into and rfft_into,
+the package's only transforms: numpy's pocketfft kernels, called without
+numpy.fft's Python wrapper, with bit-identical results.  Every other
 operation is one ufunc call, np.multiply or np.add, that writes through
 out= into a buffer allocated once per integrate call; the state is
 updated in place, and synthesize copies it into each recorded state.  The
@@ -281,7 +280,7 @@ def nonlinear_term(eq: Equation, grid: Grid, nonlinear: bool = True):
     cubic, neg_aw = rows[:C], rows[C:]
     P = np.empty((rows.shape[0], grid.xi.size), dtype=complex)
     cubic_band, damp_band = P[:C, :band], P[C:, :band]
-    # numpy's pocketfft kernels (see spectral), looked up once per build
+    # the package's two transforms (see spectral), looked up once per build
     irfft_into, rfft_into = spectral.irfft_into, spectral.rfft_into
     multiply, add = np.multiply, np.add
 
@@ -395,6 +394,10 @@ def integrate(spec: EvolutionSpec, init) -> Trajectory:
         states = tuple(synthesize(H, grid) for H in half)
         return states if C > 1 else states[0]
 
+    if not np.isfinite(V).all():
+        # the first step's blow-up check would read it, but the t = 0
+        # record, whose synthesize rejects it, comes first
+        raise _step_error(math.nan, dt, guard_num, 0.0)
     states = [record()]
     step = 0
     for _ in range(n_rec):

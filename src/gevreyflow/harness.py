@@ -171,7 +171,9 @@ def _sigma_scaling(cfg: ScenarioConfig, grid: Grid, spec: EvolutionSpec, init):
     D(sigma) is the largest recorded increase of A_sigma over the window;
     sigma = 0 entries and entries whose drift never rises above the
     measurement floor (D <= 0) are excluded from the fit and flagged in the
-    drift series' "included" column.  The config checks the sign and sigmas.
+    drift series' "included" column; with fewer than 3 left, a FitError
+    names run.sigmas and each excluded sigma with its reason.  The config
+    checks the sign and sigmas.
     """
     [traj] = yield [(spec, init, "trajectory", 0.0)]
 
@@ -184,7 +186,13 @@ def _sigma_scaling(cfg: ScenarioConfig, grid: Grid, spec: EvolutionSpec, init):
     included = (sigmas > 0) & (D > 0)
     kept = sigmas[included]
     if kept.size < 3:
-        raise FitError(f"need >= 3 positive-drift points for the fit, have {kept.size}")
+        excluded = ", ".join(
+            f"{s:g} (sigma = 0)" if s == 0 else f"{s:g} (D(sigma) = {d:.3g} <= 0)"
+            for s, d in zip(sigmas[~included], D[~included])
+        )
+        raise FitError(
+            f"run.sigmas: need >= 3 positive-drift points for the fit, have {kept.size}; excluded sigma {excluded}"
+        )
     slope, intercept, r2 = _fit_loglog(kept, D[included])
 
     tol = cfg.tolerances

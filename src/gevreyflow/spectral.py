@@ -39,18 +39,18 @@ The cosh weight cosh(sigma*xi) of the sigma-norms is np.cosh, applied in
 analytics, which counts the coefficients below noise_floor as zero
 whatever their weight.
 
-The integrator's rhs makes 8 real FFTs per RK4 step, and at N = 512
-numpy.fft's Python wrapper (axis, dtype, norm factor and out checks) is
-about a third of each call.  So irfft_into and rfft_into, the two
-transforms of that hot path, are bound here once, at import, to numpy's
-pocketfft gufuncs (numpy.fft._pocketfft_umath: irfft and rfft_n_even,
-factor 1.0, written into out; a gufunc works on the last axis without
-being told), which are the kernels numpy.fft itself calls: the results
-are bit-identical.  That module is private numpy API, so when it is
-missing they fall back to the public numpy.fft.irfft(norm="forward") and
-numpy.fft.rfft.  rfft_n_even is only right for even lengths, and Grid
-rejects odd N.  analyze, samples and every other transform outside the
-step loop stay on numpy.fft.
+Every transform in the package is one of two functions, irfft_into and
+rfft_into, module functions over numpy's pocketfft gufuncs
+(numpy.fft._pocketfft_umath: irfft and rfft_n_even, written into out; a
+gufunc works on the last axis without being told).  These are the kernels
+numpy.fft itself calls, so the results are bit-identical to numpy.fft's,
+without its Python wrapper (axis, dtype, norm factor and out checks), which
+is about a third of each call at N = 512.  That module is private numpy
+API, present in numpy 2.x; the package has no second route to a transform.
+rfft_n_even is only right for even lengths, and Grid rejects odd N.
+Callers in other modules call them as spectral.irfft_into and
+spectral.rfft_into, so one patch point sees every transform; the
+integrator's rhs looks them up once, when it is built.
 """
 
 from __future__ import annotations
@@ -59,48 +59,24 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from numpy.fft._pocketfft_umath import irfft as _irfft, rfft_n_even as _rfft_n_even
 
 from .errors import ConfigurationError, SymmetryError
 
 
-def _real_transforms(kernels) -> tuple:
-    """(irfft_into, rfft_into) over numpy's pocketfft gufunc module
-    kernels, or over the public numpy.fft functions when kernels is None.
-
-    irfft_into(spectrum, out) writes the samples of a half spectrum, or of
-    a stack of them, into out: numpy.fft.irfft(spectrum, n=out.shape[-1],
-    norm="forward"), and a spectrum shorter than out.shape[-1]/2 + 1 is
-    zero-padded.  rfft_into(samples, out) writes the unnormalised
-    numpy.fft.rfft of samples of even length into out.  Both return out.
-    """
-    if kernels is None:
-        irfft, rfft = np.fft.irfft, np.fft.rfft
-
-        def irfft_into(spectrum, out):
-            return irfft(spectrum, n=out.shape[-1], norm="forward", out=out)
-
-        def rfft_into(samples, out):
-            return rfft(samples, out=out)
-
-    else:
-        irfft, rfft = kernels.irfft, kernels.rfft_n_even
-
-        def irfft_into(spectrum, out):
-            return irfft(spectrum, 1.0, out=out)
-
-        def rfft_into(samples, out):
-            return rfft(samples, 1.0, out=out)
-
-    return irfft_into, rfft_into
+def irfft_into(spectrum: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the samples of a half spectrum, or of a stack of them, into
+    out and return out: numpy.fft.irfft(spectrum, n=out.shape[-1],
+    norm="forward"); a spectrum shorter than out.shape[-1]/2 + 1 is
+    zero-padded."""
+    return _irfft(spectrum, 1.0, out=out)
 
 
-try:
-    from numpy.fft import _pocketfft_umath as _kernels
-
-    irfft_into, rfft_into = _real_transforms(_kernels)
-except (ImportError, AttributeError):  # private numpy API, or a version without these kernels
-    _kernels = None
-    irfft_into, rfft_into = _real_transforms(None)
+def rfft_into(samples: np.ndarray, out: np.ndarray, factor: float = 1.0) -> np.ndarray:
+    """Write factor times the rfft of samples of even length, or of a
+    stack of them, into out and return out: numpy.fft.rfft(samples) for
+    factor 1, and numpy.fft.rfft(samples, norm="forward") for factor 1/N."""
+    return _rfft_n_even(samples, factor, out=out)
 
 
 @dataclass(frozen=True)
@@ -165,7 +141,7 @@ class SpectralField:
 
     @cached_property
     def samples(self) -> np.ndarray:
-        return _freeze(np.fft.irfft(self.spectrum, n=self.grid.N, norm="forward"))
+        return _freeze(irfft_into(self.spectrum, np.empty(self.grid.N)))
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -181,21 +157,26 @@ def analyze(samples: np.ndarray, grid: Grid) -> SpectralField:
         raise ConfigurationError(f"sample vector has shape {samples.shape}, grid expects ({grid.N},)")
     if not np.all(np.isfinite(samples)):
         raise ConfigurationError("samples contain NaN/Inf")
-    fld = SpectralField(grid, _freeze(np.fft.rfft(samples, norm="forward")))
+    spectrum = rfft_into(samples, np.empty(grid.N // 2 + 1, dtype=complex), 1.0 / grid.N)
+    fld = SpectralField(grid, _freeze(spectrum))
     # primes the cached property, so the samples are never transformed back
     fld.__dict__["samples"] = _freeze(samples.copy())
     return fld
 
 
 def synthesize(spectrum: np.ndarray, grid: Grid) -> SpectralField:
-    """The field of a half spectrum (copied); its k = 0 and k = N/2 entries
-    must be real (irfft would silently drop their imaginary parts).  No
-    transform is made here: the samples follow on first read."""
+    """The field of a half spectrum (copied); its entries must be finite,
+    and its k = 0 and k = N/2 entries real (irfft would silently drop their
+    imaginary parts).  No transform is made here: the samples follow on
+    first read."""
     spectrum = np.array(spectrum, dtype=complex)
     if spectrum.shape != (grid.N // 2 + 1,):
         raise ConfigurationError(f"spectrum has shape {spectrum.shape}, grid expects ({grid.N // 2 + 1},)")
-    defect = max(abs(spectrum[0].imag), abs(spectrum[-1].imag))
+    # the largest modulus is nan or inf where an entry is
     scale = np.abs(spectrum).max()
+    if not np.isfinite(scale):
+        raise ConfigurationError("spectrum contains NaN/Inf")
+    defect = max(abs(spectrum[0].imag), abs(spectrum[-1].imag))
     if defect > 10.0 * np.finfo(float).eps * max(scale, 1e-300):
         raise SymmetryError(
             f"spectrum entries at k = 0 and k = N/2 must be real (imaginary part {defect:.3e}, scale {scale:.3e})"

@@ -731,6 +731,13 @@ class TestRateIdentities:
         _, _, fg = mass_rate_M(w, a, 0.0, -1)
         assert fg == 0.0
 
+    def test_mass_rate_is_one_inverse_transform(self, soliton_field, fft_counts):
+        # one irfft of the half spectrum, zero-padded to the 2x grid
+        a = RaisedCosineDamping(floor=0.2, amplitude=0.15, length=64.0)
+        fft_counts.update(rfft=0, irfft=0, points=0)
+        mass_rate(soliton_field, a)
+        assert fft_counts == {"rfft": 0, "irfft": 1, "points": 2 * soliton_field.grid.N}
+
 
 class TestIndexFormulas:
     def test_exact_rationals(self):

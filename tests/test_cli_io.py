@@ -668,7 +668,8 @@ class TestCli:
         config.write_text(text, encoding="utf-8")
         assert main([command, "--config", str(config), "--out", str(tmp_path)]) == 1
         line = text.splitlines().index(new) + 1
-        assert capsys.readouterr().err.startswith(f"error: line {line}, col 1: ")
+        # the line is the file's, so the file is named in front of it
+        assert capsys.readouterr().err.startswith(f"error: {config}: line {line}, col 1: ")
 
     @pytest.mark.parametrize("command", ["iterate", "coupled"])
     def test_run_without_verdicts_exits_two(self, tmp_path, capsys, command):

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import Deriv, LinearFlow, apply_symbol, product_rule_rhs, reflect
 
-from gevreyflow import dynamics
+from gevreyflow import dynamics, spectral
 from gevreyflow.dynamics import (
     BLOWUP_LIMIT,
     Equation,
@@ -136,8 +136,8 @@ class TestDampingProfiles:
         def refuse(*args, **kwargs):
             raise AssertionError("make_damping called a transform")
 
-        monkeypatch.setattr(np.fft, "rfft", refuse)
-        monkeypatch.setattr(np.fft, "irfft", refuse)
+        monkeypatch.setattr(spectral, "rfft_into", refuse)
+        monkeypatch.setattr(spectral, "irfft_into", refuse)
         a = make_damping("raised_cosine", 1.0, 0.5, g)
         assert a == RaisedCosineDamping(1.0, 0.5, g.L)
 

@@ -9,6 +9,7 @@ see), not the naive fourth-order guess.
 """
 
 import math
+import re
 from importlib import resources
 
 import numpy as np
@@ -342,12 +343,17 @@ class TestSigmaScaling:
             return FunctionalBreakdown(total=np.ones((len(u), len(sigma))), terms={})
 
         monkeypatch.setattr(harness, "functional_A", flat)
-        short = ["evolution.t_end=0.01", "evolution.record_every=10"]
-        with pytest.raises(FitError, match=r"^need >= 3 positive-drift points for the fit, have 0$"):
+        short = ["evolution.t_end=0.01", "evolution.record_every=10", "run.sigmas=[0, 0.05, 0.1, 0.2, 0.4]"]
+        # the message names the key and gives each excluded sigma its reason
+        message = (
+            "run.sigmas: need >= 3 positive-drift points for the fit, have 0; excluded sigma "
+            "0 (sigma = 0), 0.05 (D(sigma) = 0 <= 0), 0.1 (D(sigma) = 0 <= 0), 0.2 (D(sigma) = 0 <= 0), 0.4 (D(sigma) = 0 <= 0)"
+        )
+        with pytest.raises(FitError, match=f"^{re.escape(message)}$"):
             run_short(SIGMA_SHORT, short)
         overrides = [arg for key in short for arg in ("--set", key)]
         assert cli.main(["sigma-scaling", "--out", str(tmp_path), "--quiet", *overrides]) == 1
-        assert capsys.readouterr().err == "error: need >= 3 positive-drift points for the fit, have 0\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("offset, passed", [(-1e-9, False), (1e-9, True)])
     def test_slope_band_edge(self, offset, passed):

@@ -1,4 +1,6 @@
+import ast
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -159,6 +161,20 @@ class TestTransformPair:
         with pytest.raises(ConfigurationError, match="spectrum has shape"):
             synthesize(np.zeros(g.N, dtype=complex), g)
 
+    @pytest.mark.parametrize(
+        "k, value",
+        [(0, complex(1.0, np.nan)), (3, np.nan), (2, np.inf)],
+        ids=["nan-imaginary-dc", "nan", "inf"],
+    )
+    def test_synthesize_rejects_non_finite_spectrum(self, k, value):
+        # each passes the realness check (nan > tol is False, and interior
+        # entries are not checked), so the finiteness check must catch it
+        g = Grid(64.0, 32)
+        F = np.zeros(g.N // 2 + 1, dtype=complex)
+        F[k] = value
+        with pytest.raises(ConfigurationError, match=r"^spectrum contains NaN/Inf$"):
+            synthesize(F, g)
+
     def test_analyze_rejects_bad_input(self):
         g = Grid(64.0, 32)
         with pytest.raises(ConfigurationError):
@@ -169,33 +185,55 @@ class TestTransformPair:
             analyze(bad, g)
 
 
-# both branches of the rhs transforms: the pocketfft gufuncs the module binds
-# at import, and the public numpy.fft fallback; the import above fails the
-# suite if numpy drops the private module
-BINDINGS = {"pocketfft": _pocketfft_umath, "fallback": None}
+# the package's two transforms bind numpy's private pocketfft gufuncs; the
+# import above fails the suite if numpy drops that module
 EVEN_N = (16, 24, 32, 100, 128, 256, 384, 512, 1000, 1024, 2048, 4096)
 
 
 class TestRealTransformBinding:
     def test_module_binds_pocketfft(self):
-        assert spectral._kernels is _pocketfft_umath
+        assert spectral._irfft is _pocketfft_umath.irfft
+        assert spectral._rfft_n_even is _pocketfft_umath.rfft_n_even
 
-    @pytest.mark.parametrize("branch", BINDINGS)
+    def test_numpy_fft_only_at_the_kernel_import(self):
+        # read from the import and attribute nodes of the package source,
+        # so docstrings may name numpy.fft; a new direct call fails here
+        found = []
+        for path in sorted(Path(spectral.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Attribute) and node.attr == "fft":
+                    found.append((path.name, ast.unparse(node)))
+                elif isinstance(node, ast.Import):
+                    found += [(path.name, f"import {a.name}") for a in node.names if a.name.startswith("numpy.fft")]
+                elif isinstance(node, ast.ImportFrom) and (
+                    (node.module or "").startswith("numpy.fft")
+                    or node.module == "numpy" and any(a.name == "fft" for a in node.names)
+                ):
+                    found.append((path.name, f"from {node.module} import {', '.join(a.name for a in node.names)}"))
+        assert found == [("spectral.py", "from numpy.fft._pocketfft_umath import irfft, rfft_n_even")]
+
     @pytest.mark.parametrize("N", EVEN_N)
-    def test_bit_identical_to_numpy_fft(self, branch, N, rng):
-        irfft_into, rfft_into = spectral._real_transforms(BINDINGS[branch])
-        # the rhs stacks 1, 2, 3 or 6 rows
+    def test_bit_identical_to_numpy_fft(self, N, rng):
+        # the rhs stacks 1, 2, 3 or 6 rows; samples and analyze take one
         for rows in (1, 2, 3, 6):
             # the rhs input is the band k = 0..N/4, zero-padded to N points
             for length in (N // 4 + 1, N // 2 + 1):
                 F = rng.standard_normal((rows, length)) + 1j * rng.standard_normal((rows, length))
                 out = np.empty((rows, N))
-                assert irfft_into(F, out) is out
+                assert spectral.irfft_into(F, out) is out
                 assert out.tobytes() == np.fft.irfft(F, n=N, norm="forward").tobytes()
             f = rng.standard_normal((rows, N))
             out = np.empty((rows, N // 2 + 1), dtype=complex)
-            assert rfft_into(f, out) is out
+            assert spectral.rfft_into(f, out) is out
             assert out.tobytes() == np.fft.rfft(f).tobytes()
+            # analyze's factor 1/N is numpy.fft's norm="forward"
+            assert spectral.rfft_into(f, out, 1.0 / N) is out
+            assert out.tobytes() == np.fft.rfft(f, norm="forward").tobytes()
+        g = Grid(50.0, N)
+        f = rng.standard_normal(N)
+        assert analyze(f, g).spectrum.tobytes() == np.fft.rfft(f, norm="forward").tobytes()
+        F = np.fft.rfft(f, norm="forward")
+        assert synthesize(F, g).samples.tobytes() == np.fft.irfft(F, n=N, norm="forward").tobytes()
 
 
 class TestLazySamples:
