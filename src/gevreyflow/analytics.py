@@ -396,9 +396,16 @@ def radius_estimate(f: SpectralField) -> RadiusFit:
         )
     x = xi[keep]
     y = np.log(amps[keep])
-    slope, _ = np.polyfit(x, y, 1)
     half = keep.size // 2
-    s_lo, _ = np.polyfit(x[:half], y[:half], 1)
-    s_hi, _ = np.polyfit(x[half:], y[half:], 1)
+    try:
+        # polyfit divides by the norm of x, whose squares leave double
+        # range where L is extreme (xi^2 underflows to 0 at L = 1e250)
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            slope, _ = np.polyfit(x, y, 1)
+            s_lo, _ = np.polyfit(x[:half], y[:half], 1)
+            s_hi, _ = np.polyfit(x[half:], y[half:], 1)
+    except FloatingPointError as err:
+        span = f"{x[0]:.3g}..{x[-1]:.3g}"
+        raise UnderresolvedError(f"the fit's frequencies xi = {span} leave double range ({err})") from None
     superexp = (s_hi < 0) and (s_lo < 0) and (abs(s_hi) > 1.25 * abs(s_lo))
     return RadiusFit(sigma_hat=max(0.0, float(-slope)), clamped=bool(slope > 0), superexponential=bool(superexp))

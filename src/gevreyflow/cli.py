@@ -81,7 +81,7 @@ def _load_config(command: str, args):
     if args.seed is not None:
         overrides.append(f"seed={args.seed}")
     if args.config is not None:
-        name, text = args.config, Path(args.config).read_text(encoding="utf-8")
+        name, text = args.config, Path(args.config).read_text(encoding="utf-8-sig")
     else:
         name, text = f"configs/{_default_config_name(command)}", _default_config_text(command)
     try:

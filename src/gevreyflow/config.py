@@ -1,22 +1,22 @@
-"""Scenario configuration: schema, checks, builder, text parser, renderer.
+"""Scenario configuration: schema, checks, builder, text reader, renderer.
 
-Grammar (line oriented; '#' starts a comment anywhere outside a quoted
-string; blank lines ignored):
+The text is TOML, read by the standard library's tomllib:
 
-    section    :=  "[" name ("." name)* "]"
-    assignment :=  key "=" value
-    key        :=  [A-Za-z_][A-Za-z0-9_]*
-    value      :=  scalar | "[" scalar ("," scalar)* "]"
-    scalar     :=  integer | float | "true" | "false"
-                 | '"' chars '"'              (escapes: \\" \\\\ \\n \\t)
-                 | bare-word                   ([A-Za-z_][A-Za-z0-9_-]*)
+    # a comment
+    scenario = "damping"         top-level keys come before any [section]
+    [equation]
+    mu = -1                      integers; floats; true / false
+    [run]
+    sigmas = [0.1, 0.2, 0.4]     a list of numbers
+    [io]
+    out_dir = "results/run 1"    strings are quoted TOML strings
 
-Assignments before any section header are top-level keys (scenario, seed).
-The schema is the ScenarioConfig dataclasses below: a key's kind is its
-field annotation and its default the field default, so an empty file is a
-valid conservation scenario; unknown keys are rejected with their line
-number.  _resolve holds the dynamic defaults: data centers fall at L/2,
-damping2 and the numeric data2 fields mirror their first-component
+Each [section] holds keys; a table below a section, or a key the schema
+lacks, is an unknown key.  The schema is the ScenarioConfig dataclasses
+below: a key's kind is its field annotation and its default the field
+default, so an empty file is a valid conservation scenario; nan and inf
+are rejected.  _resolve holds the dynamic defaults: data centers fall at
+L/2, damping2 and the numeric data2 fields mirror their first-component
 sections, and theta falls back to the largest admissible exponent for the
 configured order (the field default 0.45 for the third-order families,
 where that formula does not apply).  Every value a config is rejected
@@ -25,16 +25,20 @@ computes: a window lifespan T0 below evolution.dt and a t = 0 radius fit
 that misses (both before the first step), and the step-size guard.
 ScenarioConfig's checks start with the dotted key (run.k_max must be
 >= 0, got -1), and build() prefixes a module's error with its section.
-An error of a key the text sets gives the key's line.
+A syntax error gives tomllib's line and column, and an error of a key
+the text sets, written bare, gives the key's.
 
-Overrides are "dotted.key=value" strings sharing the value grammar, e.g.
-"grid.N=1024" or "run.sigmas=[0.1, 0.2, 0.4, 0.8]".
+Overrides are "dotted.key=value" strings with a TOML value, e.g.
+"grid.N=1024" or "run.sigmas=[0.1, 0.2, 0.4, 0.8]"; a str key also takes
+text that is no TOML value as itself, e.g. "data.kind=sech".
 """
 
 from __future__ import annotations
 
 import math
 import re
+import sys
+import tomllib
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -299,180 +303,109 @@ _FIELD_DEFAULTS = {
     for key, value in body.items()
 }
 
-_SECTION_RE = re.compile(r"^\[([A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)*)\]$")
-_KEY_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
-_BARE_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_-]*$")
-_INT_RE = re.compile(r"^[+-]?[0-9]+$")
+# tomllib's error position, "(at line L, column C)" or "(at end of document)"
+_TOML_AT = re.compile(r"(.*) \(at (?:line (\d+), column (\d+)|end of document)\)", re.DOTALL)
+
+# a table header or the key of a key/value pair, each written bare
+_LINE_RE = re.compile(r"([ \t]*)(?:\[[ \t]*([\w.\- \t]+?)[ \t]*\]|([\w.\- \t]+?)[ \t]*=)", re.ASCII)
 
 
 # ---------------------------------------------------------------------------
-# scanning
+# reading
 # ---------------------------------------------------------------------------
 
 
-_ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "t": "\t"}
-
-
-def _strip_comment(line: str) -> str:
-    in_str = escaped = False
-    for i, ch in enumerate(line):
-        if escaped:
-            escaped = False
-        elif in_str and ch == "\\":
-            escaped = True
-        elif ch == '"':
-            in_str = not in_str
-        elif ch == "#" and not in_str:
-            return line[:i]
-    return line
-
-
-def _parse_string(text: str, line_no: int | None, col: int) -> str:
-    """Body of a quoted scalar; an escape consumes the character after the
-    backslash, so an escaped backslash can precede the closing quote."""
-    out, i = [], 1
-    while i < len(text) and text[i] != '"':
-        if text[i] == "\\":
-            i += 1
-            if i == len(text):
-                break
-            mapped = _ESCAPES.get(text[i])
-            if mapped is None:
-                raise ConfigParseError(f"unknown escape \\{text[i]}", line_no, col + i - 1)
-            out.append(mapped)
-        else:
-            out.append(text[i])
-        i += 1
-    if i >= len(text):
-        raise ConfigParseError("unterminated string", line_no, col)
-    if i != len(text) - 1:
-        raise ConfigParseError("unescaped quote inside string", line_no, col + i)
-    return "".join(out)
-
-
-def _parse_scalar(text: str, line_no: int | None, col: int):
-    text = text.strip()
-    if not text:
-        raise ConfigParseError("empty value", line_no, col)
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    if text.startswith('"'):
-        return _parse_string(text, line_no, col)
-    if _INT_RE.match(text):
-        return int(text)
-    try:
-        value = float(text)
-    except ValueError:
-        value = None
-    if value is not None:
-        if not math.isfinite(value):
-            raise ConfigParseError(f"non-finite number {text!r}", line_no, col)
-        return value
-    if _BARE_RE.match(text):
-        return text
-    raise ConfigParseError(f"cannot parse value {text!r}", line_no, col)
-
-
-def _parse_value(text: str, line_no: int | None, col: int):
-    stripped = text.strip()
-    offset = col + (len(text) - len(text.lstrip()))
-    if stripped.startswith("["):
-        if not stripped.endswith("]"):
-            raise ConfigParseError("unterminated list", line_no, offset)
-        body = stripped[1:-1].strip()
-        if not body:
-            return ()
-        items = []
-        pos = 1  # past the opening bracket
-        for part in stripped[1:-1].split(","):
-            items.append(_parse_scalar(part, line_no, offset + pos))
-            pos += len(part) + 1
-        return tuple(items)
-    return _parse_scalar(stripped, line_no, offset)
+def _key_positions(text: str) -> dict:
+    """(line, column) of each table header and key of valid TOML text, by
+    dotted name.  The scan reads lines alone, so a line inside a multi-line
+    string that looks like a header or a key can move the positions of the
+    keys after it, never their values."""
+    where, section = {}, ""
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        m = _LINE_RE.match(line)
+        if m is None:
+            continue
+        indent, header, key = m.groups()
+        name = ".".join(part.strip() for part in (header or key).split("."))
+        if header is not None:
+            section = name
+        elif section:
+            name = f"{section}.{name}"
+        where[name] = (line_no, len(indent) + 1)
+    return where
 
 
 def _parse_text(text: str) -> tuple[dict, dict]:
     """Raw (section, key) -> value mapping with parse-time diagnostics, and
     the (line, column) of each key it sets, by dotted name."""
-    values: dict = {}
-    where: dict = {}
-    section = ""
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).rstrip()
-        if not line.strip():
-            continue
-        stripped = line.strip()
-        indent = len(line) - len(stripped)
-        if stripped.startswith("["):
-            m = _SECTION_RE.match(stripped)
-            if not m:
-                raise ConfigParseError(f"malformed section header {stripped!r}", line_no, indent + 1)
-            section = m.group(1)
-            continue
-        if "=" not in stripped:
-            raise ConfigParseError("expected 'key = value'", line_no, indent + 1)
-        key_part, _, value_part = stripped.partition("=")
-        key = key_part.strip()
-        if not _KEY_RE.match(key):
-            raise ConfigParseError(f"malformed key {key_part.strip()!r}", line_no, indent + 1)
-        dotted, name = (section, key), f"{section}.{key}" if section else key
-        if dotted not in SCHEMA:
-            raise ConfigParseError(f"unknown key {name!r}", line_no, indent + 1)
-        if dotted in values:
-            raise ConfigParseError(f"duplicate key {name!r}", line_no, indent + 1)
-        value_col = indent + len(key_part) + 2
-        values[dotted] = _coerce(dotted, _parse_value(value_part, line_no, value_col), line_no, value_col)
-        where[name] = (line_no, indent + 1)
+    try:
+        table = tomllib.loads(text)
+    except tomllib.TOMLDecodeError as err:
+        # at tomllib's position; the end of the document is after its last character
+        message, line, column = _TOML_AT.fullmatch(str(err)).groups()
+        if line is None:
+            line, column = text.count("\n") + 1, len(text) - text.rfind("\n")
+        raise ConfigParseError(message, int(line), int(column)) from None
+    where, values = _key_positions(text), {}
+    for top, body in table.items():
+        section, body = (top, body) if isinstance(body, dict) else ("", {top: body})
+        for key, value in body.items():
+            name = f"{section}.{key}" if section else key
+            at = where.get(name, (None, None))
+            # a table below a section is a key no section holds
+            if (section, key) not in SCHEMA or isinstance(value, dict):
+                raise ConfigParseError(f"unknown key {name!r}", *at)
+            values[(section, key)] = _coerce((section, key), value, *at)
     return values, where
 
 
+# kind -> (the Python types tomllib reads a value of that kind as, what the error expects)
+_EXPECTS = {"int": (int, "an integer"), "float": ((int, float), "a number"), "bool": (bool, "true or false"),
+            "str": (str, "a string"), "floats": (list, "a list")}
+
+
 def _coerce(dotted, value, line_no, col):
+    """value as its key's kind: a number of a float key is a float, and a
+    list of numbers a tuple of floats; each must be a finite double, which
+    TOML's inf and nan are not."""
     kind = SCHEMA[dotted]
     name = f"{dotted[0]}.{dotted[1]}" if dotted[0] else dotted[1]
-    if kind == "int":
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigParseError(f"{name} expects an integer, got {value!r}", line_no, col)
+    types, expects = _EXPECTS[kind]
+    # bool is an int subclass, and only a bool key takes one
+    if not isinstance(value, types) or isinstance(value, bool) != (kind == "bool"):
+        raise ConfigParseError(f"{name} expects {expects}, got {value!r}", line_no, col)
+    if kind not in ("float", "floats"):
         return value
-    if kind == "float":
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigParseError(f"{name} expects a number, got {value!r}", line_no, col)
-        return float(value)
-    if kind == "bool":
-        if not isinstance(value, bool):
-            raise ConfigParseError(f"{name} expects true or false, got {value!r}", line_no, col)
-        return value
-    if kind == "str":
-        if not isinstance(value, str):
-            raise ConfigParseError(f"{name} expects a string, got {value!r}", line_no, col)
-        return value
-    # "floats", the last of the five kinds in _KINDS
-    if not isinstance(value, tuple):
-        raise ConfigParseError(f"{name} expects a list, got {value!r}", line_no, col)
-    out = []
-    for item in value:
+    items = value if kind == "floats" else [value]
+    for item in items:
         if isinstance(item, bool) or not isinstance(item, (int, float)):
             raise ConfigParseError(f"{name} expects numbers, got {item!r}", line_no, col)
-        out.append(float(item))
-    return tuple(out)
+        if not abs(item) <= sys.float_info.max:
+            raise ConfigParseError(f"{name}: non-finite number {item!r}", line_no, col)
+    floats = tuple(map(float, items))
+    return floats if kind == "floats" else floats[0]
 
 
 def _apply_overrides(values: dict, where: dict, overrides) -> None:
-    """Set each override in values; an overridden key loses its line."""
+    """Set each override, "dotted.key=value" with a TOML value, in values;
+    an overridden key loses its line.  A str key also takes text that is no
+    TOML value as itself, so data.kind=gauss needs no quotes."""
     for text in overrides:
         if "=" not in text:
             raise ConfigurationError(f"override {text!r} is not of the form key=value")
         lhs, _, rhs = text.partition("=")
         name = lhs.strip()
-        if name.count(".") > 1:
-            raise ConfigurationError(f"override key {name!r} has too many dots")
         dotted = tuple(name.rpartition(".")[::2])
         if dotted not in SCHEMA:
             raise ConfigurationError(f"override names unknown key {name!r}")
         try:
-            parsed = _parse_value(rhs, None, 0)
-            values[dotted] = _coerce(dotted, parsed, None, 0)
+            value = tomllib.loads(f"value = {rhs}")["value"]
+        except tomllib.TOMLDecodeError as err:
+            if SCHEMA[dotted] != "str" or not rhs.strip():
+                raise ConfigurationError(f"override {text!r}: {_TOML_AT.fullmatch(str(err))[1]}") from None
+            value = rhs.strip()
+        try:
+            values[dotted] = _coerce(dotted, value, None, None)
         except ConfigParseError as err:
             raise ConfigurationError(f"override {text!r}: {err}") from None
         where.pop(name, None)
@@ -537,7 +470,7 @@ def parse_config_text(text: str, overrides=()) -> ScenarioConfig:
 
 def parse_config(path, overrides=()) -> ScenarioConfig:
     """Parse, override, default-fill, and pre-validate one scenario config."""
-    return parse_config_text(Path(path).read_text(encoding="utf-8"), overrides)
+    return parse_config_text(Path(path).read_text(encoding="utf-8-sig"), overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -545,38 +478,24 @@ def parse_config(path, overrides=()) -> ScenarioConfig:
 # ---------------------------------------------------------------------------
 
 
-def _reads_as_number(word: str) -> bool:
-    """True for bare words such as inf or nan that float() accepts."""
-    try:
-        float(word)
-    except ValueError:
-        return False
-    return True
-
-
-def _format_scalar(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, str):
-        if _BARE_RE.match(value) and value not in ("true", "false") and not _reads_as_number(value):
-            return value
-        escaped = value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n").replace("\t", "\\t")
-        return f'"{escaped}"'
-    raise ConfigurationError(f"cannot render value {value!r}")
+# TOML basic-string escapes: the quote, the backslash and the control
+# characters; any other character, a lone surrogate too, is itself
+_ESCAPES = {ord('"'): '\\"', ord("\\"): "\\\\", **{c: f"\\u{c:04x}" for c in (*range(0x20), 0x7F)}}
 
 
 def _format_value(value) -> str:
-    if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_format_scalar(item) for item in value) + "]"
-    return _format_scalar(value)
+    """One TOML value: a bool, a number, a list of numbers or a basic string."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, float)):
+        return repr(value)
+    if isinstance(value, list):
+        return "[" + ", ".join(map(_format_value, value)) + "]"
+    return '"' + value.translate(_ESCAPES) + '"'
 
 
 def render_config(cfg: ScenarioConfig) -> str:
-    """Config text that parses back to an equal ScenarioConfig."""
+    """TOML text that parses back to an equal ScenarioConfig."""
     lines = []
     for section, body in cfg.as_sections().items():
         if section:

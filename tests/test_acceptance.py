@@ -192,18 +192,18 @@ class TestAcceptance:
         single = parse_config_text(
             "\n".join(
                 [
-                    "scenario = iteration",
+                    'scenario = "iteration"',
                     "[equation]",
-                    "family = mkdvm",
+                    'family = "mkdvm"',
                     "m = 3",
                     "mu = -1",
                     "nonlinear = false",
                     "[damping]",
-                    "form = raised_cosine",
+                    'form = "raised_cosine"',
                     "floor = 1.0",
                     "amplitude = 0.25",
                     "[data]",
-                    "kind = sech",
+                    'kind = "sech"',
                     "amplitude = 0.7071067811865476",
                     "[evolution]",
                     "dt = 0.0002",

@@ -870,6 +870,16 @@ class TestRadiusEstimate:
         with pytest.raises(UnderresolvedError):
             radius_estimate(analyze(np.zeros(g.N), g))
 
+    @pytest.mark.parametrize("L, why", [(1e250, "divide by zero"), (1e-200, "overflow")])
+    def test_frequencies_beyond_double_range(self, L, why):
+        # polyfit scales by the norm of xi, whose squares underflow to 0 at
+        # L = 1e250 and overflow at L = 1e-200; tier-1 turns its warnings
+        # into errors, so a numpy warning would fail here too
+        g = Grid(L, 256)
+        F = np.exp(-0.1 * np.arange(g.N // 2 + 1)).astype(complex)
+        with pytest.raises(UnderresolvedError, match=rf"^the fit's frequencies xi = .* leave double range \({why}"):
+            radius_estimate(synthesize(F, g))
+
 
 def interpolation_margin(v, sigma1):
     """rhs - lhs of ||v||_{H^{sigma1/2,0}} <= (||v||_L2 ||v||_{H^{sigma1,0}})^(1/2),

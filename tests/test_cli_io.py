@@ -10,9 +10,10 @@ import dataclasses
 import json
 import math
 import re
+import tomllib
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gevreyflow.cli import _COMMANDS, _default_config_text, main
@@ -35,6 +36,36 @@ from gevreyflow.reporting import (
     write_report,
     write_series_csv,
 )
+
+
+# (text, the case it is, its error): an id is the text and the case
+DIAGNOSTICS = [
+    ("[grid\nN = 4\n", "unclosed header", "line 1, col 6: Expected ']' at the end of a table declaration"),
+    ("[grid]\nN 512\n", "line 2", "line 2, col 3: Expected '=' after a key in a key/value pair"),
+    ("[grid]\n2N = 4\n", "unknown key 'grid.2N'", "line 2, col 1: unknown key 'grid.2N'"),
+    ("[grid]\nM = 3\n", "unknown key 'grid.M'", "line 2, col 1: unknown key 'grid.M'"),
+    ("[grid]\nN = 512\nN = 256\n", "duplicate key", "line 3, col 8: Cannot overwrite a value"),
+    ('[data]\nkind = "sech\n', "unterminated string", "line 2, col 13: Illegal character '\\n'"),
+    ('[data]\nkind = "sech\\"\n', "unterminated string", "line 2, col 15: Illegal character '\\n'"),
+    ('[data]\nkind = "se"ch"\n', "unescaped quote",
+     "line 2, col 12: Expected newline or end of document after a statement"),
+    ('[io]\nout_dir = "a\\q"\n', "unknown escape", "line 2, col 15: Unescaped '\\' in a string"),
+    ("[run]\nsigmas = [0.1, 0.2\n", "unterminated list", "line 3, col 1: Unclosed array"),
+    ("[evolution]\ndt = inf\n", "non-finite", "line 2, col 1: evolution.dt: non-finite number inf"),
+    ("[grid]\nN = 12.5\n", "expects an integer", "line 2, col 1: grid.N expects an integer, got 12.5"),
+    # a bare word is no TOML value, and a quoted one no number
+    ("[grid]\nL = sideways\n", "expects a number", "line 2, col 5: Invalid value"),
+    ('[grid]\nL = "sideways"\n', "quoted word for a number", "line 2, col 1: grid.L expects a number, got 'sideways'"),
+    ("[equation]\nnonlinear = 1\n", "expects true or false",
+     "line 2, col 1: equation.nonlinear expects true or false, got 1"),
+    ("[run]\nsigmas = 0.1\n", "expects a list", "line 2, col 1: run.sigmas expects a list, got 0.1"),
+    ("[run]\nsigmas = [0.1, oops, 0.9]\n", "expects numbers", "line 2, col 16: Invalid value"),
+    ('[run]\nsigmas = [0.1, "oops", 0.9]\n', "quoted word in a list",
+     "line 2, col 1: run.sigmas expects numbers, got 'oops'"),
+    ("[grid]\nN =\n", "line 2, col 4: empty value", "line 2, col 4: Invalid value"),
+    ("scenario = 5\n", "scenario expects a string", "line 1, col 1: scenario expects a string, got 5"),
+    ('[io]\nout_dir = "abc\\\n', "unterminated string", "line 3, col 1: Unescaped '\\' in a string"),
+]
 
 
 class TestConfigGrammar:
@@ -64,8 +95,11 @@ class TestConfigGrammar:
         assert cfg.out_dir == "results/run 1"
 
     def test_bare_words_and_lists(self):
+        # TOML has no bare-word value: a file quotes its words
+        with pytest.raises(ConfigParseError, match=r"^line 1, col 12: Invalid value$"):
+            parse_config_text("scenario = sigma-scaling\n")
         cfg = parse_config_text(
-            "scenario = sigma-scaling\n[equation]\nmu = -1\n[data]\nkind = sech\n"
+            'scenario = "sigma-scaling"\n[equation]\nmu = -1\n[data]\nkind = "sech"\n'
             "[run]\nsigmas = [0.05, 0.1, 0.2, 0.4]\n"
         )
         assert cfg.scenario == "sigma-scaling"
@@ -86,33 +120,45 @@ class TestConfigGrammar:
         assert cfg.out_dir == 'tab\there "q" \\ end'
 
     @pytest.mark.parametrize(
-        "text, fragment",
-        [
-            ("[grid\nN = 4\n", "line 1, col 1"),
-            ("[grid]\nN 512\n", "line 2"),
-            ("[grid]\n2N = 4\n", "malformed key"),
-            ("[grid]\nM = 3\n", "unknown key 'grid.M'"),
-            ("[grid]\nN = 512\nN = 256\n", "duplicate key"),
-            ('[data]\nkind = "sech\n', "unterminated string"),
-            ('[data]\nkind = "sech\\"\n', "unterminated string"),
-            ('[data]\nkind = "se"ch"\n', "unescaped quote"),
-            ('[io]\nout_dir = "a\\q"\n', "unknown escape"),
-            ("[run]\nsigmas = [0.1, 0.2\n", "unterminated list"),
-            ("[evolution]\ndt = inf\n", "non-finite"),
-            ("[grid]\nN = 12.5\n", "expects an integer"),
-            ("[grid]\nL = sideways\n", "expects a number"),
-            ("[equation]\nnonlinear = 1\n", "expects true or false"),
-            ("[run]\nsigmas = 0.1\n", "expects a list"),
-            ("[run]\nsigmas = [0.1, oops, 0.9]\n", "expects numbers"),
-            ("[grid]\nN =\n", "line 2, col 4: empty value"),
-            ("scenario = 5\n", "scenario expects a string"),
-            ('[io]\nout_dir = "abc\\\n', "unterminated string"),
-        ],
+        "text, message",
+        [pytest.param(text, message, id=f"{text}-{case}") for text, case, message in DIAGNOSTICS],
     )
-    def test_diagnostics(self, text, fragment):
+    def test_diagnostics(self, text, message):
         with pytest.raises(ConfigParseError) as err:
             parse_config_text(text)
-        assert fragment in str(err.value)
+        assert str(err.value) == message
+
+    def test_table_below_a_section_is_an_unknown_key(self):
+        with pytest.raises(ConfigParseError, match=r"^line 1, col 1: unknown key 'grid\.sub'$"):
+            parse_config_text("[grid.sub]\nN = 4\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[run]\nsigmas = [0.1, nan]\n", "line 2, col 1: run.sigmas: non-finite number nan"),
+            ("[grid]\nL = -inf\n", "line 2, col 1: grid.L: non-finite number -inf"),
+            ("[grid]\nL = 1" + "0" * 400 + "\n", f"line 2, col 1: grid.L: non-finite number 1{'0' * 400}"),
+        ],
+        ids=["nan-in-list", "-inf", "int-beyond-double"],
+    )
+    def test_toml_numbers_beyond_double_range_rejected(self, text, message):
+        with pytest.raises(ConfigParseError) as err:
+            parse_config_text(text)
+        assert str(err.value) == message
+
+    def test_position_of_an_indented_dotted_key(self):
+        # a dotted key sets its section's key, and an indent moves its column
+        with pytest.raises(ConfigParseError, match=r"^line 2, col 3: grid\.N expects an integer, got 'x'$"):
+            parse_config_text('seed = 1\n  grid.N = "x"\n')
+
+    def test_byte_order_mark_is_read_past(self, tmp_path, capsys):
+        path = tmp_path / "bom.cfg"
+        path.write_text('scenario = "inequalities"\n[grid]\nN = 128\n', encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert parse_config(path).N == 128
+        # the CLI reads a --config file itself
+        args = ["inequalities", "--config", str(path), "--out", str(tmp_path), "--quiet", "--set", "run.samples=2000"]
+        assert main(args) == 0, capsys.readouterr().err
 
     def test_error_reports_line_and_column(self):
         with pytest.raises(ConfigParseError) as err:
@@ -248,9 +294,9 @@ class TestDynamicDefaults:
         "text, theta",
         [
             ("", 0.45),
-            ("[equation]\nfamily = mkdvm\nmu = -1\nm = 5\n", 0.25),
-            ("[equation]\nfamily = mkdvm\nmu = -1\nm = 7\n", 43.0 / 60.0),
-            ("[equation]\nfamily = mkdvm\nmu = -1\nm = 3\n", 0.45),
+            ('[equation]\nfamily = "mkdvm"\nmu = -1\nm = 5\n', 0.25),
+            ('[equation]\nfamily = "mkdvm"\nmu = -1\nm = 7\n', 43.0 / 60.0),
+            ('[equation]\nfamily = "mkdvm"\nmu = -1\nm = 3\n', 0.45),
         ],
     )
     def test_theta_default_tracks_order(self, text, theta):
@@ -276,6 +322,11 @@ class TestOverrides:
         cfg = parse_config_text("[grid]\nN = 256\n", ["grid.N=128"])
         assert cfg.N == 128
 
+    def test_str_override_may_stay_bare(self):
+        # text that is no TOML value is a str key's value as itself
+        cfg = parse_config_text("", ["data.kind=sech", 'io.out_dir="a b"', "io.out_dir=a#b"])
+        assert cfg.data.kind == "sech" and cfg.out_dir == "a#b"
+
     def test_list_override(self):
         cfg = parse_config_text("", ["run.sigmas=[0.1, 0.2, 0.4, 0.8]"])
         assert cfg.sigmas == (0.1, 0.2, 0.4, 0.8)
@@ -284,7 +335,8 @@ class TestOverrides:
 
     @pytest.mark.parametrize(
         "override",
-        ["no_equals_here", "nope=3", "a.b.c=3", "grid.N=maybe"],
+        # an empty value is no TOML value, and no str key takes it as itself
+        ["no_equals_here", "nope=3", "a.b.c=3", "grid.N=maybe", "io.out_dir=", "data.kind= "],
     )
     def test_bad_overrides_rejected(self, override):
         with pytest.raises(ConfigurationError):
@@ -292,7 +344,7 @@ class TestOverrides:
 
 
 # a damped config whose sixth line sets run.sigma0
-A3_TEXT = "scenario = damping\n[equation]\nfamily = mkdvm\nmu = -1\n[run]\nsigma0 = {}\n"
+A3_TEXT = 'scenario = "damping"\n[equation]\nfamily = "mkdvm"\nmu = -1\n[run]\nsigma0 = {}\n'
 
 
 class TestParseTimeValidation:
@@ -318,7 +370,7 @@ class TestParseTimeValidation:
 
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown scenario"):
-            parse_config_text("scenario = jubilee\n")
+            parse_config_text('scenario = "jubilee"\n')
 
     @pytest.mark.parametrize("command", ["damping", "coupled"])
     @pytest.mark.parametrize("N", [1024, 2048])
@@ -353,6 +405,16 @@ class TestRoundTrip:
         again = parse_config_text(render_config(cfg))
         assert again == cfg
 
+    @pytest.mark.parametrize("command", sorted(_COMMANDS))
+    def test_packaged_configs_are_plain_toml(self, command):
+        # tomllib alone reads each file to the values the parser takes from it
+        text = _default_config_text(command)
+        table = tomllib.loads(text)
+        flat = {(s, k): v for s, body in table.items() if isinstance(body, dict) for k, v in body.items()}
+        flat.update({("", k): v for k, v in table.items() if not isinstance(v, dict)})
+        sections = parse_config_text(text).as_sections()
+        assert flat and {key: sections[key[0]][key[1]] for key in flat} == flat
+
     def test_constant_damping_variant_round_trips(self):
         from importlib import resources
 
@@ -374,20 +436,19 @@ class TestRoundTrip:
 
     @settings(max_examples=200, deadline=None)
     @given(
-        out_dir=st.text(
-            st.characters(exclude_categories=("Cc", "Cs", "Zl", "Zp"), include_characters="\t\n"),
-            max_size=24,
-        ),
+        # every character: control characters, DEL, quotes, backslashes and
+        # lone surrogates included
+        out_dir=st.text(st.characters(exclude_categories=()), max_size=24),
         alpha=st.floats(allow_nan=False, allow_infinity=False),
     )
+    @example(out_dir='\x00\x1f\x7f"\\\ud800\udfff\u2028', alpha=0.0)
     def test_render_parse_identity_on_strings_and_floats(self, out_dir, alpha):
-        # printable text (plus the escaped tab and newline) and any finite
-        # float, in a key the parser leaves unchecked (the mkdv family
-        # reads no dispersion ratio)
+        # any text and any finite float, in a key the parser leaves
+        # unchecked (the mkdv family reads no dispersion ratio)
         cfg = dataclasses.replace(parse_config_text(""), out_dir=out_dir, alpha=alpha)
         assert parse_config_text(render_config(cfg)) == cfg
 
-    @pytest.mark.parametrize("out_dir", ["out\\", "a\\\\", 'q\\"', "inf", "nan", "x # y\\"])
+    @pytest.mark.parametrize("out_dir", ["out\\", "a\\\\", 'q\\"', "inf", "nan", "x # y\\", "true", "\ud83d", "\t\x7f"])
     def test_backslash_and_number_words_round_trip(self, out_dir):
         cfg = dataclasses.replace(parse_config_text(""), out_dir=out_dir)
         assert parse_config_text(render_config(cfg)).out_dir == out_dir
@@ -659,7 +720,7 @@ class TestCli:
             ("conserve", "dt = 0.0002", "dt = 0"),
             ("radius", "record_every = 500", "record_every = 100000"),
             ("iterate", "sigma0 = 0.5", "sigma0 = 15.0"),
-            ("conserve", "kind = soliton", "kind = gauss"),
+            ("conserve", 'kind = "soliton"', 'kind = "gauss"'),
         ],
     )
     def test_rejected_key_in_a_file_gives_its_line(self, tmp_path, capsys, command, old, new):
@@ -706,9 +767,14 @@ class TestCli:
         assert main([command, "--out", str(tmp_path), "--set", override]) == 1
         assert capsys.readouterr().err.startswith(f"error: {prefix}")
 
+    def test_degenerate_radius_fit_is_an_error_line(self, tmp_path, capsys):
+        # at L = 1e250 the fit's xi^2 underflow: an error line, no traceback
+        assert main(["radius", "--out", str(tmp_path), "--quiet", "--set", "grid.L=1e250"]) == 1
+        assert capsys.readouterr().err.startswith("error: radius fit failed at t = 0: the fit's frequencies xi = ")
+
     def test_scenario_config_mismatch_exits_one(self, tmp_path, capsys):
         config = tmp_path / "wrong.cfg"
-        config.write_text("scenario = conservation\n", encoding="utf-8")
+        config.write_text('scenario = "conservation"\n', encoding="utf-8")
         code = main(["damping", "--config", str(config), "--out", str(tmp_path)])
         assert code == 1
         assert "runner expects" in capsys.readouterr().err
