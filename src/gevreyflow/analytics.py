@@ -406,6 +406,6 @@ def radius_estimate(f: SpectralField) -> RadiusFit:
             s_hi, _ = np.polyfit(x[half:], y[half:], 1)
     except FloatingPointError as err:
         span = f"{x[0]:.3g}..{x[-1]:.3g}"
-        raise UnderresolvedError(f"the fit's frequencies xi = {span} leave double range ({err})") from None
+        raise UnderresolvedError(f"the fit's frequencies xi = {span} leave double range ({err})") from err
     superexp = (s_hi < 0) and (s_lo < 0) and (abs(s_hi) > 1.25 * abs(s_lo))
     return RadiusFit(sigma_hat=max(0.0, float(-slope)), clamped=bool(slope > 0), superexponential=bool(superexp))

@@ -20,7 +20,7 @@ from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
-from .config import FAMILIES, parse_config_text
+from .config import FAMILIES, parse_config
 from .errors import ConfigParseError, ConfigurationError, GevreyError
 from .harness import RUNNERS, ExperimentReport
 from .reporting import PlotStyle, write_plot, write_report
@@ -49,31 +49,17 @@ _STATIC_STYLES = {
     "decay": PlotStyle(title="interpolated decay", x_label="t", y_log=True),
     "window_residuals": PlotStyle(title="window residuals", x_label="window"),
     "radius": PlotStyle(title="analyticity radius", x_label="t"),
+    "drift_vs_sigma": PlotStyle(title="drift against weight", x_label="sigma", x_log=True, y_log=True),
 }
 
 
 def _style_for(report: ExperimentReport, name: str) -> PlotStyle:
+    style = _STATIC_STYLES.get(name, PlotStyle(title=name))
     if name == "drift_vs_sigma":
-        slope = report.fits.get("scaling", {}).get("slope")
-        note = f"slope {slope:.3f}" if slope is not None else ""
-        return PlotStyle(title="drift against weight", x_label="sigma", x_log=True, y_log=True, annotation=note)
-    style = _STATIC_STYLES.get(name)
-    if style is not None:
-        if name == "radius":
-            c = report.fits.get("calibration", {}).get("c")
-            if c is not None:
-                return PlotStyle(title=style.title, x_label=style.x_label, annotation=f"c = {c:.4g}")
-        return style
-    return PlotStyle(title=name)
-
-
-def _default_config_name(command: str) -> str:
-    return command.replace("-", "_") + ".cfg"
-
-
-def _default_config_text(command: str) -> str:
-    name = _default_config_name(command)
-    return resources.files("gevreyflow").joinpath("configs", name).read_text(encoding="utf-8")
+        return replace(style, annotation=f"slope {report.fits['scaling']['slope']:.3f}")
+    if name == "radius":
+        return replace(style, annotation=f"c = {report.fits['calibration']['c']:.4g}")
+    return style
 
 
 def _load_config(command: str, args):
@@ -81,11 +67,12 @@ def _load_config(command: str, args):
     if args.seed is not None:
         overrides.append(f"seed={args.seed}")
     if args.config is not None:
-        name, text = args.config, Path(args.config).read_text(encoding="utf-8-sig")
+        name = path = args.config
     else:
-        name, text = f"configs/{_default_config_name(command)}", _default_config_text(command)
+        name = f"configs/{command.replace('-', '_')}.cfg"
+        path = resources.files("gevreyflow").joinpath(name)
     try:
-        return parse_config_text(text, overrides)
+        return parse_config(path, overrides)
     except ConfigParseError as err:
         # the error's line is one of the file's, so name the file
         raise ConfigurationError(f"{name}: {err}", err.key) from err

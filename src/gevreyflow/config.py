@@ -389,7 +389,8 @@ def _coerce(dotted, value, line_no, col):
 def _apply_overrides(values: dict, where: dict, overrides) -> None:
     """Set each override, "dotted.key=value" with a TOML value, in values;
     an overridden key loses its line.  A str key also takes text that is no
-    TOML value as itself, so data.kind=gauss needs no quotes."""
+    TOML value as itself, so data.kind=gauss needs no quotes; TOML text
+    that sets more than the value ("grid.N=256\nseed = 5") is rejected."""
     for text in overrides:
         if "=" not in text:
             raise ConfigurationError(f"override {text!r} is not of the form key=value")
@@ -399,11 +400,14 @@ def _apply_overrides(values: dict, where: dict, overrides) -> None:
         if dotted not in SCHEMA:
             raise ConfigurationError(f"override names unknown key {name!r}")
         try:
-            value = tomllib.loads(f"value = {rhs}")["value"]
+            # tomllib keeps the document's order, so value comes first
+            value, *more = tomllib.loads(f"value = {rhs}").values()
         except tomllib.TOMLDecodeError as err:
             if SCHEMA[dotted] != "str" or not rhs.strip():
                 raise ConfigurationError(f"override {text!r}: {_TOML_AT.fullmatch(str(err))[1]}") from None
-            value = rhs.strip()
+            value, more = rhs.strip(), ()
+        if more:
+            raise ConfigurationError(f"override {text!r} sets more than its one value")
         try:
             values[dotted] = _coerce(dotted, value, None, None)
         except ConfigParseError as err:
@@ -469,7 +473,7 @@ def parse_config_text(text: str, overrides=()) -> ScenarioConfig:
 
 
 def parse_config(path, overrides=()) -> ScenarioConfig:
-    """Parse, override, default-fill, and pre-validate one scenario config."""
+    """Parse, override, default-fill, and pre-validate one scenario config file."""
     return parse_config_text(Path(path).read_text(encoding="utf-8-sig"), overrides)
 
 

@@ -12,19 +12,19 @@ independent of each other (no shared state), so callers may execute any
 subset in any order, or in parallel processes, and merge reports by
 scenario id.
 
-Every evolution body is a generator body(cfg, grid, spec, init) that
-integrates nothing itself: it yields lists of trajectory requests
-(spec, init, where, t_start), receives their trajectories, and returns
-(series, fits, verdicts).  Conservation, sigma-scaling and radius make one
-request, "trajectory"; the window body one per window, each from the last
-one's final state; the damping body its trajectory, then its rate probes
-as one list.  The driver has three phases: build (check the scenario, then
-ScenarioConfig.build(), the parser's validation call), requests (integrate
-each, the harness's only integrate call; a blow-up or dt-guard error is
-re-raised as the same type, naming where and the global time
-t_start + err.t, and the guard's error advising to lower evolution.dt),
-and judge (the body judges all its records at once, as arrays).  The
-inequality body, of the one scenario with no family, is a plain body(cfg).
+Every body is a generator body(cfg, grid, spec, init) that integrates
+nothing itself: it yields lists of trajectory requests (spec, init,
+where, t_start), receives their trajectories, and returns (series, fits,
+verdicts).  Conservation, sigma-scaling and radius make one request,
+"trajectory"; the window body one per window, each from the last one's
+final state; the damping body its trajectory, then its rate probes as
+one list; the inequality body one empty list.  The driver has three
+phases: build (check the scenario, then ScenarioConfig.build(), the
+parser's validation call), requests (integrate each, the harness's only
+integrate call; a blow-up or dt-guard error is re-raised as the same
+type, naming where and the global time t_start + err.t, and the guard's
+error advising to lower evolution.dt), and judge (the body judges all
+its records at once, as arrays).
 
 Verdict margins are normalized: positive means the checked quantity
 cleared its bound by that relative amount, negative by how much it fell
@@ -56,7 +56,7 @@ from .analytics import (
     radius_estimate,
     sigma_choice,
 )
-from .config import FAMILIES, SCENARIO_IDS, ScenarioConfig, known_radius
+from .config import SCENARIO_IDS, ScenarioConfig, known_radius
 from .dynamics import EvolutionSpec, integrate
 from .errors import ConfigurationError, DivergenceError, FitError, UnderresolvedError
 from .inequalities import (
@@ -408,7 +408,9 @@ def _radius_tracking(cfg: ScenarioConfig, grid: Grid, spec: EvolutionSpec, init)
         try:
             return radius_estimate(state)
         except UnderresolvedError as err:
-            raise UnderresolvedError(f"radius fit failed at t = {t:g}: {err}; raise grid.N") from err
+            # only xi = 2 pi k / L beyond double range fails the fit's arithmetic
+            advice = "change grid.L" if isinstance(err.__cause__, FloatingPointError) else "raise grid.N"
+            raise UnderresolvedError(f"radius fit failed at t = {t:g}: {err}; {advice}") from err
 
     # the t = 0 record is spectrally the initial state, so a grid too coarse
     # to fit it, or to fit it within radius_match of the known radius, fails
@@ -462,14 +464,15 @@ def _violations(margins: np.ndarray, scale: np.ndarray, tol: float) -> tuple[int
     return int(np.sum(norm < -tol)), float(norm.min())
 
 
-def _inequalities(cfg: ScenarioConfig):
+def _inequalities(cfg: ScenarioConfig, grid: Grid, spec: EvolutionSpec, init):
     """Randomized margin sweep of the scalar bounds plus the certified
     triple-cosh lattice scan.
 
     Samples mix a uniform core with log-uniform tails so both the small-
     argument expansions and the saturated regimes are exercised; all
-    sampling is driven by the config seed.
+    sampling is driven by the config seed, and no trajectory is requested.
     """
+    yield []
     rng = np.random.default_rng(cfg.seed)
     n = cfg.samples
     tol = cfg.tolerances.inequality
@@ -525,7 +528,7 @@ def _inequalities(cfg: ScenarioConfig):
 # the scenario table and its one driver
 # ---------------------------------------------------------------------------
 
-# scenario id -> body, a generator but for the one scenario with no family
+# scenario id -> body
 SCENARIOS = {"conservation": _conservation, "sigma-scaling": _sigma_scaling, "damping": _damping_decay,
              "iteration": _iterate_windows, "radius": _radius_tracking, "coupled": _iterate_windows,
              "inequalities": _inequalities}
@@ -536,27 +539,23 @@ def _run(scenario: str, cfg: ScenarioConfig) -> ExperimentReport:
     integrate every request its body yields, and build the report from
     what the body returns, wall clock included."""
     t0 = time.perf_counter()
-    body = SCENARIOS[scenario]
     if cfg.scenario != scenario:
         raise ConfigurationError(f"config is for scenario {cfg.scenario!r}, runner expects {scenario!r}")
-    if FAMILIES[scenario] is None:
-        series, fits, verdicts = body(cfg)
-    else:
-        steps, trajectories = body(cfg, *cfg.build()), None
-        while True:
+    steps, trajectories = SCENARIOS[scenario](cfg, *cfg.build()), None
+    while True:
+        try:
+            requests = steps.send(trajectories)
+        except StopIteration as done:
+            series, fits, verdicts = done.value
+            break
+        trajectories = []
+        for spec, init, where, t_start in requests:
             try:
-                requests = steps.send(trajectories)
-            except StopIteration as done:
-                series, fits, verdicts = done.value
-                break
-            trajectories = []
-            for spec, init, where, t_start in requests:
-                try:
-                    trajectories.append(integrate(spec, init))
-                except (DivergenceError, ConfigurationError) as err:
-                    # integrate's one ConfigurationError is its dt guard
-                    advice = "; lower evolution.dt" if isinstance(err, ConfigurationError) else ""
-                    raise type(err)(f"{where}, global t = {t_start + err.t:.6g}: {err}{advice}") from err
+                trajectories.append(integrate(spec, init))
+            except (DivergenceError, ConfigurationError) as err:
+                # integrate's one ConfigurationError is its dt guard
+                advice = "; lower evolution.dt" if isinstance(err, ConfigurationError) else ""
+                raise type(err)(f"{where}, global t = {t_start + err.t:.6g}: {err}{advice}") from err
     return ExperimentReport(scenario, series, fits, verdicts, cfg.as_sections(), time.perf_counter() - t0)
 
 

@@ -127,12 +127,7 @@ def write_report(report: ExperimentReport, out_dir) -> Path:
                 raise ConfigurationError(f"series name {name!r} is not filesystem safe")
             write_series_csv(table, series_dir / f"{name}.csv")
 
-    line = json.dumps(
-        {"scenario": report.scenario, "content_hash": digest, "wall_clock": report.wall_clock},
-        sort_keys=True,
-        separators=(",", ":"),
-        allow_nan=False,
-    )
+    line = canonical_json({"scenario": report.scenario, "content_hash": digest, "wall_clock": report.wall_clock})
     with open(out / "runs.jsonl", "a", encoding="utf-8") as fh:
         fh.write(line + "\n")
     return report_path

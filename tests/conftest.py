@@ -1,3 +1,5 @@
+from importlib import resources
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -11,6 +13,14 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("default")
+
+
+def packaged_text(name: str) -> str:
+    """The text of a packaged config, named by its CLI command or its file's
+    stem (sigma-scaling or sigma_scaling), read as config.parse_config
+    reads a file."""
+    path = resources.files("gevreyflow").joinpath("configs", f"{name.replace('-', '_')}.cfg")
+    return path.read_text(encoding="utf-8-sig")
 
 
 @pytest.fixture

@@ -9,11 +9,11 @@ the artifacts a user gets from the CLI.
 
 import math
 from fractions import Fraction
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import packaged_text
 from oracles import operator_F, operator_G
 
 from gevreyflow import content_hash, report_payload
@@ -25,8 +25,7 @@ from gevreyflow.spectral import Grid, analyze
 
 
 def packaged(name):
-    text = resources.files("gevreyflow").joinpath("configs", name).read_text(encoding="utf-8")
-    return parse_config_text(text)
+    return parse_config_text(packaged_text(name))
 
 
 REPORT_HASHES = Path(__file__).with_name("report_hashes.txt")
@@ -36,15 +35,13 @@ def run_packaged(name, overrides=()):
     """The report of a packaged config.  Without overrides its content hash
     must equal that config's line in tests/report_hashes.txt, so a change
     that moves a trajectory or a report fails here."""
-    text = resources.files("gevreyflow").joinpath("configs", name).read_text(encoding="utf-8")
-    cfg = parse_config_text(text, overrides)
+    cfg = parse_config_text(packaged_text(name), overrides)
     report = RUNNERS[cfg.scenario](cfg)
     if not overrides:
-        config = name.removesuffix(".cfg")
         lines = REPORT_HASHES.read_text(encoding="utf-8").splitlines()
-        expected = dict(line.split() for line in lines if line.strip()).get(config)
+        expected = dict(line.split() for line in lines if line.strip()).get(name)
         digest = content_hash(report_payload(report))
-        assert digest == expected, f"content hash of {config} moved: {digest}, {REPORT_HASHES.name} has {expected}"
+        assert digest == expected, f"content hash of {name} moved: {digest}, {REPORT_HASHES.name} has {expected}"
     return report
 
 
@@ -55,7 +52,7 @@ def declare(criterion, passed, detail):
 
 class TestAcceptance:
     def test_criterion_1_inequality_suite(self):
-        report = run_packaged("inequalities.cfg")
+        report = run_packaged("inequalities")
         scan = report.fits["triple_cosh"]
         ok = report.passed and scan["violations"] == 0
         declare(
@@ -66,7 +63,7 @@ class TestAcceptance:
         )
 
     def test_criterion_2_exact_conservation(self):
-        report = run_packaged("conserve.cfg")
+        report = run_packaged("conserve")
         worst = report.fits["drift"]["max_relative"]
         declare(
             2,
@@ -76,7 +73,7 @@ class TestAcceptance:
 
     def test_criterion_3_soliton_fidelity(self):
         # max-norm error against the exact periodic translate at t = 5
-        cfg = packaged("conserve.cfg")
+        cfg = packaged("conserve")
         grid, spec, init = cfg.build()
         traj = integrate(spec, init)
         k, x0, t_end = cfg.data.k, cfg.data.x0, cfg.t_end
@@ -102,7 +99,7 @@ class TestAcceptance:
         )
 
     def test_criterion_4_sigma_squared_scaling(self):
-        report = run_packaged("sigma_scaling.cfg")
+        report = run_packaged("sigma_scaling")
         fit = report.fits["scaling"]
         slope_ok = 1.8 <= fit["slope"] <= 2.2 and fit["r2"] >= 0.98
 
@@ -138,8 +135,8 @@ class TestAcceptance:
         )
 
     def test_criterion_5_damping_decay(self):
-        variable = run_packaged("damping.cfg")
-        constant = run_packaged("damping_constant.cfg")
+        variable = run_packaged("damping")
+        constant = run_packaged("damping_constant")
         ok = (
             variable.verdicts["decay_envelope"].passed
             and variable.verdicts["rate_identity"].passed
@@ -158,7 +155,7 @@ class TestAcceptance:
         )
 
     def test_criterion_6_global_iteration(self):
-        report = run_packaged("iterate.cfg")
+        report = run_packaged("iterate")
         bound = report.verdicts["window_bound"]
         decay = report.verdicts["interpolation_decay"]
         windows = report.series["mass_windows"]["k"]
@@ -171,8 +168,8 @@ class TestAcceptance:
         )
 
     def test_criterion_7_radius_consistency(self):
-        tracked = run_packaged("radius.cfg")
-        control = run_packaged("radius.cfg", ["equation.mu=1", "data.kind=soliton"])
+        tracked = run_packaged("radius")
+        control = run_packaged("radius", ["equation.mu=1", "data.kind=soliton"])
         env = tracked.verdicts["envelope"]
         match = control.verdicts["soliton_radius_match"]
         ok = env.passed and match.passed and control.verdicts["envelope"].passed
@@ -184,9 +181,9 @@ class TestAcceptance:
         )
 
     def test_criterion_8_coupled_system(self):
-        report = run_packaged("coupled.cfg")
+        report = run_packaged("coupled")
         degenerate = run_packaged(
-            "coupled.cfg",
+            "coupled",
             ["data2.kind=zero", "run.sigma0=0.5", "run.k_max=10"],
         )
         single = parse_config_text(

@@ -13,10 +13,11 @@ import re
 import tomllib
 
 import pytest
+from conftest import packaged_text
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gevreyflow.cli import _COMMANDS, _default_config_text, main
+from gevreyflow.cli import _COMMANDS, main
 from gevreyflow.config import (
     SCHEMA,
     parse_config,
@@ -156,7 +157,7 @@ class TestConfigGrammar:
         path.write_text('scenario = "inequalities"\n[grid]\nN = 128\n', encoding="utf-8-sig")
         assert path.read_bytes().startswith(b"\xef\xbb\xbf")
         assert parse_config(path).N == 128
-        # the CLI reads a --config file itself
+        # and so does the CLI, which reads a --config file through parse_config
         args = ["inequalities", "--config", str(path), "--out", str(tmp_path), "--quiet", "--set", "run.samples=2000"]
         assert main(args) == 0, capsys.readouterr().err
 
@@ -327,6 +328,13 @@ class TestOverrides:
         cfg = parse_config_text("", ["data.kind=sech", 'io.out_dir="a b"', "io.out_dir=a#b"])
         assert cfg.data.kind == "sech" and cfg.out_dir == "a#b"
 
+    def test_override_sets_its_one_value(self):
+        # TOML text past the value set a second key, which was dropped unseen
+        for override in ["grid.N=256\nseed = 5", 'io.out_dir="a"\n[grid]\nN = 128']:
+            with pytest.raises(ConfigurationError, match=rf"^override {re.escape(repr(override))} sets more than"):
+                parse_config_text("", [override])
+        assert parse_config_text("", ["grid.N=256 # note"]).N == 256
+
     def test_list_override(self):
         cfg = parse_config_text("", ["run.sigmas=[0.1, 0.2, 0.4, 0.8]"])
         assert cfg.sigmas == (0.1, 0.2, 0.4, 0.8)
@@ -362,7 +370,7 @@ class TestParseTimeValidation:
         # every damped family; the override has no line, so the key leads
         pattern = r"^run\.sigma0 violates \(A3\): sigma0 \* R = 1\.9635 must be < 1, with damping rate R = 0\.0981748$"
         with pytest.raises(ConfigurationError, match=pattern):
-            parse_config_text(_default_config_text(command), ["run.sigma0=20"])
+            parse_config_text(packaged_text(command), ["run.sigma0=20"])
 
     def test_descending_sigmas_rejected(self):
         with pytest.raises(ConfigurationError, match="ascending"):
@@ -376,7 +384,7 @@ class TestParseTimeValidation:
     @pytest.mark.parametrize("N", [1024, 2048])
     def test_damped_configs_validate_on_fine_grids(self, command, N):
         # the profile's closed form certifies (A2) at every N
-        cfg = parse_config_text(_default_config_text(command), [f"grid.N={N}"])
+        cfg = parse_config_text(packaged_text(command), [f"grid.N={N}"])
         assert cfg.N == N
 
     @pytest.mark.parametrize(
@@ -390,7 +398,7 @@ class TestParseTimeValidation:
     )
     def test_section_errors_name_their_section(self, override, pattern):
         with pytest.raises(ConfigurationError, match=pattern):
-            parse_config_text(_default_config_text("coupled"), [override])
+            parse_config_text(packaged_text("coupled"), [override])
 
 
 class TestRoundTrip:
@@ -400,7 +408,7 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("command", sorted(_COMMANDS))
     def test_packaged_configs_round_trip(self, command):
-        cfg = parse_config_text(_default_config_text(command))
+        cfg = parse_config_text(packaged_text(command))
         assert cfg.scenario == _COMMANDS[command]
         again = parse_config_text(render_config(cfg))
         assert again == cfg
@@ -408,7 +416,7 @@ class TestRoundTrip:
     @pytest.mark.parametrize("command", sorted(_COMMANDS))
     def test_packaged_configs_are_plain_toml(self, command):
         # tomllib alone reads each file to the values the parser takes from it
-        text = _default_config_text(command)
+        text = packaged_text(command)
         table = tomllib.loads(text)
         flat = {(s, k): v for s, body in table.items() if isinstance(body, dict) for k, v in body.items()}
         flat.update({("", k): v for k, v in table.items() if not isinstance(v, dict)})
@@ -416,14 +424,7 @@ class TestRoundTrip:
         assert flat and {key: sections[key[0]][key[1]] for key in flat} == flat
 
     def test_constant_damping_variant_round_trips(self):
-        from importlib import resources
-
-        text = (
-            resources.files("gevreyflow")
-            .joinpath("configs", "damping_constant.cfg")
-            .read_text(encoding="utf-8")
-        )
-        cfg = parse_config_text(text)
+        cfg = parse_config_text(packaged_text("damping_constant"))
         assert cfg.damping.form == "constant"
         assert parse_config_text(render_config(cfg)) == cfg
 
@@ -724,7 +725,7 @@ class TestCli:
         ],
     )
     def test_rejected_key_in_a_file_gives_its_line(self, tmp_path, capsys, command, old, new):
-        text = _default_config_text(command).replace(old, new)
+        text = packaged_text(command).replace(old, new)
         config = tmp_path / "bad.cfg"
         config.write_text(text, encoding="utf-8")
         assert main([command, "--config", str(config), "--out", str(tmp_path)]) == 1
@@ -768,9 +769,39 @@ class TestCli:
         assert capsys.readouterr().err.startswith(f"error: {prefix}")
 
     def test_degenerate_radius_fit_is_an_error_line(self, tmp_path, capsys):
-        # at L = 1e250 the fit's xi^2 underflow: an error line, no traceback
+        # at L = 1e250 the fit's xi^2 underflow: an error line, no traceback,
+        # that names grid.L, since no grid.N helps there
         assert main(["radius", "--out", str(tmp_path), "--quiet", "--set", "grid.L=1e250"]) == 1
-        assert capsys.readouterr().err.startswith("error: radius fit failed at t = 0: the fit's frequencies xi = ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: radius fit failed at t = 0: the fit's frequencies xi = ")
+        assert err.endswith(" leave double range (divide by zero encountered in divide); change grid.L\n")
+        # too few modes is what more of them mends
+        assert main(["radius", "--out", str(tmp_path), "--quiet", "--set", "grid.N=16"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: radius fit failed at t = 0: only 4 modes above the noise floor ")
+        assert err.endswith("; need >= 12; raise grid.N\n")
+
+    @pytest.mark.parametrize("config", [False, True], ids=["packaged", "--config"])
+    def test_config_files_are_read_by_parse_config(self, tmp_path, monkeypatch, config):
+        # the CLI reads no config file itself: the packaged default and a
+        # --config file both go to the one reader
+        seen = []
+
+        def spy(path, overrides=()):
+            seen.append(path)
+            return parse_config(path, overrides)
+
+        monkeypatch.setattr("gevreyflow.cli.parse_config", spy)
+        path = tmp_path / "mine.cfg"
+        path.write_text(packaged_text("inequalities"), encoding="utf-8")
+        args = ["inequalities", "--out", str(tmp_path), "--quiet", "--set", "run.samples=2000"]
+        assert main([*args, "--config", str(path)] if config else args) == 0
+        [read] = seen
+        if config:
+            assert read == str(path)
+        else:
+            assert read.read_text(encoding="utf-8") == packaged_text("inequalities")
+            assert [read.parent.name, read.name] == ["configs", "inequalities.cfg"]
 
     def test_scenario_config_mismatch_exits_one(self, tmp_path, capsys):
         config = tmp_path / "wrong.cfg"

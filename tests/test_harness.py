@@ -14,6 +14,7 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from conftest import packaged_text
 
 from gevreyflow import cli, content_hash, harness, report_payload
 from gevreyflow.analytics import FunctionalBreakdown, functional_A, functional_M
@@ -112,7 +113,7 @@ class TestScenarioTable:
         # one CLI command per scenario, listed in table order
         assert tuple(cli._COMMANDS.values()) == SCENARIO_IDS
         for command, scenario in cli._COMMANDS.items():
-            assert parse_config_text(cli._default_config_text(command)).scenario == scenario
+            assert parse_config_text(packaged_text(command)).scenario == scenario
         packaged = resources.files("gevreyflow").joinpath("configs")
         on_disk = {parse_config(p).scenario for p in packaged.iterdir() if p.name.endswith(".cfg")}
         assert on_disk == set(SCENARIO_IDS)
@@ -174,20 +175,22 @@ def test_one_functional_call_per_trajectory(monkeypatch, short, series):
     assert calls == [len(report.series[series]["t"])]
 
 
-EVOLUTION_SHORT = {
+SHORT = {
     "conservation": CONSERVE_SHORT,
     "sigma-scaling": SIGMA_SHORT,
     "damping": DAMPING_SHORT,
     "iteration": ITERATION_SHORT,
     "radius": RADIUS_SHORT,
     "coupled": COUPLED_DEGENERATE,
+    "inequalities": INEQUALITIES_SMALL,
 }
 
 
-@pytest.mark.parametrize("scenario", [s for s, family in FAMILIES.items() if family is not None])
+@pytest.mark.parametrize("scenario", SCENARIO_IDS)
 def test_one_build_per_parse_and_per_run(monkeypatch, scenario):
     # the parser builds once to validate, and the runner once for its
-    # objects, however many integrate calls it then makes
+    # objects, however many integrate calls it then makes (the inequality
+    # suite makes none)
     real, calls = ScenarioConfig.build, []
 
     def counted(cfg):
@@ -195,7 +198,7 @@ def test_one_build_per_parse_and_per_run(monkeypatch, scenario):
         return real(cfg)
 
     monkeypatch.setattr(ScenarioConfig, "build", counted)
-    cfg = short_config(EVOLUTION_SHORT[scenario])
+    cfg = short_config(SHORT[scenario])
     assert calls == [cfg]
     calls.clear()
     RUNNERS[scenario](cfg)

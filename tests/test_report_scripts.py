@@ -1,6 +1,6 @@
 """The scripts under tests/: the report comparison under a reader that
 stops early, the hash check against tests/report_hashes.txt, and the line
-trace of the packaged runs."""
+trace of the packaged runs with its check against tests/traffic.txt."""
 
 import inspect
 import json
@@ -93,13 +93,18 @@ def test_check_names_every_moved_config(tmp_path, capsys, stub_hashes):
     assert out[-1] == "content hashes moved: conserve, iterate, radius, retired"
 
 
-def test_traffic_lists_the_lines_stubbed_runs_miss(monkeypatch, capsys):
-    # every runner returns one passing verdict at once, so the runs parse,
-    # write and exit 0 while no scenario body or integrator line runs
+@pytest.fixture
+def stub_runs(monkeypatch):
+    """Every runner returns one passing verdict at once, so the traced runs
+    parse, write and exit 0 while no scenario body or integrator line runs."""
+
     def stub(cfg):
         return ExperimentReport(cfg.scenario, {}, {}, {"stub": Verdict(True, 0.0, 0.0)}, cfg.as_sections(), 0.0)
 
     monkeypatch.setattr(cli, "RUNNERS", {s: stub for s in SCENARIO_IDS})
+
+
+def test_traffic_lists_the_lines_stubbed_runs_miss(capsys, stub_runs):
     assert traffic.main() == 0
     out = capsys.readouterr().out.splitlines()
     modules = sorted(f"gevreyflow/{p.name}" for p in Path(gevreyflow.__file__).parent.glob("*.py"))
@@ -112,3 +117,35 @@ def test_traffic_lists_the_lines_stubbed_runs_miss(monkeypatch, capsys):
 
     assert f"gevreyflow/dynamics.py:{line_of(dynamics.integrate, 'def integrate')}" in listed
     assert f"gevreyflow/config.py:{line_of(config.parse_config, 'return parse_config_text')}" not in listed
+
+
+def test_traffic_check_prints_each_entry_that_differs(tmp_path, capsys, stub_runs):
+    modules = len(traffic.package_files())
+    listed = tmp_path / "traffic.txt"
+
+    def check(lines):
+        listed.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+        code = traffic.main(["--check", str(listed)])
+        out = capsys.readouterr().out.splitlines()
+        # the entries, one count line per module, and the verdict
+        return code, out[: -modules - 1], out[-1]
+
+    # an empty list lacks every function, each printed with no reason
+    code, new, last = check(["# a comment"])
+    assert code == 1 and new and all(line.endswith(" ?") for line in new)
+    assert last == f"unreached lines: {listed} differs from the trace; entries above: {len(new)}"
+    exact = [line.removesuffix("?") + "error path" for line in new]
+    code, printed, last = check(exact)
+    assert (code, printed) == (0, []) and last.startswith("unreached lines: all ")
+
+    key, count, reason = exact[0].split(" ", 2)
+    faults = {
+        "bumped count": ([f"{key} {int(count) + 1} {reason}", *exact[1:]], exact[0]),
+        "missing entry": (exact[1:], f"{key} {count} ?"),
+        "unknown reason": ([f"{key} {count} unused", *exact[1:]], f"{key} {count} ?"),
+        "stale entry": ([*exact, "gevreyflow/cli.py:gone 2 CLI option"], "remove gevreyflow/cli.py:gone 2 CLI option"),
+    }
+    for fault, (lines, expected) in faults.items():
+        code, printed, last = check(lines)
+        assert (code, printed) == (1, [expected]), fault
+        assert last == f"unreached lines: {listed} differs from the trace; entries above: 1"

@@ -1,4 +1,5 @@
-"""Print the lines of the gevreyflow package that no packaged run reaches.
+"""Print the lines of the gevreyflow package that no packaged run reaches,
+or check their count per function against a file of such counts.
 
 Every packaged scenario config runs through the CLI, cli.main with
 --config, a temporary --out and --quiet, under sys.settrace, which traces
@@ -12,10 +13,22 @@ calls count as reached; where the package is already imported, as in a
 test, they do not.  Run from a source checkout:
 
     PYTHONPATH=src python tests/traffic.py
+    PYTHONPATH=src python tests/traffic.py --check tests/traffic.txt
+
+tests/traffic.txt lists every function with unreached lines, one line
+each: `gevreyflow/<module>.py:<qualname> <count> <reason>`.  A line
+belongs to the innermost function whose code maps it, by co_qualname; a
+comprehension's lines are its function's.  The reason, kept by hand, is
+one of REASONS.  --check prints, for every function whose entry differs
+from the trace (a new function, a changed count, a reason not in
+REASONS), the line the file should hold, with the file's reason or `?`
+where it has none, and `remove <entry>` for every listed function with no
+unreached line left; its last line says whether the file matches.  There
+is no mode that writes the file: paste the printed lines into it.
 
 Every step of every run is traced; a full run took about 20 s on a
-2-core x86-64 machine.  The exit status is 1 if a run exits nonzero, and
-0 otherwise.
+2-core x86-64 machine.  The exit status is 1 if a run exits nonzero or
+--check finds a difference, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -24,10 +37,21 @@ import importlib.util
 import inspect
 import sys
 import tempfile
+from collections import Counter
 from importlib import resources
 from pathlib import Path
 
 _IMPORT_TIME = {"<listcomp>", "<dictcomp>", "<setcomp>", "<genexpr>"}
+
+# why a function's lines go unreached, one class per function; "public
+# inverse" also covers hsigma_norm, the paper's norm, which only tests call
+REASONS = (
+    "error path",
+    "input check",
+    "CLI option",
+    "option that no packaged config selects",
+    "public inverse",
+)
 
 
 def package_files() -> dict:
@@ -37,22 +61,25 @@ def package_files() -> dict:
     return {str(path): f"gevreyflow/{path.name}" for path in sorted(Path(root).glob("*.py"))}
 
 
-def executable_lines(filename: str) -> set:
-    """The lines that the function code objects of one source file map
-    instructions to."""
-    lines = set()
+def executable_lines(filename: str) -> dict:
+    """{line: qualname of the function it belongs to} for the lines that
+    the function code objects of one source file map instructions to."""
+    lines = {}
 
-    def walk(code, at_import):
+    def walk(code, at_import, owner):
         for const in code.co_consts:
             if not inspect.iscode(const):
                 continue
             function = bool(const.co_flags & inspect.CO_NEWLOCALS)
-            inner = at_import and (not function or const.co_name in _IMPORT_TIME)
+            comprehension = const.co_name in _IMPORT_TIME
+            inner = at_import and (not function or comprehension)
+            name = owner if comprehension and owner else const.co_qualname
             if not inner:
-                lines.update(line for _, _, line in const.co_lines() if line is not None)
-            walk(const, inner)
+                # a nested function's walk below claims its own lines
+                lines.update((line, name) for _, _, line in const.co_lines() if line is not None)
+            walk(const, inner, name)
 
-    walk(compile(Path(filename).read_text(encoding="utf-8"), filename, "exec"), True)
+    walk(compile(Path(filename).read_text(encoding="utf-8"), filename, "exec"), True, None)
     return lines
 
 
@@ -94,20 +121,64 @@ def traced_runs(files, out: str) -> tuple[dict, list]:
     return reached, codes
 
 
-def main() -> int:
+def read_list(path: str) -> dict:
+    """{`<module>:<qualname>`: (count, reason)} of a file of such lines;
+    blank lines and lines starting with # are skipped."""
+    listed = {}
+    for number, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+        if not line.strip() or line.startswith("#"):
+            continue
+        key, _, rest = line.partition(" ")
+        count, _, reason = rest.partition(" ")
+        if not count.isdigit():
+            raise SystemExit(f"{path}:{number}: expected `<module>:<qualname> <count> <reason>`, got {line!r}")
+        listed[key] = (int(count), reason)
+    return listed
+
+
+def differences(counts: dict, listed: dict) -> list:
+    """The line the list should hold for every function whose entry
+    differs from counts, {`<module>:<qualname>`: unreached lines}, in
+    counts' order, then `remove <entry>` for every listed function that
+    counts lacks."""
+    lines = []
+    for key, count in counts.items():
+        listed_count, reason = listed.get(key, (None, "?"))
+        reason = reason if reason in REASONS else "?"
+        if listed_count != count or reason == "?":
+            lines.append(f"{key} {count} {reason}")
+    lines += [f"remove {key} {count} {reason}" for key, (count, reason) in listed.items() if key not in counts]
+    return lines
+
+
+def main(argv=()) -> int:
+    if argv and (len(argv) != 2 or argv[0] != "--check"):
+        print("usage: traffic.py [--check FILE]", file=sys.stderr)
+        return 2
     files = package_files()
     with tempfile.TemporaryDirectory() as out:
         reached, codes = traced_runs(files, out)
-    counts = []
+    listing, totals, counts = [], [], Counter()
     for filename, shown in files.items():
-        missed = sorted(executable_lines(filename) - reached[filename])
+        lines = executable_lines(filename)
         source = Path(filename).read_text(encoding="utf-8").splitlines()
+        missed = sorted(set(lines) - reached[filename])
         for line in missed:
-            print(f"{shown}:{line}: {source[line - 1].strip()}")
-        counts.append(f"{shown}: {len(missed)} unreached")
-    print("\n".join(counts))
-    return int(any(codes))
+            listing.append(f"{shown}:{line}: {source[line - 1].strip()}")
+            counts[f"{shown}:{lines[line]}"] += 1
+        totals.append(f"{shown}: {len(missed)} unreached")
+    if not argv:
+        print("\n".join(listing + totals))
+        return int(any(codes))
+    path = argv[1]
+    diff = differences(counts, read_list(path))
+    print("\n".join(diff + totals))
+    if diff:
+        print(f"unreached lines: {path} differs from the trace; entries above: {len(diff)}")
+    else:
+        print(f"unreached lines: all {sum(counts.values())} in {len(counts)} functions as {path} lists them")
+    return int(any(codes) or bool(diff))
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
