@@ -45,7 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from .analytics import theta_max
-from .dynamics import Equation, EvolutionSpec, _plan_steps, make_damping, sech, soliton
+from .dynamics import Equation, EvolutionSpec, RaisedCosineDamping, _plan_steps, sech, soliton
 from .errors import ConfigParseError, ConfigurationError
 from .spectral import Grid, SpectralField, analyze, dealias
 
@@ -190,26 +190,30 @@ class ScenarioConfig:
             _check(not zero, "data.kind", f"is zero{also}: {why}")
 
     def build(self) -> tuple[Grid, EvolutionSpec, object]:
-        """(grid, spec, init): the grid; the configured flow, its damping
-        profiles built and certified, as an EvolutionSpec; and the data
-        projected into the band integrate evolves, one field or the pair
-        (data, data2) for the coupled family.  Raises on the first violated
-        precondition of these objects, naming its section, then on what the
-        scenario needs of them: (A3), sigma0 R < 1, for every damping
-        profile; a window scenario's sigma0 and the sigma-scaling sigmas
-        below the data's radius; radius data of finite radius, >= 3
-        records."""
+        """(grid, spec, init): the grid; the configured flow as an
+        EvolutionSpec, each damping form constant (the raised cosine of
+        amplitude 0) or raised_cosine; and the data projected into the band
+        integrate evolves, one field or the pair (data, data2) for the
+        coupled family.  Raises on the first violated precondition of these
+        objects, each type checking its own (a damping profile its (A1)
+        floor), naming its section; then on what the scenario needs of
+        them: (A3), sigma0 R < 1, for every damping profile; a window
+        scenario's sigma0 and the sigma-scaling sigmas below the data's
+        radius; radius data of finite radius, >= 3 records."""
         grid = _from_section("grid", Grid, self.L, self.N)
         pair = self.family == "coupled"
         damped = (("damping", self.damping), ("damping2", self.damping2))[: (self.family != "mkdv") * (1 + pair)]
-        dampings = tuple(_from_section(name, make_damping, c.form, c.floor, c.amplitude, grid) for name, c in damped)
+        for name, c in damped:
+            _check(c.form in ("constant", "raised_cosine"), f"{name}.form", f"{c.form!r} is an unknown form")
+            _check(c.form != "constant" or c.amplitude == 0, f"{name}.amplitude",
+                   f"must be 0 for constant damping, got {c.amplitude}")
+        dampings = tuple(_from_section(name, RaisedCosineDamping, c.floor, c.amplitude, grid.L) for name, c in damped)
         R = max((d.deriv_bound_rate for d in dampings), default=0.0)
         q = self.sigma0 * R
         _check(q < 1, "run.sigma0", f"violates (A3): sigma0 * R = {q:.6g} must be < 1, with damping rate R = {R:.6g}")
         m, alphas = (self.m if self.family == "mkdvm" else 3), ((1.0, self.alpha) if pair else (1.0,))
-        equation = _from_section("equation", Equation, self.mu, m, alphas, dampings)
-        evolution = (equation, self.dt, self.t_end, self.record_every, self.nonlinear)
-        spec = _from_section("evolution", EvolutionSpec, *evolution)
+        equation = _from_section("equation", Equation, self.mu, m, alphas, dampings, self.nonlinear)
+        spec = _from_section("evolution", EvolutionSpec, equation, self.dt, self.t_end, self.record_every)
         data = (("data", self.data), ("data2", self.data2))[: 1 + pair]
         init = tuple(dealias(_from_section(name, build_field, d, grid)) for name, d in data)
         radius = min(known_radius(d) for _, d in data)
@@ -388,9 +392,9 @@ def _coerce(dotted, value, line_no, col):
 
 def _apply_overrides(values: dict, where: dict, overrides) -> None:
     """Set each override, "dotted.key=value" with a TOML value, in values;
-    an overridden key loses its line.  A str key also takes text that is no
-    TOML value as itself, so data.kind=gauss needs no quotes; TOML text
-    that sets more than the value ("grid.N=256\nseed = 5") is rejected."""
+    an overridden key loses its line.  A str key also takes one line of text
+    that is no TOML value as itself, so data.kind=gauss needs no quotes;
+    text past the one value ("grid.N=256\nseed = 5") is rejected."""
     for text in overrides:
         if "=" not in text:
             raise ConfigurationError(f"override {text!r} is not of the form key=value")
@@ -405,7 +409,7 @@ def _apply_overrides(values: dict, where: dict, overrides) -> None:
         except tomllib.TOMLDecodeError as err:
             if SCHEMA[dotted] != "str" or not rhs.strip():
                 raise ConfigurationError(f"override {text!r}: {_TOML_AT.fullmatch(str(err))[1]}") from None
-            value, more = rhs.strip(), ()
+            value, *more = rhs.strip().splitlines()
         if more:
             raise ConfigurationError(f"override {text!r} sets more than its one value")
         try:

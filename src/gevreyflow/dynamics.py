@@ -10,10 +10,12 @@ For every odd m = 2j+1 the linear part reads dV_k/dt = i xi_k^m V_k in
 Fourier variables (the sign (-1)^(j+1) combines with i^m to give +i for all
 j), so one dispersive symbol covers all three systems, scaled per
 component by its dispersion ratio: (1,) for one component, (1, alpha) for
-the coupled pair.  So one type, Equation(mu, m, alphas, dampings), states
-every flow: its only per-flow data are m, the ratios alphas and the damping
-profiles, none or one per component.  A damping profile's closed form is
-its (A2) certificate, and no transform runs outside the step loop.
+the coupled pair.  So one type, Equation(mu, m, alphas, dampings,
+nonlinear), states every flow: its only per-flow data are m, the ratios
+alphas, the damping profiles, none or one per component, and the cubic
+term's switch; EvolutionSpec adds only the time grid.  A damping profile
+checks its (A1) floor itself, and its closed form is its (A2)
+certificate, so no transform runs outside the step loop.
 
 Integration is classical RK4 in the integrating-factor frame: the stiff
 dispersive part is propagated exactly by the unimodular symbol
@@ -88,14 +90,17 @@ BLOWUP_LIMIT = 1e6
 
 @dataclass(frozen=True)
 class RaisedCosineDamping:
-    """a(x) = floor + amplitude * (1 + cos(2 pi x / length)), amplitude >= 0.
+    """a(x) = floor + amplitude * (1 + cos(2 pi x / length)).  Its closed
+    form is its certificate, so construction checks only the inputs: (A1),
+    amplitude >= 0 and a positive, finite length.
 
-    Smooth, periodic, bounded below by floor exactly (the cosine reaches -1
-    at x = length/2).  Derivatives obey the factorial-free bound
-    sup|d^k a| = amplitude * (2 pi / length)^k for k >= 1, which certifies
-    the coefficients (floor + 2*amplitude, 2 pi / length) for the
-    C * R^k * k! growth condition; at amplitude 0 every derivative
-    vanishes, and the rate is 0.
+    (A1) min a = floor > 0, reached at x = length/2, a node of every even-N grid.
+    (A2) sup|d^k a| = amplitude R^k <= C R^k k! for every k >= 1, with
+         (C, R) = (floor + 2*amplitude, 2 pi/length) and R = 0 at amplitude 0,
+         because floor > 0 and k! >= 1.
+
+    (A3), R < 1/sigma0, ties the profile to the data's weight, so the
+    config checks it against run.sigma0.
 
     amplitude = 0 is the constant damping a = floor.  It is not
     square-integrable on the full line; it is admitted on the torus as an
@@ -106,6 +111,15 @@ class RaisedCosineDamping:
     floor: float
     amplitude: float
     length: float
+
+    def __post_init__(self):
+        # each comparison is False for nan, so nan is rejected too
+        if not self.floor > 0:
+            raise ConfigurationError(f"damping floor must be positive (A1), got {self.floor}")
+        if not self.amplitude >= 0:
+            raise ConfigurationError(f"damping amplitude must be >= 0, got {self.amplitude}")
+        if not 0 < self.length < math.inf:
+            raise ConfigurationError(f"damping length must be positive and finite, got {self.length}")
 
     @property
     def sup(self) -> float:
@@ -128,32 +142,6 @@ class RaisedCosineDamping:
         return self.floor + self.amplitude * (1.0 + np.cos(2.0 * np.pi * grid.x / self.length))
 
 
-def make_damping(form: str, floor: float, amplitude: float, grid: Grid) -> RaisedCosineDamping:
-    """The RaisedCosineDamping on the grid's domain ("constant" is its
-    amplitude 0, and takes only amplitude 0).  Its closed form is its
-    certificate for (A1) and (A2), so only the inputs are checked:
-
-    (A1) min a = floor > 0, reached at x = length/2, a node of every even-N grid.
-    (A2) sup|d^k a| = amplitude R^k <= C R^k k! for every k >= 1, with
-         (C, R) = (floor + 2*amplitude, 2 pi/length) and R = 0 at amplitude 0,
-         because floor > 0 and k! >= 1.
-
-    (A3), R < 1/sigma0, ties the profile to the data's weight, so the
-    config checks it against run.sigma0.
-    """
-    if floor <= 0:
-        raise ConfigurationError(f"damping floor must be positive (A1), got {floor}")
-    if form == "constant":
-        if amplitude != 0:
-            raise ConfigurationError(f"constant damping takes amplitude = 0, got {amplitude}")
-    elif form == "raised_cosine":
-        if amplitude < 0:
-            raise ConfigurationError(f"raised-cosine amplitude must be >= 0, got {amplitude}")
-    else:
-        raise ConfigurationError(f"unknown damping form {form!r}")
-    return RaisedCosineDamping(floor, amplitude, grid.L)
-
-
 # ---------------------------------------------------------------------------
 # evolution specification
 # ---------------------------------------------------------------------------
@@ -163,7 +151,9 @@ def make_damping(form: str, floor: float, amplitude: float, grid: Grid) -> Raise
 class Equation:
     """One flow: mu = +1 focusing, -1 defocusing; odd order m >= 3; one
     dispersion ratio per component, (1,) or (1, alpha) with alpha in (0, 1);
-    no damping or one profile per component.  Equation(mu) is mKdV,
+    no damping or one profile per component; and nonlinear, the config key
+    equation.nonlinear, whose False drops the cubic terms and leaves the
+    exactly solvable linear (damped linear) flow.  Equation(mu) is mKdV,
     Equation(mu, m, dampings=(a,)) the damped flow (m = 3 only as a
     cross-check), Equation(mu, alphas=(1.0, alpha), dampings=(a1, a2)) the
     coupled pair."""
@@ -172,6 +162,7 @@ class Equation:
     m: int = 3
     alphas: tuple = (1.0,)
     dampings: tuple = ()
+    nonlinear: bool = True
 
     def __post_init__(self):
         if self.mu not in (-1, 1):
@@ -190,18 +181,12 @@ class Equation:
 
 @dataclass(frozen=True)
 class EvolutionSpec:
-    """What to integrate and how: equation, step, horizon, record cadence.
-
-    nonlinear is the config key equation.nonlinear; False drops the cubic
-    term, and the flow becomes the exactly solvable linear (damped linear)
-    equation.
-    """
+    """The flow and its time grid: equation, step, horizon, record cadence."""
 
     equation: Equation
     dt: float
     t_end: float
     record_every: int
-    nonlinear: bool = True
 
     def __post_init__(self):
         if self.dt <= 0 or not np.isfinite(self.dt):
@@ -238,7 +223,7 @@ def linear_symbol(grid: Grid, m: int, alpha: float = 1.0) -> np.ndarray:
     return sym
 
 
-def nonlinear_term(eq: Equation, grid: Grid, nonlinear: bool = True):
+def nonlinear_term(eq: Equation, grid: Grid):
     """Build the non-dispersive part N(V) of the rhs, on the dealiased band:
     the one rhs, which integrate runs.
 
@@ -247,8 +232,8 @@ def nonlinear_term(eq: Equation, grid: Grid, nonlinear: bool = True):
     (C, N/4+1), C = len(eq.alphas).  evaluate(V, out) writes N(V), in the
     same layout, into out and the (C, N) samples w of V into samples, which
     the next call overwrites; it checks nothing, and integrate reads samples
-    for the blow-up check before the next call.  nonlinear=False drops the
-    cubic terms.
+    for the blow-up check before the next call.  An equation with
+    nonlinear=False has no cubic terms.
 
     Every cubic term is in conservative form and differentiated in Fourier
     space.  One irfft of V (zero-padded to N points) gives the rows w_c.
@@ -272,7 +257,7 @@ def nonlinear_term(eq: Equation, grid: Grid, nonlinear: bool = True):
     """
     N, band = grid.N, grid.band
     C = len(eq.alphas)
-    mu = eq.mu if nonlinear else 0
+    mu = eq.mu if eq.nonlinear else 0
     damped = bool(eq.dampings)
     # mu v^2 v_x = (mu/3)(v^3)_x: the single cubic row v^3 takes a third
     dx = ((-mu / (3.0 if C == 1 else 1.0) / N) * 1j * grid.xi[:band])[None]
@@ -367,7 +352,7 @@ def integrate(spec: EvolutionSpec, init) -> Trajectory:
     band = grid.band
     sym = np.stack([linear_symbol(grid, eq.m, alpha)[:band] for alpha in eq.alphas])
     V = np.stack([f.spectrum[:band] for f in fields])
-    evaluate, w = nonlinear_term(eq, grid, spec.nonlinear)
+    evaluate, w = nonlinear_term(eq, grid)
 
     # every factor is an array of the state's shape, h/2 and h/6 too (see
     # the module docstring); K1 and K4 are adjacent rows, scaled by
@@ -456,15 +441,16 @@ def sech(amplitude: float, width: float, center: float, grid: Grid) -> SpectralF
         raise ConfigurationError(f"sech width must be positive, got {width}")
     if not 0.0 <= center <= grid.L:
         raise ConfigurationError(f"sech center {center} outside the domain [0, {grid.L}]")
-    edge = min(center, grid.L - center)
-    ratio = 1.0 / np.cosh(min(edge / width, 700.0))
-    if ratio >= 1e-12:
-        raise ConfigurationError(
-            f"sech tail at the domain edge is {ratio:.3e} of the peak (>= 1e-12); "
-            "enlarge L, narrow the width, or recenter"
-        )
+    _check_edge_tail("sech", center, width, grid, "enlarge L, narrow the width, or recenter")
     r = np.minimum(np.abs(grid.x - center) / width, 700.0)
     return analyze(amplitude / np.cosh(r), grid)
+
+
+def _check_edge_tail(name: str, center: float, width: float, grid: Grid, advice: str) -> None:
+    """Reject a sech profile whose value at the domain edge is not below 1e-12 of its peak."""
+    ratio = 1.0 / np.cosh(min(min(center, grid.L - center) / width, 700.0))
+    if ratio >= 1e-12:
+        raise ConfigurationError(f"{name} tail at the domain edge is {ratio:.3e} of the peak (>= 1e-12); {advice}")
 
 
 def soliton(k: float, x0: float, grid: Grid) -> tuple[SpectralField, float]:
@@ -472,11 +458,12 @@ def soliton(k: float, x0: float, grid: Grid) -> tuple[SpectralField, float]:
 
     Returns (field, speed) with speed = k^2: u(x - speed*t) solves
     u_t + u_xxx + u^2 u_x = 0.  The field is sech(sqrt(6) k, 1/k, x0, grid),
-    with that function's domain and edge-tail checks; its analyticity
-    radius is pi/(2k).
+    with that function's checks stated in k and x0; its analyticity radius
+    is pi/(2k).
     """
     if k <= 0:
         raise ConfigurationError(f"soliton width parameter must be positive, got k={k}")
     if not 0.0 <= x0 <= grid.L:
         raise ConfigurationError(f"soliton center outside the domain [0, {grid.L}], got x0={x0}")
+    _check_edge_tail("soliton", x0, 1.0 / k, grid, "enlarge L, raise k, or recenter x0")
     return sech(PEAK_FACTOR * k, 1.0 / k, x0, grid), k * k

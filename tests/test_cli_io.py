@@ -24,6 +24,7 @@ from gevreyflow.config import (
     parse_config_text,
     render_config,
 )
+from gevreyflow.dynamics import RaisedCosineDamping
 from gevreyflow.errors import ConfigParseError, ConfigurationError
 from gevreyflow.harness import ExperimentReport, Verdict
 from gevreyflow.reporting import (
@@ -329,8 +330,9 @@ class TestOverrides:
         assert cfg.data.kind == "sech" and cfg.out_dir == "a#b"
 
     def test_override_sets_its_one_value(self):
-        # TOML text past the value set a second key, which was dropped unseen
-        for override in ["grid.N=256\nseed = 5", 'io.out_dir="a"\n[grid]\nN = 128']:
+        # TOML text past the value set a second key, which was dropped
+        # unseen; a bare str value's second line went into the value
+        for override in ["grid.N=256\nseed = 5", 'io.out_dir="a"\n[grid]\nN = 128', "io.out_dir=a\nseed = 5"]:
             with pytest.raises(ConfigurationError, match=rf"^override {re.escape(repr(override))} sets more than"):
                 parse_config_text("", [override])
         assert parse_config_text("", ["grid.N=256 # note"]).N == 256
@@ -390,8 +392,27 @@ class TestParseTimeValidation:
     @pytest.mark.parametrize(
         "override, pattern",
         [
+            ("damping.form=gaussian", r"^damping\.form 'gaussian' is an unknown form$"),
+            ("damping.form=constant", r"^damping\.amplitude must be 0 for constant damping, got 0\.25$"),
+        ],
+        ids=["unknown", "constant-amplitude"],
+    )
+    def test_damping_form_is_a_config_word(self, override, pattern):
+        # build() checks the form, a word of the config; constant is the
+        # raised cosine of amplitude 0, and takes no other amplitude
+        with pytest.raises(ConfigurationError, match=pattern):
+            parse_config_text(A3_TEXT.format(0.5), [override])
+
+    def test_constant_form_builds_the_flat_profile(self):
+        cfg = parse_config_text(A3_TEXT.format(0.5), ["damping.form=constant", "damping.amplitude=0"])
+        _, spec, _ = cfg.build()
+        assert spec.equation.dampings == (RaisedCosineDamping(1.0, 0.0, 64.0),)
+
+    @pytest.mark.parametrize(
+        "override, pattern",
+        [
             # the rejected amplitude is the file's, so its line is given
-            ("damping2.form=constant", r"^line \d+, col 1: damping2: .*amplitude = 0, got 0\.25"),
+            ("damping2.form=constant", r"^line 21, col 1: damping2\.amplitude must be 0 for constant damping, got 0\.25$"),
             ("data2.width=0", r"^data2: .*width"),
         ],
         ids=["damping2", "data2"],
@@ -722,6 +743,8 @@ class TestCli:
             ("radius", "record_every = 500", "record_every = 100000"),
             ("iterate", "sigma0 = 0.5", "sigma0 = 15.0"),
             ("conserve", 'kind = "soliton"', 'kind = "gauss"'),
+            # soliton data reads k, not width, so its edge error names data.k
+            ("conserve", "k = 1.0", "k = 0.1"),
         ],
     )
     def test_rejected_key_in_a_file_gives_its_line(self, tmp_path, capsys, command, old, new):
@@ -758,7 +781,8 @@ class TestCli:
     @pytest.mark.parametrize(
         "command, override, prefix",
         [
-            ("coupled", "damping2.form=constant", "configs/coupled.cfg: line 21, col 1: damping2: "),
+            ("coupled", "damping2.form=constant",
+             "configs/coupled.cfg: line 21, col 1: damping2.amplitude must be 0 for constant damping, got 0.25\n"),
             ("iterate", "grid.L=20", "configs/iterate.cfg: line 21, col 1: data: "),
         ],
     )

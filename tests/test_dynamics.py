@@ -25,7 +25,6 @@ from gevreyflow.dynamics import (
     Trajectory,
     integrate,
     linear_symbol,
-    make_damping,
     nonlinear_term,
     soliton,
 )
@@ -47,10 +46,10 @@ def l2(fld):
     return math.sqrt(g.L * float(np.sum(g.multiplicity * np.abs(fld.spectrum) ** 2)))
 
 
-def evaluated(eq, g, V, nonlinear=True):
+def evaluated(eq, g, V):
     """(N(V), samples of V) from one evaluation of a freshly built
     nonlinear_term, with the samples copied out of its buffer."""
-    evaluate, samples = nonlinear_term(eq, g, nonlinear)
+    evaluate, samples = nonlinear_term(eq, g)
     out = np.empty(V.shape, dtype=complex)
     evaluate(V, out)
     return out, samples.copy()
@@ -118,38 +117,36 @@ class TestDampingProfiles:
         with pytest.raises(ConfigurationError, match="domain length"):
             a.values(Grid(32.0, 64))
 
-    def test_make_damping_constant(self):
-        g = Grid(64.0, 64)
-        a = make_damping("constant", 1.0, 0.0, g)
-        assert a == RaisedCosineDamping(1.0, 0.0, g.L)
-        assert a.deriv_bound_rate == 0.0
-
-    def test_make_damping_constant_rejects_amplitude(self):
-        g = Grid(64.0, 64)
-        with pytest.raises(ConfigurationError, match="amplitude"):
-            make_damping("constant", 1.0, 0.3, g)
-
-    def test_make_damping_makes_no_transform(self, monkeypatch):
+    def test_certificate_makes_no_transform(self, monkeypatch):
         # the closed form is the certificate: no spectral re-check
-        g = Grid(64.0, 2048)
-
         def refuse(*args, **kwargs):
-            raise AssertionError("make_damping called a transform")
+            raise AssertionError("the damping profile called a transform")
 
         monkeypatch.setattr(spectral, "rfft_into", refuse)
         monkeypatch.setattr(spectral, "irfft_into", refuse)
-        a = make_damping("raised_cosine", 1.0, 0.5, g)
-        assert a == RaisedCosineDamping(1.0, 0.5, g.L)
+        a = RaisedCosineDamping(1.0, 0.5, 64.0)
+        assert (a.sup, a.deriv_bound_rate, a.deriv_sup(3)) == (2.0, 2.0 * np.pi / 64.0, 0.5 * (2.0 * np.pi / 64.0) ** 3)
 
-    def test_make_damping_a1_violation(self):
-        g = Grid(64.0, 64)
-        with pytest.raises(ConfigurationError, match=r"\(A1\)"):
-            make_damping("constant", 0.0, 0.0, g)
-
-    def test_make_damping_unknown_form(self):
-        g = Grid(64.0, 64)
-        with pytest.raises(ConfigurationError, match="form"):
-            make_damping("gaussian", 1.0, 0.5, g)
+    @pytest.mark.parametrize(
+        "floor, amplitude, length, pattern",
+        [
+            (0.0, 0.5, 64.0, r"^damping floor must be positive \(A1\), got 0\.0$"),
+            (-1.0, 0.5, 64.0, r"^damping floor must be positive \(A1\), got -1\.0$"),
+            (math.nan, 0.5, 64.0, r"^damping floor must be positive \(A1\), got nan$"),
+            # (A1) is checked first
+            (-1.0, -0.5, 64.0, r"^damping floor must be positive \(A1\), got -1\.0$"),
+            (1.0, -0.5, 64.0, r"^damping amplitude must be >= 0, got -0\.5$"),
+            (1.0, math.nan, 64.0, r"^damping amplitude must be >= 0, got nan$"),
+            (1.0, 0.5, 0.0, r"^damping length must be positive and finite, got 0\.0$"),
+            (1.0, 0.5, math.inf, r"^damping length must be positive and finite, got inf$"),
+        ],
+        ids=["floor-0", "floor-neg", "floor-nan", "floor-and-amplitude-neg", "amplitude-neg", "amplitude-nan",
+             "length-0", "length-inf"],
+    )
+    def test_rejects_inputs_outside_its_certificate(self, floor, amplitude, length, pattern):
+        # the type checks what (A1) and its closed form need; nan fails every check
+        with pytest.raises(ConfigurationError, match=pattern):
+            RaisedCosineDamping(floor, amplitude, length)
 
 
 class TestEquationTypes:
@@ -299,7 +296,7 @@ class TestRhs:
 
         monkeypatch.setattr(dynamics, "nonlinear_term", counted)
         integrate(EvolutionSpec(equation=eq, dt=1e-3, t_end=0.01, record_every=5), init)
-        assert calls == [(eq, g, True)]
+        assert calls == [(eq, g)]
 
     def test_rhs_validation(self):
         # the equation types carry the preconditions nonlinear_term relies on
@@ -324,14 +321,15 @@ class TestRhs:
         g = Grid(64.0, N)
         a = RaisedCosineDamping(floor=0.5, amplitude=0.25, length=64.0)
         eq = {
-            "mkdv": Equation(mu=1),
-            "mkdvm": Equation(mu=-1, m=5, dampings=(a,)),
-            "coupled": Equation(mu=1, alphas=(1.0, 0.5), dampings=(a, RaisedCosineDamping(1.0, 0.0, g.L))),
+            "mkdv": Equation(mu=1, nonlinear=nonlinear),
+            "mkdvm": Equation(mu=-1, m=5, dampings=(a,), nonlinear=nonlinear),
+            "coupled": Equation(mu=1, alphas=(1.0, 0.5), dampings=(a, RaisedCosineDamping(1.0, 0.0, g.L)),
+                                nonlinear=nonlinear),
         }[family]
         rng = np.random.default_rng(seed)
         shape = (len(eq.alphas), N // 4 + 1)
         V = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        out, v = evaluated(eq, g, V, nonlinear)
+        out, v = evaluated(eq, g, V)
         assert v.shape == shape[:-1] + (N,)
         if nonlinear or family != "mkdv":
             assert np.any(out != 0.0)
@@ -489,6 +487,13 @@ class TestSoliton:
         with pytest.raises(ConfigurationError):
             soliton(1.0, 99.0, g)
 
+    def test_edge_error_is_stated_in_k_and_x0(self):
+        # soliton data has no width: its advice names what it reads
+        g = Grid(64.0, 512)
+        pattern = r"^soliton tail at the domain edge is 8\.139e-02 of the peak \(>= 1e-12\); enlarge L, raise k, or recenter x0$"
+        with pytest.raises(ConfigurationError, match=pattern):
+            soliton(0.1, 32.0, g)
+
     def test_transform_decay_rate(self):
         # |F_k| tracks (sqrt(6) pi / L) sech(pi xi / (2k)): slope -pi/2 for k=1
         g = Grid(80.0, 1024)
@@ -548,8 +553,8 @@ class TestIntegrate:
         g = Grid(64.0, 512)
         u0 = dealias(analyze(0.8 * np.cos(2 * np.pi * 5 * g.x / g.L)
                              + 0.3 * np.sin(2 * np.pi * 11 * g.x / g.L), g))
-        spec = EvolutionSpec(equation=Equation(mu=1), dt=1e-3, t_end=5e-3,
-                             record_every=5, nonlinear=False)
+        spec = EvolutionSpec(equation=Equation(mu=1, nonlinear=False), dt=1e-3, t_end=5e-3,
+                             record_every=5)
         traj = integrate(spec, u0)
         f0, f1 = np.abs(u0.spectrum), np.abs(traj.final.spectrum)
         live = f0 > 0
@@ -559,8 +564,8 @@ class TestIntegrate:
         g = Grid(64.0, 512)
         u0 = dealias(analyze(np.cos(2 * np.pi * 7 * g.x / g.L), g))
         steps = 500
-        spec = EvolutionSpec(equation=Equation(mu=1), dt=1e-3, t_end=0.5,
-                             record_every=steps, nonlinear=False)
+        spec = EvolutionSpec(equation=Equation(mu=1, nonlinear=False), dt=1e-3, t_end=0.5,
+                             record_every=steps)
         traj = integrate(spec, u0)
         f0, f1 = np.abs(u0.spectrum), np.abs(traj.final.spectrum)
         live = f0 > 0
@@ -571,8 +576,8 @@ class TestIntegrate:
         u0 = dealias(analyze(0.8 * np.cos(2 * np.pi * 5 * g.x / g.L)
                              + 0.3 * np.sin(2 * np.pi * 11 * g.x / g.L), g))
         t_end = 0.05
-        spec = EvolutionSpec(equation=Equation(mu=1), dt=1e-3, t_end=t_end,
-                             record_every=end_record(1e-3, t_end), nonlinear=False)
+        spec = EvolutionSpec(equation=Equation(mu=1, nonlinear=False), dt=1e-3, t_end=t_end,
+                             record_every=end_record(1e-3, t_end))
         traj = integrate(spec, u0)
         exact = apply_symbol(u0, LinearFlow(3, 1, 1.0, t_end))
         scale = np.abs(u0.samples).max()
@@ -584,9 +589,9 @@ class TestIntegrate:
         v0 = dealias(analyze(0.8 * np.cos(2 * np.pi * 5 * g.x / g.L)
                              + 0.3 * np.sin(2 * np.pi * 11 * g.x / g.L), g))
         lam, t_end = 0.4, 1.0
-        eq = Equation(mu=1, m=3, dampings=(RaisedCosineDamping(lam, 0.0, g.L),))
+        eq = Equation(mu=1, m=3, dampings=(RaisedCosineDamping(lam, 0.0, g.L),), nonlinear=False)
         spec = EvolutionSpec(equation=eq, dt=2e-4, t_end=t_end,
-                             record_every=end_record(2e-4, t_end), nonlinear=False)
+                             record_every=end_record(2e-4, t_end))
         traj = integrate(spec, v0)
         assert l2(traj.final) == pytest.approx(math.exp(-lam * t_end) * l2(v0), rel=1e-10)
 
@@ -675,7 +680,7 @@ class TestIntegrate:
         g = Grid(64.0, 256)
         focused = dealias(analyze(4.0 * np.exp(-((g.x - 32.0) ** 2) / 0.72), g))
         u0 = synthesize(np.exp(-1j * g.xi**3) * focused.spectrum, g)
-        spec = EvolutionSpec(equation=Equation(mu=1), dt=0.012, t_end=1.0, record_every=1, nonlinear=False)
+        spec = EvolutionSpec(equation=Equation(mu=1, nonlinear=False), dt=0.012, t_end=1.0, record_every=1)
         with pytest.raises(ConfigurationError, match="advective guard") as err:
             integrate(spec, u0)
         t_fail = float(re.search(r"at t = (\S+)", str(err.value)).group(1))
@@ -711,9 +716,8 @@ class TestIntegrate:
                              record_every=end_record(1e-3, t_end))
         traj = integrate(spec, (w0, z))
         w1_end, w2_end = traj.final
-        single = EvolutionSpec(equation=Equation(mu=1, m=3, dampings=(a,)), dt=1e-3,
-                               t_end=t_end, record_every=end_record(1e-3, t_end),
-                               nonlinear=False)
+        single = EvolutionSpec(equation=Equation(mu=1, m=3, dampings=(a,), nonlinear=False), dt=1e-3,
+                               t_end=t_end, record_every=end_record(1e-3, t_end))
         ref = integrate(single, w0)
         assert np.abs(w1_end.samples - ref.final.samples).max() < 1e-10
         assert np.abs(w2_end.samples).max() == 0.0
