@@ -75,7 +75,7 @@ def _load_config(command: str, args):
         return parse_config(path, overrides)
     except ConfigParseError as err:
         # the error's line is one of the file's, so name the file
-        raise ConfigurationError(f"{name}: {err}", err.key) from err
+        raise ConfigurationError(f"{name}: {err}") from err
 
 
 def _out_root(args, cfg) -> Path:

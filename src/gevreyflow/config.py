@@ -23,10 +23,10 @@ where that formula does not apply).  Every value a config is rejected
 for is rejected here, naming its key, but three that need what the run
 computes: a window lifespan T0 below evolution.dt and a t = 0 radius fit
 that misses (both before the first step), and the step-size guard.
-ScenarioConfig's checks start with the dotted key (run.k_max must be
->= 0, got -1), and build() prefixes a module's error with its section.
-A syntax error gives tomllib's line and column, and an error of a key
-the text sets, written bare, gives the key's.
+Every error is keyed where it is raised, a check here to its dotted key
+(run.k_max must be >= 0, got -1) and a module's to its parameter, which
+build() makes the key of the section it prefixes; a key the text sets,
+written bare, gives its error its line, and a syntax error has tomllib's.
 
 Overrides are "dotted.key=value" strings with a TOML value, e.g.
 "grid.N=1024" or "run.sigmas=[0.1, 0.2, 0.4, 0.8]"; a str key also takes
@@ -189,17 +189,17 @@ class ScenarioConfig:
                    if s == "sigma-scaling" else "M_sigma0 = 0, and the window iteration needs nonzero data")
             _check(not zero, "data.kind", f"is zero{also}: {why}")
 
-    def build(self) -> tuple[Grid, EvolutionSpec, object]:
-        """(grid, spec, init): the grid; the configured flow as an
-        EvolutionSpec, each damping form constant (the raised cosine of
-        amplitude 0) or raised_cosine; and the data projected into the band
-        integrate evolves, one field or the pair (data, data2) for the
-        coupled family.  Raises on the first violated precondition of these
-        objects, each type checking its own (a damping profile its (A1)
-        floor), naming its section; then on what the scenario needs of
-        them: (A3), sigma0 R < 1, for every damping profile; a window
-        scenario's sigma0 and the sigma-scaling sigmas below the data's
-        radius; radius data of finite radius, >= 3 records."""
+    def build(self) -> tuple[EvolutionSpec, object]:
+        """(spec, init): the configured flow as an EvolutionSpec, each damping
+        form constant (the raised cosine of amplitude 0) or raised_cosine; and
+        the data, which carries the grid, projected into the band integrate
+        evolves, one field or the pair (data, data2) for the coupled family.
+        Raises on the first violated precondition of these objects, each type
+        checking its own (a damping profile its (A1) floor), keyed to the
+        section's key; then on what the scenario needs of them: (A3),
+        sigma0 R < 1, for every damping profile; a window scenario's sigma0
+        and the sigma-scaling sigmas below the data's radius; radius data of
+        finite radius, >= 3 records."""
         grid = _from_section("grid", Grid, self.L, self.N)
         pair = self.family == "coupled"
         damped = (("damping", self.damping), ("damping2", self.damping2))[: (self.family != "mkdv") * (1 + pair)]
@@ -227,7 +227,7 @@ class ScenarioConfig:
             _check(math.isfinite(radius), "data.kind", f"{self.data.kind!r} has no known radius; use soliton or sech")
             n = _plan_steps(spec)[0] + 1
             _check(n >= 3, "evolution.record_every", f"leaves {n} records; radius needs at least 3 recorded snapshots")
-        return grid, spec, init if pair else init[0]
+        return spec, init if pair else init[0]
 
     def as_sections(self) -> dict:
         """Resolved config as {section: {key: value}}, the shape the text
@@ -266,13 +266,13 @@ def config_keys():
 
 
 def _from_section(section: str, make, *args):
-    """make(*args); its ConfigurationError is prefixed by the section and keyed
-    to the first section key, in written order, named in it (N=15: grid.N)."""
+    """make(*args); its ConfigurationError, keyed to a parameter, is prefixed by
+    the section and keyed to the section's key of that name (N: grid.N), or to none."""
     try:
         return make(*args)
     except ConfigurationError as err:
-        named = [f"{section}.{k}" for s, k in SCHEMA if s == section and re.search(rf"\b{k}\b", str(err))]
-        raise ConfigurationError(f"{section}: {err}", named[0] if named else None) from err
+        key = f"{section}.{err.key}" if (section, err.key) in SCHEMA else None
+        raise ConfigurationError(f"{section}: {err}", key) from err
 
 
 def build_field(data: DataConfig, grid: Grid) -> SpectralField:
@@ -282,7 +282,7 @@ def build_field(data: DataConfig, grid: Grid) -> SpectralField:
         return sech(data.amplitude, data.width, data.center, grid)
     if data.kind == "zero":
         return analyze(np.zeros(grid.N), grid)
-    raise ConfigurationError(f"unknown data kind {data.kind!r}")
+    raise ConfigurationError(f"unknown data kind {data.kind!r}", "kind")
 
 
 def known_radius(data: DataConfig) -> float:
@@ -320,7 +320,7 @@ _LINE_RE = re.compile(r"([ \t]*)(?:\[[ \t]*([\w.\- \t]+?)[ \t]*\]|([\w.\- \t]+?)
 
 
 def _key_positions(text: str) -> dict:
-    """(line, column) of each table header and key of valid TOML text, by
+    """(line, column) of each table header and bare key of the text, by
     dotted name.  The scan reads lines alone, so a line inside a multi-line
     string that looks like a header or a key can move the positions of the
     keys after it, never their values."""
@@ -339,9 +339,9 @@ def _key_positions(text: str) -> dict:
     return where
 
 
-def _parse_text(text: str) -> tuple[dict, dict]:
-    """Raw (section, key) -> value mapping with parse-time diagnostics, and
-    the (line, column) of each key it sets, by dotted name."""
+def _parse_text(text: str) -> dict:
+    """Raw (section, key) -> value mapping of the text; an unknown key or a
+    value of the wrong kind is a ConfigurationError keyed to its dotted name."""
     try:
         table = tomllib.loads(text)
     except tomllib.TOMLDecodeError as err:
@@ -350,17 +350,16 @@ def _parse_text(text: str) -> tuple[dict, dict]:
         if line is None:
             line, column = text.count("\n") + 1, len(text) - text.rfind("\n")
         raise ConfigParseError(message, int(line), int(column)) from None
-    where, values = _key_positions(text), {}
+    values = {}
     for top, body in table.items():
         section, body = (top, body) if isinstance(body, dict) else ("", {top: body})
         for key, value in body.items():
-            name = f"{section}.{key}" if section else key
-            at = where.get(name, (None, None))
             # a table below a section is a key no section holds
             if (section, key) not in SCHEMA or isinstance(value, dict):
-                raise ConfigParseError(f"unknown key {name!r}", *at)
-            values[(section, key)] = _coerce((section, key), value, *at)
-    return values, where
+                name = f"{section}.{key}" if section else key
+                raise ConfigurationError(f"unknown key {name!r}", name)
+            values[(section, key)] = _coerce((section, key), value)
+    return values
 
 
 # kind -> (the Python types tomllib reads a value of that kind as, what the error expects)
@@ -368,24 +367,24 @@ _EXPECTS = {"int": (int, "an integer"), "float": ((int, float), "a number"), "bo
             "str": (str, "a string"), "floats": (list, "a list")}
 
 
-def _coerce(dotted, value, line_no, col):
+def _coerce(dotted, value):
     """value as its key's kind: a number of a float key is a float, and a
     list of numbers a tuple of floats; each must be a finite double, which
-    TOML's inf and nan are not."""
+    TOML's inf and nan are not.  An error is keyed to the dotted name."""
     kind = SCHEMA[dotted]
     name = f"{dotted[0]}.{dotted[1]}" if dotted[0] else dotted[1]
     types, expects = _EXPECTS[kind]
     # bool is an int subclass, and only a bool key takes one
     if not isinstance(value, types) or isinstance(value, bool) != (kind == "bool"):
-        raise ConfigParseError(f"{name} expects {expects}, got {value!r}", line_no, col)
+        raise ConfigurationError(f"{name} expects {expects}, got {value!r}", name)
     if kind not in ("float", "floats"):
         return value
     items = value if kind == "floats" else [value]
     for item in items:
         if isinstance(item, bool) or not isinstance(item, (int, float)):
-            raise ConfigParseError(f"{name} expects numbers, got {item!r}", line_no, col)
+            raise ConfigurationError(f"{name} expects numbers, got {item!r}", name)
         if not abs(item) <= sys.float_info.max:
-            raise ConfigParseError(f"{name}: non-finite number {item!r}", line_no, col)
+            raise ConfigurationError(f"{name}: non-finite number {item!r}", name)
     floats = tuple(map(float, items))
     return floats if kind == "floats" else floats[0]
 
@@ -413,8 +412,8 @@ def _apply_overrides(values: dict, where: dict, overrides) -> None:
         if more:
             raise ConfigurationError(f"override {text!r} sets more than its one value")
         try:
-            values[dotted] = _coerce(dotted, value, None, None)
-        except ConfigParseError as err:
+            values[dotted] = _coerce(dotted, value)
+        except ConfigurationError as err:
             raise ConfigurationError(f"override {text!r}: {err}") from None
         where.pop(name, None)
 
@@ -462,11 +461,12 @@ def _assemble(values: dict) -> ScenarioConfig:
 
 
 def parse_config_text(text: str, overrides=()) -> ScenarioConfig:
-    """The checked config of text and overrides; a rejected key that the
-    text sets is reported at its line and column."""
-    values, where = _parse_text(text)
-    _apply_overrides(values, where, overrides)
+    """The checked config of text and overrides; every error comes keyed, and a key
+    that the text sets, written bare, gives it its line and column here alone."""
+    where = _key_positions(text)
     try:
+        values = _parse_text(text)
+        _apply_overrides(values, where, overrides)
         cfg = _assemble(values)
         cfg.build()  # every module precondition, checked before any run
     except ConfigurationError as err:

@@ -114,12 +114,12 @@ class RaisedCosineDamping:
 
     def __post_init__(self):
         # each comparison is False for nan, so nan is rejected too
-        if not self.floor > 0:
-            raise ConfigurationError(f"damping floor must be positive (A1), got {self.floor}")
-        if not self.amplitude >= 0:
-            raise ConfigurationError(f"damping amplitude must be >= 0, got {self.amplitude}")
+        if not 0 < self.floor < math.inf:
+            raise ConfigurationError(f"damping floor must be positive (A1) and finite, got {self.floor}", "floor")
+        if not 0 <= self.amplitude < math.inf:
+            raise ConfigurationError(f"damping amplitude must be >= 0 and finite, got {self.amplitude}", "amplitude")
         if not 0 < self.length < math.inf:
-            raise ConfigurationError(f"damping length must be positive and finite, got {self.length}")
+            raise ConfigurationError(f"damping length must be positive and finite, got {self.length}", "length")
 
     @property
     def sup(self) -> float:
@@ -166,13 +166,13 @@ class Equation:
 
     def __post_init__(self):
         if self.mu not in (-1, 1):
-            raise ConfigurationError(f"mu must be +-1, got {self.mu}")
+            raise ConfigurationError(f"mu must be +-1, got {self.mu}", "mu")
         if self.m < 3 or self.m % 2 == 0:
-            raise ConfigurationError(f"order must be odd and >= 3, got m={self.m}")
+            raise ConfigurationError(f"order must be odd and >= 3, got m={self.m}", "m")
         if not 1 <= len(self.alphas) <= 2 or self.alphas[0] != 1.0:
             raise ConfigurationError(f"dispersion ratios must be (1,) or (1, alpha), got {self.alphas}")
         if len(self.alphas) == 2 and not 0.0 < self.alphas[1] < 1.0:
-            raise ConfigurationError(f"dispersion ratio must lie in (0, 1), got alpha={self.alphas[1]}")
+            raise ConfigurationError(f"dispersion ratio must lie in (0, 1), got alpha={self.alphas[1]}", "alpha")
         if self.dampings and len(self.dampings) != len(self.alphas):
             raise ConfigurationError(
                 f"need no damping or one profile per component ({len(self.alphas)}), got {len(self.dampings)}"
@@ -190,11 +190,11 @@ class EvolutionSpec:
 
     def __post_init__(self):
         if self.dt <= 0 or not np.isfinite(self.dt):
-            raise ConfigurationError(f"dt must be positive, got {self.dt}")
+            raise ConfigurationError(f"dt must be positive, got {self.dt}", "dt")
         if self.t_end <= 0 or not np.isfinite(self.t_end):
-            raise ConfigurationError(f"t_end must be positive, got {self.t_end}")
+            raise ConfigurationError(f"t_end must be positive, got {self.t_end}", "t_end")
         if self.record_every < 1:
-            raise ConfigurationError(f"record_every must be >= 1, got {self.record_every}")
+            raise ConfigurationError(f"record_every must be >= 1, got {self.record_every}", "record_every")
 
 
 @dataclass(frozen=True)
@@ -435,22 +435,24 @@ def sech(amplitude: float, width: float, center: float, grid: Grid) -> SpectralF
     center in [0, L], and the profile far enough from the wrap-around
     point that its value at the domain edge is below 1e-12 of the peak.
     """
-    if amplitude <= 0:
-        raise ConfigurationError(f"sech amplitude must be positive, got {amplitude}")
-    if width <= 0:
-        raise ConfigurationError(f"sech width must be positive, got {width}")
+    if not 0 < amplitude < math.inf:
+        raise ConfigurationError(f"sech amplitude must be positive and finite, got {amplitude}", "amplitude")
+    if not 0 < width < math.inf:
+        raise ConfigurationError(f"sech width must be positive and finite, got {width}", "width")
     if not 0.0 <= center <= grid.L:
-        raise ConfigurationError(f"sech center {center} outside the domain [0, {grid.L}]")
-    _check_edge_tail("sech", center, width, grid, "enlarge L, narrow the width, or recenter")
+        raise ConfigurationError(f"sech center {center} outside the domain [0, {grid.L}]", "center")
+    _check_edge_tail("sech", center, width, grid, "enlarge L, narrow the width, or recenter", ("center", "width"))
     r = np.minimum(np.abs(grid.x - center) / width, 700.0)
     return analyze(amplitude / np.cosh(r), grid)
 
 
-def _check_edge_tail(name: str, center: float, width: float, grid: Grid, advice: str) -> None:
-    """Reject a sech profile whose value at the domain edge is not below 1e-12 of its peak."""
-    ratio = 1.0 / np.cosh(min(min(center, grid.L - center) / width, 700.0))
+def _check_edge_tail(name: str, center: float, width: float, grid: Grid, advice: str, keys: tuple) -> None:
+    """Reject a sech profile whose edge value is not below 1e-12 of its peak, keyed to
+    keys[0], its center, where centring at L/2 clears the bound, else to keys[1], its width."""
+    ratio, mid = (1.0 / np.cosh(min(min(c, grid.L - c) / width, 700.0)) for c in (center, grid.L / 2.0))
     if ratio >= 1e-12:
-        raise ConfigurationError(f"{name} tail at the domain edge is {ratio:.3e} of the peak (>= 1e-12); {advice}")
+        message = f"{name} tail at the domain edge is {ratio:.3e} of the peak (>= 1e-12); {advice}"
+        raise ConfigurationError(message, keys[0] if mid < 1e-12 else keys[1])
 
 
 def soliton(k: float, x0: float, grid: Grid) -> tuple[SpectralField, float]:
@@ -461,9 +463,9 @@ def soliton(k: float, x0: float, grid: Grid) -> tuple[SpectralField, float]:
     with that function's checks stated in k and x0; its analyticity radius
     is pi/(2k).
     """
-    if k <= 0:
-        raise ConfigurationError(f"soliton width parameter must be positive, got k={k}")
+    if not 0 < k < math.inf:
+        raise ConfigurationError(f"soliton width parameter must be positive and finite, got k={k}", "k")
     if not 0.0 <= x0 <= grid.L:
-        raise ConfigurationError(f"soliton center outside the domain [0, {grid.L}], got x0={x0}")
-    _check_edge_tail("soliton", x0, 1.0 / k, grid, "enlarge L, raise k, or recenter x0")
+        raise ConfigurationError(f"soliton center outside the domain [0, {grid.L}], got x0={x0}", "x0")
+    _check_edge_tail("soliton", x0, 1.0 / k, grid, "enlarge L, raise k, or recenter x0", ("x0", "k"))
     return sech(PEAK_FACTOR * k, 1.0 / k, x0, grid), k * k

@@ -11,8 +11,8 @@ class GevreyError(Exception):
 
 
 class ConfigurationError(GevreyError):
-    """Invalid grid/evolution/damping parameters or config file contents;
-    key is the dotted config key rejected, where the config names one."""
+    """Invalid grid/evolution/damping parameters or config file contents; key names the value
+    rejected: a type's parameter (N), which config._from_section makes its dotted key (grid.N)."""
 
     def __init__(self, message, key=None):
         super().__init__(message)
@@ -20,14 +20,12 @@ class ConfigurationError(GevreyError):
 
 
 class ConfigParseError(ConfigurationError):
-    """Config text could not be parsed; message carries line/column."""
+    """A TOML syntax error of config text, or a rejected key that the text sets, at its line and column."""
 
-    def __init__(self, message, line=None, column=None):
+    def __init__(self, message, line, column):
         self.line = line
         self.column = column
-        if line is not None:
-            message = f"line {line}" + (f", col {column}" if column is not None else "") + f": {message}"
-        super().__init__(message)
+        super().__init__(f"line {line}, col {column}: {message}")
 
 
 class SymmetryError(GevreyError):

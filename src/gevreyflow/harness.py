@@ -12,19 +12,19 @@ independent of each other (no shared state), so callers may execute any
 subset in any order, or in parallel processes, and merge reports by
 scenario id.
 
-Every body is a generator body(cfg, grid, spec, init) that integrates
-nothing itself: it yields lists of trajectory requests (spec, init,
-where, t_start), receives their trajectories, and returns (series, fits,
-verdicts).  Conservation, sigma-scaling and radius make one request,
-"trajectory"; the window body one per window, each from the last one's
-final state; the damping body its trajectory, then its rate probes as
-one list; the inequality body one empty list.  The driver has three
-phases: build (check the scenario, then ScenarioConfig.build(), the
-parser's validation call), requests (integrate each, the harness's only
-integrate call; a blow-up or dt-guard error is re-raised as the same
-type, naming where and the global time t_start + err.t, and the guard's
-error advising to lower evolution.dt), and judge (the body judges all
-its records at once, as arrays).
+Every body is a generator body(cfg, spec, init), init carrying the grid,
+that integrates nothing itself: it yields lists of trajectory requests
+(spec, init, where, t_start), receives their trajectories, and returns
+(series, fits, verdicts).  Conservation, sigma-scaling and radius make
+one request, "trajectory"; the window body one per window, each from the
+last one's final state; the damping body its trajectory, then its rate
+probes as one list; the inequality body one empty list.  The driver has
+three phases: build (check the scenario, then ScenarioConfig.build(),
+the parser's validation call), requests (integrate each, the harness's
+only integrate call; a blow-up or dt-guard error is re-raised as the
+same type, naming where and the global time t_start + err.t, and the
+guard's error advising to lower evolution.dt), and judge (the body
+judges all its records at once, as arrays).
 
 Verdict margins are normalized: positive means the checked quantity
 cleared its bound by that relative amount, negative by how much it fell
@@ -66,7 +66,6 @@ from .inequalities import (
     scan_triple_cosh,
     sinh_margin,
 )
-from .spectral import Grid
 
 _TINY = 1e-300  # floor of every margin's denominator; keeps a 0/0 error at exactly 0
 
@@ -139,7 +138,7 @@ def _series_verdict(margins, tol: float) -> Verdict:
 # ---------------------------------------------------------------------------
 
 
-def _conservation(cfg: ScenarioConfig, grid: Grid, spec: EvolutionSpec, init):
+def _conservation(cfg: ScenarioConfig, spec: EvolutionSpec, init):
     """Relative drift of the three exact invariants at sigma = 0."""
     [traj] = yield [(spec, init, "trajectory", 0.0)]
 
@@ -165,7 +164,7 @@ def _conservation(cfg: ScenarioConfig, grid: Grid, spec: EvolutionSpec, init):
 # ---------------------------------------------------------------------------
 
 
-def _sigma_scaling(cfg: ScenarioConfig, grid: Grid, spec: EvolutionSpec, init):
+def _sigma_scaling(cfg: ScenarioConfig, spec: EvolutionSpec, init):
     """Fit of log D(sigma) against log sigma on the defocusing flow.
 
     D(sigma) is the largest recorded increase of A_sigma over the window;
@@ -227,7 +226,7 @@ def _sigma_scaling(cfg: ScenarioConfig, grid: Grid, spec: EvolutionSpec, init):
 # ---------------------------------------------------------------------------
 
 
-def _damping_decay(cfg: ScenarioConfig, grid: Grid, spec: EvolutionSpec, init):
+def _damping_decay(cfg: ScenarioConfig, spec: EvolutionSpec, init):
     """Pointwise decay envelope, rate identity, and (constant a) equality.
 
     The rate identity dM/dt = -2 int a v^2 (analytics.mass_rate, the
@@ -286,7 +285,7 @@ def _component_masses(states, sigma) -> np.ndarray:
     return np.array([functional_M(part, sigma) for part in parts])
 
 
-def _iterate_windows(cfg: ScenarioConfig, grid: Grid, spec: EvolutionSpec, state):
+def _iterate_windows(cfg: ScenarioConfig, spec: EvolutionSpec, state):
     """Window-by-window almost-conservation of the sigma-mass with decay
     envelope: the body of the iteration scenario (family mkdvm) and of the
     coupled scenario (family coupled).
@@ -394,7 +393,7 @@ def _iterate_windows(cfg: ScenarioConfig, grid: Grid, spec: EvolutionSpec, state
 # ---------------------------------------------------------------------------
 
 
-def _radius_tracking(cfg: ScenarioConfig, grid: Grid, spec: EvolutionSpec, init):
+def _radius_tracking(cfg: ScenarioConfig, spec: EvolutionSpec, init):
     """Fitted strip width against the calibrated min{sigma0, c t^(-1/2)}.
 
     c is calibrated from the first recorded snapshot after t = 0 (the bound
@@ -464,7 +463,7 @@ def _violations(margins: np.ndarray, scale: np.ndarray, tol: float) -> tuple[int
     return int(np.sum(norm < -tol)), float(norm.min())
 
 
-def _inequalities(cfg: ScenarioConfig, grid: Grid, spec: EvolutionSpec, init):
+def _inequalities(cfg: ScenarioConfig, spec: EvolutionSpec, init):
     """Randomized margin sweep of the scalar bounds plus the certified
     triple-cosh lattice scan.
 

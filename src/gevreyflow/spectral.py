@@ -106,9 +106,9 @@ class Grid:
 
     def __post_init__(self):
         if not np.isfinite(self.L) or self.L <= 0:
-            raise ConfigurationError(f"domain length must be positive and finite, got L={self.L}")
+            raise ConfigurationError(f"domain length must be positive and finite, got L={self.L}", "L")
         if self.N < 16 or self.N % 2 != 0:
-            raise ConfigurationError(f"mode count must be even and >= 16, got N={self.N}")
+            raise ConfigurationError(f"mode count must be even and >= 16, got N={self.N}", "N")
         # N % 2 == 0 above rules out every non-integral N, so int() is exact
         object.__setattr__(self, "L", float(self.L))
         object.__setattr__(self, "N", int(self.N))

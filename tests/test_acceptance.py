@@ -74,7 +74,8 @@ class TestAcceptance:
     def test_criterion_3_soliton_fidelity(self):
         # max-norm error against the exact periodic translate at t = 5
         cfg = packaged("conserve")
-        grid, spec, init = cfg.build()
+        spec, init = cfg.build()
+        grid = init.grid
         traj = integrate(spec, init)
         k, x0, t_end = cfg.data.k, cfg.data.x0, cfg.t_end
         shift = np.mod(grid.x - x0 - k * k * t_end + grid.L / 2.0, grid.L) - grid.L / 2.0

@@ -447,7 +447,7 @@ def recorded_states():
     for name in ("conserve", "sigma_scaling"):
         path = resources.files("gevreyflow").joinpath("configs", f"{name}.cfg")
         cfg = parse_config(path, ["evolution.t_end=0.5", "evolution.record_every=50"])
-        _, spec, init = cfg.build()
+        spec, init = cfg.build()
         out[name] = (integrate(spec, init).states, cfg.mu)
     return out
 

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from gevreyflow.cli import _COMMANDS, main
 from gevreyflow.config import (
     SCHEMA,
+    _from_section,
     parse_config,
     parse_config_text,
     render_config,
@@ -133,6 +134,12 @@ class TestConfigGrammar:
     def test_table_below_a_section_is_an_unknown_key(self):
         with pytest.raises(ConfigParseError, match=r"^line 1, col 1: unknown key 'grid\.sub'$"):
             parse_config_text("[grid.sub]\nN = 4\n")
+
+    def test_quoted_unknown_key_is_rejected_without_a_line(self):
+        # the line scan reads bare keys only, so a quoted key has no line
+        with pytest.raises(ConfigurationError, match=r"^unknown key 'grid\.M'$") as err:
+            parse_config_text('[grid]\n"M" = 3\n')
+        assert err.value.key == "grid.M"
 
     @pytest.mark.parametrize(
         "text, message",
@@ -405,7 +412,7 @@ class TestParseTimeValidation:
 
     def test_constant_form_builds_the_flat_profile(self):
         cfg = parse_config_text(A3_TEXT.format(0.5), ["damping.form=constant", "damping.amplitude=0"])
-        _, spec, _ = cfg.build()
+        spec, _ = cfg.build()
         assert spec.equation.dampings == (RaisedCosineDamping(1.0, 0.0, 64.0),)
 
     @pytest.mark.parametrize(
@@ -420,6 +427,52 @@ class TestParseTimeValidation:
     def test_section_errors_name_their_section(self, override, pattern):
         with pytest.raises(ConfigurationError, match=pattern):
             parse_config_text(packaged_text("coupled"), [override])
+
+    def test_module_error_is_keyed_by_its_raise_not_its_message(self):
+        # the message names L, the raise keys N: the key is the raise's
+        def make():
+            raise ConfigurationError("L must hold N nodes", "N")
+
+        with pytest.raises(ConfigurationError, match=r"^grid: L must hold N nodes$") as err:
+            _from_section("grid", make)
+        assert err.value.key == "grid.N"
+        # a parameter the section has no key for keys the error to none
+        with pytest.raises(ConfigurationError) as err:
+            _from_section("damping", RaisedCosineDamping, 1.0, 0.25, 0.0)
+        assert err.value.key is None
+
+    @pytest.mark.parametrize(
+        "command, override, key",
+        [
+            ("conserve", "grid.L=-1", "grid.L"),
+            ("conserve", "grid.N=15", "grid.N"),
+            ("conserve", "equation.mu=2", "equation.mu"),
+            ("iterate", "equation.m=4", "equation.m"),
+            ("coupled", "equation.alpha=1.0", "equation.alpha"),
+            ("conserve", "evolution.dt=0", "evolution.dt"),
+            ("conserve", "evolution.t_end=0", "evolution.t_end"),
+            ("conserve", "evolution.record_every=0", "evolution.record_every"),
+            ("damping", "damping.floor=0", "damping.floor"),
+            ("damping", "damping.amplitude=-1", "damping.amplitude"),
+            ("coupled", "damping2.floor=0", "damping2.floor"),
+            ("radius", "data.amplitude=0", "data.amplitude"),
+            ("radius", "data.width=0", "data.width"),
+            ("radius", "data.center=100", "data.center"),
+            ("radius", "data.center=3", "data.center"),
+            ("radius", "data.width=10", "data.width"),
+            ("conserve", "data.k=0", "data.k"),
+            ("conserve", "data.x0=100", "data.x0"),
+            ("conserve", "data.x0=2", "data.x0"),
+            ("conserve", "data.k=0.1", "data.k"),
+            ("conserve", "data.kind=gauss", "data.kind"),
+            ("coupled", "data2.amplitude=-1", "data2.amplitude"),
+        ],
+    )
+    def test_module_check_keys_its_config_key(self, command, override, key):
+        # an override has no line, so the error keeps its dotted key
+        with pytest.raises(ConfigurationError, match=rf"^{key.split('.')[0]}: ") as err:
+            parse_config_text(packaged_text(command), [override])
+        assert err.value.key == key
 
 
 class TestRoundTrip:
@@ -745,6 +798,9 @@ class TestCli:
             ("conserve", 'kind = "soliton"', 'kind = "gauss"'),
             # soliton data reads k, not width, so its edge error names data.k
             ("conserve", "k = 1.0", "k = 0.1"),
+            # a profile that clears the edge tail at L/2 is off-centre: the center is at fault
+            ("conserve", "x0 = 32.0", "x0 = 2.0"),
+            ("radius", "center = 32.0", "center = 3.0"),
         ],
     )
     def test_rejected_key_in_a_file_gives_its_line(self, tmp_path, capsys, command, old, new):
@@ -755,6 +811,15 @@ class TestCli:
         line = text.splitlines().index(new) + 1
         # the line is the file's, so the file is named in front of it
         assert capsys.readouterr().err.startswith(f"error: {config}: line {line}, col 1: ")
+
+    @pytest.mark.parametrize("command, override", [("conserve", "data.x0=2"), ("radius", "data.center=3")])
+    def test_edge_error_of_an_overridden_center_has_no_line(self, tmp_path, capsys, command, override):
+        # the center is at fault and the override set it, so no line of
+        # the packaged file is blamed
+        assert main([command, "--out", str(tmp_path), "--quiet", "--set", override]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: data: ") and "tail at the domain edge" in err
+        assert "line" not in err and "configs/" not in err
 
     @pytest.mark.parametrize("command", ["iterate", "coupled"])
     def test_run_without_verdicts_exits_two(self, tmp_path, capsys, command):

@@ -26,6 +26,7 @@ from gevreyflow.dynamics import (
     integrate,
     linear_symbol,
     nonlinear_term,
+    sech,
     soliton,
 )
 from gevreyflow.errors import ConfigurationError, DivergenceError
@@ -130,18 +131,21 @@ class TestDampingProfiles:
     @pytest.mark.parametrize(
         "floor, amplitude, length, pattern",
         [
-            (0.0, 0.5, 64.0, r"^damping floor must be positive \(A1\), got 0\.0$"),
-            (-1.0, 0.5, 64.0, r"^damping floor must be positive \(A1\), got -1\.0$"),
-            (math.nan, 0.5, 64.0, r"^damping floor must be positive \(A1\), got nan$"),
+            (0.0, 0.5, 64.0, r"^damping floor must be positive \(A1\) and finite, got 0\.0$"),
+            (-1.0, 0.5, 64.0, r"^damping floor must be positive \(A1\) and finite, got -1\.0$"),
+            (math.nan, 0.5, 64.0, r"^damping floor must be positive \(A1\) and finite, got nan$"),
             # (A1) is checked first
-            (-1.0, -0.5, 64.0, r"^damping floor must be positive \(A1\), got -1\.0$"),
-            (1.0, -0.5, 64.0, r"^damping amplitude must be >= 0, got -0\.5$"),
-            (1.0, math.nan, 64.0, r"^damping amplitude must be >= 0, got nan$"),
+            (-1.0, -0.5, 64.0, r"^damping floor must be positive \(A1\) and finite, got -1\.0$"),
+            (1.0, -0.5, 64.0, r"^damping amplitude must be >= 0 and finite, got -0\.5$"),
+            (1.0, math.nan, 64.0, r"^damping amplitude must be >= 0 and finite, got nan$"),
             (1.0, 0.5, 0.0, r"^damping length must be positive and finite, got 0\.0$"),
             (1.0, 0.5, math.inf, r"^damping length must be positive and finite, got inf$"),
+            # an infinite floor or amplitude made every sup and norm inf
+            (math.inf, 0.0, 64.0, r"^damping floor must be positive \(A1\) and finite, got inf$"),
+            (1.0, math.inf, 64.0, r"^damping amplitude must be >= 0 and finite, got inf$"),
         ],
         ids=["floor-0", "floor-neg", "floor-nan", "floor-and-amplitude-neg", "amplitude-neg", "amplitude-nan",
-             "length-0", "length-inf"],
+             "length-0", "length-inf", "floor-inf", "amplitude-inf"],
     )
     def test_rejects_inputs_outside_its_certificate(self, floor, amplitude, length, pattern):
         # the type checks what (A1) and its closed form need; nan fails every check
@@ -493,6 +497,25 @@ class TestSoliton:
         pattern = r"^soliton tail at the domain edge is 8\.139e-02 of the peak \(>= 1e-12\); enlarge L, raise k, or recenter x0$"
         with pytest.raises(ConfigurationError, match=pattern):
             soliton(0.1, 32.0, g)
+
+    @pytest.mark.parametrize(
+        "make, args, pattern, key",
+        [
+            (soliton, (math.inf, 32.0), r"^soliton width parameter must be positive and finite, got k=inf$", "k"),
+            (soliton, (math.nan, 32.0), r"^soliton width parameter must be positive and finite, got k=nan$", "k"),
+            (sech, (math.inf, 1.0, 32.0), r"^sech amplitude must be positive and finite, got inf$", "amplitude"),
+            (sech, (math.nan, 1.0, 32.0), r"^sech amplitude must be positive and finite, got nan$", "amplitude"),
+            (sech, (1.0, math.nan, 32.0), r"^sech width must be positive and finite, got nan$", "width"),
+            (sech, (1.0, math.inf, 32.0), r"^sech width must be positive and finite, got inf$", "width"),
+        ],
+        ids=["soliton-k-inf", "soliton-k-nan", "sech-amplitude-inf", "sech-amplitude-nan", "sech-width-nan",
+             "sech-width-inf"],
+    )
+    def test_rejects_non_finite_parameters(self, make, args, pattern, key):
+        # k = inf divided by zero, and a nan width reached analyze
+        with pytest.raises(ConfigurationError, match=pattern) as err:
+            make(*args, Grid(64.0, 512))
+        assert err.value.key == key
 
     def test_transform_decay_rate(self):
         # |F_k| tracks (sqrt(6) pi / L) sech(pi xi / (2k)): slope -pi/2 for k=1

@@ -335,7 +335,8 @@ class TestSigmaScaling:
         # fits a double: the config accepts it and the weighted energy of
         # the initial data is finite.  Nothing is integrated.
         cfg = short_config(SIGMA_SHORT, ["grid.N=8192", "run.sigmas=[0.1, 0.5, 1.5]"])
-        grid, _, init = cfg.build()
+        _, init = cfg.build()
+        grid = init.grid
         assert cfg.sigmas[-1] * grid.xi[-1] == pytest.approx(603.19, abs=0.01)
         assert np.isfinite(functional_A(init, np.array(cfg.sigmas), cfg.mu).total).all()
 
