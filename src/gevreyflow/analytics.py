@@ -12,11 +12,13 @@ One path, _weighted_spectra, gives the weighted half spectra
 U = cosh(sigma D) u: np.cosh(sigma xi) times the half spectrum, with the
 coefficients below spectral.noise_floor set to zero after the multiply.
 hsigma_norm, functional_M and functional_A all read it, so each takes one
-state or R states on one grid and one finite radius sigma >= 0 or P of
-them, and returns a float, (P,), (R,) or (R, P).  One overflow rule holds
-for all three: a result that leaves double range, as it does wherever a
-kept coefficient's weight cosh(sigma xi) passes ~e^709.8, raises
-OverflowGuardError naming the state and sigma.
+state or a sequence of R states on one grid and one finite radius
+sigma >= 0 or P of them, and returns a float, (P,), (R,) or (R, P).  A
+sequence is read one state at a time and never copied whole, so of a
+Trajectory's states, built on each read, one is held at a time.  One
+overflow rule holds for all three: a result that leaves double range, as
+it does wherever a kept coefficient's weight cosh(sigma xi) passes
+~e^709.8, raises OverflowGuardError naming the state and sigma.
 
 Quadrature: quartic/sextic/product integrals are trapezoid sums on a
 2x-refined grid (zero-padded irfft of the half spectrum).  States produced
@@ -30,6 +32,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -58,10 +61,11 @@ _FIT_FLOOR = 1e-8
 
 def _weighted_spectra(u: SpectralField | Sequence[SpectralField], sigma: float | np.ndarray):
     """(grid, (R, P), shaped, blocks) for the states u and the radii sigma:
-    blocks yields each state's half spectrum times each weight
-    cosh(sigma xi), with the coefficients below spectral.noise_floor then
-    set to zero, as one (P, N/2+1) buffer that the next state overwrites;
-    a dropped mode stays zero even where its weight overflows to inf.
+    blocks reads the states one at a time, each once, checks its grid, and
+    yields its half spectrum times each weight cosh(sigma xi), with the
+    coefficients below spectral.noise_floor then set to zero, as one
+    (P, N/2+1) buffer that the next state overwrites; a dropped mode stays
+    zero even where its weight overflows to inf.
     shaped(values, what) raises OverflowGuardError at the first non-finite
     entry of an (R, P) result, naming its state and sigma, and drops the
     axis of a single field and of a float sigma."""
@@ -73,12 +77,13 @@ def _weighted_spectra(u: SpectralField | Sequence[SpectralField], sigma: float |
     if bad.size:
         raise ConfigurationError(f"weight radius must be finite and >= 0, got {bad[0]}")
     single = isinstance(u, SpectralField)
-    states = (u,) if single else tuple(u)
-    if not states:
+    states = (u,) if single else u
+    R = len(states)
+    if not R:
         raise ConfigurationError("a weighted norm needs at least one state")
-    g = states[0].grid
-    if any(s.grid != g for s in states):
-        raise ConfigurationError("the states of a weighted norm must share one grid")
+    rest = iter(states)
+    first = next(rest)
+    g = first.grid
     with np.errstate(over="ignore"):
         W = np.cosh(np.multiply.outer(radii, g.xi))
     U = np.empty(W.shape, dtype=complex)
@@ -86,7 +91,9 @@ def _weighted_spectra(u: SpectralField | Sequence[SpectralField], sigma: float |
     def blocks():
         # read under np.errstate(over="ignore", invalid="ignore"): an inf
         # weight times a zero coefficient is nan until the floor zeroes it
-        for fld in states:
+        for fld in chain((first,), rest):
+            if fld.grid != g:
+                raise ConfigurationError("the states of a weighted norm must share one grid")
             np.multiply(fld.spectrum, W, out=U)
             np.copyto(U, 0.0, where=np.abs(fld.spectrum) < noise_floor(fld.spectrum))
             yield U
@@ -99,7 +106,7 @@ def _weighted_spectra(u: SpectralField | Sequence[SpectralField], sigma: float |
         out = values[0 if single else slice(None), 0 if sigmas.ndim == 0 else slice(None)]
         return float(out) if out.ndim == 0 else out
 
-    return g, (len(states), radii.size), shaped, blocks()
+    return g, (R, radii.size), shaped, blocks()
 
 
 def _weighted_sum(u, sigma, s: float, root: bool) -> float | np.ndarray:
@@ -211,14 +218,11 @@ def functional_A(
         prod *= Uf
         prod *= Uf
         prod.sum(axis=-1, out=sums[5, r])
-    terms = {
-        "l2_sq": sums[0],
-        "deriv1_sq": sums[1],
-        "deriv2_sq": sums[2],
-        "quartic": -(mu / 6.0) * (h * sums[3]),
-        "product_sq": -(5.0 * mu / 3.0) * (h * sums[4]),
-        "sextic": (1.0 / 18.0) * (h * sums[5]),
-    }
+    # the three quadrature rows take h, then their factors, in place (a
+    # product of two doubles is the same in either order)
+    sums[3:] *= h
+    sums[3:] *= np.array([-(mu / 6.0), -(5.0 * mu / 3.0), 1.0 / 18.0])[:, None, None]
+    terms = dict(zip(("l2_sq", "deriv1_sq", "deriv2_sq", "quartic", "product_sq", "sextic"), sums))
     # an inf or nan term leaves the total inf or nan, so every term of a
     # finite total is finite
     total = shaped(sum(terms.values()), "functional_A")

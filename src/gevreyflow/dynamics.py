@@ -25,8 +25,11 @@ Every flow is stepped as a stack of C = len(alphas) components, 1 or 2,
 through one rhs and one RK4 loop.  States live in the dealiased band
 |k| <= N/4 (the 1/2 rule; initial data is projected into it), and the
 loop holds only that band of the package's half spectrum: k = 0..N/4 of
-each real component, shape (C, N/4+1).  Each recorded state is the band
-padded with zeros to the half k = 0..N/2.
+each real component, shape (C, N/4+1).  A record checks that the state is
+finite and copies it into its row of one (n_rec+1, C, N/4+1) array, made
+before the loop and read-only after it.  Trajectory.states reads that
+array: each read pads one row with zeros to the half k = 0..N/2 and
+builds its field, so no state is kept in the full half.
 
 nonlinear_term builds the one implementation of the non-dispersive rhs:
 integrate runs it, and the tests call it.  It writes every cubic term in
@@ -49,7 +52,7 @@ pocketfft kernels, called without numpy.fft's Python wrapper, with
 bit-identical results, and given their unit factor as a read-only 0-d
 array.  Every other operation is one ufunc call, np.multiply or np.add,
 that writes into a buffer allocated once per integrate call; the state is
-updated in place, and synthesize copies it into each recorded state.  The
+updated in place, and each record copies it into its row.  The
 RK4 weights, the rhs minus sign, mu and the 1/N of the forward transform
 are folded into factors built before the loop, each an array with a
 leading axis of length 1 or C, the shape of the rows it multiplies.  On a
@@ -65,13 +68,14 @@ factors that meet the same operand are stacked where that saves a call
 with no broadcast: K1 and K4 are adjacent rows, scaled by (h/6) E^2 and
 h/6 in one multiply.  E V and E^2 V stay two calls, because one multiply
 of the stack (E, E^2) by a broadcast V measured about 1% slower per step.
-A record makes no transform: its samples are one irfft, made only when
-something reads them.
+A record makes no transform: a state's samples are one irfft, made only
+when something reads them.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -197,12 +201,40 @@ class EvolutionSpec:
             raise ConfigurationError(f"record_every must be >= 1, got {self.record_every}", "record_every")
 
 
+class RecordedStates(Sequence):
+    """The recorded states of a trajectory, as a read-only sequence over
+    band, the (R, C, N/4+1) array of their band rows.  Item r pads row r
+    with zeros to the half spectrum k = 0..N/2 and returns its field from
+    synthesize, or a pair of them for C = 2, built on each read and not
+    kept.  A slice is the same kind of view over fewer rows, with no state
+    copied."""
+
+    __slots__ = ("band", "grid")
+
+    def __init__(self, band: np.ndarray, grid: Grid):
+        self.band, self.grid = band, grid
+
+    def __len__(self) -> int:
+        return len(self.band)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return RecordedStates(self.band[index], self.grid)
+        rows = self.band[index]
+        half = np.zeros((len(rows), self.grid.xi.size), dtype=complex)
+        half[:, : rows.shape[-1]] = rows
+        states = tuple(synthesize(H, self.grid) for H in half)
+        return states if len(states) > 1 else states[0]
+
+
 @dataclass(frozen=True)
 class Trajectory:
-    """Recorded states at uniform cadence; times[0] = 0, last = t_end."""
+    """Recorded states at uniform cadence; times[0] = 0, last = t_end.
+    states is a RecordedStates view over the band rows integrate recorded,
+    so each read builds its state, and final is states[-1]."""
 
     times: np.ndarray = field(repr=False)
-    states: tuple
+    states: RecordedStates
     spec: EvolutionSpec  # the benchmark's tracer (bench/tracer.py) counts steps from it
     step_size: float
 
@@ -320,13 +352,17 @@ def integrate(spec: EvolutionSpec, init) -> Trajectory:
     The C = len(eq.alphas) components of the equation are stepped as one
     (C, N/4+1) stack, every flow through the same loop and the one rhs
     that nonlinear_term builds.  The initial state is projected into the
-    dealiased band, and the loop holds only the modes k = 0..N/4; every
-    recorded state (a field, or a pair for C = 2) is that band padded with
-    zeros to the half spectrum.  At the start of every step, from the peak
-    max|w| of the samples the first rhs evaluation makes: abort with
-    DivergenceError once the peak passes 1e6, and raise ConfigurationError
-    once dt exceeds the advective guard 0.5 dx / (peak^2 + sup a + 1).
-    Both errors carry that time as err.t.
+    dealiased band, and the loop holds only the modes k = 0..N/4.  A
+    record copies that band into its row of one preallocated array, and
+    each recorded state (a field, or a pair for C = 2) is read from its
+    row, padded with zeros to the half spectrum (RecordedStates).  At the
+    start of every step, from the peak max|w| of the samples the first rhs
+    evaluation makes: abort with DivergenceError once the peak passes 1e6,
+    and raise ConfigurationError once dt exceeds the advective guard
+    0.5 dx / (peak^2 + sup a + 1).  A record raises the same
+    DivergenceError, with max|v| = nan, for a state that is not finite,
+    as the initial one or one from the last step may be.  Every error
+    carries its time as err.t.
 
     With E = exp(sym h/2) the step is
         K1 = N(V), K2 = N(E V + (h/2) E K1), K3 = N(E V + (h/2) K2),
@@ -374,22 +410,19 @@ def integrate(spec: EvolutionSpec, init) -> Trajectory:
     guard_num = 0.5 * grid.dx
     guard_den = max((d.sup for d in eq.dampings), default=0.0) + 1.0
 
-    # a record pads the band into a half spectrum whose modes k > N/4 stay
-    # zero; synthesize copies it, so the record does not follow later steps
-    half = np.zeros((C, grid.xi.size), dtype=complex)
+    # one row per record, in the loop's band layout
+    records = np.empty((n_rec + 1, C, band), dtype=complex)
 
-    def record():
-        half[:, :band] = V
-        states = tuple(synthesize(H, grid) for H in half)
-        return states if C > 1 else states[0]
+    def record(r: int, t: float) -> None:
+        # the check of the step after a record comes after it, and the
+        # last record has no step after it
+        if not np.isfinite(V).all():
+            raise _step_error(math.nan, dt, guard_num, t)
+        records[r] = V
 
-    if not np.isfinite(V).all():
-        # the first step's blow-up check would read it, but the t = 0
-        # record, whose synthesize rejects it, comes first
-        raise _step_error(math.nan, dt, guard_num, 0.0)
-    states = [record()]
+    record(0, 0.0)
     step = 0
-    for _ in range(n_rec):
+    for r in range(1, n_rec + 1):
         for _ in range(spec.record_every):
             evaluate(V, K1)
             peak = float(peak_of(absolute(w, abs_w), axis=None))
@@ -416,8 +449,9 @@ def integrate(spec: EvolutionSpec, init) -> Trajectory:
             add(K1, K4, K1)
             add(E2V, K1, V)
             step += 1
-        states.append(record())
-    return Trajectory(times=times, states=tuple(states), spec=spec, step_size=h)
+        record(r, step * h)
+    records.flags.writeable = False
+    return Trajectory(times=times, states=RecordedStates(records, grid), spec=spec, step_size=h)
 
 
 # ---------------------------------------------------------------------------
@@ -460,11 +494,13 @@ def soliton(k: float, x0: float, grid: Grid) -> tuple[SpectralField, float]:
 
     Returns (field, speed) with speed = k^2: u(x - speed*t) solves
     u_t + u_xxx + u^2 u_x = 0.  The field is sech(sqrt(6) k, 1/k, x0, grid),
-    with that function's checks stated in k and x0; its analyticity radius
-    is pi/(2k).
+    with that function's checks stated in k and x0, the finite peak
+    sqrt(6) k among them; its analyticity radius is pi/(2k).
     """
     if not 0 < k < math.inf:
         raise ConfigurationError(f"soliton width parameter must be positive and finite, got k={k}", "k")
+    if not PEAK_FACTOR * k < math.inf:
+        raise ConfigurationError(f"soliton peak sqrt(6) k must be finite, got k={k}", "k")
     if not 0.0 <= x0 <= grid.L:
         raise ConfigurationError(f"soliton center outside the domain [0, {grid.L}], got x0={x0}", "x0")
     _check_edge_tail("soliton", x0, 1.0 / k, grid, "enlarge L, raise k, or recenter x0", ("x0", "k"))

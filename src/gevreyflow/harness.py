@@ -354,16 +354,16 @@ def _iterate_windows(cfg: ScenarioConfig, spec: EvolutionSpec, state):
 
     # every window's records at their global times (a later window's first
     # repeats the last one's final record), and the index of window 0's
-    # first record and of each window's last
-    records, t, ends = [], [], [0]
+    # first record and of each window's last; their masses at sigma/2 (the
+    # decay norms) and at sigma (the window ends), one call per window, so
+    # that only one window's states are read at a time
+    per_window, t, ends = [], [], [0]
     for k, win in enumerate(windows):
         start = 0 if k == 0 else 1
-        records += win.states[start:]
+        per_window.append(_component_masses(win.states[start:], [sigma / 2.0, sigma]))
         t += [k * T0 + float(tk) for tk in win.times[start:]]
-        ends.append(len(records) - 1)
-
-    # masses at sigma/2 (the decay norms) and at sigma (the window ends)
-    masses = _component_masses(records, [sigma / 2.0, sigma])
+        ends.append(len(t) - 1)
+    masses = np.concatenate(per_window, axis=1)
     boundary = masses[:, ends, 1].sum(axis=0)
     decay_norm = np.sqrt(masses[:, :, 0].max(axis=0))
     chat_env = math.sqrt(math.sqrt(l2_sq) * math.sqrt(m0_sigma0))

@@ -464,6 +464,7 @@ class TestParseTimeValidation:
             ("conserve", "data.x0=100", "data.x0"),
             ("conserve", "data.x0=2", "data.x0"),
             ("conserve", "data.k=0.1", "data.k"),
+            ("conserve", "data.k=1e308", "data.k"),
             ("conserve", "data.kind=gauss", "data.kind"),
             ("coupled", "data2.amplitude=-1", "data2.amplitude"),
         ],
@@ -798,6 +799,8 @@ class TestCli:
             ("conserve", 'kind = "soliton"', 'kind = "gauss"'),
             # soliton data reads k, not width, so its edge error names data.k
             ("conserve", "k = 1.0", "k = 0.1"),
+            # a k whose peak sqrt(6) k overflows is k's fault, not the amplitude's
+            ("conserve", "k = 1.0", "k = 1e308"),
             # a profile that clears the edge tail at L/2 is off-centre: the center is at fault
             ("conserve", "x0 = 32.0", "x0 = 2.0"),
             ("radius", "center = 32.0", "center = 3.0"),

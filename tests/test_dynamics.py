@@ -9,19 +9,24 @@ they are not round-trip self-checks.
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import packaged_text
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import Deriv, LinearFlow, apply_symbol, product_rule_rhs, reflect
 
 from gevreyflow import dynamics, spectral
+from gevreyflow.analytics import functional_A, functional_M
+from gevreyflow.config import parse_config_text
 from gevreyflow.dynamics import (
     BLOWUP_LIMIT,
     Equation,
     EvolutionSpec,
     RaisedCosineDamping,
+    RecordedStates,
     Trajectory,
     integrate,
     linear_symbol,
@@ -453,6 +458,74 @@ class TestBuffers:
         assert not np.array_equal(half_spectra(traj.states[1]), half_spectra(traj.states[2]))
 
 
+class TestRecordedStates:
+    """A trajectory's states are read from one read-only (R, C, N/4+1)
+    array of band rows, each state built on its read; nothing holds them
+    in the full half."""
+
+    @pytest.mark.parametrize("flow", [0, 1, 2])
+    def test_a_state_is_its_band_row_padded_with_zeros(self, flow):
+        g = Grid(64.0, 256)
+        eq, init = three_flows(g)[flow]
+        traj = integrate(EvolutionSpec(equation=eq, dt=1e-3, t_end=4e-3, record_every=1), init)
+        band, C = traj.states.band, len(eq.alphas)
+        assert band.shape == (5, C, g.band) and not band.flags.writeable
+        for i in range(-5, 5):
+            padded = np.zeros((C, g.xi.size), dtype=complex)
+            padded[:, : g.band] = band[i]
+            assert np.array_equal(half_spectra(traj.states[i]), padded), i
+        assert np.array_equal(half_spectra(traj.final), half_spectra(traj.states[4]))
+        with pytest.raises(IndexError):
+            traj.states[5]
+
+    def test_a_slice_is_a_view_of_the_same_rows(self):
+        g = Grid(64.0, 256)
+        eq, init = three_flows(g)[0]
+        traj = integrate(EvolutionSpec(equation=eq, dt=1e-3, t_end=4e-3, record_every=1), init)
+        odd = traj.states[1::2]
+        assert isinstance(odd, RecordedStates) and len(odd) == 2
+        assert np.shares_memory(odd.band, traj.states.band)
+        assert [s.spectrum.tobytes() for s in odd] == [traj.states[i].spectrum.tobytes() for i in (1, 3)]
+
+    def test_functionals_over_the_view_equal_those_over_its_states(self):
+        g = Grid(64.0, 256)
+        _, init = three_flows(g)[0]
+        traj = integrate(EvolutionSpec(equation=Equation(mu=-1), dt=1e-3, t_end=0.01, record_every=2), init)
+        sigmas = np.array([0.0, 0.1, 0.4])
+        held = tuple(traj.states)
+        A, A_held = functional_A(traj.states, sigmas, -1), functional_A(held, sigmas, -1)
+        assert A.total.tobytes() == A_held.total.tobytes()
+        assert {k: v.tobytes() for k, v in A.terms.items()} == {k: v.tobytes() for k, v in A_held.terms.items()}
+        assert functional_M(traj.states, sigmas).tobytes() == functional_M(held, sigmas).tobytes()
+
+    def test_integrate_retains_its_band_array_and_functional_A_only_scratch(self):
+        # the bench's sigma-dense spec: 1001 records of N = 512, 7 radii; a
+        # full-half field per record would retain twice the band array
+        sigmas = [0.05, 0.07, 0.1, 0.14, 0.2, 0.28, 0.4]
+        overrides = ["evolution.t_end=1.0", "evolution.record_every=5", f"run.sigmas={sigmas}"]
+        spec, init = parse_config_text(packaged_text("sigma_scaling"), overrides).build()
+        N, R, P = init.grid.N, 1001, len(sigmas)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            traj = integrate(spec, init)
+            retained = tracemalloc.get_traced_memory()[0] - before
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            functional_A(traj.states, np.array(sigmas), -1)
+            added = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        band = traj.states.band.nbytes
+        assert band == R * (N // 4 + 1) * 16
+        assert retained <= 1.1 * band  # about 2.2 MB
+        # functional_A's scratch: rows of a few times 2N points per radius,
+        # and at most 12 (R, P) arrays of doubles; it holds no copy of the
+        # states, which would take at least another band's bytes
+        scratch = 160 * P * N + 96 * R * P
+        assert added <= scratch < band
+
+
 class TestTransformCounts:
     @pytest.mark.parametrize("flow", [0, 1, 2])
     def test_four_plus_four_transforms_per_step(self, flow, fft_counts):
@@ -503,13 +576,15 @@ class TestSoliton:
         [
             (soliton, (math.inf, 32.0), r"^soliton width parameter must be positive and finite, got k=inf$", "k"),
             (soliton, (math.nan, 32.0), r"^soliton width parameter must be positive and finite, got k=nan$", "k"),
+            # a finite k whose peak sqrt(6) k overflows was rejected as sech's amplitude
+            (soliton, (1e308, 32.0), r"^soliton peak sqrt\(6\) k must be finite, got k=1e\+308$", "k"),
             (sech, (math.inf, 1.0, 32.0), r"^sech amplitude must be positive and finite, got inf$", "amplitude"),
             (sech, (math.nan, 1.0, 32.0), r"^sech amplitude must be positive and finite, got nan$", "amplitude"),
             (sech, (1.0, math.nan, 32.0), r"^sech width must be positive and finite, got nan$", "width"),
             (sech, (1.0, math.inf, 32.0), r"^sech width must be positive and finite, got inf$", "width"),
         ],
-        ids=["soliton-k-inf", "soliton-k-nan", "sech-amplitude-inf", "sech-amplitude-nan", "sech-width-nan",
-             "sech-width-inf"],
+        ids=["soliton-k-inf", "soliton-k-nan", "soliton-peak-inf", "sech-amplitude-inf", "sech-amplitude-nan",
+             "sech-width-nan", "sech-width-inf"],
     )
     def test_rejects_non_finite_parameters(self, make, args, pattern, key):
         # k = inf divided by zero, and a nan width reached analyze
@@ -556,7 +631,8 @@ class TestIntegrate:
         assert np.allclose(np.diff(traj.times), 2e-3)
         assert traj.times[-1] == pytest.approx(0.01)
         assert isinstance(traj, Trajectory)
-        assert traj.final is traj.states[-1]
+        # states are built on each read, so final is the last state's equal, not that object
+        assert np.array_equal(traj.final.spectrum, traj.states[-1].spectrum)
 
     def test_initial_state_is_projected(self):
         g = Grid(64.0, 256)

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from conftest import packaged_text
 
-from gevreyflow import cli, content_hash, harness, report_payload
+from gevreyflow import cli, content_hash, dynamics, harness, report_payload
 from gevreyflow.analytics import FunctionalBreakdown, functional_A, functional_M
 from gevreyflow.config import FAMILIES, ScenarioConfig, Tolerances, parse_config, parse_config_text
 from gevreyflow.errors import ConfigurationError, DivergenceError, FitError, UnderresolvedError
@@ -223,6 +223,33 @@ def test_error_in_a_trajectory_names_it(monkeypatch, short, scale, error, messag
     assert type(info.value) is error and type(info.value.__cause__) is error
 
 
+def test_state_that_turns_non_finite_before_a_record_names_its_time(monkeypatch):
+    # the 20th rhs evaluation, the last of step 5, writes inf, so the state
+    # turns non-finite in the step before the record at t = 5 h = 0.001,
+    # which no step's check reads before the record; the record raised a
+    # ConfigurationError without err.t, and the driver an AttributeError
+    real, calls = dynamics.nonlinear_term, []
+
+    def poisoned(eq, grid):
+        evaluate, samples = real(eq, grid)
+
+        def evaluate_poisoned(V, out):
+            evaluate(V, out)
+            calls.append(len(calls))
+            if len(calls) == 20:
+                out[...] = np.inf
+
+        return evaluate_poisoned, samples
+
+    monkeypatch.setattr(dynamics, "nonlinear_term", poisoned)
+    short = ("conserve", ["evolution.t_end=0.002", "evolution.record_every=5"])
+    # inf meets zero factors in the step's products, which numpy warns of
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(DivergenceError, match=r"^trajectory, global t = 0.001: blow-up abort") as info:
+            run_short(short)
+    assert len(calls) == 20 and type(info.value.__cause__) is DivergenceError
+
+
 def test_masses_once_per_trajectory(monkeypatch):
     calls = []
 
@@ -237,9 +264,10 @@ def test_masses_once_per_trajectory(monkeypatch):
     assert calls == [(len(report.series["mass_decay"]["t"]), ()), (3 * n_probes, ())]
     calls.clear()
     run_short(ITERATION_SHORT)
-    # [0, sigma0] (T0), sigma0 (calibration), then [sigma/2, sigma] over
-    # the 1 + 3 x 8 records of the three windows
-    assert calls == [(1, (2,)), (1, ()), (25, (2,))]
+    # [0, sigma0] (T0), sigma0 (calibration), then [sigma/2, sigma] once
+    # per window, over the 1 + 8 records of the first and the 8 new
+    # records of each later one
+    assert calls == [(1, (2,)), (1, ()), (9, (2,)), (8, (2,)), (8, (2,))]
 
 
 class TestConservation:
