@@ -312,8 +312,18 @@ def theta_max(m: int) -> Fraction:
     return min(Fraction(1), -s_index(m))
 
 
+def _power(base: float, exponent: float) -> float:
+    """base ** exponent for base >= 0, or inf where that leaves double range,
+    where a float power raises OverflowError."""
+    try:
+        return base**exponent
+    except OverflowError:
+        return math.inf
+
+
 def lifespan_T0(a_norm: float, data_norm_sq: float, c0: float, d: float) -> float:
-    """Local-existence window c0 / (1 + a_norm + data_norm_sq)^d.
+    """Local-existence window c0 / (1 + a_norm + data_norm_sq)^d, which is 0
+    where the power leaves double range.
 
     c0 and d are not pinned upstream; they are configuration (run.c0, run.d).
     """
@@ -323,7 +333,7 @@ def lifespan_T0(a_norm: float, data_norm_sq: float, c0: float, d: float) -> floa
         raise ConfigurationError(f"lifespan exponent must exceed 1, got d={d}")
     if not (a_norm >= 0 and data_norm_sq >= 0):
         raise ConfigurationError(f"norms must be nonnegative, got a_norm={a_norm}, data_norm_sq={data_norm_sq}")
-    return c0 / (1.0 + a_norm + data_norm_sq) ** d
+    return c0 / _power(1.0 + a_norm + data_norm_sq, d)
 
 
 def sigma_choice(
@@ -340,7 +350,8 @@ def sigma_choice(
         min{ sigma0, b/(2 C1 a_norm), (b/(2 C1 M0))^(1/theta) },
         b = 1 - exp(-2 lam T0),
 
-    evaluated with expm1 so tiny lam*T0 keeps full precision.  Returns
+    evaluated with expm1 so tiny lam*T0 keeps full precision; a candidate
+    that leaves double range is inf, and so never the minimum.  Returns
     (value, active_branch) with branch one of "cap", "damping", "data".
     """
     if not 0.0 < theta <= 1.0:
@@ -352,7 +363,7 @@ def sigma_choice(
     candidates = {
         "cap": sigma0,
         "damping": b / (2.0 * C1 * a_norm),
-        "data": (b / (2.0 * C1 * M0)) ** (1.0 / theta),
+        "data": _power(b / (2.0 * C1 * M0), 1.0 / theta),
     }
     branch = min(candidates, key=candidates.get)
     return candidates[branch], branch

@@ -81,7 +81,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import spectral
-from .errors import ConfigurationError, DivergenceError
+from .errors import BlowUpError, ConfigurationError, DtGuardError, StepError
 from .spectral import Grid, SpectralField, analyze, synthesize
 
 BLOWUP_LIMIT = 1e6
@@ -227,11 +227,12 @@ class RecordedStates(Sequence):
         return states if len(states) > 1 else states[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Recorded states at uniform cadence; times[0] = 0, last = t_end.
     states is a RecordedStates view over the band rows integrate recorded,
-    so each read builds its state, and final is states[-1]."""
+    so each read builds its state, and final is states[-1].  Two
+    trajectories are equal only when they are the same object."""
 
     times: np.ndarray = field(repr=False)
     states: RecordedStates
@@ -333,16 +334,13 @@ def _plan_steps(spec: EvolutionSpec) -> tuple[int, int, float]:
     return n_rec, n_steps, spec.t_end / n_steps
 
 
-def _step_error(peak: float, dt: float, guard: float, t: float) -> Exception:
-    """The blow-up or dt-guard error of the step at time t, with t as err.t."""
+def _step_error(peak: float, dt: float, guard: float, t: float) -> StepError:
+    """The error of the step at time t: a blow-up for a peak past the cap or
+    not a number, else the dt guard's."""
     if not peak <= BLOWUP_LIMIT:
-        err = DivergenceError(f"blow-up abort at t = {t:.6g}: max|v| = {peak:.3e} exceeds {BLOWUP_LIMIT:.0e}")
-    else:
-        err = ConfigurationError(
-            f"dt = {dt:.6g} exceeds the advective guard 0.5*dx/(max|u|^2 + sup a + 1) = {guard:.6g} at t = {t:.6g}"
-        )
-    err.t = t
-    return err
+        return BlowUpError(f"blow-up abort at t = {t:.6g}: max|v| = {peak:.3e} exceeds {BLOWUP_LIMIT:.0e}", t)
+    message = f"dt = {dt:.6g} exceeds the advective guard 0.5*dx/(max|u|^2 + sup a + 1) = {guard:.6g} at t = {t:.6g}"
+    return DtGuardError(message, t, "dt")
 
 
 def integrate(spec: EvolutionSpec, init) -> Trajectory:
@@ -357,12 +355,14 @@ def integrate(spec: EvolutionSpec, init) -> Trajectory:
     each recorded state (a field, or a pair for C = 2) is read from its
     row, padded with zeros to the half spectrum (RecordedStates).  At the
     start of every step, from the peak max|w| of the samples the first rhs
-    evaluation makes: abort with DivergenceError once the peak passes 1e6,
-    and raise ConfigurationError once dt exceeds the advective guard
+    evaluation makes: abort with BlowUpError once the peak passes 1e6,
+    and raise DtGuardError, keyed dt, once dt exceeds the advective guard
     0.5 dx / (peak^2 + sup a + 1).  A record raises the same
-    DivergenceError, with max|v| = nan, for a state that is not finite,
-    as the initial one or one from the last step may be.  Every error
-    carries its time as err.t.
+    BlowUpError, with max|v| = nan, for a state that is not finite,
+    as the initial one or one from the last step may be.  So a failed
+    step or record is one of these two kinds of StepError, built with its
+    time t; every other error integrate raises is a ConfigurationError on
+    its inputs, raised before the first step.
 
     With E = exp(sym h/2) the step is
         K1 = N(V), K2 = N(E V + (h/2) E K1), K3 = N(E V + (h/2) K2),

@@ -2,7 +2,9 @@
 
 Everything raised on purpose derives from GevreyError so the CLI can
 separate "the experiment failed to run" (exit 1) from "the experiment ran
-and a verdict failed" (exit 2, no exception involved).
+and a verdict failed" (exit 2, no exception involved).  A failed step of
+the integrator is a StepError, which carries its time t from the moment
+it is built.
 """
 
 
@@ -42,6 +44,28 @@ class OverflowGuardError(GevreyError):
 class DivergenceError(GevreyError):
     """Blow-up abort: non-finite samples or amplitude beyond the 1e6 cap,
     or the damping-norm series asked for outside its domain sigma * R < 1."""
+
+
+class StepError(GevreyError):
+    """A step of dynamics.integrate failed at time t, given to the
+    constructor: t counts from the start of that call, or, once the
+    scenario driver re-raises the error, from the start of the run.  key
+    names the parameter to lower to avoid the failure (dt, or evolution.dt
+    once re-raised), or is None.  Each of the two kinds also derives from
+    the type that says what failed, which an except clause may name instead."""
+
+    def __init__(self, message, t, key=None):
+        super().__init__(message)
+        self.t = t
+        self.key = key
+
+
+class BlowUpError(StepError, DivergenceError):
+    """A state that is not finite, or whose amplitude passed the 1e6 cap, at time t."""
+
+
+class DtGuardError(StepError, ConfigurationError):
+    """dt exceeds the advective guard 0.5 dx / (max|u|^2 + sup a + 1) at time t; keyed dt."""
 
 
 class UnderresolvedError(GevreyError):

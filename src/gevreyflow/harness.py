@@ -21,10 +21,11 @@ last one's final state; the damping body its trajectory, then its rate
 probes as one list; the inequality body one empty list.  The driver has
 three phases: build (check the scenario, then ScenarioConfig.build(),
 the parser's validation call), requests (integrate each, the harness's
-only integrate call; a blow-up or dt-guard error is re-raised as the
-same type, naming where and the global time t_start + err.t, and the
-guard's error advising to lower evolution.dt), and judge (the body
-judges all its records at once, as arrays).
+only integrate call; a StepError, a failed step, is re-raised as the
+same kind at the global time t_start + err.t, naming where, and one
+keyed to an EvolutionSpec parameter is keyed to its evolution key and
+advises to lower it; every other error passes through as itself), and
+judge (the body judges all its records at once, as arrays).
 
 Verdict margins are normalized: positive means the checked quantity
 cleared its bound by that relative amount, negative by how much it fell
@@ -58,7 +59,7 @@ from .analytics import (
 )
 from .config import SCENARIO_IDS, ScenarioConfig, known_radius
 from .dynamics import EvolutionSpec, integrate
-from .errors import ConfigurationError, DivergenceError, FitError, UnderresolvedError
+from .errors import ConfigurationError, FitError, StepError, UnderresolvedError
 from .inequalities import (
     cosh_minus_one_margin,
     equivalence_margins,
@@ -551,10 +552,10 @@ def _run(scenario: str, cfg: ScenarioConfig) -> ExperimentReport:
         for spec, init, where, t_start in requests:
             try:
                 trajectories.append(integrate(spec, init))
-            except (DivergenceError, ConfigurationError) as err:
-                # integrate's one ConfigurationError is its dt guard
-                advice = "; lower evolution.dt" if isinstance(err, ConfigurationError) else ""
-                raise type(err)(f"{where}, global t = {t_start + err.t:.6g}: {err}{advice}") from err
+            except StepError as err:
+                t, key = t_start + err.t, err.key and f"evolution.{err.key}"
+                advice = f"; lower {key}" if key else ""
+                raise type(err)(f"{where}, global t = {t:.6g}: {err}{advice}", t, key) from err
     return ExperimentReport(scenario, series, fits, verdicts, cfg.as_sections(), time.perf_counter() - t0)
 
 

@@ -781,6 +781,8 @@ class TestIndexFormulas:
     def test_lifespan(self):
         assert lifespan_T0(1.0, 3.0, 1.0, 2.0) == pytest.approx(1.0 / 25.0, rel=1e-15)
         assert lifespan_T0(0.0, 0.0, 1.0, 2.0) == 1.0
+        # a power beyond double range leaves no window
+        assert lifespan_T0(1.0, 1.0, 1.0, 1e300) == 0.0
         with pytest.raises(ConfigurationError):
             lifespan_T0(1.0, 1.0, c0=0.0, d=2.0)
         with pytest.raises(ConfigurationError):
@@ -799,6 +801,11 @@ class TestSigmaChoice:
 
     def test_cap_branch(self):
         val, branch = sigma_choice(0.01, 5.0, 10.0, 1.0, 0.5, 0.5, 1.0)
+        assert branch == "cap" and val == 0.01
+
+    def test_data_candidate_beyond_double_range_is_never_the_minimum(self):
+        # (b / (2 C1 M0))^(1/theta) = 500^10000 leaves double range
+        val, branch = sigma_choice(0.01, 5.0, 10.0, 1e-3, 0.5, 1.0, 1e-4)
         assert branch == "cap" and val == 0.01
 
     def test_damping_branch(self):

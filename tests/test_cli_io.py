@@ -873,6 +873,22 @@ class TestCli:
         assert err.startswith("error: radius fit failed at t = 0: only 4 modes above the noise floor ")
         assert err.endswith("; need >= 12; raise grid.N\n")
 
+    @pytest.mark.parametrize("command, theta", [("iterate", "2.5e-5"), ("coupled", "1e-4")])
+    def test_data_radius_beyond_double_range_is_never_the_minimum(self, tmp_path, command, theta):
+        # at a small theta the data candidate (b / (2 C1 M0))^(1/theta) of
+        # the window radius leaves double range: inf, so another one wins
+        assert main([command, "--out", str(tmp_path), "--quiet", "--set", f"run.theta={theta}"]) == 0
+        report = json.loads((tmp_path / _COMMANDS[command] / "report.json").read_text(encoding="utf-8"))
+        assert report["fits"]["derived"]["branch"] != "data"
+
+    def test_lifespan_beyond_double_range_is_a_window_error(self, tmp_path, capsys):
+        # (1 + a_norm + M)^d leaves double range, so T0 = 0, shorter than a step
+        assert main(["iterate", "--out", str(tmp_path), "--quiet", "--set", "run.d=1e300"]) == 1
+        assert capsys.readouterr().err == (
+            "error: window length T0 = 0 is shorter than one step evolution.dt = 0.0002; "
+            "raise run.c0 or shrink the data or the damping\n"
+        )
+
     @pytest.mark.parametrize("config", [False, True], ids=["packaged", "--config"])
     def test_config_files_are_read_by_parse_config(self, tmp_path, monkeypatch, config):
         # the CLI reads no config file itself: the packaged default and a

@@ -34,7 +34,7 @@ from gevreyflow.dynamics import (
     sech,
     soliton,
 )
-from gevreyflow.errors import ConfigurationError, DivergenceError
+from gevreyflow.errors import ConfigurationError, DivergenceError, DtGuardError
 from gevreyflow.spectral import (
     Grid,
     SpectralField,
@@ -633,6 +633,7 @@ class TestIntegrate:
         assert isinstance(traj, Trajectory)
         # states are built on each read, so final is the last state's equal, not that object
         assert np.array_equal(traj.final.spectrum, traj.states[-1].spectrum)
+        assert isinstance(traj == integrate(spec, u0), bool)
 
     def test_initial_state_is_projected(self):
         g = Grid(64.0, 256)
@@ -780,10 +781,11 @@ class TestIntegrate:
         focused = dealias(analyze(4.0 * np.exp(-((g.x - 32.0) ** 2) / 0.72), g))
         u0 = synthesize(np.exp(-1j * g.xi**3) * focused.spectrum, g)
         spec = EvolutionSpec(equation=Equation(mu=1, nonlinear=False), dt=0.012, t_end=1.0, record_every=1)
-        with pytest.raises(ConfigurationError, match="advective guard") as err:
+        with pytest.raises(DtGuardError, match="advective guard") as err:
             integrate(spec, u0)
         t_fail = float(re.search(r"at t = (\S+)", str(err.value)).group(1))
         assert 0.0 < t_fail < 1.0
+        assert f"{err.value.t:.6g}" == f"{t_fail:.6g}" and err.value.key == "dt"
 
     def test_blowup_abort(self):
         g = Grid(64.0, 64)

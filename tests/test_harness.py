@@ -10,6 +10,7 @@ see), not the naive fourth-order guess.
 
 import math
 import re
+from dataclasses import replace
 from importlib import resources
 
 import numpy as np
@@ -19,9 +20,10 @@ from conftest import packaged_text
 from gevreyflow import cli, content_hash, dynamics, harness, report_payload
 from gevreyflow.analytics import FunctionalBreakdown, functional_A, functional_M
 from gevreyflow.config import FAMILIES, ScenarioConfig, Tolerances, parse_config, parse_config_text
-from gevreyflow.errors import ConfigurationError, DivergenceError, FitError, UnderresolvedError
+from gevreyflow.dynamics import Equation, RaisedCosineDamping
+from gevreyflow.errors import BlowUpError, ConfigurationError, DtGuardError, FitError, UnderresolvedError
 from gevreyflow.harness import RUNNERS, SCENARIO_IDS, SCENARIOS
-from gevreyflow.spectral import synthesize
+from gevreyflow.spectral import Grid, SpectralField, synthesize
 
 # each short config is a packaged config with these overrides
 CONSERVE_SHORT = ("conserve", ["evolution.t_end=0.5"])
@@ -31,6 +33,14 @@ ITERATION_SHORT = ("iterate", ["run.k_max=3"])
 COUPLED_DEGENERATE = ("coupled", ["data2.kind=zero", "run.sigma0=0.5", "run.k_max=2"])
 RADIUS_SHORT = ("radius", ["evolution.t_end=1.0", "evolution.record_every=250"])
 INEQUALITIES_SMALL = ("inequalities", ["run.samples=20000"])
+
+# the two kinds of step error, each tripped by a first step from a state
+# scaled up by scale, and the key of the driver's re-raised error; each id
+# names the type the kind also derives from
+STEP_ERRORS = [
+    pytest.param(100.0, DtGuardError, "advective guard", "evolution.dt", id="100.0-ConfigurationError-advective guard"),
+    pytest.param(1e7, BlowUpError, "blow-up", None, id="10000000.0-DivergenceError-blow-up"),
+]
 
 
 def short_config(short, overrides=()):
@@ -205,11 +215,9 @@ def test_one_build_per_parse_and_per_run(monkeypatch, scenario):
     assert calls == [cfg]
 
 
-@pytest.mark.parametrize(
-    "scale, error, message", [(100.0, ConfigurationError, "advective guard"), (1e7, DivergenceError, "blow-up")]
-)
+@pytest.mark.parametrize("scale, error, message, key", STEP_ERRORS)
 @pytest.mark.parametrize("short", [CONSERVE_SHORT, RADIUS_SHORT], ids=["conservation", "radius"])
-def test_error_in_a_trajectory_names_it(monkeypatch, short, scale, error, message):
+def test_error_in_a_trajectory_names_it(monkeypatch, short, scale, error, message, key):
     # the one request of a single-trajectory body, started from a scaled-up
     # state, fails at its first step, at t = 0
     real = harness.integrate
@@ -221,6 +229,46 @@ def test_error_in_a_trajectory_names_it(monkeypatch, short, scale, error, messag
     with pytest.raises(error, match=rf"^trajectory, global t = 0: .*{message}") as info:
         run_short(short)
     assert type(info.value) is error and type(info.value.__cause__) is error
+    assert info.value.t == 0.0 and info.value.key == key
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (lambda spec, init: (spec, (init, init)), "^1-component flow needs one SpectralField$"),
+        (
+            lambda spec, init: (
+                replace(spec, equation=Equation(spec.equation.mu, alphas=(1.0, 0.5))),
+                (init, SpectralField(Grid(2.0 * init.grid.L, init.grid.N), init.spectrum)),
+            ),
+            "^coupled components must share one grid$",
+        ),
+        (
+            lambda spec, init: (
+                replace(spec, equation=replace(spec.equation, dampings=(RaisedCosineDamping(1.0, 0.0, 2.0),))),
+                init,
+            ),
+            "^damping profile built for domain length 2.0, grid has ",
+        ),
+    ],
+    ids=["field count", "two grids", "damping length"],
+)
+def test_error_of_integrate_that_is_no_step_passes_through(monkeypatch, bad, message):
+    # integrate's errors on its inputs carry no time; the driver re-raises
+    # only step errors, so each of these reaches the caller as itself
+    real, raised = harness.integrate, []
+
+    def stub(spec, init):
+        try:
+            return real(*bad(spec, init))
+        except ConfigurationError as err:
+            raised.append(err)
+            raise
+
+    monkeypatch.setattr(harness, "integrate", stub)
+    with pytest.raises(ConfigurationError, match=message) as info:
+        run_short(CONSERVE_SHORT)
+    assert len(raised) == 1 and info.value is raised[0]
 
 
 def test_state_that_turns_non_finite_before_a_record_names_its_time(monkeypatch):
@@ -245,9 +293,10 @@ def test_state_that_turns_non_finite_before_a_record_names_its_time(monkeypatch)
     short = ("conserve", ["evolution.t_end=0.002", "evolution.record_every=5"])
     # inf meets zero factors in the step's products, which numpy warns of
     with np.errstate(invalid="ignore"):
-        with pytest.raises(DivergenceError, match=r"^trajectory, global t = 0.001: blow-up abort") as info:
+        with pytest.raises(BlowUpError, match=r"^trajectory, global t = 0.001: blow-up abort") as info:
             run_short(short)
-    assert len(calls) == 20 and type(info.value.__cause__) is DivergenceError
+    assert len(calls) == 20 and type(info.value.__cause__) is BlowUpError
+    assert info.value.t == 0.001 and info.value.key is None
 
 
 def test_masses_once_per_trajectory(monkeypatch):
@@ -432,10 +481,8 @@ class TestDampingDecay:
         with pytest.raises(ConfigurationError, match="family"):
             run_short(DAMPING_SHORT, ["equation.family=mkdv"])
 
-    @pytest.mark.parametrize(
-        "scale, error, message", [(100.0, ConfigurationError, "advective guard"), (1e7, DivergenceError, "blow-up")]
-    )
-    def test_error_in_a_rate_probe_names_it(self, monkeypatch, scale, error, message):
+    @pytest.mark.parametrize("scale, error, message, key", STEP_ERRORS)
+    def test_error_in_a_rate_probe_names_it(self, monkeypatch, scale, error, message, key):
         # the third integrate call is the second rate probe; restarted from
         # a scaled-up record, it fails at its first step, at that record's t
         report = run_short(DAMPING_SHORT)
@@ -454,6 +501,7 @@ class TestDampingDecay:
         with pytest.raises(error, match=rf"^rate probe at record {i}, global t = {t_probe:.6g}: .*{message}") as info:
             run_short(DAMPING_SHORT)
         assert type(info.value) is error and type(info.value.__cause__) is error
+        assert info.value.t == t_probe and info.value.key == key
 
 
 class TestGlobalIteration:
@@ -499,10 +547,8 @@ class TestGlobalIteration:
         with pytest.raises(ConfigurationError, match=pattern):
             run_short(ITERATION_SHORT, ["run.c0=0.00025"])
 
-    @pytest.mark.parametrize(
-        "scale, error, message", [(100.0, ConfigurationError, "advective guard"), (1e7, DivergenceError, "blow-up")]
-    )
-    def test_error_in_a_later_window_names_it(self, monkeypatch, scale, error, message):
+    @pytest.mark.parametrize("scale, error, message, key", STEP_ERRORS)
+    def test_error_in_a_later_window_names_it(self, monkeypatch, scale, error, message, key):
         # the calibration window is window 0 and the second integrate call
         # window 1; started from a scaled-up state, it fails at its first
         # step, at global time T0
@@ -519,6 +565,7 @@ class TestGlobalIteration:
         with pytest.raises(error, match=rf"^window 1, global t = {T0:.6g}: .*{message}") as info:
             run_short(ITERATION_SHORT)
         assert type(info.value) is error and type(info.value.__cause__) is error
+        assert info.value.t == T0 and info.value.key == key
 
     @pytest.mark.parametrize("short", [ITERATION_SHORT, COUPLED_DEGENERATE], ids=["iteration", "coupled"])
     @pytest.mark.parametrize("theta", ["1.5", "0", "-0.25"])
