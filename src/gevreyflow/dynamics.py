@@ -26,10 +26,16 @@ through one rhs and one RK4 loop.  States live in the dealiased band
 |k| <= N/4 (the 1/2 rule; initial data is projected into it), and the
 loop holds only that band of the package's half spectrum: k = 0..N/4 of
 each real component, shape (C, N/4+1).  A record checks that the state is
-finite and copies it into its row of one (n_rec+1, C, N/4+1) array, made
-before the loop and read-only after it.  Trajectory.states reads that
-array: each read pads one row with zeros to the half k = 0..N/2 and
-builds its field, so no state is kept in the full half.
+finite and copies it into its row of one block of at most RECORD_BLOCK
+rows, made before the loop.  Whenever the block fills, and at the last
+record, integrate hands it, read-only, to the call's observer as a
+RecordedStates view with its record times, and keeps only what the
+observer returns: one row per state, joined in record order into one
+array.  So a run holds one block of states at a time, whatever its
+record count.  The default observer returns the band rows themselves,
+and Trajectory.states reads them: each read pads one row with zeros to
+the half k = 0..N/2 and builds its field, so no state is kept in the
+full half.
 
 nonlinear_term builds the one implementation of the non-dispersive rhs:
 integrate runs it, and the tests call it.  It writes every cubic term in
@@ -52,7 +58,7 @@ pocketfft kernels, called without numpy.fft's Python wrapper, with
 bit-identical results, and given their unit factor as a read-only 0-d
 array.  Every other operation is one ufunc call, np.multiply or np.add,
 that writes into a buffer allocated once per integrate call; the state is
-updated in place, and each record copies it into its row.  The
+updated in place, and each record copies it into its block row.  The
 RK4 weights, the rhs minus sign, mu and the 1/N of the forward transform
 are folded into factors built before the loop, each an array with a
 leading axis of length 1 or C, the shape of the rows it multiplies.  On a
@@ -85,6 +91,8 @@ from .errors import BlowUpError, ConfigurationError, DtGuardError, StepError
 from .spectral import Grid, SpectralField, analyze, synthesize
 
 BLOWUP_LIMIT = 1e6
+# rows of integrate's record block: the states a run holds at a time
+RECORD_BLOCK = 64
 
 
 # ---------------------------------------------------------------------------
@@ -230,18 +238,24 @@ class RecordedStates(Sequence):
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """Recorded states at uniform cadence; times[0] = 0, last = t_end.
-    states is a RecordedStates view over the band rows integrate recorded,
-    so each read builds its state, and final is states[-1].  Two
-    trajectories are equal only when they are the same object."""
+    observed holds the observer's rows, one per record, read-only; final
+    is the state at t_end.  states is a RecordedStates view over observed
+    where the default observer kept the band rows, else None, so each read
+    builds its state.  Two trajectories are equal only when they are the
+    same object."""
 
     times: np.ndarray = field(repr=False)
-    states: RecordedStates
+    observed: np.ndarray = field(repr=False)
+    final: SpectralField | tuple
     spec: EvolutionSpec  # the benchmark's tracer (bench/tracer.py) counts steps from it
     step_size: float
+    states: RecordedStates | None = field(default=None, repr=False)
 
-    @property
-    def final(self):
-        return self.states[-1]
+
+def _band_rows(states: RecordedStates, times: np.ndarray) -> np.ndarray:
+    """integrate's default observer: each recorded state's band rows, which
+    Trajectory.states reads."""
+    return states.band
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +357,7 @@ def _step_error(peak: float, dt: float, guard: float, t: float) -> StepError:
     return DtGuardError(message, t, "dt")
 
 
-def integrate(spec: EvolutionSpec, init) -> Trajectory:
+def integrate(spec: EvolutionSpec, init, observe=None) -> Trajectory:
     """Run the flow from init: one SpectralField, or a pair of them for a
     two-component equation.
 
@@ -351,18 +365,24 @@ def integrate(spec: EvolutionSpec, init) -> Trajectory:
     (C, N/4+1) stack, every flow through the same loop and the one rhs
     that nonlinear_term builds.  The initial state is projected into the
     dealiased band, and the loop holds only the modes k = 0..N/4.  A
-    record copies that band into its row of one preallocated array, and
-    each recorded state (a field, or a pair for C = 2) is read from its
-    row, padded with zeros to the half spectrum (RecordedStates).  At the
-    start of every step, from the peak max|w| of the samples the first rhs
-    evaluation makes: abort with BlowUpError once the peak passes 1e6,
-    and raise DtGuardError, keyed dt, once dt exceeds the advective guard
-    0.5 dx / (peak^2 + sup a + 1).  A record raises the same
-    BlowUpError, with max|v| = nan, for a state that is not finite,
-    as the initial one or one from the last step may be.  So a failed
-    step or record is one of these two kinds of StepError, built with its
-    time t; every other error integrate raises is a ConfigurationError on
-    its inputs, raised before the first step.
+    record copies that band into its row of one block of at most
+    RECORD_BLOCK rows.  Whenever the block fills, and at the last record,
+    observe(states, times) is called with the block's states, a read-only
+    RecordedStates view, and their record times; it returns an array with
+    one leading row per state, which integrate copies into
+    Trajectory.observed in record order, and it must not keep the view,
+    which the next block overwrites.  The default observer keeps the band
+    rows, which Trajectory.states reads.  At the start of every step, from
+    the peak max|w| of the samples the first rhs evaluation makes: abort
+    with BlowUpError once the peak passes 1e6, and raise DtGuardError,
+    keyed dt, once dt exceeds the advective guard 0.5 dx / (peak^2 +
+    sup a + 1).  A record raises the same BlowUpError, with max|v| = nan,
+    for a state that is not finite, as the initial one or one from the
+    last step may be, before it enters the block, so no observer sees it.
+    So a failed step or record is one of these two kinds of StepError,
+    built with its time t; every other error integrate raises is a
+    ConfigurationError on its inputs, raised before the first step, or an
+    error of the observer, which passes through as itself.
 
     With E = exp(sym h/2) the step is
         K1 = N(V), K2 = N(E V + (h/2) E K1), K3 = N(E V + (h/2) K2),
@@ -410,15 +430,31 @@ def integrate(spec: EvolutionSpec, init) -> Trajectory:
     guard_num = 0.5 * grid.dx
     guard_den = max((d.sup for d in eq.dampings), default=0.0) + 1.0
 
-    # one row per record, in the loop's band layout
-    records = np.empty((n_rec + 1, C, band), dtype=complex)
+    # one block of record rows, handed to the observer whenever it fills;
+    # observed, the rows the observer returns, is made at the first block
+    block = np.empty((min(RECORD_BLOCK, n_rec + 1), C, band), dtype=complex)
+    observed = None
 
     def record(r: int, t: float) -> None:
         # the check of the step after a record comes after it, and the
         # last record has no step after it
         if not np.isfinite(V).all():
             raise _step_error(math.nan, dt, guard_num, t)
-        records[r] = V
+        i = r % len(block)
+        block[i] = V
+        if i == len(block) - 1 or r == n_rec:
+            flush(r - i, r + 1)
+
+    def flush(start: int, stop: int) -> None:
+        nonlocal observed
+        view = block[: stop - start]
+        view.flags.writeable = False
+        rows = np.asarray((observe or _band_rows)(RecordedStates(view, grid), times[start:stop]))
+        if rows.ndim == 0 or len(rows) != stop - start:
+            raise ValueError(f"an observer returns one row per state: {stop - start}, got shape {rows.shape}")
+        if observed is None:
+            observed = np.empty((n_rec + 1,) + rows.shape[1:], dtype=rows.dtype)
+        observed[start:stop] = rows
 
     record(0, 0.0)
     step = 0
@@ -450,8 +486,11 @@ def integrate(spec: EvolutionSpec, init) -> Trajectory:
             add(E2V, K1, V)
             step += 1
         record(r, step * h)
-    records.flags.writeable = False
-    return Trajectory(times=times, states=RecordedStates(records, grid), spec=spec, step_size=h)
+    observed.flags.writeable = False
+    # the last record is V: its state, read once here
+    final = RecordedStates(V[None], grid)[0]
+    states = RecordedStates(observed, grid) if observe is None else None
+    return Trajectory(times=times, observed=observed, final=final, spec=spec, step_size=h, states=states)
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,25 @@ Everything raised on purpose derives from GevreyError so the CLI can
 separate "the experiment failed to run" (exit 1) from "the experiment ran
 and a verdict failed" (exit 2, no exception involved).  A failed step of
 the integrator is a StepError, which carries its time t from the moment
-it is built.
+it is built.  Every error survives pickling with its message and its
+attributes (t, key, line, column), as a worker process must send it.
 """
+
+
+def _restore(cls, args, attributes):
+    # built without __init__, whose arguments args need not hold
+    err = cls.__new__(cls, *args)
+    err.__dict__.update(attributes)
+    return err
 
 
 class GevreyError(Exception):
     """Base class for all errors raised by this package."""
+
+    def __reduce__(self):
+        # Exception's own reduce calls cls(*args), but args holds only the
+        # message, not t or line and column
+        return _restore, (type(self), self.args, self.__dict__)
 
 
 class ConfigurationError(GevreyError):

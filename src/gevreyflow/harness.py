@@ -14,18 +14,28 @@ scenario id.
 
 Every body is a generator body(cfg, spec, init), init carrying the grid,
 that integrates nothing itself: it yields lists of trajectory requests
-(spec, init, where, t_start), receives their trajectories, and returns
-(series, fits, verdicts).  Conservation, sigma-scaling and radius make
-one request, "trajectory"; the window body one per window, each from the
-last one's final state; the damping body its trajectory, then its rate
-probes as one list; the inequality body one empty list.  The driver has
-three phases: build (check the scenario, then ScenarioConfig.build(),
-the parser's validation call), requests (integrate each, the harness's
-only integrate call; a StepError, a failed step, is re-raised as the
-same kind at the global time t_start + err.t, naming where, and one
-keyed to an EvolutionSpec parameter is keyed to its evolution key and
-advises to lower it; every other error passes through as itself), and
-judge (the body judges all its records at once, as arrays).
+(spec, init, where, t_start), or (spec, init, where, t_start, observe),
+receives their trajectories, and returns (series, fits, verdicts).
+Conservation, sigma-scaling and radius make one request, "trajectory";
+the window body one per window, each from the last one's final state;
+the damping body its trajectory, then its rate probes as one list; the
+inequality body one empty list.  A request's observe is integrate's
+observer, called on each block of at most dynamics.RECORD_BLOCK recorded
+states, and the trajectory keeps only the rows it returns, so the run's
+memory does not grow with its record count: conservation observes its
+three invariants, read off the functional_A terms at sigma = 0,
+sigma-scaling the functional_A totals at its sigmas, and radius each
+state's fit.  The other bodies keep their states: the window body
+run.window_records per window, the damping body its trajectory's, from
+which its rate probes restart, and each probe's three.
+The driver has three phases: build (check the scenario, then
+ScenarioConfig.build(), the parser's validation call), requests
+(integrate each, the harness's only integrate call; a StepError, a
+failed step, is re-raised as the same kind at the global time
+t_start + err.t, naming where, and one keyed to an EvolutionSpec
+parameter is keyed to its evolution key and advises to lower it; every
+other error passes through as itself), and judge (the body judges its
+records, or their observed rows, at once, as arrays).
 
 Verdict margins are normalized: positive means the checked quantity
 cleared its bound by that relative amount, negative by how much it fell
@@ -42,7 +52,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -141,10 +151,15 @@ def _series_verdict(margins, tol: float) -> Verdict:
 
 def _conservation(cfg: ScenarioConfig, spec: EvolutionSpec, init):
     """Relative drift of the three exact invariants at sigma = 0."""
-    [traj] = yield [(spec, init, "trajectory", 0.0)]
-
-    rows = conserved_combinations(functional_A(traj.states, 0.0, cfg.mu))
     names = ("inv0", "inv1", "inv2")
+
+    def invariants(states, times):
+        rows = conserved_combinations(functional_A(states, 0.0, cfg.mu))
+        return np.column_stack([rows[n] for n in names])
+
+    [traj] = yield [(spec, init, "trajectory", 0.0, invariants)]
+
+    rows = dict(zip(names, traj.observed.T))
     times = [float(t) for t in traj.times]
     invariants = {"t": times}
     drifts = {"t": times}
@@ -175,10 +190,14 @@ def _sigma_scaling(cfg: ScenarioConfig, spec: EvolutionSpec, init):
     names run.sigmas and each excluded sigma with its reason.  The config
     checks the sign and sigmas.
     """
-    [traj] = yield [(spec, init, "trajectory", 0.0)]
-
     sigmas = np.asarray(cfg.sigmas, dtype=float)
-    totals = functional_A(traj.states, sigmas, cfg.mu).total
+
+    def a_sigma(states, times):
+        return functional_A(states, sigmas, cfg.mu).total
+
+    [traj] = yield [(spec, init, "trajectory", 0.0, a_sigma)]
+
+    totals = traj.observed
     a0 = totals[0]
     D = (totals[1:] - a0).max(axis=0)
     denom = sigmas**2 * a0**2 * (1.0 + a0 + a0**2)
@@ -414,7 +433,8 @@ def _radius_tracking(cfg: ScenarioConfig, spec: EvolutionSpec, init):
 
     # the t = 0 record is spectrally the initial state, so a grid too coarse
     # to fit it, or to fit it within radius_match of the known radius, fails
-    # before the integration, and its fit is the record's
+    # before the integration; the observer fits it again, as every record,
+    # into one row (sigma_hat, clamped, superexponential) per state
     fit0 = fit(0.0, init)
     tol = cfg.tolerances
     miss = float(_relative_errors(fit0.sigma_hat, sigma0_known))
@@ -423,11 +443,14 @@ def _radius_tracking(cfg: ScenarioConfig, spec: EvolutionSpec, init):
             f"radius fit at t = 0 reads {fit0.sigma_hat:.6g}, {miss:.1%} off the known radius "
             f"{sigma0_known:.6g} (radius_match {tol.radius_match:g}); raise grid.N"
         )
-    [traj] = yield [(spec, init, "trajectory", 0.0)]
+
+    def fits(states, times):
+        return np.array([astuple(fit(t, s)) for t, s in zip(times, states)], dtype=float)
+
+    [traj] = yield [(spec, init, "trajectory", 0.0, fits)]
 
     times = traj.times
-    fits_by_t = [fit0] + [fit(t, s) for t, s in zip(times[1:], traj.states[1:])]
-    sigma_hat = np.array([f.sigma_hat for f in fits_by_t])
+    sigma_hat, clamped, superexponential = traj.observed.T
 
     T1 = float(times[1])
     c = float(sigma_hat[1]) * math.sqrt(T1)
@@ -447,8 +470,8 @@ def _radius_tracking(cfg: ScenarioConfig, spec: EvolutionSpec, init):
     fits = {
         "calibration": {"c": float(c), "T1": float(T1), "sigma0_known": float(sigma0_known)},
         "flags": {
-            "clamped": float(sum(f.clamped for f in fits_by_t)),
-            "superexponential": float(sum(f.superexponential for f in fits_by_t)),
+            "clamped": float(clamped.sum()),
+            "superexponential": float(superexponential.sum()),
         },
     }
     return series, fits, verdicts
@@ -549,9 +572,9 @@ def _run(scenario: str, cfg: ScenarioConfig) -> ExperimentReport:
             series, fits, verdicts = done.value
             break
         trajectories = []
-        for spec, init, where, t_start in requests:
+        for spec, init, where, t_start, *observe in requests:
             try:
-                trajectories.append(integrate(spec, init))
+                trajectories.append(integrate(spec, init, *observe))
             except StepError as err:
                 t, key = t_start + err.t, err.key and f"evolution.{err.key}"
                 advice = f"; lower {key}" if key else ""

@@ -34,7 +34,7 @@ from gevreyflow.dynamics import (
     sech,
     soliton,
 )
-from gevreyflow.errors import ConfigurationError, DivergenceError, DtGuardError
+from gevreyflow.errors import BlowUpError, ConfigurationError, DivergenceError, DtGuardError
 from gevreyflow.spectral import (
     Grid,
     SpectralField,
@@ -524,6 +524,157 @@ class TestRecordedStates:
         # states, which would take at least another band's bytes
         scratch = 160 * P * N + 96 * R * P
         assert added <= scratch < band
+
+    def test_observed_run_retains_only_its_rows(self):
+        # the same spec, observed as the sigma-scaling body observes it: the
+        # run keeps the (R, P) totals, not the 2.07 MB of band rows
+        sigmas = np.array([0.05, 0.07, 0.1, 0.14, 0.2, 0.28, 0.4])
+        overrides = ["evolution.t_end=1.0", "evolution.record_every=5", f"run.sigmas={sigmas.tolist()}"]
+        spec, init = parse_config_text(packaged_text("sigma_scaling"), overrides).build()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            traj = integrate(spec, init, lambda states, times: functional_A(states, sigmas, -1).total)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        block = dynamics.RECORD_BLOCK * (init.grid.N // 4 + 1) * 16
+        assert traj.observed.shape == (1001, 7) and traj.states is None
+        assert retained <= block + traj.observed.nbytes  # about 0.12 of 0.19 MB
+
+
+def masses_and_times(states, times):
+    """An observer: each state's record time and the functional_M of each
+    of its components at sigma = 0 and 0.1, one row per state."""
+    parts = tuple(zip(*states)) if isinstance(states[0], tuple) else (states,)
+    return np.column_stack([times] + [functional_M(part, [0.0, 0.1]) for part in parts])
+
+
+def logged(observe, calls):
+    """observe, appending the times of each call to calls."""
+
+    def observed(states, times):
+        calls.append(times.tolist())
+        return observe(states, times)
+
+    return observed
+
+
+class TestRecordObserver:
+    """integrate hands its records to the observer in blocks of at most
+    RECORD_BLOCK states and keeps only the rows it returns."""
+
+    B = dynamics.RECORD_BLOCK
+
+    @pytest.mark.parametrize("records", [B - 1, B, B + 1, 2 * B + 1])
+    @pytest.mark.parametrize("flow", [0, 1, 2])
+    def test_observed_rows_are_the_observer_of_the_kept_states(self, flow, records):
+        g = Grid(64.0, 256)
+        eq, init = three_flows(g)[flow]
+        dt = 2.0**-12
+        spec = EvolutionSpec(equation=eq, dt=dt, t_end=(records - 1) * dt, record_every=1)
+        calls = []
+        observed = integrate(spec, init, logged(masses_and_times, calls))
+        kept = integrate(spec, init)
+        assert observed.states is None and len(kept.states) == records
+        assert observed.observed.tobytes() == masses_and_times(kept.states, kept.times).tobytes()
+        assert observed.observed.shape == (records, 1 + 2 * len(eq.alphas)) and not observed.observed.flags.writeable
+        assert observed.times.tobytes() == kept.times.tobytes()
+        assert np.array_equal(half_spectra(observed.final), half_spectra(kept.final))
+        # every record once, in order, each call at most one block
+        assert [t for call in calls for t in call] == kept.times.tolist()
+        assert all(0 < len(call) <= self.B for call in calls) and len(calls) == -(-records // self.B)
+
+    def test_default_observer_keeps_the_band_rows(self):
+        g = Grid(64.0, 256)
+        eq, init = three_flows(g)[2]
+        dt = 2.0**-12
+        traj = integrate(EvolutionSpec(equation=eq, dt=dt, t_end=self.B * dt, record_every=1), init)
+        assert traj.observed is traj.states.band and traj.observed.shape == (self.B + 1, 2, g.band)
+
+    def test_observer_gets_a_read_only_view_it_must_not_keep(self):
+        g = Grid(64.0, 256)
+        eq, init = three_flows(g)[0]
+        views = []
+
+        def keep_view(states, times):
+            views.append(states.band)
+            with pytest.raises(ValueError, match="read-only"):
+                states.band[0] = 0.0
+            return states.band
+
+        dt = 2.0**-12
+        traj = integrate(EvolutionSpec(equation=eq, dt=dt, t_end=(self.B + 3) * dt, record_every=1), init, keep_view)
+        # the rows were copied out of the block before the next one overwrote it
+        assert [len(v) for v in views] == [self.B, 4]
+        assert traj.observed.tobytes() == integrate(traj.spec, init).observed.tobytes()
+
+    def test_observer_must_return_one_row_per_state(self):
+        g = Grid(64.0, 256)
+        eq, init = three_flows(g)[0]
+        spec = EvolutionSpec(equation=eq, dt=1e-3, t_end=4e-3, record_every=1)
+        for wrong in (lambda states, times: times[:1], lambda states, times: 0.0):
+            with pytest.raises(ValueError, match="one row per state: 5"):
+                integrate(spec, init, wrong)
+
+    @pytest.mark.parametrize("record", [B - 1, B])
+    def test_state_that_turns_non_finite_at_a_block_edge_is_never_observed(self, monkeypatch, record):
+        # the last rhs evaluation of the step before record `record` writes
+        # inf: record B - 1 is the first block's last row, record B the
+        # second block's first; the record raises at its own time, and the
+        # observer sees only the full blocks before it
+        real, evaluations = dynamics.nonlinear_term, []
+
+        def poisoned(eq, grid):
+            evaluate, samples = real(eq, grid)
+
+            def evaluate_poisoned(V, out):
+                evaluate(V, out)
+                evaluations.append(None)
+                if len(evaluations) == 4 * record:
+                    out[...] = np.inf
+
+            return evaluate_poisoned, samples
+
+        monkeypatch.setattr(dynamics, "nonlinear_term", poisoned)
+        g = Grid(64.0, 256)
+        eq, init = three_flows(g)[0]
+        dt = 2.0**-12
+        calls = []
+        spec = EvolutionSpec(equation=eq, dt=dt, t_end=2 * self.B * dt, record_every=1)
+        with np.errstate(invalid="ignore"), pytest.raises(BlowUpError, match=r"max\|v\| = nan") as info:
+            integrate(spec, init, logged(masses_and_times, calls))
+        assert info.value.t == record * dt and len(evaluations) == 4 * record
+        assert [len(call) for call in calls] == [self.B] * (record // self.B)
+
+    def test_memory_of_an_observed_run_does_not_grow_with_its_records(self):
+        # N = 64, so a band row is 17 complex numbers: four times the steps,
+        # each recorded, adds at most one block to an observed run's peak
+        # beyond its own rows (the record times, 8 bytes each, fit in that
+        # block), and at least the kept states' bytes to a kept run's
+        g = Grid(32.0, 64)
+        u, _ = soliton(2.0, 16.0, g)
+        init = dealias(u)
+        dt = 2.0**-10
+        block = self.B * g.band * 16
+
+        def peak(records, observe):
+            spec = EvolutionSpec(equation=Equation(mu=1), dt=dt, t_end=(records - 1) * dt, record_every=1)
+            # a first run allocates what numpy and the interpreter then keep
+            integrate(spec, init, observe)
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                traj = integrate(spec, init, observe)
+                return tracemalloc.get_traced_memory()[1] - before, traj.observed.nbytes
+            finally:
+                tracemalloc.stop()
+
+        short, long = 2 * self.B + 1, 8 * self.B + 1
+        (observed_short, rows_short), (observed_long, rows_long) = (peak(n, masses_and_times) for n in (short, long))
+        assert observed_long - observed_short <= rows_long - rows_short + block
+        (kept_short, _), (kept_long, _) = (peak(n, None) for n in (short, long))
+        assert kept_long - kept_short >= (long - short) * g.band * 16
 
 
 class TestTransformCounts:

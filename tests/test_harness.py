@@ -57,7 +57,7 @@ def run_short(short, overrides=()):
 def no_integrate(monkeypatch):
     """harness.integrate replaced by a stub that fails when called."""
 
-    def tripped(spec, init):
+    def tripped(spec, init, observe=None):
         raise AssertionError("integrated")
 
     monkeypatch.setattr(harness, "integrate", tripped)
@@ -171,18 +171,43 @@ class TestVerdictHelpers:
 
 
 @pytest.mark.parametrize(
-    "short, series", [(CONSERVE_SHORT, "invariants"), (SIGMA_SHORT, "a_sigma")], ids=["conservation", "sigma-scaling"]
+    "short, every, blocks",
+    [(CONSERVE_SHORT, 25, [64, 37]), (SIGMA_SHORT, 50, [64, 64, 23])],
+    ids=["conservation", "sigma-scaling"],
 )
-def test_one_functional_call_per_trajectory(monkeypatch, short, series):
+def test_one_functional_call_per_trajectory(monkeypatch, short, every, blocks):
+    # the record observer calls functional_A once per block of records: the
+    # calls cover every record of the trajectory once, in order, and each
+    # takes at most one block
     calls = []
 
     def counted(u, sigma, mu):
-        calls.append(len(u))
+        calls.append(u.band.copy())
         return functional_A(u, sigma, mu)
 
     monkeypatch.setattr(harness, "functional_A", counted)
-    report = run_short(short)
-    assert calls == [len(report.series[series]["t"])]
+    cfg = short_config(short, [f"evolution.record_every={every}"])
+    report = RUNNERS[cfg.scenario](cfg)
+    assert [len(call) for call in calls] == blocks and max(blocks) == dynamics.RECORD_BLOCK
+    assert sum(blocks) == len(next(iter(report.series.values()))["t"])
+    assert np.concatenate(calls).tobytes() == dynamics.integrate(*cfg.build()).states.band.tobytes()
+
+
+def test_radius_fit_failed_in_a_later_block_names_its_time(monkeypatch):
+    # the fit of record 70, in the second block, fails; the first call fits
+    # the initial state, the next ones records 0, 1, ...
+    real, calls = harness.radius_estimate, []
+
+    def failing(state):
+        calls.append(None)
+        if len(calls) == 72:
+            raise UnderresolvedError("only 3 modes above the noise floor (1e-08); need >= 12")
+        return real(state)
+
+    monkeypatch.setattr(harness, "radius_estimate", failing)
+    with pytest.raises(UnderresolvedError, match=r"^radius fit failed at t = 0\.7: only 3 modes .*; raise grid\.N$"):
+        run_short(RADIUS_SHORT, ["evolution.record_every=50"])
+    assert len(calls) == 72
 
 
 SHORT = {
@@ -222,8 +247,8 @@ def test_error_in_a_trajectory_names_it(monkeypatch, short, scale, error, messag
     # state, fails at its first step, at t = 0
     real = harness.integrate
 
-    def tripped(spec, init):
-        return real(spec, synthesize(init.spectrum * scale, init.grid))
+    def tripped(spec, init, observe=None):
+        return real(spec, synthesize(init.spectrum * scale, init.grid), observe)
 
     monkeypatch.setattr(harness, "integrate", tripped)
     with pytest.raises(error, match=rf"^trajectory, global t = 0: .*{message}") as info:
@@ -258,9 +283,9 @@ def test_error_of_integrate_that_is_no_step_passes_through(monkeypatch, bad, mes
     # only step errors, so each of these reaches the caller as itself
     real, raised = harness.integrate, []
 
-    def stub(spec, init):
+    def stub(spec, init, observe=None):
         try:
-            return real(*bad(spec, init))
+            return real(*bad(spec, init), observe)
         except ConfigurationError as err:
             raised.append(err)
             raise
@@ -491,11 +516,11 @@ class TestDampingDecay:
         assert i > 0 and t_probe > 0.0
         real, calls = harness.integrate, []
 
-        def tripped(spec, init):
+        def tripped(spec, init, observe=None):
             calls.append(spec)
             if len(calls) == 3:
                 init = synthesize(init.spectrum * scale, init.grid)
-            return real(spec, init)
+            return real(spec, init, observe)
 
         monkeypatch.setattr(harness, "integrate", tripped)
         with pytest.raises(error, match=rf"^rate probe at record {i}, global t = {t_probe:.6g}: .*{message}") as info:
@@ -555,11 +580,11 @@ class TestGlobalIteration:
         T0 = run_short(ITERATION_SHORT, ["run.k_max=0"]).fits["derived"]["T0"]
         real, calls = harness.integrate, []
 
-        def tripped(spec, init):
+        def tripped(spec, init, observe=None):
             calls.append(spec)
             if len(calls) == 2:
                 init = synthesize(init.spectrum * scale, init.grid)
-            return real(spec, init)
+            return real(spec, init, observe)
 
         monkeypatch.setattr(harness, "integrate", tripped)
         with pytest.raises(error, match=rf"^window 1, global t = {T0:.6g}: .*{message}") as info:
@@ -607,11 +632,11 @@ class TestGlobalIteration:
         # on window 0
         real, calls = harness.integrate, []
 
-        def counted(spec, init):
+        def counted(spec, init, observe=None):
             calls.append(spec)
             if len(calls) > windows:
                 raise AssertionError("integrated")
-            return real(spec, init)
+            return real(spec, init, observe)
 
         monkeypatch.setattr(harness, "integrate", counted)
         report = run_short(ITERATION_SHORT, ["run.k_max=0", *policy])
