@@ -37,6 +37,16 @@ and Trajectory.states reads them: each read pads one row with zeros to
 the half k = 0..N/2 and builds its field, so no state is kept in the
 full half.
 
+A call's own observer runs in one worker process (worker.ObserverWorker),
+forked before the first record, one block behind the step loop, so that
+a second core observes block b while the loop steps block b+1.  A full
+block first takes back block b-1's rows, then sends its own raw bytes to
+the worker, which observes them and pickles back only the rows.  So the
+step loop waits on the observer only where the observer is the slower of
+the two.  An observer is a function of its arguments; its side effects
+stay in the worker.  A thread would not overlap, since the step's small
+ufuncs hold the GIL.
+
 nonlinear_term builds the one implementation of the non-dispersive rhs:
 integrate runs it, and the tests call it.  It writes every cubic term in
 conservative form, (mu/3)(v^3)_x for one component and mu (w1 w2^2)_x,
@@ -89,6 +99,7 @@ import numpy as np
 from . import spectral
 from .errors import BlowUpError, ConfigurationError, DtGuardError, StepError
 from .spectral import Grid, SpectralField, analyze, synthesize
+from .worker import ObserverWorker
 
 BLOWUP_LIMIT = 1e6
 # rows of integrate's record block: the states a run holds at a time
@@ -252,12 +263,6 @@ class Trajectory:
     states: RecordedStates | None = field(default=None, repr=False)
 
 
-def _band_rows(states: RecordedStates, times: np.ndarray) -> np.ndarray:
-    """integrate's default observer: each recorded state's band rows, which
-    Trajectory.states reads."""
-    return states.band
-
-
 # ---------------------------------------------------------------------------
 # right-hand sides
 # ---------------------------------------------------------------------------
@@ -371,18 +376,25 @@ def integrate(spec: EvolutionSpec, init, observe=None) -> Trajectory:
     RecordedStates view, and their record times; it returns an array with
     one leading row per state, which integrate copies into
     Trajectory.observed in record order, and it must not keep the view,
-    which the next block overwrites.  The default observer keeps the band
-    rows, which Trajectory.states reads.  At the start of every step, from
-    the peak max|w| of the samples the first rhs evaluation makes: abort
-    with BlowUpError once the peak passes 1e6, and raise DtGuardError,
-    keyed dt, once dt exceeds the advective guard 0.5 dx / (peak^2 +
-    sup a + 1).  A record raises the same BlowUpError, with max|v| = nan,
-    for a state that is not finite, as the initial one or one from the
-    last step may be, before it enters the block, so no observer sees it.
-    So a failed step or record is one of these two kinds of StepError,
-    built with its time t; every other error integrate raises is a
-    ConfigurationError on its inputs, raised before the first step, or an
-    error of the observer, which passes through as itself.
+    which the next block overwrites.  observe runs in a worker process,
+    forked before the first record and reaped on every exit, while the loop
+    steps the next block; its side effects are not seen here.  The default
+    observer, observe=None, keeps the band rows in this process, with no
+    worker, and Trajectory.states reads them.  At the start of every step,
+    from the peak max|w| of the samples the first rhs evaluation makes:
+    abort with BlowUpError once the peak passes 1e6, and raise
+    DtGuardError, keyed dt, once dt exceeds the advective guard 0.5 dx /
+    (peak^2 + sup a + 1).  A record raises the same BlowUpError, with
+    max|v| = nan, for a state that is not finite, as the initial one or one
+    from the last step may be, before it enters the block, so no observer
+    sees it.  So a failed step or record is one of these two kinds of
+    StepError, built with its time t; every other error integrate raises is
+    a ConfigurationError on its inputs, raised before the first step, or an
+    error of the observer, with its type, message and attributes and the
+    worker's traceback as a note.  The earliest record's error wins: a
+    StepError while a block is in flight waits for that block, whose
+    observer's error goes first.  A result or error that pickle cannot send
+    raises TypeError, and a worker that dies ChildProcessError.
 
     With E = exp(sym h/2) the step is
         K1 = N(V), K2 = N(E V + (h/2) E K1), K3 = N(E V + (h/2) K2),
@@ -446,46 +458,73 @@ def integrate(spec: EvolutionSpec, init, observe=None) -> Trajectory:
             flush(r - i, r + 1)
 
     def flush(start: int, stop: int) -> None:
+        # the band rows themselves, or, first, the worker's rows of the block
+        # before this one, whose observer ran while the loop stepped this one
+        if worker is None:
+            keep(start, stop, block[: stop - start])
+        else:
+            collect()
+            worker.send(start, stop)
+
+    def collect() -> None:
+        if worker.pending:
+            keep(*worker.receive())
+
+    def keep(start: int, stop: int, rows) -> None:
         nonlocal observed
-        view = block[: stop - start]
-        view.flags.writeable = False
-        rows = np.asarray((observe or _band_rows)(RecordedStates(view, grid), times[start:stop]))
+        rows = np.asarray(rows)
         if rows.ndim == 0 or len(rows) != stop - start:
             raise ValueError(f"an observer returns one row per state: {stop - start}, got shape {rows.shape}")
         if observed is None:
             observed = np.empty((n_rec + 1,) + rows.shape[1:], dtype=rows.dtype)
         observed[start:stop] = rows
 
-    record(0, 0.0)
-    step = 0
-    for r in range(1, n_rec + 1):
-        for _ in range(spec.record_every):
-            evaluate(V, K1)
-            peak = float(peak_of(absolute(w, abs_w), axis=None))
-            guard = guard_num / (peak * peak + guard_den)
-            if not peak <= BLOWUP_LIMIT or dt > guard * (1.0 + 1e-12):
-                raise _step_error(peak, dt, guard, step * h)
-            multiply(E, V, EV)
-            multiply(hE_2, K1, X)
-            add(X, EV, X)
-            evaluate(X, K2)
-            multiply(h_2, K2, X)
-            add(X, EV, X)
-            evaluate(X, K3)
-            multiply(E2, V, E2V)
-            multiply(hE, K3, X)
-            add(X, E2V, X)
-            evaluate(X, K4)
-            # the increments are summed before they meet E^2 V: one rounding
-            # at the size of the state per step
-            add(K2, K3, K2)
-            multiply(K2, hE_3, K2)
-            multiply(K1_K4, hE2_6_h_6, K1_K4)
-            add(K1, K2, K1)
-            add(K1, K4, K1)
-            add(E2V, K1, V)
-            step += 1
-        record(r, step * h)
+    def observe_block(view: np.ndarray, start: int, stop: int):
+        return observe(RecordedStates(view, grid), times[start:stop])
+
+    worker = None if observe is None else ObserverWorker(observe_block, block)
+    try:
+        record(0, 0.0)
+        step = 0
+        for r in range(1, n_rec + 1):
+            for _ in range(spec.record_every):
+                evaluate(V, K1)
+                peak = float(peak_of(absolute(w, abs_w), axis=None))
+                guard = guard_num / (peak * peak + guard_den)
+                if not peak <= BLOWUP_LIMIT or dt > guard * (1.0 + 1e-12):
+                    raise _step_error(peak, dt, guard, step * h)
+                multiply(E, V, EV)
+                multiply(hE_2, K1, X)
+                add(X, EV, X)
+                evaluate(X, K2)
+                multiply(h_2, K2, X)
+                add(X, EV, X)
+                evaluate(X, K3)
+                multiply(E2, V, E2V)
+                multiply(hE, K3, X)
+                add(X, E2V, X)
+                evaluate(X, K4)
+                # the increments are summed before they meet E^2 V: one
+                # rounding at the size of the state per step
+                add(K2, K3, K2)
+                multiply(K2, hE_3, K2)
+                multiply(K1_K4, hE2_6_h_6, K1_K4)
+                add(K1, K2, K1)
+                add(K1, K4, K1)
+                add(E2V, K1, V)
+                step += 1
+            record(r, step * h)
+        if worker is not None:
+            collect()
+    except StepError:
+        # the earliest record's error wins: the block in flight comes before
+        # the failed step or record, so its observer's error goes first
+        if worker is not None:
+            collect()
+        raise
+    finally:
+        if worker is not None:
+            worker.close()
     observed.flags.writeable = False
     # the last record is V: its state, read once here
     final = RecordedStates(V[None], grid)[0]

@@ -29,13 +29,13 @@ state's fit.  The other bodies keep their states: the window body
 run.window_records per window, the damping body its trajectory's, from
 which its rate probes restart, and each probe's three.
 The driver has three phases: build (check the scenario, then
-ScenarioConfig.build(), the parser's validation call), requests
-(integrate each, the harness's only integrate call; a StepError, a
-failed step, is re-raised as the same kind at the global time
-t_start + err.t, naming where, and one keyed to an EvolutionSpec
-parameter is keyed to its evolution key and advises to lower it; every
-other error passes through as itself), and judge (the body judges its
-records, or their observed rows, at once, as arrays).
+ScenarioConfig.build(), the parser's validation call), requests (integrate
+each, the harness's only integrate call; a StepError, a failed step, is
+re-raised as the same kind at the global time t_start + err.t, naming where,
+and one keyed to an EvolutionSpec parameter is keyed to its evolution key
+and advises to lower it; every other error passes through as the same type,
+message and attributes), and judge (the body judges its records, or their
+observed rows, at once, as arrays).
 
 Verdict margins are normalized: positive means the checked quantity
 cleared its bound by that relative amount, negative by how much it fell

@@ -7,8 +7,11 @@ Tolerances were calibrated against the analysis in the module docstrings;
 they are not round-trip self-checks.
 """
 
+import itertools
 import math
+import os
 import re
+import signal
 import tracemalloc
 
 import numpy as np
@@ -550,14 +553,58 @@ def masses_and_times(states, times):
     return np.column_stack([times] + [functional_M(part, [0.0, 0.1]) for part in parts])
 
 
-def logged(observe, calls):
-    """observe, appending the times of each call to calls."""
+def logged(observe):
+    """observe, with each of its rows led by the index of its call and the
+    record time it was given, and flattened: the observer runs in a worker
+    process, so its calls are read off the rows it returns."""
+    calls = itertools.count()
 
     def observed(states, times):
-        calls.append(times.tolist())
-        return observe(states, times)
+        rows = np.reshape(observe(states, times), (len(times), -1))
+        return np.column_stack([np.full(len(times), next(calls)), times, rows])
 
     return observed
+
+
+def calls_of(traj):
+    """The record times each observer call was given, one list per call in
+    call order, from the rows of a run observed through logged."""
+    call, times = traj.observed[:, 0].real, traj.observed[:, 1].real
+    return [times[call == i].tolist() for i in range(int(call.max()) + 1)]
+
+
+def poison(monkeypatch, record):
+    """Make the last rhs evaluation of the step before record `record` write
+    inf, so that record's state is not finite; returns the list that counts
+    the evaluations."""
+    real, evaluations = dynamics.nonlinear_term, []
+
+    def poisoned(eq, grid):
+        evaluate, samples = real(eq, grid)
+
+        def evaluate_poisoned(V, out):
+            evaluate(V, out)
+            evaluations.append(None)
+            if len(evaluations) == 4 * record:
+                out[...] = np.inf
+
+        return evaluate_poisoned, samples
+
+    monkeypatch.setattr(dynamics, "nonlinear_term", poisoned)
+    return evaluations
+
+
+def finite_only(states, times):
+    """An observer that fails on a state that is not finite, else returns
+    the record times."""
+    if not np.isfinite(states.band).all():
+        raise AssertionError(f"observed a state that is not finite in the block from t = {times[0]:g}")
+    return times
+
+
+def refuse(states, times):
+    """An observer whose every call fails, naming its states."""
+    raise LookupError(f"observed {len(times)} states from t = {times[0]:g}")
 
 
 class TestRecordObserver:
@@ -573,15 +620,16 @@ class TestRecordObserver:
         eq, init = three_flows(g)[flow]
         dt = 2.0**-12
         spec = EvolutionSpec(equation=eq, dt=dt, t_end=(records - 1) * dt, record_every=1)
-        calls = []
-        observed = integrate(spec, init, logged(masses_and_times, calls))
+        observed = integrate(spec, init, logged(masses_and_times))
         kept = integrate(spec, init)
         assert observed.states is None and len(kept.states) == records
-        assert observed.observed.tobytes() == masses_and_times(kept.states, kept.times).tobytes()
-        assert observed.observed.shape == (records, 1 + 2 * len(eq.alphas)) and not observed.observed.flags.writeable
+        rows = np.ascontiguousarray(observed.observed[:, 2:])
+        assert rows.tobytes() == masses_and_times(kept.states, kept.times).tobytes()
+        assert observed.observed.shape == (records, 3 + 2 * len(eq.alphas)) and not observed.observed.flags.writeable
         assert observed.times.tobytes() == kept.times.tobytes()
         assert np.array_equal(half_spectra(observed.final), half_spectra(kept.final))
         # every record once, in order, each call at most one block
+        calls = calls_of(observed)
         assert [t for call in calls for t in call] == kept.times.tolist()
         assert all(0 < len(call) <= self.B for call in calls) and len(calls) == -(-records // self.B)
 
@@ -595,19 +643,21 @@ class TestRecordObserver:
     def test_observer_gets_a_read_only_view_it_must_not_keep(self):
         g = Grid(64.0, 256)
         eq, init = three_flows(g)[0]
-        views = []
 
         def keep_view(states, times):
-            views.append(states.band)
+            # a failed check here comes back as the run's error
             with pytest.raises(ValueError, match="read-only"):
                 states.band[0] = 0.0
             return states.band
 
         dt = 2.0**-12
-        traj = integrate(EvolutionSpec(equation=eq, dt=dt, t_end=(self.B + 3) * dt, record_every=1), init, keep_view)
+        traj = integrate(
+            EvolutionSpec(equation=eq, dt=dt, t_end=(self.B + 3) * dt, record_every=1), init, logged(keep_view)
+        )
+        assert [len(call) for call in calls_of(traj)] == [self.B, 4]
         # the rows were copied out of the block before the next one overwrote it
-        assert [len(v) for v in views] == [self.B, 4]
-        assert traj.observed.tobytes() == integrate(traj.spec, init).observed.tobytes()
+        kept = integrate(traj.spec, init).observed
+        assert np.ascontiguousarray(traj.observed[:, 2:]).tobytes() == kept.reshape(len(kept), -1).tobytes()
 
     def test_observer_must_return_one_row_per_state(self):
         g = Grid(64.0, 256)
@@ -622,30 +672,22 @@ class TestRecordObserver:
         # the last rhs evaluation of the step before record `record` writes
         # inf: record B - 1 is the first block's last row, record B the
         # second block's first; the record raises at its own time, and the
-        # observer sees only the full blocks before it
-        real, evaluations = dynamics.nonlinear_term, []
-
-        def poisoned(eq, grid):
-            evaluate, samples = real(eq, grid)
-
-            def evaluate_poisoned(V, out):
-                evaluate(V, out)
-                evaluations.append(None)
-                if len(evaluations) == 4 * record:
-                    out[...] = np.inf
-
-            return evaluate_poisoned, samples
-
-        monkeypatch.setattr(dynamics, "nonlinear_term", poisoned)
+        # observer sees only the full blocks before it: no state that is not
+        # finite, and, named by the error of an observer that fails on every
+        # call, which wins over the later blow-up, no call or one of B states
+        evaluations = poison(monkeypatch, record)
         g = Grid(64.0, 256)
         eq, init = three_flows(g)[0]
         dt = 2.0**-12
-        calls = []
         spec = EvolutionSpec(equation=eq, dt=dt, t_end=2 * self.B * dt, record_every=1)
         with np.errstate(invalid="ignore"), pytest.raises(BlowUpError, match=r"max\|v\| = nan") as info:
-            integrate(spec, init, logged(masses_and_times, calls))
+            integrate(spec, init, finite_only)
         assert info.value.t == record * dt and len(evaluations) == 4 * record
-        assert [len(call) for call in calls] == [self.B] * (record // self.B)
+        evaluations.clear()
+        with np.errstate(invalid="ignore"), pytest.raises((BlowUpError, LookupError)) as info:
+            integrate(spec, init, refuse)
+        calls = [str(info.value)] if isinstance(info.value, LookupError) else []
+        assert calls == [f"observed {self.B} states from t = 0"] * (record // self.B)
 
     def test_memory_of_an_observed_run_does_not_grow_with_its_records(self):
         # N = 64, so a band row is 17 complex numbers: four times the steps,
@@ -675,6 +717,124 @@ class TestRecordObserver:
         assert observed_long - observed_short <= rows_long - rows_short + block
         (kept_short, _), (kept_long, _) = (peak(n, None) for n in (short, long))
         assert kept_long - kept_short >= (long - short) * g.band * 16
+
+
+class Unrebuildable(Exception):
+    """An error that pickles but does not unpickle: its class needs two
+    arguments, its args hold one message."""
+
+    def __init__(self, what, where):
+        super().__init__(f"{what} at {where}")
+
+
+def unrebuildable(states, times):
+    raise Unrebuildable("no fit", times[0])
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the processes os.fork starts in the parent."""
+    real, pids = os.fork, []
+
+    def fork():
+        pid = real()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+class TestObserverWorker:
+    """An observer runs in one forked worker per integrate call, one block
+    behind the step loop, and the worker is reaped on every exit path."""
+
+    B = dynamics.RECORD_BLOCK
+
+    @staticmethod
+    def run(observe, records):
+        g = Grid(64.0, 256)
+        eq, init = three_flows(g)[0]
+        dt = 2.0**-12
+        spec = EvolutionSpec(equation=eq, dt=dt, t_end=(records - 1) * dt, record_every=1)
+        return integrate(spec, init, observe)
+
+    @staticmethod
+    def assert_reaped(forks):
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(forks[0], os.WNOHANG)
+
+    def test_observer_runs_in_another_process(self, forks):
+        traj = self.run(lambda states, times: np.full(len(times), os.getpid()), 2 * self.B + 1)
+        assert set(traj.observed.tolist()) == {forks[0]} and forks[0] != os.getpid()
+        self.assert_reaped(forks)
+
+    def test_unobserved_run_starts_no_worker(self, forks):
+        assert self.run(None, self.B + 1).states is not None and forks == []
+
+    def test_error_in_the_middle_block_keeps_its_type_message_and_attributes(self, forks):
+        def middle(states, times):
+            if times[0] > 0:
+                raise ConfigurationError(f"no rows from t = {times[0]:g}", "grid.N")
+            return times
+
+        with pytest.raises(ConfigurationError) as info:
+            self.run(middle, 2 * self.B + 1)
+        assert type(info.value) is ConfigurationError and info.value.key == "grid.N"
+        assert str(info.value) == f"no rows from t = {self.B * 2.0**-12:g}"
+        [note] = info.value.__notes__
+        assert note.startswith("observer traceback in the worker process:\n") and "in middle" in note
+        self.assert_reaped(forks)
+
+    @pytest.mark.parametrize("fails", [True, False])
+    def test_blow_up_one_block_after_an_observed_block(self, monkeypatch, forks, fails):
+        # record B + 5 is not finite while block 0 is in flight: its
+        # observer's error is the earlier record's, and wins; a passing
+        # observer leaves the blow-up at its own time
+        poison(monkeypatch, self.B + 5)
+        with np.errstate(invalid="ignore"), pytest.raises((LookupError, BlowUpError)) as info:
+            self.run(refuse if fails else finite_only, 2 * self.B + 1)
+        if fails:
+            assert str(info.value) == f"observed {self.B} states from t = 0"
+        else:
+            assert type(info.value) is BlowUpError and info.value.t == (self.B + 5) * 2.0**-12
+        self.assert_reaped(forks)
+
+    def test_worker_that_dies_raises_child_process_error(self, forks):
+        def die(states, times):
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        message = rf"^the observer's worker process {{pid}} ended before it returned the rows of records 0 to {self.B - 1}$"
+        with pytest.raises(ChildProcessError) as info:
+            self.run(die, 2 * self.B + 1)
+        assert re.fullmatch(message.format(pid=forks[0]), str(info.value))
+        self.assert_reaped(forks)
+
+    def test_fork_that_fails_closes_the_pipes(self, monkeypatch):
+        def fork():
+            raise BlockingIOError("fork: resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", fork)
+        fds = os.listdir("/proc/self/fd")
+        with pytest.raises(BlockingIOError):
+            self.run(finite_only, 3)
+        assert os.listdir("/proc/self/fd") == fds
+
+    @pytest.mark.parametrize(
+        "observe, kind",
+        [
+            (lambda states, times: (t for t in times), "result of type generator"),
+            (lambda states, times: [lambda: t for t in times], "result of type list"),
+            (unrebuildable, "error of type Unrebuildable"),
+        ],
+        ids=["generator", "lambdas", "error"],
+    )
+    def test_what_pickle_cannot_send_comes_back_as_a_type_error(self, forks, observe, kind):
+        with pytest.raises(TypeError, match=f"^the observer's {kind} cannot be sent from its worker process: "):
+            self.run(observe, 3)
+        self.assert_reaped(forks)
 
 
 class TestTransformCounts:
