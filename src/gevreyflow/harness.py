@@ -60,6 +60,7 @@ import numpy as np
 from .analytics import (
     conserved_combinations,
     damping_A_norm,
+    fit_loglog,
     functional_A,
     functional_M,
     lifespan_T0,
@@ -105,16 +106,6 @@ class ExperimentReport:
     @property
     def passed(self) -> bool:
         return all(v.passed for v in self.verdicts.values())
-
-
-def _fit_loglog(xs, ys) -> tuple[float, float, float]:
-    """(slope, intercept, r2) of log y against log x."""
-    lx, ly = np.log(xs), np.log(ys)
-    slope, intercept = np.polyfit(lx, ly, 1)
-    resid = ly - (slope * lx + intercept)
-    total = float(np.sum((ly - ly.mean()) ** 2))
-    r2 = 1.0 if total == 0.0 else 1.0 - float(np.sum(resid**2)) / total
-    return float(slope), float(intercept), r2
 
 
 def _relative_errors(values, refs) -> np.ndarray:
@@ -212,7 +203,7 @@ def _sigma_scaling(cfg: ScenarioConfig, spec: EvolutionSpec, init):
         raise FitError(
             f"run.sigmas: need >= 3 positive-drift points for the fit, have {kept.size}; excluded sigma {excluded}"
         )
-    slope, intercept, r2 = _fit_loglog(kept, D[included])
+    slope, intercept, r2 = fit_loglog(kept, D[included])
 
     tol = cfg.tolerances
     half = 0.5 * (tol.slope_hi - tol.slope_lo)

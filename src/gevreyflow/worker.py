@@ -84,7 +84,8 @@ class ObserverWorker:
             try:
                 os.close(self.to_worker)
                 os.close(from_worker)
-                _serve(observe, block, open(reader, "rb"), writer)
+                with open(reader, "rb") as source:
+                    _serve(observe, block, source, writer)
             finally:
                 # never back into the parent's stack, its atexit hooks or buffers
                 os._exit(0)

@@ -8,22 +8,27 @@ closed form; the sigma-selection example was computed independently through
 exp (the implementation goes through expm1).
 """
 
+import ast
 import dataclasses
 import math
 import warnings
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from oracles import energy_rate_A, full_k, full_spectrum, log_space_norm, mass_rate_M, operator_F, operator_G
 
+import gevreyflow
 from gevreyflow.analytics import (
     FunctionalBreakdown,
     RadiusFit,
     conserved_combinations,
     damping_A_norm,
+    fit_line,
+    fit_loglog,
     functional_A,
     functional_M,
     hsigma_norm,
@@ -879,13 +884,89 @@ class TestRadiusEstimate:
 
     @pytest.mark.parametrize("L, why", [(1e250, "divide by zero"), (1e-200, "overflow")])
     def test_frequencies_beyond_double_range(self, L, why):
-        # polyfit scales by the norm of xi, whose squares underflow to 0 at
-        # L = 1e250 and overflow at L = 1e-200; tier-1 turns its warnings
-        # into errors, so a numpy warning would fail here too
+        # the centred sum of squares of xi underflows to 0 at L = 1e250
+        # (a divide by zero) and overflows at L = 1e-200; tier-1 turns its
+        # warnings into errors, so a numpy warning would fail here too
         g = Grid(L, 256)
         F = np.exp(-0.1 * np.arange(g.N // 2 + 1)).astype(complex)
         with pytest.raises(UnderresolvedError, match=rf"^the fit's frequencies xi = .* leave double range \({why}"):
             radius_estimate(synthesize(F, g))
+
+
+class TestLineFit:
+    """fit_line, the package's one least-squares line, in closed form;
+    np.polyfit is its reference here and nowhere in the package."""
+
+    @settings(max_examples=200, derandomize=True)
+    @given(
+        n=st.integers(3, 60),
+        x0=st.floats(-10.0, 10.0),
+        width=st.floats(1.0, 20.0),
+        slope=st.floats(0.1, 10.0),
+        sign=st.sampled_from([-1.0, 1.0]),
+        intercept=st.floats(-10.0, 10.0),
+        noise=st.floats(0.0, 0.1),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_agrees_with_polyfit(self, n, x0, width, slope, sign, intercept, noise, seed):
+        # spread points with a noisy line through them: cond(x) <= ~ 10
+        rng = np.random.default_rng(seed)
+        x = x0 + width * np.sort(rng.uniform(0.0, 1.0, n))
+        x[[0, -1]] = x0, x0 + width
+        y = sign * slope * x + intercept + noise * slope * width * rng.standard_normal(n)
+        ref_slope, ref_intercept = np.polyfit(x, y, 1)
+        got_slope, got_intercept = fit_line(x, y)
+        assert got_slope == pytest.approx(ref_slope, rel=1e-12)
+        scale = np.abs(y).max()
+        assert got_intercept == pytest.approx(ref_intercept, rel=1e-12, abs=1e-12 * scale)
+        assert np.abs((got_slope * x + got_intercept) - (ref_slope * x + ref_intercept)).max() <= 1e-12 * scale
+
+    @settings(max_examples=200, derandomize=True)
+    @given(
+        x=st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=40, unique=True).filter(
+            lambda v: max(v) - min(v) >= 1e-3 * max(1.0, *map(abs, v))
+        ),
+        slope=st.floats(-1e3, 1e3),
+        intercept=st.floats(-1e3, 1e3),
+    )
+    def test_recovers_an_exact_line(self, x, slope, intercept):
+        x = np.array(x)
+        y = slope * x + intercept
+        got_slope, got_intercept = fit_line(x, y)
+        # y holds one rounding of each point; the centring adds a few more
+        scale = np.abs(y).max() + np.abs(slope) * np.abs(x).max() + abs(intercept)
+        spread = x.max() - x.min()
+        assert abs(got_slope - slope) <= 64 * EPS * scale / spread
+        assert np.abs(got_slope * x + got_intercept - y).max() <= 64 * EPS * scale * (1.0 + np.abs(x).max() / spread)
+
+    def test_loglog_of_a_power_law(self):
+        x = np.array([0.25, 0.5, 1.0, 1.5])
+        slope, intercept, r2 = fit_loglog(x, 3.0 * x**2)
+        assert slope == pytest.approx(2.0, rel=1e-14)
+        assert intercept == pytest.approx(math.log(3.0), rel=1e-14)
+        assert r2 == pytest.approx(1.0, abs=1e-14)
+        # a constant y has no spread to explain: r2 is 1 and the slope 0
+        assert fit_loglog(x, np.full(4, 2.0)) == (0.0, pytest.approx(math.log(2.0)), 1.0)
+
+    def test_no_least_squares_route_but_fit_line(self):
+        # np.polyfit, lstsq and the Polynomial classes load LAPACK, whose
+        # first call keeps 1.2 MB; read from the names, attributes and
+        # imports of the package source, so a docstring may name them
+        banned = {"polyfit", "lstsq", "linalg", "Polynomial"}
+        found = []
+        for path in sorted(Path(gevreyflow.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Attribute):
+                    names = {node.attr}
+                elif isinstance(node, ast.Name):
+                    names = {node.id}
+                elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                    names = {part for a in node.names for part in a.name.split(".")}
+                    names |= set((getattr(node, "module", None) or "").split("."))
+                else:
+                    continue
+                found += [(path.name, node.lineno, name) for name in sorted(names & banned)]
+        assert found == []
 
 
 def interpolation_margin(v, sigma1):

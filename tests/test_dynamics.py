@@ -12,7 +12,10 @@ import math
 import os
 import re
 import signal
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -811,6 +814,25 @@ class TestObserverWorker:
             self.run(die, 2 * self.B + 1)
         assert re.fullmatch(message.format(pid=forks[0]), str(info.value))
         self.assert_reaped(forks)
+
+    def test_worker_leaves_no_file_unclosed(self):
+        # a fresh interpreter in development mode, where a file that is
+        # only garbage-collected warns, and the warning is an error
+        code = (
+            "from gevreyflow.dynamics import Equation, EvolutionSpec, integrate, soliton\n"
+            "from gevreyflow.spectral import Grid, dealias\n"
+            "g = Grid(64.0, 256)\n"
+            "u = dealias(soliton(1.0, 32.0, g)[0])\n"
+            "spec = EvolutionSpec(equation=Equation(mu=1), dt=2.0**-12, t_end=2.0**-10, record_every=1)\n"
+            "assert integrate(spec, u, lambda states, times: times).observed.size == 5\n"
+        )
+        src = str(Path(dynamics.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c", code],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
 
     def test_fork_that_fails_closes_the_pipes(self, monkeypatch):
         def fork():
