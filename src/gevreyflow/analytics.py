@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
@@ -45,6 +44,7 @@ from .errors import (
     OverflowGuardError,
     UnderresolvedError,
 )
+from .records import frozen
 from .spectral import Grid, SpectralField, noise_floor, pad_spectrum
 
 # last term of damping_A_norm's sum; the terms past it are below one
@@ -151,10 +151,11 @@ def functional_M(v: SpectralField | Sequence[SpectralField], sigma: float | np.n
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen(eq=False)
 class FunctionalBreakdown:
     """A scalar functional with its named constituent integrals: floats, or
-    arrays with one entry per weight radius."""
+    arrays with one entry per weight radius.  Two breakdowns are equal only
+    when they are the same object."""
 
     total: float | np.ndarray
     terms: dict
@@ -399,7 +400,7 @@ def fit_loglog(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:
     return slope, intercept, r2
 
 
-@dataclass(frozen=True)
+@frozen
 class RadiusFit:
     """Least-squares exponential-decay fit of a spectrum tail.
 

@@ -39,7 +39,7 @@ import math
 import re
 import sys
 import tomllib
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +47,7 @@ import numpy as np
 from .analytics import theta_max
 from .dynamics import Equation, EvolutionSpec, RaisedCosineDamping, _plan_steps, sech, soliton
 from .errors import ConfigParseError, ConfigurationError
+from .records import frozen
 from .spectral import Grid, SpectralField, analyze, dealias
 
 # ---------------------------------------------------------------------------
@@ -66,14 +67,18 @@ def _check(ok: bool, key: str, message: str) -> None:
         raise ConfigurationError(f"{key} {message}", key)
 
 
-@dataclass(frozen=True)
+@frozen
 class DampingConfig:
+    """One damping profile, the section damping or damping2: form
+    raised_cosine, floor + amplitude * (1 + cos(2 pi x / L)), or constant,
+    the same with amplitude 0."""
+
     form: str = "raised_cosine"
     floor: float = 1.0
     amplitude: float = 0.25
 
 
-@dataclass(frozen=True)
+@frozen
 class DataConfig:
     """One initial profile.  kind selects the family:
 
@@ -90,8 +95,12 @@ class DataConfig:
     center: float = 32.0
 
 
-@dataclass(frozen=True)
+@frozen
 class Tolerances:
+    """The tolerance each verdict is judged against, the section
+    tolerances; construction rejects a negative one, slope_lo at or above
+    slope_hi and r2_min above 1."""
+
     conservation: float = 1e-6
     rate: float = 1e-5
     decay: float = 1e-3
@@ -112,7 +121,7 @@ class Tolerances:
         _check(self.r2_min <= 1, "tolerances.r2_min", f"must be <= 1, got {self.r2_min}")
 
 
-@dataclass(frozen=True)
+@frozen
 class ScenarioConfig:
     """Everything one scenario run needs, fully resolved.
 

@@ -92,12 +92,13 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import field
 
 import numpy as np
 
 from . import spectral
 from .errors import BlowUpError, ConfigurationError, DtGuardError, StepError
+from .records import frozen
 from .spectral import Grid, SpectralField, analyze, synthesize
 from .worker import ObserverWorker
 
@@ -111,7 +112,7 @@ RECORD_BLOCK = 64
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class RaisedCosineDamping:
     """a(x) = floor + amplitude * (1 + cos(2 pi x / length)).  Its closed
     form is its certificate, so construction checks only the inputs: (A1),
@@ -170,7 +171,7 @@ class RaisedCosineDamping:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class Equation:
     """One flow: mu = +1 focusing, -1 defocusing; odd order m >= 3; one
     dispersion ratio per component, (1,) or (1, alpha) with alpha in (0, 1);
@@ -202,7 +203,7 @@ class Equation:
             )
 
 
-@dataclass(frozen=True)
+@frozen
 class EvolutionSpec:
     """The flow and its time grid: equation, step, horizon, record cadence."""
 
@@ -246,7 +247,7 @@ class RecordedStates(Sequence):
         return states if len(states) > 1 else states[0]
 
 
-@dataclass(frozen=True, eq=False)
+@frozen(eq=False)
 class Trajectory:
     """Recorded states at uniform cadence; times[0] = 0, last = t_end.
     observed holds the observer's rows, one per record, read-only; final

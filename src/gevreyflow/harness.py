@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import astuple, dataclass, replace
+from dataclasses import astuple, replace
 from functools import partial
 
 import numpy as np
@@ -78,6 +78,7 @@ from .inequalities import (
     scan_triple_cosh,
     sinh_margin,
 )
+from .records import frozen
 
 _TINY = 1e-300  # floor of every margin's denominator; keeps a 0/0 error at exactly 0
 
@@ -87,15 +88,22 @@ _TINY = 1e-300  # floor of every margin's denominator; keeps a 0/0 error at exac
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class Verdict:
+    """One check of a report: whether it passed, its normalized margin and
+    the config tolerance it was judged against."""
+
     passed: bool
     margin: float
     tolerance: float
 
 
-@dataclass(frozen=True)
+@frozen
 class ExperimentReport:
+    """What one scenario run returns: its named series, fits and verdicts,
+    the config it ran, and its wall-clock time, which content hashing
+    leaves out."""
+
     scenario: str
     series: dict
     fits: dict

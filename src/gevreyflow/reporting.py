@@ -30,11 +30,11 @@ import hashlib
 import json
 import math
 import re
-from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigurationError
 from .harness import ExperimentReport
+from .records import frozen
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
 _DASHED_SUFFIXES = ("envelope", "limit", "bound")
@@ -138,8 +138,10 @@ def write_report(report: ExperimentReport, out_dir) -> Path:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class PlotStyle:
+    """The labels and axis scales of one plot_series figure."""
+
     title: str = ""
     x_label: str = ""
     x_log: bool = False

@@ -58,13 +58,14 @@ integrator's rhs looks them up once, when it is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from functools import cached_property
 
 import numpy as np
 from numpy.fft._pocketfft_umath import irfft as _irfft, rfft_n_even as _rfft_n_even
 
 from .errors import ConfigurationError, SymmetryError
+from .records import frozen
 
 
 # the unit factor of both kernels, an array operand that no call converts
@@ -87,7 +88,7 @@ def rfft_into(samples: np.ndarray, out: np.ndarray, factor: float | np.ndarray =
     return _rfft_n_even(samples, factor, out)
 
 
-@dataclass(frozen=True)
+@frozen
 class Grid:
     """Uniform periodic grid on [0, L) with N nodes, N even and >= 16 and L
     positive and finite (anything else raises ConfigurationError).
@@ -134,14 +135,15 @@ class Grid:
         return self.N // 4 + 1
 
 
-@dataclass(frozen=True)
+@frozen(eq=False)
 class SpectralField:
     """A real field on a Grid, held as its half spectrum k = 0..N/2.
 
     samples, the N values at the grid nodes, is a read-only property: one
     irfft of the spectrum on its first read, kept for later reads.  analyze
     keeps the samples it was given instead.  Fields from analyze,
-    synthesize and dealias hold read-only arrays.
+    synthesize and dealias hold read-only arrays.  Two fields are equal
+    only when they are the same object.
     """
 
     grid: Grid

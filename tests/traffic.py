@@ -49,7 +49,8 @@ from pathlib import Path
 _IMPORT_TIME = {"<listcomp>", "<dictcomp>", "<setcomp>", "<genexpr>"}
 
 # why a function's lines go unreached, one class per function; "public
-# inverse" also covers hsigma_norm, the paper's norm, which only tests call
+# inverse" also covers hsigma_norm, the paper's norm, and the record types'
+# repr, hash and equality of two objects, which only tests call
 REASONS = (
     "error path",
     "input check",
