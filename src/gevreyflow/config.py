@@ -20,9 +20,10 @@ L/2, damping2 and the numeric data2 fields mirror their first-component
 sections, and theta falls back to the largest admissible exponent for the
 configured order (the field default 0.45 for the third-order families,
 where that formula does not apply).  Every value a config is rejected
-for is rejected here, naming its key, but three that need what the run
-computes: a window lifespan T0 below evolution.dt and a t = 0 radius fit
-that misses (both before the first step), and the step-size guard.
+for is rejected here, naming its key, but four that need what the run
+computes: a window lifespan T0 below evolution.dt, a window plan past
+dynamics.plan_run's bounds (run.c0, run.k_max) and a t = 0 radius fit
+that misses (all before the first step), and the step-size guard.
 Every error is keyed where it is raised, a check here to its dotted key
 (run.k_max must be >= 0, got -1) and a module's to its parameter, which
 build() makes the key of the section it prefixes; a key the text sets,
@@ -45,7 +46,7 @@ from pathlib import Path
 import numpy as np
 
 from .analytics import theta_max
-from .dynamics import Equation, EvolutionSpec, RaisedCosineDamping, _plan_steps, sech, soliton
+from .dynamics import Equation, EvolutionSpec, RaisedCosineDamping, plan_run, sech, soliton
 from .errors import ConfigParseError, ConfigurationError
 from .records import frozen
 from .spectral import Grid, SpectralField, analyze, dealias
@@ -223,6 +224,8 @@ class ScenarioConfig:
         m, alphas = (self.m if self.family == "mkdvm" else 3), ((1.0, self.alpha) if pair else (1.0,))
         equation = _from_section("equation", Equation, self.mu, m, alphas, dampings, self.nonlinear)
         spec = _from_section("evolution", EvolutionSpec, equation, self.dt, self.t_end, self.record_every)
+        if self.scenario in ("conservation", "sigma-scaling", "damping", "radius"):  # windows wait for T0
+            n = plan_run(spec, grid, key="evolution.t_end", keeps_band=self.scenario == "damping").n_rec + 1
         data = (("data", self.data), ("data2", self.data2))[: 1 + pair]
         init = tuple(dealias(_from_section(name, build_field, d, grid)) for name, d in data)
         radius = min(known_radius(d) for _, d in data)
@@ -234,7 +237,6 @@ class ScenarioConfig:
             _check(top < radius, "run.sigmas", f"must stay below the data's radius {radius:.6g}, got {top}")
         if self.scenario == "radius":
             _check(math.isfinite(radius), "data.kind", f"{self.data.kind!r} has no known radius; use soliton or sech")
-            n = _plan_steps(spec)[0] + 1
             _check(n >= 3, "evolution.record_every", f"leaves {n} records; radius needs at least 3 recorded snapshots")
         return spec, init if pair else init[0]
 

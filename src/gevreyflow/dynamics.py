@@ -105,6 +105,7 @@ from .worker import ObserverWorker
 BLOWUP_LIMIT = 1e6
 # rows of integrate's record block: the states a run holds at a time
 RECORD_BLOCK = 64
+MAX_PLAN_BYTES, MAX_PLAN_STEPS = 2**30, 2**53  # past 2**53 steps, step * h is inexact
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +218,8 @@ class EvolutionSpec:
             raise ConfigurationError(f"dt must be positive, got {self.dt}", "dt")
         if self.t_end <= 0 or not np.isfinite(self.t_end):
             raise ConfigurationError(f"t_end must be positive, got {self.t_end}", "t_end")
-        if self.record_every < 1:
-            raise ConfigurationError(f"record_every must be >= 1, got {self.record_every}", "record_every")
+        if not 1 <= self.record_every <= MAX_PLAN_STEPS:
+            raise ConfigurationError(f"record_every must lie in [1, 2**53], got {self.record_every}", "record_every")
 
 
 class RecordedStates(Sequence):
@@ -247,6 +248,18 @@ class RecordedStates(Sequence):
         return states if len(states) > 1 else states[0]
 
 
+@frozen
+class RunPlan:
+    """integrate's plan (see plan_run): its steps and records, and their bytes."""
+
+    n_rec: int
+    n_steps: int
+    h: float
+    record_every: int
+    times_bytes: int
+    band_bytes: int
+
+
 @frozen(eq=False)
 class Trajectory:
     """Recorded states at uniform cadence; times[0] = 0, last = t_end.
@@ -260,7 +273,7 @@ class Trajectory:
     observed: np.ndarray = field(repr=False)
     final: SpectralField | tuple
     spec: EvolutionSpec  # the benchmark's tracer (bench/tracer.py) counts steps from it
-    step_size: float
+    plan: RunPlan
     states: RecordedStates | None = field(default=None, repr=False)
 
 
@@ -345,13 +358,21 @@ def nonlinear_term(eq: Equation, grid: Grid):
 # ---------------------------------------------------------------------------
 
 
-def _plan_steps(spec: EvolutionSpec) -> tuple[int, int, float]:
-    """Choose (n_records, n_steps, h) so the trajectory lands exactly on
-    t_end with h <= dt and records every record_every steps."""
-    per_record = spec.dt * spec.record_every
-    n_rec = max(1, math.ceil(spec.t_end / per_record - 1e-9))
-    n_steps = n_rec * spec.record_every
-    return n_rec, n_steps, spec.t_end / n_steps
+def plan_run(spec: EvolutionSpec, grid: Grid, runs: int = 1, key: str = "t_end", keeps_band: bool = True) -> RunPlan:
+    """The plan of integrate(spec, init), init on grid: n_rec is the least count >= 1
+    with n_rec >= t_end / (dt record_every) - 1e-9, so h = t_end / n_steps is at most
+    dt (1 + 1e-9 / n_rec) exactly and dt (1 + 1e-9 + 2**-50) in floating point.  A
+    ConfigurationError keyed key refuses runs runs of it past 2**53 steps in all, or
+    past 2**30 bytes of record times and, if kept (keeps_band), band rows."""
+    # a count past 2**54, or past double range, is refused below
+    n_rec = max(1, math.ceil(min(spec.t_end / (spec.dt * spec.record_every) - 1e-9, 2.0**54)))
+    n_steps, row_bytes = n_rec * spec.record_every, 16 * len(spec.equation.alphas) * grid.band
+    plan = RunPlan(n_rec, n_steps, spec.t_end / n_steps, spec.record_every, 8 * (n_rec + 1), row_bytes * (n_rec + 1))
+    if runs * n_steps > MAX_PLAN_STEPS:
+        raise ConfigurationError(f"{key} plans more than 2**53 steps", key)
+    if runs * (plan.times_bytes + keeps_band * plan.band_bytes) > MAX_PLAN_BYTES:
+        raise ConfigurationError(f"{key} plans {runs * (n_rec + 1):.6g} records, more than 2**30 bytes", key)
+    return plan
 
 
 def _step_error(peak: float, dt: float, guard: float, t: float) -> StepError:
@@ -390,7 +411,7 @@ def integrate(spec: EvolutionSpec, init, observe=None) -> Trajectory:
     from the last step may be, before it enters the block, so no observer
     sees it.  So a failed step or record is one of these two kinds of
     StepError, built with its time t; every other error integrate raises is
-    a ConfigurationError on its inputs, raised before the first step, or an
+    a ConfigurationError on its inputs or plan, raised before the first step, or an
     error of the observer, with its type, message and attributes and the
     worker's traceback as a note.  The earliest record's error wins: a
     StepError while a block is in flight waits for that block, whose
@@ -414,7 +435,8 @@ def integrate(spec: EvolutionSpec, init, observe=None) -> Trajectory:
     if any(f.grid != grid for f in fields):
         raise ConfigurationError("coupled components must share one grid")
 
-    n_rec, n_steps, h = _plan_steps(spec)
+    plan = plan_run(spec, grid, keeps_band=observe is None)
+    n_rec, h = plan.n_rec, plan.h
     times = np.linspace(0.0, spec.t_end, n_rec + 1)
 
     # the state holds the band k = 0..N/4 of each component, updated in place
@@ -488,7 +510,7 @@ def integrate(spec: EvolutionSpec, init, observe=None) -> Trajectory:
         record(0, 0.0)
         step = 0
         for r in range(1, n_rec + 1):
-            for _ in range(spec.record_every):
+            for _ in range(plan.record_every):
                 evaluate(V, K1)
                 peak = float(peak_of(absolute(w, abs_w), axis=None))
                 guard = guard_num / (peak * peak + guard_den)
@@ -530,7 +552,7 @@ def integrate(spec: EvolutionSpec, init, observe=None) -> Trajectory:
     # the last record is V: its state, read once here
     final = RecordedStates(V[None], grid)[0]
     states = RecordedStates(observed, grid) if observe is None else None
-    return Trajectory(times=times, observed=observed, final=final, spec=spec, step_size=h, states=states)
+    return Trajectory(times=times, observed=observed, final=final, spec=spec, plan=plan, states=states)
 
 
 # ---------------------------------------------------------------------------

@@ -69,7 +69,7 @@ from .analytics import (
     sigma_choice,
 )
 from .config import SCENARIO_IDS, ScenarioConfig, known_radius
-from .dynamics import EvolutionSpec, integrate
+from .dynamics import EvolutionSpec, integrate, plan_run
 from .errors import ConfigurationError, FitError, StepError, UnderresolvedError
 from .inequalities import (
     cosh_minus_one_margin,
@@ -271,7 +271,7 @@ def _damping_decay(cfg: ScenarioConfig, spec: EvolutionSpec, init):
 
     # every probe runs one spec, so one step size
     m_before, _, m_after = functional_M([s for p in probes for s in p.states], 0.0).reshape(-1, 3).T
-    fds = (m_after - m_before) / (2.0 * probes[0].step_size)
+    fds = (m_after - m_before) / (2.0 * probes[0].plan.h)
     rates = [mass_rate(p.states[1], a) for p in probes]
     residuals = _relative_errors(fds, rates)
     worst = residuals.max()
@@ -333,9 +333,13 @@ def _iterate_windows(cfg: ScenarioConfig, spec: EvolutionSpec, state):
 
     # the windows depend on T0 alone, so they run first, each from the last
     # one's final state; the empirical C1 policy calibrates on window 0,
-    # which so runs even at k_max = 0.  T0 >= dt, so the cadence is >= 1.
-    cadence = math.ceil(math.ceil(T0 / cfg.dt) / cfg.window_records)
+    # which so runs even at k_max = 0.  T0 >= dt, so the cadence is >= 1; T0 / dt
+    # is capped at 2**53 steps, and T0's window plan and k_max's count are checked
+    cadence = math.ceil(math.ceil(min(T0 / cfg.dt, 2.0**53)) / cfg.window_records)
     window_spec = replace(spec, t_end=T0, record_every=cadence)
+    grid = (state[0] if isinstance(state, tuple) else state).grid
+    plan_run(window_spec, grid, 1, "run.c0")
+    plan_run(window_spec, grid, max(cfg.k_max, 1), "run.k_max")
     efold = math.exp(-2.0 * lam * T0)
     windows = []
     for k in range(max(cfg.k_max, cfg.c1_mode == "empirical")):

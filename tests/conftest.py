@@ -28,12 +28,11 @@ def rng():
     return np.random.default_rng(20260819)
 
 
-@pytest.fixture
-def fft_counts(monkeypatch):
+def count_transforms(monkeypatch):
     """Counts of real FFT calls through spectral.rfft_into and irfft_into,
     the package's only transforms, and under "points" the points they
-    transform (transform length times rows); a test resets them after its
-    setup."""
+    transform (transform length times rows), from the monkeypatch that
+    wraps them on."""
     counts = {"rfft": 0, "irfft": 0, "points": 0}
     for kind in ("rfft", "irfft"):
         bound = getattr(spectral, f"{kind}_into")
@@ -47,3 +46,9 @@ def fft_counts(monkeypatch):
 
         monkeypatch.setattr(spectral, f"{kind}_into", counted_into)
     return counts
+
+
+@pytest.fixture
+def fft_counts(monkeypatch):
+    """count_transforms for one test; a test resets them after its setup."""
+    return count_transforms(monkeypatch)

@@ -7,19 +7,20 @@ parameters coincide with a shipped default, so this suite also certifies
 the artifacts a user gets from the CLI.
 """
 
+import functools
 import math
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import packaged_text
+from conftest import count_transforms, packaged_text
 from oracles import operator_F, operator_G
 
-from gevreyflow import content_hash, report_payload
+from gevreyflow import content_hash, harness, report_payload
 from gevreyflow.analytics import s_index, theta_max
 from gevreyflow.config import parse_config_text
-from gevreyflow.dynamics import Equation, EvolutionSpec, RaisedCosineDamping, integrate, soliton
+from gevreyflow.dynamics import Equation, EvolutionSpec, RaisedCosineDamping, integrate, plan_run, soliton
 from gevreyflow.harness import RUNNERS
 from gevreyflow.spectral import Grid, analyze
 
@@ -31,18 +32,41 @@ def packaged(name):
 REPORT_HASHES = Path(__file__).with_name("report_hashes.txt")
 
 
+@functools.cache
+def packaged_run(name):
+    """The report of a packaged config, run once per session, and
+    (trajectory, grid, transforms) for each integrate call of the run.  Its
+    content hash must equal that config's line in tests/report_hashes.txt,
+    so a change that moves a trajectory or a report fails here."""
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        counts = count_transforms(patch)
+        real = harness.integrate
+
+        def counted(spec, init, *observe):
+            before = counts["rfft"] + counts["irfft"]
+            traj = real(spec, init, *observe)
+            grid = (init[0] if isinstance(init, tuple) else init).grid
+            calls.append((traj, grid, counts["rfft"] + counts["irfft"] - before))
+            return traj
+
+        patch.setattr(harness, "integrate", counted)
+        cfg = parse_config_text(packaged_text(name))
+        report = RUNNERS[cfg.scenario](cfg)
+    lines = REPORT_HASHES.read_text(encoding="utf-8").splitlines()
+    expected = dict(line.split() for line in lines if line.strip()).get(name)
+    digest = content_hash(report_payload(report))
+    assert digest == expected, f"content hash of {name} moved: {digest}, {REPORT_HASHES.name} has {expected}"
+    return report, calls
+
+
 def run_packaged(name, overrides=()):
-    """The report of a packaged config.  Without overrides its content hash
-    must equal that config's line in tests/report_hashes.txt, so a change
-    that moves a trajectory or a report fails here."""
-    cfg = parse_config_text(packaged_text(name), overrides)
-    report = RUNNERS[cfg.scenario](cfg)
+    """The report of a packaged config: without overrides packaged_run's,
+    hash-checked, else a run of its own."""
     if not overrides:
-        lines = REPORT_HASHES.read_text(encoding="utf-8").splitlines()
-        expected = dict(line.split() for line in lines if line.strip()).get(name)
-        digest = content_hash(report_payload(report))
-        assert digest == expected, f"content hash of {name} moved: {digest}, {REPORT_HASHES.name} has {expected}"
-    return report
+        return packaged_run(name)[0]
+    cfg = parse_config_text(packaged_text(name), overrides)
+    return RUNNERS[cfg.scenario](cfg)
 
 
 def declare(criterion, passed, detail):
@@ -246,3 +270,22 @@ class TestAcceptance:
             ok,
             "s_index(5) = -1/4, s_index(7) = -43/60, theta_max(9) = 1 (exact rationals)",
         )
+
+
+# packaged evolution config -> the integrate calls its run makes: the
+# trajectory, every window, and the damping body's 8 rate probes
+PACKAGED_CALLS = {"conserve": 1, "sigma_scaling": 1, "damping": 9, "damping_constant": 9, "iterate": 20,
+                  "radius": 1, "coupled": 20}
+
+
+@pytest.mark.parametrize("name", PACKAGED_CALLS)
+def test_packaged_plans_are_the_steps_taken(name):
+    # each integrate call makes 8 transforms per step of its plan, one
+    # record per plan record and, keeping its band rows, the plan's bytes
+    calls = packaged_run(name)[1]
+    assert len(calls) == PACKAGED_CALLS[name]
+    for traj, grid, transforms in calls:
+        plan = traj.plan
+        assert plan == plan_run(traj.spec, grid) and transforms == 8 * plan.n_steps
+        assert len(traj.times) == plan.n_rec + 1 and traj.times.nbytes == plan.times_bytes
+        assert traj.states is None or traj.observed.nbytes == plan.band_bytes

@@ -12,7 +12,9 @@ import math
 import os
 import re
 import signal
+import time
 import tomllib
+import warnings
 
 import pytest
 from conftest import packaged_text
@@ -383,6 +385,18 @@ class TestParseTimeValidation:
         pattern = r"^run\.sigma0 violates \(A3\): sigma0 \* R = 1\.9635 must be < 1, with damping rate R = 0\.0981748$"
         with pytest.raises(ConfigurationError, match=pattern):
             parse_config_text(packaged_text(command), ["run.sigma0=20"])
+
+    @pytest.mark.parametrize("L", ["5e-324", "1e-310"])
+    def test_grid_length_outside_double_range_is_keyed_to_it(self, L):
+        # L/N = 0 or pi N / L = inf: Grid.xi had overflowed, and the (A3)
+        # check after it blamed run.sigma0 for sigma0 * R = inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError, match=rf"^grid: domain length .* got L={L}$") as err:
+                parse_config_text(packaged_text("iterate"), [f"grid.L={L}"])
+            assert err.value.key == "grid.L"
+            with pytest.raises(ConfigParseError, match=r"^line 2, col 1: grid: domain length"):
+                parse_config_text(f"[grid]\nL = {L}\n")
 
     def test_descending_sigmas_rejected(self):
         with pytest.raises(ConfigurationError, match="ascending"):
@@ -814,6 +828,8 @@ class TestCli:
             # a profile that clears the edge tail at L/2 is off-centre: the center is at fault
             ("conserve", "x0 = 32.0", "x0 = 2.0"),
             ("radius", "center = 32.0", "center = 3.0"),
+            # 2e10 records: 149 GiB of record times
+            ("conserve", "t_end = 5.0", "t_end = 1e9"),
         ],
     )
     def test_rejected_key_in_a_file_gives_its_line(self, tmp_path, capsys, command, old, new):
@@ -882,6 +898,24 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: radius fit failed at t = 0: only 4 modes above the noise floor ")
         assert err.endswith("; need >= 12; raise grid.N\n")
+
+    @pytest.mark.parametrize(
+        "command, override, key",
+        [
+            # 2e10 records: 149 GiB of record times
+            ("conserve", "evolution.t_end=1e9", "evolution.t_end"),
+            # 1e20 windows
+            ("coupled", "run.k_max=99999999999999999999", "run.k_max"),
+            # one window of T0 = 4.3e298: 2.2e302 steps
+            ("coupled", "run.c0=1e300", "run.c0"),
+        ],
+    )
+    def test_impossible_plan_is_one_error_line_before_the_first_step(self, tmp_path, capsys, command, override, key):
+        start = time.perf_counter()
+        assert main([command, "--out", str(tmp_path), "--quiet", "--set", override]) == 1
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} plans ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("command, theta", [("iterate", "2.5e-5"), ("coupled", "1e-4")])
     def test_data_radius_beyond_double_range_is_never_the_minimum(self, tmp_path, command, theta):

@@ -15,12 +15,13 @@ import signal
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import packaged_text
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from oracles import Deriv, LinearFlow, apply_symbol, product_rule_rhs, reflect
 
@@ -32,11 +33,14 @@ from gevreyflow.dynamics import (
     Equation,
     EvolutionSpec,
     RaisedCosineDamping,
+    MAX_PLAN_BYTES,
+    MAX_PLAN_STEPS,
     RecordedStates,
     Trajectory,
     integrate,
     linear_symbol,
     nonlinear_term,
+    plan_run,
     sech,
     soliton,
 )
@@ -857,6 +861,92 @@ class TestObserverWorker:
         with pytest.raises(TypeError, match=f"^the observer's {kind} cannot be sent from its worker process: "):
             self.run(observe, 3)
         self.assert_reaped(forks)
+
+
+class TestRunPlan:
+    GRID = Grid(2.0 * np.pi, 16)
+    ZERO = analyze(np.zeros(16), GRID)
+    # the t_end that overshoots a multiple of dt record_every by a relative offset
+    OFFSETS = st.sampled_from([-1e-8, -1e-9, -1e-10, 0.0, 1e-10, 1e-9 - 1e-12, 1e-9, 1e-9 + 1e-12, 1e-8])
+
+    @staticmethod
+    def assert_bounds(spec, plan):
+        assert plan.n_rec >= 1 and plan.n_steps == plan.n_rec * plan.record_every
+        assert plan.record_every == spec.record_every
+        assert Fraction(plan.h) <= Fraction(spec.dt) * (1 + Fraction(1e-9) + Fraction(2) ** -50)
+
+    @settings(max_examples=400, derandomize=True)
+    @given(dt=st.floats(1e-12, 1e3), every=st.integers(1, 10**6), records=st.integers(1, 10**6),
+           offset=OFFSETS | st.floats(-0.999, 1.0))
+    def test_plan_keeps_its_bounds(self, dt, every, records, offset):
+        spec = EvolutionSpec(Equation(mu=1), dt, dt * every * records * (1.0 + offset), every)
+        plan = plan_run(spec, self.GRID)
+        self.assert_bounds(spec, plan)
+        # one float64 per record time and one complex row of the band k = 0..N/4 per kept state
+        assert (plan.times_bytes, plan.band_bytes) == (8 * (plan.n_rec + 1), 16 * 5 * (plan.n_rec + 1))
+
+    # the counts are reset for each example
+    @settings(max_examples=150, derandomize=True, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(dt=st.floats(1e-4, 0.05), every=st.integers(1, 6), records=st.integers(1, 6),
+           offset=OFFSETS | st.floats(-0.9, 0.9))
+    def test_integrate_takes_its_plan_to_t_end(self, dt, every, records, offset, fft_counts):
+        spec = EvolutionSpec(Equation(mu=1), dt, dt * every * records * (1.0 + offset), every)
+        fft_counts.update(rfft=0, irfft=0)
+        traj = integrate(spec, self.ZERO)
+        self.assert_bounds(spec, traj.plan)
+        assert traj.plan == plan_run(spec, self.GRID)
+        assert fft_counts["rfft"] + fft_counts["irfft"] == 8 * traj.plan.n_steps
+        assert len(traj.times) == traj.plan.n_rec + 1 and traj.times[-1] == spec.t_end
+
+    def test_slack_of_the_record_count(self):
+        # t_end overshoots three steps by 1e-10 of one: three steps, each that much longer than dt
+        spec = EvolutionSpec(Equation(mu=1), 1e-3, 3e-3 * (1 + 1e-10), 1)
+        plan = plan_run(spec, self.GRID)
+        assert (plan.n_rec, plan.n_steps) == (3, 3) and plan.h == spec.t_end / 3 > spec.dt
+
+    def test_steps_up_to_two_to_the_53(self):
+        # one record of 2**53 steps, or 2**13 runs of one record of 2**40 steps, passes
+        for every, runs in ((2**53, 1), (2**40, 2**13)):
+            plan = plan_run(EvolutionSpec(Equation(mu=1), 1.0, float(every), every), self.GRID, runs, keeps_band=False)
+            assert plan.n_steps * runs == MAX_PLAN_STEPS
+        # two records of 2**53 steps do not
+        with pytest.raises(ConfigurationError, match=r"^t_end plans more than 2\*\*53 steps$") as err:
+            plan_run(EvolutionSpec(Equation(mu=1), 1.0, 2.0**53 * (1 + 1e-8), 2**53), self.GRID)
+        assert err.value.key == "t_end"
+        with pytest.raises(ConfigurationError, match=r"^run.k_max plans more than") as err:
+            plan_run(EvolutionSpec(Equation(mu=1), 1.0, float(2**40), 2**40), self.GRID, 2**13 + 1, "run.k_max")
+        assert err.value.key == "run.k_max"
+
+    @pytest.mark.parametrize("alphas", [(1.0,), (1.0, 0.5)])
+    def test_bytes_up_to_the_bound(self, alphas):
+        # each record holds its time and a complex band row per component
+        per_record = 8 + 16 * len(alphas) * self.GRID.band
+        records = MAX_PLAN_BYTES // per_record
+        eq = Equation(mu=1, alphas=alphas)
+        plan = plan_run(EvolutionSpec(eq, 1.0, float(records - 1), 1), self.GRID)
+        assert plan.times_bytes + plan.band_bytes == records * per_record <= MAX_PLAN_BYTES
+        spec = EvolutionSpec(eq, 1.0, float(records), 1)
+        message = f"t_end plans {records + 1:.6g} records, more than 2**30 bytes"
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            plan_run(spec, self.GRID)
+        # without the band rows, the times alone fit
+        assert plan_run(spec, self.GRID, keeps_band=False).times_bytes == 8 * (records + 1)
+
+    def test_count_past_double_range_is_too_many_steps(self):
+        # t_end / (dt record_every) = inf
+        with pytest.raises(ConfigurationError, match="more than 2"):
+            plan_run(EvolutionSpec(Equation(mu=1), 5e-324, 1.0, 1), self.GRID)
+        # a record_every that no plan can hold is the spec's own error
+        with pytest.raises(ConfigurationError, match=r"record_every must lie in \[1, 2\*\*53\]") as err:
+            EvolutionSpec(Equation(mu=1), 1e-3, 1.0, 10**400)
+        assert err.value.key == "record_every"
+
+    def test_integrate_refuses_its_plan_before_the_first_step(self, fft_counts):
+        # 1e9 records: 8 GB of times alone
+        spec = EvolutionSpec(Equation(mu=1), 1e-3, 1e6, 1)
+        with pytest.raises(ConfigurationError, match="^t_end plans") as err:
+            integrate(spec, self.ZERO)
+        assert err.value.key == "t_end" and fft_counts["rfft"] + fft_counts["irfft"] == 0
 
 
 class TestTransformCounts:

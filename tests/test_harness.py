@@ -597,6 +597,26 @@ class TestGlobalIteration:
         with pytest.raises(ConfigurationError, match=pattern):
             run_short(ITERATION_SHORT, ["run.c0=0.00025"])
 
+    @pytest.mark.parametrize(
+        "short, override, key",
+        [
+            # one window of T0 = 4.3e298 is 2.2e302 steps, and T0 / dt past double range too many
+            (COUPLED_DEGENERATE, "run.c0=1e300", "run.c0"),
+            (COUPLED_DEGENERATE, "run.c0=1.7e308", "run.c0"),
+            (COUPLED_DEGENERATE, "run.k_max=99999999999999999999", "run.k_max"),
+            # 1e11 windows of 9 records need 1.9e15 bytes of times and band rows
+            (ITERATION_SHORT, "run.k_max=100000000000", "run.k_max"),
+        ],
+    )
+    def test_impossible_window_plan_refused_before_integrating(self, no_integrate, short, override, key):
+        with pytest.raises(ConfigurationError, match=rf"^{key} plans ") as err:
+            run_short(short, [override])
+        assert err.value.key == key
+
+    def test_unused_horizon_is_not_planned(self):
+        # the windows replace evolution.t_end by T0, so no plan of it is refused
+        assert short_config(ITERATION_SHORT, ["evolution.t_end=1e9"]).t_end == 1e9
+
     @pytest.mark.parametrize("scale, error, message, key", STEP_ERRORS)
     def test_error_in_a_later_window_names_it(self, monkeypatch, scale, error, message, key):
         # the calibration window is window 0 and the second integrate call

@@ -14,7 +14,7 @@ import gevreyflow
 from gevreyflow import records
 from gevreyflow.analytics import FunctionalBreakdown, RadiusFit, functional_A
 from gevreyflow.config import DampingConfig, DataConfig, ScenarioConfig, Tolerances
-from gevreyflow.dynamics import Equation, EvolutionSpec, RaisedCosineDamping, Trajectory, sech
+from gevreyflow.dynamics import Equation, EvolutionSpec, RaisedCosineDamping, RunPlan, Trajectory, plan_run, sech
 from gevreyflow.harness import ExperimentReport, Verdict
 from gevreyflow.reporting import PlotStyle
 from gevreyflow.spectral import Grid, SpectralField
@@ -22,6 +22,7 @@ from gevreyflow.spectral import Grid, SpectralField
 GRID = Grid(64.0, 64)
 FIELD = sech(0.8, 1.0, 32.0, GRID)
 SPEC = EvolutionSpec(Equation(1), 1e-3, 0.5, 10)
+PLAN = plan_run(SPEC, GRID)
 
 # each builds a new object from equal field values at every call
 MAKERS = {
@@ -34,7 +35,8 @@ MAKERS = {
     RaisedCosineDamping: lambda: RaisedCosineDamping(1.0, 0.25, 64.0),
     Equation: lambda: Equation(-1, 5, (1.0, 0.5), (RaisedCosineDamping(1.0, 0.0, 64.0),) * 2),
     EvolutionSpec: lambda: EvolutionSpec(Equation(1), 1e-3, 0.5, 10),
-    Trajectory: lambda: Trajectory(np.array([0.0, 0.5]), np.zeros((2, 3)), FIELD, SPEC, 1e-3),
+    RunPlan: lambda: plan_run(SPEC, GRID),
+    Trajectory: lambda: Trajectory(np.array([0.0, 0.5]), np.zeros((2, 3)), FIELD, SPEC, PLAN),
     Verdict: lambda: Verdict(True, 0.25, 1e-6),
     ExperimentReport: lambda: ExperimentReport(
         "radius", {"s": {"t": [0.0]}}, {}, {"v": Verdict(True, 0.5, 0.1)}, {}, 0.1

@@ -77,7 +77,7 @@ def run_both(eq, fields, dt):
     C = len(eq.alphas)
     args = ((eq.m,) * C, eq.alphas, eq.mu, eq.dampings or (None,) * C)
     spectra = [full_spectrum(dealias(f).spectrum, grid.N) for f in fields]
-    want = oracle_rk4(grid, *args, spectra, traj.step_size, STEPS)
+    want = oracle_rk4(grid, *args, spectra, traj.plan.h, STEPS)
     return start, got, want
 
 

@@ -81,6 +81,14 @@ class TestGrid:
         with pytest.raises(ConfigurationError):
             Grid(L, N)
 
+    @pytest.mark.parametrize("L", [5e-324, 1e-310])
+    def test_rejects_a_length_whose_spacing_or_top_frequency_leaves_double_range(self, L):
+        # L/N = 0 at 5e-324, and pi N / L = inf at both
+        with pytest.raises(ConfigurationError, match=r"L/N > 0 and pi\*N/L finite, got L=") as err:
+            Grid(L, 16)
+        assert err.value.key == "L"
+        assert Grid(1e-300, 16).xi[-1] == pytest.approx(np.pi * 16 / 1e-300)
+
     def test_stores_float_length_and_int_count(self):
         g = Grid(64, 256.0)
         assert (type(g.L), type(g.N)) == (float, int)
