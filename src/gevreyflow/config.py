@@ -224,10 +224,10 @@ class ScenarioConfig:
         m, alphas = (self.m if self.family == "mkdvm" else 3), ((1.0, self.alpha) if pair else (1.0,))
         equation = _from_section("equation", Equation, self.mu, m, alphas, dampings, self.nonlinear)
         spec = _from_section("evolution", EvolutionSpec, equation, self.dt, self.t_end, self.record_every)
-        if self.scenario in ("conservation", "sigma-scaling", "damping", "radius"):  # windows wait for T0
-            n = plan_run(spec, grid, key="evolution.t_end", keeps_band=self.scenario == "damping").n_rec + 1
         data = (("data", self.data), ("data2", self.data2))[: 1 + pair]
         init = tuple(dealias(_from_section(name, build_field, d, grid)) for name, d in data)
+        if self.scenario in ("conservation", "sigma-scaling", "damping", "radius"):  # windows wait for T0
+            n = plan_run(spec, init, key="evolution.t_end", keeps_band=self.scenario == "damping").n_rec + 1
         radius = min(known_radius(d) for _, d in data)
         if self.scenario in ("iteration", "coupled"):
             sigma0 = self.sigma0

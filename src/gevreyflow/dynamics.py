@@ -358,15 +358,16 @@ def nonlinear_term(eq: Equation, grid: Grid):
 # ---------------------------------------------------------------------------
 
 
-def plan_run(spec: EvolutionSpec, grid: Grid, runs: int = 1, key: str = "t_end", keeps_band: bool = True) -> RunPlan:
-    """The plan of integrate(spec, init), init on grid: n_rec is the least count >= 1
-    with n_rec >= t_end / (dt record_every) - 1e-9, so h = t_end / n_steps is at most
-    dt (1 + 1e-9 / n_rec) exactly and dt (1 + 1e-9 + 2**-50) in floating point.  A
-    ConfigurationError keyed key refuses runs runs of it past 2**53 steps in all, or
-    past 2**30 bytes of record times and, if kept (keeps_band), band rows."""
+def plan_run(spec: EvolutionSpec, init, runs: int = 1, key: str = "t_end", keeps_band: bool = True) -> RunPlan:
+    """The plan of integrate(spec, init), init a field or a tuple: n_rec is the least
+    count >= 1 with n_rec >= t_end / (dt record_every) - 1e-9, so h = t_end / n_steps
+    is at most dt (1 + 1e-9 / n_rec) exactly and dt (1 + 1e-9 + 2**-50) in floating
+    point.  A ConfigurationError keyed key refuses runs runs of it past 2**53 steps in
+    all, or past 2**30 bytes of record times and, if kept (keeps_band), band rows."""
     # a count past 2**54, or past double range, is refused below
     n_rec = max(1, math.ceil(min(spec.t_end / (spec.dt * spec.record_every) - 1e-9, 2.0**54)))
-    n_steps, row_bytes = n_rec * spec.record_every, 16 * len(spec.equation.alphas) * grid.band
+    band = (init[0] if isinstance(init, tuple) else init).grid.band
+    n_steps, row_bytes = n_rec * spec.record_every, 16 * len(spec.equation.alphas) * band
     plan = RunPlan(n_rec, n_steps, spec.t_end / n_steps, spec.record_every, 8 * (n_rec + 1), row_bytes * (n_rec + 1))
     if runs * n_steps > MAX_PLAN_STEPS:
         raise ConfigurationError(f"{key} plans more than 2**53 steps", key)
@@ -435,7 +436,7 @@ def integrate(spec: EvolutionSpec, init, observe=None) -> Trajectory:
     if any(f.grid != grid for f in fields):
         raise ConfigurationError("coupled components must share one grid")
 
-    plan = plan_run(spec, grid, keeps_band=observe is None)
+    plan = plan_run(spec, fields, keeps_band=observe is None)
     n_rec, h = plan.n_rec, plan.h
     times = np.linspace(0.0, spec.t_end, n_rec + 1)
 

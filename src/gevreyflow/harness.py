@@ -334,12 +334,11 @@ def _iterate_windows(cfg: ScenarioConfig, spec: EvolutionSpec, state):
     # the windows depend on T0 alone, so they run first, each from the last
     # one's final state; the empirical C1 policy calibrates on window 0,
     # which so runs even at k_max = 0.  T0 >= dt, so the cadence is >= 1; T0 / dt
-    # is capped at 2**53 steps, and T0's window plan and k_max's count are checked
+    # is capped at 2**53 steps.  One window's plan fails as run.c0's, k_max windows as run.k_max's
     cadence = math.ceil(math.ceil(min(T0 / cfg.dt, 2.0**53)) / cfg.window_records)
     window_spec = replace(spec, t_end=T0, record_every=cadence)
-    grid = (state[0] if isinstance(state, tuple) else state).grid
-    plan_run(window_spec, grid, 1, "run.c0")
-    plan_run(window_spec, grid, max(cfg.k_max, 1), "run.k_max")
+    plan_run(window_spec, state, 1, "run.c0")
+    plan_run(window_spec, state, cfg.k_max, "run.k_max")
     efold = math.exp(-2.0 * lam * T0)
     windows = []
     for k in range(max(cfg.k_max, cfg.c1_mode == "empirical")):

@@ -34,8 +34,8 @@ REPORT_HASHES = Path(__file__).with_name("report_hashes.txt")
 
 @functools.cache
 def packaged_run(name):
-    """The report of a packaged config, run once per session, and
-    (trajectory, grid, transforms) for each integrate call of the run.  Its
+    """The report of a packaged config, run once per test process, and
+    (trajectory, init, transforms) for each integrate call of the run.  Its
     content hash must equal that config's line in tests/report_hashes.txt,
     so a change that moves a trajectory or a report fails here."""
     calls = []
@@ -46,8 +46,7 @@ def packaged_run(name):
         def counted(spec, init, *observe):
             before = counts["rfft"] + counts["irfft"]
             traj = real(spec, init, *observe)
-            grid = (init[0] if isinstance(init, tuple) else init).grid
-            calls.append((traj, grid, counts["rfft"] + counts["irfft"] - before))
+            calls.append((traj, init, counts["rfft"] + counts["irfft"] - before))
             return traj
 
         patch.setattr(harness, "integrate", counted)
@@ -284,8 +283,8 @@ def test_packaged_plans_are_the_steps_taken(name):
     # record per plan record and, keeping its band rows, the plan's bytes
     calls = packaged_run(name)[1]
     assert len(calls) == PACKAGED_CALLS[name]
-    for traj, grid, transforms in calls:
+    for traj, init, transforms in calls:
         plan = traj.plan
-        assert plan == plan_run(traj.spec, grid) and transforms == 8 * plan.n_steps
+        assert plan == plan_run(traj.spec, init) and transforms == 8 * plan.n_steps
         assert len(traj.times) == plan.n_rec + 1 and traj.times.nbytes == plan.times_bytes
         assert traj.states is None or traj.observed.nbytes == plan.band_bytes

@@ -880,7 +880,7 @@ class TestRunPlan:
            offset=OFFSETS | st.floats(-0.999, 1.0))
     def test_plan_keeps_its_bounds(self, dt, every, records, offset):
         spec = EvolutionSpec(Equation(mu=1), dt, dt * every * records * (1.0 + offset), every)
-        plan = plan_run(spec, self.GRID)
+        plan = plan_run(spec, self.ZERO)
         self.assert_bounds(spec, plan)
         # one float64 per record time and one complex row of the band k = 0..N/4 per kept state
         assert (plan.times_bytes, plan.band_bytes) == (8 * (plan.n_rec + 1), 16 * 5 * (plan.n_rec + 1))
@@ -894,27 +894,27 @@ class TestRunPlan:
         fft_counts.update(rfft=0, irfft=0)
         traj = integrate(spec, self.ZERO)
         self.assert_bounds(spec, traj.plan)
-        assert traj.plan == plan_run(spec, self.GRID)
+        assert traj.plan == plan_run(spec, self.ZERO)
         assert fft_counts["rfft"] + fft_counts["irfft"] == 8 * traj.plan.n_steps
         assert len(traj.times) == traj.plan.n_rec + 1 and traj.times[-1] == spec.t_end
 
     def test_slack_of_the_record_count(self):
         # t_end overshoots three steps by 1e-10 of one: three steps, each that much longer than dt
         spec = EvolutionSpec(Equation(mu=1), 1e-3, 3e-3 * (1 + 1e-10), 1)
-        plan = plan_run(spec, self.GRID)
+        plan = plan_run(spec, self.ZERO)
         assert (plan.n_rec, plan.n_steps) == (3, 3) and plan.h == spec.t_end / 3 > spec.dt
 
     def test_steps_up_to_two_to_the_53(self):
         # one record of 2**53 steps, or 2**13 runs of one record of 2**40 steps, passes
         for every, runs in ((2**53, 1), (2**40, 2**13)):
-            plan = plan_run(EvolutionSpec(Equation(mu=1), 1.0, float(every), every), self.GRID, runs, keeps_band=False)
+            plan = plan_run(EvolutionSpec(Equation(mu=1), 1.0, float(every), every), self.ZERO, runs, keeps_band=False)
             assert plan.n_steps * runs == MAX_PLAN_STEPS
         # two records of 2**53 steps do not
         with pytest.raises(ConfigurationError, match=r"^t_end plans more than 2\*\*53 steps$") as err:
-            plan_run(EvolutionSpec(Equation(mu=1), 1.0, 2.0**53 * (1 + 1e-8), 2**53), self.GRID)
+            plan_run(EvolutionSpec(Equation(mu=1), 1.0, 2.0**53 * (1 + 1e-8), 2**53), self.ZERO)
         assert err.value.key == "t_end"
         with pytest.raises(ConfigurationError, match=r"^run.k_max plans more than") as err:
-            plan_run(EvolutionSpec(Equation(mu=1), 1.0, float(2**40), 2**40), self.GRID, 2**13 + 1, "run.k_max")
+            plan_run(EvolutionSpec(Equation(mu=1), 1.0, float(2**40), 2**40), self.ZERO, 2**13 + 1, "run.k_max")
         assert err.value.key == "run.k_max"
 
     @pytest.mark.parametrize("alphas", [(1.0,), (1.0, 0.5)])
@@ -922,20 +922,20 @@ class TestRunPlan:
         # each record holds its time and a complex band row per component
         per_record = 8 + 16 * len(alphas) * self.GRID.band
         records = MAX_PLAN_BYTES // per_record
-        eq = Equation(mu=1, alphas=alphas)
-        plan = plan_run(EvolutionSpec(eq, 1.0, float(records - 1), 1), self.GRID)
+        eq, init = Equation(mu=1, alphas=alphas), (self.ZERO,) * len(alphas)
+        plan = plan_run(EvolutionSpec(eq, 1.0, float(records - 1), 1), init)
         assert plan.times_bytes + plan.band_bytes == records * per_record <= MAX_PLAN_BYTES
         spec = EvolutionSpec(eq, 1.0, float(records), 1)
         message = f"t_end plans {records + 1:.6g} records, more than 2**30 bytes"
         with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
-            plan_run(spec, self.GRID)
+            plan_run(spec, init)
         # without the band rows, the times alone fit
-        assert plan_run(spec, self.GRID, keeps_band=False).times_bytes == 8 * (records + 1)
+        assert plan_run(spec, init, keeps_band=False).times_bytes == 8 * (records + 1)
 
     def test_count_past_double_range_is_too_many_steps(self):
         # t_end / (dt record_every) = inf
         with pytest.raises(ConfigurationError, match="more than 2"):
-            plan_run(EvolutionSpec(Equation(mu=1), 5e-324, 1.0, 1), self.GRID)
+            plan_run(EvolutionSpec(Equation(mu=1), 5e-324, 1.0, 1), self.ZERO)
         # a record_every that no plan can hold is the spec's own error
         with pytest.raises(ConfigurationError, match=r"record_every must lie in \[1, 2\*\*53\]") as err:
             EvolutionSpec(Equation(mu=1), 1e-3, 1.0, 10**400)

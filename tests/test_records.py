@@ -22,7 +22,7 @@ from gevreyflow.spectral import Grid, SpectralField
 GRID = Grid(64.0, 64)
 FIELD = sech(0.8, 1.0, 32.0, GRID)
 SPEC = EvolutionSpec(Equation(1), 1e-3, 0.5, 10)
-PLAN = plan_run(SPEC, GRID)
+PLAN = plan_run(SPEC, FIELD)
 
 # each builds a new object from equal field values at every call
 MAKERS = {
@@ -35,7 +35,7 @@ MAKERS = {
     RaisedCosineDamping: lambda: RaisedCosineDamping(1.0, 0.25, 64.0),
     Equation: lambda: Equation(-1, 5, (1.0, 0.5), (RaisedCosineDamping(1.0, 0.0, 64.0),) * 2),
     EvolutionSpec: lambda: EvolutionSpec(Equation(1), 1e-3, 0.5, 10),
-    RunPlan: lambda: plan_run(SPEC, GRID),
+    RunPlan: lambda: plan_run(SPEC, FIELD),
     Trajectory: lambda: Trajectory(np.array([0.0, 0.5]), np.zeros((2, 3)), FIELD, SPEC, PLAN),
     Verdict: lambda: Verdict(True, 0.25, 1e-6),
     ExperimentReport: lambda: ExperimentReport(
