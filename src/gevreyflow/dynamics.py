@@ -26,16 +26,17 @@ through one rhs and one RK4 loop.  States live in the dealiased band
 |k| <= N/4 (the 1/2 rule; initial data is projected into it), and the
 loop holds only that band of the package's half spectrum: k = 0..N/4 of
 each real component, shape (C, N/4+1).  A record checks that the state is
-finite and copies it into its row of one block of at most RECORD_BLOCK
-rows, made before the loop.  Whenever the block fills, and at the last
-record, integrate hands it, read-only, to the call's observer as a
+finite and copies it, once, into a row made before the loop.  A run
+without an observer keeps the band rows: its rows are Trajectory.observed
+itself, and Trajectory.states reads them, each read padding one row with
+zeros to the half k = 0..N/2 and building its field, so no state is kept
+in the full half.  A run with an observer copies each record into its row
+of one block of at most RECORD_BLOCK rows.  Whenever the block fills, and
+at the last record, integrate hands it, read-only, to the observer as a
 RecordedStates view with its record times, and keeps only what the
 observer returns: one row per state, joined in record order into one
-array.  So a run holds one block of states at a time, whatever its
-record count.  The default observer returns the band rows themselves,
-and Trajectory.states reads them: each read pads one row with zeros to
-the half k = 0..N/2 and builds its field, so no state is kept in the
-full half.
+array.  So an observed run holds one block of states at a time, whatever
+its record count.
 
 A call's own observer runs in one worker process (worker.ObserverWorker),
 forked before the first record, one block behind the step loop, so that
@@ -392,29 +393,29 @@ def integrate(spec: EvolutionSpec, init, observe=None) -> Trajectory:
     The C = len(eq.alphas) components of the equation are stepped as one
     (C, N/4+1) stack, every flow through the same loop and the one rhs
     that nonlinear_term builds.  The initial state is projected into the
-    dealiased band, and the loop holds only the modes k = 0..N/4.  A
-    record copies that band into its row of one block of at most
-    RECORD_BLOCK rows.  Whenever the block fills, and at the last record,
-    observe(states, times) is called with the block's states, a read-only
-    RecordedStates view, and their record times; it returns an array with
-    one leading row per state, which integrate copies into
-    Trajectory.observed in record order, and it must not keep the view,
-    which the next block overwrites.  observe runs in a worker process,
-    forked before the first record and reaped on every exit, while the loop
-    steps the next block; its side effects are not seen here.  The default
-    observer, observe=None, keeps the band rows in this process, with no
-    worker, and Trajectory.states reads them.  At the start of every step,
-    from the peak max|w| of the samples the first rhs evaluation makes:
-    abort with BlowUpError once the peak passes 1e6, and raise
-    DtGuardError, keyed dt, once dt exceeds the advective guard 0.5 dx /
-    (peak^2 + sup a + 1).  A record raises the same BlowUpError, with
-    max|v| = nan, for a state that is not finite, as the initial one or one
-    from the last step may be, before it enters the block, so no observer
-    sees it.  So a failed step or record is one of these two kinds of
-    StepError, built with its time t; every other error integrate raises is
-    a ConfigurationError on its inputs or plan, raised before the first step, or an
-    error of the observer, with its type, message and attributes and the
-    worker's traceback as a note.  The earliest record's error wins: a
+    dealiased band, and the loop holds only the modes k = 0..N/4.  With
+    observe=None, the default, a record copies that band into its row of
+    Trajectory.observed, in this process and with no worker, and
+    Trajectory.states reads those rows.  Else a record copies it into its
+    row of one block of at most RECORD_BLOCK rows.  Whenever the block
+    fills, and at the last record, observe(states, times) is called with the
+    block's states, a read-only RecordedStates view, and their record times;
+    it returns an array with one leading row per state, which integrate
+    copies into Trajectory.observed in record order, and it must not keep
+    the view, which the next block overwrites.  observe runs in a worker
+    process, forked before the first record and reaped on every exit, while
+    the loop steps the next block; its side effects are not seen here.  At
+    the start of every step, from the peak max|w| of the samples the first
+    rhs evaluation makes: abort with BlowUpError once the peak passes 1e6,
+    and raise DtGuardError, keyed dt, once dt exceeds the advective guard
+    0.5 dx / (peak^2 + sup a + 1).  A record raises the same BlowUpError,
+    with max|v| = nan, for a state that is not finite, as the initial one or
+    one from the last step may be, before it is copied, so no observer sees
+    it.  So a failed step or record is one of these two kinds of StepError,
+    built with its time t; every other error integrate raises is a
+    ConfigurationError on its inputs or plan, raised before the first step,
+    or an error of the observer, with its type, message and attributes and
+    the worker's traceback as a note.  The earliest record's error wins: a
     StepError while a block is in flight waits for that block, whose
     observer's error goes first.  A result or error that pickle cannot send
     raises TypeError, and a worker that dies ChildProcessError.
@@ -466,42 +467,39 @@ def integrate(spec: EvolutionSpec, init, observe=None) -> Trajectory:
     guard_num = 0.5 * grid.dx
     guard_den = max((d.sup for d in eq.dampings), default=0.0) + 1.0
 
-    # one block of record rows, handed to the observer whenever it fills;
-    # observed, the rows the observer returns, is made at the first block
-    block = np.empty((min(RECORD_BLOCK, n_rec + 1), C, band), dtype=complex)
-    observed = None
+    # a kept run copies each record into its row of observed; an observed run
+    # into its row of one block, sent to the worker whenever it fills, and
+    # observed, the rows the worker returns, is made at the first block back
+    if observe is None:
+        observed = np.empty((n_rec + 1, C, band), dtype=complex)
+    else:
+        observed, block = None, np.empty((min(RECORD_BLOCK, n_rec + 1), C, band), dtype=complex)
 
     def record(r: int, t: float) -> None:
         # the check of the step after a record comes after it, and the
         # last record has no step after it
         if not np.isfinite(V).all():
             raise _step_error(math.nan, dt, guard_num, t)
+        if worker is None:
+            observed[r] = V
+            return
         i = r % len(block)
         block[i] = V
         if i == len(block) - 1 or r == n_rec:
-            flush(r - i, r + 1)
-
-    def flush(start: int, stop: int) -> None:
-        # the band rows themselves, or, first, the worker's rows of the block
-        # before this one, whose observer ran while the loop stepped this one
-        if worker is None:
-            keep(start, stop, block[: stop - start])
-        else:
+            # first the rows of the block before, observed while this one filled
             collect()
-            worker.send(start, stop)
+            worker.send(r - i, r + 1)
 
     def collect() -> None:
-        if worker.pending:
-            keep(*worker.receive())
-
-    def keep(start: int, stop: int, rows) -> None:
         nonlocal observed
-        rows = np.asarray(rows)
-        if rows.ndim == 0 or len(rows) != stop - start:
-            raise ValueError(f"an observer returns one row per state: {stop - start}, got shape {rows.shape}")
-        if observed is None:
-            observed = np.empty((n_rec + 1,) + rows.shape[1:], dtype=rows.dtype)
-        observed[start:stop] = rows
+        if worker.pending:
+            start, stop, rows = worker.receive()
+            rows = np.asarray(rows)
+            if rows.ndim == 0 or len(rows) != stop - start:
+                raise ValueError(f"an observer returns one row per state: {stop - start}, got shape {rows.shape}")
+            if observed is None:
+                observed = np.empty((n_rec + 1,) + rows.shape[1:], dtype=rows.dtype)
+            observed[start:stop] = rows
 
     def observe_block(view: np.ndarray, start: int, stop: int):
         return observe(RecordedStates(view, grid), times[start:stop])

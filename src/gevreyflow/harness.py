@@ -328,7 +328,7 @@ def _iterate_windows(cfg: ScenarioConfig, spec: EvolutionSpec, state):
     if T0 < cfg.dt:
         raise ConfigurationError(
             f"window length T0 = {T0:.6g} is shorter than one step evolution.dt = {cfg.dt:g}; "
-            "raise run.c0 or shrink the data or the damping"
+            "raise run.c0 or shrink the data or the damping", "run.c0"
         )
 
     # the windows depend on T0 alone, so they run first, each from the last

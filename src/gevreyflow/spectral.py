@@ -91,7 +91,7 @@ def rfft_into(samples: np.ndarray, out: np.ndarray, factor: float | np.ndarray =
 @frozen
 class Grid:
     """Uniform periodic grid on [0, L) with N nodes, N even and >= 16, and L
-    finite with L/N > 0 and pi*N/L finite (else raises ConfigurationError).
+    with L/N > 0 and pi*N/L and 2*L finite (else raises ConfigurationError).
 
     Attributes are read-only arrays: x the nodes; xi = 2*pi*k/L the
     frequencies of the stored modes k = 0..N/2, so xi[-1] = pi*N/L is the
@@ -108,8 +108,8 @@ class Grid:
     def __post_init__(self):
         if self.N < 16 or self.N % 2 != 0:
             raise ConfigurationError(f"mode count must be even and >= 16, got N={self.N}", "N")
-        if not (0 < self.L / self.N < np.inf and np.pi * self.N / self.L < np.inf):
-            raise ConfigurationError(f"domain length must be finite with L/N > 0 and pi*N/L finite, got L={self.L}", "L")
+        if not (0 < self.L / self.N < np.inf and np.pi * self.N / self.L < np.inf and self.L < 2.0**1023):
+            raise ConfigurationError(f"domain length must have L/N > 0, pi*N/L and 2*L finite, got L={self.L}", "L")
         # N % 2 == 0 above rules out every non-integral N, so int() is exact
         object.__setattr__(self, "L", float(self.L))
         object.__setattr__(self, "N", int(self.N))

@@ -7,6 +7,10 @@ Dump the payloads before and after the change, then compare:
     PYTHONPATH=src python tests/report_series.py dump OUT.json
     python tests/report_series.py compare BEFORE.json AFTER.json
 
+dump prints one `<cfg> <content_hash>` line per packaged config, by name:
+the lines of tests/report_hashes.txt, which the acceptance suite checks,
+and which a change that moves a hash on purpose replaces by these.
+
 compare prints, for each config, whether its content hash is unchanged,
 then one line per numeric series (every list under "series" and every
 number under "fits"): its relative deviation, max|b - a| / max|a|, and
@@ -42,8 +46,7 @@ def emit(line: str) -> None:
 
 def packaged_payloads():
     """Yield (config name, report payload) for every packaged config, by
-    name: the one loop over the packaged configs that both report scripts
-    run."""
+    name."""
     from gevreyflow import RUNNERS, parse_config, report_payload
 
     configs = resources.files("gevreyflow") / "configs"

@@ -29,7 +29,10 @@ def packaged(name):
     return parse_config_text(packaged_text(name))
 
 
+# packaged config -> the content hash of its report, one "name hash" line
+# each, as tests/report_series.py dump prints them
 REPORT_HASHES = Path(__file__).with_name("report_hashes.txt")
+EXPECTED_HASHES = dict(line.split() for line in REPORT_HASHES.read_text(encoding="utf-8").splitlines() if line.strip())
 
 
 @functools.cache
@@ -52,8 +55,7 @@ def packaged_run(name):
         patch.setattr(harness, "integrate", counted)
         cfg = parse_config_text(packaged_text(name))
         report = RUNNERS[cfg.scenario](cfg)
-    lines = REPORT_HASHES.read_text(encoding="utf-8").splitlines()
-    expected = dict(line.split() for line in lines if line.strip()).get(name)
+    expected = EXPECTED_HASHES.get(name)
     digest = content_hash(report_payload(report))
     assert digest == expected, f"content hash of {name} moved: {digest}, {REPORT_HASHES.name} has {expected}"
     return report, calls
@@ -269,6 +271,13 @@ class TestAcceptance:
             ok,
             "s_index(5) = -1/4, s_index(7) = -43/60, theta_max(9) = 1 (exact rationals)",
         )
+
+
+@pytest.mark.parametrize("name", EXPECTED_HASHES)
+def test_packaged_report_hash(name):
+    # packaged_run asserts the hash, so a moved one fails here by its name
+    # whichever criteria run, and with no run of its own when they do
+    packaged_run(name)
 
 
 # packaged evolution config -> the integrate calls its run makes: the

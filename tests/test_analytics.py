@@ -13,11 +13,11 @@ import dataclasses
 import math
 import warnings
 from fractions import Fraction
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import packaged_text
 from hypothesis import example, given, settings, strategies as st
 from oracles import energy_rate_A, full_k, full_spectrum, log_space_norm, mass_rate_M, operator_F, operator_G
 
@@ -39,7 +39,7 @@ from gevreyflow.analytics import (
     sigma_choice,
     theta_max,
 )
-from gevreyflow.config import parse_config
+from gevreyflow.config import parse_config_text
 from gevreyflow.dynamics import (
     Equation,
     EvolutionSpec,
@@ -450,8 +450,7 @@ def recorded_states():
     each config's mu."""
     out = {}
     for name in ("conserve", "sigma_scaling"):
-        path = resources.files("gevreyflow").joinpath("configs", f"{name}.cfg")
-        cfg = parse_config(path, ["evolution.t_end=0.5", "evolution.record_every=50"])
+        cfg = parse_config_text(packaged_text(name), ["evolution.t_end=0.5", "evolution.record_every=50"])
         spec, init = cfg.build()
         out[name] = (integrate(spec, init).states, cfg.mu)
     return out

@@ -386,13 +386,14 @@ class TestParseTimeValidation:
         with pytest.raises(ConfigurationError, match=pattern):
             parse_config_text(packaged_text(command), ["run.sigma0=20"])
 
-    @pytest.mark.parametrize("L", ["5e-324", "1e-310"])
+    @pytest.mark.parametrize("L", ["5e-324", "1e-310", "1e308"])
     def test_grid_length_outside_double_range_is_keyed_to_it(self, L):
         # L/N = 0 or pi N / L = inf: Grid.xi had overflowed, and the (A3)
-        # check after it blamed run.sigma0 for sigma0 * R = inf
+        # check after it blamed run.sigma0 for sigma0 * R = inf; 2 L = inf:
+        # the Parseval weight overflowed, and M_sigma blamed no key
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ConfigurationError, match=rf"^grid: domain length .* got L={L}$") as err:
+            with pytest.raises(ConfigurationError, match=rf"^grid: domain length .* got L={re.escape(str(float(L)))}$") as err:
                 parse_config_text(packaged_text("iterate"), [f"grid.L={L}"])
             assert err.value.key == "grid.L"
             with pytest.raises(ConfigParseError, match=r"^line 2, col 1: grid: domain length"):

@@ -46,7 +46,7 @@ STEP_ERRORS = [
 
 def short_config(short, overrides=()):
     name, base = short
-    return parse_config(resources.files("gevreyflow").joinpath("configs", f"{name}.cfg"), [*base, *overrides])
+    return parse_config_text(packaged_text(name), [*base, *overrides])
 
 
 def run_short(short, overrides=()):
@@ -104,10 +104,10 @@ class TestScenarioConfig:
         with pytest.raises(ConfigurationError, match="runner expects"):
             RUNNERS["sigma-scaling"](cfg)
 
-    @pytest.mark.parametrize("runner, packaged", [("coupled", "iterate.cfg"), ("iteration", "coupled.cfg")])
+    @pytest.mark.parametrize("runner, packaged", [("coupled", "iterate"), ("iteration", "coupled")])
     def test_window_runners_reject_each_others_config(self, runner, packaged):
         # both entries reach one window runner, bound to its own scenario
-        cfg = parse_config(resources.files("gevreyflow").joinpath("configs", packaged))
+        cfg = parse_config_text(packaged_text(packaged))
         with pytest.raises(ConfigurationError, match="runner expects"):
             RUNNERS[runner](cfg)
 
@@ -594,8 +594,9 @@ class TestGlobalIteration:
 
     def test_window_shorter_than_one_step_rejected(self):
         pattern = r"T0 = 1\.9\d*e-05 is shorter than one step evolution\.dt = 0\.0002; raise run\.c0"
-        with pytest.raises(ConfigurationError, match=pattern):
+        with pytest.raises(ConfigurationError, match=pattern) as err:
             run_short(ITERATION_SHORT, ["run.c0=0.00025"])
+        assert err.value.key == "run.c0"
 
     @pytest.mark.parametrize(
         "short, override, key",

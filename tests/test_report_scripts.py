@@ -1,20 +1,22 @@
-"""The scripts under tests/: the report comparison under a reader that
-stops early, the hash check against tests/report_hashes.txt, and the line
-trace of the packaged runs with its check against tests/traffic.txt."""
+"""The scripts under tests/: the report dump, which prints the lines of
+tests/report_hashes.txt, the report comparison under a reader that stops
+early, and the line trace of the packaged runs with its check against
+tests/traffic.txt."""
 
 import inspect
 import json
 import subprocess
 import sys
-from importlib import resources
 from pathlib import Path
 
 import pytest
-import report_hashes
+import report_series
 import traffic
+from conftest import packaged_text
 
 import gevreyflow
-from gevreyflow import SCENARIO_IDS, ExperimentReport, Verdict, cli, config, dynamics
+from gevreyflow import SCENARIO_IDS, ExperimentReport, Verdict, cli, config, content_hash, dynamics, report_payload
+from gevreyflow.config import parse_config_text
 
 SCRIPT = Path(__file__).with_name("report_series.py")
 HASHES = Path(__file__).with_name("report_hashes.txt")
@@ -52,45 +54,28 @@ def test_compare_into_closed_pipe_exits_quietly(tmp_path, passed, status):
 
 @pytest.fixture
 def stub_hashes(monkeypatch):
-    """The packaged configs' hashes with every runner stubbed: a report of
-    the config echo alone, so the check runs in milliseconds."""
+    """Each packaged config's hash, by the name of its line in
+    tests/report_hashes.txt, with every runner stubbed: a report of the
+    config echo alone, so a dump runs in milliseconds."""
 
     def stub(cfg):
         return ExperimentReport(cfg.scenario, {}, {}, {}, cfg.as_sections(), 0.0)
 
-    # the shared loop of both report scripts reads the runners at its start
+    # report_series.packaged_payloads reads the runners at its start
     monkeypatch.setattr(gevreyflow, "RUNNERS", {s: stub for s in SCENARIO_IDS})
-    return dict(report_hashes.packaged_hashes())
+    names = [line.split()[0] for line in HASHES.read_text(encoding="utf-8").splitlines()]
+    return {name: content_hash(report_payload(stub(parse_config_text(packaged_text(name))))) for name in names}
 
 
-def write_hashes(path, hashes):
-    path.write_text("".join(f"{name} {digest}\n" for name, digest in hashes.items()), encoding="utf-8")
-    return str(path)
-
-
-def test_hash_file_lists_every_packaged_config():
-    configs = resources.files("gevreyflow") / "configs"
-    packaged = sorted(p.name.removesuffix(".cfg") for p in configs.iterdir() if p.name.endswith(".cfg"))
-    assert [line.split()[0] for line in HASHES.read_text(encoding="utf-8").splitlines()] == packaged
-
-
-def test_check_passes_when_every_hash_matches(tmp_path, capsys, stub_hashes):
-    path = write_hashes(tmp_path / "h.txt", stub_hashes)
-    assert report_hashes.main(["--check", path]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[:-1] == [f"{name} {digest}" for name, digest in stub_hashes.items()]
-    assert lines[-1] == f"content hashes: all {len(stub_hashes)} equal {path}"
-
-
-def test_check_names_every_moved_config(tmp_path, capsys, stub_hashes):
-    expected = dict(stub_hashes, conserve="0" * 64, radius="1" * 64, retired="2" * 64)
-    del expected["iterate"]
-    path = write_hashes(tmp_path / "h.txt", expected)
-    assert report_hashes.main(["--check", path]) == 1
-    out = capsys.readouterr().out.splitlines()
-    assert f"conserve {stub_hashes['conserve']} moved, {path} has {'0' * 64}" in out
-    assert f"iterate {stub_hashes['iterate']} moved, {path} has no line" in out
-    assert out[-1] == "content hashes moved: conserve, iterate, radius, retired"
+def test_dump_prints_the_hash_file_lines(tmp_path, capsys, stub_hashes):
+    # one line per packaged config, in the file's order, so the file lists
+    # every packaged config; a deliberate hash move pastes these lines in
+    path = tmp_path / "dump.json"
+    assert report_series.main(["dump", str(path)]) == 0
+    lines = [f"{name} {digest}" for name, digest in stub_hashes.items()]
+    assert capsys.readouterr().out.splitlines() == lines
+    dumped = json.loads(path.read_text(encoding="utf-8"))
+    assert {name: entry["hash"] for name, entry in dumped.items()} == stub_hashes
 
 
 @pytest.fixture

@@ -81,13 +81,16 @@ class TestGrid:
         with pytest.raises(ConfigurationError):
             Grid(L, N)
 
-    @pytest.mark.parametrize("L", [5e-324, 1e-310])
+    @pytest.mark.parametrize("L", [5e-324, 1e-310, 1e308])
     def test_rejects_a_length_whose_spacing_or_top_frequency_leaves_double_range(self, L):
-        # L/N = 0 at 5e-324, and pi N / L = inf at both
-        with pytest.raises(ConfigurationError, match=r"L/N > 0 and pi\*N/L finite, got L=") as err:
+        # L/N = 0 at 5e-324, pi N / L = inf at 5e-324 and 1e-310, and the
+        # Parseval weight 2 L = inf at 1e308
+        with pytest.raises(ConfigurationError, match=r"must have L/N > 0, pi\*N/L and 2\*L finite, got L=") as err:
             Grid(L, 16)
         assert err.value.key == "L"
         assert Grid(1e-300, 16).xi[-1] == pytest.approx(np.pi * 16 / 1e-300)
+        widest = Grid(np.nextafter(2.0**1023, 0), 16)
+        assert np.isfinite(widest.L * widest.multiplicity).all()
 
     def test_stores_float_length_and_int_count(self):
         g = Grid(64, 256.0)
