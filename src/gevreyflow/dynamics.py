@@ -33,20 +33,12 @@ zeros to the half k = 0..N/2 and building its field, so no state is kept
 in the full half.  A run with an observer copies each record into its row
 of one block of at most RECORD_BLOCK rows.  Whenever the block fills, and
 at the last record, integrate hands it, read-only, to the observer as a
-RecordedStates view with its record times, and keeps only what the
-observer returns: one row per state, joined in record order into one
-array.  So an observed run holds one block of states at a time, whatever
-its record count.
-
-A call's own observer runs in one worker process (worker.ObserverWorker),
-forked before the first record, one block behind the step loop, so that
-a second core observes block b while the loop steps block b+1.  A full
-block first takes back block b-1's rows, then sends its own raw bytes to
-the worker, which observes them and pickles back only the rows.  So the
-step loop waits on the observer only where the observer is the slower of
-the two.  An observer is a function of its arguments; its side effects
-stay in the worker.  A thread would not overlap, since the step's small
-ufuncs hold the GIL.
+RecordedStates view with its record times, in its own process, and copies
+what the observer returns into Trajectory.observed at once: one row per
+state, of the first block's shape and kind, in record order.  So an
+observed run holds one block of states at a time, whatever its record
+count, and the observer's side effects are seen by its caller; it must
+not keep the view, which the next block overwrites.
 
 nonlinear_term builds the one implementation of the non-dispersive rhs:
 integrate runs it, and the tests call it.  It writes every cubic term in
@@ -101,7 +93,6 @@ from . import spectral
 from .errors import BlowUpError, ConfigurationError, DtGuardError, StepError
 from .records import frozen
 from .spectral import Grid, SpectralField, analyze, synthesize
-from .worker import ObserverWorker
 
 BLOWUP_LIMIT = 1e6
 # rows of integrate's record block: the states a run holds at a time
@@ -395,30 +386,26 @@ def integrate(spec: EvolutionSpec, init, observe=None) -> Trajectory:
     that nonlinear_term builds.  The initial state is projected into the
     dealiased band, and the loop holds only the modes k = 0..N/4.  With
     observe=None, the default, a record copies that band into its row of
-    Trajectory.observed, in this process and with no worker, and
-    Trajectory.states reads those rows.  Else a record copies it into its
-    row of one block of at most RECORD_BLOCK rows.  Whenever the block
-    fills, and at the last record, observe(states, times) is called with the
-    block's states, a read-only RecordedStates view, and their record times;
-    it returns an array with one leading row per state, which integrate
-    copies into Trajectory.observed in record order, and it must not keep
-    the view, which the next block overwrites.  observe runs in a worker
-    process, forked before the first record and reaped on every exit, while
-    the loop steps the next block; its side effects are not seen here.  At
-    the start of every step, from the peak max|w| of the samples the first
-    rhs evaluation makes: abort with BlowUpError once the peak passes 1e6,
-    and raise DtGuardError, keyed dt, once dt exceeds the advective guard
-    0.5 dx / (peak^2 + sup a + 1).  A record raises the same BlowUpError,
-    with max|v| = nan, for a state that is not finite, as the initial one or
-    one from the last step may be, before it is copied, so no observer sees
-    it.  So a failed step or record is one of these two kinds of StepError,
-    built with its time t; every other error integrate raises is a
-    ConfigurationError on its inputs or plan, raised before the first step,
-    or an error of the observer, with its type, message and attributes and
-    the worker's traceback as a note.  The earliest record's error wins: a
-    StepError while a block is in flight waits for that block, whose
-    observer's error goes first.  A result or error that pickle cannot send
-    raises TypeError, and a worker that dies ChildProcessError.
+    Trajectory.observed, and Trajectory.states reads those rows.  Else a
+    record copies it into its row of one block of at most RECORD_BLOCK
+    rows.  Whenever the block fills, and at the last record, observe(states,
+    times) is called, here in the calling process, with the block's states,
+    a read-only RecordedStates view, and their record times; it returns an
+    array with one leading row per state, whose rows have the first block's
+    shape and a kind that casts to its dtype (same_kind), else ValueError.
+    integrate copies them into Trajectory.observed in record order before it
+    steps on, and the observer must not keep the view, which the next block
+    overwrites.  At the start of every step, from the peak max|w| of the
+    samples the first rhs evaluation makes: abort with BlowUpError once the
+    peak passes 1e6, and raise DtGuardError, keyed dt, once dt exceeds the
+    advective guard 0.5 dx / (peak^2 + sup a + 1).  A record raises the same
+    BlowUpError, with max|v| = nan, for a state that is not finite, as the
+    initial one or one from the last step may be, before it is copied, so
+    no observer sees it.  So a failed step or record is one of these two
+    kinds of StepError, built with its time t; every other error integrate
+    raises is a ConfigurationError on its inputs or plan, raised before the
+    first step, or the observer's own error, as it raised it.  The earliest
+    record's error wins, since a block is observed before the next step.
 
     With E = exp(sym h/2) the step is
         K1 = N(V), K2 = N(E V + (h/2) E K1), K3 = N(E V + (h/2) K2),
@@ -468,85 +455,67 @@ def integrate(spec: EvolutionSpec, init, observe=None) -> Trajectory:
     guard_den = max((d.sup for d in eq.dampings), default=0.0) + 1.0
 
     # a kept run copies each record into its row of observed; an observed run
-    # into its row of one block, sent to the worker whenever it fills, and
-    # observed, the rows the worker returns, is made at the first block back
+    # into its row of one block, observed whenever it fills, and observed,
+    # the rows the observer returns, is made at the first block
     if observe is None:
         observed = np.empty((n_rec + 1, C, band), dtype=complex)
     else:
         observed, block = None, np.empty((min(RECORD_BLOCK, n_rec + 1), C, band), dtype=complex)
 
     def record(r: int, t: float) -> None:
+        nonlocal observed
         # the check of the step after a record comes after it, and the
         # last record has no step after it
         if not np.isfinite(V).all():
             raise _step_error(math.nan, dt, guard_num, t)
-        if worker is None:
+        if observe is None:
             observed[r] = V
             return
         i = r % len(block)
         block[i] = V
         if i == len(block) - 1 or r == n_rec:
-            # first the rows of the block before, observed while this one filled
-            collect()
-            worker.send(r - i, r + 1)
-
-    def collect() -> None:
-        nonlocal observed
-        if worker.pending:
-            start, stop, rows = worker.receive()
-            rows = np.asarray(rows)
-            if rows.ndim == 0 or len(rows) != stop - start:
-                raise ValueError(f"an observer returns one row per state: {stop - start}, got shape {rows.shape}")
-            if observed is None:
+            start, view = r - i, block[: i + 1]
+            view.flags.writeable = False
+            rows = np.asarray(observe(RecordedStates(view, grid), times[start : r + 1]))
+            if observed is None and rows.ndim > 0 and len(rows) == i + 1:
                 observed = np.empty((n_rec + 1,) + rows.shape[1:], dtype=rows.dtype)
-            observed[start:stop] = rows
+            shape = None if observed is None else (i + 1,) + observed.shape[1:]
+            if rows.shape != shape or not np.can_cast(rows.dtype, observed.dtype, "same_kind"):
+                first = "" if shape is None else f" shaped {shape[1:]} of {observed.dtype} as the first block's"
+                got = f"got shape {rows.shape} of {rows.dtype}"
+                raise ValueError(f"an observer returns one row per state: {i + 1}{first}, {got}")
+            observed[start : r + 1] = rows
 
-    def observe_block(view: np.ndarray, start: int, stop: int):
-        return observe(RecordedStates(view, grid), times[start:stop])
-
-    worker = None if observe is None else ObserverWorker(observe_block, block)
-    try:
-        record(0, 0.0)
-        step = 0
-        for r in range(1, n_rec + 1):
-            for _ in range(plan.record_every):
-                evaluate(V, K1)
-                peak = float(peak_of(absolute(w, abs_w), axis=None))
-                guard = guard_num / (peak * peak + guard_den)
-                if not peak <= BLOWUP_LIMIT or dt > guard * (1.0 + 1e-12):
-                    raise _step_error(peak, dt, guard, step * h)
-                multiply(E, V, EV)
-                multiply(hE_2, K1, X)
-                add(X, EV, X)
-                evaluate(X, K2)
-                multiply(h_2, K2, X)
-                add(X, EV, X)
-                evaluate(X, K3)
-                multiply(E2, V, E2V)
-                multiply(hE, K3, X)
-                add(X, E2V, X)
-                evaluate(X, K4)
-                # the increments are summed before they meet E^2 V: one
-                # rounding at the size of the state per step
-                add(K2, K3, K2)
-                multiply(K2, hE_3, K2)
-                multiply(K1_K4, hE2_6_h_6, K1_K4)
-                add(K1, K2, K1)
-                add(K1, K4, K1)
-                add(E2V, K1, V)
-                step += 1
-            record(r, step * h)
-        if worker is not None:
-            collect()
-    except StepError:
-        # the earliest record's error wins: the block in flight comes before
-        # the failed step or record, so its observer's error goes first
-        if worker is not None:
-            collect()
-        raise
-    finally:
-        if worker is not None:
-            worker.close()
+    record(0, 0.0)
+    step = 0
+    for r in range(1, n_rec + 1):
+        for _ in range(plan.record_every):
+            evaluate(V, K1)
+            peak = float(peak_of(absolute(w, abs_w), axis=None))
+            guard = guard_num / (peak * peak + guard_den)
+            if not peak <= BLOWUP_LIMIT or dt > guard * (1.0 + 1e-12):
+                raise _step_error(peak, dt, guard, step * h)
+            multiply(E, V, EV)
+            multiply(hE_2, K1, X)
+            add(X, EV, X)
+            evaluate(X, K2)
+            multiply(h_2, K2, X)
+            add(X, EV, X)
+            evaluate(X, K3)
+            multiply(E2, V, E2V)
+            multiply(hE, K3, X)
+            add(X, E2V, X)
+            evaluate(X, K4)
+            # the increments are summed before they meet E^2 V: one
+            # rounding at the size of the state per step
+            add(K2, K3, K2)
+            multiply(K2, hE_3, K2)
+            multiply(K1_K4, hE2_6_h_6, K1_K4)
+            add(K1, K2, K1)
+            add(K1, K4, K1)
+            add(E2V, K1, V)
+            step += 1
+        record(r, step * h)
     observed.flags.writeable = False
     # the last record is V: its state, read once here
     final = RecordedStates(V[None], grid)[0]

@@ -20,9 +20,11 @@ Conservation, sigma-scaling and radius make one request, "trajectory";
 the window body one per window, each from the last one's final state;
 the damping body its trajectory, then its rate probes as one list; the
 inequality body one empty list.  A request's observe is integrate's
-observer, called on each block of at most dynamics.RECORD_BLOCK recorded
-states, and the trajectory keeps only the rows it returns, so the run's
-memory does not grow with its record count: conservation observes its
+observer, called in this process on each block of at most
+dynamics.RECORD_BLOCK recorded states, which it must not keep, and the
+trajectory keeps only the rows it returns, so the run's memory does not
+grow with its record count, and an observer's side effects and errors
+reach the driver as they happened: conservation observes its
 three invariants, read off the functional_A terms at sigma = 0,
 sigma-scaling the functional_A totals at its sigmas, and radius each
 state's fit.  The other bodies keep their states: the window body

@@ -1,4 +1,6 @@
+import ast
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +23,28 @@ def packaged_text(name: str) -> str:
     reads a file."""
     path = resources.files("gevreyflow").joinpath("configs", f"{name.replace('-', '_')}.cfg")
     return path.read_text(encoding="utf-8-sig")
+
+
+def package_names(banned, skip=()) -> list:
+    """(file, line, name) for each name of banned that a module of the
+    package, other than those named in skip, uses: read from the names,
+    attributes and imports of its source, so a docstring may name them."""
+    found = []
+    for path in sorted(Path(spectral.__file__).parent.glob("*.py")):
+        if path.name in skip:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                names = {node.attr}
+            elif isinstance(node, ast.Name):
+                names = {node.id}
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = {part for a in node.names for part in a.name.split(".")}
+                names |= set((getattr(node, "module", None) or "").split("."))
+            else:
+                continue
+            found += [(path.name, node.lineno, name) for name in sorted(names & set(banned))]
+    return found
 
 
 @pytest.fixture

@@ -38,18 +38,30 @@ EXPECTED_HASHES = dict(line.split() for line in REPORT_HASHES.read_text(encoding
 @functools.cache
 def packaged_run(name):
     """The report of a packaged config, run once per test process, and
-    (trajectory, init, transforms) for each integrate call of the run.  Its
-    content hash must equal that config's line in tests/report_hashes.txt,
-    so a change that moves a trajectory or a report fails here."""
+    (trajectory, init, transforms) for each integrate call of the run,
+    transforms counting the step loop's alone: those that the call's
+    observer makes, in the same process, are left out.  Its content hash
+    must equal that config's line in tests/report_hashes.txt, so a change
+    that moves a trajectory or a report fails here."""
     calls = []
     with pytest.MonkeyPatch.context() as patch:
         counts = count_transforms(patch)
         real = harness.integrate
 
+        def total():
+            return counts["rfft"] + counts["irfft"]
+
         def counted(spec, init, *observe):
-            before = counts["rfft"] + counts["irfft"]
-            traj = real(spec, init, *observe)
-            calls.append((traj, init, counts["rfft"] + counts["irfft"] - before))
+            before, observer = total(), [0]
+
+            def observed(states, times):
+                start = total()
+                rows = observe[0](states, times)
+                observer[0] += total() - start
+                return rows
+
+            traj = real(spec, init, *([observed] if observe else []))
+            calls.append((traj, init, total() - before - observer[0]))
             return traj
 
         patch.setattr(harness, "integrate", counted)

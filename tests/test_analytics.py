@@ -8,20 +8,17 @@ closed form; the sigma-selection example was computed independently through
 exp (the implementation goes through expm1).
 """
 
-import ast
 import dataclasses
 import math
 import warnings
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import packaged_text
+from conftest import package_names, packaged_text
 from hypothesis import example, given, settings, strategies as st
 from oracles import energy_rate_A, full_k, full_spectrum, log_space_norm, mass_rate_M, operator_F, operator_G
 
-import gevreyflow
 from gevreyflow.analytics import (
     FunctionalBreakdown,
     RadiusFit,
@@ -949,23 +946,8 @@ class TestLineFit:
 
     def test_no_least_squares_route_but_fit_line(self):
         # np.polyfit, lstsq and the Polynomial classes load LAPACK, whose
-        # first call keeps 1.2 MB; read from the names, attributes and
-        # imports of the package source, so a docstring may name them
-        banned = {"polyfit", "lstsq", "linalg", "Polynomial"}
-        found = []
-        for path in sorted(Path(gevreyflow.__file__).parent.glob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                if isinstance(node, ast.Attribute):
-                    names = {node.attr}
-                elif isinstance(node, ast.Name):
-                    names = {node.id}
-                elif isinstance(node, (ast.Import, ast.ImportFrom)):
-                    names = {part for a in node.names for part in a.name.split(".")}
-                    names |= set((getattr(node, "module", None) or "").split("."))
-                else:
-                    continue
-                found += [(path.name, node.lineno, name) for name in sorted(names & banned)]
-        assert found == []
+        # first call keeps 1.2 MB
+        assert package_names({"polyfit", "lstsq", "linalg", "Polynomial"}) == []
 
 
 def interpolation_margin(v, sigma1):

@@ -9,9 +9,7 @@ temp directories rather than subprocesses.
 import dataclasses
 import json
 import math
-import os
 import re
-import signal
 import time
 import tomllib
 import warnings
@@ -21,7 +19,6 @@ from conftest import packaged_text
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gevreyflow import harness
 from gevreyflow.cli import _COMMANDS, main
 from gevreyflow.config import (
     SCHEMA,
@@ -753,13 +750,6 @@ class TestCli:
         code = main(["conserve", "--out", str(tmp_path), "--set", "grid.N=nope"])
         assert code == 1
         assert "error:" in capsys.readouterr().err
-
-    def test_observer_worker_that_dies_exits_one(self, tmp_path, capsys, monkeypatch):
-        # the invariants are observed in a worker process, which this kills
-        monkeypatch.setattr(harness, "functional_A", lambda *args: os.kill(os.getpid(), signal.SIGKILL))
-        assert main(["conserve", "--out", str(tmp_path), "--quiet", "--set", "evolution.t_end=0.2"]) == 1
-        err = capsys.readouterr().err
-        assert re.fullmatch(r"error: the observer's worker process \d+ ended before it returned the rows of records 0 to 4\n", err)
 
     def test_inverted_slope_band_exits_one(self, tmp_path, capsys):
         # an inverted band has a negative half-width, under which a slope

@@ -7,20 +7,16 @@ Tolerances were calibrated against the analysis in the module docstrings;
 they are not round-trip self-checks.
 """
 
-import itertools
 import math
 import os
 import re
-import signal
-import subprocess
-import sys
+import threading
 import tracemalloc
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import packaged_text
+from conftest import package_names, packaged_text
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from oracles import Deriv, LinearFlow, apply_symbol, product_rule_rhs, reflect
@@ -560,24 +556,14 @@ def masses_and_times(states, times):
     return np.column_stack([times] + [functional_M(part, [0.0, 0.1]) for part in parts])
 
 
-def logged(observe):
-    """observe, with each of its rows led by the index of its call and the
-    record time it was given, and flattened: the observer runs in a worker
-    process, so its calls are read off the rows it returns."""
-    calls = itertools.count()
+def logged(observe, calls):
+    """observe, appending the record times of each of its calls to calls."""
 
     def observed(states, times):
-        rows = np.reshape(observe(states, times), (len(times), -1))
-        return np.column_stack([np.full(len(times), next(calls)), times, rows])
+        calls.append(times.tolist())
+        return observe(states, times)
 
     return observed
-
-
-def calls_of(traj):
-    """The record times each observer call was given, one list per call in
-    call order, from the rows of a run observed through logged."""
-    call, times = traj.observed[:, 0].real, traj.observed[:, 1].real
-    return [times[call == i].tolist() for i in range(int(call.max()) + 1)]
 
 
 def poison(monkeypatch, record):
@@ -620,6 +606,14 @@ class TestRecordObserver:
 
     B = dynamics.RECORD_BLOCK
 
+    @staticmethod
+    def run(observe, records):
+        g = Grid(64.0, 256)
+        eq, init = three_flows(g)[0]
+        dt = 2.0**-12
+        spec = EvolutionSpec(equation=eq, dt=dt, t_end=(records - 1) * dt, record_every=1)
+        return integrate(spec, init, observe)
+
     @pytest.mark.parametrize("records", [B - 1, B, B + 1, 2 * B + 1])
     @pytest.mark.parametrize("flow", [0, 1, 2])
     def test_observed_rows_are_the_observer_of_the_kept_states(self, flow, records):
@@ -627,16 +621,15 @@ class TestRecordObserver:
         eq, init = three_flows(g)[flow]
         dt = 2.0**-12
         spec = EvolutionSpec(equation=eq, dt=dt, t_end=(records - 1) * dt, record_every=1)
-        observed = integrate(spec, init, logged(masses_and_times))
+        calls = []
+        observed = integrate(spec, init, logged(masses_and_times, calls))
         kept = integrate(spec, init)
         assert observed.states is None and len(kept.states) == records
-        rows = np.ascontiguousarray(observed.observed[:, 2:])
-        assert rows.tobytes() == masses_and_times(kept.states, kept.times).tobytes()
-        assert observed.observed.shape == (records, 3 + 2 * len(eq.alphas)) and not observed.observed.flags.writeable
+        assert observed.observed.tobytes() == masses_and_times(kept.states, kept.times).tobytes()
+        assert observed.observed.shape == (records, 1 + 2 * len(eq.alphas)) and not observed.observed.flags.writeable
         assert observed.times.tobytes() == kept.times.tobytes()
         assert np.array_equal(half_spectra(observed.final), half_spectra(kept.final))
         # every record once, in order, each call at most one block
-        calls = calls_of(observed)
         assert [t for call in calls for t in call] == kept.times.tolist()
         assert all(0 < len(call) <= self.B for call in calls) and len(calls) == -(-records // self.B)
 
@@ -647,24 +640,31 @@ class TestRecordObserver:
         traj = integrate(EvolutionSpec(equation=eq, dt=dt, t_end=self.B * dt, record_every=1), init)
         assert traj.observed is traj.states.band and traj.observed.shape == (self.B + 1, 2, g.band)
 
-    def test_observer_gets_a_read_only_view_it_must_not_keep(self):
-        g = Grid(64.0, 256)
-        eq, init = three_flows(g)[0]
+    def test_observer_runs_in_the_calling_process(self):
+        # its side effects are seen here: each call, in this process and
+        # thread, before the step loop goes on to the next block
+        seen = []
 
+        def observe(states, times):
+            seen.append((os.getpid(), threading.get_ident(), len(times)))
+            return times
+
+        self.run(observe, 2 * self.B + 1)
+        here = (os.getpid(), threading.get_ident())
+        assert seen == [here + (self.B,), here + (self.B,), here + (1,)]
+
+    def test_observer_gets_a_read_only_view_it_must_not_keep(self):
         def keep_view(states, times):
-            # a failed check here comes back as the run's error
             with pytest.raises(ValueError, match="read-only"):
                 states.band[0] = 0.0
             return states.band
 
-        dt = 2.0**-12
-        traj = integrate(
-            EvolutionSpec(equation=eq, dt=dt, t_end=(self.B + 3) * dt, record_every=1), init, logged(keep_view)
-        )
-        assert [len(call) for call in calls_of(traj)] == [self.B, 4]
+        calls = []
+        traj = self.run(logged(keep_view, calls), self.B + 4)
+        assert [len(call) for call in calls] == [self.B, 4]
         # the rows were copied out of the block before the next one overwrote it
-        kept = integrate(traj.spec, init).observed
-        assert np.ascontiguousarray(traj.observed[:, 2:]).tobytes() == kept.reshape(len(kept), -1).tobytes()
+        kept = self.run(None, self.B + 4).observed
+        assert traj.observed.tobytes() == kept.tobytes()
 
     def test_observer_must_return_one_row_per_state(self):
         g = Grid(64.0, 256)
@@ -673,6 +673,23 @@ class TestRecordObserver:
         for wrong in (lambda states, times: times[:1], lambda states, times: 0.0):
             with pytest.raises(ValueError, match="one row per state: 5"):
                 integrate(spec, init, wrong)
+
+    @pytest.mark.parametrize(
+        "first, later, message",
+        [
+            # one column after three would broadcast into three equal columns
+            (lambda t: np.column_stack([t] * 3), lambda t: t[:, None], rf"\(3,\) of float64 .*\({B}, 1\) of float64"),
+            # complex rows after real ones would lose their imaginary parts
+            (lambda t: t, lambda t: t * 1j, rf"\(\) of float64 .*\({B},\) of complex128"),
+        ],
+        ids=["narrower", "complex"],
+    )
+    def test_later_block_rows_must_match_the_first_blocks(self, first, later, message):
+        def observe(states, times):
+            return (first if times[0] == 0 else later)(times)
+
+        with pytest.raises(ValueError, match=rf"^an observer returns one row per state: {self.B} shaped {message}$"):
+            self.run(observe, 2 * self.B)
 
     @pytest.mark.parametrize("record", [B - 1, B])
     def test_state_that_turns_non_finite_at_a_block_edge_is_never_observed(self, monkeypatch, record):
@@ -683,18 +700,38 @@ class TestRecordObserver:
         # finite, and, named by the error of an observer that fails on every
         # call, which wins over the later blow-up, no call or one of B states
         evaluations = poison(monkeypatch, record)
-        g = Grid(64.0, 256)
-        eq, init = three_flows(g)[0]
-        dt = 2.0**-12
-        spec = EvolutionSpec(equation=eq, dt=dt, t_end=2 * self.B * dt, record_every=1)
         with np.errstate(invalid="ignore"), pytest.raises(BlowUpError, match=r"max\|v\| = nan") as info:
-            integrate(spec, init, finite_only)
-        assert info.value.t == record * dt and len(evaluations) == 4 * record
+            self.run(finite_only, 2 * self.B + 1)
+        assert info.value.t == record * 2.0**-12 and len(evaluations) == 4 * record
         evaluations.clear()
         with np.errstate(invalid="ignore"), pytest.raises((BlowUpError, LookupError)) as info:
-            integrate(spec, init, refuse)
+            self.run(refuse, 2 * self.B + 1)
         calls = [str(info.value)] if isinstance(info.value, LookupError) else []
         assert calls == [f"observed {self.B} states from t = 0"] * (record // self.B)
+
+    def test_error_in_the_middle_block_keeps_its_type_message_and_attributes(self):
+        def middle(states, times):
+            if times[0] > 0:
+                raise ConfigurationError(f"no rows from t = {times[0]:g}", "grid.N")
+            return times
+
+        with pytest.raises(ConfigurationError) as info:
+            self.run(middle, 2 * self.B + 1)
+        assert type(info.value) is ConfigurationError and info.value.key == "grid.N"
+        assert str(info.value) == f"no rows from t = {self.B * 2.0**-12:g}"
+
+    @pytest.mark.parametrize("fails", [True, False])
+    def test_blow_up_one_block_after_an_observed_block(self, monkeypatch, fails):
+        # record B + 5 is not finite, after block 0 was observed: that
+        # observer's error is the earlier record's, and wins; a passing
+        # observer leaves the blow-up at its own time
+        poison(monkeypatch, self.B + 5)
+        with np.errstate(invalid="ignore"), pytest.raises((LookupError, BlowUpError)) as info:
+            self.run(refuse if fails else finite_only, 2 * self.B + 1)
+        if fails:
+            assert str(info.value) == f"observed {self.B} states from t = 0"
+        else:
+            assert type(info.value) is BlowUpError and info.value.t == (self.B + 5) * 2.0**-12
 
     def test_memory_of_an_observed_run_does_not_grow_with_its_records(self):
         # N = 64, so a band row is 17 complex numbers: four times the steps,
@@ -726,141 +763,10 @@ class TestRecordObserver:
         assert kept_long - kept_short >= (long - short) * g.band * 16
 
 
-class Unrebuildable(Exception):
-    """An error that pickles but does not unpickle: its class needs two
-    arguments, its args hold one message."""
-
-    def __init__(self, what, where):
-        super().__init__(f"{what} at {where}")
-
-
-def unrebuildable(states, times):
-    raise Unrebuildable("no fit", times[0])
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """The pids of the processes os.fork starts in the parent."""
-    real, pids = os.fork, []
-
-    def fork():
-        pid = real()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", fork)
-    return pids
-
-
-class TestObserverWorker:
-    """An observer runs in one forked worker per integrate call, one block
-    behind the step loop, and the worker is reaped on every exit path."""
-
-    B = dynamics.RECORD_BLOCK
-
-    @staticmethod
-    def run(observe, records):
-        g = Grid(64.0, 256)
-        eq, init = three_flows(g)[0]
-        dt = 2.0**-12
-        spec = EvolutionSpec(equation=eq, dt=dt, t_end=(records - 1) * dt, record_every=1)
-        return integrate(spec, init, observe)
-
-    @staticmethod
-    def assert_reaped(forks):
-        assert len(forks) == 1
-        with pytest.raises(ChildProcessError):
-            os.waitpid(forks[0], os.WNOHANG)
-
-    def test_observer_runs_in_another_process(self, forks):
-        traj = self.run(lambda states, times: np.full(len(times), os.getpid()), 2 * self.B + 1)
-        assert set(traj.observed.tolist()) == {forks[0]} and forks[0] != os.getpid()
-        self.assert_reaped(forks)
-
-    def test_unobserved_run_starts_no_worker(self, forks):
-        assert self.run(None, self.B + 1).states is not None and forks == []
-
-    def test_error_in_the_middle_block_keeps_its_type_message_and_attributes(self, forks):
-        def middle(states, times):
-            if times[0] > 0:
-                raise ConfigurationError(f"no rows from t = {times[0]:g}", "grid.N")
-            return times
-
-        with pytest.raises(ConfigurationError) as info:
-            self.run(middle, 2 * self.B + 1)
-        assert type(info.value) is ConfigurationError and info.value.key == "grid.N"
-        assert str(info.value) == f"no rows from t = {self.B * 2.0**-12:g}"
-        [note] = info.value.__notes__
-        assert note.startswith("observer traceback in the worker process:\n") and "in middle" in note
-        self.assert_reaped(forks)
-
-    @pytest.mark.parametrize("fails", [True, False])
-    def test_blow_up_one_block_after_an_observed_block(self, monkeypatch, forks, fails):
-        # record B + 5 is not finite while block 0 is in flight: its
-        # observer's error is the earlier record's, and wins; a passing
-        # observer leaves the blow-up at its own time
-        poison(monkeypatch, self.B + 5)
-        with np.errstate(invalid="ignore"), pytest.raises((LookupError, BlowUpError)) as info:
-            self.run(refuse if fails else finite_only, 2 * self.B + 1)
-        if fails:
-            assert str(info.value) == f"observed {self.B} states from t = 0"
-        else:
-            assert type(info.value) is BlowUpError and info.value.t == (self.B + 5) * 2.0**-12
-        self.assert_reaped(forks)
-
-    def test_worker_that_dies_raises_child_process_error(self, forks):
-        def die(states, times):
-            os.kill(os.getpid(), signal.SIGKILL)
-
-        message = rf"^the observer's worker process {{pid}} ended before it returned the rows of records 0 to {self.B - 1}$"
-        with pytest.raises(ChildProcessError) as info:
-            self.run(die, 2 * self.B + 1)
-        assert re.fullmatch(message.format(pid=forks[0]), str(info.value))
-        self.assert_reaped(forks)
-
-    def test_worker_leaves_no_file_unclosed(self):
-        # a fresh interpreter in development mode, where a file that is
-        # only garbage-collected warns, and the warning is an error
-        code = (
-            "from gevreyflow.dynamics import Equation, EvolutionSpec, integrate, soliton\n"
-            "from gevreyflow.spectral import Grid, dealias\n"
-            "g = Grid(64.0, 256)\n"
-            "u = dealias(soliton(1.0, 32.0, g)[0])\n"
-            "spec = EvolutionSpec(equation=Equation(mu=1), dt=2.0**-12, t_end=2.0**-10, record_every=1)\n"
-            "assert integrate(spec, u, lambda states, times: times).observed.size == 5\n"
-        )
-        src = str(Path(dynamics.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run(
-            [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c", code],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
-        assert (proc.returncode, proc.stderr) == (0, "")
-
-    def test_fork_that_fails_closes_the_pipes(self, monkeypatch):
-        def fork():
-            raise BlockingIOError("fork: resource temporarily unavailable")
-
-        monkeypatch.setattr(os, "fork", fork)
-        fds = os.listdir("/proc/self/fd")
-        with pytest.raises(BlockingIOError):
-            self.run(finite_only, 3)
-        assert os.listdir("/proc/self/fd") == fds
-
-    @pytest.mark.parametrize(
-        "observe, kind",
-        [
-            (lambda states, times: (t for t in times), "result of type generator"),
-            (lambda states, times: [lambda: t for t in times], "result of type list"),
-            (unrebuildable, "error of type Unrebuildable"),
-        ],
-        ids=["generator", "lambdas", "error"],
-    )
-    def test_what_pickle_cannot_send_comes_back_as_a_type_error(self, forks, observe, kind):
-        with pytest.raises(TypeError, match=f"^the observer's {kind} cannot be sent from its worker process: "):
-            self.run(observe, 3)
-        self.assert_reaped(forks)
+def test_package_starts_no_process():
+    # integrate observes in its caller's process, and nothing in the package
+    # forks, opens a pipe or reaps a child
+    assert package_names({"fork", "pipe", "waitpid", "_exit"}) == []
 
 
 class TestRunPlan:

@@ -8,7 +8,6 @@ wave is a phase shift, which translation-invariant functionals do not
 see), not the naive fourth-order guess.
 """
 
-import itertools
 import math
 import re
 from dataclasses import replace
@@ -177,47 +176,28 @@ class TestVerdictHelpers:
     ids=["conservation", "sigma-scaling"],
 )
 def test_one_functional_call_per_trajectory(monkeypatch, short, every, blocks):
-    # the record observer calls functional_A once per block of records, in
-    # the worker process: each wrapped observer call unpacks the states of
-    # its one functional_A call (any other count raises) and returns them,
-    # with its index, beside its rows; so the calls cover every record of
-    # the trajectory once, in order, and each takes at most one block
-    calls, logged = [], []
+    # the record observer calls functional_A once per block of records, so
+    # the calls cover every record of the trajectory once, in order, and
+    # each takes at most one block
+    calls = []
 
     def counted(u, sigma, mu):
         calls.append(u.band.copy())
         return functional_A(u, sigma, mu)
 
-    def integrate(spec, init, observe):
-        index = itertools.count()
-
-        def observed(states, times):
-            calls.clear()
-            rows = observe(states, times)
-            [band] = calls
-            return np.column_stack([np.full(len(band), next(index)), band.reshape(len(band), -1), rows])
-
-        traj = dynamics.integrate(spec, init, observed)
-        logged.append(traj.observed)
-        return replace(traj, observed=np.ascontiguousarray(traj.observed[:, 1 + init.grid.band :].real))
-
     monkeypatch.setattr(harness, "functional_A", counted)
-    monkeypatch.setattr(harness, "integrate", integrate)
     cfg = short_config(short, [f"evolution.record_every={every}"])
     report = RUNNERS[cfg.scenario](cfg)
-    [rows] = logged
-    index, states = rows[:, 0].real, np.ascontiguousarray(rows[:, 1 : 1 + cfg.build()[1].grid.band])
-    assert index.tolist() == np.repeat(np.arange(len(blocks)), blocks).tolist()
+    assert [len(band) for band in calls] == blocks
     assert max(blocks) == dynamics.RECORD_BLOCK
     assert sum(blocks) == len(next(iter(report.series.values()))["t"])
-    assert states.tobytes() == dynamics.integrate(*cfg.build()).states.band.tobytes()
+    assert np.concatenate(calls).tobytes() == dynamics.integrate(*cfg.build()).states.band.tobytes()
 
 
 def test_radius_fit_failed_in_a_later_block_names_its_time(monkeypatch):
-    # the fit of record 70, in the second block, fails: the parent fits the
-    # initial state, and the worker, counting on from that call, records
-    # 0, 1, ..., so its 72nd call fails; the error keeps its message, and
-    # the worker's traceback rides on it as a note
+    # the fit of record 70, in the second block, fails: the body fits the
+    # initial state, and the observer then records 0, 1, ..., so the 72nd
+    # call fails; the error keeps its message
     real, calls = harness.radius_estimate, []
 
     def failing(state):
@@ -230,9 +210,7 @@ def test_radius_fit_failed_in_a_later_block_names_its_time(monkeypatch):
     with pytest.raises(UnderresolvedError) as info:
         run_short(RADIUS_SHORT, ["evolution.record_every=50"])
     assert re.fullmatch(r"radius fit failed at t = 0\.7: only 3 modes .* \(call 72\); raise grid\.N", str(info.value))
-    [note] = info.value.__notes__
-    assert note.startswith("observer traceback in the worker process:") and "in failing" in note
-    assert calls == [None]
+    assert len(calls) == 72
 
 
 SHORT = {

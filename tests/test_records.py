@@ -2,13 +2,12 @@
 a stdlib dataclass(frozen=True) with the same fields would, apart from
 the three that compare by identity."""
 
-import ast
 import dataclasses
 import pickle
-from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import package_names
 
 import gevreyflow
 from gevreyflow import records
@@ -77,24 +76,7 @@ def test_every_exported_record_type_is_covered():
 
 
 def test_only_records_applies_dataclass():
-    # read from the names, attributes and imports of the package source, so
-    # a docstring may name it
-    found = []
-    for path in sorted(Path(gevreyflow.__file__).parent.glob("*.py")):
-        if path.name == "records.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Attribute):
-                names = {node.attr}
-            elif isinstance(node, ast.Name):
-                names = {node.id}
-            elif isinstance(node, ast.ImportFrom):
-                names = {a.name for a in node.names}
-            else:
-                continue
-            if "dataclass" in names:
-                found.append((path.name, node.lineno))
-    assert found == []
+    assert package_names({"dataclass"}, skip={"records.py"}) == []
 
 
 @pytest.mark.parametrize("cls", list(MAKERS), ids=lambda t: t.__name__)

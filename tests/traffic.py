@@ -10,10 +10,8 @@ code object maps an instruction to it (co_lines); module and class bodies,
 with the comprehensions in them, run at import and are not counted.  The
 package is first imported under the trace, so the functions its import
 calls count as reached; where the package is already imported, as in a
-test, they do not.  A process that the runs fork, such as integrate's observer
-worker, is traced too: os._exit, wrapped, pickles the lines it reached
-into a file that the tracing process then reads.  Run from a source
-checkout:
+test, they do not.  The runs start no other process, so one trace in this
+process sees every line they reach.  Run from a source checkout:
 
     PYTHONPATH=src python tests/traffic.py
     PYTHONPATH=src python tests/traffic.py --check tests/traffic.txt
@@ -38,8 +36,6 @@ from __future__ import annotations
 
 import importlib.util
 import inspect
-import os
-import pickle
 import sys
 import tempfile
 from collections import Counter
@@ -92,16 +88,8 @@ def executable_lines(filename: str) -> dict:
 def traced_runs(files, out: str) -> tuple[dict, list]:
     """({code filename: reached lines}, exit codes) of the import of the
     package and the quiet CLI run of each packaged config, by name, with
-    its outputs under out, traced in the files alone, in the tracing
-    process and in every process it forks that leaves through os._exit."""
+    its outputs under out, traced in the files alone."""
     reached = {name: set() for name in files}
-    tracer, real_exit = os.getpid(), os._exit
-
-    def exit_with_lines(code):
-        # a forked process traces into its own copy of reached
-        if os.getpid() != tracer:
-            Path(out, f"reached-{os.getpid()}.pickle").write_bytes(pickle.dumps(reached))
-        real_exit(code)
 
     def on_call(frame, event, arg):
         hits = reached.get(frame.f_code.co_filename)
@@ -120,7 +108,6 @@ def traced_runs(files, out: str) -> tuple[dict, list]:
 
     codes = []
     previous = sys.gettrace()
-    os._exit = exit_with_lines
     sys.settrace(on_call)
     try:
         from gevreyflow import cli
@@ -133,10 +120,6 @@ def traced_runs(files, out: str) -> tuple[dict, list]:
             codes.append(cli.main([command, "--config", str(path), "--out", out, "--quiet"]))
     finally:
         sys.settrace(previous)
-        os._exit = real_exit
-    for path in Path(out).glob("reached-*.pickle"):
-        for name, lines in pickle.loads(path.read_bytes()).items():
-            reached[name] |= lines
     return reached, codes
 
 
