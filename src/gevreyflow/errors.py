@@ -5,9 +5,9 @@ separate "the experiment failed to run" (exit 1) from "the experiment ran
 and a verdict failed" (exit 2, no exception involved).  A failed step of
 the integrator is a StepError, which carries its time t from the moment
 it is built.  integrate runs its observer in the calling process, so an
-observer's error reaches the caller as it was raised.  Every error still
+observer's error reaches the caller as it was raised.  Every error
 survives pickling with its message and its attributes (t, key, line,
-column), as a result sent between processes, such as a pool's, must.
+column), so that it can cross a process boundary, as from a process pool.
 """
 
 
