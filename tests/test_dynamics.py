@@ -600,6 +600,14 @@ def refuse(states, times):
     raise LookupError(f"observed {len(times)} states from t = {times[0]:g}")
 
 
+class Unrebuildable(Exception):
+    """An error that pickles but does not unpickle: its class needs two
+    arguments, its args hold one message."""
+
+    def __init__(self, what, where):
+        super().__init__(f"{what} at {where}")
+
+
 class TestRecordObserver:
     """integrate hands its records to the observer in blocks of at most
     RECORD_BLOCK states and keeps only the rows it returns."""
@@ -681,8 +689,12 @@ class TestRecordObserver:
             (lambda t: np.column_stack([t] * 3), lambda t: t[:, None], rf"\(3,\) of float64 .*\({B}, 1\) of float64"),
             # complex rows after real ones would lose their imaginary parts
             (lambda t: t, lambda t: t * 1j, rf"\(\) of float64 .*\({B},\) of complex128"),
+            # three columns after one would not fit the rows made for the first block
+            (lambda t: t[:, None], lambda t: np.column_stack([t] * 3), rf"\(1,\) of float64 .*\({B}, 3\) of float64"),
+            # float rows after integer ones would be truncated
+            (lambda t: np.arange(len(t)), lambda t: t, rf"\(\) of int64 .*\({B},\) of float64"),
         ],
-        ids=["narrower", "complex"],
+        ids=["narrower", "complex", "wider", "float-after-int"],
     )
     def test_later_block_rows_must_match_the_first_blocks(self, first, later, message):
         def observe(states, times):
@@ -690,6 +702,50 @@ class TestRecordObserver:
 
         with pytest.raises(ValueError, match=rf"^an observer returns one row per state: {self.B} shaped {message}$"):
             self.run(observe, 2 * self.B)
+
+    @pytest.mark.parametrize(
+        "first, later",
+        [(lambda t: t, lambda t: np.arange(len(t))), (lambda t: t * 1j, lambda t: t)],
+        ids=["int-after-float", "real-after-complex"],
+    )
+    def test_later_block_rows_of_the_same_kind_are_cast_to_the_first_blocks(self, first, later):
+        def observe(states, times):
+            return (first if times[0] == 0 else later)(times)
+
+        traj = self.run(observe, 2 * self.B + 1)
+        blocks = [traj.times[: self.B], traj.times[self.B : 2 * self.B], traj.times[2 * self.B :]]
+        rows = [first(blocks[0])] + [later(times) for times in blocks[1:]]
+        assert traj.observed.dtype == rows[0].dtype
+        assert traj.observed.tobytes() == np.concatenate(rows).astype(rows[0].dtype).tobytes()
+
+    def test_observer_error_reaches_the_caller_as_the_object_it_raised(self):
+        # no pickle stands between them: an error that could not be rebuilt
+        # from its args comes back itself, with no note added
+        raised = []
+
+        def fail(states, times):
+            raised.append(Unrebuildable("no fit", times[0]))
+            raise raised[-1]
+
+        with pytest.raises(Unrebuildable) as info:
+            self.run(fail, 3)
+        assert [info.value] == raised and str(info.value) == "no fit at 0.0"
+        assert not hasattr(info.value, "__notes__")
+
+    def test_error_in_the_last_block_is_raised_after_the_last_step(self):
+        # the last, partial block is observed once the step loop has ended
+        calls = []
+
+        def last(states, times):
+            calls.append(len(times))
+            if len(times) < self.B:
+                raise ConfigurationError(f"no rows from t = {times[0]:g}", "grid.N")
+            return times
+
+        with pytest.raises(ConfigurationError) as info:
+            self.run(last, 2 * self.B + 1)
+        assert calls == [self.B, self.B, 1] and info.value.key == "grid.N"
+        assert str(info.value) == f"no rows from t = {2 * self.B * 2.0**-12:g}"
 
     @pytest.mark.parametrize("record", [B - 1, B])
     def test_state_that_turns_non_finite_at_a_block_edge_is_never_observed(self, monkeypatch, record):
