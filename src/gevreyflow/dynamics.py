@@ -25,20 +25,13 @@ Every flow is stepped as a stack of C = len(alphas) components, 1 or 2,
 through one rhs and one RK4 loop.  States live in the dealiased band
 |k| <= N/4 (the 1/2 rule; initial data is projected into it), and the
 loop holds only that band of the package's half spectrum: k = 0..N/4 of
-each real component, shape (C, N/4+1).  A record checks that the state is
-finite and copies it, once, into a row made before the loop.  A run
-without an observer keeps the band rows: its rows are Trajectory.observed
-itself, and Trajectory.states reads them, each read padding one row with
-zeros to the half k = 0..N/2 and building its field, so no state is kept
-in the full half.  A run with an observer copies each record into its row
-of one block of at most RECORD_BLOCK rows.  Whenever the block fills, and
-at the last record, integrate hands it, read-only, to the observer as a
-RecordedStates view with its record times, in its own process, and copies
-what the observer returns into Trajectory.observed at once: one row per
-state, of the first block's shape and kind, in record order.  So an
-observed run holds one block of states at a time, whatever its record
-count, and the observer's side effects are seen by its caller; it must
-not keep the view, which the next block overwrites.
+each real component, shape (C, N/4+1).  Every run has one record path:
+a record checks that the state is finite and copies it into one block of
+at most RECORD_BLOCK rows, and each full block's rows, the band rows
+themselves or an observer's rows of them, go into Trajectory.observed
+(see integrate).  A kept run's Trajectory.states builds a state's field
+on each read, so no state is kept in the full half k = 0..N/2, and an
+observed run holds one block of states at a time.
 
 nonlinear_term builds the one implementation of the non-dispersive rhs:
 integrate runs it, and the tests call it.  It writes every cubic term in
@@ -255,11 +248,10 @@ class RunPlan:
 @frozen(eq=False)
 class Trajectory:
     """Recorded states at uniform cadence; times[0] = 0, last = t_end.
-    observed holds the observer's rows, one per record, read-only; final
-    is the state at t_end.  states is a RecordedStates view over observed
-    where the default observer kept the band rows, else None, so each read
-    builds its state.  Two trajectories are equal only when they are the
-    same object."""
+    observed holds integrate's record rows, read-only: the band rows, or
+    the observer's; final is the state at t_end.  states is a
+    RecordedStates view over kept band rows, else None.  Two trajectories
+    are equal only when they are the same object."""
 
     times: np.ndarray = field(repr=False)
     observed: np.ndarray = field(repr=False)
@@ -384,28 +376,27 @@ def integrate(spec: EvolutionSpec, init, observe=None) -> Trajectory:
     The C = len(eq.alphas) components of the equation are stepped as one
     (C, N/4+1) stack, every flow through the same loop and the one rhs
     that nonlinear_term builds.  The initial state is projected into the
-    dealiased band, and the loop holds only the modes k = 0..N/4.  With
-    observe=None, the default, a record copies that band into its row of
-    Trajectory.observed, and Trajectory.states reads those rows.  Else a
-    record copies it into its row of one block of at most RECORD_BLOCK
-    rows.  Whenever the block fills, and at the last record, observe(states,
-    times) is called, here in the calling process, with the block's states,
-    a read-only RecordedStates view, and their record times; it returns an
-    array with one leading row per state, whose rows have the first block's
-    shape and a kind that casts to its dtype (same_kind), else ValueError.
-    integrate copies them into Trajectory.observed in record order before it
-    steps on, and the observer must not keep the view, which the next block
-    overwrites.  At the start of every step, from the peak max|w| of the
-    samples the first rhs evaluation makes: abort with BlowUpError once the
-    peak passes 1e6, and raise DtGuardError, keyed dt, once dt exceeds the
-    advective guard 0.5 dx / (peak^2 + sup a + 1).  A record raises the same
-    BlowUpError, with max|v| = nan, for a state that is not finite, as the
-    initial one or one from the last step may be, before it is copied, so
-    no observer sees it.  So a failed step or record is one of these two
-    kinds of StepError, built with its time t; every other error integrate
-    raises is a ConfigurationError on its inputs or plan, raised before the
-    first step, or the observer's own error, as it raised it.  The earliest
-    record's error wins, since a block is observed before the next step.
+    dealiased band, and the loop holds only the modes k = 0..N/4.  A record
+    copies that band into one block of at most RECORD_BLOCK rows.  Whenever
+    the block fills, and at the last record, its rows go into
+    Trajectory.observed before integrate steps on: the band rows with
+    observe=None, the default, and Trajectory.states reads them; else what
+    observe(states, times) returns, called here with the block's states, a
+    read-only RecordedStates view it must not keep, and their record times:
+    one row per state, of the first block's shape and a kind that casts to
+    its dtype (same_kind), else ValueError.  At the start of every step,
+    from the peak max|w| of the samples the first rhs evaluation makes:
+    abort with BlowUpError once the peak passes 1e6, as the initial state
+    does before that evaluation, and raise DtGuardError, keyed dt, once dt
+    exceeds the advective guard 0.5 dx / (peak^2 + sup a + 1).  A record
+    raises the same BlowUpError, with max|v| = nan, for a state that is not
+    finite, as the initial one or one from the last step may be, before it
+    is copied, so no observer sees it.  So a failed step or record is one
+    of these two kinds of StepError, built with its time t; every other
+    error integrate raises is a ConfigurationError on its inputs or plan,
+    raised before the first step, or the observer's own error, as it raised
+    it.  The earliest record's error wins, since a block is observed before
+    the next step.
 
     With E = exp(sym h/2) the step is
         K1 = N(V), K2 = N(E V + (h/2) E K1), K3 = N(E V + (h/2) K2),
@@ -454,13 +445,8 @@ def integrate(spec: EvolutionSpec, init, observe=None) -> Trajectory:
     guard_num = 0.5 * grid.dx
     guard_den = max((d.sup for d in eq.dampings), default=0.0) + 1.0
 
-    # a kept run copies each record into its row of observed; an observed run
-    # into its row of one block, observed whenever it fills, and observed,
-    # the rows the observer returns, is made at the first block
-    if observe is None:
-        observed = np.empty((n_rec + 1, C, band), dtype=complex)
-    else:
-        observed, block = None, np.empty((min(RECORD_BLOCK, n_rec + 1), C, band), dtype=complex)
+    # observed, the block's rows or the observer's, is made at the first block
+    observed, block = None, np.empty((min(RECORD_BLOCK, n_rec + 1), C, band), dtype=complex)
 
     def record(r: int, t: float) -> None:
         nonlocal observed
@@ -468,15 +454,12 @@ def integrate(spec: EvolutionSpec, init, observe=None) -> Trajectory:
         # last record has no step after it
         if not np.isfinite(V).all():
             raise _step_error(math.nan, dt, guard_num, t)
-        if observe is None:
-            observed[r] = V
-            return
         i = r % len(block)
         block[i] = V
         if i == len(block) - 1 or r == n_rec:
             start, view = r - i, block[: i + 1]
             view.flags.writeable = False
-            rows = np.asarray(observe(RecordedStates(view, grid), times[start : r + 1]))
+            rows = view if observe is None else np.asarray(observe(RecordedStates(view, grid), times[start : r + 1]))
             if observed is None and rows.ndim > 0 and len(rows) == i + 1:
                 observed = np.empty((n_rec + 1,) + rows.shape[1:], dtype=rows.dtype)
             shape = None if observed is None else (i + 1,) + observed.shape[1:]
@@ -487,6 +470,13 @@ def integrate(spec: EvolutionSpec, init, observe=None) -> Trajectory:
             observed[start : r + 1] = rows
 
     record(0, 0.0)
+    # the first evaluation's cube overflows before its peak is checked; as
+    # 2 sum|V_k| >= max|v|, only a state past that bound is transformed
+    with np.errstate(over="ignore"):
+        if 2.0 * absolute(V).sum() > BLOWUP_LIMIT:
+            peak = np.abs(spectral.irfft_into(V, w)).max()
+            if not peak <= BLOWUP_LIMIT:
+                raise _step_error(peak, dt, guard_num, 0.0)
     step = 0
     for r in range(1, n_rec + 1):
         for _ in range(plan.record_every):

@@ -615,20 +615,20 @@ class TestRecordObserver:
     B = dynamics.RECORD_BLOCK
 
     @staticmethod
-    def run(observe, records):
-        g = Grid(64.0, 256)
-        eq, init = three_flows(g)[0]
+    def spec_of(flow, records):
+        """(spec, init) of flow `flow` of three_flows with `records` records, one per step."""
+        eq, init = three_flows(Grid(64.0, 256))[flow]
         dt = 2.0**-12
-        spec = EvolutionSpec(equation=eq, dt=dt, t_end=(records - 1) * dt, record_every=1)
-        return integrate(spec, init, observe)
+        return EvolutionSpec(equation=eq, dt=dt, t_end=(records - 1) * dt, record_every=1), init
+
+    def run(self, observe, records):
+        return integrate(*self.spec_of(0, records), observe)
 
     @pytest.mark.parametrize("records", [B - 1, B, B + 1, 2 * B + 1])
     @pytest.mark.parametrize("flow", [0, 1, 2])
     def test_observed_rows_are_the_observer_of_the_kept_states(self, flow, records):
-        g = Grid(64.0, 256)
-        eq, init = three_flows(g)[flow]
-        dt = 2.0**-12
-        spec = EvolutionSpec(equation=eq, dt=dt, t_end=(records - 1) * dt, record_every=1)
+        spec, init = self.spec_of(flow, records)
+        eq = spec.equation
         calls = []
         observed = integrate(spec, init, logged(masses_and_times, calls))
         kept = integrate(spec, init)
@@ -641,12 +641,18 @@ class TestRecordObserver:
         assert [t for call in calls for t in call] == kept.times.tolist()
         assert all(0 < len(call) <= self.B for call in calls) and len(calls) == -(-records // self.B)
 
-    def test_default_observer_keeps_the_band_rows(self):
-        g = Grid(64.0, 256)
-        eq, init = three_flows(g)[2]
-        dt = 2.0**-12
-        traj = integrate(EvolutionSpec(equation=eq, dt=dt, t_end=self.B * dt, record_every=1), init)
-        assert traj.observed is traj.states.band and traj.observed.shape == (self.B + 1, 2, g.band)
+    @pytest.mark.parametrize("records", [B - 1, B, B + 1, 2 * B + 1])
+    @pytest.mark.parametrize("flow", [0, 1, 2])
+    def test_default_observer_keeps_the_band_rows(self, flow, records):
+        # a kept run's rows go through the same block as an observed run's:
+        # they are the rows an observer that returns the band would give
+        spec, init = self.spec_of(flow, records)
+        kept = integrate(spec, init)
+        observed = integrate(spec, init, lambda states, times: states.band)
+        assert kept.observed is kept.states.band and not kept.observed.flags.writeable
+        assert kept.observed.shape == (records, len(spec.equation.alphas), Grid(64.0, 256).band)
+        assert kept.observed.dtype == complex and observed.states is None
+        assert kept.observed.tobytes() == observed.observed.tobytes()
 
     def test_observer_runs_in_the_calling_process(self):
         # its side effects are seen here: each call, in this process and
@@ -1179,6 +1185,27 @@ class TestIntegrate:
         spec = EvolutionSpec(equation=Equation(mu=1), dt=dt, t_end=3e-14, record_every=1)
         with pytest.raises(DivergenceError, match="blow-up"):
             integrate(spec, huge)
+
+    @pytest.mark.parametrize("amplitude", [1e7, 1e200])
+    def test_initial_state_past_the_cap_is_refused_before_the_first_evaluation(self, amplitude, fft_counts):
+        # the first evaluation's cube of 1e200 overflows before its peak is
+        # checked; the initial state is checked first, with one transform
+        init = sech(amplitude, 1.0, 32.0, Grid(64.0, 512))
+        fft_counts.update(rfft=0, irfft=0)
+        message = f"blow-up abort at t = 0: max|v| = {amplitude:.3e} exceeds 1e+06"
+        with pytest.raises(BlowUpError, match=f"^{re.escape(message)}$") as err:
+            integrate(EvolutionSpec(Equation(mu=1), 2e-4, 2e-4, 1), init)
+        assert err.value.t == 0.0 and (fft_counts["rfft"], fft_counts["irfft"]) == (0, 1)
+
+    def test_initial_samples_past_double_range_are_a_blow_up(self):
+        # a finite band whose samples overflow: max|v| = inf, with no warning
+        g = Grid(64.0, 512)
+        half = np.zeros(g.xi.size, dtype=complex)
+        half[: g.band] = 1e306
+        init = (synthesize(half, g), synthesize(np.zeros_like(half), g))
+        eq = Equation(mu=1, alphas=(1.0, 0.5))
+        with pytest.raises(BlowUpError, match=r"^blow-up abort at t = 0: max\|v\| = inf exceeds"):
+            integrate(EvolutionSpec(eq, 2e-4, 2e-4, 1), init)
 
     def test_coupled_needs_pair(self):
         g = Grid(64.0, 256)

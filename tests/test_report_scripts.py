@@ -7,6 +7,7 @@ import inspect
 import json
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -134,3 +135,16 @@ def test_traffic_check_prints_each_entry_that_differs(tmp_path, capsys, stub_run
         code, printed, last = check(lines)
         assert (code, printed) == (1, [expected]), fault
         assert last == f"unreached lines: {listed} differs from the trace; entries above: 1"
+
+
+def test_traffic_list_names_live_functions_with_reasons():
+    # read without tracing: a renamed or deleted function fails here, not
+    # only in the slow --check that traces every packaged run
+    functions = Counter()
+    for filename, shown in traffic.package_files().items():
+        functions.update(f"{shown}:{name}" for name in traffic.executable_lines(filename).values())
+    listed = traffic.read_list(Path(__file__).with_name("traffic.txt"))
+    assert listed
+    for key, (count, reason) in listed.items():
+        assert 1 <= count <= functions[key], f"{key} lists {count} of its {functions[key]} executable lines"
+        assert reason in traffic.REASONS, f"{key}: {reason!r} is not one of traffic.REASONS"
