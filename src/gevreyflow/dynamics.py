@@ -26,12 +26,12 @@ through one rhs and one RK4 loop.  States live in the dealiased band
 |k| <= N/4 (the 1/2 rule; initial data is projected into it), and the
 loop holds only that band of the package's half spectrum: k = 0..N/4 of
 each real component, shape (C, N/4+1).  Every run has one record path:
-a record checks that the state is finite and copies it into one block of
-at most RECORD_BLOCK rows, and each full block's rows, the band rows
-themselves or an observer's rows of them, go into Trajectory.observed
-(see integrate).  A kept run's Trajectory.states builds a state's field
-on each read, so no state is kept in the full half k = 0..N/2, and an
-observed run holds one block of states at a time.
+a record checks that the state meets the blow-up cap and copies it into
+one block of at most RECORD_BLOCK rows, and each full block's rows, the
+band rows themselves or an observer's rows of them, go into
+Trajectory.observed (see integrate).  A kept run's Trajectory.states
+builds a state's field on each read, so no state is kept in the full
+half k = 0..N/2, and an observed run holds one block of states at a time.
 
 nonlinear_term builds the one implementation of the non-dispersive rhs:
 integrate runs it, and the tests call it.  It writes every cubic term in
@@ -70,8 +70,8 @@ factors that meet the same operand are stacked where that saves a call
 with no broadcast: K1 and K4 are adjacent rows, scaled by (h/6) E^2 and
 h/6 in one multiply.  E V and E^2 V stay two calls, because one multiply
 of the stack (E, E^2) by a broadcast V measured about 1% slower per step.
-A record makes no transform: a state's samples are one irfft, made only
-when something reads them.
+A record transforms only a state past the cap's bound 2 sum|V_k|: a
+state's samples are one irfft, made only when something reads them.
 """
 
 from __future__ import annotations
@@ -229,8 +229,9 @@ class RecordedStates(Sequence):
         rows = self.band[index]
         half = np.zeros((len(rows), self.grid.xi.size), dtype=complex)
         half[:, : rows.shape[-1]] = rows
-        states = tuple(synthesize(H, self.grid) for H in half)
-        return states if len(states) > 1 else states[0]
+        # a list: tuple() of a generator leaves a resized 1-tuple per read
+        states = [synthesize(H, self.grid) for H in half]
+        return tuple(states) if len(states) > 1 else states[0]
 
 
 @frozen
@@ -386,17 +387,16 @@ def integrate(spec: EvolutionSpec, init, observe=None) -> Trajectory:
     one row per state, of the first block's shape and a kind that casts to
     its dtype (same_kind), else ValueError.  At the start of every step,
     from the peak max|w| of the samples the first rhs evaluation makes:
-    abort with BlowUpError once the peak passes 1e6, as the initial state
-    does before that evaluation, and raise DtGuardError, keyed dt, once dt
-    exceeds the advective guard 0.5 dx / (peak^2 + sup a + 1).  A record
-    raises the same BlowUpError, with max|v| = nan, for a state that is not
-    finite, as the initial one or one from the last step may be, before it
-    is copied, so no observer sees it.  So a failed step or record is one
-    of these two kinds of StepError, built with its time t; every other
-    error integrate raises is a ConfigurationError on its inputs or plan,
-    raised before the first step, or the observer's own error, as it raised
-    it.  The earliest record's error wins, since a block is observed before
-    the next step.
+    abort with BlowUpError once the peak passes 1e6, and raise
+    DtGuardError, keyed dt, once dt exceeds the advective guard
+    0.5 dx / (peak^2 + sup a + 1).  Every record, the first and the last
+    included, raises the same BlowUpError for a state past 1e6, or not
+    finite (max|v| = nan), before it is copied, so no row or observer holds
+    it.  So a failed step or record is one of these two kinds of StepError,
+    built with its time t; every other error integrate raises is a
+    ConfigurationError on its inputs or plan, raised before the first step,
+    or the observer's own error, as it raised it.  The earliest record's
+    error wins, since a block is observed before the next step.
 
     With E = exp(sym h/2) the step is
         K1 = N(V), K2 = N(E V + (h/2) E K1), K3 = N(E V + (h/2) K2),
@@ -450,10 +450,14 @@ def integrate(spec: EvolutionSpec, init, observe=None) -> Trajectory:
 
     def record(r: int, t: float) -> None:
         nonlocal observed
-        # the check of the step after a record comes after it, and the
-        # last record has no step after it
-        if not np.isfinite(V).all():
-            raise _step_error(math.nan, dt, guard_num, t)
+        # the cap check of every record, the last too, before any row holds
+        # it: as 2 sum|V_k| >= max|v|, only a state past that bound is
+        # transformed, and one not finite has peak nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not 2.0 * absolute(V).sum() <= BLOWUP_LIMIT:
+                peak = np.abs(spectral.irfft_into(V, w)).max()
+                if not peak <= BLOWUP_LIMIT:
+                    raise _step_error(peak, dt, guard_num, t)
         i = r % len(block)
         block[i] = V
         if i == len(block) - 1 or r == n_rec:
@@ -470,13 +474,6 @@ def integrate(spec: EvolutionSpec, init, observe=None) -> Trajectory:
             observed[start : r + 1] = rows
 
     record(0, 0.0)
-    # the first evaluation's cube overflows before its peak is checked; as
-    # 2 sum|V_k| >= max|v|, only a state past that bound is transformed
-    with np.errstate(over="ignore"):
-        if 2.0 * absolute(V).sum() > BLOWUP_LIMIT:
-            peak = np.abs(spectral.irfft_into(V, w)).max()
-            if not peak <= BLOWUP_LIMIT:
-                raise _step_error(peak, dt, guard_num, 0.0)
     step = 0
     for r in range(1, n_rec + 1):
         for _ in range(plan.record_every):

@@ -179,7 +179,7 @@ def _log_ticks(lo: float, hi: float) -> list:
 
 def _fmt_tick(value: float, log: bool) -> str:
     if log:
-        return f"1e{value:g}" if value != round(value) else f"1e{int(round(value))}"
+        return f"1e{int(value)}"  # _log_ticks gives whole decades
     return f"{value:g}"
 
 

@@ -566,9 +566,10 @@ def logged(observe, calls):
     return observed
 
 
-def poison(monkeypatch, record):
+def poison(monkeypatch, record, value=np.inf):
     """Make the last rhs evaluation of the step before record `record` write
-    inf, so that record's state is not finite; returns the list that counts
+    value: by default inf, so that record's state is not finite, or a large
+    finite value, which puts it past the cap; returns the list that counts
     the evaluations."""
     real, evaluations = dynamics.nonlinear_term, []
 
@@ -579,7 +580,7 @@ def poison(monkeypatch, record):
             evaluate(V, out)
             evaluations.append(None)
             if len(evaluations) == 4 * record:
-                out[...] = np.inf
+                out[...] = value
 
         return evaluate_poisoned, samples
 
@@ -592,6 +593,15 @@ def finite_only(states, times):
     the record times."""
     if not np.isfinite(states.band).all():
         raise AssertionError(f"observed a state that is not finite in the block from t = {times[0]:g}")
+    return times
+
+
+def capped(states, times):
+    """An observer that fails on a state past the blow-up cap, else returns
+    the record times."""
+    for state in states:
+        if not np.abs(state.samples).max() <= BLOWUP_LIMIT:
+            raise AssertionError(f"observed a state past the cap in the block from t = {times[0]:g}")
     return times
 
 
@@ -770,6 +780,27 @@ class TestRecordObserver:
             self.run(refuse, 2 * self.B + 1)
         calls = [str(info.value)] if isinstance(info.value, LookupError) else []
         assert calls == [f"observed {self.B} states from t = 0"] * (record // self.B)
+
+    @pytest.mark.parametrize("observe", [None, capped], ids=["kept", "observed"])
+    def test_final_state_past_the_cap_is_a_blow_up_at_t_end(self, monkeypatch, observe):
+        # the last evaluation writes a large finite value: the last record,
+        # which no step follows, raises at t_end with the state's finite peak
+        evaluations = poison(monkeypatch, self.B + 5, 1e12)
+        with pytest.raises(BlowUpError) as info:
+            self.run(observe, self.B + 6)
+        peak = float(re.search(r"max\|v\| = (\S+) exceeds", str(info.value)).group(1))
+        assert info.value.t == (self.B + 5) * 2.0**-12 and BLOWUP_LIMIT < peak < math.inf
+        assert len(evaluations) == 4 * (self.B + 5)
+
+    def test_state_past_the_cap_in_a_blocks_last_row_is_never_observed(self, monkeypatch):
+        # record B - 1, the first block's last row, is finite and past the
+        # cap: it raises at its own time, before the block is observed
+        evaluations = poison(monkeypatch, self.B - 1, 1e12)
+        calls = []
+        with pytest.raises(BlowUpError, match=r"exceeds 1e\+06$") as info:
+            self.run(logged(capped, calls), 2 * self.B + 1)
+        assert info.value.t == (self.B - 1) * 2.0**-12 and len(evaluations) == 4 * (self.B - 1)
+        assert calls == []
 
     def test_error_in_the_middle_block_keeps_its_type_message_and_attributes(self):
         def middle(states, times):
