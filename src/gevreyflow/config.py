@@ -46,7 +46,7 @@ from pathlib import Path
 import numpy as np
 
 from .analytics import theta_max
-from .dynamics import Equation, EvolutionSpec, RaisedCosineDamping, plan_run, sech, soliton
+from .dynamics import Equation, EvolutionSpec, RaisedCosineDamping, check_band_phase, plan_run, sech, soliton
 from .errors import ConfigParseError, ConfigurationError
 from .records import frozen
 from .spectral import Grid, SpectralField, analyze, dealias
@@ -207,7 +207,8 @@ class ScenarioConfig:
         Raises on the first violated precondition of these objects, each type
         checking its own (a damping profile its (A1) floor), keyed to the
         section's key; then on what the scenario needs of them: (A3),
-        sigma0 R < 1, for every damping profile; a window scenario's sigma0
+        sigma0 R < 1, for every damping profile; a band-edge phase per step
+        below 2^26 rad; a window scenario's sigma0
         and the sigma-scaling sigmas below the data's radius; radius data of
         finite radius, >= 3 records."""
         grid = _from_section("grid", Grid, self.L, self.N)
@@ -224,6 +225,7 @@ class ScenarioConfig:
         m, alphas = (self.m if self.family == "mkdvm" else 3), ((1.0, self.alpha) if pair else (1.0,))
         equation = _from_section("equation", Equation, self.mu, m, alphas, dampings, self.nonlinear)
         spec = _from_section("evolution", EvolutionSpec, equation, self.dt, self.t_end, self.record_every)
+        _from_section("equation", check_band_phase, spec, grid)
         data = (("data", self.data), ("data2", self.data2))[: 1 + pair]
         init = tuple(dealias(_from_section(name, build_field, d, grid)) for name, d in data)
         if self.scenario in ("conservation", "sigma-scaling", "damping", "radius"):  # windows wait for T0

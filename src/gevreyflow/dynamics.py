@@ -10,10 +10,9 @@ For every odd m = 2j+1 the linear part reads dV_k/dt = i xi_k^m V_k in
 Fourier variables (the sign (-1)^(j+1) combines with i^m to give +i for all
 j), so one dispersive symbol covers all three systems, scaled per
 component by its dispersion ratio: (1,) for one component, (1, alpha) for
-the coupled pair.  So one type, Equation(mu, m, alphas, dampings,
-nonlinear), states every flow: its only per-flow data are m, the ratios
-alphas, the damping profiles, none or one per component, and the cubic
-term's switch; EvolutionSpec adds only the time grid.  A damping profile
+the coupled pair.  So one type, Equation, states every flow, and
+EvolutionSpec adds only the time grid; check_band_phase bounds the
+symbol's phase per step.  A damping profile
 checks its (A1) floor itself, and its closed form is its (A2)
 certificate, so no transform runs outside the step loop.
 
@@ -25,13 +24,10 @@ Every flow is stepped as a stack of C = len(alphas) components, 1 or 2,
 through one rhs and one RK4 loop.  States live in the dealiased band
 |k| <= N/4 (the 1/2 rule; initial data is projected into it), and the
 loop holds only that band of the package's half spectrum: k = 0..N/4 of
-each real component, shape (C, N/4+1).  Every run has one record path:
-a record checks that the state meets the blow-up cap and copies it into
-one block of at most RECORD_BLOCK rows, and each full block's rows, the
-band rows themselves or an observer's rows of them, go into
-Trajectory.observed (see integrate).  A kept run's Trajectory.states
-builds a state's field on each read, so no state is kept in the full
-half k = 0..N/2, and an observed run holds one block of states at a time.
+each real component, shape (C, N/4+1), and the dispersive symbol is
+built on that band alone.  Every run has one record path, through one
+block of at most RECORD_BLOCK rows (see integrate), and no state is kept
+in the full half k = 0..N/2 (see RecordedStates).
 
 nonlinear_term builds the one implementation of the non-dispersive rhs:
 integrate runs it, and the tests call it.  It writes every cubic term in
@@ -40,21 +36,18 @@ mu (w1^2 w2)_x for the pair, and differentiates the product in Fourier
 space.  One batched irfft of the band (zero-padded to N points) and one
 batched rfft of the products per evaluation make 8 transforms per RK4 step
 for every flow: 2 N-point rows per evaluation for undamped mKdV, 3 with
-damping, 6 for the pair.  The products are exact convolutions at every
-k < N/4; the only aliased contribution in the band is the (K, K, K)
-triple, K = N/4, which lands on +-K.
+damping, 6 for the pair; only the (K, K, K) triple, K = N/4, aliases
+into the band (see nonlinear_term).
 
 At N = 512 a numpy call costs more than the arithmetic it does: the 8
 transforms are most of a step, and the rest of it is the fixed cost of
 about 30 small calls.  So the step loop keeps one rule: one call per
 operation, array operands only, out passed positionally, and no
 allocation per step.  The two transforms of each evaluation are
-spectral.irfft_into and rfft_into, the package's only transforms: numpy's
-pocketfft kernels, called without numpy.fft's Python wrapper, with
-bit-identical results, and given their unit factor as a read-only 0-d
-array.  Every other operation is one ufunc call, np.multiply or np.add,
-that writes into a buffer allocated once per integrate call; the state is
-updated in place, and each record copies it into its block row.  The
+spectral.irfft_into and rfft_into (see spectral).  Every other operation
+is one ufunc call, np.multiply or np.add, that writes into a buffer
+allocated once per integrate call; the state is updated in place, and
+each record copies it into its block row.  The
 RK4 weights, the rhs minus sign, mu and the 1/N of the forward transform
 are folded into factors built before the loop, each an array with a
 leading axis of length 1 or C, the shape of the rows it multiplies.  On a
@@ -63,11 +56,10 @@ took 0.66 us and the same multiply by an array 0.40 us (numpy casts the
 float to complex128 either way, so the products are the same); out given
 positionally saved a further 0.07 us per call (median of 31 alternating
 repeats), and the array factor about 0.5 us per N = 512 transform against
-the float 1.0, which each call converted.  The blow-up check's max|w|,
-one np.absolute into a buffer and one np.maximum.reduce, took 1.47 us
-against 1.57 us for np.abs(w).max().  Two
-factors that meet the same operand are stacked where that saves a call
-with no broadcast: K1 and K4 are adjacent rows, scaled by (h/6) E^2 and
+the float 1.0, which each call converted; max|w| as np.absolute into a
+buffer and np.maximum.reduce took 1.47 us, np.abs(w).max() 1.57 us.
+Factors that meet one operand are stacked where that saves a call with
+no broadcast: K1 and K4 are adjacent rows, scaled by (h/6) E^2 and
 h/6 in one multiply.  E V and E^2 V stay two calls, because one multiply
 of the stack (E, E^2) by a broadcast V measured about 1% slower per step.
 A record transforms only a state past the cap's bound 2 sum|V_k|: a
@@ -85,7 +77,7 @@ import numpy as np
 from . import spectral
 from .errors import BlowUpError, ConfigurationError, DtGuardError, StepError
 from .records import frozen
-from .spectral import Grid, SpectralField, analyze, synthesize
+from .spectral import Grid, SpectralField, analyze
 
 BLOWUP_LIMIT = 1e6
 # rows of integrate's record block: the states a run holds at a time
@@ -210,9 +202,10 @@ class EvolutionSpec:
 class RecordedStates(Sequence):
     """The recorded states of a trajectory, as a read-only sequence over
     band, the (R, C, N/4+1) array of their band rows.  Item r pads row r
-    with zeros to the half spectrum k = 0..N/2 and returns its field from
-    synthesize, or a pair of them for C = 2, built on each read and not
-    kept.  A slice is the same kind of view over fewer rows, with no state
+    with zeros to the half spectrum k = 0..N/2, read-only, and returns its
+    field, or a pair of them for C = 2, built on each read and not kept;
+    integrate's record has checked the state, so no read checks it again.
+    A slice is the same kind of view over fewer rows, with no state
     copied."""
 
     __slots__ = ("band", "grid")
@@ -229,8 +222,9 @@ class RecordedStates(Sequence):
         rows = self.band[index]
         half = np.zeros((len(rows), self.grid.xi.size), dtype=complex)
         half[:, : rows.shape[-1]] = rows
+        half.flags.writeable = False
         # a list: tuple() of a generator leaves a resized 1-tuple per read
-        states = [synthesize(H, self.grid) for H in half]
+        states = [SpectralField(self.grid, H) for H in half]
         return tuple(states) if len(states) > 1 else states[0]
 
 
@@ -268,26 +262,23 @@ class Trajectory:
 
 
 def linear_symbol(grid: Grid, m: int, alpha: float = 1.0) -> np.ndarray:
-    """i * alpha * xi^m with the Nyquist mode zeroed (odd symbol)."""
-    sym = 1j * alpha * grid.xi**m
-    sym[grid.nyquist_index] = 0.0
-    return sym
+    """i * alpha * xi^m on the band k = 0..N/4 that integrate evolves."""
+    return 1j * alpha * grid.xi[: grid.band] ** m
 
 
 def nonlinear_term(eq: Equation, grid: Grid):
     """Build the non-dispersive part N(V) of the rhs, on the dealiased band:
     the one rhs, which integrate runs.
 
-    Returns (evaluate, samples).  V holds the modes k = 0..N/4 of each
-    component's state (the band |k| <= N/4 of the rfft half): shape
-    (C, N/4+1), C = len(eq.alphas).  evaluate(V, out) writes N(V), in the
-    same layout, into out and the (C, N) samples w of V into samples, which
-    the next call overwrites; it checks nothing, and integrate reads samples
-    for the blow-up check before the next call.  An equation with
-    nonlinear=False has no cubic terms.
+    Returns (evaluate, samples).  V holds the band k = 0..N/4 of each
+    component's state: shape (C, N/4+1), C = len(eq.alphas).
+    evaluate(V, out) writes N(V), in the same layout, into out and the
+    (C, N) samples w of V into samples, which the next call overwrites; it
+    checks nothing, and integrate reads samples for the blow-up check
+    before the next call.  An equation with nonlinear=False has no cubic
+    terms.
 
-    Every cubic term is in conservative form and differentiated in Fourier
-    space.  One irfft of V (zero-padded to N points) gives the rows w_c.
+    One irfft of V (zero-padded to N points) gives the rows w_c.
     The cubic rows w_1 w_C w_(C+1-c) are [v^3] for one component and
     [w1 w2^2, w1^2 w2] for the pair.  One rfft of them, with the rows
     -a_c w_c for a damped equation, gives N(V) = dx F[cubic] + F[-a w],
@@ -303,8 +294,7 @@ def nonlinear_term(eq: Equation, grid: Grid):
     (and (-K, -K, -K) onto K).  So N(V) is exact for every k < K, and at
     k = +-K it carries that one extra term, of size |V_K|^3.
 
-    The scratch arrays are allocated once, here, and the transforms and
-    ufuncs write into them, given as their positional out.
+    The scratch arrays are allocated once, here.
     """
     N, band = grid.N, grid.band
     C = len(eq.alphas)
@@ -361,6 +351,17 @@ def plan_run(spec: EvolutionSpec, init, runs: int = 1, key: str = "t_end", keeps
     return plan
 
 
+def check_band_phase(spec: EvolutionSpec, grid: Grid) -> None:
+    """Reject, keyed m, a band-edge phase per step theta = xi_K^m dt (no ratio
+    exceeds 1) of 2^26 rad or more, where its roundings, of up to 2^-53 theta
+    each, pass 2^-27 rad and exp(i theta) keeps under half a double's bits.
+    In log2, as |log xi_K| is 0 or > 2^-53, an m past 2**1000 fails as 2**1000 does."""
+    phase = min(spec.equation.m, 2**1000) * math.log2(grid.xi[grid.band - 1]) + math.log2(spec.dt)
+    if not phase < 26:
+        message = f"band-edge phase per step xi_K^m dt = 2^{phase:.4g} rad, past 2^26 rad"
+        raise ConfigurationError(f"{message}; lower equation.m or evolution.dt, or raise grid.L", "m")
+
+
 def _step_error(peak: float, dt: float, guard: float, t: float) -> StepError:
     """The error of the step at time t: a blow-up for a peak past the cap or
     not a number, else the dt guard's."""
@@ -374,10 +375,9 @@ def integrate(spec: EvolutionSpec, init, observe=None) -> Trajectory:
     """Run the flow from init: one SpectralField, or a pair of them for a
     two-component equation.
 
-    The C = len(eq.alphas) components of the equation are stepped as one
-    (C, N/4+1) stack, every flow through the same loop and the one rhs
-    that nonlinear_term builds.  The initial state is projected into the
-    dealiased band, and the loop holds only the modes k = 0..N/4.  A record
+    The C = len(eq.alphas) components are stepped as one (C, N/4+1) stack
+    of the dealiased band k = 0..N/4, into which the initial state is
+    projected, through the one rhs that nonlinear_term builds.  A record
     copies that band into one block of at most RECORD_BLOCK rows.  Whenever
     the block fills, and at the last record, its rows go into
     Trajectory.observed before integrate steps on: the band rows with
@@ -401,9 +401,7 @@ def integrate(spec: EvolutionSpec, init, observe=None) -> Trajectory:
     With E = exp(sym h/2) the step is
         K1 = N(V), K2 = N(E V + (h/2) E K1), K3 = N(E V + (h/2) K2),
         K4 = N(E^2 V + h E K3),
-        V <- E^2 V + (h/6) E^2 K1 + (h/3) E (K2 + K3) + (h/6) K4,
-    with every factor built once before the loop and every intermediate
-    in a buffer allocated once per call.
+        V <- E^2 V + (h/6) E^2 K1 + (h/3) E (K2 + K3) + (h/6) K4.
     """
     eq = spec.equation
     C = len(eq.alphas)
@@ -421,13 +419,11 @@ def integrate(spec: EvolutionSpec, init, observe=None) -> Trajectory:
 
     # the state holds the band k = 0..N/4 of each component, updated in place
     band = grid.band
-    sym = np.stack([linear_symbol(grid, eq.m, alpha)[:band] for alpha in eq.alphas])
+    sym = np.stack([linear_symbol(grid, eq.m, alpha) for alpha in eq.alphas])
     V = np.stack([f.spectrum[:band] for f in fields])
     evaluate, w = nonlinear_term(eq, grid)
 
-    # every factor is an array of the state's shape, h/2 and h/6 too (see
-    # the module docstring); K1 and K4 are adjacent rows, scaled by
-    # (h/6) E^2 and h/6 in one call
+    # every factor is an array of the state's shape (see the module docstring)
     E = np.exp(sym * (h / 2.0))
     E2 = E * E
     hE_2 = (h / 2.0) * E
@@ -522,8 +518,8 @@ def sech(amplitude: float, width: float, center: float, grid: Grid) -> SpectralF
 
     Its transform decays like exp(-pi width |xi| / 2), so its analyticity
     radius is pi*width/2.  Requires a positive amplitude and width, the
-    center in [0, L], and the profile far enough from the wrap-around
-    point that its value at the domain edge is below 1e-12 of the peak.
+    center in [0, L], and a width and tail that the grid resolves (see
+    _check_profile).
     """
     if not 0 < amplitude < math.inf:
         raise ConfigurationError(f"sech amplitude must be positive and finite, got {amplitude}", "amplitude")
@@ -531,14 +527,19 @@ def sech(amplitude: float, width: float, center: float, grid: Grid) -> SpectralF
         raise ConfigurationError(f"sech width must be positive and finite, got {width}", "width")
     if not 0.0 <= center <= grid.L:
         raise ConfigurationError(f"sech center {center} outside the domain [0, {grid.L}]", "center")
-    _check_edge_tail("sech", center, width, grid, "enlarge L, narrow the width, or recenter", ("center", "width"))
+    _check_profile("sech", center, width, grid, "enlarge L, narrow the width, or recenter", ("center", "width"))
     r = np.minimum(np.abs(grid.x - center) / width, 700.0)
     return analyze(amplitude / np.cosh(r), grid)
 
 
-def _check_edge_tail(name: str, center: float, width: float, grid: Grid, advice: str, keys: tuple) -> None:
-    """Reject a sech profile whose edge value is not below 1e-12 of its peak, keyed to
-    keys[0], its center, where centring at L/2 clears the bound, else to keys[1], its width."""
+def _check_profile(name: str, center: float, width: float, grid: Grid, advice: str, keys: tuple) -> None:
+    """Reject a sech profile keyed to keys[1], its width, if a node dx from its peak holds
+    below 1e-12 of it (sech(dx/width) < 1e-12, tested with no divide); else one whose edge
+    value is not below 1e-12 of its peak, keyed to keys[0], its center, where centring at
+    L/2 clears the bound, else to keys[1]."""
+    if width * math.acosh(1e12) < grid.dx:
+        message = f"{name} width {width:.3g} is below dx/acosh(1e12), dx = grid.L/grid.N = {grid.dx:.3g}"
+        raise ConfigurationError(f"{message}: raise grid.N or lower grid.L", keys[1])
     ratio, mid = (1.0 / np.cosh(min(min(c, grid.L - c) / width, 700.0)) for c in (center, grid.L / 2.0))
     if ratio >= 1e-12:
         message = f"{name} tail at the domain edge is {ratio:.3e} of the peak (>= 1e-12); {advice}"
@@ -559,5 +560,5 @@ def soliton(k: float, x0: float, grid: Grid) -> tuple[SpectralField, float]:
         raise ConfigurationError(f"soliton peak sqrt(6) k must be finite, got k={k}", "k")
     if not 0.0 <= x0 <= grid.L:
         raise ConfigurationError(f"soliton center outside the domain [0, {grid.L}], got x0={x0}", "x0")
-    _check_edge_tail("soliton", x0, 1.0 / k, grid, "enlarge L, raise k, or recenter x0", ("x0", "k"))
+    _check_profile("soliton", x0, 1.0 / k, grid, "enlarge L, raise k, or recenter x0", ("x0", "k"))
     return sech(PEAK_FACTOR * k, 1.0 / k, x0, grid), k * k

@@ -30,10 +30,11 @@ on the first read of SpectralField.samples and kept.  analyze is one rfft
 and keeps the samples it was given; synthesize checks a half spectrum and
 makes no transform, so a field whose samples nothing reads costs none.
 
-Symbols that are odd in xi (odd-order derivatives, the dispersive phase)
-are zeroed at Nyquist, the standard convention for real spectral
-differentiation (see https://math.mit.edu/~stevenj/fft-deriv.pdf), which
-keeps that entry real.
+The package's symbols that are odd in xi, the dispersive phase and the
+derivative of the cubic terms, act on the dealiased band k = 0..N/4
+alone, which holds no Nyquist entry.  So none needs the convention of
+real spectral differentiation that zeroes an odd symbol at Nyquist to
+keep that entry real (see https://math.mit.edu/~stevenj/fft-deriv.pdf).
 
 The cosh weight cosh(sigma*xi) of the sigma-norms is np.cosh, applied in
 analytics, which counts the coefficients below noise_floor as zero
@@ -124,10 +125,6 @@ class Grid:
     @property
     def dx(self) -> float:
         return self.L / self.N
-
-    @property
-    def nyquist_index(self) -> int:
-        return self.N // 2
 
     @property
     def band(self) -> int:

@@ -89,7 +89,7 @@ class Deriv:
     def values(self, grid):
         w = (1j * grid.xi) ** self.order
         if self.order % 2 == 1:
-            w[grid.nyquist_index] = 0.0
+            w[grid.N // 2] = 0.0
         return w
 
 
@@ -113,7 +113,7 @@ class LinearFlow:
 
     def values(self, grid):
         w = np.exp(1j * (self.sign * self.alpha * self.t * grid.xi**self.m))
-        w[grid.nyquist_index] = 0.0
+        w[grid.N // 2] = 0.0
         return w
 
 

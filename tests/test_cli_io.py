@@ -879,8 +879,10 @@ class TestCli:
 
     def test_degenerate_radius_fit_is_an_error_line(self, tmp_path, capsys):
         # at L = 1e250 the fit's xi^2 underflow: an error line, no traceback,
-        # that names grid.L, since no grid.N helps there
-        assert main(["radius", "--out", str(tmp_path), "--quiet", "--set", "grid.L=1e250"]) == 1
+        # that names grid.L, since no grid.N helps there; the data are widened
+        # and centred with L, since the packaged width is one node's of 2e247
+        wide = ["--set", "data.width=1e247", "--set", "data.center=5e249"]
+        assert main(["radius", "--out", str(tmp_path), "--quiet", "--set", "grid.L=1e250", *wide]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: radius fit failed at t = 0: the fit's frequencies xi = ")
         assert err.endswith(" leave double range (divide by zero encountered in divide); change grid.L\n")
@@ -907,6 +909,42 @@ class TestCli:
         assert time.perf_counter() - start < 1.0
         err = capsys.readouterr().err
         assert err.startswith(f"error: {key} plans ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command, override, key, message",
+        [
+            # band phases per step xi_K^m dt of 2^794.7 and 2^3.651e+04 rad, past 2^26
+            ("damping", "equation.m=221", "equation.m", "equation: band-edge phase per step xi_K^m dt = 2^"),
+            ("damping", "equation.m=10001", "equation.m", "equation: band-edge phase per step xi_K^m dt = 2^"),
+            # widths below dx / acosh(1e12) = 0.0044, seen at one node: the divide
+            # of sech overflowed
+            ("damping", "data.width=5e-324", "data.width", "data: sech width 4.94e-324 is below dx/acosh(1e12)"),
+            ("conserve", "data.k=5e307", "data.k", "data: soliton width 2e-308 is below dx/acosh(1e12)"),
+            # the packaged width 1 at dx = 2e297 and 1.6e305, which ended in a T0
+            # error and an unkeyed M_sigma overflow
+            ("iterate", "grid.L=1e300", "data.width", "configs/iterate.cfg: line 20, col 1: data: sech width 1 is"),
+            ("iterate", "grid.L=8e307", "data.width", "configs/iterate.cfg: line 20, col 1: data: sech width 1 is"),
+        ],
+    )
+    def test_input_the_step_or_grid_cannot_resolve_is_refused_at_parse_time(
+        self, tmp_path, capsys, command, override, key, message
+    ):
+        with pytest.raises(ConfigurationError) as info:
+            parse_config_text(packaged_text(command), [override])
+        # a key that the text sets gives the error its line, and keys its cause
+        keyed = info.value.__cause__ if isinstance(info.value, ConfigParseError) else info.value
+        assert keyed.key == key
+        assert main([command, "--out", str(tmp_path), "--quiet", "--set", override]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+    def test_band_phase_bound_admits_m_9_and_refuses_m_11_at_the_packaged_grid(self):
+        # xi_K = 4 pi, dt = 2e-4: 1.6e6 rad (2^20.6) and 2.5e8 rad (2^27.9) per step
+        assert parse_config_text(packaged_text("damping"), ["equation.m=9"]).m == 9
+        pattern = r"phase per step xi_K\^m dt = 2\^27\.88 rad, past 2\^26 rad"
+        with pytest.raises(ConfigurationError, match=pattern) as info:
+            parse_config_text(packaged_text("damping"), ["equation.m=11"])
+        assert info.value.key == "equation.m"
 
     @pytest.mark.parametrize("command, theta", [("iterate", "2.5e-5"), ("coupled", "1e-4")])
     def test_data_radius_beyond_double_range_is_never_the_minimum(self, tmp_path, command, theta):

@@ -74,7 +74,7 @@ def rhs(eq, *fields):
     g = fields[0].grid
     band = g.N // 4 + 1
     V = np.stack([f.spectrum[:band] for f in fields])
-    sym = np.stack([linear_symbol(g, eq.m, alpha)[:band] for alpha in eq.alphas])
+    sym = np.stack([linear_symbol(g, eq.m, alpha) for alpha in eq.alphas])
     NV, _ = evaluated(eq, g, V)
     half = np.zeros((len(fields), g.xi.size), dtype=complex)
     half[:, :band] = sym * V + NV
@@ -483,6 +483,24 @@ class TestRecordedStates:
         assert np.array_equal(half_spectra(traj.final), half_spectra(traj.states[4]))
         with pytest.raises(IndexError):
             traj.states[5]
+
+    def test_a_read_builds_its_fields_without_synthesize(self, monkeypatch):
+        # record has checked every state, so a read neither copies nor checks
+        # it again; the name dynamics binds is where such a call would go
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return spectral.synthesize(*args)
+
+        monkeypatch.setattr(dynamics, "synthesize", counted, raising=False)
+        g = Grid(64.0, 256)
+        for eq, init in three_flows(g):
+            traj = integrate(EvolutionSpec(equation=eq, dt=1e-3, t_end=4e-3, record_every=1), init)
+            for state in [*traj.states, traj.final]:
+                fields = state if isinstance(state, tuple) else (state,)
+                assert all(not f.spectrum.flags.writeable for f in fields)
+        assert calls == []
 
     def test_a_slice_is_a_view_of_the_same_rows(self):
         g = Grid(64.0, 256)
@@ -986,6 +1004,21 @@ class TestSoliton:
         with pytest.raises(ConfigurationError):
             soliton(1.0, 99.0, g)
 
+    def test_width_the_grid_sees_at_one_node_is_refused(self):
+        # sech(dx / width) < 1e-12: a node next to the peak holds less than
+        # 1e-12 of it; tested with no divide, which overflowed for width 5e-324
+        g = Grid(64.0, 512)
+        edge = g.dx / math.acosh(1e12)
+        assert sech(1.0, 1.001 * edge, 32.0, g).samples.max() == 1.0
+        pattern = r"width .* is below dx/acosh\(1e12\), dx = grid\.L/grid\.N = 0\.125: "
+        for make, args, key in ((sech, (1.0, 0.999 * edge, 32.0), "width"), (sech, (1.0, 5e-324, 32.0), "width"),
+                                (soliton, (1.001 / edge, 32.0), "k"), (soliton, (5e307, 32.0), "k")):
+            with pytest.raises(ConfigurationError, match=pattern) as err:
+                make(*args, g)
+            assert err.value.key == key
+        # the coarsest packaged-width grid the tests run, width / dx = 0.25
+        assert sech(1.0, 1.0, 32.0, Grid(64.0, 16)).samples.max() == 1.0
+
     def test_edge_error_is_stated_in_k_and_x0(self):
         # soliton data has no width: its advice names what it reads
         g = Grid(64.0, 512)
@@ -1287,7 +1320,8 @@ class TestLinearSymbol:
         for m in (3, 5, 7):
             sym = linear_symbol(g, m)
             assert np.allclose(sym[1], 1j * g.xi[1] ** m)
-            assert sym[g.nyquist_index] == 0.0
+            # the band k = 0..N/4 alone, which integrate evolves
+            assert sym.shape == (g.N // 4 + 1,)
             # purely imaginary, so the implied sym(-k) = -sym(k) = conj(sym(k))
             # and the flow preserves real fields
             assert np.all(sym.real == 0.0)

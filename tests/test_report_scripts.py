@@ -1,10 +1,11 @@
 """The scripts under tests/: the report dump, which prints the lines of
 tests/report_hashes.txt, the report comparison under a reader that stops
 early, and the line trace of the packaged runs with its check against
-tests/traffic.txt."""
+tests/traffic.txt, shortened in tier-1."""
 
 import inspect
 import json
+import os
 import subprocess
 import sys
 from collections import Counter
@@ -148,3 +149,15 @@ def test_traffic_list_names_live_functions_with_reasons():
     for key, (count, reason) in listed.items():
         assert 1 <= count <= functions[key], f"{key} lists {count} of its {functions[key]} executable lines"
         assert reason in traffic.REASONS, f"{key}: {reason!r} is not one of traffic.REASONS"
+
+
+def test_short_traffic_check_passes_in_a_fresh_interpreter():
+    # a fresh interpreter imports the package under the trace, as a hand run
+    # does; inside pytest the functions its import calls would read unreached
+    src = str(Path(gevreyflow.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    listed = Path(__file__).with_name("traffic.txt")
+    command = [sys.executable, str(Path(traffic.__file__)), "--short", "--check", str(listed)]
+    run = subprocess.run(command, capture_output=True, text=True, env=env, timeout=300)
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert run.stdout.splitlines()[-1].startswith("unreached lines: all ")
