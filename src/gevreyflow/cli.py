@@ -1,7 +1,8 @@
 """Command-line entry point.
 
-One subcommand per scenario, plus `all` for the six evolution scenarios
-in sequence.  Each run parses a config (packaged default unless --config
+One parser: a SCENARIO, one command per scenario or `all` for the six
+evolution scenarios in sequence, and five flags, given before or after
+it.  Each run parses a config (packaged default unless --config
 is given), applies --set/--seed overrides, executes the runner, writes
 report.json / series CSVs / runs.jsonl under <out>/<scenario>/, renders
 one SVG per series under plots/, and prints one line per verdict.
@@ -94,12 +95,7 @@ def _run_one(command: str, args) -> int:
     out_dir = _out_root(args, cfg) / scenario
     report_path = write_report(report, out_dir)
     for name, table in report.series.items():
-        style, path = _style_for(report, name), out_dir / "plots" / f"{name}.svg"
-        try:
-            write_plot(table, style, path)
-        except ConfigurationError:
-            # log axes drop every point of an all-zero series, such as zero data's drift
-            write_plot(table, replace(style, x_log=False, y_log=False), path)
+        write_plot(table, _style_for(report, name), out_dir / "plots" / f"{name}.svg")
     if not args.quiet:
         for name, v in report.verdicts.items():
             status = "PASS" if v.passed else "FAIL"
@@ -117,22 +113,17 @@ def main(argv=None) -> int:
         prog="gevreyflow",
         description="Damped dispersive flows: conservation, decay, and radius experiments.",
     )
-    sub = parser.add_subparsers(dest="command", metavar="SCENARIO")
-    for command in (*_COMMANDS, "all"):
-        p = sub.add_parser(command, help=f"run the {command} scenario" if command != "all" else "run the six evolution scenarios")
-        p.add_argument("--config", metavar="PATH", help="config file (default: packaged scenario config)")
-        p.add_argument("--out", metavar="DIR", help="output root (default: $GEVREYFLOW_OUT or config io.out_dir)")
-        p.add_argument("--set", action="append", metavar="KEY=VALUE", help="override a config key, repeatable")
-        p.add_argument("--seed", type=int, help="override the run seed")
-        p.add_argument("--quiet", action="store_true", help="suppress verdict lines")
-
+    parser.add_argument("command", metavar="SCENARIO", choices=(*_COMMANDS, "all"),
+                        help=f"one of {', '.join(_COMMANDS)}, or all for the six evolution scenarios")
+    parser.add_argument("--config", metavar="PATH", help="config file (default: packaged scenario config)")
+    parser.add_argument("--out", metavar="DIR", help="output root (default: $GEVREYFLOW_OUT or config io.out_dir)")
+    parser.add_argument("--set", action="append", metavar="KEY=VALUE", help="override a config key, repeatable")
+    parser.add_argument("--seed", type=int, help="override the run seed")
+    parser.add_argument("--quiet", action="store_true", help="suppress verdict lines")
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
-    if args.command is None:
-        parser.print_usage(sys.stderr)
-        return 1
 
     try:
         if args.command == "all":

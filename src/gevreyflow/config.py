@@ -131,8 +131,8 @@ class ScenarioConfig:
     sigma-scaling sign and sigmas, nonzero window and sigma-scaling data);
     build() makes the grid, the evolution spec and the initial data, so
     checks every module precondition and what depends on them.  The parser
-    calls it once to validate a config, and the driver once for the objects
-    it integrates.
+    calls it to validate a config, and the harness for the objects it
+    integrates.
     """
 
     scenario: str = "conservation"
@@ -185,7 +185,8 @@ class ScenarioConfig:
         _check(self.c1_safety >= 1, "run.c1_safety", f"must be >= 1, got {self.c1_safety}")
         _check(self.k_max >= 0, "run.k_max", f"must be >= 0, got {self.k_max}")
         _check(self.window_records >= 1, "run.window_records", f"must be >= 1, got {self.window_records}")
-        _check(self.samples >= 1, "run.samples", f"must be >= 1, got {self.samples}")
+        # at about 80 bytes a sample, the sweeps stay under 2**30 bytes
+        _check(1 <= self.samples <= 2**23, "run.samples", f"must lie in [1, 2**23], got {self.samples}")
         if s == "sigma-scaling":
             _check(self.mu == -1, "equation.mu", f"must be -1, the defocusing sign, for sigma scaling, got {self.mu}")
             positive = [x for x in sigmas if x > 0]
@@ -200,9 +201,8 @@ class ScenarioConfig:
             _check(not zero, "data.kind", f"is zero{also}: {why}")
 
     def build(self) -> tuple[EvolutionSpec, object]:
-        """(spec, init): the configured flow as an EvolutionSpec, each damping
-        form constant (the raised cosine of amplitude 0) or raised_cosine; and
-        the data, which carries the grid, projected into the band integrate
+        """(spec, init): the configured flow as an EvolutionSpec, and the
+        data, which carries the grid, projected into the band integrate
         evolves, one field or the pair (data, data2) for the coupled family.
         Raises on the first violated precondition of these objects, each type
         checking its own (a damping profile its (A1) floor), keyed to the

@@ -44,7 +44,7 @@ transforms are most of a step, and the rest of it is the fixed cost of
 about 30 small calls.  So the step loop keeps one rule: one call per
 operation, array operands only, out passed positionally, and no
 allocation per step.  The two transforms of each evaluation are
-spectral.irfft_into and rfft_into (see spectral).  Every other operation
+spectral.irfft_into and rfft_into.  Every other operation
 is one ufunc call, np.multiply or np.add, that writes into a buffer
 allocated once per integrate call; the state is updated in place, and
 each record copies it into its block row.  The
@@ -55,9 +55,8 @@ leading axis of length 1 or C, the shape of the rows it multiplies.  On a
 took 0.66 us and the same multiply by an array 0.40 us (numpy casts the
 float to complex128 either way, so the products are the same); out given
 positionally saved a further 0.07 us per call (median of 31 alternating
-repeats), and the array factor about 0.5 us per N = 512 transform against
-the float 1.0, which each call converted; max|w| as np.absolute into a
-buffer and np.maximum.reduce took 1.47 us, np.abs(w).max() 1.57 us.
+repeats); max|w| as np.absolute into a buffer and np.maximum.reduce took
+1.47 us, np.abs(w).max() 1.57 us.
 Factors that meet one operand are stacked where that saves a call with
 no broadcast: K1 and K4 are adjacent rows, scaled by (h/6) E^2 and
 h/6 in one multiply.  E V and E^2 V stay two calls, because one multiply
@@ -94,7 +93,7 @@ MAX_PLAN_BYTES, MAX_PLAN_STEPS = 2**30, 2**53  # past 2**53 steps, step * h is i
 class RaisedCosineDamping:
     """a(x) = floor + amplitude * (1 + cos(2 pi x / length)).  Its closed
     form is its certificate, so construction checks only the inputs: (A1),
-    amplitude >= 0 and a positive, finite length.
+    amplitude >= 0, a finite sup and a positive, finite length.
 
     (A1) min a = floor > 0, reached at x = length/2, a node of every even-N grid.
     (A2) sup|d^k a| = amplitude R^k <= C R^k k! for every k >= 1, with
@@ -118,8 +117,9 @@ class RaisedCosineDamping:
         # each comparison is False for nan, so nan is rejected too
         if not 0 < self.floor < math.inf:
             raise ConfigurationError(f"damping floor must be positive (A1) and finite, got {self.floor}", "floor")
-        if not 0 <= self.amplitude < math.inf:
-            raise ConfigurationError(f"damping amplitude must be >= 0 and finite, got {self.amplitude}", "amplitude")
+        if not (0 <= self.amplitude and self.sup < math.inf):
+            message = f"damping amplitude must be >= 0 and floor + 2 amplitude finite, got {self.amplitude}"
+            raise ConfigurationError(message, "amplitude")
         if not 0 < self.length < math.inf:
             raise ConfigurationError(f"damping length must be positive and finite, got {self.length}", "length")
 
@@ -235,7 +235,6 @@ class RunPlan:
     n_rec: int
     n_steps: int
     h: float
-    record_every: int
     times_bytes: int
     band_bytes: int
 
@@ -343,7 +342,7 @@ def plan_run(spec: EvolutionSpec, init, runs: int = 1, key: str = "t_end", keeps
     n_rec = max(1, math.ceil(min(spec.t_end / (spec.dt * spec.record_every) - 1e-9, 2.0**54)))
     band = (init[0] if isinstance(init, tuple) else init).grid.band
     n_steps, row_bytes = n_rec * spec.record_every, 16 * len(spec.equation.alphas) * band
-    plan = RunPlan(n_rec, n_steps, spec.t_end / n_steps, spec.record_every, 8 * (n_rec + 1), row_bytes * (n_rec + 1))
+    plan = RunPlan(n_rec, n_steps, spec.t_end / n_steps, 8 * (n_rec + 1), row_bytes * (n_rec + 1))
     if runs * n_steps > MAX_PLAN_STEPS:
         raise ConfigurationError(f"{key} plans more than 2**53 steps", key)
     if runs * (plan.times_bytes + keeps_band * plan.band_bytes) > MAX_PLAN_BYTES:
@@ -472,7 +471,7 @@ def integrate(spec: EvolutionSpec, init, observe=None) -> Trajectory:
     record(0, 0.0)
     step = 0
     for r in range(1, n_rec + 1):
-        for _ in range(plan.record_every):
+        for _ in range(spec.record_every):
             evaluate(V, K1)
             peak = float(peak_of(absolute(w, abs_w), axis=None))
             guard = guard_num / (peak * peak + guard_den)
@@ -517,12 +516,12 @@ def sech(amplitude: float, width: float, center: float, grid: Grid) -> SpectralF
     """The profile amplitude * sech((x - center) / width).
 
     Its transform decays like exp(-pi width |xi| / 2), so its analyticity
-    radius is pi*width/2.  Requires a positive amplitude and width, the
-    center in [0, L], and a width and tail that the grid resolves (see
-    _check_profile).
+    radius is pi*width/2.  Requires 0 < N amplitude < inf, which bounds the
+    unnormalised transform, a positive width, the center in [0, L], and a
+    width and tail that the grid resolves (see _check_profile).
     """
-    if not 0 < amplitude < math.inf:
-        raise ConfigurationError(f"sech amplitude must be positive and finite, got {amplitude}", "amplitude")
+    if not 0 < grid.N * amplitude < math.inf:
+        raise ConfigurationError(f"sech amplitude must be positive and N times it finite, got {amplitude}", "amplitude")
     if not 0 < width < math.inf:
         raise ConfigurationError(f"sech width must be positive and finite, got {width}", "width")
     if not 0.0 <= center <= grid.L:
@@ -551,13 +550,13 @@ def soliton(k: float, x0: float, grid: Grid) -> tuple[SpectralField, float]:
 
     Returns (field, speed) with speed = k^2: u(x - speed*t) solves
     u_t + u_xxx + u^2 u_x = 0.  The field is sech(sqrt(6) k, 1/k, x0, grid),
-    with that function's checks stated in k and x0, the finite peak
-    sqrt(6) k among them; its analyticity radius is pi/(2k).
+    with that function's checks stated in k and x0, the finite N sqrt(6) k
+    among them; its analyticity radius is pi/(2k).
     """
     if not 0 < k < math.inf:
         raise ConfigurationError(f"soliton width parameter must be positive and finite, got k={k}", "k")
-    if not PEAK_FACTOR * k < math.inf:
-        raise ConfigurationError(f"soliton peak sqrt(6) k must be finite, got k={k}", "k")
+    if not grid.N * PEAK_FACTOR * k < math.inf:
+        raise ConfigurationError(f"soliton N sqrt(6) k must be finite, got k={k}", "k")
     if not 0.0 <= x0 <= grid.L:
         raise ConfigurationError(f"soliton center outside the domain [0, {grid.L}], got x0={x0}", "x0")
     _check_profile("soliton", x0, 1.0 / k, grid, "enlarge L, raise k, or recenter x0", ("x0", "k"))

@@ -155,7 +155,7 @@ def _conservation(cfg: ScenarioConfig, spec: EvolutionSpec, init):
     names = ("inv0", "inv1", "inv2")
 
     def invariants(states, times):
-        rows = conserved_combinations(functional_A(states, 0.0, cfg.mu))
+        rows = conserved_combinations(functional_A(states, 0.0, spec.equation.mu))
         return np.column_stack([rows[n] for n in names])
 
     [traj] = yield [(spec, init, "trajectory", 0.0, invariants)]
@@ -194,7 +194,7 @@ def _sigma_scaling(cfg: ScenarioConfig, spec: EvolutionSpec, init):
     sigmas = np.asarray(cfg.sigmas, dtype=float)
 
     def a_sigma(states, times):
-        return functional_A(states, sigmas, cfg.mu).total
+        return functional_A(states, sigmas, spec.equation.mu).total
 
     [traj] = yield [(spec, init, "trajectory", 0.0, a_sigma)]
 
@@ -327,9 +327,9 @@ def _iterate_windows(cfg: ScenarioConfig, spec: EvolutionSpec, state):
     # the config rejects zero data, so M_sigma0 > 0
     l2_sq, m0_sigma0 = _component_masses([state], [0.0, cfg.sigma0]).sum(axis=0)[0].tolist()
     T0 = lifespan_T0(a_norm0, m0_sigma0, cfg.c0, cfg.d)
-    if T0 < cfg.dt:
+    if T0 < spec.dt:
         raise ConfigurationError(
-            f"window length T0 = {T0:.6g} is shorter than one step evolution.dt = {cfg.dt:g}; "
+            f"window length T0 = {T0:.6g} is shorter than one step evolution.dt = {spec.dt:g}; "
             "raise run.c0 or shrink the data or the damping", "run.c0"
         )
 
@@ -337,7 +337,7 @@ def _iterate_windows(cfg: ScenarioConfig, spec: EvolutionSpec, state):
     # one's final state; the empirical C1 policy calibrates on window 0,
     # which so runs even at k_max = 0.  T0 >= dt, so the cadence is >= 1; T0 / dt
     # is capped at 2**53 steps.  One window's plan fails as run.c0's, k_max windows as run.k_max's
-    cadence = math.ceil(math.ceil(min(T0 / cfg.dt, 2.0**53)) / cfg.window_records)
+    cadence = math.ceil(math.ceil(min(T0 / spec.dt, 2.0**53)) / cfg.window_records)
     window_spec = replace(spec, t_end=T0, record_every=cadence)
     plan_run(window_spec, state, 1, "run.c0")
     plan_run(window_spec, state, cfg.k_max, "run.k_max")
@@ -515,9 +515,8 @@ def _inequalities(cfg: ScenarioConfig, spec: EvolutionSpec, init):
     rhs = (np.abs(sigma * xi)) ** (2.0 * theta2)
     v_cosh, m_cosh = _violations(cosh_minus_one_margin(sigma, xi, theta2), rhs, tol)
 
-    lower, upper = equivalence_margins(sigma, xi)
-    v_eq = int(np.sum(lower < -tol) + np.sum(upper < -tol))
-    m_eq = float(min(lower.min(), upper.min()))
+    # at most one of the two margins is negative
+    v_eq, m_eq = _violations(np.minimum(*equivalence_margins(sigma, xi)), 1.0, tol)
 
     entry = load_manifest()["triple_cosh"]
     K, lattice = float(entry["constant"]), entry["scan"]

@@ -19,8 +19,9 @@ parses back to the identical double; the csv module quotes per RFC 4180.
 plot_series renders one series table to a self-contained SVG: first
 column is x, every other column is a curve.  Columns named like bounds
 ("envelope", "limit", "bound") are drawn dashed so overlays read as
-overlays.  Log axes drop nonpositive points; a curve reduced to a single
-point is drawn as a marker instead of a polyline.
+overlays.  Log axes drop nonpositive points, and a table left with none
+is drawn on linear axes; a curve reduced to a single point is drawn as a
+marker instead of a polyline.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import hashlib
 import json
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 from .errors import ConfigurationError
@@ -200,7 +202,8 @@ def _escape(text: str) -> str:
 
 
 def plot_series(table: dict, style: PlotStyle = PlotStyle()) -> str:
-    """Render one series table (first column x, rest curves) to SVG text."""
+    """Render one series table (first column x, rest curves) to SVG text,
+    on linear axes where the style's log axes would drop every point."""
     columns = list(table)
     if len(columns) < 2:
         raise ConfigurationError("plot needs an x column and at least one curve")
@@ -217,7 +220,9 @@ def plot_series(table: dict, style: PlotStyle = PlotStyle()) -> str:
         if pts:
             curves[name] = pts
     if not curves:
-        raise ConfigurationError("no finite points to plot (log axes drop nonpositive values)")
+        if style.x_log or style.y_log:
+            return plot_series(table, replace(style, x_log=False, y_log=False))
+        raise ConfigurationError("no finite points to plot")
 
     all_x = [p[0] for pts in curves.values() for p in pts]
     all_y = [p[1] for pts in curves.values() for p in pts]

@@ -69,6 +69,12 @@ from .errors import ConfigurationError, SymmetryError
 from .records import frozen
 
 
+# the largest mode count: the grid's x, xi and multiplicity hold 16 N bytes,
+# and one rhs evaluation of the damped pair (dynamics.nonlinear_term) about
+# 108 N more, its samples, products and their transforms; at N = 2**23 the
+# 124 N bytes stay under 2**30
+MAX_N = 2**23
+
 # the unit factor of both kernels, an array operand that no call converts
 _UNIT = np.array(1.0)
 _UNIT.flags.writeable = False
@@ -91,7 +97,7 @@ def rfft_into(samples: np.ndarray, out: np.ndarray, factor: float | np.ndarray =
 
 @frozen
 class Grid:
-    """Uniform periodic grid on [0, L) with N nodes, N even and >= 16, and L
+    """Uniform periodic grid on [0, L) with N nodes, N even in [16, MAX_N], and L
     with L/N > 0 and pi*N/L and 2*L finite (else raises ConfigurationError).
 
     Attributes are read-only arrays: x the nodes; xi = 2*pi*k/L the
@@ -107,8 +113,9 @@ class Grid:
     multiplicity: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.N < 16 or self.N % 2 != 0:
-            raise ConfigurationError(f"mode count must be even and >= 16, got N={self.N}", "N")
+        # refused before any array is made
+        if not 16 <= self.N <= MAX_N or self.N % 2 != 0:
+            raise ConfigurationError(f"mode count must be even and in [16, 2**23], got N={self.N}", "N")
         if not (0 < self.L / self.N < np.inf and np.pi * self.N / self.L < np.inf and self.L < 2.0**1023):
             raise ConfigurationError(f"domain length must have L/N > 0, pi*N/L and 2*L finite, got L={self.L}", "L")
         # N % 2 == 0 above rules out every non-integral N, so int() is exact

@@ -674,9 +674,14 @@ class TestPlotting:
         )
         assert "polyline" in svg and "1e-1" in svg
 
-    def test_all_nonpositive_under_log_is_an_error(self):
-        with pytest.raises(ConfigurationError, match="no finite points"):
-            plot_series({"t": [1.0], "y": [-1.0]}, PlotStyle(y_log=True))
+    def test_all_nonpositive_under_log_is_drawn_on_linear_axes(self):
+        table = {"t": [0.0, 1.0], "y": [0.0, -1.0]}
+        for style in (PlotStyle(y_log=True), PlotStyle(x_log=True, y_log=True, title="drift")):
+            assert plot_series(table, style) == plot_series(table, dataclasses.replace(style, x_log=False, y_log=False))
+        # no finite value is drawn on any axes
+        for style in (PlotStyle(), PlotStyle(y_log=True)):
+            with pytest.raises(ConfigurationError, match="no finite points"):
+                plot_series({"t": [1.0], "y": [math.nan]}, style)
 
     def test_single_point_becomes_marker(self):
         svg = plot_series({"t": [1.0], "y": [2.0]})
@@ -708,6 +713,11 @@ class TestCli:
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
+
+    def test_flags_may_come_before_the_scenario(self, tmp_path, capsys):
+        # one parser declares the flags once, for every position
+        assert main(["--quiet", "--out", str(tmp_path), "inequalities", "--set", "run.samples=2000"]) == 0
+        assert capsys.readouterr().out == "" and (tmp_path / "inequalities" / "report.json").exists()
 
     def test_inequalities_run_and_layout(self, tmp_path, capsys):
         code = main(
@@ -916,14 +926,23 @@ class TestCli:
             # band phases per step xi_K^m dt of 2^794.7 and 2^3.651e+04 rad, past 2^26
             ("damping", "equation.m=221", "equation.m", "equation: band-edge phase per step xi_K^m dt = 2^"),
             ("damping", "equation.m=10001", "equation.m", "equation: band-edge phase per step xi_K^m dt = 2^"),
-            # widths below dx / acosh(1e12) = 0.0044, seen at one node: the divide
-            # of sech overflowed
+            # widths below dx / acosh(1e12) = 0.0044, seen at one node; the divide
+            # of sech overflowed at 5e-324
             ("damping", "data.width=5e-324", "data.width", "data: sech width 4.94e-324 is below dx/acosh(1e12)"),
-            ("conserve", "data.k=5e307", "data.k", "data: soliton width 2e-308 is below dx/acosh(1e12)"),
+            ("conserve", "data.k=1e300", "data.k", "data: soliton width 1e-300 is below dx/acosh(1e12)"),
             # the packaged width 1 at dx = 2e297 and 1.6e305, which ended in a T0
             # error and an unkeyed M_sigma overflow
             ("iterate", "grid.L=1e300", "data.width", "configs/iterate.cfg: line 20, col 1: data: sech width 1 is"),
             ("iterate", "grid.L=8e307", "data.width", "configs/iterate.cfg: line 20, col 1: data: sech width 1 is"),
+            # inputs numpy cannot hold: 2**40 nodes asked it for 8 TiB in np.arange,
+            # 10**12 samples for 3.64 TiB in the first sweep
+            ("conserve", "grid.N=1099511627776", "grid.N", "grid: mode count must be even and in [16, 2**23], got N="),
+            ("inequalities", "run.samples=1000000000000", "run.samples", "run.samples must lie in [1, 2**23], got 1"),
+            # N amplitude = inf: the transform of the data overflowed into NaN
+            ("radius", "data.amplitude=1e308", "data.amplitude", "data: sech amplitude must be positive and N times"),
+            ("coupled", "data2.amplitude=1e307", "data2.amplitude", "data2: sech amplitude must be positive and N times"),
+            # floor + 2 amplitude = inf: the profile overflowed, and the dt guard read 0
+            ("damping", "damping.amplitude=1e308", "damping.amplitude", "damping: damping amplitude must be >= 0 and"),
         ],
     )
     def test_input_the_step_or_grid_cannot_resolve_is_refused_at_parse_time(
@@ -937,6 +956,17 @@ class TestCli:
         assert main([command, "--out", str(tmp_path), "--quiet", "--set", override]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+    def test_samples_bound_admits_2_23(self):
+        assert parse_config_text(packaged_text("inequalities"), [f"run.samples={2**23}"]).samples == 2**23
+        with pytest.raises(ConfigurationError, match=r"must lie in \[1, 2\*\*23\], got 8388609$"):
+            parse_config_text(packaged_text("inequalities"), [f"run.samples={2**23 + 1}"])
+
+    def test_damping_amplitude_with_a_finite_sup_still_ends_at_the_dt_guard(self, tmp_path, capsys):
+        # sup a = 1 + 2e307 is finite, so the profile is built and the guard reads 3e-309
+        assert main(["damping", "--out", str(tmp_path), "--quiet", "--set", "damping.amplitude=1e307"]) == 1
+        err = capsys.readouterr().err
+        assert "exceeds the advective guard" in err and err.endswith("; lower evolution.dt\n")
 
     def test_band_phase_bound_admits_m_9_and_refuses_m_11_at_the_packaged_grid(self):
         # xi_K = 4 pi, dt = 2e-4: 1.6e6 rad (2^20.6) and 2.5e8 rad (2^27.9) per step

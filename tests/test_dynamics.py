@@ -147,21 +147,29 @@ class TestDampingProfiles:
             (math.nan, 0.5, 64.0, r"^damping floor must be positive \(A1\) and finite, got nan$"),
             # (A1) is checked first
             (-1.0, -0.5, 64.0, r"^damping floor must be positive \(A1\) and finite, got -1\.0$"),
-            (1.0, -0.5, 64.0, r"^damping amplitude must be >= 0 and finite, got -0\.5$"),
-            (1.0, math.nan, 64.0, r"^damping amplitude must be >= 0 and finite, got nan$"),
+            (1.0, -0.5, 64.0, r"^damping amplitude must be >= 0 and floor \+ 2 amplitude finite, got -0\.5$"),
+            (1.0, math.nan, 64.0, r"^damping amplitude must be >= 0 and floor \+ 2 amplitude finite, got nan$"),
             (1.0, 0.5, 0.0, r"^damping length must be positive and finite, got 0\.0$"),
             (1.0, 0.5, math.inf, r"^damping length must be positive and finite, got inf$"),
             # an infinite floor or amplitude made every sup and norm inf
             (math.inf, 0.0, 64.0, r"^damping floor must be positive \(A1\) and finite, got inf$"),
-            (1.0, math.inf, 64.0, r"^damping amplitude must be >= 0 and finite, got inf$"),
+            (1.0, math.inf, 64.0, r"^damping amplitude must be >= 0 and floor \+ 2 amplitude finite, got inf$"),
+            # a finite amplitude whose sup overflowed the profile, and the dt guard read 0
+            (1.0, 1e308, 64.0, r"^damping amplitude must be >= 0 and floor \+ 2 amplitude finite, got 1e\+308$"),
         ],
         ids=["floor-0", "floor-neg", "floor-nan", "floor-and-amplitude-neg", "amplitude-neg", "amplitude-nan",
-             "length-0", "length-inf", "floor-inf", "amplitude-inf"],
+             "length-0", "length-inf", "floor-inf", "amplitude-inf", "amplitude-sup-inf"],
     )
     def test_rejects_inputs_outside_its_certificate(self, floor, amplitude, length, pattern):
         # the type checks what (A1) and its closed form need; nan fails every check
-        with pytest.raises(ConfigurationError, match=pattern):
+        with pytest.raises(ConfigurationError, match=pattern) as err:
             RaisedCosineDamping(floor, amplitude, length)
+        assert err.value.key in ("floor", "amplitude", "length")
+
+    def test_profile_of_a_finite_sup_is_finite(self):
+        # floor + 2 amplitude = 2e307 bounds every value, so none overflows
+        a = RaisedCosineDamping(1.0, 1e307, 64.0)
+        assert np.isfinite(a.values(Grid(64.0, 64))).all() and a.sup == 2e307
 
 
 class TestEquationTypes:
@@ -448,6 +456,24 @@ class TestBuffers:
         evaluate(V1, again)
         assert np.array_equal(again, out1) and np.array_equal(samples, w1)
         assert np.array_equal(V1, V1_in) and np.array_equal(V2, V2_in)
+
+    def test_mode_count_bound_holds_the_grid_and_one_rhs_evaluation_in_2_30_bytes(self):
+        # the damped pair's rhs is the largest: 108 N bytes, and the grid's arrays 16 N
+        N, band = 2**16, 2**14 + 1
+        V, out = np.zeros((2, band), dtype=complex), np.empty((2, band), dtype=complex)
+        a = RaisedCosineDamping(1.0, 0.25, 64.0)
+        tracemalloc.start()
+        try:
+            grid = Grid(64.0, N)
+            evaluate, _ = nonlinear_term(Equation(mu=1, alphas=(1.0, 0.5), dampings=(a, a)), grid)
+            evaluate(V, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 124 * N <= peak < 124 * N + 2**14
+        assert 124 * spectral.MAX_N <= 2**30 < 124 * 2 * spectral.MAX_N
+        # the largest N the tests use, and the benchmark's
+        assert Grid(64.0, 8192).N == 8192 and Grid(64.0, 2048).N == 2048
 
     @pytest.mark.parametrize("flow", [0, 1, 2])
     def test_records_match_runs_stopped_there(self, flow):
@@ -888,8 +914,7 @@ class TestRunPlan:
 
     @staticmethod
     def assert_bounds(spec, plan):
-        assert plan.n_rec >= 1 and plan.n_steps == plan.n_rec * plan.record_every
-        assert plan.record_every == spec.record_every
+        assert plan.n_rec >= 1 and plan.n_steps == plan.n_rec * spec.record_every
         assert Fraction(plan.h) <= Fraction(spec.dt) * (1 + Fraction(1e-9) + Fraction(2) ** -50)
 
     @settings(max_examples=400, derandomize=True)
@@ -1012,7 +1037,7 @@ class TestSoliton:
         assert sech(1.0, 1.001 * edge, 32.0, g).samples.max() == 1.0
         pattern = r"width .* is below dx/acosh\(1e12\), dx = grid\.L/grid\.N = 0\.125: "
         for make, args, key in ((sech, (1.0, 0.999 * edge, 32.0), "width"), (sech, (1.0, 5e-324, 32.0), "width"),
-                                (soliton, (1.001 / edge, 32.0), "k"), (soliton, (5e307, 32.0), "k")):
+                                (soliton, (1.001 / edge, 32.0), "k"), (soliton, (1e300, 32.0), "k")):
             with pytest.raises(ConfigurationError, match=pattern) as err:
                 make(*args, g)
             assert err.value.key == key
@@ -1032,20 +1057,31 @@ class TestSoliton:
             (soliton, (math.inf, 32.0), r"^soliton width parameter must be positive and finite, got k=inf$", "k"),
             (soliton, (math.nan, 32.0), r"^soliton width parameter must be positive and finite, got k=nan$", "k"),
             # a finite k whose peak sqrt(6) k overflows was rejected as sech's amplitude
-            (soliton, (1e308, 32.0), r"^soliton peak sqrt\(6\) k must be finite, got k=1e\+308$", "k"),
-            (sech, (math.inf, 1.0, 32.0), r"^sech amplitude must be positive and finite, got inf$", "amplitude"),
-            (sech, (math.nan, 1.0, 32.0), r"^sech amplitude must be positive and finite, got nan$", "amplitude"),
+            (soliton, (1e308, 32.0), r"^soliton N sqrt\(6\) k must be finite, got k=1e\+308$", "k"),
+            (sech, (math.inf, 1.0, 32.0), r"^sech amplitude must be positive and N times it finite, got inf$", "amplitude"),
+            (sech, (math.nan, 1.0, 32.0), r"^sech amplitude must be positive and N times it finite, got nan$", "amplitude"),
+            # N amplitude = inf: the transform overflowed into NaN
+            (sech, (1e308, 1.0, 32.0), r"^sech amplitude must be positive and N times it finite, got 1e\+308$",
+             "amplitude"),
+            (sech, (1e307, 1.0, 32.0), r"^sech amplitude must be positive and N times it finite, got 1e\+307$",
+             "amplitude"),
             (sech, (1.0, math.nan, 32.0), r"^sech width must be positive and finite, got nan$", "width"),
             (sech, (1.0, math.inf, 32.0), r"^sech width must be positive and finite, got inf$", "width"),
         ],
         ids=["soliton-k-inf", "soliton-k-nan", "soliton-peak-inf", "sech-amplitude-inf", "sech-amplitude-nan",
-             "sech-width-nan", "sech-width-inf"],
+             "sech-N-amplitude-inf", "sech-N-amplitude-inf-1e307", "sech-width-nan", "sech-width-inf"],
     )
     def test_rejects_non_finite_parameters(self, make, args, pattern, key):
         # k = inf divided by zero, and a nan width reached analyze
         with pytest.raises(ConfigurationError, match=pattern) as err:
             make(*args, Grid(64.0, 512))
         assert err.value.key == key
+
+    def test_amplitude_with_N_amplitude_finite_transforms_without_overflow(self):
+        # sum |f_j| <= N amplitude bounds every sum of the unnormalised transform
+        g = Grid(64.0, 512)
+        fld = sech(np.nextafter(np.finfo(float).max / g.N, 0.0), 1.0, 32.0, g)
+        assert np.isfinite(fld.spectrum).all()
 
     def test_transform_decay_rate(self):
         # |F_k| tracks (sqrt(6) pi / L) sech(pi xi / (2k)): slope -pi/2 for k=1

@@ -92,6 +92,13 @@ class TestGrid:
         widest = Grid(np.nextafter(2.0**1023, 0), 16)
         assert np.isfinite(widest.L * widest.multiplicity).all()
 
+    @pytest.mark.parametrize("N", [2**23 + 2, 2**40])
+    def test_rejects_a_mode_count_past_its_bound_before_any_array(self, N):
+        # 2**40 nodes asked numpy for 8 TiB in np.arange
+        with pytest.raises(ConfigurationError, match=rf"^mode count must be even and in \[16, 2\*\*23\], got N={N}$") as err:
+            Grid(64.0, N)
+        assert err.value.key == "N"
+
     def test_stores_float_length_and_int_count(self):
         g = Grid(64, 256.0)
         assert (type(g.L), type(g.N)) == (float, int)
