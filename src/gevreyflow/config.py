@@ -18,8 +18,8 @@ default, so an empty file is a valid conservation scenario; nan and inf
 are rejected.  _resolve holds the dynamic defaults: data centers fall at
 L/2, damping2 and the numeric data2 fields mirror their first-component
 sections, and theta falls back to the largest admissible exponent for the
-configured order (the field default 0.45 for the third-order families,
-where that formula does not apply).  Every value a config is rejected
+configured order (the field default 0.45 for the third-order families
+and an even order, where that formula does not apply).  Every value a config is rejected
 for is rejected here, naming its key, but four that need what the run
 computes: a window lifespan T0 below evolution.dt, a window plan past
 dynamics.plan_run's bounds (run.c0, run.k_max) and a t = 0 radius fit
@@ -99,8 +99,8 @@ class DataConfig:
 @frozen
 class Tolerances:
     """The tolerance each verdict is judged against, the section
-    tolerances; construction rejects a negative one, slope_lo at or above
-    slope_hi and r2_min above 1."""
+    tolerances; construction rejects one outside [0, 1], a slope bound
+    below 0 and slope_lo at or above slope_hi."""
 
     conservation: float = 1e-6
     rate: float = 1e-5
@@ -116,10 +116,10 @@ class Tolerances:
 
     def __post_init__(self):
         for key, value in vars(self).items():
-            _check(value >= 0, f"tolerances.{key}", f"must be >= 0, got {value}")
+            top = math.inf if key.startswith("slope") else 1
+            _check(0 <= value <= top, f"tolerances.{key}", f"must lie in [0, {top}], got {value}")
         lo, hi = self.slope_lo, self.slope_hi
         _check(lo < hi, "tolerances.slope_lo", f"must be below slope_hi, got {lo} >= {hi}")
-        _check(self.r2_min <= 1, "tolerances.r2_min", f"must be <= 1, got {self.r2_min}")
 
 
 @frozen
@@ -452,9 +452,8 @@ def _resolve(values: dict) -> dict:
         out.setdefault(("damping2", key), given_or_default("damping", key))
     for key in ("k", "x0", "amplitude", "width", "center"):
         out.setdefault(("data2", key), given_or_default("data", key))
-    # the third-order families keep the field default of theta
     m = given_or_default("equation", "m")
-    if given_or_default("equation", "family") == "mkdvm" and m >= 5:
+    if given_or_default("equation", "family") == "mkdvm" and m >= 5 and m % 2:
         out.setdefault(("run", "theta"), float(theta_max(m)))
     return {**_FIELD_DEFAULTS, **out}
 

@@ -344,7 +344,7 @@ def plan_run(spec: EvolutionSpec, init, runs: int = 1, key: str = "t_end", keeps
     n_steps, row_bytes = n_rec * spec.record_every, 16 * len(spec.equation.alphas) * band
     plan = RunPlan(n_rec, n_steps, spec.t_end / n_steps, 8 * (n_rec + 1), row_bytes * (n_rec + 1))
     if runs * n_steps > MAX_PLAN_STEPS:
-        raise ConfigurationError(f"{key} plans more than 2**53 steps", key)
+        raise ConfigurationError(f"{key} plans more than 2**53 steps of dt = {spec.dt:g}", key)
     if runs * (plan.times_bytes + keeps_band * plan.band_bytes) > MAX_PLAN_BYTES:
         raise ConfigurationError(f"{key} plans {runs * (n_rec + 1):.6g} records, more than 2**30 bytes", key)
     return plan

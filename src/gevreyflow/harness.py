@@ -337,7 +337,7 @@ def _iterate_windows(cfg: ScenarioConfig, spec: EvolutionSpec, state):
     # one's final state; the empirical C1 policy calibrates on window 0,
     # which so runs even at k_max = 0.  T0 >= dt, so the cadence is >= 1; T0 / dt
     # is capped at 2**53 steps.  One window's plan fails as run.c0's, k_max windows as run.k_max's
-    cadence = math.ceil(math.ceil(min(T0 / spec.dt, 2.0**53)) / cfg.window_records)
+    cadence = -(-math.ceil(min(T0 / spec.dt, 2.0**53)) // cfg.window_records)
     window_spec = replace(spec, t_end=T0, record_every=cadence)
     plan_run(window_spec, state, 1, "run.c0")
     plan_run(window_spec, state, cfg.k_max, "run.k_max")

@@ -31,6 +31,7 @@ import hashlib
 import json
 import math
 import re
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -156,17 +157,17 @@ _ML, _MR, _MT, _MB = 64.0, 18.0, 30.0, 44.0
 
 
 def _nice_ticks(lo: float, hi: float) -> list:
-    """About 5 ticks at round steps over lo < hi; plot_series pads a flat range."""
+    """At most 6 ticks at round steps over lo < hi with (hi - lo) / 5 normal;
+    the count ends the loop where a step is below half an ulp of t."""
     raw = (hi - lo) / 5
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         step = mult * mag
         if (hi - lo) / step <= 5:
             break
-    first = math.ceil(lo / step) * step
     ticks = []
-    t = first
-    while t <= hi + 0.5 * step * 1e-9:
+    t = math.ceil(lo / step) * step
+    while t <= hi + 0.5 * step * 1e-9 and len(ticks) < 6:
         ticks.append(0.0 if abs(t) < step * 1e-9 else t)
         t += step
     return ticks or [lo]
@@ -179,6 +180,19 @@ def _log_ticks(lo: float, hi: float) -> list:
     return [float(d) for d in decades[::step]]
 
 
+def _axis(values, log: bool) -> tuple:
+    """lo, hi and the ticks in them of one axis over values: a range whose
+    fifth is not normal (a flat one too) is padded, one past double range refused."""
+    lo, hi = min(values), max(values)
+    if (hi - lo) / 5 < sys.float_info.min:
+        pad = max(abs(lo) * 0.5, 0.5)
+        lo, hi = lo - pad, hi + pad
+    if not math.isfinite(hi - lo):
+        raise ConfigurationError("plot range is past double range")
+    ticks = _log_ticks(lo, hi) if log else _nice_ticks(lo, hi)
+    return lo, hi, [t for t in ticks if lo <= t <= hi]
+
+
 def _fmt_tick(value: float, log: bool) -> str:
     if log:
         return f"1e{int(value)}"  # _log_ticks gives whole decades
@@ -188,9 +202,7 @@ def _fmt_tick(value: float, log: bool) -> str:
 def _transform(values, log: bool):
     out = []
     for v in values:
-        if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
-            out.append(None)
-        elif log and v <= 0:
+        if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v) or log and v <= 0:
             out.append(None)
         else:
             out.append(math.log10(v) if log else float(v))
@@ -202,19 +214,16 @@ def _escape(text: str) -> str:
 
 
 def plot_series(table: dict, style: PlotStyle = PlotStyle()) -> str:
-    """Render one series table (first column x, rest curves) to SVG text,
-    on linear axes where the style's log axes would drop every point."""
+    """Render one series table to SVG text, as the module docstring lays out."""
     columns = list(table)
     if len(columns) < 2:
         raise ConfigurationError("plot needs an x column and at least one curve")
-    x_name, y_names = columns[0], columns[1:]
-    xs_raw = table[x_name]
-    if not xs_raw:
+    if not table[columns[0]]:
         raise ConfigurationError("plot has no rows")
 
-    xs = _transform(xs_raw, style.x_log)
+    xs = _transform(table[columns[0]], style.x_log)
     curves = {}
-    for name in y_names:
+    for name in columns[1:]:
         ys = _transform(table[name], style.y_log)
         pts = [(x, y) for x, y in zip(xs, ys) if x is not None and y is not None]
         if pts:
@@ -224,17 +233,9 @@ def plot_series(table: dict, style: PlotStyle = PlotStyle()) -> str:
             return plot_series(table, replace(style, x_log=False, y_log=False))
         raise ConfigurationError("no finite points to plot")
 
-    all_x = [p[0] for pts in curves.values() for p in pts]
-    all_y = [p[1] for pts in curves.values() for p in pts]
-    x_lo, x_hi = min(all_x), max(all_x)
-    y_lo, y_hi = min(all_y), max(all_y)
-    if x_hi == x_lo:
-        pad = max(abs(x_lo) * 0.5, 0.5)
-        x_lo, x_hi = x_lo - pad, x_hi + pad
-    if y_hi == y_lo:
-        pad = max(abs(y_lo) * 0.5, 0.5)
-        y_lo, y_hi = y_lo - pad, y_hi + pad
-
+    all_x, all_y = zip(*(p for pts in curves.values() for p in pts))
+    x_lo, x_hi, x_ticks = _axis(all_x, style.x_log)
+    y_lo, y_hi, y_ticks = _axis(all_y, style.y_log)
     plot_w, plot_h = _WIDTH - _ML - _MR, _HEIGHT - _MT - _MB
 
     def px(x):
@@ -242,11 +243,6 @@ def plot_series(table: dict, style: PlotStyle = PlotStyle()) -> str:
 
     def py(y):
         return _MT + plot_h - (y - y_lo) / (y_hi - y_lo) * plot_h
-
-    x_ticks = _log_ticks(x_lo, x_hi) if style.x_log else _nice_ticks(x_lo, x_hi)
-    y_ticks = _log_ticks(y_lo, y_hi) if style.y_log else _nice_ticks(y_lo, y_hi)
-    x_ticks = [t for t in x_ticks if x_lo <= t <= x_hi]
-    y_ticks = [t for t in y_ticks if y_lo <= t <= y_hi]
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_WIDTH:g} {_HEIGHT:g}" '

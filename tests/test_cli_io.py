@@ -3,22 +3,29 @@
 Grammar and renderer are checked against each other (parse -> render ->
 parse must be the identity on configs), persistence against byte-exact
 float round-trips and hash stability, and the CLI through main() with
-temp directories rather than subprocesses.
+temp directories rather than subprocesses; only a plot that once looped
+without end runs in a subprocess, under a timeout and a memory cap.
 """
 
 import dataclasses
 import json
 import math
+import os
 import re
+import resource
+import subprocess
+import sys
 import time
 import tomllib
 import warnings
+from pathlib import Path
 
 import pytest
 from conftest import packaged_text
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import gevreyflow
 from gevreyflow.cli import _COMMANDS, main
 from gevreyflow.config import (
     SCHEMA,
@@ -683,6 +690,35 @@ class TestPlotting:
             with pytest.raises(ConfigurationError, match="no finite points"):
                 plot_series({"t": [1.0], "y": [math.nan]}, style)
 
+    def test_tick_loop_ends_where_a_step_is_below_half_an_ulp(self):
+        # x spans one ulp of 1, so the tick step 5e-17 leaves t = 1 in place:
+        # a loop bounded by t alone grew its tick list until memory ran out
+        code = 'from gevreyflow.reporting import plot_series; plot_series({"t": [1.0, 1.0000000000000002], "y": [1.0, 2.0]})'
+        src = str(Path(gevreyflow.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+        run = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, preexec_fn=cap_memory
+        )
+        assert run.returncode == 0, run.stderr
+
+    @pytest.mark.parametrize("hi", [5e-324, 2.5e-323, 1e-310])
+    def test_range_whose_fifth_is_not_normal_is_padded_as_a_flat_one(self, hi):
+        # the fifth of 5e-324 underflowed to 0, where log10 raised; that of
+        # 2.5e-323 is 5e-324, whose decade 10**-324 underflowed to a zero step;
+        # 1e-310 drew its ticks at subnormal steps
+        flat = plot_series({"t": [0.0, 0.0], "y": [1.0, 2.0]})
+        assert plot_series({"t": [0.0, hi], "y": [1.0, 2.0]}) == flat
+
+    @pytest.mark.parametrize("t", [[-1e308, 1e308], [1.7e308]], ids=["range", "flat-pad"])
+    def test_range_past_double_range_is_refused(self, t):
+        # hi - lo, or the flat range's padded hi, is inf: floor(log10(inf)) raised OverflowError
+        with pytest.raises(ConfigurationError, match="^plot range is past double range$"):
+            plot_series({"t": t, "y": [1.0] * len(t)})
+
     def test_single_point_becomes_marker(self):
         svg = plot_series({"t": [1.0], "y": [2.0]})
         assert "<circle" in svg and "polyline" not in svg
@@ -911,6 +947,8 @@ class TestCli:
             ("coupled", "run.k_max=99999999999999999999", "run.k_max"),
             # one window of T0 = 4.3e298: 2.2e302 steps
             ("coupled", "run.c0=1e300", "run.c0"),
+            # 1e400 windows: the count stays an integer, so the error keeps its key
+            pytest.param("iterate", "run.k_max=1" + "0" * 400, "run.k_max", id="iterate-run.k_max=10**400-run.k_max"),
         ],
     )
     def test_impossible_plan_is_one_error_line_before_the_first_step(self, tmp_path, capsys, command, override, key):
@@ -943,6 +981,15 @@ class TestCli:
             ("coupled", "data2.amplitude=1e307", "data2.amplitude", "data2: sech amplitude must be positive and N times"),
             # floor + 2 amplitude = inf: the profile overflowed, and the dt guard read 0
             ("damping", "damping.amplitude=1e308", "damping.amplitude", "damping: damping amplitude must be >= 0 and"),
+            # an infinite margin, which the report's JSON refused, and an overflow in the inequality sweep
+            ("radius", "tolerances.radius=1.7e308", "tolerances.radius", "tolerances.radius must lie in [0, 1], got 1.7e+308"),
+            ("iterate", "tolerances.iteration=1.7e308", "tolerances.iteration", "tolerances.iteration must lie in [0, 1]"),
+            ("inequalities", "tolerances.inequality=1.7e308", "tolerances.inequality", "tolerances.inequality must lie in"),
+            # theta's default formula, which needs an odd order, ran before the order's own check
+            ("damping", "equation.m=6", "equation.m", "equation: order must be odd and >= 3, got m=6\n"),
+            # the step bound names the dt the override set, not only the file's t_end line
+            ("damping", "evolution.dt=1e-300", "evolution.t_end",
+             "configs/damping.cfg: line 24, col 1: evolution.t_end plans more than 2**53 steps of dt = 1e-300\n"),
         ],
     )
     def test_input_the_step_or_grid_cannot_resolve_is_refused_at_parse_time(
@@ -956,6 +1003,32 @@ class TestCli:
         assert main([command, "--out", str(tmp_path), "--quiet", "--set", override]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("overrides", [[], ["run.theta=0.3"]])
+    def test_even_order_in_the_text_is_refused_at_its_line(self, overrides):
+        text = packaged_text("damping").replace("\nm = 5\n", "\nm = 6\n")
+        message = r"^line 8, col 1: equation: order must be odd and >= 3, got m=6$"
+        with pytest.raises(ConfigParseError, match=message) as info:
+            parse_config_text(text, overrides)
+        assert info.value.__cause__.key == "equation.m"
+
+    @pytest.mark.parametrize("t_end", ["5e-324", "1e-323", "2.5e-323"])
+    def test_subnormal_horizon_writes_its_plots(self, tmp_path, capsys, t_end):
+        # the fifth of the time axis's range underflowed to 0, where log10 raised,
+        # or, at 2.5e-323, to 5e-324, whose decade 10**-324 made a zero tick step
+        assert main(["conserve", "--out", str(tmp_path), "--quiet", "--set", f"evolution.t_end={t_end}"]) == 0
+        plots = tmp_path / "conservation" / "plots"
+        assert sorted(p.name for p in plots.iterdir()) == ["drift.svg", "invariants.svg"]
+        assert capsys.readouterr().err == ""
+
+    def test_window_records_past_double_range_records_every_step(self, tmp_path, capsys):
+        # steps / window_records in floats underflowed to a cadence of 0, an error keyed record_every
+        override = "run.window_records=1" + "0" * 400
+        assert main(["iterate", "--out", str(tmp_path), "--quiet", "--set", "run.k_max=2", "--set", override]) == 0
+        assert capsys.readouterr().err == ""
+        report = json.loads((tmp_path / "iteration" / "report.json").read_text(encoding="utf-8"))
+        t = report["series"]["decay"]["t"]
+        assert len(t) > 2 and max(b - a for a, b in zip(t, t[1:])) <= 2e-4 * (1 + 1e-8)
 
     def test_samples_bound_admits_2_23(self):
         assert parse_config_text(packaged_text("inequalities"), [f"run.samples={2**23}"]).samples == 2**23

@@ -92,11 +92,22 @@ class TestScenarioConfig:
 
     @pytest.mark.parametrize(
         "tolerances, key",
-        [({"rate": -1e-5}, "rate"), ({"slope_lo": 2.2, "slope_hi": 1.8}, "slope_lo"), ({"r2_min": 1.5}, "r2_min")],
+        [
+            ({"rate": -1e-5}, "rate"),
+            ({"slope_lo": 2.2, "slope_hi": 1.8}, "slope_lo"),
+            ({"r2_min": 1.5}, "r2_min"),
+            # an infinite margin: the report's JSON refused it
+            ({"radius": 1.7e308}, "radius"),
+        ],
     )
     def test_tolerances_checked(self, tolerances, key):
         with pytest.raises(ConfigurationError, match=rf"^tolerances\.{key} "):
             Tolerances(**tolerances)
+
+    def test_tolerance_bounds_admit_0_and_1_and_a_slope_band_past_1(self):
+        assert Tolerances(rate=0.0, radius=1.0, r2_min=1.0, slope_lo=0.0, slope_hi=1e300).radius == 1.0
+        with pytest.raises(ConfigurationError, match=r"^tolerances\.slope_lo must lie in \[0, inf\], got -1\.0$"):
+            Tolerances(slope_lo=-1.0)
 
     def test_runner_rejects_mismatched_scenario(self):
         cfg = short_config(CONSERVE_SHORT)
